@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .exactla import Mat, span_basis
 from .liealg import ChevalleyBasis, PairGH
-from .roots import Weight, zero_weight
+from .roots import Weight, is_dominant_integral, zero_weight
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -557,10 +557,8 @@ def finite_dim_simple(pair, cb, lam) -> ExplicitWindow:
     lam = Weight(lam)
     rs = pair.rs
     form = pair.form
-    for a in rs.positive_roots:
-        v = form.coroot_pair(lam, a)
-        if v.denominator != 1 or v < 0:
-            raise ValueError(f"{lam} is not dominant integral")
+    if not is_dominant_integral(lam, rs.positive_roots, form):
+        raise ValueError(f"{lam} is not dominant integral")
     w0lam = pair.weyl.act(pair.weyl.longest, lam)
     depth = int((lam - w0lam).height)
     margin = max(int(a.height) for a in rs.positive_roots)
@@ -882,10 +880,8 @@ def finite_character_h(pair: PairGH, nu: Weight):
     """
     form = pair.form
     simples = _h_simples(pair)
-    for a in pair.delta_h_pos:
-        v = form.coroot_pair(nu, a)
-        if v.denominator != 1 or v < 0:
-            raise ValueError(f"{nu} is not dominant integral for the subsystem")
+    if not is_dominant_integral(nu, pair.delta_h_pos, form):
+        raise ValueError(f"{nu} is not dominant integral for the subsystem")
     if not pair.delta_h_pos:
         return {nu: 1}
     count = kostant_partition_counter(pair.delta_h_pos)

@@ -4,32 +4,82 @@ Matrices are dense, entries are `fractions.Fraction` (ints allowed on
 input), and every operation is exact: ranks, kernels and solves carry
 proof weight in the test suite, so no floating point appears anywhere.
 
-The two hot kernels (row reduction, matrix product) live in
-`_speedups` (Cython) with `pure` as the reference fallback; selection
-happens at import and can be forced with ODIRAC_PURE=1.
+The two hot kernels, row reduction and matrix product, clear each row
+to integers (row scaling does not change the reduced echelon form, and
+the product divides the scales back out), run on Python ints, and build
+one Fraction per nonzero result entry.  That avoids a Fraction
+normalization per elementary operation.
 """
 
-import os
 from fractions import Fraction
-
-from . import pure
-
-if os.environ.get("ODIRAC_PURE"):
-    _impl = pure
-else:  # pragma: no cover - depends on build environment
-    try:
-        from . import _speedups as _impl
-    except ImportError:
-        _impl = pure
-
-BACKEND = "compiled" if _impl is not pure else "pure"
+from math import gcd, lcm
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-def _frac_rows(rows):
-    return [[x if isinstance(x, Fraction) else Fraction(x) for x in row] for row in rows]
+def _int_row(row):
+    """`row` times the lcm of its denominators, as a list of ints."""
+    d = lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row]
+
+
+def _rref_rows(rows, ncols):
+    """Reduced row echelon rows of `rows` and the list of pivot columns.
+
+    Deterministic: for each column the first remaining row (lowest index)
+    with a nonzero entry is the pivot row.  Elimination is fraction-free on
+    integer rows, each updated row divided by the gcd of its entries.
+    """
+    work = [_int_row(r) for r in rows]
+    nrows = len(work)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if work[i][c]), None)
+        if pr is None:
+            continue
+        work[pr], work[r] = work[r], work[pr]
+        row = work[r]
+        piv = row[c]
+        for i, other in enumerate(work):
+            f = other[c]
+            if f and i != r:
+                new = [x * piv - f * y for x, y in zip(other, row)]
+                g = gcd(*new)
+                work[i] = [x // g for x in new] if g > 1 else new
+        pivots.append(c)
+        r += 1
+    out = [[Fraction(x, row[p]) if x else _F0 for x in row]
+           for row, p in zip(work, pivots)]
+    out += [[_F0] * ncols for _ in range(nrows - r)]
+    return out, pivots
+
+
+def _matmul_rows(a, b, ncols):
+    """Rows of the product of row lists `a` (n x k) and `b` (k x ncols).
+
+    Only the nonzeros of each `a` row and of the matching `b` rows are
+    visited, so sparse factors such as the spin module's signed
+    permutations cost what they hold, not n * k * ncols.
+    """
+    bnz = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    bden = lcm(*(x.denominator for row in bnz for _, x in row))
+    bint = [[(j, x.numerator * (bden // x.denominator)) for j, x in row] for row in bnz]
+    out = []
+    for arow in a:
+        anz = [(t, x) for t, x in enumerate(arow) if x]
+        aden = lcm(*(x.denominator for _, x in anz))
+        acc = [0] * ncols
+        for t, x in anz:
+            x = x.numerator * (aden // x.denominator)
+            for j, y in bint[t]:
+                acc[j] += x * y
+        den = aden * bden
+        out.append([Fraction(v, den) if v else _F0 for v in acc])
+    return out
 
 
 class Mat:
@@ -79,13 +129,7 @@ class Mat:
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matmul")
-        if self.nrows == 0 or other.ncols == 0:
-            return Mat.zero(self.nrows, other.ncols)
-        if self.ncols == 0:
-            return Mat.zero(self.nrows, other.ncols)
-        out = _impl.matmul_core([list(r) for r in self.rows],
-                                [list(r) for r in other.rows], other.ncols)
-        return Mat(out, other.ncols)
+        return Mat(_matmul_rows(self.rows, other.rows, other.ncols), other.ncols)
 
     def apply(self, vec):
         """Matrix-vector product, vec of length ncols."""
@@ -128,9 +172,8 @@ class Mat:
 
     def rref(self):
         """Return (reduced row echelon Mat, pivot column list)."""
-        work = [list(r) for r in self.rows]
-        pivots = _impl.rref_core(work, self.ncols)
-        return Mat(work, self.ncols), list(pivots)
+        rows, pivots = _rref_rows(self.rows, self.ncols)
+        return Mat(rows, self.ncols), pivots
 
     def rank(self):
         return len(self.rref()[1])

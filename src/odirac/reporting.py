@@ -104,8 +104,7 @@ _TASK_TABLES = {
 def render_bundle(bundle) -> str:
     man = bundle.get("manifest", {})
     lines = [
-        f"scenario: {man.get('scenario')}   engine {man.get('engine')} {man.get('version')}"
-        f"   kernels: {man.get('kernel_backend')}",
+        f"scenario: {man.get('scenario')}   engine {man.get('engine')} {man.get('version')}",
         f"sha256: {man.get('scenario_sha256')}",
         f"arithmetic: {man.get('exact_arithmetic')}",
         f"overall: {'PASS' if bundle.get('ok') else 'FAIL'}",

@@ -339,6 +339,15 @@ def is_antidominant(lam: Weight, rs: RootSystem, form: InvariantForm, rho: Weigh
     return True
 
 
+def is_dominant_integral(lam: Weight, roots, form: InvariantForm) -> bool:
+    """True iff <lam, alpha^vee> is a non-negative integer for every alpha in roots."""
+    for alpha in roots:
+        v = form.coroot_pair(lam, alpha)
+        if v.denominator != 1 or v < 0:
+            return False
+    return True
+
+
 def same_infinitesimal_character(lam, mu, shift_l, shift_r, weyl: WeylData) -> bool:
     """True iff mu+shift_r lies in the W-orbit of lam+shift_l."""
     target = mu + shift_r

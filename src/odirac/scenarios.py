@@ -10,12 +10,13 @@ byte-identical bundles regardless of the worker count.
 
 import hashlib
 import json
+import re
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
-from .exactla import BACKEND
-from .roots import Weight, build_root_system, killing_form_on_dual
+from .roots import (Weight, build_root_system, is_dominant_integral,
+                    killing_form_on_dual)
 from .liealg import chevalley_basis, validate_pair
 from .cato import (_cone_coords, finite_dim_simple, ses_from_embedding,
                    ses_split, shapovalov_grams, simple_quotient_window,
@@ -33,6 +34,21 @@ DEFAULT_MAX_DEPTH = 10
 
 KNOWN_TASKS = ("dirac", "square", "kostant", "simple_verma", "higher", "index",
                "circle", "hodge", "vogan")
+
+
+# The fields each module kind reads besides "kind"; Workspace relies on them.
+MODULE_FIELDS = {
+    "verma": ("lambda", "depth"),
+    "simple": ("lambda", "depth"),
+    "finite": ("lambda",),
+    "tensor": ("lambda", "factor_lambda", "depth"),
+    "ses": ("lambda", "sub_weight", "depth"),
+    "ses_split": ("lambda", "lambda2", "depth"),
+}
+_WEIGHT_FIELDS = ("lambda", "factor_lambda", "sub_weight", "lambda2")
+
+# A bundle is written to <out>/<name>.bundle.json, so a name must not leave <out>.
+_FILE_STEM = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
 
 
 class ScenarioError(ValueError):
@@ -58,6 +74,14 @@ def parse_weight(vals, rank) -> Weight:
     return Weight([parse_rational(v) for v in vals])
 
 
+def parse_count(doc, key, default=None):
+    """The non-negative integer `doc[key]`, or `default` if the key is absent."""
+    v = doc.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+        raise ScenarioError(f"{key} must be a non-negative integer, got {v!r}")
+    return v
+
+
 def wkey(w: Weight) -> str:
     return "[" + ", ".join(str(c) for c in w) + "]"
 
@@ -68,6 +92,9 @@ class Scenario:
             raise ScenarioError("scenario must be a JSON object")
         self.doc = doc
         self.name = doc.get("name", "scenario")
+        if not isinstance(self.name, str) or not _FILE_STEM.fullmatch(self.name):
+            raise ScenarioError(f"name {self.name!r} is not a file stem "
+                                "(letters, digits, '.', '_', '-'; no leading dot)")
         try:
             self.cartan_type = doc["cartan_type"]
         except KeyError:
@@ -82,19 +109,31 @@ class Scenario:
         if not isinstance(module, dict) or "kind" not in module:
             raise ScenarioError("missing module spec")
         self.module = module
-        for key in ("lambda", "factor_lambda", "sub_weight", "lambda2"):
-            if key in module:
-                parse_weight(module[key], rank)
-        self.max_depth = int(doc.get("max_depth", DEFAULT_MAX_DEPTH))
-        depth = module.get("depth")
-        if depth is not None and int(depth) > self.max_depth:
+        kind = module["kind"]
+        if not isinstance(kind, str) or kind not in MODULE_FIELDS:
+            raise ScenarioError(f"unknown module kind {kind!r}")
+        missing = [key for key in MODULE_FIELDS[kind] if key not in module]
+        if missing:
+            raise ScenarioError(f"module kind {kind!r} needs {', '.join(missing)}")
+        self.weights = {key: parse_weight(module[key], rank)
+                        for key in _WEIGHT_FIELDS if key in module}
+        finite = {"finite": "lambda", "tensor": "factor_lambda"}.get(kind)
+        if finite:
+            lam, form = self.weights[finite], killing_form_on_dual(self.rs)
+            if not is_dominant_integral(lam, self.rs.positive_roots, form):
+                raise ScenarioError(f"{finite} {wkey(lam)} is not dominant integral")
+        self.max_depth = parse_count(doc, "max_depth", DEFAULT_MAX_DEPTH)
+        self.depth = parse_count(module, "depth") if "depth" in module else None
+        if self.depth is not None and self.depth > self.max_depth:
             raise ScenarioError(
-                f"depth {depth} exceeds the configured maximum {self.max_depth}")
-        self.tasks = list(doc.get("tasks", []))
+                f"depth {self.depth} exceeds the configured maximum {self.max_depth}")
+        self.tasks = doc.get("tasks", [])
+        if not isinstance(self.tasks, list):
+            raise ScenarioError(f"tasks must be a list, got {self.tasks!r}")
         for t in self.tasks:
             if t not in KNOWN_TASKS:
                 raise ScenarioError(f"unknown task {t!r}")
-        self.depth_below_top = int(doc.get("depth_below_top", 6))
+        self.depth_below_top = parse_count(doc, "depth_below_top", 6)
         self.options = doc.get("options", {})
         self.out_dir = doc.get("out_dir")
 
@@ -123,46 +162,33 @@ class Workspace:
         self.pair = validate_pair(self.rs, self.form, scn.delta_h)
         self.sm = build_spin_module(self.pair, self.cb)
         self.ses = None
-        self.module = self._build_module(scn.module)
+        self.module = self._build_module(scn)
         self._blocks = {}
 
-    def _build_module(self, spec):
+    def _build_module(self, scn):
         pair, cb = self.pair, self.cb
-        rank = pair.rank
-        kind = spec["kind"]
-        if kind == "verma":
-            lam = parse_weight(spec["lambda"], rank)
-            return verma_window(pair, cb, lam, int(spec["depth"]))
-        if kind == "simple":
-            lam = parse_weight(spec["lambda"], rank)
-            vw = verma_window(pair, cb, lam, int(spec["depth"]))
-            return simple_quotient_window(vw, shapovalov_grams(vw))
+        kind, lam, depth = scn.module["kind"], scn.weights["lambda"], scn.depth
         if kind == "finite":
-            lam = parse_weight(spec["lambda"], rank)
             return finite_dim_simple(pair, cb, lam)
+        vw = verma_window(pair, cb, lam, depth)
+        if kind == "verma":
+            return vw
+        if kind == "simple":
+            return simple_quotient_window(vw, shapovalov_grams(vw))
         if kind == "tensor":
-            lam = parse_weight(spec["lambda"], rank)
-            vw = verma_window(pair, cb, lam, int(spec["depth"]))
-            f = finite_dim_simple(pair, cb, parse_weight(spec["factor_lambda"], rank))
-            return tensor_with_finite_dim(vw, f)
+            return tensor_with_finite_dim(
+                vw, finite_dim_simple(pair, cb, scn.weights["factor_lambda"]))
         if kind == "ses":
-            lam = parse_weight(spec["lambda"], rank)
-            vw = verma_window(pair, cb, lam, int(spec["depth"]))
-            w0 = parse_weight(spec["sub_weight"], rank)
+            w0 = scn.weights["sub_weight"]
             sv = singular_vectors(vw, w0)
             if len(sv) != 1:
                 raise ScenarioError(
                     f"expected one singular vector at {w0}, found {len(sv)}")
             self.ses = ses_from_embedding(vw, w0, sv[0])
             return vw
-        if kind == "ses_split":
-            m1 = verma_window(pair, cb, parse_weight(spec["lambda"], rank),
-                              int(spec["depth"]))
-            m3 = verma_window(pair, cb, parse_weight(spec["lambda2"], rank),
-                              int(spec["depth"]))
-            self.ses = ses_split(m1, m3)
-            return self.ses.modules()[1]
-        raise ScenarioError(f"unknown module kind {kind!r}")
+        # ses_split, the last kind in MODULE_FIELDS
+        self.ses = ses_split(vw, verma_window(pair, cb, scn.weights["lambda2"], depth))
+        return self.ses.modules()[1]
 
     def block(self, mu) -> DiracBlock:
         b = self._blocks.get(mu)
@@ -215,7 +241,6 @@ def run_scenario(scn: Scenario, jobs=1) -> dict:
             "scenario": scn.name,
             "scenario_sha256": scn.sha256(),
             "exact_arithmetic": "rational (Fraction); no floating point in the math core",
-            "kernel_backend": BACKEND,
         },
         "tasks": tasks,
         "ok": ok,

@@ -5,6 +5,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from odirac.cli import main
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENARIOS = os.path.join(REPO, "scenarios")
 GOLDEN = os.path.join(REPO, "tests", "golden")
@@ -43,8 +47,6 @@ def test_golden_bundle(tmp_path):
     want = json.loads(open(os.path.join(GOLDEN, "sl3_paper_example.bundle.json")).read())
     got["manifest"].pop("version")
     want["manifest"].pop("version")
-    got["manifest"].pop("kernel_backend")
-    want["manifest"].pop("kernel_backend")
     assert got == want
 
 
@@ -77,6 +79,38 @@ def test_unparseable_file_exits_2(tmp_path):
     path.write_text("{not json")
     res = run_cli("run", str(path), "--out", str(tmp_path))
     assert res.returncode == 2
+
+
+A1_VERMA = {"kind": "verma", "lambda": [0], "depth": 4}
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("module", {"kind": "verma", "lambda": [0]}, "needs depth"),
+    ("module", {"kind": "verma", "lambda": [0], "depth": "x"}, "depth must be"),
+    ("module", {"kind": "verma", "lambda": [0], "depth": -1}, "depth must be"),
+    ("module", {"kind": "finite", "lambda": [-1]}, "not dominant integral"),
+    ("tasks", "dirac", "tasks must be a list"),
+], ids=["missing_depth", "depth_not_int", "negative_depth", "finite_not_dominant",
+        "tasks_not_list"])
+def test_invalid_scenario_fields_exit_2(tmp_path, capsys, field, value, message):
+    scn = {"name": "bad", "cartan_type": "A1", "delta_h": [], "module": A1_VERMA,
+           "tasks": ["dirac"], field: value}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scn))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error:") and message in err
+    assert not (tmp_path / "bad.bundle.json").exists()
+
+
+def test_name_cannot_leave_out_dir(tmp_path, capsys):
+    scn = {"name": "../escaped", "cartan_type": "A1", "delta_h": [],
+           "module": A1_VERMA, "tasks": []}
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(scn))
+    assert main(["run", str(path), "--out", str(tmp_path / "out" / "deep")]) == 2
+    assert "scenario error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["scn.json"]
 
 
 def test_depth_cap_enforced(tmp_path):

@@ -1,4 +1,4 @@
-"""Exact linear algebra: the kernels both backends must agree on."""
+"""Exact linear algebra, and its kernels against a plain-Fraction oracle."""
 
 import random
 from fractions import Fraction
@@ -6,10 +6,36 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from odirac.exactla import (Mat, charpoly, pure, span_basis, subspace_dim,
+from odirac.exactla import (Mat, charpoly, span_basis, subspace_dim,
                             subspace_eq, subspace_intersect, subspace_sum)
 
 F = Fraction
+
+
+def oracle_rref(rows, ncols):
+    """Gauss-Jordan on Fraction entries, one field operation at a time."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[pr], rows[r] = rows[r], rows[pr]
+        piv = rows[r][c]
+        rows[r] = [x / piv for x in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def oracle_matmul(a, b, ncols):
+    return [[sum((arow[t] * b[t][j] for t in range(len(b))), F(0)) for j in range(ncols)]
+            for arow in a]
 
 
 def rand_mat(rng, n, m, den=4):
@@ -65,23 +91,51 @@ def test_subspace_arithmetic():
     assert span_basis([e1, (F(2), F(0), F(0))]) == [e1]
 
 
-def test_backends_agree():
-    rng = random.Random(11)
-    for _ in range(12):
-        n, m = rng.randint(1, 7), rng.randint(1, 7)
-        rows = rand_mat(rng, n, m)
-        work1 = [list(r) for r in rows]
-        # pure is the reference; the selected backend runs through Mat
-        p1 = pure.rref_core(work1, m)
-        mat = Mat(rows, m)
-        red, p2 = mat.rref()
-        assert list(p1) == p2
-        assert Mat(work1, m) == red
-        other = rand_mat(rng, m, rng.randint(1, 6))
-        got = mat @ Mat(other, len(other[0]))
-        want = pure.matmul_core([list(r) for r in rows],
-                                [list(r) for r in other], len(other[0]))
-        assert got == Mat(want, len(other[0]))
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def matrices(draw, nrows, ncols):
+    """Dense, rank-deficient, zero-row or signed-permutation rows, n x m."""
+    kind = draw(st.sampled_from(["dense", "low_rank", "zero_rows", "signed_perm"]))
+    if kind == "signed_perm" and nrows == ncols:
+        perm = draw(st.permutations(range(ncols)))
+        signs = draw(st.lists(st.sampled_from([F(-1), F(1)]), min_size=nrows, max_size=nrows))
+        scale = draw(rationals.filter(bool))
+        return [[scale * s if j == p else F(0) for j in range(ncols)]
+                for p, s in zip(perm, signs)]
+    if kind == "low_rank":
+        k = draw(st.integers(0, max(0, min(nrows, ncols) - 1)))
+        left = draw(st.lists(st.lists(rationals, min_size=k, max_size=k),
+                             min_size=nrows, max_size=nrows))
+        right = draw(st.lists(st.lists(rationals, min_size=ncols, max_size=ncols),
+                              min_size=k, max_size=k))
+        return oracle_matmul(left, right, ncols)
+    rows = draw(st.lists(st.lists(rationals, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if kind == "zero_rows" and nrows:
+        for i in draw(st.lists(st.integers(0, nrows - 1), max_size=nrows)):
+            rows[i] = [F(0)] * ncols
+    return rows
+
+
+@st.composite
+def matmul_operands(draw):
+    n, k, m = (draw(st.integers(0, 6)) for _ in range(3))
+    if draw(st.booleans()):
+        n = k = m  # square, so both factors can be signed permutations
+    return k, m, draw(matrices(n, k)), draw(matrices(k, m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matmul_operands())
+def test_kernels_match_fraction_oracle(operands):
+    k, m, a, b = operands
+    red, pivots = Mat(a, k).rref()
+    want_rows, want_pivots = oracle_rref(a, k)
+    assert pivots == want_pivots
+    assert red == Mat(want_rows, k)
+    assert Mat(a, k) @ Mat(b, m) == Mat(oracle_matmul(a, b, m), m)
 
 
 @settings(max_examples=40, deadline=None)
