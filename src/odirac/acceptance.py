@@ -11,72 +11,23 @@ import time
 from fractions import Fraction
 
 from .exactla import Mat
-from .roots import (Weight, build_root_system, eps_to_weight, is_antidominant,
-                    killing_form_on_dual, weight_from_fundamental)
-from .liealg import chevalley_basis, validate_pair
+from .roots import Weight, eps_to_weight, is_antidominant, weight_from_fundamental
 from .cato import (_cone_coords, commutation_defect, finite_dim_simple,
                    ses_from_embedding, ses_split, shapovalov_grams,
-                   simple_quotient_window, singular_vectors, sort_weights,
-                   tensor_with_finite_dim, verma_character_h, verma_window)
+                   simple_quotient_window, singular_vectors,
+                   tensor_with_finite_dim, verma_character_h)
 from .spinor import build_spin_module, cubic_term_rebased
-from .dirac import (DiracBlock, check_square, exact_circle, h_equivariance_defect,
+from .dirac import (block, check_square, exact_circle, h_equivariance_defect,
                     index_identity_check, kostant_kernel_check, nonvanishing_check,
                     simple_verma_theorem_check, singular_cohomology_weights,
                     vogan_audit)
 from .hodge import (ce_complex, detect_hermitian, hodge_decomposition_check,
                     identification_check, theorem52_comparison, unitarity_check)
+from .scenarios import PairContext, Scenario, bundle_to_json, pair_context, run_scenario
 
 _F = Fraction
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
-
-
-# -- shared context cache -------------------------------------------------------
-
-_CTX = {}
-
-
-def pair_context(cartan, delta_h):
-    key = (cartan, tuple(tuple(x) for x in delta_h))
-    ctx = _CTX.get(key)
-    if ctx is None:
-        rs = build_root_system(cartan)
-        form = killing_form_on_dual(rs)
-        cb = chevalley_basis(rs, form)
-        pair = validate_pair(rs, form, [Weight(v) for v in delta_h])
-        sm = build_spin_module(pair, cb)
-        ctx = {"rs": rs, "form": form, "cb": cb, "pair": pair, "sm": sm,
-               "windows": {}, "blocks": {}}
-        _CTX[key] = ctx
-    return ctx
-
-
-def get_verma(ctx, lam, depth):
-    key = ("verma", Weight(lam), depth)
-    w = ctx["windows"].get(key)
-    if w is None:
-        w = verma_window(ctx["pair"], ctx["cb"], Weight(lam), depth)
-        ctx["windows"][key] = w
-    return w
-
-
-def get_block(ctx, m, mu) -> DiracBlock:
-    key = (id(m), mu)
-    b = ctx["blocks"].get(key)
-    if b is None:
-        b = DiracBlock(ctx["pair"], ctx["cb"], ctx["sm"], m, mu)
-        ctx["blocks"][key] = b
-    return b
-
-
-def block_weights_below(ctx, m, depth):
-    top = m.top_weight + ctx["sm"].top_weight
-    out = []
-    for c in _cone_coords(ctx["pair"].rank, depth):
-        mu = top - Weight(c)
-        if all(m.materialized(mu - ws) for ws in ctx["sm"].weights):
-            out.append(mu)
-    return sort_weights(out)
 
 
 def _result(name, ok, seconds, details):
@@ -90,17 +41,17 @@ def criterion_1_sl3_example():
     """Worked sl(3) example: H_D(M(-rho)) is the subsystem Verma M_h(-rho_h)."""
     t0 = time.time()
     ctx = pair_context("A2", [(1, 0)])
-    pair, cb, sm = ctx["pair"], ctx["cb"], ctx["sm"]
+    pair, cb, sm = ctx.pair, ctx.cb, ctx.sm
     lam = -pair.rho
-    vw = get_verma(ctx, lam, 14)
+    vw = ctx.verma(lam, 14)
     mu_top = lam + pair.rho - pair.rho_h
     assert mu_top == -pair.rho_h
     # the claimed highest weight in epsilon coordinates
-    assert mu_top == eps_to_weight(ctx["rs"], (_F(-1, 2), _F(1, 2), 0))
+    assert mu_top == eps_to_weight(ctx.rs, (_F(-1, 2), _F(1, 2), 0))
     weights = [mu_top - Weight(c) for c in _cone_coords(2, 8)]
     actual = {}
     for mu in weights:
-        blk = get_block(ctx, vw, mu)
+        blk = block(sm, vw, mu)
         if blk.dim == 0:
             continue
         hd = blk.dirac_cohomology()["hd"]
@@ -108,7 +59,7 @@ def criterion_1_sl3_example():
             actual[mu] = hd
     expected = {w: d for w, d in verma_character_h(pair, mu_top, weights).items() if d}
     char_ok = actual == expected
-    top_blk = get_block(ctx, vw, mu_top)
+    top_blk = block(sm, vw, mu_top)
     top_ok = top_blk.dim == 1 and top_blk.d.is_zero()
     elapsed = time.time() - t0
     ok = char_ok and top_ok and elapsed < 10
@@ -121,24 +72,12 @@ def criterion_1_sl3_example():
     })
 
 
-_KOSTANT_CASES = None
-
-
 def _kostant_cases():
-    global _KOSTANT_CASES
-    if _KOSTANT_CASES is None:
-        cases = []
-        ctx1 = pair_context("A1", [])
-        for n in range(5):
-            cases.append((ctx1, Weight([_F(n, 2)])))
-        ctx2 = pair_context("A2", [(1, 0)])
-        for lam in [Weight([0, 0]), Weight([_F(2, 3), _F(1, 3)]),
-                    Weight([1, 1])]:
-            cases.append((ctx2, lam))
-        ctx3 = pair_context("A2", [])
-        cases.append((ctx3, Weight([0, 0])))
-        _KOSTANT_CASES = cases
-    return _KOSTANT_CASES
+    a1, su21, a2 = pair_context("A1"), pair_context("A2", [(1, 0)]), pair_context("A2")
+    return ([(a1, Weight([_F(n, 2)])) for n in range(5)]
+            + [(su21, lam) for lam in (Weight([0, 0]), Weight([_F(2, 3), _F(1, 3)]),
+                                       Weight([1, 1]))]
+            + [(a2, Weight([0, 0]))])
 
 
 def criterion_2_kostant():
@@ -147,15 +86,15 @@ def criterion_2_kostant():
     details = {}
     ok = True
     for ctx, lam in _kostant_cases():
-        f = finite_dim_simple(ctx["pair"], ctx["cb"], lam)
-        rep = kostant_kernel_check(ctx["pair"], ctx["cb"], ctx["sm"], f)
-        label = f"{ctx['pair'].rs.cartan_type} dh={len(ctx['pair'].delta_h_pos)} lam={lam}"
+        f = finite_dim_simple(ctx.pair, ctx.cb, lam)
+        rep = kostant_kernel_check(ctx.pair, ctx.cb, ctx.sm, f)
+        label = f"{ctx.pair.rs.cartan_type} dh={len(ctx.pair.delta_h_pos)} lam={lam}"
         details[label] = rep["match"]
         ok = ok and rep["match"]
     ctx3 = pair_context("A2", [])
-    cubic = ctx3["sm"].cubic
+    cubic = ctx3.sm.cubic
     cubic_nonzero = not cubic.is_zero()
-    kills_vacuum = all(cubic.rows[i][0] == 0 for i in range(ctx3["sm"].dim))
+    kills_vacuum = all(cubic.rows[i][0] == 0 for i in range(ctx3.sm.dim))
     ok = ok and cubic_nonzero and kills_vacuum
     elapsed = time.time() - t0
     ok = ok and elapsed < 30
@@ -173,26 +112,26 @@ def criterion_3_square():
     first_failure = None
     # Verma scenario of criterion 1, blocks safe for the Casimir round trips
     ctx = pair_context("A2", [(1, 0)])
-    vw = get_verma(ctx, -ctx["pair"].rho, 14)
-    mu_top = -ctx["pair"].rho_h
+    vw = ctx.verma(-ctx.pair.rho, 14)
+    mu_top = -ctx.pair.rho_h
     for c in _cone_coords(2, 8):
         mu = mu_top - Weight(c)
-        blk = get_block(ctx, vw, mu)
+        blk = block(ctx.sm, vw, mu)
         if blk.dim == 0:
             continue
-        rep = check_square(ctx["pair"], ctx["cb"], ctx["sm"], vw, blk)
+        rep = check_square(ctx.pair, ctx.cb, ctx.sm, vw, blk)
         checked += 1
         if not rep["matrix_identity"]:
             ok = False
             first_failure = first_failure or str(mu)
     # finite module scenarios of criterion 2
     for cctx, lam in _kostant_cases():
-        f = finite_dim_simple(cctx["pair"], cctx["cb"], lam)
-        for mu in block_weights_below(cctx, f, 2 * int(f.top_weight.height) + 6):
-            blk = DiracBlock(cctx["pair"], cctx["cb"], cctx["sm"], f, mu)
+        f = finite_dim_simple(cctx.pair, cctx.cb, lam)
+        for mu in cctx.block_weights(f, 2 * int(f.top_weight.height) + 6):
+            blk = block(cctx.sm, f, mu)
             if blk.dim == 0:
                 continue
-            rep = check_square(cctx["pair"], cctx["cb"], cctx["sm"], f, blk)
+            rep = check_square(cctx.pair, cctx.cb, cctx.sm, f, blk)
             checked += 1
             if not rep["matrix_identity"]:
                 ok = False
@@ -217,14 +156,14 @@ def criterion_4_simple_verma():
     ok = True
     for cartan, dh, lams in _THM41_CASES:
         ctx = pair_context(cartan, dh)
-        pair = ctx["pair"]
+        pair = ctx.pair
         spread = int(sum((b.height for b in pair.q_positive), _F(0)))
         for lam in lams:
             if lam is None:
                 lam = -pair.rho  # the integral-edge case
             assert is_antidominant(lam, pair.rs, pair.form, pair.rho), lam
-            vw = get_verma(ctx, lam, 8 + spread + 1)
-            rep = simple_verma_theorem_check(pair, ctx["cb"], ctx["sm"], vw, 8)
+            vw = ctx.verma(lam, 8 + spread + 1)
+            rep = simple_verma_theorem_check(pair, ctx.cb, ctx.sm, vw, 8)
             good = rep["antidominant"] and rep["target_antidominant"] and rep["match"]
             details[f"{cartan} dh={len(dh)} lam={lam}"] = good
             ok = ok and good
@@ -238,18 +177,18 @@ def criterion_5_nonvanishing():
     ok = True
     modules = []
     ctx1 = pair_context("A2", [(1, 0)])
-    modules.append(("A2 su21 M(-rho)", ctx1, get_verma(ctx1, -ctx1["pair"].rho, 14)))
-    f = finite_dim_simple(ctx1["pair"], ctx1["cb"], Weight([1, 1]))
+    modules.append(("A2 su21 M(-rho)", ctx1, ctx1.verma(-ctx1.pair.rho, 14)))
+    f = finite_dim_simple(ctx1.pair, ctx1.cb, Weight([1, 1]))
     modules.append(("A2 su21 F(adjoint)", ctx1, f))
     ctxa = pair_context("A1", [])
-    modules.append(("A1 M(-1/2 alpha)", ctxa, get_verma(ctxa, Weight([_F(-1, 2)]), 10)))
-    vw0 = get_verma(ctxa, Weight([0]), 10)
+    modules.append(("A1 M(-1/2 alpha)", ctxa, ctxa.verma(Weight([_F(-1, 2)]), 10)))
+    vw0 = ctxa.verma(Weight([0]), 10)
     grams = shapovalov_grams(vw0)
     modules.append(("A1 L(0)", ctxa, simple_quotient_window(vw0, grams)))
     fixture = load_jordan_fixture()
     modules.append(("pinned tensor", fixture["ctx"], fixture["module"]))
     for name, ctx, m in modules:
-        rep = nonvanishing_check(ctx["pair"], ctx["cb"], ctx["sm"], m)
+        rep = nonvanishing_check(ctx.pair, ctx.cb, ctx.sm, m)
         details[name] = rep["ok"]
         ok = ok and rep["ok"]
     return _result("nonvanishing", ok, time.time() - t0, details)
@@ -264,24 +203,21 @@ def search_jordan_scenario():
     parameters and the witness weight.
     """
     ctx = pair_context("A1", [])
-    pair, cb, sm = ctx["pair"], ctx["cb"], ctx["sm"]
-    alpha = pair.rs.simple_roots[0]
+    pair, cb, sm = ctx.pair, ctx.cb, ctx.sm
     for lam_h in (-2, -1, 0, 1, -3):
         lam = Weight([_F(lam_h, 2)])
         for f_h in (1, 2):
             f = finite_dim_simple(pair, cb, Weight([_F(f_h, 2)]))
-            t = tensor_with_finite_dim(get_verma(ctx, lam, 16), f)
+            t = tensor_with_finite_dim(ctx.verma(lam, 16), f)
             mu_top = t.top_weight + sm.top_weight
-            for k in range(10):
-                mu = mu_top - alpha * k
-                if not all(t.materialized(mu - ws) for ws in sm.weights):
-                    continue
-                blk = DiracBlock(pair, cb, sm, t, mu)
+            for mu in ctx.block_weights(t, 9):
+                blk = block(sm, t, mu)
                 if blk.dim == 0:
                     continue
                 sizes = [len(c) for c in blk.nilpotent().chains()]
                 if sizes and max(sizes) >= 2:
-                    return {"lambda_h": lam_h, "factor_h": f_h, "depth_below_top": k,
+                    return {"lambda_h": lam_h, "factor_h": f_h,
+                            "depth_below_top": int((mu_top - mu).height),
                             "jordan_sizes": sorted(sizes)}
     raise AssertionError("no small tensor scenario with a nontrivial Jordan block")
 
@@ -291,10 +227,10 @@ def load_jordan_fixture():
     with open(path) as fh:
         fx = json.load(fh)
     ctx = pair_context("A1", [])
-    pair, cb = ctx["pair"], ctx["cb"]
+    pair, cb = ctx.pair, ctx.cb
     lam = Weight([_F(fx["lambda_h"], 2)])
     f = finite_dim_simple(pair, cb, Weight([_F(fx["factor_h"], 2)]))
-    module = tensor_with_finite_dim(get_verma(ctx, lam, 16), f)
+    module = tensor_with_finite_dim(ctx.verma(lam, 16), f)
     return {"ctx": ctx, "module": module, "fixture": fx}
 
 
@@ -305,19 +241,19 @@ def criterion_6_higher_index():
     ok = True
     # (a) every Verma scenario of the suite: the worked example and the
     # simple-Verma cases of all three pairs
-    verma_runs = [(pair_context("A2", [(1, 0)]), -pair_context("A2", [(1, 0)])["pair"].rho, 6)]
+    verma_runs = [(pair_context("A2", [(1, 0)]), -pair_context("A2", [(1, 0)]).pair.rho, 6)]
     for cartan, dh, lams in _THM41_CASES:
         c = pair_context(cartan, dh)
-        spread = int(sum((b.height for b in c["pair"].q_positive), _F(0)))
+        spread = int(sum((b.height for b in c.pair.q_positive), _F(0)))
         for lam in lams:
-            verma_runs.append((c, lam if lam is not None else -c["pair"].rho,
+            verma_runs.append((c, lam if lam is not None else -c.pair.rho,
                                min(4, 8 + spread)))
     checked = 0
     for c, lam, depth in verma_runs:
-        spread = int(sum((b.height for b in c["pair"].q_positive), _F(0)))
-        vw = get_verma(c, lam, 8 + spread + 1)
-        for mu in block_weights_below(c, vw, depth):
-            rep = index_identity_check(c["pair"], c["cb"], c["sm"], vw, mu)
+        spread = int(sum((b.height for b in c.pair.q_positive), _F(0)))
+        vw = c.verma(lam, 8 + spread + 1)
+        for mu in c.block_weights(vw, depth):
+            rep = index_identity_check(c.pair, c.cb, c.sm, vw, mu)
             checked += 1
             if not rep["ok"]:
                 ok = False
@@ -333,13 +269,13 @@ def criterion_6_higher_index():
     ok = ok and pin_ok
     fctx, t = fixture["ctx"], fixture["module"]
     max_size = 0
-    for mu in block_weights_below(fctx, t, 8):
-        blk = get_block(fctx, t, mu)
+    for mu in fctx.block_weights(t, 8):
+        blk = block(fctx.sm, t, mu)
         if blk.dim == 0:
             continue
         sizes = [len(c) for c in blk.nilpotent().chains()]
         max_size = max(max_size, max(sizes, default=0))
-        rep = index_identity_check(fctx["pair"], fctx["cb"], fctx["sm"], t, mu)
+        rep = index_identity_check(fctx.pair, fctx.cb, fctx.sm, t, mu)
         # higher_cohomology cross-asserts the direct and Jordan routes
         blk.higher_cohomology()
         if not rep["ok"]:
@@ -356,11 +292,11 @@ def criterion_7_exact_circle():
     details = {}
     ok = True
     ctx = pair_context("A1", [])
-    pair, cb, sm = ctx["pair"], ctx["cb"], ctx["sm"]
+    pair, cb, sm = ctx.pair, ctx.cb, ctx.sm
     alpha = pair.rs.simple_roots[0]
     for n in (0, 1, 2):
         lam = Weight([_F(n, 2)])
-        vw = get_verma(ctx, lam, 12)
+        vw = ctx.verma(lam, 12)
         w0 = lam - alpha * (n + 1)
         sv = singular_vectors(vw, w0)
         ses = ses_from_embedding(vw, w0, sv[0])
@@ -374,8 +310,8 @@ def criterion_7_exact_circle():
                 nonzero += 1
         details[f"ses lam(h)={n}"] = {"exact": ok, "weights_with_cohomology": nonzero}
         ok = ok and nonzero >= 2
-    m1 = get_verma(ctx, Weight([_F(1, 2)]), 12)
-    m3 = get_verma(ctx, Weight([_F(-3, 2)]), 12)
+    m1 = ctx.verma(Weight([_F(1, 2)]), 12)
+    m3 = ctx.verma(Weight([_F(-3, 2)]), 12)
     split = ses_split(m1, m3)
     mu_top = m1.top_weight + pair.rho
     split_ok = True
@@ -394,10 +330,10 @@ def criterion_8_hodge():
     ok = True
     # A1, k = t, M(-rho) is unitary
     ctx = pair_context("A1", [])
-    pair, cb, sm = ctx["pair"], ctx["cb"], ctx["sm"]
+    pair, cb, sm = ctx.pair, ctx.cb, ctx.sm
     hp = detect_hermitian(pair)
     lam = -pair.rho
-    vw = get_verma(ctx, lam, 12)
+    vw = ctx.verma(lam, 12)
     form = shapovalov_grams(vw)
     ws = [lam - pair.rs.simple_roots[0] * k for k in range(9)]
     urep = unitarity_check(hp, vw, form, ws)
@@ -413,10 +349,10 @@ def criterion_8_hodge():
     ok = ok and a1_ok
     # A2 su(2,1)-type pair: unitary simple quotient L(omega1 - 7/2 omega2)
     ctx2 = pair_context("A2", [(1, 0)])
-    pair2, cb2, sm2 = ctx2["pair"], ctx2["cb"], ctx2["sm"]
+    pair2, cb2, sm2 = ctx2.pair, ctx2.cb, ctx2.sm
     hp2 = detect_hermitian(pair2)
     lam2 = weight_from_fundamental(pair2.rs, (_F(1), _F(-7, 2)))
-    vw2 = get_verma(ctx2, lam2, 14)
+    vw2 = ctx2.verma(lam2, 14)
     form2 = shapovalov_grams(vw2)
     quot = simple_quotient_window(vw2, form2)
     test_ws = [quot.top_weight - Weight(c) for c in _cone_coords(2, 10)]
@@ -438,7 +374,7 @@ def criterion_8_hodge():
     ok = ok and a2_ok and nonzero >= 2
     # negative test: lam(h) = 1 fails positivity
     lam_bad = Weight([_F(1, 2)])
-    vw_bad = get_verma(ctx, lam_bad, 10)
+    vw_bad = ctx.verma(lam_bad, 10)
     rep_bad = unitarity_check(hp, vw_bad, shapovalov_grams(vw_bad),
                               [lam_bad - pair.rs.simple_roots[0] * k for k in range(5)])
     details["negative test failed positivity"] = not rep_bad["unitary"]
@@ -453,51 +389,47 @@ def criterion_9_vogan():
     ok = True
     runs = []
     ctx = pair_context("A2", [(1, 0)])
-    runs.append(("A2 su21 M(-rho)", ctx, get_verma(ctx, -ctx["pair"].rho, 14), 8))
-    f = finite_dim_simple(ctx["pair"], ctx["cb"], Weight([_F(2, 3), _F(1, 3)]))
+    runs.append(("A2 su21 M(-rho)", ctx, ctx.verma(-ctx.pair.rho, 14), 8))
+    f = finite_dim_simple(ctx.pair, ctx.cb, Weight([_F(2, 3), _F(1, 3)]))
     runs.append(("A2 su21 F(omega1)", ctx, f, 6))
-    fad = finite_dim_simple(ctx["pair"], ctx["cb"], Weight([1, 1]))
+    fad = finite_dim_simple(ctx.pair, ctx.cb, Weight([1, 1]))
     runs.append(("A2 su21 F(adjoint)", ctx, fad, 6))
     fixture = load_jordan_fixture()
     runs.append(("pinned tensor", fixture["ctx"], fixture["module"], 8))
     for cartan, dh, lams in _THM41_CASES:
         c = pair_context(cartan, dh)
-        spread = int(sum((b.height for b in c["pair"].q_positive), _F(0)))
+        spread = int(sum((b.height for b in c.pair.q_positive), _F(0)))
         for lam in lams:
-            lam = lam if lam is not None else -c["pair"].rho
+            lam = lam if lam is not None else -c.pair.rho
             runs.append((f"{cartan} dh={len(dh)} M({lam})", c,
-                         get_verma(c, lam, 8 + spread + 1), 5))
+                         c.verma(lam, 8 + spread + 1), 5))
     ctx1 = pair_context("A1", [])
-    vw0 = get_verma(ctx1, Weight([0]), 10)
+    vw0 = ctx1.verma(Weight([0]), 10)
     runs.append(("A1 L(0)", ctx1,
                  simple_quotient_window(vw0, shapovalov_grams(vw0)), 5))
     for name, c, m, depth in runs:
-        weights = block_weights_below(c, m, depth)
-        singular = singular_cohomology_weights(c["pair"], c["cb"], c["sm"], m, weights)
-        rep = vogan_audit(c["pair"], sorted(singular), m.infchars)
+        weights = c.block_weights(m, depth)
+        singular = singular_cohomology_weights(c.pair, c.cb, c.sm, m, weights)
+        rep = vogan_audit(c.pair, sorted(singular), m.infchars)
         details[name] = {"ok": rep["ok"], "constituent_weights": len(singular)}
         ok = ok and rep["ok"] and bool(singular)
     return _result("Vogan audit", ok, time.time() - t0, details)
 
 
-def criterion_10_structural(jobs_pair=(1, 4)):
+def criterion_10_structural():
     """Structural property suites and bundle determinism."""
-    from .scenarios import Scenario, bundle_to_json, run_scenario
-
     t0 = time.time()
     details = {}
     ok = True
     # Jacobi on all supported small types
     for label in ("A1", "A2", "B2", "G2", "A1xA1", "A3"):
-        rs = build_root_system(label)
-        cb = chevalley_basis(rs, killing_form_on_dual(rs))
-        res = cb.jacobi_residual()
+        res = pair_context(label).cb.jacobi_residual()
         details[f"jacobi {label}"] = res == 0
         ok = ok and res == 0
     # commutation fidelity on a Verma window
     ctx = pair_context("A2", [(1, 0)])
-    vw = get_verma(ctx, -ctx["pair"].rho, 14)
-    cb = ctx["cb"]
+    vw = ctx.verma(-ctx.pair.rho, 14)
+    cb = ctx.cb
     comm_ok = True
     for w in [vw.top_weight - Weight(c) for c in _cone_coords(2, 3)]:
         for ix in range(cb.dim):
@@ -510,30 +442,30 @@ def criterion_10_structural(jobs_pair=(1, 4)):
     # Clifford relations
     cliff_ok = True
     for c in (ctx, pair_context("A2", [])):
-        sm = c["sm"]
+        sm = c.sm
         n = 2 * sm.nq
         for i in range(n):
             for j in range(n):
                 anti = sm.gamma_q(i) @ sm.gamma_q(j) + sm.gamma_q(j) @ sm.gamma_q(i)
-                expect = c["cb"].pairing(sm._qidx_to_cb[i], sm._qidx_to_cb[j])
+                expect = c.cb.pairing(sm._qidx_to_cb[i], sm._qidx_to_cb[j])
                 if anti != Mat.identity(sm.dim).scale(expect):
                     cliff_ok = False
     details["clifford relations"] = cliff_ok
     ok = ok and cliff_ok
     # h-equivariance of D
     heq_ok = True
-    mu0 = -ctx["pair"].rho_h - Weight([1, 1])
-    for gen in ctx["pair"].h_generators():
-        if not h_equivariance_defect(ctx["pair"], cb, ctx["sm"], vw, mu0, gen).is_zero():
+    mu0 = -ctx.pair.rho_h - Weight([1, 1])
+    for gen in ctx.pair.h_generators():
+        if not h_equivariance_defect(ctx.pair, cb, ctx.sm, vw, mu0, gen).is_zero():
             heq_ok = False
     details["h-equivariance of D"] = heq_ok
     ok = ok and heq_ok
     # d^2 = 0 and boundary^2 = 0 on CE slices
-    hp = detect_hermitian(ctx["pair"])
+    hp = detect_hermitian(ctx.pair)
     ce_ok = True
     for c in _cone_coords(2, 3):
         nu = vw.top_weight - Weight(c)
-        ce = ce_complex(hp, ctx["sm"], vw, nu)
+        ce = ce_complex(hp, ctx.sm, vw, nu)
         d = ce.differential()
         b = ce.boundary()
         if not (d @ d).is_zero() or not (b @ b).is_zero():
@@ -544,7 +476,7 @@ def criterion_10_structural(jobs_pair=(1, 4)):
     cubic_ok = True
     for label, dh in (("A2", []), ("B2", [])):
         c = pair_context(label, dh)
-        sm = c["sm"]
+        sm = c.sm
         n = 2 * sm.nq
         p = [[_F(0)] * n for _ in range(n)]
         perm = list(range(1, n)) + [0]
@@ -552,7 +484,7 @@ def criterion_10_structural(jobs_pair=(1, 4)):
         for i in range(n):
             p[perm[i]][i] = scale[i % len(scale)]
         p[perm[0]][1] += _F(1, 3)
-        rebased = cubic_term_rebased(c["pair"], c["cb"], sm, Mat(p, n))
+        rebased = cubic_term_rebased(c.pair, c.cb, sm, Mat(p, n))
         if rebased != sm.cubic:
             cubic_ok = False
         if label == "B2" and sm.cubic.is_zero():
@@ -560,13 +492,13 @@ def criterion_10_structural(jobs_pair=(1, 4)):
     details["cubic term basis independence"] = cubic_ok
     ok = ok and cubic_ok
     # basis independence of D's rank data under a permuted q-enumeration
-    sm_perm = build_spin_module(ctx["pair"], cb,
-                                q_order=list(reversed(ctx["pair"].q_positive)))
+    sm_perm = build_spin_module(ctx.pair, cb,
+                                q_order=list(reversed(ctx.pair.q_positive)))
     rank_ok = True
     for c in _cone_coords(2, 3):
-        mu = -ctx["pair"].rho_h - Weight(c)
-        b1 = get_block(ctx, vw, mu)
-        b2 = DiracBlock(ctx["pair"], cb, sm_perm, vw, mu)
+        mu = -ctx.pair.rho_h - Weight(c)
+        b1 = block(ctx.sm, vw, mu)
+        b2 = block(sm_perm, vw, mu)
         if b1.dirac_cohomology() != b2.dirac_cohomology():
             rank_ok = False
         if b1.higher_cohomology() != b2.higher_cohomology():
@@ -575,7 +507,7 @@ def criterion_10_structural(jobs_pair=(1, 4)):
             rank_ok = False
     details["rank data basis independence"] = rank_ok
     ok = ok and rank_ok
-    # bundle determinism across worker counts
+    # bundle determinism: a cold context, then the same run on the warm one
     scn = Scenario({
         "name": "determinism-probe",
         "cartan_type": "A2",
@@ -584,9 +516,10 @@ def criterion_10_structural(jobs_pair=(1, 4)):
         "tasks": ["dirac", "vogan"],
         "depth_below_top": 4,
     })
-    blobs = {j: bundle_to_json(run_scenario(scn, jobs=j)) for j in jobs_pair}
-    det_ok = len(set(blobs.values())) == 1
-    details[f"determinism jobs {jobs_pair}"] = det_ok
+    scn.ctx = PairContext(scn.cartan_type, scn.delta_h)  # not shared: nothing built yet
+    cold = bundle_to_json(run_scenario(scn))
+    det_ok = bundle_to_json(run_scenario(scn)) == cold  # windows and blocks reused
+    details["determinism cold/warm context"] = det_ok
     ok = ok and det_ok
     return _result("structural properties", ok, time.time() - t0, details)
 

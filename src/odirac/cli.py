@@ -4,7 +4,9 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
+from .dirac import LiftFailure
 from .reporting import render_bundle, write_csv_tables
 from .scenarios import Scenario, ScenarioError, bundle_to_json, load_scenario, run_scenario
 
@@ -22,8 +24,6 @@ def main(argv=None):
                        help="override the module window depth")
     p_run.add_argument("--out", default=None,
                        help="output directory (default: $ODIRAC_OUT or '.')")
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for per-weight evaluation")
 
     p_rep = sub.add_parser("report", help="render a bundle as text tables")
     p_rep.add_argument("bundle", help="path to a bundle JSON file")
@@ -43,23 +43,25 @@ def main(argv=None):
 
 
 def _cmd_run(args):
+    """Exit 0 if every check passed, 1 if a mathematical check failed,
+    2 on bad input and 3 on an internal error."""
     try:
         scn = load_scenario(args.scenario)
         if args.depth is not None:
             doc = dict(scn.doc)
             doc["module"] = dict(doc["module"], depth=args.depth)
             scn = Scenario(doc)
+        bundle = run_scenario(scn)
     except ScenarioError as e:
         print(f"scenario error: {e}", file=sys.stderr)
         return 2
-    try:
-        bundle = run_scenario(scn, jobs=args.jobs)
-    except ScenarioError as e:
-        print(f"scenario error: {e}", file=sys.stderr)
-        return 2
-    except Exception as e:
+    except (AssertionError, LiftFailure) as e:
         print(f"assertion failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
+    except Exception as e:
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     outdir = args.out or scn.out_dir or os.environ.get("ODIRAC_OUT") or "."
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, f"{scn.name}.bundle.json")

@@ -242,16 +242,20 @@ class DiracBlock:
         return vals
 
 
+def block(sm: SpinModule, m: WeightModuleWindow, mu: Weight) -> DiracBlock:
+    """The Dirac block of m at mu, built once per spin module (keyed by m and mu)."""
+    b = sm.blocks.get((m, mu))
+    if b is None:
+        b = sm.blocks[(m, mu)] = DiracBlock(sm.pair, sm.cb, sm, m, mu)
+    return b
+
+
 def _poly_mul_linear(coeffs, c):
     # multiply polynomial (descending coeffs) by (x - c)
     out = list(coeffs) + [_F0]
     for i in range(len(coeffs)):
         out[i + 1] -= c * coeffs[i]
     return out
-
-
-def assemble_block(pair, cb, sm, m, mu) -> DiracBlock:
-    return DiracBlock(pair, cb, sm, m, mu)
 
 
 def _graded_stable_kernel(d, parity):
@@ -542,8 +546,8 @@ def check_square(pair, cb, sm, m, block: DiracBlock) -> dict:
 def h_equivariance_defect(pair, cb, sm, m, mu, gen) -> Mat:
     """[diag h-action, D] on the block at mu; zero iff D is h-equivariant."""
     wt = cb.generator_weight(gen)
-    d_here = DiracBlock(pair, cb, sm, m, mu).d
-    d_there = DiracBlock(pair, cb, sm, m, mu + wt).d
+    d_here = block(sm, m, mu).d
+    d_there = block(sm, m, mu + wt).d
     g_here = h_generator_block(pair, cb, sm, m, gen, mu)
     return g_here @ d_here - d_there @ g_here
 
@@ -559,7 +563,7 @@ def kostant_kernel_check(pair, cb, sm, f) -> dict:
                            key=lambda v: (-v.height, v))
     actual = {}
     for mu in block_weights:
-        blk = DiracBlock(pair, cb, sm, f, mu)
+        blk = block(sm, f, mu)
         if blk.dim == 0:
             continue
         kd = blk.dim - blk.d.rank()
@@ -584,7 +588,7 @@ def nonvanishing_check(pair, cb, sm, m) -> dict:
     """v+ tensor vacuum is in ker D and not in im D at the top weight."""
     top = m.top_weight
     mu = top + sm.top_weight
-    blk = DiracBlock(pair, cb, sm, m, mu)
+    blk = block(sm, m, mu)
     sp = blk.space
     vac = sm.weights.index(sm.top_weight)
     off = sp.offsets[vac]
@@ -622,7 +626,7 @@ def simple_verma_theorem_check(pair, cb, sm, m, depth_below_top) -> dict:
     weights = [mu_top - Weight(c) for c in _cone_coords(pair.rank, depth_below_top)]
     actual = {}
     for mu in weights:
-        blk = DiracBlock(pair, cb, sm, m, mu)
+        blk = block(sm, m, mu)
         if blk.dim == 0:
             continue
         hd = blk.dirac_cohomology()["hd"]
@@ -642,7 +646,7 @@ def simple_verma_theorem_check(pair, cb, sm, m, depth_below_top) -> dict:
 
 def index_identity_check(pair, cb, sm, m, mu) -> dict:
     """Signed higher-cohomology sum against the graded block dimensions."""
-    blk = DiracBlock(pair, cb, sm, m, mu)
+    blk = block(sm, m, mu)
     htop = blk.higher_cohomology()
     signed = sum(dp - dm for dp, dm in htop.values())
     plus, minus = blk.space.graded_dims()
@@ -677,14 +681,6 @@ def singular_cohomology_weights(pair, cb, sm, m, weights) -> dict:
     from .cato import _h_simples
 
     simples = _h_simples(pair)
-    blocks = {}
-
-    def blk(mu):
-        b = blocks.get(mu)
-        if b is None:
-            b = DiracBlock(pair, cb, sm, m, mu)
-            blocks[mu] = b
-        return b
 
     def kernel_power(b, j):
         if b.dim == 0:
@@ -705,7 +701,7 @@ def singular_cohomology_weights(pair, cb, sm, m, weights) -> dict:
 
     out = {}
     for mu in weights:
-        b = blk(mu)
+        b = block(sm, m, mu)
         if b.dim == 0:
             continue
         raisers = []
@@ -719,7 +715,7 @@ def singular_cohomology_weights(pair, cb, sm, m, weights) -> dict:
             cand = num
             for alpha, e_map in raisers:
                 cand = subspace_intersect(
-                    cand, _preimage_subspace(e_map, den_hd(blk(mu + alpha)), b.dim),
+                    cand, _preimage_subspace(e_map, den_hd(block(sm, m, mu + alpha)), b.dim),
                     b.dim)
             d_hd = len(cand) - len(den_hd(b))
             if d_hd:
@@ -733,7 +729,7 @@ def singular_cohomology_weights(pair, cb, sm, m, weights) -> dict:
             for alpha, e_map in raisers:
                 cand = subspace_intersect(
                     cand,
-                    _preimage_subspace(e_map, den_htop(blk(mu + alpha), k), b.dim),
+                    _preimage_subspace(e_map, den_htop(block(sm, m, mu + alpha), k), b.dim),
                     b.dim)
             dk = len(cand) - len(span_basis(den_htop(b, k), b.dim))
             if dk:
@@ -790,9 +786,9 @@ class CircleCertificate:
 def exact_circle(pair, cb, sm, ses, mu) -> CircleCertificate:
     """Jordan-compatible decomposition of an SES block and the six-term circle."""
     m1, m2, m3 = ses.modules()
-    b1 = DiracBlock(pair, cb, sm, m1, mu)
-    b2 = DiracBlock(pair, cb, sm, m2, mu)
-    b3 = DiracBlock(pair, cb, sm, m3, mu)
+    b1 = block(sm, m1, mu)
+    b2 = block(sm, m2, mu)
+    b3 = block(sm, m3, mu)
     imap = block_map(pair, sm, m1, m2, lambda w: ses.inclusion(w), mu)
     pmap = block_map(pair, sm, m2, m3, lambda w: ses.projection(w), mu)
     if not (imap @ b1.d == b2.d @ imap):

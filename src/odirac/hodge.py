@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .exactla import Mat, span_basis, subspace_intersect
 from .cato import ContravariantForm, WeightModuleWindow
-from .dirac import BlockSpace, DiracBlock, _place
+from .dirac import BlockSpace, _place, block
 from .liealg import PairGH, is_symmetric_pair
 from .roots import Weight
 from .spinor import SpinModule
@@ -253,7 +253,7 @@ def ce_complex(hp, sm, m, nu) -> CEComplex:
 
 def identification_check(hp, sm, m, mu) -> dict:
     """C+ = d and C- = del under the wedge/spin identification at block mu."""
-    blk = DiracBlock(hp.pair, m.cb, sm, m, mu)
+    blk = block(sm, m, mu)
     ce = CEComplex(hp, sm, m, mu - (hp.pair.rho - hp.pair.rho_h))
     d = ce.differential()
     bd = ce.boundary()
@@ -297,7 +297,7 @@ def block_inner_gram(us: UnitaryStructure, sm: SpinModule, m, mu) -> Mat:
 
 def hodge_decomposition_check(hp, sm, m, us: UnitaryStructure, mu) -> dict:
     """Adjointness, kernel-image splitting and the C+ decomposition at mu."""
-    blk = DiracBlock(hp.pair, m.cb, sm, m, mu)
+    blk = block(sm, m, mu)
     g = block_inner_gram(us, sm, m, mu)
     n = blk.dim
     report = {"weight": mu, "dim": n}
@@ -339,7 +339,7 @@ def hodge_decomposition_check(hp, sm, m, us: UnitaryStructure, mu) -> dict:
 
 def theorem52_comparison(hp, sm, m, mu) -> dict:
     """H_D dims at mu against total CE cohomology and homology at the shift."""
-    blk = DiracBlock(hp.pair, m.cb, sm, m, mu)
+    blk = block(sm, m, mu)
     hd = blk.dirac_cohomology()["hd"]
     nu = mu - (hp.pair.rho - hp.pair.rho_h)
     ce = CEComplex(hp, sm, m, nu)

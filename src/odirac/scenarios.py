@@ -1,21 +1,22 @@
 """Scenario files, the per-weight runner and deterministic result bundles.
 
 A scenario names a Cartan type, a root subsystem, one module
-construction and a list of tasks.  The runner fans per-weight block
-work out to a bounded thread pool, collects JSON-able records, sorts
-them by weight and wraps everything in a manifest carrying the scenario
-hash and the exact-arithmetic attestation.  Identical scenarios produce
-byte-identical bundles regardless of the worker count.
+construction and a list of tasks.  Everything fixed by the Cartan type
+and the subsystem lives in one `PairContext` per process, shared by the
+runner, the acceptance suite and the tests.  The runner evaluates each
+task weight by weight, collects JSON-able records, sorts them by weight
+and wraps everything in a manifest carrying the scenario hash and the
+exact-arithmetic attestation.  Identical scenarios produce byte-identical
+bundles, whatever the process has cached before.
 """
 
 import hashlib
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
-from .roots import (Weight, build_root_system, is_dominant_integral,
+from .roots import (NotASubsystem, Weight, build_root_system, is_dominant_integral,
                     killing_form_on_dual)
 from .liealg import chevalley_basis, validate_pair
 from .cato import (_cone_coords, finite_dim_simple, ses_from_embedding,
@@ -23,7 +24,7 @@ from .cato import (_cone_coords, finite_dim_simple, ses_from_embedding,
                    singular_vectors, sort_weights, tensor_with_finite_dim,
                    verma_window)
 from .spinor import build_spin_module
-from .dirac import (DiracBlock, check_square, exact_circle, index_identity_check,
+from .dirac import (block, check_square, exact_circle, index_identity_check,
                     kostant_kernel_check, nonvanishing_check,
                     simple_verma_theorem_check, singular_cohomology_weights,
                     vogan_audit)
@@ -86,6 +87,61 @@ def wkey(w: Weight) -> str:
     return "[" + ", ".join(str(c) for c in w) + "]"
 
 
+class PairContext:
+    """Root data, Chevalley basis, pair and spin module of one (g, h).
+
+    Also caches the Verma windows built on the pair.  Dirac blocks are
+    memoized on the spin module (`dirac.block`).
+    """
+
+    def __init__(self, cartan_type, delta_h):
+        self.rs = build_root_system(cartan_type)
+        self.form = killing_form_on_dual(self.rs)
+        self.cb = chevalley_basis(self.rs, self.form)
+        self.pair = validate_pair(self.rs, self.form, delta_h)
+        self._sm = None
+        self._vermas = {}
+
+    @property
+    def sm(self):
+        # built on demand: 2^{|q+|}-dimensional, huge for high-rank h = t
+        if self._sm is None:
+            self._sm = build_spin_module(self.pair, self.cb)
+        return self._sm
+
+    def verma(self, lam, depth):
+        key = (Weight(lam), depth)
+        vw = self._vermas.get(key)
+        if vw is None:
+            vw = self._vermas[key] = verma_window(self.pair, self.cb, key[0], depth)
+        return vw
+
+    def block_weights(self, m, depth, margin=0):
+        """Block weights within `depth` of the top of m (tensor S) whose
+        components, and everything `margin` below them, lie in m's window."""
+        rank, sm = self.pair.rank, self.sm
+        offsets = [ws + Weight(c) for ws in sm.weights for c in _cone_coords(rank, margin)]
+        top = m.top_weight + sm.top_weight
+        out = []
+        for c in _cone_coords(rank, depth):
+            mu = top - Weight(c)
+            if all(m.materialized(mu - off) for off in offsets):
+                out.append(mu)
+        return sort_weights(out)
+
+
+_CONTEXTS = {}
+
+
+def pair_context(cartan_type, delta_h=()) -> PairContext:
+    """The process-wide context of (cartan_type, delta_h), built on first use."""
+    key = (cartan_type, tuple(Weight(v) for v in delta_h))
+    ctx = _CONTEXTS.get(key)
+    if ctx is None:
+        ctx = _CONTEXTS[key] = PairContext(*key)
+    return ctx
+
+
 class Scenario:
     def __init__(self, doc):
         if not isinstance(doc, dict):
@@ -100,11 +156,17 @@ class Scenario:
         except KeyError:
             raise ScenarioError("missing cartan_type")
         try:
-            self.rs = build_root_system(self.cartan_type)
+            rank = build_root_system(self.cartan_type).rank
         except ValueError as e:
             raise ScenarioError(str(e))
-        rank = self.rs.rank
-        self.delta_h = [parse_weight(v, rank) for v in doc.get("delta_h", [])]
+        delta_h = doc.get("delta_h", [])
+        if not isinstance(delta_h, list):
+            raise ScenarioError(f"delta_h must be a list, got {delta_h!r}")
+        self.delta_h = [parse_weight(v, rank) for v in delta_h]
+        try:
+            self.ctx = pair_context(self.cartan_type, self.delta_h)
+        except NotASubsystem as e:
+            raise ScenarioError(f"NotASubsystem: {e}")
         module = doc.get("module")
         if not isinstance(module, dict) or "kind" not in module:
             raise ScenarioError("missing module spec")
@@ -119,8 +181,8 @@ class Scenario:
                         for key in _WEIGHT_FIELDS if key in module}
         finite = {"finite": "lambda", "tensor": "factor_lambda"}.get(kind)
         if finite:
-            lam, form = self.weights[finite], killing_form_on_dual(self.rs)
-            if not is_dominant_integral(lam, self.rs.positive_roots, form):
+            lam = self.weights[finite]
+            if not is_dominant_integral(lam, self.ctx.rs.positive_roots, self.ctx.form):
                 raise ScenarioError(f"{finite} {wkey(lam)} is not dominant integral")
         self.max_depth = parse_count(doc, "max_depth", DEFAULT_MAX_DEPTH)
         self.depth = parse_count(module, "depth") if "depth" in module else None
@@ -152,32 +214,29 @@ def load_scenario(path) -> Scenario:
 
 
 class Workspace:
-    """Built context for one scenario: pair, spin module and the module."""
+    """A scenario's shared pair context plus its module (and SES, if any)."""
 
     def __init__(self, scn: Scenario):
         self.scenario = scn
-        self.rs = scn.rs
-        self.form = killing_form_on_dual(self.rs)
-        self.cb = chevalley_basis(self.rs, self.form)
-        self.pair = validate_pair(self.rs, self.form, scn.delta_h)
-        self.sm = build_spin_module(self.pair, self.cb)
+        self.ctx = scn.ctx
+        self.cb, self.pair = self.ctx.cb, self.ctx.pair
+        self.sm = self.ctx.sm  # built here, so a run's set-up includes it
         self.ses = None
         self.module = self._build_module(scn)
-        self._blocks = {}
 
     def _build_module(self, scn):
-        pair, cb = self.pair, self.cb
+        ctx = self.ctx
         kind, lam, depth = scn.module["kind"], scn.weights["lambda"], scn.depth
         if kind == "finite":
-            return finite_dim_simple(pair, cb, lam)
-        vw = verma_window(pair, cb, lam, depth)
+            return finite_dim_simple(ctx.pair, ctx.cb, lam)
+        vw = ctx.verma(lam, depth)
         if kind == "verma":
             return vw
         if kind == "simple":
             return simple_quotient_window(vw, shapovalov_grams(vw))
         if kind == "tensor":
             return tensor_with_finite_dim(
-                vw, finite_dim_simple(pair, cb, scn.weights["factor_lambda"]))
+                vw, finite_dim_simple(ctx.pair, ctx.cb, scn.weights["factor_lambda"]))
         if kind == "ses":
             w0 = scn.weights["sub_weight"]
             sv = singular_vectors(vw, w0)
@@ -187,51 +246,21 @@ class Workspace:
             self.ses = ses_from_embedding(vw, w0, sv[0])
             return vw
         # ses_split, the last kind in MODULE_FIELDS
-        self.ses = ses_split(vw, verma_window(pair, cb, scn.weights["lambda2"], depth))
+        self.ses = ses_split(vw, ctx.verma(scn.weights["lambda2"], depth))
         return self.ses.modules()[1]
-
-    def block(self, mu) -> DiracBlock:
-        b = self._blocks.get(mu)
-        if b is None:
-            b = DiracBlock(self.pair, self.cb, self.sm, self.module, mu)
-            self._blocks[mu] = b
-        return b
 
     def block_weights(self, depth_below_top=None, margin=0):
         """Assemble-safe block weights within the reporting range of the top."""
-        scn = self.scenario
-        d = scn.depth_below_top if depth_below_top is None else depth_below_top
-        top = self.module.top_weight + self.sm.top_weight
-        out = []
-        for c in _cone_coords(self.pair.rank, d):
-            mu = top - Weight(c)
-            if self._block_safe(mu, margin):
-                out.append(mu)
-        return sort_weights(out)
-
-    def _block_safe(self, mu, margin):
-        m = self.module
-        for ws in self.sm.weights:
-            w = mu - ws
-            if not m.materialized(w):
-                return False
-            if margin:
-                for c in _cone_coords(self.pair.rank, margin):
-                    if not m.materialized(w - Weight(c)):
-                        return False
-        return True
+        d = self.scenario.depth_below_top if depth_below_top is None else depth_below_top
+        return self.ctx.block_weights(self.module, d, margin)
 
 
-def _sorted_record_list(records):
-    return [records[k] for k in sorted(records)]
-
-
-def run_scenario(scn: Scenario, jobs=1) -> dict:
+def run_scenario(scn: Scenario) -> dict:
     ws = Workspace(scn)
     tasks = {}
     ok = True
     for t in scn.tasks:
-        doc = _TASK_FNS[t](ws, jobs)
+        doc = _TASK_FNS[t](ws)
         tasks[t] = doc
         ok = ok and doc.get("ok", True)
     bundle = {
@@ -248,21 +277,16 @@ def run_scenario(scn: Scenario, jobs=1) -> dict:
     return bundle
 
 
-def _map_weights(ws, fn, weights, jobs):
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(fn, weights))
-    else:
-        results = [fn(mu) for mu in weights]
-    return {wkey(mu): rec for mu, rec in zip(weights, results) if rec is not None}
+def _map_weights(fn, weights):
+    records = {wkey(mu): fn(mu) for mu in weights}
+    return {k: rec for k, rec in records.items() if rec is not None}
 
 
-def _task_dirac(ws, jobs):
-    margin = 0
-    weights = ws.block_weights(margin=margin)
+def _task_dirac(ws):
+    weights = ws.block_weights()
 
     def one(mu):
-        blk = ws.block(mu)
+        blk = block(ws.sm, ws.module, mu)
         if blk.dim == 0:
             return None
         hd = blk.dirac_cohomology()
@@ -278,7 +302,7 @@ def _task_dirac(ws, jobs):
             "eigenvalues": [str(c) for c in sorted(eigs)],
         }
 
-    records = _map_weights(ws, one, weights, jobs)
+    records = _map_weights(one, weights)
     nv = nonvanishing_check(ws.pair, ws.cb, ws.sm, ws.module)
     return {
         "per_weight": records,
@@ -291,12 +315,12 @@ def _task_dirac(ws, jobs):
     }
 
 
-def _task_square(ws, jobs):
-    margin = max(int(a.height) for a in ws.rs.positive_roots)
+def _task_square(ws):
+    margin = max(int(a.height) for a in ws.pair.rs.positive_roots)
     weights = ws.block_weights(margin=margin)
 
     def one(mu):
-        blk = ws.block(mu)
+        blk = block(ws.sm, ws.module, mu)
         if blk.dim == 0:
             return None
         rep = check_square(ws.pair, ws.cb, ws.sm, ws.module, blk)
@@ -305,13 +329,13 @@ def _task_square(ws, jobs):
             "eigenvalues": {str(c): d for c, d in sorted(rep["eigenvalues"].items())},
         }
 
-    records = _map_weights(ws, one, weights, jobs)
+    records = _map_weights(one, weights)
     ok = all(r["matrix_identity"] for r in records.values())
     return {"per_weight": records, "ok": ok, "first_failure": next(
         (k for k, r in sorted(records.items()) if not r["matrix_identity"]), None)}
 
 
-def _task_kostant(ws, jobs):
+def _task_kostant(ws):
     if not ws.module.complete:
         return {"ok": False, "error": "kostant task needs a finite-dimensional module"}
     rep = kostant_kernel_check(ws.pair, ws.cb, ws.sm, ws.module)
@@ -325,7 +349,7 @@ def _task_kostant(ws, jobs):
     }
 
 
-def _task_simple_verma(ws, jobs):
+def _task_simple_verma(ws):
     rep = simple_verma_theorem_check(ws.pair, ws.cb, ws.sm, ws.module,
                                      ws.scenario.depth_below_top)
     return {
@@ -337,11 +361,11 @@ def _task_simple_verma(ws, jobs):
     }
 
 
-def _task_higher(ws, jobs):
+def _task_higher(ws):
     weights = ws.block_weights()
 
     def one(mu):
-        blk = ws.block(mu)
+        blk = block(ws.sm, ws.module, mu)
         if blk.dim == 0:
             return None
         htop = blk.higher_cohomology()  # asserts both routes agree
@@ -351,17 +375,17 @@ def _task_higher(ws, jobs):
             "jordan_sizes": sizes,
         }
 
-    records = _map_weights(ws, one, weights, jobs)
+    records = _map_weights(one, weights)
     max_size = max((max(r["jordan_sizes"]) for r in records.values()
                     if r["jordan_sizes"]), default=0)
     return {"per_weight": records, "max_jordan_size": max_size, "ok": True}
 
 
-def _task_index(ws, jobs):
+def _task_index(ws):
     weights = ws.block_weights()
 
     def one(mu):
-        blk = ws.block(mu)
+        blk = block(ws.sm, ws.module, mu)
         if blk.dim == 0:
             return None
         rep = index_identity_check(ws.pair, ws.cb, ws.sm, ws.module, mu)
@@ -369,11 +393,11 @@ def _task_index(ws, jobs):
                 "graded_difference": rep["graded_difference"],
                 "ok": rep["ok"]}
 
-    records = _map_weights(ws, one, weights, jobs)
+    records = _map_weights(one, weights)
     return {"per_weight": records, "ok": all(r["ok"] for r in records.values())}
 
 
-def _task_circle(ws, jobs):
+def _task_circle(ws):
     if ws.ses is None:
         return {"ok": False, "error": "circle task needs an ses module"}
     weights = ws.block_weights()
@@ -384,11 +408,11 @@ def _task_circle(ws, jobs):
                 "triples": [{"k": t["k"], "l": t["l"], "m": t["m"]}
                             for t in cert.triples]}
 
-    records = _map_weights(ws, one, weights, jobs)
+    records = _map_weights(one, weights)
     return {"per_weight": records, "ok": all(r["exact"] for r in records.values())}
 
 
-def _task_hodge(ws, jobs):
+def _task_hodge(ws):
     pair, cb, sm, m = ws.pair, ws.cb, ws.sm, ws.module
     expect_nonunitary = bool(ws.scenario.options.get("expect_nonunitary", False))
     try:
@@ -434,7 +458,7 @@ def _task_hodge(ws, jobs):
             "comparison": cmp["ok"],
         }
 
-    records = _map_weights(ws, one, weights, jobs)
+    records = _map_weights(one, weights)
     doc["per_weight"] = records
     doc["ok"] = all(r["identification"] and r["adjoint"] and r["splitting"]
                     and r["cplus_decomposition"] and r["comparison"]
@@ -442,7 +466,7 @@ def _task_hodge(ws, jobs):
     return doc
 
 
-def _task_vogan(ws, jobs):
+def _task_vogan(ws):
     weights = ws.block_weights()
     singular = singular_cohomology_weights(ws.pair, ws.cb, ws.sm, ws.module, weights)
     rep = vogan_audit(ws.pair, sorted(singular), ws.module.infchars)

@@ -66,6 +66,8 @@ class SpinModule:
         self._gamma = [self._wedge_or_contract(i) for i in range(2 * self.nq)]
         self._h_action_cache = {}
         self.cubic = cubic_term(pair, cb, self)
+        # Dirac blocks on this module, keyed by (module window, weight): dirac.block
+        self.blocks = {}
 
     # -- Clifford multiplication -----------------------------------------------
 

@@ -1,35 +1,7 @@
 import pytest
 from fractions import Fraction
 
-from odirac.roots import Weight, build_root_system, killing_form_on_dual
-from odirac.liealg import chevalley_basis, validate_pair
-from odirac.spinor import build_spin_module
-
-
-class Ctx:
-    def __init__(self, cartan, delta_h):
-        self.rs = build_root_system(cartan)
-        self.form = killing_form_on_dual(self.rs)
-        self.cb = chevalley_basis(self.rs, self.form)
-        self.pair = validate_pair(self.rs, self.form, [Weight(v) for v in delta_h])
-        self._sm = None
-
-    @property
-    def sm(self):
-        # built on demand: 2^{|q+|}-dimensional, huge for high-rank h = t
-        if self._sm is None:
-            self._sm = build_spin_module(self.pair, self.cb)
-        return self._sm
-
-
-_CACHE = {}
-
-
-def ctx(cartan, delta_h=()):
-    key = (cartan, tuple(tuple(x) for x in delta_h))
-    if key not in _CACHE:
-        _CACHE[key] = Ctx(cartan, delta_h)
-    return _CACHE[key]
+from odirac.scenarios import pair_context as ctx
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,10 @@ import sys
 
 import pytest
 
+from odirac import cli
 from odirac.cli import main
+from odirac.dirac import LiftFailure
+from odirac.scenarios import ScenarioError
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENARIOS = os.path.join(REPO, "scenarios")
@@ -90,8 +93,10 @@ A1_VERMA = {"kind": "verma", "lambda": [0], "depth": 4}
     ("module", {"kind": "verma", "lambda": [0], "depth": -1}, "depth must be"),
     ("module", {"kind": "finite", "lambda": [-1]}, "not dominant integral"),
     ("tasks", "dirac", "tasks must be a list"),
+    ("delta_h", [[2]], "NotASubsystem: (2) is not a positive root of A1"),
+    ("delta_h", 1, "delta_h must be a list"),
 ], ids=["missing_depth", "depth_not_int", "negative_depth", "finite_not_dominant",
-        "tasks_not_list"])
+        "tasks_not_list", "delta_h_not_subsystem", "delta_h_not_list"])
 def test_invalid_scenario_fields_exit_2(tmp_path, capsys, field, value, message):
     scn = {"name": "bad", "cartan_type": "A1", "delta_h": [], "module": A1_VERMA,
            "tasks": ["dirac"], field: value}
@@ -135,14 +140,39 @@ def test_depth_override(tmp_path):
     assert res.returncode == 0
 
 
-def test_determinism_across_jobs(tmp_path):
+def test_determinism_run_to_run(tmp_path):
     src = os.path.join(SCENARIOS, "jordan_tensor.json")
-    out1, out4 = tmp_path / "one", tmp_path / "four"
-    assert run_cli("run", src, "--out", str(out1), "--jobs", "1").returncode == 0
-    assert run_cli("run", src, "--out", str(out4), "--jobs", "4").returncode == 0
+    out1, out2 = tmp_path / "one", tmp_path / "two"
+    assert run_cli("run", src, "--out", str(out1)).returncode == 0
+    assert run_cli("run", src, "--out", str(out2)).returncode == 0
     b1 = (out1 / "jordan-tensor.bundle.json").read_bytes()
-    b4 = (out4 / "jordan-tensor.bundle.json").read_bytes()
-    assert b1 == b4
+    b2 = (out2 / "jordan-tensor.bundle.json").read_bytes()
+    assert b1 == b2
+
+
+@pytest.mark.parametrize("exc, code, last_line", [
+    (None, 1, "failed tasks: square"),
+    (AssertionError("2 D^2 != Casimir"), 1,
+     "assertion failure: AssertionError: 2 D^2 != Casimir"),
+    (LiftFailure("tail left the sub block"), 1,
+     "assertion failure: LiftFailure: tail left the sub block"),
+    (ScenarioError("no singular vector"), 2, "scenario error: no singular vector"),
+    (KeyError("x"), 3, "internal error: KeyError: 'x'"),
+], ids=["task_not_ok", "assertion", "lift_failure", "scenario_error", "internal"])
+def test_run_exit_codes(tmp_path, capsys, monkeypatch, exc, code, last_line):
+    def run(scn):
+        if exc is not None:
+            raise exc
+        return {"manifest": {}, "tasks": {"square": {"ok": False}}, "ok": False}
+
+    monkeypatch.setattr(cli, "run_scenario", run)
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"name": "scn", "cartan_type": "A1", "module": A1_VERMA}))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == last_line
+    assert ("Traceback" in err) == (code == 3)
+    assert (tmp_path / "scn.bundle.json").exists() == (exc is None)
 
 
 def test_report_tables(tmp_path):

@@ -212,14 +212,14 @@ def test_jordan_on_tensor_fixture():
 
     fx = load_jordan_fixture()
     c, t = fx["ctx"], fx["module"]
-    alpha = c["pair"].rs.simple_roots[0]
-    mu = t.top_weight + c["sm"].top_weight - alpha * fx["fixture"]["depth_below_top"]
-    blk = DiracBlock(c["pair"], c["cb"], c["sm"], t, mu)
+    alpha = c.pair.rs.simple_roots[0]
+    mu = t.top_weight + c.sm.top_weight - alpha * fx["fixture"]["depth_below_top"]
+    blk = DiracBlock(c.pair, c.cb, c.sm, t, mu)
     sizes = sorted(len(ch) for ch in blk.nilpotent().chains())
     assert sizes == fx["fixture"]["jordan_sizes"]
     assert max(sizes) >= 2
     blk.higher_cohomology()  # cross-asserts the two routes
-    assert index_identity_check(c["pair"], c["cb"], c["sm"], t, mu)["ok"]
+    assert index_identity_check(c.pair, c.cb, c.sm, t, mu)["ok"]
 
 
 def test_index_identity_on_verma(a2_su21):
@@ -303,7 +303,7 @@ def test_vogan_audit_tensor():
 
     fx = load_jordan_fixture()
     c, t = fx["ctx"], fx["module"]
-    pair, cb, sm = c["pair"], c["cb"], c["sm"]
+    pair, cb, sm = c.pair, c.cb, c.sm
     alpha = pair.rs.simple_roots[0]
     top = t.top_weight + sm.top_weight
     weights = [top - alpha * k for k in range(8)]
@@ -349,9 +349,9 @@ def test_htop_quotient_well_formed(a2_su21):
 
     fx = load_jordan_fixture()
     c, t = fx["ctx"], fx["module"]
-    alpha = c["pair"].rs.simple_roots[0]
-    mu = t.top_weight + c["sm"].top_weight - alpha
-    blk = DiracBlock(c["pair"], c["cb"], c["sm"], t, mu)
+    alpha = c.pair.rs.simple_roots[0]
+    mu = t.top_weight + c.sm.top_weight - alpha
+    blk = DiracBlock(c.pair, c.cb, c.sm, t, mu)
     nil = blk.nilpotent()
     for k in range(0, 2):
         num = nil.kernel_graded(2 * k + 1, +1) + nil.kernel_graded(2 * k + 1, -1)
@@ -372,3 +372,22 @@ def test_index_identity_trivial_module(a2_su21):
                     if ws == w and sm.parity[i] == 1)
         assert rep["graded_difference"] == plus - minus
         assert rep["signed_sum"] == plus - minus
+
+
+def test_one_build_per_block(monkeypatch):
+    """A scenario run builds each (spin module, module, weight) block once."""
+    import os
+    from collections import Counter
+    from odirac import scenarios
+
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+    builds, init = Counter(), DiracBlock.__init__
+
+    def counted(self, pair, cb, sm, m, mu):
+        builds[(sm, m, mu)] += 1
+        init(self, pair, cb, sm, m, mu)
+
+    monkeypatch.setattr(DiracBlock, "__init__", counted)
+    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "sl3_paper_example.json")
+    assert scenarios.run_scenario(scenarios.load_scenario(path))["ok"]
+    assert builds and set(builds.values()) == {1}
