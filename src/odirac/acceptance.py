@@ -14,8 +14,7 @@ from .exactla import Mat
 from .roots import Weight, eps_to_weight, is_antidominant, weight_from_fundamental
 from .cato import (_cone_coords, commutation_defect, finite_dim_simple,
                    ses_from_embedding, ses_split, shapovalov_grams,
-                   simple_quotient_window, singular_vectors,
-                   tensor_with_finite_dim, verma_character_h)
+                   simple_quotient_window, singular_vectors, verma_character_h)
 from .spinor import build_spin_module, cubic_term_rebased
 from .dirac import (block, check_square, exact_circle, h_equivariance_defect,
                     index_identity_check, kostant_kernel_check, nonvanishing_check,
@@ -203,12 +202,11 @@ def search_jordan_scenario():
     parameters and the witness weight.
     """
     ctx = pair_context("A1", [])
-    pair, cb, sm = ctx.pair, ctx.cb, ctx.sm
+    sm = ctx.sm
     for lam_h in (-2, -1, 0, 1, -3):
         lam = Weight([_F(lam_h, 2)])
         for f_h in (1, 2):
-            f = finite_dim_simple(pair, cb, Weight([_F(f_h, 2)]))
-            t = tensor_with_finite_dim(ctx.verma(lam, 16), f)
+            t = ctx.tensor(lam, 16, Weight([_F(f_h, 2)]))
             mu_top = t.top_weight + sm.top_weight
             for mu in ctx.block_weights(t, 9):
                 blk = block(sm, t, mu)
@@ -227,10 +225,9 @@ def load_jordan_fixture():
     with open(path) as fh:
         fx = json.load(fh)
     ctx = pair_context("A1", [])
-    pair, cb = ctx.pair, ctx.cb
-    lam = Weight([_F(fx["lambda_h"], 2)])
-    f = finite_dim_simple(pair, cb, Weight([_F(fx["factor_h"], 2)]))
-    module = tensor_with_finite_dim(ctx.verma(lam, 16), f)
+    # cached on the context, so every caller shares one module and its blocks
+    module = ctx.tensor(Weight([_F(fx["lambda_h"], 2)]), 16,
+                        Weight([_F(fx["factor_h"], 2)]))
     return {"ctx": ctx, "module": module, "fixture": fx}
 
 
@@ -448,7 +445,7 @@ def criterion_10_structural():
             for j in range(n):
                 anti = sm.gamma_q(i) @ sm.gamma_q(j) + sm.gamma_q(j) @ sm.gamma_q(i)
                 expect = c.cb.pairing(sm._qidx_to_cb[i], sm._qidx_to_cb[j])
-                if anti != Mat.identity(sm.dim).scale(expect):
+                if anti != Mat.scalar(sm.dim, expect):
                     cliff_ok = False
     details["clifford relations"] = cliff_ok
     ok = ok and cliff_ok

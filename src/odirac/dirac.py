@@ -132,6 +132,8 @@ class DiracBlock:
         self.d = self.d_plus + self.d_minus - self.cubic_part
         self._gen0 = None
         self._nilp = None
+        self._d2 = None
+        self._eigs = None
 
     @property
     def dim(self):
@@ -189,19 +191,35 @@ class DiracBlock:
                 f"higher cohomology mismatch at {self.mu}: {direct} vs {from_jordan}")
         return direct
 
+    def d_squared(self):
+        if self._d2 is None:
+            self._d2 = self.d @ self.d
+        return self._d2
+
     def eigenvalue_decomposition(self):
-        """Exact generalized eigenvalues of D^2 with their eigenspace dims."""
+        """Exact generalized eigenvalues of D^2 with their eigenspace dims.
+
+        Computed once per block; each call returns a fresh copy.
+        """
+        if self._eigs is None:
+            self._eigs = self._decompose()
+        return dict(self._eigs)
+
+    def _decompose(self):
         n = self.dim
         if n == 0:
             return {}
-        d2 = self.d @ self.d
-        candidates = self._candidate_eigenvalues()
+        d2 = self.d_squared()
         out = {}
         total = 0
-        ident = Mat.identity(n)
-        for c in sorted(set(candidates)):
-            p = (d2 - ident.scale(c)).power(n)
-            dim_c = n - p.rank()
+        for c in sorted(set(self._candidate_eigenvalues())):
+            # ker A <= ker A^2 <= ... grows until two terms agree, then stays
+            # constant, so the first repeat is dim ker A^n.
+            a = d2 - Mat.scalar(n, c)
+            p, prev, dim_c = a, 0, n - a.rank()
+            while dim_c != prev:
+                p = p @ a
+                prev, dim_c = dim_c, n - p.rank()
             if dim_c:
                 out[c] = dim_c
                 total += dim_c
@@ -498,7 +516,7 @@ class GradedNilpotent:
 def casimir_matrix(m: WeightModuleWindow, w: Weight, pos_roots, form) -> Mat:
     """Matrix of the Casimir built from the listed positive roots at weight w."""
     n = m.dim(w)
-    out = Mat.identity(n).scale(form.norm2(w))
+    out = Mat.scalar(n, form.norm2(w))
     for alpha in pos_roots:
         down_then_up = m.action(("e", alpha), w - alpha) @ m.action(("f", alpha), w)
         up_then_down = m.action(("f", alpha), w + alpha) @ m.action(("e", alpha), w)
@@ -509,7 +527,7 @@ def casimir_matrix(m: WeightModuleWindow, w: Weight, pos_roots, form) -> Mat:
 def casimir_h_block(pair, cb, sm, m, mu) -> Mat:
     """(Omega_h)_Delta on the block at mu via the diagonal h-action."""
     space = BlockSpace(pair, sm, m, mu)
-    out = Mat.identity(space.dim).scale(pair.form.norm2(mu))
+    out = Mat.scalar(space.dim, pair.form.norm2(mu))
     for alpha in pair.delta_h_pos:
         e_up = h_generator_block(pair, cb, sm, m, ("e", alpha), mu - alpha)
         f_dn = h_generator_block(pair, cb, sm, m, ("f", alpha), mu)
@@ -533,8 +551,8 @@ def check_square(pair, cb, sm, m, block: DiracBlock) -> dict:
     omega_g = Mat(rows, n)
     omega_h = casimir_h_block(pair, cb, sm, m, mu)
     scalar = form.norm2(pair.rho) - form.norm2(pair.rho_h)
-    rhs = omega_g - omega_h + Mat.identity(n).scale(scalar)
-    lhs = (block.d @ block.d).scale(2)
+    rhs = omega_g - omega_h + Mat.scalar(n, scalar)
+    lhs = block.d_squared().scale(2)
     identity_ok = lhs == rhs
     eigs = block.eigenvalue_decomposition()
     return {

@@ -111,6 +111,12 @@ class Mat:
         return Mat([[_F1 if i == j else _F0 for j in range(n)] for i in range(n)], n)
 
     @staticmethod
+    def scalar(n, c):
+        """c times the n x n identity."""
+        c = Fraction(c)
+        return Mat([[c if i == j else _F0 for j in range(n)] for i in range(n)], n)
+
+    @staticmethod
     def from_cols(cols, nrows):
         """Matrix whose j-th column is cols[j] (each of length nrows)."""
         return Mat([[col[i] for col in cols] for i in range(nrows)], len(cols))
@@ -253,12 +259,11 @@ def charpoly(m):
     coeffs = [_F1]
     if n == 0:
         return coeffs
-    ident = Mat.identity(n)
     mk = m
     ck = -mk.trace()
     coeffs.append(ck)
     for k in range(2, n + 1):
-        mk = m @ (mk + ident.scale(ck))
+        mk = m @ (mk + Mat.scalar(n, ck))
         ck = -mk.trace() / k
         coeffs.append(ck)
     return coeffs

@@ -120,8 +120,6 @@ def render_bundle(bundle) -> str:
     lines.append("")
     for t, doc in sorted(tasks.items()):
         lines.append(f"== {t} ==")
-        if "error" in doc:
-            lines.append(f"error: {doc['error']}")
         if t in _TASK_TABLES and doc.get("per_weight"):
             headers, rows = _TASK_TABLES[t](doc)
             lines.append(_table(headers, rows))

@@ -48,6 +48,13 @@ MODULE_FIELDS = {
 }
 _WEIGHT_FIELDS = ("lambda", "factor_lambda", "sub_weight", "lambda2")
 
+# The module kinds a task can run on; tasks not listed run on every kind.
+TASK_KINDS = {
+    "kostant": ("finite",),
+    "circle": ("ses", "ses_split"),
+    "hodge": ("verma", "simple"),
+}
+
 # A bundle is written to <out>/<name>.bundle.json, so a name must not leave <out>.
 _FILE_STEM = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9._-]*")
 
@@ -90,8 +97,9 @@ def wkey(w: Weight) -> str:
 class PairContext:
     """Root data, Chevalley basis, pair and spin module of one (g, h).
 
-    Also caches the Verma windows built on the pair.  Dirac blocks are
-    memoized on the spin module (`dirac.block`).
+    Also caches the Verma windows and their tensor products with finite
+    modules built on the pair.  Dirac blocks are memoized on the spin
+    module (`dirac.block`).
     """
 
     def __init__(self, cartan_type, delta_h):
@@ -101,6 +109,7 @@ class PairContext:
         self.pair = validate_pair(self.rs, self.form, delta_h)
         self._sm = None
         self._vermas = {}
+        self._tensors = {}
 
     @property
     def sm(self):
@@ -115,6 +124,15 @@ class PairContext:
         if vw is None:
             vw = self._vermas[key] = verma_window(self.pair, self.cb, key[0], depth)
         return vw
+
+    def tensor(self, lam, depth, factor_lam):
+        """The Verma window of (lam, depth) tensor the finite module of factor_lam."""
+        key = (Weight(lam), depth, Weight(factor_lam))
+        t = self._tensors.get(key)
+        if t is None:
+            f = finite_dim_simple(self.pair, self.cb, key[2])
+            t = self._tensors[key] = tensor_with_finite_dim(self.verma(lam, depth), f)
+        return t
 
     def block_weights(self, m, depth, margin=0):
         """Block weights within `depth` of the top of m (tensor S) whose
@@ -195,6 +213,15 @@ class Scenario:
         for t in self.tasks:
             if t not in KNOWN_TASKS:
                 raise ScenarioError(f"unknown task {t!r}")
+            kinds = TASK_KINDS.get(t)
+            if kinds and kind not in kinds:
+                raise ScenarioError(
+                    f"task {t} needs module kind {' or '.join(kinds)}, got {kind!r}")
+        if "hodge" in self.tasks:
+            try:
+                detect_hermitian(self.ctx.pair)
+            except NotHermitian as e:
+                raise ScenarioError(f"task hodge needs a Hermitian pair: {e}")
         self.depth_below_top = parse_count(doc, "depth_below_top", 6)
         self.options = doc.get("options", {})
         self.out_dir = doc.get("out_dir")
@@ -229,14 +256,13 @@ class Workspace:
         kind, lam, depth = scn.module["kind"], scn.weights["lambda"], scn.depth
         if kind == "finite":
             return finite_dim_simple(ctx.pair, ctx.cb, lam)
+        if kind == "tensor":
+            return ctx.tensor(lam, depth, scn.weights["factor_lambda"])
         vw = ctx.verma(lam, depth)
         if kind == "verma":
             return vw
         if kind == "simple":
             return simple_quotient_window(vw, shapovalov_grams(vw))
-        if kind == "tensor":
-            return tensor_with_finite_dim(
-                vw, finite_dim_simple(ctx.pair, ctx.cb, scn.weights["factor_lambda"]))
         if kind == "ses":
             w0 = scn.weights["sub_weight"]
             sv = singular_vectors(vw, w0)
@@ -336,8 +362,6 @@ def _task_square(ws):
 
 
 def _task_kostant(ws):
-    if not ws.module.complete:
-        return {"ok": False, "error": "kostant task needs a finite-dimensional module"}
     rep = kostant_kernel_check(ws.pair, ws.cb, ws.sm, ws.module)
     return {
         "ok": rep["match"],
@@ -398,8 +422,6 @@ def _task_index(ws):
 
 
 def _task_circle(ws):
-    if ws.ses is None:
-        return {"ok": False, "error": "circle task needs an ses module"}
     weights = ws.block_weights()
 
     def one(mu):
@@ -415,17 +437,8 @@ def _task_circle(ws):
 def _task_hodge(ws):
     pair, cb, sm, m = ws.pair, ws.cb, ws.sm, ws.module
     expect_nonunitary = bool(ws.scenario.options.get("expect_nonunitary", False))
-    try:
-        hp = detect_hermitian(pair)
-    except NotHermitian as e:
-        return {"ok": False, "error": str(e)}
-    if m.kind == "simple":
-        vw = m.parent
-        form = shapovalov_grams(vw)
-    elif m.kind == "verma":
-        form = shapovalov_grams(m)
-    else:
-        return {"ok": False, "error": "hodge task needs a verma or simple module"}
+    hp = detect_hermitian(pair)
+    form = shapovalov_grams(m.parent if m.kind == "simple" else m)
     d = ws.scenario.depth_below_top
     test_ws = [m.top_weight - Weight(c)
                for c in _cone_coords(pair.rank, d + 2 * int((pair.rho - pair.rho_h).height))]

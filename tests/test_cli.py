@@ -15,11 +15,14 @@ from odirac.scenarios import ScenarioError
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCENARIOS = os.path.join(REPO, "scenarios")
 GOLDEN = os.path.join(REPO, "tests", "golden")
+# the child imports odirac from this checkout, whether or not it is installed
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [os.path.join(REPO, "src"), os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(*args, **kw):
     return subprocess.run([sys.executable, "-m", "odirac.cli", *args],
-                          capture_output=True, text=True, **kw)
+                          capture_output=True, text=True, env=CHILD_ENV, **kw)
 
 
 def test_run_sl3_example(tmp_path):
@@ -87,19 +90,27 @@ def test_unparseable_file_exits_2(tmp_path):
 A1_VERMA = {"kind": "verma", "lambda": [0], "depth": 4}
 
 
-@pytest.mark.parametrize("field, value, message", [
-    ("module", {"kind": "verma", "lambda": [0]}, "needs depth"),
-    ("module", {"kind": "verma", "lambda": [0], "depth": "x"}, "depth must be"),
-    ("module", {"kind": "verma", "lambda": [0], "depth": -1}, "depth must be"),
-    ("module", {"kind": "finite", "lambda": [-1]}, "not dominant integral"),
-    ("tasks", "dirac", "tasks must be a list"),
-    ("delta_h", [[2]], "NotASubsystem: (2) is not a positive root of A1"),
-    ("delta_h", 1, "delta_h must be a list"),
+@pytest.mark.parametrize("fields, message", [
+    ({"module": {"kind": "verma", "lambda": [0]}}, "needs depth"),
+    ({"module": {"kind": "verma", "lambda": [0], "depth": "x"}}, "depth must be"),
+    ({"module": {"kind": "verma", "lambda": [0], "depth": -1}}, "depth must be"),
+    ({"module": {"kind": "finite", "lambda": [-1]}}, "not dominant integral"),
+    ({"tasks": "dirac"}, "tasks must be a list"),
+    ({"delta_h": [[2]]}, "NotASubsystem: (2) is not a positive root of A1"),
+    ({"delta_h": 1}, "delta_h must be a list"),
+    ({"tasks": ["kostant"]}, "task kostant needs module kind finite, got 'verma'"),
+    ({"tasks": ["circle"]}, "task circle needs module kind ses or ses_split, got 'verma'"),
+    ({"module": {"kind": "finite", "lambda": [1]}, "tasks": ["hodge"]},
+     "task hodge needs module kind verma or simple, got 'finite'"),
+    ({"cartan_type": "A2", "module": {"kind": "verma", "lambda": [0, 0], "depth": 4},
+      "tasks": ["hodge"]}, "task hodge needs a Hermitian pair: q is not abelian"),
 ], ids=["missing_depth", "depth_not_int", "negative_depth", "finite_not_dominant",
-        "tasks_not_list", "delta_h_not_subsystem", "delta_h_not_list"])
-def test_invalid_scenario_fields_exit_2(tmp_path, capsys, field, value, message):
+        "tasks_not_list", "delta_h_not_subsystem", "delta_h_not_list",
+        "kostant_not_finite", "circle_without_ses", "hodge_not_highest_weight",
+        "hodge_not_hermitian"])
+def test_invalid_scenario_fields_exit_2(tmp_path, capsys, fields, message):
     scn = {"name": "bad", "cartan_type": "A1", "delta_h": [], "module": A1_VERMA,
-           "tasks": ["dirac"], field: value}
+           "tasks": ["dirac"], **fields}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(scn))
     assert main(["run", str(path), "--out", str(tmp_path)]) == 2

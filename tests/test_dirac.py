@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from odirac.exactla import Mat
 from odirac.roots import Weight, zero_weight
 from odirac.cato import (_cone_coords, finite_dim_simple, ses_from_embedding,
@@ -375,19 +377,150 @@ def test_index_identity_trivial_module(a2_su21):
 
 
 def test_one_build_per_block(monkeypatch):
-    """A scenario run builds each (spin module, module, weight) block once."""
+    """A scenario run builds and decomposes each block once, however often asked.
+
+    Keys are (spin module, module, weight) for builds and the block for
+    decompositions.
+    """
     import os
     from collections import Counter
     from odirac import scenarios
 
     monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
-    builds, init = Counter(), DiracBlock.__init__
+    builds, asked, decomposed = Counter(), Counter(), Counter()
+    init, eig = DiracBlock.__init__, DiracBlock.eigenvalue_decomposition
+    cand = DiracBlock._candidate_eigenvalues
 
     def counted(self, pair, cb, sm, m, mu):
         builds[(sm, m, mu)] += 1
         init(self, pair, cb, sm, m, mu)
 
+    def counted_eig(self):
+        if self.dim:
+            asked[self] += 1
+        return eig(self)
+
+    def counted_cand(self):
+        decomposed[self] += 1
+        return cand(self)
+
     monkeypatch.setattr(DiracBlock, "__init__", counted)
+    monkeypatch.setattr(DiracBlock, "eigenvalue_decomposition", counted_eig)
+    monkeypatch.setattr(DiracBlock, "_candidate_eigenvalues", counted_cand)
     path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "sl3_paper_example.json")
     assert scenarios.run_scenario(scenarios.load_scenario(path))["ok"]
     assert builds and set(builds.values()) == {1}
+    assert set(decomposed.values()) == {1} and set(decomposed) == set(asked)
+    assert max(asked.values()) == 2  # tasks dirac and square both ask
+
+
+# -- spectral layer: eigen decomposition against a plain-Fraction reference ---
+
+def _frac_matmul(a, b):
+    return [[sum((x * b[t][j] for t, x in enumerate(row) if x), F(0))
+             for j in range(len(b[0]))] for row in a]
+
+
+def _frac_rank(rows):
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pr = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[pr], rows[rank] = rows[rank], rows[pr]
+        piv = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / piv[c]
+            if f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], piv)]
+        rank += 1
+    return rank
+
+
+def reference_decomposition(blk):
+    """{c: n - rank((D^2 - c)^m)} over all candidates, for a power m >= n.
+
+    ker A^m = ker A^n for every m >= n, so repeated squaring reaches the
+    generalized eigenspace without any stopping rule.
+    """
+    n = blk.dim
+    d = [list(r) for r in blk.d.rows]
+    d2 = _frac_matmul(d, d)
+    out = {}
+    for c in set(blk._candidate_eigenvalues()):
+        p = [[x - c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(d2)]
+        m = 1
+        while m < n:
+            p, m = _frac_matmul(p, p), 2 * m
+        dim_c = n - _frac_rank(p)
+        if dim_c:
+            out[c] = dim_c
+    return out
+
+
+def _spectral_blocks():
+    """The sl3 worked example's blocks and the pinned Jordan fixture's blocks."""
+    from odirac.acceptance import load_jordan_fixture
+    from odirac.dirac import block
+    from odirac.scenarios import pair_context
+
+    c = pair_context("A2", [(1, 0)])
+    vw = c.verma(-c.pair.rho, 14)
+    out = [block(c.sm, vw, mu) for mu in c.block_weights(vw, 8)]
+    fx = load_jordan_fixture()
+    fc, t = fx["ctx"], fx["module"]
+    out += [block(fc.sm, t, mu) for mu in fc.block_weights(t, 8)]
+    return [b for b in out if b.dim]
+
+
+def test_eigen_decomposition_matches_reference():
+    non_semisimple = 0
+    for blk in _spectral_blocks():
+        got = blk.eigenvalue_decomposition()
+        assert got == reference_decomposition(blk), blk.mu
+        d2 = blk.d @ blk.d
+        # the chain must run past k = 1 somewhere: a generalized eigenspace
+        # strictly larger than the eigenspace
+        non_semisimple += any(blk.dim - (d2 - Mat.scalar(blk.dim, c)).rank() < k
+                              for c, k in got.items())
+    assert non_semisimple
+
+
+def test_eigen_decomposition_memo(a2_su21):
+    pair, cb, sm = a2_su21.pair, a2_su21.cb, a2_su21.sm
+    vw = a2_su21.verma(-pair.rho, 14)
+    blk = DiracBlock(pair, cb, sm, vw, -pair.rho_h - Weight([1, 2]))
+    first = blk.eigenvalue_decomposition()
+    assert first and blk.eigenvalue_decomposition() == first
+    want = dict(first)
+    first.clear()
+    blk.eigenvalue_decomposition()[F(10 ** 6)] = 1
+    assert blk.eigenvalue_decomposition() == want
+    assert blk.d_squared() == blk.d @ blk.d
+
+
+def test_eigen_checks_still_run(a2_su21, monkeypatch):
+    """Both self-checks of the decomposition fire on a corrupted input."""
+    from odirac import dirac
+
+    pair, cb, sm = a2_su21.pair, a2_su21.cb, a2_su21.sm
+    vw = a2_su21.verma(-pair.rho, 14)
+    mu = -pair.rho_h - Weight([1, 2])
+
+    def fresh():
+        return DiracBlock(pair, cb, sm, vw, mu)
+
+    assert len(fresh().eigenvalue_decomposition()) >= 2
+    with monkeypatch.context() as mp:
+        # drop the largest candidate: the rest no longer cover the block
+        mp.setattr(DiracBlock, "_candidate_eigenvalues",
+                   lambda self, orig=DiracBlock._candidate_eigenvalues:
+                   sorted(set(orig(self)))[:-1])
+        with pytest.raises(AssertionError, match="predicted eigenvalues cover"):
+            fresh().eigenvalue_decomposition()
+    charpoly = dirac.charpoly
+    monkeypatch.setattr(dirac, "charpoly",
+                        lambda m: charpoly(m)[:-1] + [charpoly(m)[-1] + 1])
+    with pytest.raises(AssertionError, match="charpoly factorization mismatch"):
+        fresh().eigenvalue_decomposition()

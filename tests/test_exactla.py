@@ -74,6 +74,12 @@ def test_charpoly_known():
     assert charpoly(Mat([[1, 0], [0, 2]])) == [F(1), F(-3), F(2)]
 
 
+def test_scalar_is_scaled_identity():
+    for n in (0, 1, 3, 5):
+        for c in (0, 1, -3, F(7, 2), F(-2, 9)):
+            assert Mat.scalar(n, c) == Mat.identity(n).scale(c), (n, c)
+
+
 def test_power():
     n = Mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     assert n.power(2) == n @ n
