@@ -13,8 +13,8 @@ from fractions import Fraction
 from .exactla import Mat
 from .roots import Weight, eps_to_weight, is_antidominant, weight_from_fundamental
 from .cato import (_cone_coords, commutation_defect, finite_dim_simple,
-                   ses_from_embedding, ses_split, shapovalov_grams,
-                   simple_quotient_window, singular_vectors, verma_character_h)
+                   ses_from_embedding, ses_split, simple_quotient_window,
+                   singular_vectors, verma_character_h)
 from .spinor import build_spin_module, cubic_term_rebased
 from .dirac import (block, check_square, exact_circle, h_equivariance_defect,
                     index_identity_check, kostant_kernel_check, nonvanishing_check,
@@ -182,8 +182,7 @@ def criterion_5_nonvanishing():
     ctxa = pair_context("A1", [])
     modules.append(("A1 M(-1/2 alpha)", ctxa, ctxa.verma(Weight([_F(-1, 2)]), 10)))
     vw0 = ctxa.verma(Weight([0]), 10)
-    grams = shapovalov_grams(vw0)
-    modules.append(("A1 L(0)", ctxa, simple_quotient_window(vw0, grams)))
+    modules.append(("A1 L(0)", ctxa, simple_quotient_window(vw0)))
     fixture = load_jordan_fixture()
     modules.append(("pinned tensor", fixture["ctx"], fixture["module"]))
     for name, ctx, m in modules:
@@ -331,9 +330,8 @@ def criterion_8_hodge():
     hp = detect_hermitian(pair)
     lam = -pair.rho
     vw = ctx.verma(lam, 12)
-    form = shapovalov_grams(vw)
     ws = [lam - pair.rs.simple_roots[0] * k for k in range(9)]
-    urep = unitarity_check(hp, vw, form, ws)
+    urep = unitarity_check(hp, vw, ws)
     a1_ok = urep["unitary"]
     us = urep["structure"]
     mu_top = lam + pair.rho
@@ -350,10 +348,9 @@ def criterion_8_hodge():
     hp2 = detect_hermitian(pair2)
     lam2 = weight_from_fundamental(pair2.rs, (_F(1), _F(-7, 2)))
     vw2 = ctx2.verma(lam2, 14)
-    form2 = shapovalov_grams(vw2)
-    quot = simple_quotient_window(vw2, form2)
+    quot = simple_quotient_window(vw2)
     test_ws = [quot.top_weight - Weight(c) for c in _cone_coords(2, 10)]
-    urep2 = unitarity_check(hp2, quot, form2, test_ws)
+    urep2 = unitarity_check(hp2, quot, test_ws)
     a2_ok = urep2["unitary"]
     us2 = urep2["structure"]
     mu_top2 = lam2 + pair2.rho - pair2.rho_h
@@ -372,7 +369,7 @@ def criterion_8_hodge():
     # negative test: lam(h) = 1 fails positivity
     lam_bad = Weight([_F(1, 2)])
     vw_bad = ctx.verma(lam_bad, 10)
-    rep_bad = unitarity_check(hp, vw_bad, shapovalov_grams(vw_bad),
+    rep_bad = unitarity_check(hp, vw_bad,
                               [lam_bad - pair.rs.simple_roots[0] * k for k in range(5)])
     details["negative test failed positivity"] = not rep_bad["unitary"]
     ok = ok and not rep_bad["unitary"]
@@ -403,7 +400,7 @@ def criterion_9_vogan():
     ctx1 = pair_context("A1", [])
     vw0 = ctx1.verma(Weight([0]), 10)
     runs.append(("A1 L(0)", ctx1,
-                 simple_quotient_window(vw0, shapovalov_grams(vw0)), 5))
+                 simple_quotient_window(vw0), 5))
     for name, c, m, depth in runs:
         weights = c.block_weights(m, depth)
         singular = singular_cohomology_weights(c.pair, c.cb, c.sm, m, weights)

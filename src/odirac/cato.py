@@ -151,13 +151,6 @@ class _Straightener:
                 _acc(out, m2, c * c2)
         return out
 
-    def act_vector(self, b, vec):
-        out = {}
-        for mono, c in vec.items():
-            for m2, c2 in self.act_index(b, mono).items():
-                _acc(out, m2, c * c2)
-        return out
-
 
 def _inc(mono, i):
     return mono[:i] + (mono[i] + 1,) + mono[i + 1:]
@@ -215,9 +208,6 @@ class WeightModuleWindow:
             gen = ("f", -root)
         return self.action(gen, w)
 
-    def character(self):
-        return {w: self.dim(w) for w in self.weights()}
-
     def generator_list(self):
         gens = [("h", i) for i in range(self.rank)]
         for a in self.pair.rs.positive_roots:
@@ -243,6 +233,7 @@ class VermaWindow(WeightModuleWindow):
         self.infchars = (self.lam,)
         self.straightener = _Straightener(cb, self.lam)
         self._basis_cache = {}
+        self._form = None  # the window's ContravariantForm, see shapovalov_grams
 
     def materialized(self, w):
         coords = _delta_coords(self.lam, w)
@@ -299,11 +290,12 @@ def verma_window(pair, cb, lam, depth) -> VermaWindow:
 # -- contravariant (Shapovalov) form -----------------------------------------
 
 class ContravariantForm:
-    """Gram matrices of the contravariant form on a Verma window."""
+    """Gram matrices of the contravariant form on a Verma window.
+
+    Built by `shapovalov_grams`, which keeps one per window.
+    """
 
     def __init__(self, vw: VermaWindow):
-        if vw.kind != "verma":
-            raise ValueError("contravariant grams are computed on Verma windows")
         self.vw = vw
         self._grams = {}
 
@@ -315,45 +307,46 @@ class ContravariantForm:
         return g
 
     def _compute(self, w):
+        """G(w) from the Grams above it and the window's raising actions.
+
+        Write basis monomial i as f_beta u, with f_beta its first factor
+        and u (weight w + beta) the monomial with that exponent lowered
+        by one.  tau(f_beta) = e_beta / kappa_beta, so
+        <f_beta u, v> = <u, e_beta v> / kappa_beta: row i of G(w) is row u
+        of G(w + beta) times the action of e_beta on weight w, divided by
+        kappa_beta.  The rows that share beta are one product.
+        """
         vw = self.vw
+        if w == vw.lam:
+            return Mat([[_F1]])
         basis = vw.basis(w)
-        st = vw.straightener
+        by_first = {}
+        for i, mono in enumerate(basis):
+            first = next(p for p, k in enumerate(mono) if k)
+            by_first.setdefault(first, []).append(i)
         cb = vw.cb
-        n = len(basis)
-        cols = []
-        for mono_j in basis:
-            vec = {mono_j: _F1}
-            cols.append(vec)
-        rows = []
-        for mono_i in basis:
-            # tau(f_{b1}^{k1}...f_{bs}^{ks}) applied on the left means the
-            # raising string acts with e_{b1}^{k1} first, then e_{b2}^{k2}, ...
-            # tau sends the pairing-1 lowering vector to e_beta / kappa_beta,
-            # so every raising application carries a 1/kappa factor.
-            row = []
-            scale = _F1
-            for p, k in enumerate(mono_i):
-                if k:
-                    scale /= cb.kappa_integral(cb.pos[p]) ** k
-            for vec in cols:
-                cur = vec
-                for p, k in enumerate(mono_i):
-                    if not k:
-                        continue
-                    ei = cb.e_index(cb.pos[p])
-                    for _ in range(k):
-                        cur = st.act_vector(ei, cur)
-                empty = tuple([0] * cb.npos)
-                row.append(scale * cur.get(empty, _F0))
-            rows.append(row)
-        return Mat(rows, n)
+        rows = [None] * len(basis)
+        for first, idx in by_first.items():
+            beta = cb.pos[first]
+            up = {m: j for j, m in enumerate(vw.basis(w + beta))}
+            above = self.gram(w + beta)
+            picked = Mat([above.rows[up[_dec(basis[i], first)]] for i in idx], len(up))
+            prod = picked @ vw.action(("e", beta), w)
+            for i, row in zip(idx, prod.scale(_F1 / cb.kappa_integral(beta)).rows):
+                rows[i] = row
+        return Mat(rows, len(basis))
 
     def radical(self, w):
         return self.gram(w).nullspace()
 
 
 def shapovalov_grams(vw: VermaWindow) -> ContravariantForm:
-    return ContravariantForm(vw)
+    """The contravariant form of a Verma window, one per window."""
+    if vw.kind != "verma":
+        raise ValueError("contravariant grams are computed on Verma windows")
+    if vw._form is None:
+        vw._form = ContravariantForm(vw)
+    return vw._form
 
 
 # -- derived windows ---------------------------------------------------------
@@ -534,8 +527,9 @@ class ExplicitWindow(WeightModuleWindow):
         return m
 
 
-def simple_quotient_window(vw: VermaWindow, form: ContravariantForm) -> QuotientWindow:
+def simple_quotient_window(vw: VermaWindow) -> QuotientWindow:
     """L(lambda) on the window: quotient by the radical of the contravariant form."""
+    form = shapovalov_grams(vw)
     return QuotientWindow(vw, lambda w: form.radical(w), kind="simple")
 
 
@@ -563,8 +557,7 @@ def finite_dim_simple(pair, cb, lam) -> ExplicitWindow:
     depth = int((lam - w0lam).height)
     margin = max(int(a.height) for a in rs.positive_roots)
     vw = verma_window(pair, cb, lam, depth + margin)
-    grams = shapovalov_grams(vw)
-    quot = simple_quotient_window(vw, grams)
+    quot = simple_quotient_window(vw)
     dims = {}
     for c in _cone_coords(pair.rank, depth + margin):
         w = lam - Weight(c)
@@ -847,10 +840,6 @@ def kostant_partition_counter(pos_roots):
         return r
 
     return count
-
-
-def character(vw: WeightModuleWindow):
-    return vw.character()
 
 
 def verma_character_h(pair: PairGH, lam_h: Weight, weights):

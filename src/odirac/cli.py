@@ -62,7 +62,7 @@ def _cmd_run(args):
         traceback.print_exc()
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    outdir = args.out or scn.out_dir or os.environ.get("ODIRAC_OUT") or "."
+    outdir = args.out or os.environ.get("ODIRAC_OUT") or "."
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, f"{scn.name}.bundle.json")
     with open(path, "w") as fh:

@@ -133,17 +133,12 @@ class DiracBlock:
         self._gen0 = None
         self._nilp = None
         self._d2 = None
+        self._d_powers = None
         self._eigs = None
 
     @property
     def dim(self):
         return self.space.dim
-
-    def graded_map(self, sign):
-        """D restricted to the sign part, as a map to the opposite part."""
-        src = self.space.parity_cols(sign)
-        tgt = self.space.parity_cols(-sign)
-        return Mat([[self.d.rows[i][j] for j in src] for i in tgt], len(src))
 
     # -- generalized kernel and the nilpotent restriction ----------------------
 
@@ -158,15 +153,6 @@ class DiracBlock:
             vecs, parities = self.gen0()
             self._nilp = GradedNilpotent.from_operator(self.d, vecs, parities)
         return self._nilp
-
-    def kernel_dim(self):
-        return self.dim - self.d.rank()
-
-    def kernel_basis(self):
-        return self.d.nullspace()
-
-    def image_basis(self):
-        return span_basis(self.d.cols(), self.dim)
 
     def dirac_cohomology(self):
         """Dims of H_D and its graded halves at this weight."""
@@ -195,6 +181,15 @@ class DiracBlock:
         if self._d2 is None:
             self._d2 = self.d @ self.d
         return self._d2
+
+    def d_power(self, k):
+        """D^k, memoized with every lower power; D^2 is `d_squared()`."""
+        if self._d_powers is None:
+            self._d_powers = [Mat.identity(self.dim), self.d]
+        powers = self._d_powers
+        while len(powers) <= k:
+            powers.append(self.d_squared() if len(powers) == 2 else powers[-1] @ self.d)
+        return powers[k]
 
     def eigenvalue_decomposition(self):
         """Exact generalized eigenvalues of D^2 with their eigenspace dims.
@@ -363,20 +358,10 @@ class GradedNilpotent:
     def hd_total(self):
         k1p = self.kernel_graded(1, +1)
         k1m = self.kernel_graded(1, -1)
-        return self._quotient_dim(k1p, +1, 0) + self._quotient_dim(k1m, -1, 0)
+        return self._htop_quotient(k1p, +1, 0) + self._htop_quotient(k1m, -1, 0)
 
     def hd_graded(self, sign):
-        return self._quotient_dim(self.kernel_graded(1, sign), sign, 0)
-
-    def _quotient_dim(self, ker_basis, sign, lower_k):
-        """dim ker / (ker meet im N + ker N^{lower_k}), all inside the sign part."""
-        if not ker_basis:
-            return 0
-        im = self.image_graded(sign)
-        meet = subspace_intersect(ker_basis, im, self.dim)
-        lower = self.kernel_graded(lower_k, sign) if lower_k else []
-        den = subspace_sum(meet, lower)
-        return len(span_basis(ker_basis)) - len(den)
+        return self._htop_quotient(self.kernel_graded(1, sign), sign, 0)
 
     def htop_direct(self):
         """{k: (dim plus, dim minus)} from the defining quotients."""
@@ -395,11 +380,15 @@ class GradedNilpotent:
         return out
 
     def _htop_quotient(self, ker_basis, sign, lower_k):
+        """dim ker / (ker meet im N + ker N^{lower_k}), all inside the sign part.
+
+        With lower_k = 0 (ker N^0 = 0) this is H_D = H_top^0.
+        """
         if not ker_basis:
             return 0
         im = self.image_graded(sign)
         meet = subspace_intersect(ker_basis, im, self.dim)
-        lower = self.kernel_graded(lower_k, sign)
+        lower = self.kernel_graded(lower_k, sign) if lower_k else []
         den = subspace_sum(meet, lower)
         return len(span_basis(ker_basis)) - len(den)
 
@@ -703,7 +692,7 @@ def singular_cohomology_weights(pair, cb, sm, m, weights) -> dict:
     def kernel_power(b, j):
         if b.dim == 0:
             return []
-        return b.d.power(j).nullspace()
+        return b.d_power(j).nullspace()
 
     def image(b):
         return span_basis(b.d.cols(), b.dim) if b.dim else []

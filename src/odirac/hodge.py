@@ -13,7 +13,7 @@ nilpotent cohomology into exact rank arithmetic.
 from fractions import Fraction
 
 from .exactla import Mat, span_basis, subspace_intersect
-from .cato import ContravariantForm, WeightModuleWindow
+from .cato import WeightModuleWindow, shapovalov_grams
 from .dirac import BlockSpace, _place, block
 from .liealg import PairGH, is_symmetric_pair
 from .roots import Weight
@@ -39,7 +39,6 @@ class HermitianPair:
         self.p_plus = list(pair.q_positive)
         self.p_minus = [-a for a in pair.q_positive]
         self.q_abelian = True
-        self.parabolic_containment = True  # span of q+ contains no negative root
         if not is_symmetric_pair(pair):
             raise NotHermitian("abelian q-halves but [q,q] leaves h")
         self._grading = self._grading_functional()
@@ -77,13 +76,13 @@ class UnitaryStructure:
     invariant form differs from the contravariant one by the sign of the
     parabolic degree of the drop from the highest weight.  Works on a
     Verma window or on its simple quotient (form induced on a complement
-    of the radical).
+    of the radical); either way the form is the Verma window's own.
     """
 
-    def __init__(self, hp: HermitianPair, vw, form: ContravariantForm):
+    def __init__(self, hp: HermitianPair, vw):
         self.hp = hp
         self.vw = vw
-        self.form = form
+        self.form = shapovalov_grams(vw.parent if vw.kind == "simple" else vw)
         self.lam = vw.top_weight
 
     def gram(self, w) -> Mat:
@@ -136,9 +135,9 @@ def _det(m: Mat) -> Fraction:
     return det
 
 
-def unitarity_check(hp: HermitianPair, vw, form: ContravariantForm, weights) -> dict:
+def unitarity_check(hp: HermitianPair, vw, weights) -> dict:
     """Exact positive-definiteness of the twisted grams, per weight."""
-    us = UnitaryStructure(hp, vw, form)
+    us = UnitaryStructure(hp, vw)
     per_weight = {}
     ok = True
     for w in weights:

@@ -288,9 +288,6 @@ class PairGH:
         self.q_signed = frozenset(self.q_positive) | frozenset(-a for a in self.q_positive)
         self.rho, self.rho_h = rho_vectors(rs, self.delta_h_pos)
         self.weyl: WeylData = weyl_group(rs, form, self.delta_h_pos)
-        # Eq-style conditions (reductive, theta-stable, nondegenerate restriction)
-        # hold structurally for negation-closed root subsystems containing t.
-        self.conditions_certified = True
 
     @property
     def rank(self):

@@ -152,9 +152,6 @@ class RootSystem:
         self.all_roots = self.positive_roots + [-r for r in self.positive_roots]
         self.root_set = frozenset(self.all_roots)
 
-    def is_root(self, v):
-        return v in self.root_set
-
     def simple_reflection(self, j):
         return self._reflections[j]
 

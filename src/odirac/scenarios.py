@@ -20,9 +20,8 @@ from .roots import (NotASubsystem, Weight, build_root_system, is_dominant_integr
                     killing_form_on_dual)
 from .liealg import chevalley_basis, validate_pair
 from .cato import (_cone_coords, finite_dim_simple, ses_from_embedding,
-                   ses_split, shapovalov_grams, simple_quotient_window,
-                   singular_vectors, sort_weights, tensor_with_finite_dim,
-                   verma_window)
+                   ses_split, simple_quotient_window, singular_vectors,
+                   sort_weights, tensor_with_finite_dim, verma_window)
 from .spinor import build_spin_module
 from .dirac import (block, check_square, exact_circle, index_identity_check,
                     kostant_kernel_check, nonvanishing_check,
@@ -223,8 +222,16 @@ class Scenario:
             except NotHermitian as e:
                 raise ScenarioError(f"task hodge needs a Hermitian pair: {e}")
         self.depth_below_top = parse_count(doc, "depth_below_top", 6)
-        self.options = doc.get("options", {})
-        self.out_dir = doc.get("out_dir")
+        options = doc.get("options", {})
+        if not isinstance(options, dict):
+            raise ScenarioError(f"options must be an object, got {options!r}")
+        unknown = sorted(set(options) - {"expect_nonunitary"})
+        if unknown:
+            raise ScenarioError(f"unknown option {unknown[0]!r}")
+        self.expect_nonunitary = options.get("expect_nonunitary", False)
+        if not isinstance(self.expect_nonunitary, bool):
+            raise ScenarioError("options.expect_nonunitary must be true or false, "
+                                f"got {self.expect_nonunitary!r}")
 
     def sha256(self):
         blob = json.dumps(self.doc, sort_keys=True, separators=(",", ":"))
@@ -262,7 +269,7 @@ class Workspace:
         if kind == "verma":
             return vw
         if kind == "simple":
-            return simple_quotient_window(vw, shapovalov_grams(vw))
+            return simple_quotient_window(vw)
         if kind == "ses":
             w0 = scn.weights["sub_weight"]
             sv = singular_vectors(vw, w0)
@@ -436,17 +443,15 @@ def _task_circle(ws):
 
 def _task_hodge(ws):
     pair, cb, sm, m = ws.pair, ws.cb, ws.sm, ws.module
-    expect_nonunitary = bool(ws.scenario.options.get("expect_nonunitary", False))
     hp = detect_hermitian(pair)
-    form = shapovalov_grams(m.parent if m.kind == "simple" else m)
     d = ws.scenario.depth_below_top
     test_ws = [m.top_weight - Weight(c)
                for c in _cone_coords(pair.rank, d + 2 * int((pair.rho - pair.rho_h).height))]
     test_ws = [w for w in test_ws if m.materialized(w)]
-    urep = unitarity_check(hp, m, form, test_ws)
+    urep = unitarity_check(hp, m, test_ws)
     doc = {"unitary_on_window": urep["unitary"],
            "positivity_per_weight": {wkey(w): v for w, v in sorted(urep["per_weight"].items())}}
-    if expect_nonunitary:
+    if ws.scenario.expect_nonunitary:
         doc["ok"] = not urep["unitary"]
         doc["note"] = "negative test: positivity expected to fail"
         return doc

@@ -128,6 +128,91 @@ def test_shapovalov_grams(a1):
             assert ae.T @ g2.gram(up) == g2.gram(w).scale(kap) @ af
 
 
+def raising_string_gram(vw, w):
+    """Reference Gram: apply tau(mono_i) to every basis vector as a string of
+    raising operators and read off the coefficient of the top vector.
+
+    tau(f_{b1}^{k1}...f_{bs}^{ks}) acts with e_{b1}^{k1} first, then
+    e_{b2}^{k2}, ...; each e_beta carries a factor 1/kappa_beta.
+    """
+    st, cb = vw.straightener, vw.cb
+    basis = vw.basis(w)
+    top = tuple([0] * cb.npos)
+    rows = []
+    for mono_i in basis:
+        scale = F(1)
+        for p, k in enumerate(mono_i):
+            scale /= cb.kappa_integral(cb.pos[p]) ** k
+        row = []
+        for mono_j in basis:
+            cur = {mono_j: F(1)}
+            for p, k in enumerate(mono_i):
+                ei = cb.e_index(cb.pos[p])
+                for _ in range(k):
+                    nxt = {}
+                    for m, c in cur.items():
+                        for m2, c2 in st.act_index(ei, m).items():
+                            nxt[m2] = nxt.get(m2, 0) + c * c2
+                    cur = nxt
+            row.append(scale * cur.get(top, 0))
+        rows.append(row)
+    return Mat(rows, len(basis))
+
+
+@pytest.mark.parametrize("cartan, delta_h, lam, depth", [
+    ("A1", [], [F(3, 2)], 8),
+    ("A2", [(1, 0)], [F(-1, 3), F(-5, 7)], 6),
+    ("A3", [(1, 0, 0), (0, 1, 0), (1, 1, 0)], [-1, -2, -3], 4),  # the a3_hodge window
+], ids=["A1", "A2_su21_generic", "A3_gl3"])
+def test_grams_match_raising_strings(cartan, delta_h, lam, depth):
+    """Every Gram of the recursion equals the raising-string Gram entry for entry."""
+    c = ctx(cartan, delta_h)
+    lam = Weight(lam)
+    vw = verma_window(c.pair, c.cb, lam, depth)
+    form = shapovalov_grams(vw)
+    checked = 0
+    for cc in _cone_coords(c.rs.rank, depth):
+        w = lam - Weight(cc)
+        assert form.gram(w) == raising_string_gram(vw, w), w
+        checked += vw.dim(w) > 0
+    assert checked > depth  # every weight of the window below the top too
+
+
+def test_one_form_per_verma_window(monkeypatch, a1):
+    """Each Verma window has one form, and a hodge run computes each Gram once."""
+    import os
+    from collections import Counter
+    from odirac import cato, scenarios
+
+    vw = verma_window(a1.pair, a1.cb, Weight([1]), 6)
+    form = shapovalov_grams(vw)
+    assert shapovalov_grams(vw) is form
+    quot = simple_quotient_window(vw)
+    assert quot.dim(Weight([1]) - a1.rs.simple_roots[0] * 3) == 0  # dim L = 3
+    assert set(form._grams)  # the quotient read the window's own form
+    with pytest.raises(ValueError):
+        shapovalov_grams(quot)
+
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+    forms, computed = Counter(), Counter()
+    init, compute = cato.ContravariantForm.__init__, cato.ContravariantForm._compute
+
+    def counted_init(self, window):
+        forms[window] += 1
+        init(self, window)
+
+    def counted_compute(self, w):
+        computed[(self.vw, w)] += 1
+        return compute(self, w)
+
+    monkeypatch.setattr(cato.ContravariantForm, "__init__", counted_init)
+    monkeypatch.setattr(cato.ContravariantForm, "_compute", counted_compute)
+    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "a2_hodge_unitary.json")
+    assert scenarios.run_scenario(scenarios.load_scenario(path))["ok"]
+    assert set(forms.values()) == {1}
+    assert computed and set(computed.values()) == {1}
+
+
 def test_antidominant_grams_nonsingular(a1):
     lam = Weight([F(-3, 4)])  # lam(h) = -3/2, antidominant non-integral
     assert is_antidominant(lam, a1.rs, a1.form, a1.pair.rho)
@@ -144,13 +229,13 @@ def test_simple_quotient_sl2(a1):
     alpha = pair.rs.simple_roots[0]
     lam = Weight([F(3, 2)])  # lam(h) = 3
     vw = verma_window(pair, cb, lam, 9)
-    quot = simple_quotient_window(vw, shapovalov_grams(vw))
+    quot = simple_quotient_window(vw)
     dims = [quot.dim(lam - alpha * k) for k in range(9)]
     assert dims == [1, 1, 1, 1, 0, 0, 0, 0, 0]
     # antidominant: L = M on the window
     lam2 = Weight([F(-3, 4)])
     vw2 = verma_window(pair, cb, lam2, 8)
-    quot2 = simple_quotient_window(vw2, shapovalov_grams(vw2))
+    quot2 = simple_quotient_window(vw2)
     for k in range(8):
         assert quot2.dim(lam2 - alpha * k) == vw2.dim(lam2 - alpha * k)
 
@@ -160,7 +245,7 @@ def test_projection_intertwines(a1):
     alpha = pair.rs.simple_roots[0]
     lam = Weight([1])  # lam(h) = 2
     vw = verma_window(pair, cb, lam, 8)
-    quot = simple_quotient_window(vw, shapovalov_grams(vw))
+    quot = simple_quotient_window(vw)
     for gen in vw.generator_list():
         for k in range(1, 6):
             w = lam - alpha * k
@@ -295,7 +380,7 @@ def test_quotient_plus_radical_dimension(a1):
     lam = Weight([1])
     vw = verma_window(pair, cb, lam, 8)
     grams = shapovalov_grams(vw)
-    quot = simple_quotient_window(vw, grams)
+    quot = simple_quotient_window(vw)
     alpha = pair.rs.simple_roots[0]
     for k in range(8):
         w = lam - alpha * k

@@ -104,10 +104,15 @@ A1_VERMA = {"kind": "verma", "lambda": [0], "depth": 4}
      "task hodge needs module kind verma or simple, got 'finite'"),
     ({"cartan_type": "A2", "module": {"kind": "verma", "lambda": [0, 0], "depth": 4},
       "tasks": ["hodge"]}, "task hodge needs a Hermitian pair: q is not abelian"),
+    ({"options": []}, "options must be an object, got []"),
+    ({"options": {"expect_nonunitary": "false"}},
+     "options.expect_nonunitary must be true or false, got 'false'"),
+    ({"options": {"expect_nonunitry": True}}, "unknown option 'expect_nonunitry'"),
 ], ids=["missing_depth", "depth_not_int", "negative_depth", "finite_not_dominant",
         "tasks_not_list", "delta_h_not_subsystem", "delta_h_not_list",
         "kostant_not_finite", "circle_without_ses", "hodge_not_highest_weight",
-        "hodge_not_hermitian"])
+        "hodge_not_hermitian", "options_not_object", "option_not_boolean",
+        "option_misspelt"])
 def test_invalid_scenario_fields_exit_2(tmp_path, capsys, fields, message):
     scn = {"name": "bad", "cartan_type": "A1", "delta_h": [], "module": A1_VERMA,
            "tasks": ["dirac"], **fields}
@@ -127,6 +132,17 @@ def test_name_cannot_leave_out_dir(tmp_path, capsys):
     assert main(["run", str(path), "--out", str(tmp_path / "out" / "deep")]) == 2
     assert "scenario error:" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["scn.json"]
+
+
+def test_scenario_cannot_choose_out_dir(tmp_path, monkeypatch):
+    scn = {"name": "placed", "cartan_type": "A1", "delta_h": [],
+           "module": A1_VERMA, "tasks": [], "out_dir": str(tmp_path / "elsewhere")}
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(scn))
+    monkeypatch.setenv("ODIRAC_OUT", str(tmp_path / "env"))
+    assert main(["run", str(path)]) == 0
+    assert (tmp_path / "env" / "placed.bundle.json").exists()
+    assert not (tmp_path / "elsewhere").exists()
 
 
 def test_depth_cap_enforced(tmp_path):

@@ -498,6 +498,10 @@ def test_eigen_decomposition_memo(a2_su21):
     blk.eigenvalue_decomposition()[F(10 ** 6)] = 1
     assert blk.eigenvalue_decomposition() == want
     assert blk.d_squared() == blk.d @ blk.d
+    # the memo of D^k behind singular_cohomology_weights, against binary powering
+    assert [blk.d_power(k) for k in (3, 0, 1, 2, 5)] == \
+        [blk.d.power(k) for k in (3, 0, 1, 2, 5)]
+    assert blk.d_power(2) is blk.d_squared() and blk.d_power(5) is blk.d_power(5)
 
 
 def test_eigen_checks_still_run(a2_su21, monkeypatch):

@@ -6,8 +6,7 @@ import pytest
 
 from odirac.exactla import Mat
 from odirac.roots import Weight, zero_weight
-from odirac.cato import (_cone_coords, shapovalov_grams, simple_quotient_window,
-                         verma_window)
+from odirac.cato import _cone_coords, simple_quotient_window, verma_window
 from odirac.dirac import DiracBlock
 from odirac.hodge import (NotHermitian, UnitaryStructure, ce_complex,
                           detect_hermitian, hodge_decomposition_check,
@@ -42,17 +41,16 @@ def test_unitarity_positive_and_negative(a1):
     lam = -pair.rho
     vw = verma_window(pair, cb, lam, 10)
     ws = [lam - alpha * k for k in range(9)]
-    rep = unitarity_check(hp, vw, shapovalov_grams(vw), ws)
+    rep = unitarity_check(hp, vw, ws)
     assert rep["unitary"]
     # trivial module gram is just (1)
     vw0 = verma_window(pair, cb, zero_weight(1), 4)
-    us0 = UnitaryStructure(hp, vw0, shapovalov_grams(vw0))
+    us0 = UnitaryStructure(hp, vw0)
     assert us0.gram(zero_weight(1)) == Mat([[1]])
     # deliberately non-unitary: lam(h) = 1
     lam_bad = Weight([F(1, 2)])
     vw_bad = verma_window(pair, cb, lam_bad, 8)
-    rep_bad = unitarity_check(hp, vw_bad, shapovalov_grams(vw_bad),
-                              [lam_bad - alpha * k for k in range(5)])
+    rep_bad = unitarity_check(hp, vw_bad, [lam_bad - alpha * k for k in range(5)])
     assert not rep_bad["unitary"]
     assert rep_bad["per_weight"][lam_bad] is True
     assert not all(rep_bad["per_weight"].values())
@@ -123,8 +121,7 @@ def test_hodge_decomposition_and_theorem(a1):
     hp = detect_hermitian(pair)
     lam = -pair.rho
     vw = verma_window(pair, cb, lam, 10)
-    form = shapovalov_grams(vw)
-    us = UnitaryStructure(hp, vw, form)
+    us = UnitaryStructure(hp, vw)
     alpha = pair.rs.simple_roots[0]
     hits = 0
     for k in range(7):
@@ -142,10 +139,9 @@ def test_hodge_su21_simple_quotient(a2_su21):
     hp = detect_hermitian(pair)
     lam = Weight([F(-1, 2), F(-2)])  # fund coords (1, -7/2)
     vw = verma_window(pair, cb, lam, 12)
-    form = shapovalov_grams(vw)
-    quot = simple_quotient_window(vw, form)
+    quot = simple_quotient_window(vw)
     ws = [quot.top_weight - Weight(c) for c in _cone_coords(2, 8)]
-    urep = unitarity_check(hp, quot, form, ws)
+    urep = unitarity_check(hp, quot, ws)
     assert urep["unitary"]
     us = urep["structure"]
     mu_top = lam + pair.rho - pair.rho_h
