@@ -8,6 +8,7 @@ arithmetic there.
 """
 
 from fractions import Fraction
+from functools import partial
 
 from .exactla import (Mat, charpoly, span_basis, subspace_dim, subspace_intersect,
                       subspace_sum)
@@ -56,34 +57,39 @@ class BlockSpace:
         return plus, self.dim - plus
 
 
-def _place(rows, space_tgt, space_src, tgt_i, src_i, mat, coeff=_F1):
-    ro = space_tgt.offsets[tgt_i]
-    co = space_src.offsets[src_i]
-    for i in range(mat.nrows):
-        row = rows[ro + i]
-        for j in range(mat.ncols):
-            v = mat.rows[i][j]
-            if v:
-                row[co + j] += coeff * v
+def block_operator(tgt: BlockSpace, src: BlockSpace, terms) -> Mat:
+    """The sum of coeff * E_ji (x) module_map over terms (j, i, coeff, module_map).
+
+    E_ji sends the i-th spin basis vector to the j-th.  module_map(w) is
+    the module map out of w, the i-th module weight of `src`, into the
+    j-th module weight of `tgt`; it is called only when both are nonzero.
+    """
+    rows = [[_F0] * src.dim for _ in range(tgt.dim)]
+    for j, i, coeff, module_map in terms:
+        if not (src.comp_dims[i] and tgt.comp_dims[j]):
+            continue
+        ro, co = tgt.offsets[j], src.offsets[i]
+        for r, mrow in enumerate(module_map(src.comp_weights[i]).rows):
+            row = rows[ro + r]
+            for c, v in enumerate(mrow):
+                if v:
+                    row[co + c] += coeff * v
+    return Mat(rows, src.dim)
+
+
+def _identity_map(m):
+    return lambda w: Mat.identity(m.dim(w))
 
 
 def h_generator_block(pair, cb, sm, m, gen, mu) -> Mat:
     """Diagonal action of an h-generator from the block at mu to mu + wt(gen)."""
     src = BlockSpace(pair, sm, m, mu)
     tgt = BlockSpace(pair, sm, m, mu + cb.generator_weight(gen))
-    rows = [[_F0] * src.dim for _ in range(tgt.dim)]
-    ha = sm.h_action(gen)
-    for i in range(sm.dim):
-        if src.comp_dims[i]:
-            act = m.action(gen, src.comp_weights[i])
-            if act.nrows:
-                _place(rows, tgt, src, i, i, act)
-            for j in range(sm.dim):
-                c = ha.rows[j][i]
-                if c and tgt.comp_dims[j]:
-                    ident = Mat.identity(src.comp_dims[i])
-                    _place(rows, tgt, src, j, i, ident, c)
-    return Mat(rows, src.dim)
+    act = partial(m.action, gen)
+    ident = _identity_map(m)
+    terms = [(i, i, 1, act) for i in range(sm.dim)]
+    terms += [(j, i, c, ident) for (j, i), c in sm.h_action(gen).items()]
+    return block_operator(tgt, src, terms)
 
 
 class DiracBlock:
@@ -96,44 +102,24 @@ class DiracBlock:
         self.sm = sm
         self.m = m
         self.mu = mu
-        self.space = BlockSpace(pair, sm, m, mu)
-        n = self.space.dim
-        plus_rows = [[_F0] * n for _ in range(n)]
-        minus_rows = [[_F0] * n for _ in range(n)]
-        cubic_rows = [[_F0] * n for _ in range(n)]
-        sp = self.space
-        for alpha in pair.q_positive:
-            g_low = sm.gamma_root(-alpha)   # wedge: spin weight drops by alpha
-            g_rai = sm.gamma_root(alpha)    # contraction: spin weight rises
-            for i in range(sm.dim):
-                if not sp.comp_dims[i]:
-                    continue
-                for j in range(sm.dim):
-                    if not sp.comp_dims[j]:
-                        continue
-                    c = g_low.rows[j][i]
-                    if c:
-                        act = m.action(("e", alpha), sp.comp_weights[i])
-                        _place(plus_rows, sp, sp, j, i, act, c)
-                    c = g_rai.rows[j][i]
-                    if c:
-                        act = m.action(("f", alpha), sp.comp_weights[i])
-                        _place(minus_rows, sp, sp, j, i, act, c)
-        for i in range(sm.dim):
-            if not sp.comp_dims[i]:
-                continue
-            for j in range(sm.dim):
-                c = sm.cubic.rows[j][i]
-                if c and sp.comp_dims[j]:
-                    _place(cubic_rows, sp, sp, j, i, Mat.identity(sp.comp_dims[i]), c)
-        self.d_plus = Mat(plus_rows, n)
-        self.d_minus = Mat(minus_rows, n)
-        self.cubic_part = Mat(cubic_rows, n)
+        sp = self.space = BlockSpace(pair, sm, m, mu)
+        # e_alpha against the wedge (spin weight drops by alpha), f_alpha
+        # against the contraction (spin weight rises)
+        self.d_plus = block_operator(sp, sp, (
+            (j, i, s, partial(m.action, ("e", a)))
+            for a in pair.q_positive for i, (j, s) in sm.gamma_root(-a).items()))
+        self.d_minus = block_operator(sp, sp, (
+            (j, i, s, partial(m.action, ("f", a)))
+            for a in pair.q_positive for i, (j, s) in sm.gamma_root(a).items()))
+        ident = _identity_map(m)
+        self.cubic_part = block_operator(
+            sp, sp, ((j, i, c, ident) for (j, i), c in sm.cubic.items()))
         self.d = self.d_plus + self.d_minus - self.cubic_part
         self._gen0 = None
         self._nilp = None
         self._d2 = None
         self._d_powers = None
+        self._d_kernels = {}
         self._eigs = None
 
     @property
@@ -190,6 +176,13 @@ class DiracBlock:
         while len(powers) <= k:
             powers.append(self.d_squared() if len(powers) == 2 else powers[-1] @ self.d)
         return powers[k]
+
+    def d_kernel(self, k):
+        """Basis of ker D^k as a tuple, memoized per k."""
+        ker = self._d_kernels.get(k)
+        if ker is None:
+            ker = self._d_kernels[k] = tuple(self.d_power(k).nullspace())
+        return ker
 
     def eigenvalue_decomposition(self):
         """Exact generalized eigenvalues of D^2 with their eigenspace dims.
@@ -285,18 +278,25 @@ def _graded_stable_kernel(d, parity):
         prev = dim_k
         power = power @ d
     vecs, tags = [], []
-    for sign in (+1, -1):
-        cols = [i for i, p in enumerate(parity) if p == (0 if sign > 0 else 1)]
-        if not cols:
-            continue
-        sub = Mat([[power.rows[i][j] for j in cols] for i in range(n)], len(cols))
-        for v in sub.nullspace():
-            full = [_F0] * n
-            for ci, c in zip(cols, v):
-                full[ci] = c
-            vecs.append(tuple(full))
-            tags.append(0 if sign > 0 else 1)
+    for want in (0, 1):
+        ker = _nullspace_on(power, [i for i, p in enumerate(parity) if p == want])
+        vecs += ker
+        tags += [want] * len(ker)
     return vecs, tags
+
+
+def _nullspace_on(mat, cols):
+    """Basis of ker `mat` among vectors supported on `cols`, in full coordinates."""
+    if not cols:
+        return []
+    sub = Mat([[row[j] for j in cols] for row in mat.rows], len(cols))
+    out = []
+    for v in sub.nullspace():
+        full = [_F0] * mat.ncols
+        for ci, c in zip(cols, v):
+            full[ci] = c
+        out.append(tuple(full))
+    return out
 
 
 class GradedNilpotent:
@@ -332,20 +332,7 @@ class GradedNilpotent:
 
     def kernel_graded(self, k, sign):
         """Basis of ker(N^k) in the sign part, embedded in full coordinates."""
-        if self.dim == 0:
-            return []
-        cols = self.cols_of(sign)
-        if not cols:
-            return []
-        p = self.power(k)
-        sub = Mat([[p.rows[i][j] for j in cols] for i in range(self.dim)], len(cols))
-        out = []
-        for v in sub.nullspace():
-            full = [_F0] * self.dim
-            for ci, c in zip(cols, v):
-                full[ci] = c
-            out.append(tuple(full))
-        return out
+        return _nullspace_on(self.power(k), self.cols_of(sign))
 
     def image_graded(self, sign):
         """Basis of (im N) in the sign part: N applied to the opposite part."""
@@ -532,12 +519,8 @@ def check_square(pair, cb, sm, m, block: DiracBlock) -> dict:
     form = pair.form
     sp = block.space
     n = sp.dim
-    rows = [[_F0] * n for _ in range(n)]
-    for i in range(sm.dim):
-        if sp.comp_dims[i]:
-            cg = casimir_matrix(m, sp.comp_weights[i], pair.rs.positive_roots, form)
-            _place(rows, sp, sp, i, i, cg)
-    omega_g = Mat(rows, n)
+    casimir = partial(casimir_matrix, m, pos_roots=pair.rs.positive_roots, form=form)
+    omega_g = block_operator(sp, sp, ((i, i, 1, casimir) for i in range(sm.dim)))
     omega_h = casimir_h_block(pair, cb, sm, m, mu)
     scalar = form.norm2(pair.rho) - form.norm2(pair.rho_h)
     rhs = omega_g - omega_h + Mat.scalar(n, scalar)
@@ -689,22 +672,17 @@ def singular_cohomology_weights(pair, cb, sm, m, weights) -> dict:
 
     simples = _h_simples(pair)
 
-    def kernel_power(b, j):
-        if b.dim == 0:
-            return []
-        return b.d_power(j).nullspace()
-
     def image(b):
         return span_basis(b.d.cols(), b.dim) if b.dim else []
 
     def den_hd(b):
-        return subspace_intersect(kernel_power(b, 1), image(b), b.dim) if b.dim else []
+        return subspace_intersect(b.d_kernel(1), image(b), b.dim) if b.dim else []
 
     def den_htop(b, k):
         if b.dim == 0:
             return []
-        meet = subspace_intersect(kernel_power(b, 2 * k + 1), image(b), b.dim)
-        return subspace_sum(meet, kernel_power(b, 2 * k))
+        meet = subspace_intersect(b.d_kernel(2 * k + 1), image(b), b.dim)
+        return subspace_sum(meet, b.d_kernel(2 * k))
 
     out = {}
     for mu in weights:
@@ -717,7 +695,7 @@ def singular_cohomology_weights(pair, cb, sm, m, weights) -> dict:
             raisers.append((alpha, e_map))
         entry = {}
         # H_D singular classes
-        num = kernel_power(b, 1)
+        num = b.d_kernel(1)
         if num:
             cand = num
             for alpha, e_map in raisers:
@@ -731,7 +709,7 @@ def singular_cohomology_weights(pair, cb, sm, m, weights) -> dict:
         htop = {}
         k = 0
         while True:
-            numk = kernel_power(b, 2 * k + 1)
+            numk = b.d_kernel(2 * k + 1)
             cand = numk
             for alpha, e_map in raisers:
                 cand = subspace_intersect(
@@ -741,7 +719,7 @@ def singular_cohomology_weights(pair, cb, sm, m, weights) -> dict:
             dk = len(cand) - len(span_basis(den_htop(b, k), b.dim))
             if dk:
                 htop[k] = dk
-            if len(numk) == len(kernel_power(b, 2 * k + 3)):
+            if len(numk) == len(b.d_kernel(2 * k + 3)):
                 break
             k += 1
         if htop:
@@ -775,11 +753,7 @@ def block_map(pair, sm, src_m, tgt_m, mat_fn, mu) -> Mat:
     """Tensor a per-weight module map with the identity of S on the mu-block."""
     src = BlockSpace(pair, sm, src_m, mu)
     tgt = BlockSpace(pair, sm, tgt_m, mu)
-    rows = [[_F0] * src.dim for _ in range(tgt.dim)]
-    for i in range(sm.dim):
-        if src.comp_dims[i] and tgt.comp_dims[i]:
-            _place(rows, tgt, src, i, i, mat_fn(src.comp_weights[i]))
-    return Mat(rows, src.dim)
+    return block_operator(tgt, src, ((i, i, 1, mat_fn) for i in range(sm.dim)))
 
 
 class CircleCertificate:

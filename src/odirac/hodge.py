@@ -11,10 +11,11 @@ nilpotent cohomology into exact rank arithmetic.
 """
 
 from fractions import Fraction
+from functools import partial
 
 from .exactla import Mat, span_basis, subspace_intersect
 from .cato import WeightModuleWindow, shapovalov_grams
-from .dirac import BlockSpace, _place, block
+from .dirac import BlockSpace, block, block_operator
 from .liealg import PairGH, is_symmetric_pair
 from .roots import Weight
 from .spinor import SpinModule
@@ -183,22 +184,12 @@ class CEComplex:
         return len(self.degree_indices(k))
 
     def _operator(self, raising) -> Mat:
-        sp = self.space
-        rows = [[_F0] * sp.dim for _ in range(sp.dim)]
-        pair = self.hp.pair
-        for alpha in pair.q_positive:
+        terms = []
+        for alpha in self.hp.pair.q_positive:
             g = self.sm.gamma_root(-alpha) if raising else self.sm.gamma_root(alpha)
-            gen = ("e", alpha) if raising else ("f", alpha)
-            for i in range(self.sm.dim):
-                if not sp.comp_dims[i]:
-                    continue
-                for j in range(self.sm.dim):
-                    c = g.rows[j][i]
-                    if c and sp.comp_dims[j]:
-                        act = self.m.action(gen, sp.comp_weights[i])
-                        if act.nrows:
-                            _place(rows, sp, sp, j, i, act, c)
-        return Mat(rows, sp.dim)
+            act = partial(self.m.action, ("e", alpha) if raising else ("f", alpha))
+            terms += [(j, i, s, act) for i, (j, s) in g.items()]
+        return block_operator(self.space, self.space, terms)
 
     def differential(self) -> Mat:
         """d on the whole slice; restricts to degree k -> k+1."""
@@ -246,10 +237,6 @@ class CEComplex:
         return out
 
 
-def ce_complex(hp, sm, m, nu) -> CEComplex:
-    return CEComplex(hp, sm, m, nu)
-
-
 def identification_check(hp, sm, m, mu) -> dict:
     """C+ = d and C- = del under the wedge/spin identification at block mu."""
     blk = block(sm, m, mu)
@@ -281,17 +268,15 @@ def block_inner_gram(us: UnitaryStructure, sm: SpinModule, m, mu) -> Mat:
     half operators become exact mutual adjoints.
     """
     sp = BlockSpace(us.hp.pair, sm, m, mu)
-    cb = m.cb
-    rows = [[_F0] * sp.dim for _ in range(sp.dim)]
+    kappas = [m.cb.kappa_integral(beta) for beta in sm.q_pos]
+    terms = []
     for i in range(sm.dim):
-        if sp.comp_dims[i]:
-            norm = _F1
-            for b in range(sm.nq):
-                if i >> b & 1:
-                    norm /= cb.kappa_integral(sm.q_pos[b])
-            g = us.gram(sp.comp_weights[i]).scale(norm)
-            _place(rows, sp, sp, i, i, g)
-    return Mat(rows, sp.dim)
+        norm = _F1
+        for b, kappa in enumerate(kappas):
+            if i >> b & 1:
+                norm /= kappa
+        terms.append((i, i, norm, us.gram))
+    return block_operator(sp, sp, terms)
 
 
 def hodge_decomposition_check(hp, sm, m, us: UnitaryStructure, mu) -> dict:

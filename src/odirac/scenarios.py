@@ -22,7 +22,7 @@ from .liealg import chevalley_basis, validate_pair
 from .cato import (_cone_coords, finite_dim_simple, ses_from_embedding,
                    ses_split, simple_quotient_window, singular_vectors,
                    sort_weights, tensor_with_finite_dim, verma_window)
-from .spinor import build_spin_module
+from .spinor import SpinModule
 from .dirac import (block, check_square, exact_circle, index_identity_check,
                     kostant_kernel_check, nonvanishing_check,
                     simple_verma_theorem_check, singular_cohomology_weights,
@@ -114,7 +114,7 @@ class PairContext:
     def sm(self):
         # built on demand: 2^{|q+|}-dimensional, huge for high-rank h = t
         if self._sm is None:
-            self._sm = build_spin_module(self.pair, self.cb)
+            self._sm = SpinModule(self.pair, self.cb)
         return self._sm
 
     def verma(self, lam, depth):
@@ -376,7 +376,7 @@ def _task_kostant(ws):
         "expected_character": {wkey(w): d for w, d in sorted(rep["expected_character"].items())},
         "constituents": [wkey(w) for w in rep["constituents"]],
         "coset_size": len(ws.pair.weyl.coset_W1),
-        "cubic_term_zero": ws.sm.cubic.is_zero(),
+        "cubic_term_zero": not ws.sm.cubic,
     }
 
 

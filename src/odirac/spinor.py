@@ -7,6 +7,12 @@ realize gamma exactly over the rationals.  The subalgebra acts through
 ad followed by the quadratic embedding of so(q) into the Clifford
 algebra; the cubic term is the dual-basis contraction of the canonical
 3-form x,y,z -> <x,[y,z]>.
+
+In the monomial basis every gamma is a signed partial permutation,
+stored as {column mask: (row mask, +1 or -1)}.  A product of gammas is
+again one, so the cubic term and the h-action are sums of such
+products, stored as sparse maps {(row, col): Fraction} without zero
+entries.  `to_mat` gives the dense view of either form.
 """
 
 from fractions import Fraction
@@ -16,15 +22,18 @@ from .liealg import ChevalleyBasis, PairGH
 from .roots import Weight
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
-def _bits_below(mask, j):
-    cnt = 0
-    for i in range(j):
-        if mask >> i & 1:
-            cnt += 1
-    return cnt
+def to_mat(op, dim) -> Mat:
+    """Dense dim x dim matrix of a gamma or of a sparse spin operator."""
+    rows = [[_F0] * dim for _ in range(dim)]
+    for key, val in op.items():
+        if isinstance(val, tuple):  # gamma: column -> (row, sign)
+            (r, v), c = val, key
+        else:
+            (r, c), v = key, val
+        rows[r][c] = v
+    return Mat(rows, dim)
 
 
 class SpinModule:
@@ -63,7 +72,7 @@ class SpinModule:
         self._qidx_to_cb = [cb.e_index(b) for b in self.q_pos] + \
                            [cb.e_index(-b) for b in self.q_pos]
         self._cb_to_qidx = {c: i for i, c in enumerate(self._qidx_to_cb)}
-        self._gamma = [self._wedge_or_contract(i) for i in range(2 * self.nq)]
+        self._gamma = [self._signed_permutation(qi) for qi in range(2 * self.nq)]
         self._h_action_cache = {}
         self.cubic = cubic_term(pair, cb, self)
         # Dirac blocks on this module, keyed by (module window, weight): dirac.block
@@ -71,29 +80,37 @@ class SpinModule:
 
     # -- Clifford multiplication -----------------------------------------------
 
-    def _wedge_or_contract(self, qi):
-        rows = [[_F0] * self.dim for _ in range(self.dim)]
-        if qi >= self.nq:  # wedge by f_{beta_j}
-            j = qi - self.nq
-            for mask in range(self.dim):
-                if mask >> j & 1:
-                    continue
-                sign = -_F1 if _bits_below(mask, j) & 1 else _F1
-                rows[mask | (1 << j)][mask] = sign
-        else:  # contraction by e_{beta_j}; <e_beta, f_beta> = 1
-            j = qi
-            for mask in range(self.dim):
-                if not mask >> j & 1:
-                    continue
-                sign = -_F1 if _bits_below(mask, j) & 1 else _F1
-                rows[mask & ~(1 << j)][mask] = sign
-        return Mat(rows, self.dim)
+    def _signed_permutation(self, qi):
+        """Wedge by f_{beta_j} for qi = nq + j, contraction by e_{beta_j} for qi = j.
 
-    def gamma_q(self, qi) -> Mat:
-        """Gamma of the qi-th q-basis vector (e's first, then f's)."""
+        <e_beta, f_beta> = 1; the sign counts the wedge factors below j.
+        """
+        wedge = qi >= self.nq
+        bit = 1 << (qi - self.nq if wedge else qi)
+        return {mask: (mask ^ bit, -1 if (mask & (bit - 1)).bit_count() & 1 else 1)
+                for mask in range(self.dim) if bool(mask & bit) != wedge}
+
+    def clifford_sum(self, terms):
+        """Sparse sum of coeff * gamma_{a1} ... gamma_{ak} over (coeff, (a1, ..., ak))."""
+        out = {}
+        for coeff, word in terms:
+            first, *rest = [self._gamma[a] for a in reversed(word)]
+            for col, (row, sign) in first.items():
+                for g in rest:
+                    hit = g.get(row)
+                    if hit is None:
+                        break
+                    row, s = hit
+                    sign *= s
+                else:
+                    out[row, col] = out.get((row, col), _F0) + coeff * sign
+        return {k: v for k, v in out.items() if v}
+
+    def gamma_q(self, qi):
+        """Gamma of the qi-th q-basis vector (e's first, then f's), {col: (row, sign)}."""
         return self._gamma[qi]
 
-    def gamma_root(self, root: Weight) -> Mat:
+    def gamma_root(self, root: Weight):
         """Gamma of the root vector for a signed q-root."""
         if all(c >= 0 for c in root):
             return self._gamma[self.q_pos.index(root)]
@@ -103,12 +120,9 @@ class SpinModule:
         return qi + self.nq if qi < self.nq else qi - self.nq
 
     def gamma_coeffs(self, coeffs) -> Mat:
-        """Gamma of a q-vector given by coefficients over the q basis."""
-        out = Mat.zero(self.dim, self.dim)
-        for qi, c in enumerate(coeffs):
-            if c:
-                out = out + self._gamma[qi].scale(c)
-        return out
+        """Dense gamma of a q-vector given by coefficients over the q basis."""
+        return to_mat(self.clifford_sum((c, (qi,)) for qi, c in enumerate(coeffs) if c),
+                      self.dim)
 
     # -- induced action of the subalgebra ----------------------------------------
 
@@ -125,30 +139,23 @@ class SpinModule:
             cols.append(col)
         return Mat.from_cols(cols, 2 * self.nq)
 
-    def h_action(self, gen) -> Mat:
-        """Action of an h-generator through ad and the so(q) embedding.
+    def h_action(self, gen):
+        """Action of an h-generator through ad and the so(q) embedding, sparse.
 
         phi(T) = (1/4) sum_i [gamma(T z_i), gamma(z^i)] over dual pairs.
         """
-        m = self._h_action_cache.get(gen)
-        if m is not None:
-            return m
-        t = self.ad_on_q(gen)
-        out = Mat.zero(self.dim, self.dim)
-        quarter = Fraction(1, 4)
-        for qi in range(2 * self.nq):
-            img = None
-            for k in range(2 * self.nq):
-                c = t.rows[k][qi]
-                if c:
-                    g = self._gamma[k].scale(c)
-                    img = g if img is None else img + g
-            if img is None:
-                continue
-            dual = self._gamma[self.dual_index(qi)]
-            out = out + (img @ dual - dual @ img).scale(quarter)
-        self._h_action_cache[gen] = out
-        return out
+        op = self._h_action_cache.get(gen)
+        if op is None:
+            t = self.ad_on_q(gen)
+            terms = []
+            for qi in range(2 * self.nq):
+                dual = self.dual_index(qi)
+                for k in range(2 * self.nq):
+                    c = t.rows[k][qi] / 4
+                    if c:
+                        terms += [(c, (k, dual)), (-c, (dual, k))]
+            op = self._h_action_cache[gen] = self.clifford_sum(terms)
+        return op
 
     # -- characters and grading ---------------------------------------------------
 
@@ -170,37 +177,27 @@ class SpinModule:
         return plus, minus
 
 
-def build_spin_module(pair: PairGH, cb: ChevalleyBasis, q_order=None) -> SpinModule:
-    return SpinModule(pair, cb, q_order=q_order)
-
-
-def cubic_term(pair: PairGH, cb: ChevalleyBasis, sm: SpinModule) -> Mat:
-    """gamma(c) = (1/6) sum <z_i,[z_j,z_k]> gamma(z^i)gamma(z^j)gamma(z^k).
+def cubic_term(pair: PairGH, cb: ChevalleyBasis, sm: SpinModule):
+    """gamma(c) = (1/6) sum <z_i,[z_j,z_k]> gamma(z^i)gamma(z^j)gamma(z^k), sparse.
 
     The sum runs over the root-vector basis of q with its Killing-dual
     partners; only the q-component of the brackets survives the pairing.
     """
     n = 2 * sm.nq
     cb_idx = sm._qidx_to_cb
-    out = Mat.zero(sm.dim, sm.dim)
     sixth = Fraction(1, 6)
+    terms = []
     for j in range(n):
         for k in range(n):
             vec = cb.bracket(cb_idx[j], cb_idx[k])
             if not vec:
                 continue
-            gjk = None
             for i in range(n):
-                pairing = _F0
-                for m, c in vec.items():
-                    pairing += c * cb.pairing(cb_idx[i], m)
-                if not pairing:
-                    continue
-                if gjk is None:
-                    gjk = sm.gamma_q(sm.dual_index(j)) @ sm.gamma_q(sm.dual_index(k))
-                gi = sm.gamma_q(sm.dual_index(i))
-                out = out + (gi @ gjk).scale(sixth * pairing)
-    return out
+                pairing = sum((c * cb.pairing(cb_idx[i], m) for m, c in vec.items()), _F0)
+                if pairing:
+                    terms.append((sixth * pairing,
+                                  (sm.dual_index(i), sm.dual_index(j), sm.dual_index(k))))
+    return sm.clifford_sum(terms)
 
 
 def cubic_term_rebased(pair: PairGH, cb: ChevalleyBasis, sm: SpinModule,
@@ -209,7 +206,8 @@ def cubic_term_rebased(pair: PairGH, cb: ChevalleyBasis, sm: SpinModule,
 
     `base_change` P sends the root-vector basis to z'_i = sum P[k][i] z_k;
     the Killing-dual system is recomputed from the Gram matrix.  The
-    result must equal `cubic_term` exactly whenever P is invertible.
+    result must equal `to_mat` of `cubic_term` exactly whenever P is
+    invertible.
     """
     n = 2 * sm.nq
     cb_idx = sm._qidx_to_cb

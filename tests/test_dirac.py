@@ -9,7 +9,7 @@ from odirac.roots import Weight, zero_weight
 from odirac.cato import (_cone_coords, finite_dim_simple, ses_from_embedding,
                          ses_split, singular_vectors, verma_character_h,
                          verma_window)
-from odirac.spinor import build_spin_module
+from odirac.spinor import SpinModule, to_mat
 from odirac.dirac import (DiracBlock, GradedNilpotent, check_square,
                           exact_circle, h_equivariance_defect, index_identity_check,
                           kostant_kernel_check, nonvanishing_check,
@@ -36,7 +36,8 @@ def test_trivial_module_is_cubic(a2_t, a2_su21):
         for w in sorted(set(sm.weights)):
             blk = DiracBlock(pair, cb, sm, triv, w)
             idx = [i for i in range(sm.dim) if sm.weights[i] == w]
-            sub = Mat([[sm.cubic.rows[a][b] for b in idx] for a in idx], len(idx))
+            cubic = to_mat(sm.cubic, sm.dim)
+            sub = Mat([[cubic.rows[a][b] for b in idx] for a in idx], len(idx))
             assert blk.d == -sub
     triv = finite_dim_simple(a2_su21.pair, a2_su21.cb, zero_weight(2))
     for w in set(a2_su21.sm.weights):
@@ -148,7 +149,7 @@ def test_kostant_a2_cases(a2_su21, a2_t):
     f0 = finite_dim_simple(a2_t.pair, a2_t.cb, zero_weight(2))
     rep = kostant_kernel_check(a2_t.pair, a2_t.cb, a2_t.sm, f0)
     assert sum(rep["kernel_character"].values()) == 6
-    assert not a2_t.sm.cubic.is_zero()
+    assert a2_t.sm.cubic
     # the w = 1 constituent F_{rho - rho_h} always contains the vacuum line
     assert a2_t.pair.rho in rep["constituents"]
 
@@ -319,7 +320,7 @@ def test_rank_data_basis_independence(a2_su21):
     pair, cb = a2_su21.pair, a2_su21.cb
     vw = verma_window(pair, cb, -pair.rho, 12)
     sm1 = a2_su21.sm
-    sm2 = build_spin_module(pair, cb, q_order=list(reversed(pair.q_positive)))
+    sm2 = SpinModule(pair, cb, q_order=list(reversed(pair.q_positive)))
     for c in _cone_coords(2, 3):
         mu = -pair.rho_h - Weight(c)
         b1 = DiracBlock(pair, cb, sm1, vw, mu)
@@ -487,7 +488,9 @@ def test_eigen_decomposition_matches_reference():
     assert non_semisimple
 
 
-def test_eigen_decomposition_memo(a2_su21):
+def test_eigen_decomposition_memo(a2_su21, monkeypatch):
+    from collections import Counter
+
     pair, cb, sm = a2_su21.pair, a2_su21.cb, a2_su21.sm
     vw = a2_su21.verma(-pair.rho, 14)
     blk = DiracBlock(pair, cb, sm, vw, -pair.rho_h - Weight([1, 2]))
@@ -502,6 +505,27 @@ def test_eigen_decomposition_memo(a2_su21):
     assert [blk.d_power(k) for k in (3, 0, 1, 2, 5)] == \
         [blk.d.power(k) for k in (3, 0, 1, 2, 5)]
     assert blk.d_power(2) is blk.d_squared() and blk.d_power(5) is blk.d_power(5)
+    # ker D^j behind singular_cohomology_weights: one nullspace per (block, j)
+    assert blk.d_kernel(3) == tuple(blk.d.power(3).nullspace())
+    assert blk.d_kernel(3) is blk.d_kernel(3)
+    asked, computed = Counter(), Counter()
+    d_kernel, d_power = DiracBlock.d_kernel, DiracBlock.d_power
+
+    def counted_kernel(self, k):
+        asked[self, k] += 1
+        return d_kernel(self, k)
+
+    def counted_power(self, k):  # only d_kernel asks for D^k
+        computed[self, k] += 1
+        return d_power(self, k)
+
+    monkeypatch.setattr(DiracBlock, "d_kernel", counted_kernel)
+    monkeypatch.setattr(DiracBlock, "d_power", counted_power)
+    cold = SpinModule(pair, cb)  # no block of it is built yet
+    weights = a2_su21.block_weights(vw, 8)  # the weights of sl3_paper_example's vogan task
+    assert singular_cohomology_weights(pair, cb, cold, vw, weights)
+    assert set(computed) == set(asked) and set(computed.values()) == {1}
+    assert sum(asked.values()) > 2 * len(asked)
 
 
 def test_eigen_checks_still_run(a2_su21, monkeypatch):

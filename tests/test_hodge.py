@@ -8,7 +8,7 @@ from odirac.exactla import Mat
 from odirac.roots import Weight, zero_weight
 from odirac.cato import _cone_coords, simple_quotient_window, verma_window
 from odirac.dirac import DiracBlock
-from odirac.hodge import (NotHermitian, UnitaryStructure, ce_complex,
+from odirac.hodge import (CEComplex, NotHermitian, UnitaryStructure,
                           detect_hermitian, hodge_decomposition_check,
                           identification_check, theorem52_comparison,
                           unitarity_check)
@@ -66,7 +66,7 @@ def test_ce_complex_sl2(a1):
     coh = {}
     for k in range(8):
         nu = lam - alpha * k
-        ce = ce_complex(hp, sm, vw, nu)
+        ce = CEComplex(hp, sm, vw, nu)
         d = ce.differential()
         assert (d @ d).is_zero()
         b = ce.boundary()
@@ -83,7 +83,7 @@ def test_ce_degree_zero_boundary(a1):
     pair, sm = a1.pair, a1.sm
     hp = detect_hermitian(pair)
     vw = verma_window(pair, a1.cb, -pair.rho, 8)
-    ce = ce_complex(hp, sm, vw, -pair.rho - pair.rs.simple_roots[0])
+    ce = CEComplex(hp, sm, vw, -pair.rho - pair.rs.simple_roots[0])
     b = ce.boundary()
     # the boundary out of degree zero vanishes
     deg0 = ce.degree_indices(0)
@@ -164,5 +164,5 @@ def test_homology_cohomology_duality(a2_su21):
     vw = verma_window(pair, a2_su21.cb, lam, 12)
     for c in _cone_coords(2, 4):
         nu = lam - Weight(c)
-        ce = ce_complex(hp, sm, vw, nu)
+        ce = CEComplex(hp, sm, vw, nu)
         assert sum(ce.cohomology_dims().values()) == sum(ce.homology_dims().values())

@@ -1,0 +1,36 @@
+"""Every benchmark bundle keeps the sha256 recorded in perfbench/reference.json.
+
+The scenarios run in this process; the hash is the benchmark's own
+`normalized_sha256`, loaded from perfbench/run.py without changing it.
+"""
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+from odirac.scenarios import bundle_to_json, load_scenario, run_scenario
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+with open(os.path.join(REPO, "perfbench", "reference.json")) as _fh:
+    REFERENCE = json.load(_fh)["bundles"]
+
+
+def _normalized_sha256():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join(REPO, "perfbench", "run.py"))
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run.normalized_sha256
+
+
+normalized_sha256 = _normalized_sha256()
+
+
+@pytest.mark.parametrize("scenario", sorted(REFERENCE))
+def test_bundle_keeps_reference_sha256(scenario):
+    bundle = run_scenario(load_scenario(os.path.join(REPO, scenario)))
+    assert bundle["ok"]
+    # through the bytes the CLI writes, as the benchmark reads them back
+    assert normalized_sha256(json.loads(bundle_to_json(bundle))) == REFERENCE[scenario]

@@ -1,0 +1,186 @@
+"""The sparse spin layer against a test-side copy of the former dense construction.
+
+The reference builds every gamma as a dense matrix by wedge and
+contraction, the cubic term and the h-action from dense matrix
+products, and a Dirac block by placing dense tiles.  Each must equal
+the engine's sparse form (through `to_mat`) entry for entry.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from odirac.dirac import block
+from odirac.exactla import Mat
+from odirac.roots import Weight
+from odirac.scenarios import pair_context
+from odirac.spinor import SpinModule, to_mat
+
+F = Fraction
+
+# label -> (Cartan type, delta_h, shuffle seed of the q-root order or None)
+PAIRS = {
+    "A2, h = t": ("A2", [], None),
+    "G2, h = t": ("G2", [], None),
+    "A3, one root": ("A3", [(1, 0, 0)], None),
+    "B3, two roots": ("B3", [(1, 0, 0), (0, 0, 1)], None),
+    "B3, two roots, permuted q": ("B3", [(1, 0, 0), (0, 0, 1)], 3),
+}
+
+
+def _place(rows, ro, co, mat, coeff=1):
+    for i, mrow in enumerate(mat.rows):
+        row = rows[ro + i]
+        for j, v in enumerate(mrow):
+            if v:
+                row[co + j] += coeff * v
+
+
+def _zeros(n):
+    return [[F(0)] * n for _ in range(n)]
+
+
+def _bits_below(mask, j):
+    return sum(1 for i in range(j) if mask >> i & 1)
+
+
+def _wedge_or_contract(sm, qi):
+    rows = _zeros(sm.dim)
+    if qi >= sm.nq:  # wedge by f_{beta_j}
+        j = qi - sm.nq
+        for mask in range(sm.dim):
+            if not mask >> j & 1:
+                rows[mask | (1 << j)][mask] = F(-1 if _bits_below(mask, j) & 1 else 1)
+    else:  # contraction by e_{beta_j}; <e_beta, f_beta> = 1
+        j = qi
+        for mask in range(sm.dim):
+            if mask >> j & 1:
+                rows[mask & ~(1 << j)][mask] = F(-1 if _bits_below(mask, j) & 1 else 1)
+    return Mat(rows, sm.dim)
+
+
+class DenseSpin:
+    """Dense gammas, cubic term and h-action of a spin module."""
+
+    def __init__(self, sm):
+        self.sm = sm
+        self.gammas = [_wedge_or_contract(sm, qi) for qi in range(2 * sm.nq)]
+        self.cubic = self._cubic()
+
+    def gamma_root(self, root):
+        sm = self.sm
+        if all(c >= 0 for c in root):
+            return self.gammas[sm.q_pos.index(root)]
+        return self.gammas[sm.nq + sm.q_pos.index(-root)]
+
+    def _cubic(self):
+        # (1/6) sum <z_i,[z_j,z_k]> gamma(z^i) gamma(z^j) gamma(z^k)
+        sm, cb, g = self.sm, self.sm.cb, self.gammas
+        n = 2 * sm.nq
+        cb_idx = sm._qidx_to_cb
+        out = _zeros(sm.dim)
+        for j in range(n):
+            for k in range(n):
+                vec = cb.bracket(cb_idx[j], cb_idx[k])
+                if not vec:
+                    continue
+                gjk = g[sm.dual_index(j)] @ g[sm.dual_index(k)]
+                for i in range(n):
+                    pairing = sum(c * cb.pairing(cb_idx[i], m) for m, c in vec.items())
+                    if pairing:
+                        _place(out, 0, 0, g[sm.dual_index(i)] @ gjk, F(pairing, 6))
+        return Mat(out, sm.dim)
+
+    def h_action(self, gen):
+        # (1/4) sum_i [gamma(T z_i), gamma(z^i)], expanded over gamma(T z_i)
+        sm, g = self.sm, self.gammas
+        t = sm.ad_on_q(gen)
+        out = _zeros(sm.dim)
+        for qi in range(2 * sm.nq):
+            dual = g[sm.dual_index(qi)]
+            for k in range(2 * sm.nq):
+                c = t.rows[k][qi]
+                if c:
+                    _place(out, 0, 0, g[k] @ dual, c / 4)
+                    _place(out, 0, 0, dual @ g[k], -c / 4)
+        return Mat(out, sm.dim)
+
+
+_DENSE = {}
+
+
+def dense_spin(sm):
+    """The dense reference of `sm`, built once per spin module."""
+    if sm not in _DENSE:
+        _DENSE[sm] = DenseSpin(sm)
+    return _DENSE[sm]
+
+
+@pytest.fixture(scope="module", params=sorted(PAIRS))
+def spin(request):
+    cartan_type, delta_h, seed = PAIRS[request.param]
+    c = pair_context(cartan_type, delta_h)
+    sm = c.sm
+    if seed is not None:
+        order = list(c.pair.q_positive)
+        random.Random(seed).shuffle(order)
+        assert order != list(c.pair.q_positive)
+        sm = SpinModule(c.pair, c.cb, q_order=order)
+    return sm, dense_spin(sm)
+
+
+def test_gammas_match_dense(spin):
+    sm, dense = spin
+    for qi in range(2 * sm.nq):
+        assert to_mat(sm.gamma_q(qi), sm.dim) == dense.gammas[qi], qi
+
+
+def test_cubic_matches_dense(spin):
+    sm, dense = spin
+    assert to_mat(sm.cubic, sm.dim) == dense.cubic
+    assert not dense.cubic.is_zero()  # every pair here is non-symmetric
+
+
+def test_h_action_matches_dense(spin):
+    sm, dense = spin
+    for gen in sm.pair.h_generators():
+        assert to_mat(sm.h_action(gen), sm.dim) == dense.h_action(gen), gen
+
+
+@pytest.mark.parametrize("depth, mu", [
+    (3, (0, 2, 2)),  # the workload's largest block; its cubic part is zero
+    (5, (0, 1, 1)),  # the shallowest block of that Verma module with a cubic part
+])
+def test_b3_spin_block_matches_dense_assembly(depth, mu):
+    """A block of the b3_spin workload's module against dense tile placement."""
+    c = pair_context("B3", [(1, 0, 0), (0, 0, 1)])
+    sm, pair = c.sm, c.pair
+    vw = c.verma((-1, -1, -1), depth)
+    blk = block(sm, vw, Weight(mu))
+    dense = dense_spin(sm)
+    sp = blk.space
+    n = sp.dim
+    plus, minus, cubic = _zeros(n), _zeros(n), _zeros(n)
+    for i in range(sm.dim):
+        for j in range(sm.dim):
+            if not (sp.comp_dims[i] and sp.comp_dims[j]):
+                continue
+            ro, co = sp.offsets[j], sp.offsets[i]
+            for alpha in pair.q_positive:
+                c_low = dense.gamma_root(-alpha).rows[j][i]
+                if c_low:
+                    act = vw.action(("e", alpha), sp.comp_weights[i])
+                    _place(plus, ro, co, act, c_low)
+                c_rai = dense.gamma_root(alpha).rows[j][i]
+                if c_rai:
+                    act = vw.action(("f", alpha), sp.comp_weights[i])
+                    _place(minus, ro, co, act, c_rai)
+            if dense.cubic.rows[j][i]:
+                _place(cubic, ro, co, Mat.identity(sp.comp_dims[i]), dense.cubic.rows[j][i])
+    assert any(any(r) for r in plus) and any(any(r) for r in minus)
+    assert any(any(r) for r in cubic) == (depth == 5)
+    assert blk.d_plus == Mat(plus, n)
+    assert blk.d_minus == Mat(minus, n)
+    assert blk.cubic_part == Mat(cubic, n)
+    assert blk.d == Mat(plus, n) + Mat(minus, n) - Mat(cubic, n)
