@@ -14,7 +14,7 @@ from .exactla import Mat
 from .roots import Weight, eps_to_weight, is_antidominant, weight_from_fundamental
 from .cato import (_cone_coords, commutation_defect, finite_dim_simple,
                    ses_from_embedding, ses_split, simple_quotient_window,
-                   singular_vectors, verma_character_h)
+                   singular_vectors)
 from .spinor import SpinModule, cubic_term_rebased, to_mat
 from .dirac import (block, check_square, exact_circle, h_equivariance_defect,
                     index_identity_check, kostant_kernel_check, nonvanishing_check,
@@ -40,24 +40,14 @@ def criterion_1_sl3_example():
     """Worked sl(3) example: H_D(M(-rho)) is the subsystem Verma M_h(-rho_h)."""
     t0 = time.time()
     ctx = pair_context("A2", [(1, 0)])
-    pair, cb, sm = ctx.pair, ctx.cb, ctx.sm
-    lam = -pair.rho
-    vw = ctx.verma(lam, 14)
-    mu_top = lam + pair.rho - pair.rho_h
+    pair, sm = ctx.pair, ctx.sm
+    vw = ctx.verma(-pair.rho, 14)
+    rep = simple_verma_theorem_check(pair, ctx.cb, sm, vw, 8)
+    mu_top = rep["mu_top"]
     assert mu_top == -pair.rho_h
     # the claimed highest weight in epsilon coordinates
     assert mu_top == eps_to_weight(ctx.rs, (_F(-1, 2), _F(1, 2), 0))
-    weights = [mu_top - Weight(c) for c in _cone_coords(2, 8)]
-    actual = {}
-    for mu in weights:
-        blk = block(sm, vw, mu)
-        if blk.dim == 0:
-            continue
-        hd = blk.dirac_cohomology()["hd"]
-        if hd:
-            actual[mu] = hd
-    expected = {w: d for w, d in verma_character_h(pair, mu_top, weights).items() if d}
-    char_ok = actual == expected
+    char_ok = rep["match"]
     top_blk = block(sm, vw, mu_top)
     top_ok = top_blk.dim == 1 and top_blk.d.is_zero()
     elapsed = time.time() - t0
@@ -66,7 +56,7 @@ def criterion_1_sl3_example():
         "character_match": char_ok,
         "top_space_dim": top_blk.dim,
         "d_kills_top": top_blk.d.is_zero(),
-        "weights_with_hd": len(actual),
+        "weights_with_hd": len(rep["hd_character"]),
         "runtime_target": "< 10 s",
     })
 
@@ -376,11 +366,8 @@ def criterion_8_hodge():
     return _result("Hodge comparison", ok, time.time() - t0, details)
 
 
-def criterion_9_vogan():
-    """Infinitesimal-character audit wherever cohomology survives."""
-    t0 = time.time()
-    details = {}
-    ok = True
+def vogan_runs():
+    """The (name, context, module, depth) runs of the Vogan audit."""
     runs = []
     ctx = pair_context("A2", [(1, 0)])
     runs.append(("A2 su21 M(-rho)", ctx, ctx.verma(-ctx.pair.rho, 14), 8))
@@ -401,7 +388,15 @@ def criterion_9_vogan():
     vw0 = ctx1.verma(Weight([0]), 10)
     runs.append(("A1 L(0)", ctx1,
                  simple_quotient_window(vw0), 5))
-    for name, c, m, depth in runs:
+    return runs
+
+
+def criterion_9_vogan():
+    """Infinitesimal-character audit wherever cohomology survives."""
+    t0 = time.time()
+    details = {}
+    ok = True
+    for name, c, m, depth in vogan_runs():
         weights = c.block_weights(m, depth)
         singular = singular_cohomology_weights(c.pair, c.cb, c.sm, m, weights)
         rep = vogan_audit(c.pair, sorted(singular), m.infchars)

@@ -117,9 +117,10 @@ class DiracBlock:
         self.d = self.d_plus + self.d_minus - self.cubic_part
         self._gen0 = None
         self._nilp = None
-        self._d2 = None
         self._d_powers = None
-        self._d_kernels = {}
+        self._d_kernels = {0: ()}  # ker D^0 = 0
+        self._image = None
+        self._htop_dens = {}
         self._eigs = None
 
     @property
@@ -129,9 +130,24 @@ class DiracBlock:
     # -- generalized kernel and the nilpotent restriction ----------------------
 
     def gen0(self):
-        """Homogeneous canonical basis of the generalized kernel, with parities."""
+        """Homogeneous canonical basis of the generalized kernel, with parities.
+
+        The generalized kernel is ker D^s for the first s with ker D^s =
+        ker D^{s+1}; equal kernels have the same canonical bases.
+        """
         if self._gen0 is None:
-            self._gen0 = _graded_stable_kernel(self.d, self.space.parity)
+            s = 0
+            while len(self.d_kernel(s + 1)) != len(self.d_kernel(s)):
+                s += 1
+            vecs, tags = [], []
+            if s:
+                parity = self.space.parity
+                for want in (0, 1):
+                    ker = _nullspace_on(self.d_power(s),
+                                        [i for i, p in enumerate(parity) if p == want])
+                    vecs += ker
+                    tags += [want] * len(ker)
+            self._gen0 = vecs, tags
         return self._gen0
 
     def nilpotent(self):
@@ -141,16 +157,18 @@ class DiracBlock:
         return self._nilp
 
     def dirac_cohomology(self):
-        """Dims of H_D and its graded halves at this weight."""
+        """Dims of H_D = H_top^0 and its graded halves at this weight."""
         nil = self.nilpotent()
+        hd_plus, hd_minus = nil.htop_direct().get(0, (0, 0))
+        ker = len(self.d_kernel(1))
         return {
             "dim_block": self.dim,
-            "ker": self.dim - self.d.rank(),
-            "im": self.d.rank(),
+            "ker": ker,
+            "im": self.dim - ker,
             "gen0": nil.dim,
-            "hd": nil.hd_total(),
-            "hd_plus": nil.hd_graded(+1),
-            "hd_minus": nil.hd_graded(-1),
+            "hd": hd_plus + hd_minus,
+            "hd_plus": hd_plus,
+            "hd_minus": hd_minus,
         }
 
     def higher_cohomology(self):
@@ -163,18 +181,13 @@ class DiracBlock:
                 f"higher cohomology mismatch at {self.mu}: {direct} vs {from_jordan}")
         return direct
 
-    def d_squared(self):
-        if self._d2 is None:
-            self._d2 = self.d @ self.d
-        return self._d2
-
     def d_power(self, k):
-        """D^k, memoized with every lower power; D^2 is `d_squared()`."""
+        """D^k, memoized with every lower power."""
         if self._d_powers is None:
             self._d_powers = [Mat.identity(self.dim), self.d]
         powers = self._d_powers
         while len(powers) <= k:
-            powers.append(self.d_squared() if len(powers) == 2 else powers[-1] @ self.d)
+            powers.append(powers[-1] @ self.d)
         return powers[k]
 
     def d_kernel(self, k):
@@ -183,6 +196,24 @@ class DiracBlock:
         if ker is None:
             ker = self._d_kernels[k] = tuple(self.d_power(k).nullspace())
         return ker
+
+    def image(self):
+        """Canonical basis of im D as a tuple, memoized."""
+        if self._image is None:
+            self._image = tuple(span_basis(self.d.cols(), self.dim))
+        return self._image
+
+    def htop_denominator(self, k):
+        """Canonical basis of (ker D^{2k+1} meet im D) + ker D^{2k}, memoized per k.
+
+        H_top^k is ker D^{2k+1} modulo this subspace; at k = 0 (ker D^0 = 0)
+        it is H_D = ker D / (ker D meet im D).
+        """
+        den = self._htop_dens.get(k)
+        if den is None:
+            meet = subspace_intersect(self.d_kernel(2 * k + 1), self.image(), self.dim)
+            den = self._htop_dens[k] = tuple(subspace_sum(meet, self.d_kernel(2 * k)))
+        return den
 
     def eigenvalue_decomposition(self):
         """Exact generalized eigenvalues of D^2 with their eigenspace dims.
@@ -197,7 +228,7 @@ class DiracBlock:
         n = self.dim
         if n == 0:
             return {}
-        d2 = self.d_squared()
+        d2 = self.d_power(2)
         out = {}
         total = 0
         for c in sorted(set(self._candidate_eigenvalues())):
@@ -264,27 +295,6 @@ def _poly_mul_linear(coeffs, c):
     return out
 
 
-def _graded_stable_kernel(d, parity):
-    """Basis of the generalized kernel, homogeneous and canonical per parity."""
-    n = d.nrows
-    if n == 0:
-        return [], []
-    power = d
-    prev = -1
-    while True:
-        dim_k = n - power.rank()
-        if dim_k == prev:
-            break
-        prev = dim_k
-        power = power @ d
-    vecs, tags = [], []
-    for want in (0, 1):
-        ker = _nullspace_on(power, [i for i, p in enumerate(parity) if p == want])
-        vecs += ker
-        tags += [want] * len(ker)
-    return vecs, tags
-
-
 def _nullspace_on(mat, cols):
     """Basis of ker `mat` among vectors supported on `cols`, in full coordinates."""
     if not cols:
@@ -308,6 +318,7 @@ class GradedNilpotent:
         self.parity = list(parity)
         self._powers = [Mat.identity(self.dim), n_mat]
         self._chains = None
+        self._htop = None
 
     @staticmethod
     def from_operator(d, basis_vecs, parities):
@@ -342,29 +353,26 @@ class GradedNilpotent:
         vecs = [self.n.col(j) for j in src]
         return span_basis(vecs, self.dim)
 
-    def hd_total(self):
-        k1p = self.kernel_graded(1, +1)
-        k1m = self.kernel_graded(1, -1)
-        return self._htop_quotient(k1p, +1, 0) + self._htop_quotient(k1m, -1, 0)
-
-    def hd_graded(self, sign):
-        return self._htop_quotient(self.kernel_graded(1, sign), sign, 0)
-
     def htop_direct(self):
-        """{k: (dim plus, dim minus)} from the defining quotients."""
-        out = {}
-        k = 0
-        while True:
-            kp = self.kernel_graded(2 * k + 1, +1)
-            km = self.kernel_graded(2 * k + 1, -1)
-            dp = self._htop_quotient(kp, +1, 2 * k)
-            dm = self._htop_quotient(km, -1, 2 * k)
-            if dp or dm:
-                out[k] = (dp, dm)
-            if len(kp) + len(km) == self.dim:
-                break
-            k += 1
-        return out
+        """{k: (dim plus, dim minus)} from the defining quotients; k = 0 is H_D.
+
+        Computed once; each call returns a fresh copy.
+        """
+        if self._htop is None:
+            out = {}
+            k = 0
+            while True:
+                kp = self.kernel_graded(2 * k + 1, +1)
+                km = self.kernel_graded(2 * k + 1, -1)
+                dp = self._htop_quotient(kp, +1, 2 * k)
+                dm = self._htop_quotient(km, -1, 2 * k)
+                if dp or dm:
+                    out[k] = (dp, dm)
+                if len(kp) + len(km) == self.dim:
+                    break
+                k += 1
+            self._htop = out
+        return dict(self._htop)
 
     def _htop_quotient(self, ker_basis, sign, lower_k):
         """dim ker / (ker meet im N + ker N^{lower_k}), all inside the sign part.
@@ -524,7 +532,7 @@ def check_square(pair, cb, sm, m, block: DiracBlock) -> dict:
     omega_h = casimir_h_block(pair, cb, sm, m, mu)
     scalar = form.norm2(pair.rho) - form.norm2(pair.rho_h)
     rhs = omega_g - omega_h + Mat.scalar(n, scalar)
-    lhs = block.d_squared().scale(2)
+    lhs = block.d_power(2).scale(2)
     identity_ok = lhs == rhs
     eigs = block.eigenvalue_decomposition()
     return {
@@ -556,7 +564,7 @@ def kostant_kernel_check(pair, cb, sm, f) -> dict:
         blk = block(sm, f, mu)
         if blk.dim == 0:
             continue
-        kd = blk.dim - blk.d.rank()
+        kd = len(blk.d_kernel(1))
         if kd:
             actual[mu] = kd
     expected = {}
@@ -588,9 +596,8 @@ def nonvanishing_check(pair, cb, sm, m) -> dict:
     units = [tuple(_F1 if i == off + j else _F0 for i in range(sp.dim))
              for j in range(d_top)]
     killed = all(not any(blk.d.apply(u)) for u in units)
-    im_rank = blk.d.rank()
-    stacked = Mat.from_cols(list(blk.d.cols()) + units, sp.dim)
-    disjoint = stacked.rank() == im_rank + d_top
+    im = blk.image()
+    disjoint = subspace_dim(list(im) + units) == len(im) + d_top
     return {
         "weight": mu,
         "top_dim": d_top,
@@ -662,70 +669,39 @@ def _preimage_subspace(a: Mat, w_basis, src_dim):
 
 
 def singular_cohomology_weights(pair, cb, sm, m, weights) -> dict:
-    """Weights at which H_D or some H_top^k carries an h-singular class.
+    """Weights at which some H_top^k carries an h-singular class.
 
     The audit of the infinitesimal-character statements applies to the
     subsystem constituents of the cohomology, which are detected by
     classes killed by every simple raising operator of the subsystem.
+    H_D is H_top^0, so its singular classes are the k = 0 level.
     """
     from .cato import _h_simples
 
     simples = _h_simples(pair)
-
-    def image(b):
-        return span_basis(b.d.cols(), b.dim) if b.dim else []
-
-    def den_hd(b):
-        return subspace_intersect(b.d_kernel(1), image(b), b.dim) if b.dim else []
-
-    def den_htop(b, k):
-        if b.dim == 0:
-            return []
-        meet = subspace_intersect(b.d_kernel(2 * k + 1), image(b), b.dim)
-        return subspace_sum(meet, b.d_kernel(2 * k))
-
     out = {}
     for mu in weights:
         b = block(sm, m, mu)
         if b.dim == 0:
             continue
-        raisers = []
-        for alpha in simples:
-            e_map = h_generator_block(pair, cb, sm, m, ("e", alpha), mu)
-            raisers.append((alpha, e_map))
-        entry = {}
-        # H_D singular classes
-        num = b.d_kernel(1)
-        if num:
-            cand = num
-            for alpha, e_map in raisers:
-                cand = subspace_intersect(
-                    cand, _preimage_subspace(e_map, den_hd(block(sm, m, mu + alpha)), b.dim),
-                    b.dim)
-            d_hd = len(cand) - len(den_hd(b))
-            if d_hd:
-                entry["hd"] = d_hd
-        # H_top^k singular classes
+        raisers = [(alpha, h_generator_block(pair, cb, sm, m, ("e", alpha), mu))
+                   for alpha in simples]
         htop = {}
         k = 0
         while True:
             numk = b.d_kernel(2 * k + 1)
             cand = numk
             for alpha, e_map in raisers:
-                cand = subspace_intersect(
-                    cand,
-                    _preimage_subspace(e_map, den_htop(block(sm, m, mu + alpha), k), b.dim),
-                    b.dim)
-            dk = len(cand) - len(span_basis(den_htop(b, k), b.dim))
+                up = block(sm, m, mu + alpha).htop_denominator(k)
+                cand = subspace_intersect(cand, _preimage_subspace(e_map, up, b.dim), b.dim)
+            dk = len(cand) - len(b.htop_denominator(k))
             if dk:
                 htop[k] = dk
             if len(numk) == len(b.d_kernel(2 * k + 3)):
                 break
             k += 1
         if htop:
-            entry["htop"] = htop
-        if entry:
-            out[mu] = entry
+            out[mu] = {"hd": htop[0], "htop": htop} if 0 in htop else {"htop": htop}
     return out
 
 

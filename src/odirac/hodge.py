@@ -292,8 +292,8 @@ def hodge_decomposition_check(hp, sm, m, us: UnitaryStructure, mu) -> dict:
     adj_plus = ginv @ blk.d_plus.T @ g
     adj_minus = ginv @ blk.d_minus.T @ g
     adjoint_ok = (adj_plus == -blk.d_minus) and (adj_minus == -blk.d_plus)
-    ker = blk.d.nullspace()
-    im = span_basis(blk.d.cols(), n)
+    ker = blk.d_kernel(1)
+    im = blk.image()
     meet = subspace_intersect(ker, im, n)
     split_ok = not meet and (len(ker) + len(im) == n)
     # ker C+ = im C+ (+) ker D, orthogonal direct sum

@@ -49,9 +49,6 @@ class Weight(tuple):
     def height(self):
         return sum(self)
 
-    def is_nonneg_integral(self):
-        return all(a.denominator == 1 and a >= 0 for a in self)
-
 
 def zero_weight(rank):
     return Weight([_F0] * rank)

@@ -96,9 +96,9 @@ def wkey(w: Weight) -> str:
 class PairContext:
     """Root data, Chevalley basis, pair and spin module of one (g, h).
 
-    Also caches the Verma windows and their tensor products with finite
-    modules built on the pair.  Dirac blocks are memoized on the spin
-    module (`dirac.block`).
+    Also caches the Verma windows, their tensor products with finite
+    modules built on the pair, and each module's block weights.  Dirac
+    blocks are memoized on the spin module (`dirac.block`).
     """
 
     def __init__(self, cartan_type, delta_h):
@@ -109,6 +109,7 @@ class PairContext:
         self._sm = None
         self._vermas = {}
         self._tensors = {}
+        self._block_weights = {}
 
     @property
     def sm(self):
@@ -135,16 +136,25 @@ class PairContext:
 
     def block_weights(self, m, depth, margin=0):
         """Block weights within `depth` of the top of m (tensor S) whose
-        components, and everything `margin` below them, lie in m's window."""
-        rank, sm = self.pair.rank, self.sm
-        offsets = [ws + Weight(c) for ws in sm.weights for c in _cone_coords(rank, margin)]
-        top = m.top_weight + sm.top_weight
-        out = []
-        for c in _cone_coords(rank, depth):
-            mu = top - Weight(c)
-            if all(m.materialized(mu - off) for off in offsets):
-                out.append(mu)
-        return sort_weights(out)
+        components, and everything `margin` below them, lie in m's window.
+
+        Computed once per (m, depth, margin); each call returns a fresh list.
+        """
+        key = (m, depth, margin)
+        out = self._block_weights.get(key)
+        if out is None:
+            rank, sm = self.pair.rank, self.sm
+            # spin weights repeat, so test each distinct offset once
+            offsets = dict.fromkeys(ws + Weight(c) for ws in sm.weights
+                                    for c in _cone_coords(rank, margin))
+            top = m.top_weight + sm.top_weight
+            out = []
+            for c in _cone_coords(rank, depth):
+                mu = top - Weight(c)
+                if all(m.materialized(mu - off) for off in offsets):
+                    out.append(mu)
+            out = self._block_weights[key] = sort_weights(out)
+        return list(out)
 
 
 _CONTEXTS = {}

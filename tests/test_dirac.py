@@ -500,32 +500,54 @@ def test_eigen_decomposition_memo(a2_su21, monkeypatch):
     first.clear()
     blk.eigenvalue_decomposition()[F(10 ** 6)] = 1
     assert blk.eigenvalue_decomposition() == want
-    assert blk.d_squared() == blk.d @ blk.d
-    # the memo of D^k behind singular_cohomology_weights, against binary powering
+    assert blk.d_power(2) == blk.d @ blk.d
+    # the memo of D^k, against binary powering
     assert [blk.d_power(k) for k in (3, 0, 1, 2, 5)] == \
         [blk.d.power(k) for k in (3, 0, 1, 2, 5)]
-    assert blk.d_power(2) is blk.d_squared() and blk.d_power(5) is blk.d_power(5)
-    # ker D^j behind singular_cohomology_weights: one nullspace per (block, j)
+    assert blk.d_power(2) is blk.d_power(2) and blk.d_power(5) is blk.d_power(5)
+    # the memo of ker D^j
     assert blk.d_kernel(3) == tuple(blk.d.power(3).nullspace())
     assert blk.d_kernel(3) is blk.d_kernel(3)
-    asked, computed = Counter(), Counter()
-    d_kernel, d_power = DiracBlock.d_kernel, DiracBlock.d_power
+    # On a cold spin module, singular_cohomology_weights computes each D^j,
+    # each ker D^j and each H_top denominator once per block.
+    from odirac import dirac
 
-    def counted_kernel(self, k):
+    products, nullspaces, sums, asked = Counter(), Counter(), Counter(), Counter()
+    kept = []  # keeps every counted operand alive, so no id is reused
+    matmul, nullspace = Mat.__matmul__, Mat.nullspace
+    subspace_sum, htop_denominator = dirac.subspace_sum, DiracBlock.htop_denominator
+
+    def counted_matmul(self, other):
+        kept.append(other)
+        products[id(other)] += 1
+        return matmul(self, other)
+
+    def counted_nullspace(self):
+        kept.append(self)
+        nullspaces[id(self)] += 1
+        return nullspace(self)
+
+    def counted_sum(a, b):  # once per computed denominator
+        sums["all"] += 1
+        return subspace_sum(a, b)
+
+    def counted_denominator(self, k):
         asked[self, k] += 1
-        return d_kernel(self, k)
+        return htop_denominator(self, k)
 
-    def counted_power(self, k):  # only d_kernel asks for D^k
-        computed[self, k] += 1
-        return d_power(self, k)
-
-    monkeypatch.setattr(DiracBlock, "d_kernel", counted_kernel)
-    monkeypatch.setattr(DiracBlock, "d_power", counted_power)
+    monkeypatch.setattr(Mat, "__matmul__", counted_matmul)
+    monkeypatch.setattr(Mat, "nullspace", counted_nullspace)
+    monkeypatch.setattr(dirac, "subspace_sum", counted_sum)
+    monkeypatch.setattr(DiracBlock, "htop_denominator", counted_denominator)
     cold = SpinModule(pair, cb)  # no block of it is built yet
     weights = a2_su21.block_weights(vw, 8)  # the weights of sl3_paper_example's vogan task
     assert singular_cohomology_weights(pair, cb, cold, vw, weights)
-    assert set(computed) == set(asked) and set(computed.values()) == {1}
-    assert sum(asked.values()) > 2 * len(asked)
+    for b in cold.blocks.values():
+        # D^j = D^{j-1} @ D for j >= 2, so D is a right factor once per such power
+        assert products[id(b.d)] == max(len(b._d_powers or ()) - 2, 0), b.mu
+        assert all(nullspaces[id(b.d_power(j))] == 1 for j in b._d_kernels if j), b.mu
+    assert sums["all"] == len(asked)
+    assert sum(asked.values()) > len(asked)  # neighbours ask again and hit the memo
 
 
 def test_eigen_checks_still_run(a2_su21, monkeypatch):
@@ -552,3 +574,148 @@ def test_eigen_checks_still_run(a2_su21, monkeypatch):
                         lambda m: charpoly(m)[:-1] + [charpoly(m)[-1] + 1])
     with pytest.raises(AssertionError, match="charpoly factorization mismatch"):
         fresh().eigenvalue_decomposition()
+
+
+# -- H_D is H_top^0: the separate routes it replaced, kept as references ------
+
+def reference_gen0(blk):
+    """The generalized kernel by a stable-power loop of its own."""
+    from odirac.dirac import _nullspace_on
+
+    d, n = blk.d, blk.dim
+    if n == 0:
+        return [], []
+    power, prev = d, -1
+    while True:
+        dim_k = n - power.rank()
+        if dim_k == prev:
+            break
+        prev = dim_k
+        power = power @ d
+    vecs, tags = [], []
+    for want in (0, 1):
+        ker = _nullspace_on(power, [i for i, p in enumerate(blk.space.parity) if p == want])
+        vecs += ker
+        tags += [want] * len(ker)
+    return vecs, tags
+
+
+def reference_dirac_cohomology(blk):
+    """ker/im from rank D; H_D as ker N / (ker N meet im N) in each parity."""
+    from odirac.exactla import span_basis, subspace_intersect
+
+    vecs, parities = reference_gen0(blk)
+    nil = GradedNilpotent.from_operator(blk.d, vecs, parities)
+
+    def hd(sign):
+        ker = nil.kernel_graded(1, sign)
+        if not ker:
+            return 0
+        meet = subspace_intersect(ker, nil.image_graded(sign), nil.dim)
+        return len(span_basis(ker)) - len(meet)
+
+    rank = blk.d.rank()
+    return {"dim_block": blk.dim, "ker": blk.dim - rank, "im": rank, "gen0": nil.dim,
+            "hd": hd(+1) + hd(-1), "hd_plus": hd(+1), "hd_minus": hd(-1)}
+
+
+def reference_singular_cohomology_weights(pair, cb, sm, m, weights):
+    """Singular classes with H_D's denominators on a branch of their own."""
+    from odirac.cato import _h_simples
+    from odirac.dirac import _preimage_subspace, block, h_generator_block
+    from odirac.exactla import span_basis, subspace_intersect, subspace_sum
+
+    kernels = {}
+
+    def kernel(b, j):
+        if (b, j) not in kernels:
+            kernels[b, j] = b.d.power(j).nullspace()
+        return kernels[b, j]
+
+    def image(b):
+        return span_basis(b.d.cols(), b.dim) if b.dim else []
+
+    def den_hd(b):
+        return subspace_intersect(kernel(b, 1), image(b), b.dim) if b.dim else []
+
+    def den_htop(b, k):
+        if b.dim == 0:
+            return []
+        meet = subspace_intersect(kernel(b, 2 * k + 1), image(b), b.dim)
+        return subspace_sum(meet, kernel(b, 2 * k))
+
+    simples = _h_simples(pair)
+    out = {}
+    for mu in weights:
+        b = block(sm, m, mu)
+        if b.dim == 0:
+            continue
+        raisers = [(alpha, h_generator_block(pair, cb, sm, m, ("e", alpha), mu))
+                   for alpha in simples]
+        entry = {}
+        num = kernel(b, 1)
+        if num:
+            cand = num
+            for alpha, e_map in raisers:
+                cand = subspace_intersect(
+                    cand, _preimage_subspace(e_map, den_hd(block(sm, m, mu + alpha)), b.dim),
+                    b.dim)
+            d_hd = len(cand) - len(den_hd(b))
+            if d_hd:
+                entry["hd"] = d_hd
+        htop = {}
+        k = 0
+        while True:
+            numk = kernel(b, 2 * k + 1)
+            cand = numk
+            for alpha, e_map in raisers:
+                cand = subspace_intersect(
+                    cand,
+                    _preimage_subspace(e_map, den_htop(block(sm, m, mu + alpha), k), b.dim),
+                    b.dim)
+            dk = len(cand) - len(span_basis(den_htop(b, k), b.dim))
+            if dk:
+                htop[k] = dk
+            if len(numk) == len(kernel(b, 2 * k + 3)):
+                break
+            k += 1
+        if htop:
+            entry["htop"] = htop
+        if entry:
+            out[mu] = entry
+    return out
+
+
+def _c3_probe_blocks():
+    import os
+
+    from odirac.dirac import block
+    from odirac.scenarios import Workspace, load_scenario
+
+    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "c3_spin_probe.json")
+    ws = Workspace(load_scenario(path))
+    return [block(ws.sm, ws.module, mu) for mu in ws.block_weights()]
+
+
+def test_dirac_cohomology_is_htop_level_zero():
+    """sl3 (depth 8), the Jordan fixture and the C3 probe, block by block."""
+    blocks = _spectral_blocks() + [b for b in _c3_probe_blocks() if b.dim]
+    assert any(not b.cubic_part.is_zero() for b in blocks)
+    for blk in blocks:
+        assert blk.gen0() == reference_gen0(blk), blk.mu
+        assert blk.dirac_cohomology() == reference_dirac_cohomology(blk), blk.mu
+
+
+def test_singular_classes_match_two_branch_reference(a1):
+    """Entry for entry on every run of the Vogan audit criterion, and on A1's
+    M(0), whose H_top^1 classes need ker D^2 in the denominator (the
+    criterion's runs would not notice it missing)."""
+    from odirac.acceptance import vogan_runs
+
+    runs = vogan_runs() + [("A1 M(0)", a1, a1.verma(Weight([0]), 12), 6)]
+    for name, c, m, depth in runs:
+        weights = c.block_weights(m, depth)
+        got = singular_cohomology_weights(c.pair, c.cb, c.sm, m, weights)
+        assert got, name
+        assert got == reference_singular_cohomology_weights(c.pair, c.cb, c.sm, m, weights), \
+            name
