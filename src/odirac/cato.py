@@ -3,9 +3,12 @@
 A window holds, per weight, an ordered basis and exact action matrices
 for every Chevalley generator.  Verma modules are realized on PBW
 monomials in the negative root vectors (fixed height-then-lex root
-order) with recursive straightening against the bracket table; simple
-quotients, finite-dimensional simples, tensor products, submodules and
-quotients are derived views.  Everything is rational and deterministic.
+order) with recursive straightening against the bracket table.  The
+monomials of a weight w are enumerated in the integer cone coordinates
+lambda - w; a `Weight` is built only where the window's API takes or
+returns one.  Simple quotients, finite-dimensional simples, tensor
+products, submodules and quotients are derived views.  Everything is
+rational and deterministic.
 """
 
 from fractions import Fraction
@@ -43,35 +46,45 @@ def _cone_coords(rank, total):
 
 def _delta_coords(lam, w):
     """lam - w as integer coordinates, or None when w is outside the cone."""
-    diff = lam - w
     coords = []
-    for c in diff:
-        if c.denominator != 1 or c < 0:
+    for a, b in zip(lam, w):
+        # a - b = num / den, without building the Fraction
+        num = a.numerator * b.denominator - b.numerator * a.denominator
+        den = a.denominator * b.denominator
+        if num < 0 or num % den:
             return None
-        coords.append(int(c))
+        coords.append(num // den)
     return tuple(coords)
 
 
-def _monomials_for(pos_roots, delta):
-    """PBW exponent tuples with sum k_i beta_i = delta, in lex order."""
-    n = len(pos_roots)
-    out = []
+class _PBWCone:
+    """PBW exponent tuples over positive roots, in integer simple-root coordinates.
 
-    def rec(prefix, rem, i):
-        if i == n:
-            if not any(rem):
-                out.append(tuple(prefix))
-            return
-        beta = pos_roots[i]
-        k = 0
-        cur = rem
-        while all(c >= 0 for c in cur):
-            rec(prefix + [k], cur, i + 1)
-            k += 1
-            cur = cur - beta
+    `monomials(delta)` lists the tuples k with sum k_i beta_i = delta in
+    lex order.  The suffix list of every (root position, remaining
+    coordinates) is memoized, so each is enumerated once per cone.
+    """
 
-    rec([], Weight(delta), 0)
-    return out
+    def __init__(self, pos_roots):
+        self.roots = tuple(tuple(int(c) for c in beta) for beta in pos_roots)
+        self._memo = {}
+
+    def monomials(self, delta, i=0):
+        key = (i, delta)
+        out = self._memo.get(key)
+        if out is None:
+            if i == len(self.roots):
+                out = [] if any(delta) else [()]
+            else:
+                beta = self.roots[i]
+                out = []
+                k = 0
+                while all(c >= 0 for c in delta):
+                    out.extend((k,) + s for s in self.monomials(delta, i + 1))
+                    k += 1
+                    delta = tuple(c - b for c, b in zip(delta, beta))
+            self._memo[key] = out
+        return out
 
 
 def _acc(d, k, v):
@@ -89,20 +102,28 @@ class _Straightener:
 
     def __init__(self, cb: ChevalleyBasis, lam: Weight):
         self.cb = cb
-        self.lam = lam
-        self.pos = cb.pos
-        self._wt_cache = {}
+        # per root position: the cb index of f_beta; per cb index: the
+        # generator kind and its root position (None for the Cartan part)
+        self._f_index = [cb.e_index(-beta) for beta in cb.pos]
+        self._kind = []
+        for b in range(cb.dim):
+            root = cb.index_root(b)
+            if root is None:
+                self._kind.append(("h", None))
+            elif all(c >= 0 for c in root):
+                self._kind.append(("e", cb._idx_pos[root]))
+            else:
+                self._kind.append(("f", cb._idx_pos[-root]))
+        # h_j-eigenvalues: lam(h_j) minus the integer sum over the monomial
+        rs = cb.rs
+        self._lam_h = rs.pairing_with_simple_coroots(lam)
+        self._root_h = [tuple(int(c) for c in rs.pairing_with_simple_coroots(beta))
+                        for beta in cb.pos]
         self._memo = {}
 
-    def mono_weight(self, mono):
-        w = self._wt_cache.get(mono)
-        if w is None:
-            w = self.lam
-            for i, k in enumerate(mono):
-                if k:
-                    w = w - self.pos[i] * k
-            self._wt_cache[mono] = w
-        return w
+    def h_value(self, j, mono):
+        """Eigenvalue of the Cartan generator h_j on a PBW monomial."""
+        return self._lam_h[j] - sum(k * self._root_h[p][j] for p, k in enumerate(mono) if k)
 
     def act_index(self, b, mono):
         """Image of a basis monomial under the cb basis element with index b."""
@@ -115,17 +136,16 @@ class _Straightener:
 
     def _act(self, b, mono):
         cb = self.cb
-        root = cb.index_root(b)
-        if root is None:
-            w = self.mono_weight(mono)
-            val = cb.rs.pairing_with_simple_coroots(w)[b]
+        kind, gi = self._kind[b]
+        if kind == "h":
+            val = self.h_value(b, mono)
             return {mono: val} if val else {}
         first = next((i for i, k in enumerate(mono) if k), None)
-        if all(c >= 0 for c in root):  # raising operator
+        if kind == "e":  # raising operator
             if first is None:
                 return {}
             rest = _dec(mono, first)
-            fj = cb.e_index(-self.pos[first])
+            fj = self._f_index[first]
             out = {}
             for m, c in self.act_index(b, rest).items():
                 for m2, c2 in self.act_index(fj, m).items():
@@ -134,13 +154,11 @@ class _Straightener:
                 for m2, c2 in self.act_index(k, rest).items():
                     _acc(out, m2, c * c2)
             return out
-        # lowering by f_gamma
-        gamma = -root
-        gi = cb._idx_pos[gamma]
+        # lowering by f_gamma, gamma at root position gi
         if first is None or gi <= first:
             return {_inc(mono, gi): _F1}
         rest = _dec(mono, first)
-        fj = cb.e_index(-self.pos[first])
+        fj = self._f_index[first]
         out = {}
         for m, c in self.act_index(b, rest).items():
             # monomials here start no earlier than `first`, so prepending
@@ -232,6 +250,7 @@ class VermaWindow(WeightModuleWindow):
         self.top_weight = self.lam
         self.infchars = (self.lam,)
         self.straightener = _Straightener(cb, self.lam)
+        self.cone = _PBWCone(cb.pos)
         self._basis_cache = {}
         self._form = None  # the window's ContravariantForm, see shapovalov_grams
 
@@ -250,7 +269,7 @@ class VermaWindow(WeightModuleWindow):
             elif sum(coords) > self.depth:
                 raise OutsideWindow(f"verma: weight {w} below depth {self.depth}")
             else:
-                b = _monomials_for(self.cb.pos, coords)
+                b = self.cone.monomials(coords)
             self._basis_cache[w] = b
         return b
 
@@ -260,12 +279,9 @@ class VermaWindow(WeightModuleWindow):
         return len(self.basis(w))
 
     def weights(self):
-        out = []
-        for c in _cone_coords(self.rank, self.depth):
-            w = self.lam - Weight(c)
-            if self.basis(w):
-                out.append(w)
-        return sort_weights(out)
+        return sort_weights(Weight(a - c for a, c in zip(self.lam, coords))
+                            for coords in _cone_coords(self.rank, self.depth)
+                            if self.cone.monomials(coords))
 
     def _compute_action(self, gen, w):
         src = self.basis(w)
@@ -817,27 +833,11 @@ def ses_split(m1: WeightModuleWindow, m3: WeightModuleWindow) -> SESData:
 
 def kostant_partition_counter(pos_roots):
     """Counting function for decompositions into the given positive roots."""
-    roots = tuple(pos_roots)
-    memo = {}
+    cone = _PBWCone(pos_roots)
 
-    def count(v, i=0):
-        v = Weight(v)
-        if not any(v):
-            return 1
-        if any(c < 0 or c.denominator != 1 for c in v):
-            return 0
-        if i >= len(roots):
-            return 0
-        key = (v, i)
-        r = memo.get(key)
-        if r is None:
-            r = 0
-            cur = v
-            while all(c >= 0 for c in cur):
-                r += count(cur, i + 1)
-                cur = cur - roots[i]
-            memo[key] = r
-        return r
+    def count(v):
+        coords = _delta_coords(v, [0] * len(v))
+        return 0 if coords is None else len(cone.monomials(coords))
 
     return count
 

@@ -26,18 +26,20 @@ class LiftFailure(Exception):
 
 
 class BlockSpace:
-    """Basis bookkeeping for (M tensor S) at one weight."""
+    """Basis bookkeeping for (M tensor S) at one weight; see `block_space`."""
 
-    def __init__(self, pair: PairGH, sm: SpinModule, m: WeightModuleWindow, mu: Weight):
-        self.pair = pair
+    def __init__(self, sm: SpinModule, m: WeightModuleWindow, mu: Weight):
         self.sm = sm
         self.m = m
         self.mu = mu
-        self.comp_weights = [mu - w for w in sm.weights]
-        for w in self.comp_weights:
+        # spin weights repeat: look each distinct one up in m once
+        distinct = [mu - w for w in sm.distinct_weights]
+        for w in distinct:
             if not m.materialized(w):
                 raise OutsideWindow(f"block {mu}: module weight {w} not materialized")
-        self.comp_dims = [m.dim(w) for w in self.comp_weights]
+        dims = [m.dim(w) for w in distinct]
+        self.comp_weights = [distinct[k] for k in sm.weight_class]
+        self.comp_dims = [dims[k] for k in sm.weight_class]
         self.offsets = []
         off = 0
         for d in self.comp_dims:
@@ -81,10 +83,22 @@ def _identity_map(m):
     return lambda w: Mat.identity(m.dim(w))
 
 
-def h_generator_block(pair, cb, sm, m, gen, mu) -> Mat:
+def block_space(sm: SpinModule, m: WeightModuleWindow, mu: Weight) -> BlockSpace:
+    """The basis bookkeeping of m (x) S at mu, built once per spin module.
+
+    Callers only read a BlockSpace, so one instance serves every block
+    operator, Dirac block and Hodge form at (m, mu).
+    """
+    sp = sm.spaces.get((m, mu))
+    if sp is None:
+        sp = sm.spaces[(m, mu)] = BlockSpace(sm, m, mu)
+    return sp
+
+
+def h_generator_block(cb, sm, m, gen, mu) -> Mat:
     """Diagonal action of an h-generator from the block at mu to mu + wt(gen)."""
-    src = BlockSpace(pair, sm, m, mu)
-    tgt = BlockSpace(pair, sm, m, mu + cb.generator_weight(gen))
+    src = block_space(sm, m, mu)
+    tgt = block_space(sm, m, mu + cb.generator_weight(gen))
     act = partial(m.action, gen)
     ident = _identity_map(m)
     terms = [(i, i, 1, act) for i in range(sm.dim)]
@@ -102,7 +116,7 @@ class DiracBlock:
         self.sm = sm
         self.m = m
         self.mu = mu
-        sp = self.space = BlockSpace(pair, sm, m, mu)
+        sp = self.space = block_space(sm, m, mu)
         # e_alpha against the wedge (spin weight drops by alpha), f_alpha
         # against the contraction (spin weight rises)
         self.d_plus = block_operator(sp, sp, (
@@ -510,13 +524,13 @@ def casimir_matrix(m: WeightModuleWindow, w: Weight, pos_roots, form) -> Mat:
 
 def casimir_h_block(pair, cb, sm, m, mu) -> Mat:
     """(Omega_h)_Delta on the block at mu via the diagonal h-action."""
-    space = BlockSpace(pair, sm, m, mu)
+    space = block_space(sm, m, mu)
     out = Mat.scalar(space.dim, pair.form.norm2(mu))
     for alpha in pair.delta_h_pos:
-        e_up = h_generator_block(pair, cb, sm, m, ("e", alpha), mu - alpha)
-        f_dn = h_generator_block(pair, cb, sm, m, ("f", alpha), mu)
-        f_dn2 = h_generator_block(pair, cb, sm, m, ("f", alpha), mu + alpha)
-        e_up2 = h_generator_block(pair, cb, sm, m, ("e", alpha), mu)
+        e_up = h_generator_block(cb, sm, m, ("e", alpha), mu - alpha)
+        f_dn = h_generator_block(cb, sm, m, ("f", alpha), mu)
+        f_dn2 = h_generator_block(cb, sm, m, ("f", alpha), mu + alpha)
+        e_up2 = h_generator_block(cb, sm, m, ("e", alpha), mu)
         out = out + e_up @ f_dn + f_dn2 @ e_up2
     return out
 
@@ -546,7 +560,7 @@ def h_equivariance_defect(pair, cb, sm, m, mu, gen) -> Mat:
     wt = cb.generator_weight(gen)
     d_here = block(sm, m, mu).d
     d_there = block(sm, m, mu + wt).d
-    g_here = h_generator_block(pair, cb, sm, m, gen, mu)
+    g_here = h_generator_block(cb, sm, m, gen, mu)
     return g_here @ d_here - d_there @ g_here
 
 
@@ -684,7 +698,7 @@ def singular_cohomology_weights(pair, cb, sm, m, weights) -> dict:
         b = block(sm, m, mu)
         if b.dim == 0:
             continue
-        raisers = [(alpha, h_generator_block(pair, cb, sm, m, ("e", alpha), mu))
+        raisers = [(alpha, h_generator_block(cb, sm, m, ("e", alpha), mu))
                    for alpha in simples]
         htop = {}
         k = 0
@@ -725,10 +739,10 @@ def vogan_audit(pair, weights_with_cohomology, infchars) -> dict:
 
 # -- exact circle --------------------------------------------------------------
 
-def block_map(pair, sm, src_m, tgt_m, mat_fn, mu) -> Mat:
+def block_map(sm, src_m, tgt_m, mat_fn, mu) -> Mat:
     """Tensor a per-weight module map with the identity of S on the mu-block."""
-    src = BlockSpace(pair, sm, src_m, mu)
-    tgt = BlockSpace(pair, sm, tgt_m, mu)
+    src = block_space(sm, src_m, mu)
+    tgt = block_space(sm, tgt_m, mu)
     return block_operator(tgt, src, ((i, i, 1, mat_fn) for i in range(sm.dim)))
 
 
@@ -746,8 +760,8 @@ def exact_circle(pair, cb, sm, ses, mu) -> CircleCertificate:
     b1 = block(sm, m1, mu)
     b2 = block(sm, m2, mu)
     b3 = block(sm, m3, mu)
-    imap = block_map(pair, sm, m1, m2, lambda w: ses.inclusion(w), mu)
-    pmap = block_map(pair, sm, m2, m3, lambda w: ses.projection(w), mu)
+    imap = block_map(sm, m1, m2, lambda w: ses.inclusion(w), mu)
+    pmap = block_map(sm, m2, m3, lambda w: ses.projection(w), mu)
     if not (imap @ b1.d == b2.d @ imap):
         raise AssertionError("inclusion does not intertwine the Dirac operators")
     if not (pmap @ b2.d == b3.d @ pmap):

@@ -292,27 +292,6 @@ def subspace_sum(a, b):
     return span_basis(list(a) + list(b))
 
 
-def subspace_contains(basis, v):
-    if not any(v):
-        return True
-    if not basis:
-        return False
-    m = Mat.from_cols(list(basis), len(v))
-    return m.solve(v) is not None
-
-
-def subspace_le(a, b):
-    """True iff span(a) is contained in span(b)."""
-    if not a:
-        return True
-    bb = span_basis(b)
-    return all(subspace_contains(bb, v) for v in a)
-
-
-def subspace_eq(a, b):
-    return span_basis(a) == span_basis(b)
-
-
 def subspace_intersect(a, b, dim):
     """Canonical basis of span(a) meet span(b) inside Q^dim."""
     a = span_basis(a)

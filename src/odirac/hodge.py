@@ -15,7 +15,7 @@ from functools import partial
 
 from .exactla import Mat, span_basis, subspace_intersect
 from .cato import WeightModuleWindow, shapovalov_grams
-from .dirac import BlockSpace, block, block_operator
+from .dirac import block, block_operator, block_space
 from .liealg import PairGH, is_symmetric_pair
 from .roots import Weight
 from .spinor import SpinModule
@@ -169,7 +169,7 @@ class CEComplex:
         self.nu = nu
         # reuse the spin bookkeeping: CE weight adds the rho-shift
         self.shift = hp.pair.rho - hp.pair.rho_h
-        self.space = BlockSpace(hp.pair, sm, m, nu + self.shift)
+        self.space = block_space(sm, m, nu + self.shift)
         self.nq = sm.nq
 
     def degree_indices(self, k):
@@ -267,7 +267,7 @@ def block_inner_gram(us: UnitaryStructure, sm: SpinModule, m, mu) -> Mat:
     factors cancel the kappa's of the module-side transpose so that the
     half operators become exact mutual adjoints.
     """
-    sp = BlockSpace(us.hp.pair, sm, m, mu)
+    sp = block_space(sm, m, mu)
     kappas = [m.cb.kappa_integral(beta) for beta in sm.q_pos]
     terms = []
     for i in range(sm.dim):

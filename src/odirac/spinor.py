@@ -68,6 +68,11 @@ class SpinModule:
             self.weights.append(w)
             self.parity.append(bits & 1)
         self.top_weight = shift
+        # the distinct spin weights in order of first appearance, and for
+        # each basis vector the position of its weight among them
+        self.distinct_weights = list(dict.fromkeys(self.weights))
+        where = {w: k for k, w in enumerate(self.distinct_weights)}
+        self.weight_class = [where[w] for w in self.weights]
         # q basis order: e_beta for beta in q_pos, then f_beta; duals swap halves
         self._qidx_to_cb = [cb.e_index(b) for b in self.q_pos] + \
                            [cb.e_index(-b) for b in self.q_pos]
@@ -75,8 +80,10 @@ class SpinModule:
         self._gamma = [self._signed_permutation(qi) for qi in range(2 * self.nq)]
         self._h_action_cache = {}
         self.cubic = cubic_term(pair, cb, self)
-        # Dirac blocks on this module, keyed by (module window, weight): dirac.block
+        # Dirac blocks and their BlockSpaces on this module, keyed by
+        # (module window, weight): dirac.block and dirac.block_space
         self.blocks = {}
+        self.spaces = {}
 
     # -- Clifford multiplication -----------------------------------------------
 

@@ -1,6 +1,7 @@
 import pytest
 from fractions import Fraction
 
+from odirac.exactla import Mat, span_basis
 from odirac.scenarios import pair_context as ctx
 
 
@@ -24,3 +25,16 @@ def a2_t():
 
 def frac(x):
     return Fraction(x)
+
+
+def subspace_le(a, b):
+    """True iff span(a) is contained in span(b)."""
+    bb = span_basis(b)
+    if not bb:
+        return not any(any(v) for v in a)
+    m = Mat.from_cols(bb, len(bb[0]))
+    return all(m.solve(v) is not None for v in a)
+
+
+def subspace_eq(a, b):
+    return span_basis(a) == span_basis(b)

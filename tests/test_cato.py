@@ -11,8 +11,8 @@ from odirac.cato import (OutsideWindow, commutation_defect, finite_character_h,
                          finite_dim_simple, kostant_partition_counter,
                          ses_from_embedding, ses_split, shapovalov_grams,
                          simple_quotient_window, singular_vectors,
-                         tensor_with_finite_dim, verma_character_h, verma_window,
-                         weyl_dimension, _cone_coords)
+                         sort_weights, tensor_with_finite_dim, verma_character_h,
+                         verma_window, weyl_dimension, _cone_coords)
 from conftest import ctx
 
 F = Fraction
@@ -401,3 +401,80 @@ def test_commutation_fidelity_random_lambda(a_num, a_den, b_num, b_den):
                 d = commutation_defect(vw, w, ix, iy)
                 if d is not None:
                     assert d.is_zero(), (lam, w, ix, iy)
+
+
+def weight_recursion_monomials(pos_roots, delta):
+    """Reference PBW enumeration: the recursion in Weight arithmetic, step by step."""
+    n = len(pos_roots)
+    out = []
+
+    def rec(prefix, rem, i):
+        if i == n:
+            if not any(rem):
+                out.append(tuple(prefix))
+            return
+        k = 0
+        cur = rem
+        while all(c >= 0 for c in cur):
+            rec(prefix + [k], cur, i + 1)
+            k += 1
+            cur = cur - pos_roots[i]
+
+    rec([], delta, 0)
+    return out
+
+
+@pytest.mark.parametrize("cartan, lam, depth", [
+    ("A2", [F(-1, 2), -2], 14),
+    ("A3", [-1, -2, -3], 10),
+    ("B3", [F(1, 3), 0, -1], 6),
+    ("G2", [2, F(-5, 2)], 8),  # root coordinates up to 3
+])
+def test_pbw_enumeration_matches_weight_recursion(cartan, lam, depth):
+    """The integer cone lists the same monomials, in the same order, at every weight."""
+    c = ctx(cartan)
+    lam = Weight(lam)
+    vw = verma_window(c.pair, c.cb, lam, depth)
+    nonzero = []
+    for cc in _cone_coords(c.rs.rank, depth):
+        w = lam - Weight(cc)
+        expect = weight_recursion_monomials(c.cb.pos, lam - w)
+        assert vw.basis(w) == expect, w
+        if expect:
+            nonzero.append(w)
+    assert vw.weights() == sort_weights(nonzero)
+    # lam - w not integral: outside the support cone, no monomials
+    off = lam - Weight([F(1, 2)] + [0] * (c.rs.rank - 1))
+    assert vw.basis(off) == [] and vw.dim(off) == 0
+    assert weight_recursion_monomials(c.cb.pos, lam - off) == []
+
+
+def test_pbw_enumeration_builds_no_weight(monkeypatch):
+    """A cold window reaches the basis of a deep weight without a single Weight."""
+    c = ctx("A3")
+    lam = Weight([-1, -2, -3])
+    vw = verma_window(c.pair, c.cb, lam, 10)
+    w = lam - Weight([3, 4, 3])
+    built = []
+    new = Weight.__new__
+
+    def counted(cls, coords):
+        built.append(coords)
+        return new(cls, coords)
+
+    monkeypatch.setattr(Weight, "__new__", counted)
+    basis = vw.basis(w)
+    assert len(basis) == 26 and not built
+    assert vw.cone.monomials((1, 2, 1)) and not built
+    monkeypatch.undo()
+    assert basis == weight_recursion_monomials(c.cb.pos, lam - w)
+
+
+def test_kostant_counter_on_the_cone(a2_su21):
+    cnt = kostant_partition_counter(a2_su21.pair.rs.positive_roots)
+    assert cnt(zero_weight(2)) == 1
+    assert cnt(Weight([2, 2])) == 3
+    assert cnt(Weight([F(1, 2), 1])) == 0  # non-integral
+    assert cnt(Weight([-1, 2])) == 0  # negative
+    assert kostant_partition_counter([])(zero_weight(2)) == 1
+    assert kostant_partition_counter([])(Weight([1, 0])) == 0

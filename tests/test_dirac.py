@@ -15,6 +15,7 @@ from odirac.dirac import (DiracBlock, GradedNilpotent, check_square,
                           kostant_kernel_check, nonvanishing_check,
                           simple_verma_theorem_check, singular_cohomology_weights,
                           vogan_audit)
+from conftest import ctx
 
 F = Fraction
 
@@ -347,7 +348,7 @@ def test_kernel_filtration_stabilizes(a2_su21):
 
 def test_htop_quotient_well_formed(a2_su21):
     """The lower kernel and the image piece sit inside the next odd kernel."""
-    from odirac.exactla import subspace_le
+    from conftest import subspace_le
     from odirac.acceptance import load_jordan_fixture
 
     fx = load_jordan_fixture()
@@ -413,6 +414,41 @@ def test_one_build_per_block(monkeypatch):
     assert builds and set(builds.values()) == {1}
     assert set(decomposed.values()) == {1} and set(decomposed) == set(asked)
     assert max(asked.values()) == 2  # tasks dirac and square both ask
+
+
+def test_one_block_space_per_key(monkeypatch):
+    """A scenario run builds each (spin module, module, weight) BlockSpace once,
+    and each lists its spin components as the per-basis-vector definition does."""
+    import os
+    from collections import Counter
+    from odirac import dirac, scenarios
+
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+    builds, spaces = Counter(), []
+    init = dirac.BlockSpace.__init__
+
+    def counted(self, sm, m, mu):
+        builds[(sm, m, mu)] += 1
+        init(self, sm, m, mu)
+        spaces.append(self)
+
+    monkeypatch.setattr(dirac.BlockSpace, "__init__", counted)
+    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "sl3_paper_example.json")
+    assert scenarios.run_scenario(scenarios.load_scenario(path))["ok"]
+    assert len(builds) > 50 and set(builds.values()) == {1}
+    for sp in spaces:
+        comp = [sp.mu - w for w in sp.sm.weights]
+        assert sp.comp_weights == comp
+        assert sp.comp_dims == [sp.m.dim(w) for w in comp]
+
+
+def test_spin_weight_classes(a2_su21):
+    """Each spin basis vector points at its weight among the distinct ones."""
+    c = ctx("B3", [(1, 0, 0), (0, 0, 1)])
+    for sm in (a2_su21.sm, c.sm):
+        assert len(set(sm.distinct_weights)) == len(sm.distinct_weights)
+        assert [sm.distinct_weights[k] for k in sm.weight_class] == sm.weights
+    assert len(c.sm.distinct_weights) < c.sm.dim
 
 
 # -- spectral layer: eigen decomposition against a plain-Fraction reference ---
@@ -650,7 +686,7 @@ def reference_singular_cohomology_weights(pair, cb, sm, m, weights):
         b = block(sm, m, mu)
         if b.dim == 0:
             continue
-        raisers = [(alpha, h_generator_block(pair, cb, sm, m, ("e", alpha), mu))
+        raisers = [(alpha, h_generator_block(cb, sm, m, ("e", alpha), mu))
                    for alpha in simples]
         entry = {}
         num = kernel(b, 1)

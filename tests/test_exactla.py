@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from odirac.exactla import (Mat, charpoly, span_basis, subspace_dim,
-                            subspace_eq, subspace_intersect, subspace_sum)
+                            subspace_intersect, subspace_sum)
+from conftest import subspace_eq
 
 F = Fraction
 
