@@ -408,7 +408,7 @@ class QuotientWindow(WeightModuleWindow):
             proj = Mat(proj_rows, pdim) if keep else Mat([], pdim)
             sect = Mat.from_cols([tuple(_F1 if i == t else _F0 for i in range(pdim))
                                   for t in keep], pdim)
-            d = (keep, proj, sect, sub)
+            d = (keep, proj, sect)
             self._data[w] = d
         return d
 
@@ -439,11 +439,6 @@ class QuotientWindow(WeightModuleWindow):
         if self.parent.dim(w) == 0:
             return Mat.zero(0, 0)
         return self._weight_data(w)[2]
-
-    def sub_basis(self, w):
-        if self.parent.dim(w) == 0:
-            return []
-        return self._weight_data(w)[3]
 
     def _compute_action(self, gen, w):
         tw = w + self.cb.generator_weight(gen)

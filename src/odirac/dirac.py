@@ -131,6 +131,7 @@ class DiracBlock:
         self.d = self.d_plus + self.d_minus - self.cubic_part
         self._gen0 = None
         self._nilp = None
+        self._htop = None
         self._d_powers = None
         self._d_kernels = {0: ()}  # ker D^0 = 0
         self._image = None
@@ -141,45 +142,61 @@ class DiracBlock:
     def dim(self):
         return self.space.dim
 
-    # -- generalized kernel and the nilpotent restriction ----------------------
+    # -- generalized kernel, H_top levels and the nilpotent restriction ------
+
+    def stable_index(self):
+        """The first s with ker D^s = ker D^{s+1}; ker D^s is the generalized kernel."""
+        s = 0
+        while len(self.d_kernel(s + 1)) != len(self.d_kernel(s)):
+            s += 1
+        return s
 
     def gen0(self):
-        """Homogeneous canonical basis of the generalized kernel, with parities.
-
-        The generalized kernel is ker D^s for the first s with ker D^s =
-        ker D^{s+1}; equal kernels have the same canonical bases.
-        """
+        """Basis of the generalized kernel, even vectors first, with parities."""
         if self._gen0 is None:
-            s = 0
-            while len(self.d_kernel(s + 1)) != len(self.d_kernel(s)):
-                s += 1
-            vecs, tags = [], []
-            if s:
-                parity = self.space.parity
-                for want in (0, 1):
-                    ker = _nullspace_on(self.d_power(s),
-                                        [i for i, p in enumerate(parity) if p == want])
-                    vecs += ker
-                    tags += [want] * len(ker)
-            self._gen0 = vecs, tags
+            ker = self.d_kernel(self.stable_index())
+            pars = [_parity_of(v, self.space.parity) for v in ker]
+            order = sorted(range(len(ker)), key=pars.__getitem__)
+            self._gen0 = [ker[i] for i in order], [pars[i] for i in order]
         return self._gen0
 
     def nilpotent(self):
+        """D on the generalized kernel, for its Jordan chains."""
         if self._nilp is None:
             vecs, parities = self.gen0()
             self._nilp = GradedNilpotent.from_operator(self.d, vecs, parities)
         return self._nilp
 
+    def htop(self):
+        """{k: (dim plus, dim minus)} of the nonzero H_top^k; k = 0 is H_D.
+
+        H_top^k is ker D^{2k+1} modulo `htop_denominator(k)`.  D is odd, so
+        both are graded and their canonical bases are homogeneous: the
+        halves of the quotient are differences of parity counts.  Past
+        the stable index s, ker D^{2k+1} = ker D^{2k}, so only 2k + 1 <= s
+        can be nonzero.  Computed once; each call returns a fresh copy.
+        """
+        if self._htop is None:
+            parity = self.space.parity
+            out = {}
+            for k in range((self.stable_index() + 1) // 2):
+                num_p, num_m = _graded_dims(self.d_kernel(2 * k + 1), parity)
+                den_p, den_m = _graded_dims(self.htop_denominator(k), parity)
+                plus, minus = num_p - den_p, num_m - den_m
+                if plus or minus:
+                    out[k] = (plus, minus)
+            self._htop = out
+        return dict(self._htop)
+
     def dirac_cohomology(self):
         """Dims of H_D = H_top^0 and its graded halves at this weight."""
-        nil = self.nilpotent()
-        hd_plus, hd_minus = nil.htop_direct().get(0, (0, 0))
+        hd_plus, hd_minus = self.htop().get(0, (0, 0))
         ker = len(self.d_kernel(1))
         return {
             "dim_block": self.dim,
             "ker": ker,
             "im": self.dim - ker,
-            "gen0": nil.dim,
+            "gen0": len(self.d_kernel(self.stable_index())),
             "hd": hd_plus + hd_minus,
             "hd_plus": hd_plus,
             "hd_minus": hd_minus,
@@ -187,9 +204,8 @@ class DiracBlock:
 
     def higher_cohomology(self):
         """H_top^k dims by the defining quotient, cross-checked against Jordan data."""
-        nil = self.nilpotent()
-        direct = nil.htop_direct()
-        from_jordan = nil.htop_from_chains()
+        direct = self.htop()
+        from_jordan = self.nilpotent().htop_from_chains()
         if direct != from_jordan:
             raise AssertionError(
                 f"higher cohomology mismatch at {self.mu}: {direct} vs {from_jordan}")
@@ -323,6 +339,20 @@ def _nullspace_on(mat, cols):
     return out
 
 
+def _parity_of(vec, parity):
+    """The parity of a nonzero homogeneous vector; AssertionError otherwise."""
+    pars = {parity[i] for i, c in enumerate(vec) if c}
+    if len(pars) != 1:
+        raise AssertionError("vector is not parity homogeneous")
+    return pars.pop()
+
+
+def _graded_dims(vecs, parity):
+    """(plus, minus): the parity count of a homogeneous basis."""
+    minus = sum(_parity_of(v, parity) for v in vecs)
+    return len(vecs) - minus, minus
+
+
 class GradedNilpotent:
     """A parity-odd nilpotent operator on a graded space, in its own coordinates."""
 
@@ -331,8 +361,9 @@ class GradedNilpotent:
         self.dim = n_mat.nrows
         self.parity = list(parity)
         self._powers = [Mat.identity(self.dim), n_mat]
+        self._kernels = {}
+        self._floors = {}
         self._chains = None
-        self._htop = None
 
     @staticmethod
     def from_operator(d, basis_vecs, parities):
@@ -356,50 +387,23 @@ class GradedNilpotent:
         return [i for i, p in enumerate(self.parity) if p == want]
 
     def kernel_graded(self, k, sign):
-        """Basis of ker(N^k) in the sign part, embedded in full coordinates."""
-        return _nullspace_on(self.power(k), self.cols_of(sign))
+        """Basis of ker(N^k) in the sign part as a tuple, memoized per (k, sign)."""
+        ker = self._kernels.get((k, sign))
+        if ker is None:
+            ker = self._kernels[k, sign] = tuple(_nullspace_on(self.power(k), self.cols_of(sign)))
+        return ker
 
-    def image_graded(self, sign):
-        """Basis of (im N) in the sign part: N applied to the opposite part."""
-        if self.dim == 0:
-            return []
-        src = self.cols_of(-sign)
-        vecs = [self.n.col(j) for j in src]
-        return span_basis(vecs, self.dim)
+    def level_floor(self, k):
+        """Canonical basis of ker N^{k-1} + N ker N^{k+1}, memoized per k.
 
-    def htop_direct(self):
-        """{k: (dim plus, dim minus)} from the defining quotients; k = 0 is H_D.
-
-        Computed once; each call returns a fresh copy.
+        A vector of ker N^k outside this floor tops a Jordan chain of size k.
         """
-        if self._htop is None:
-            out = {}
-            k = 0
-            while True:
-                kp = self.kernel_graded(2 * k + 1, +1)
-                km = self.kernel_graded(2 * k + 1, -1)
-                dp = self._htop_quotient(kp, +1, 2 * k)
-                dm = self._htop_quotient(km, -1, 2 * k)
-                if dp or dm:
-                    out[k] = (dp, dm)
-                if len(kp) + len(km) == self.dim:
-                    break
-                k += 1
-            self._htop = out
-        return dict(self._htop)
-
-    def _htop_quotient(self, ker_basis, sign, lower_k):
-        """dim ker / (ker meet im N + ker N^{lower_k}), all inside the sign part.
-
-        With lower_k = 0 (ker N^0 = 0) this is H_D = H_top^0.
-        """
-        if not ker_basis:
-            return 0
-        im = self.image_graded(sign)
-        meet = subspace_intersect(ker_basis, im, self.dim)
-        lower = self.kernel_graded(lower_k, sign) if lower_k else []
-        den = subspace_sum(meet, lower)
-        return len(span_basis(ker_basis)) - len(den)
+        floor = self._floors.get(k)
+        if floor is None:
+            base = [v for sign in (+1, -1) for v in self.kernel_graded(k - 1, sign)]
+            base += [self.n.apply(v) for sign in (+1, -1) for v in self.kernel_graded(k + 1, sign)]
+            floor = self._floors[k] = tuple(span_basis(base, self.dim))
+        return floor
 
     # -- Jordan chains ----------------------------------------------------------
 
@@ -424,16 +428,7 @@ class GradedNilpotent:
             s += 1
         chains = []
         for k in range(s, 0, -1):
-            base = []
-            for sign in (+1, -1):
-                base.extend(self.kernel_graded(k - 1, sign))
-            for sign in (+1, -1):
-                for v in self.kernel_graded(k + 1, sign):
-                    img = self.n.apply(v)
-                    if any(img):
-                        base.append(img)
-            level_span = span_basis(base, self.dim)
-            taken = list(level_span)
+            taken = list(self.level_floor(k))
             pool = [(vec, size) for vec, size in seeds if size == k]
             for vec, _size in pool:
                 if self._chain_length(vec) != k:
@@ -475,10 +470,7 @@ class GradedNilpotent:
         return out
 
     def vector_parity(self, vec):
-        pars = {self.parity[i] for i, c in enumerate(vec) if c}
-        if len(pars) != 1:
-            raise AssertionError("vector is not parity homogeneous")
-        return pars.pop()
+        return _parity_of(vec, self.parity)
 
     def htop_from_chains(self, chains=None):
         """{k: (plus, minus)} counting odd chains by top parity."""
@@ -494,18 +486,6 @@ class GradedNilpotent:
                 out[k] = (dp + 1, dm)
             else:
                 out[k] = (dp, dm + 1)
-        return out
-
-    def layer_dims(self, chains=None):
-        """dim N_{mu,k} split by parity, k >= 1, from a chain decomposition."""
-        out = {}
-        for chain in (chains if chains is not None else self.chains()):
-            size = len(chain)
-            for j in range(1, size + 1):
-                vec = chain[size - j]  # W_j: j-th from the kernel end
-                p = self.vector_parity(vec)
-                dp, dm = out.get(j, (0, 0))
-                out[j] = (dp + 1, dm) if p == 0 else (dp, dm + 1)
         return out
 
 
@@ -688,7 +668,10 @@ def singular_cohomology_weights(pair, cb, sm, m, weights) -> dict:
     The audit of the infinitesimal-character statements applies to the
     subsystem constituents of the cohomology, which are detected by
     classes killed by every simple raising operator of the subsystem.
-    H_D is H_top^0, so its singular classes are the k = 0 level.
+    H_D is H_top^0, so its singular classes are the k = 0 level.  The
+    raisers commute with D and map denominators into denominators, so
+    the singular classes of level k form a subspace of H_top^k: only
+    the block's nonzero levels are searched.
     """
     from .cato import _h_simples
 
@@ -698,22 +681,20 @@ def singular_cohomology_weights(pair, cb, sm, m, weights) -> dict:
         b = block(sm, m, mu)
         if b.dim == 0:
             continue
+        levels = b.htop()
+        if not levels:
+            continue
         raisers = [(alpha, h_generator_block(cb, sm, m, ("e", alpha), mu))
                    for alpha in simples]
         htop = {}
-        k = 0
-        while True:
-            numk = b.d_kernel(2 * k + 1)
-            cand = numk
+        for k in levels:
+            cand = b.d_kernel(2 * k + 1)
             for alpha, e_map in raisers:
                 up = block(sm, m, mu + alpha).htop_denominator(k)
                 cand = subspace_intersect(cand, _preimage_subspace(e_map, up, b.dim), b.dim)
             dk = len(cand) - len(b.htop_denominator(k))
             if dk:
                 htop[k] = dk
-            if len(numk) == len(b.d_kernel(2 * k + 3)):
-                break
-            k += 1
         if htop:
             out[mu] = {"hd": htop[0], "htop": htop} if 0 in htop else {"htop": htop}
     return out
@@ -806,14 +787,8 @@ def exact_circle(pair, cb, sm, ses, mu) -> CircleCertificate:
         if l < msize:
             raise LiftFailure("lift died too early")
         # top criterion: u not in ker N^{l-1} + N ker N^{l+1}
-        lower = []
-        for sign in (+1, -1):
-            lower.extend(nil2.kernel_graded(l - 1, sign))
-            for v in nil2.kernel_graded(l + 1, sign):
-                img = nil2.n.apply(v)
-                if any(img):
-                    lower.append(img)
-        if subspace_dim(lower + [u]) == subspace_dim(lower):
+        floor = nil2.level_floor(l)
+        if subspace_dim(list(floor) + [u]) == len(floor):
             raise LiftFailure("lifted preimage is not a Jordan top")
         lifted.append((u, l, msize, chain3))
         seeds2.append((u, l))
@@ -860,7 +835,7 @@ def exact_circle(pair, cb, sm, ses, mu) -> CircleCertificate:
     if len(span_basis(all2, n2)) != n2:
         raise LiftFailure("compatible decomposition does not span the middle kernel")
     # cross-check higher cohomology of the adapted decomposition
-    if nil2.htop_from_chains(chain2_list) != nil2.htop_direct():
+    if nil2.htop_from_chains(chain2_list) != b2.htop():
         raise LiftFailure("adapted decomposition disagrees with the direct quotients")
 
     # six-node circle: H1+ -> H2+ -> H3+ -> H1- -> H2- -> H3- -> H1+
@@ -917,8 +892,8 @@ def exact_circle(pair, cb, sm, ses, mu) -> CircleCertificate:
     node_dims = {f"{n}{'+' if p == 0 else '-'}": len(node_basis[(n, p)])
                  for (n, p) in order}
     # the adapted H3 and H1 data must also match their direct quotients
-    if nil3.htop_from_chains(chains3) != nil3.htop_direct():
+    if nil3.htop_from_chains(chains3) != b3.htop():
         raise LiftFailure("quotient block decomposition disagrees with direct quotients")
-    if nil1.htop_from_chains(chains1) != nil1.htop_direct():
+    if nil1.htop_from_chains(chains1) != b1.htop():
         raise LiftFailure("sub block decomposition disagrees with direct quotients")
     return CircleCertificate(mu, triples, node_dims, exact)

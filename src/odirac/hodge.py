@@ -13,7 +13,7 @@ nilpotent cohomology into exact rank arithmetic.
 from fractions import Fraction
 from functools import partial
 
-from .exactla import Mat, span_basis, subspace_intersect
+from .exactla import Mat, _int_row, span_basis, subspace_intersect
 from .cato import WeightModuleWindow, shapovalov_grams
 from .dirac import block, block_operator, block_space
 from .liealg import PairGH, is_symmetric_pair
@@ -99,41 +99,25 @@ class UnitaryStructure:
         return g if deg % 2 == 0 else -g
 
     def positive_definite(self, w) -> bool:
-        g = self.gram(w)
-        # Sylvester: all leading principal minors positive
-        n = g.nrows
-        for k in range(1, n + 1):
-            sub = Mat([row[:k] for row in g.rows[:k]], k)
-            if _det(sub) <= 0:
+        """Sylvester's criterion from one fraction-free (Bareiss) elimination.
+
+        Clearing each row to integers multiplies every leading principal
+        minor by a positive integer.  Without row exchanges the k-th
+        Bareiss pivot is the k-th leading minor of that integer matrix,
+        so the first pivot <= 0 decides.
+        """
+        a = [_int_row(row) for row in self.gram(w).rows]
+        prev = 1
+        for k, pivot_row in enumerate(a):
+            piv = pivot_row[k]
+            if piv <= 0:
                 return False
+            for row in a[k + 1:]:
+                f = row[k]
+                for j in range(k + 1, len(a)):
+                    row[j] = (row[j] * piv - f * pivot_row[j]) // prev
+            prev = piv
         return True
-
-
-def _det(m: Mat) -> Fraction:
-    n = m.nrows
-    if n == 0:
-        return _F1
-    rows = [list(r) for r in m.rows]
-    det = _F1
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if rows[r][c]:
-                piv = r
-                break
-        if piv is None:
-            return _F0
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = _F1 / rows[c][c]
-        for r in range(c + 1, n):
-            f = rows[r][c] * inv
-            if f:
-                for j in range(c, n):
-                    rows[r][j] -= f * rows[c][j]
-    return det
 
 
 def unitarity_check(hp: HermitianPair, vw, weights) -> dict:
@@ -204,37 +188,29 @@ class CEComplex:
         tgt = self.degree_indices(k_to)
         return Mat([[op.rows[i][j] for j in src] for i in tgt], len(src))
 
-    def cohomology_dims(self):
-        """dim H^k(d) per degree on this weight slice."""
-        d = self.differential()
+    def _homology(self, op, step):
+        """dim C_k - rank(op out of k) - rank(op into k), nonzero degrees only.
+
+        `op` moves the degree by `step`: +1 for d, -1 for del.
+        """
         out = {}
         for k in range(self.nq + 1):
-            dk = self.graded_block(d, k, k + 1) if k < self.nq else \
-                Mat([], self.degree_dim(self.nq))
-            prev = self.graded_block(d, k - 1, k) if k > 0 else \
-                Mat.zero(self.degree_dim(0), 0)
-            ker = self.degree_dim(k) - (dk.rank() if k < self.nq else 0)
-            im = prev.rank()
-            val = ker - im
+            val = self.degree_dim(k)
+            if 0 <= k + step <= self.nq:
+                val -= self.graded_block(op, k, k + step).rank()
+            if 0 <= k - step <= self.nq:
+                val -= self.graded_block(op, k - step, k).rank()
             if val:
                 out[k] = val
         return out
 
+    def cohomology_dims(self):
+        """dim H^k(d) per degree on this weight slice."""
+        return self._homology(self.differential(), +1)
+
     def homology_dims(self):
         """dim H_k(del) per degree on this weight slice."""
-        b = self.boundary()
-        out = {}
-        for k in range(self.nq + 1):
-            down = self.graded_block(b, k, k - 1) if k > 0 else \
-                Mat([], self.degree_dim(0))
-            up = self.graded_block(b, k + 1, k) if k < self.nq else \
-                Mat.zero(self.degree_dim(self.nq), 0)
-            ker = self.degree_dim(k) - (down.rank() if k > 0 else 0)
-            im = up.rank()
-            val = ker - im
-            if val:
-                out[k] = val
-        return out
+        return self._homology(self.boundary(), -1)
 
 
 def identification_check(hp, sm, m, mu) -> dict:

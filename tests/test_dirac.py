@@ -191,24 +191,19 @@ def graded_nilpotent(sizes):
 
 
 def test_htop_of_plain_chains():
-    # size 1 contributes to H_top^0, size 2 to nothing, size 3 to H_top^1
-    assert graded_nilpotent([1]).htop_direct() == {0: (1, 0)}
-    assert graded_nilpotent([2]).htop_direct() == {}
-    assert graded_nilpotent([3]).htop_direct() == {1: (1, 0)}
+    # size 1 contributes to H_top^0, size 2 to nothing, size 3 to H_top^1;
+    # every chain top is even
+    assert graded_nilpotent([1]).htop_from_chains() == {0: (1, 0)}
+    assert graded_nilpotent([2]).htop_from_chains() == {}
+    assert graded_nilpotent([3]).htop_from_chains() == {1: (1, 0)}
     mixed = graded_nilpotent([1, 2, 3])
-    assert mixed.htop_direct() == {0: (1, 0), 1: (1, 0)}
-    assert mixed.htop_direct() == mixed.htop_from_chains()
+    assert sorted(len(c) for c in mixed.chains()) == [1, 2, 3]
+    assert mixed.htop_from_chains() == {0: (1, 0), 1: (1, 0)}
+    assert graded_nilpotent([3, 1, 5]).htop_from_chains() == {0: (1, 0), 1: (1, 0), 2: (1, 0)}
     # zero operator: one size-1 block per basis vector
     z = graded_nilpotent([1, 1, 1])
     assert [len(c) for c in z.chains()] == [1, 1, 1]
-
-
-def test_layer_dims():
-    nil = graded_nilpotent([3, 2])
-    layers = nil.layer_dims()
-    # W_1 of both chains have parity of their kernel ends
-    assert layers[1] == (1, 1) or layers[1] == (2, 0) or sum(layers[1]) == 2
-    assert sum(layers[1]) == 2 and sum(layers[2]) == 2 and sum(layers[3]) == 1
+    assert z.htop_from_chains() == {0: (3, 0)}
 
 
 def test_jordan_on_tensor_fixture():
@@ -636,6 +631,41 @@ def reference_gen0(blk):
     return vecs, tags
 
 
+def reference_image_graded(nil, sign):
+    """Basis of (im N) in the sign part: N applied to the opposite part."""
+    from odirac.exactla import span_basis
+
+    if nil.dim == 0:
+        return []
+    return span_basis([nil.n.col(j) for j in nil.cols_of(-sign)], nil.dim)
+
+
+def reference_htop(blk):
+    """{k: (plus, minus)} from the quotients in generalized-kernel coordinates."""
+    from odirac.exactla import span_basis, subspace_intersect, subspace_sum
+
+    nil = GradedNilpotent.from_operator(blk.d, *reference_gen0(blk))
+
+    def quotient(ker_basis, sign, lower_k):
+        if not ker_basis:
+            return 0
+        meet = subspace_intersect(ker_basis, reference_image_graded(nil, sign), nil.dim)
+        lower = nil.kernel_graded(lower_k, sign) if lower_k else []
+        return len(span_basis(ker_basis)) - len(subspace_sum(meet, lower))
+
+    out = {}
+    k = 0
+    while True:
+        kp = nil.kernel_graded(2 * k + 1, +1)
+        km = nil.kernel_graded(2 * k + 1, -1)
+        dp, dm = quotient(kp, +1, 2 * k), quotient(km, -1, 2 * k)
+        if dp or dm:
+            out[k] = (dp, dm)
+        if len(kp) + len(km) == nil.dim:
+            return out
+        k += 1
+
+
 def reference_dirac_cohomology(blk):
     """ker/im from rank D; H_D as ker N / (ker N meet im N) in each parity."""
     from odirac.exactla import span_basis, subspace_intersect
@@ -647,7 +677,7 @@ def reference_dirac_cohomology(blk):
         ker = nil.kernel_graded(1, sign)
         if not ker:
             return 0
-        meet = subspace_intersect(ker, nil.image_graded(sign), nil.dim)
+        meet = subspace_intersect(ker, reference_image_graded(nil, sign), nil.dim)
         return len(span_basis(ker)) - len(meet)
 
     rank = blk.d.rank()
@@ -755,3 +785,68 @@ def test_singular_classes_match_two_branch_reference(a1):
         assert got, name
         assert got == reference_singular_cohomology_weights(c.pair, c.cb, c.sm, m, weights), \
             name
+
+
+def _homogeneous(vecs, parity):
+    return all(len({parity[i] for i, c in enumerate(v) if c}) == 1 for v in vecs)
+
+
+def test_htop_matches_generalized_kernel_route(a1):
+    """DiracBlock.htop() against the quotients taken in generalized-kernel
+    coordinates: sl3 (depth 8), the Jordan fixture, the C3 probe, A1's M(0),
+    and the Jordan fixture's module plus M(0) or M(-1).  In the two direct
+    sums a 3-chain meets a 2- or 1-chain in one block, so H_top^1 needs
+    ker D^2 in its denominator."""
+    from odirac.acceptance import load_jordan_fixture
+    from odirac.cato import SumWindow
+    from odirac.dirac import block
+
+    modules = [a1.verma(Weight([0]), 12)]
+    fixture = load_jordan_fixture()["module"]
+    modules += [SumWindow(fixture, a1.verma(Weight([lam]), 16)) for lam in (0, -1)]
+    blocks = _spectral_blocks() + [b for b in _c3_probe_blocks() if b.dim]
+    for m in modules:
+        blocks += [b for b in (block(a1.sm, m, mu) for mu in a1.block_weights(m, 6)) if b.dim]
+    mixed = [b for b in blocks
+             if sorted(len(c) for c in b.nilpotent().chains()) in ([1, 3], [2, 3])]
+    assert len(mixed) == 2
+    higher = 0
+    for blk in blocks:
+        parity = blk.space.parity
+        want = reference_htop(blk)
+        assert blk.htop() == want, blk.mu
+        higher += any(k for k in want)
+        for k in range(blk.stable_index() + 2):
+            assert _homogeneous(blk.d_kernel(k), parity), (blk.mu, k)
+            assert _homogeneous(blk.htop_denominator(k), parity), (blk.mu, k)
+        assert _homogeneous(blk.image(), parity), blk.mu
+    assert higher
+
+
+def test_one_nullspace_per_graded_kernel(monkeypatch):
+    """A run of the C3 probe computes each ker N^k of each parity once per
+    nilpotent restriction, although the Jordan chains ask again."""
+    import os
+    from collections import Counter
+    from odirac import dirac, scenarios
+
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+    asked, computed = Counter(), Counter()
+    kept = []  # keeps every counted matrix alive, so no id is reused
+    kernel_graded, nullspace_on = GradedNilpotent.kernel_graded, dirac._nullspace_on
+
+    def counted_kernel(self, k, sign):
+        asked[self, k, sign] += 1
+        return kernel_graded(self, k, sign)
+
+    def counted_nullspace(mat, cols):
+        kept.append(mat)
+        computed[id(mat), tuple(cols)] += 1
+        return nullspace_on(mat, cols)
+
+    monkeypatch.setattr(GradedNilpotent, "kernel_graded", counted_kernel)
+    monkeypatch.setattr(dirac, "_nullspace_on", counted_nullspace)
+    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "c3_spin_probe.json")
+    assert scenarios.run_scenario(scenarios.load_scenario(path))["ok"]
+    assert sum(asked.values()) > len(asked)  # the memo is hit
+    assert len(computed) == len(asked) and set(computed.values()) == {1}

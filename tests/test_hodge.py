@@ -166,3 +166,91 @@ def test_homology_cohomology_duality(a2_su21):
         nu = lam - Weight(c)
         ce = CEComplex(hp, sm, vw, nu)
         assert sum(ce.cohomology_dims().values()) == sum(ce.homology_dims().values())
+
+
+def reference_det(rows):
+    """Determinant by Gaussian elimination over Fraction, with row exchanges."""
+    n = len(rows)
+    rows = [list(r) for r in rows]
+    det = F(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if rows[r][c]), None)
+        if piv is None:
+            return F(0)
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            det = -det
+        det *= rows[c][c]
+        inv = 1 / rows[c][c]
+        for r in range(c + 1, n):
+            f = rows[r][c] * inv
+            if f:
+                for j in range(c, n):
+                    rows[r][j] -= f * rows[c][j]
+    return det
+
+
+def reference_positive_definite(g):
+    """Sylvester's criterion with one determinant per leading minor."""
+    return all(reference_det([row[:k] for row in g.rows[:k]]) > 0
+               for k in range(1, g.nrows + 1))
+
+
+def test_sylvester_from_one_elimination():
+    """positive_definite against a determinant per leading minor, on random
+    symmetric rational matrices: definite, singular semidefinite, indefinite."""
+    import random
+    from types import SimpleNamespace
+
+    rng = random.Random(20221018)
+
+    def entry():
+        return F(rng.randint(-6, 6), rng.randint(1, 4))
+
+    def gram_of(vectors, n):  # B^T B, semidefinite of rank <= len(vectors)
+        return Mat([[sum((v[i] * v[j] for v in vectors), F(0)) for j in range(n)]
+                    for i in range(n)], n)
+
+    counts = {True: 0, False: 0}
+    for trial in range(3000):
+        n = rng.randint(1, 5)
+        kind = trial % 3
+        if kind == 0:  # definite unless the random vectors are dependent
+            g = gram_of([[entry() for _ in range(n)] for _ in range(n)], n)
+        elif kind == 1:  # singular: fewer vectors than the dimension
+            g = gram_of([[entry() for _ in range(n)] for _ in range(rng.randint(0, n - 1))], n)
+        else:  # symmetric with random entries: mostly indefinite
+            upper = [[entry() for _ in range(n)] for _ in range(n)]
+            g = Mat([[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)], n)
+        want = reference_positive_definite(g)
+        got = UnitaryStructure.positive_definite(SimpleNamespace(gram=lambda w: g), None)
+        assert got == want, g.rows
+        counts[want] += 1
+    assert counts[True] > 800 and counts[False] > 1500
+    assert UnitaryStructure.positive_definite(SimpleNamespace(gram=lambda w: Mat([], 0)), None)
+
+
+def test_hodge_and_simple_verma_build_no_nilpotent(monkeypatch):
+    """H_D, H_top and their cross-checks there are read off the Dirac block."""
+    import json
+    import os
+    from odirac import scenarios
+    from odirac.dirac import GradedNilpotent
+
+    built = []
+    init = GradedNilpotent.__init__
+
+    def counted(self, n_mat, parity):
+        built.append(self)
+        init(self, n_mat, parity)
+
+    monkeypatch.setattr(GradedNilpotent, "__init__", counted)
+    here = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+    for name, task in (("a2_hodge_unitary.json", "hodge"),
+                       ("sl3_paper_example.json", "simple_verma")):
+        monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+        with open(os.path.join(here, name)) as fh:
+            doc = json.load(fh)
+        doc["tasks"] = [task]
+        assert scenarios.run_scenario(scenarios.Scenario(doc))["ok"], name
+    assert not built
