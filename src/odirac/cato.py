@@ -12,6 +12,7 @@ rational and deterministic.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .exactla import Mat, span_basis
 from .liealg import ChevalleyBasis, PairGH
@@ -189,6 +190,7 @@ class WeightModuleWindow:
         self.cb = cb
         self.rank = pair.rank
         self._action_cache = {}
+        self._below_top = {}
 
     def materialized(self, w: Weight) -> bool:
         raise NotImplementedError
@@ -202,6 +204,17 @@ class WeightModuleWindow:
     def weights(self):
         """Sorted materialized weights of nonzero dimension."""
         raise NotImplementedError
+
+    def weight_below_top(self, drop) -> Weight:
+        """top_weight - drop, for a tuple of simple-root coordinates; memoized.
+
+        Callers that step through weights in integer coordinates build
+        each module weight once here instead of once per step.
+        """
+        w = self._below_top.get(drop)
+        if w is None:
+            w = self._below_top[drop] = Weight(t - d for t, d in zip(self.top_weight, drop))
+        return w
 
     def action(self, gen, w: Weight) -> Mat:
         key = (gen, w)
@@ -292,11 +305,8 @@ class VermaWindow(WeightModuleWindow):
         cols = []
         for mono in src:
             img = self.straightener.act_index(b, mono)
-            col = [_F0] * len(tgt)
-            for m, c in img.items():
-                col[tgt_index[m]] = c
-            cols.append(col)
-        return Mat.from_cols(cols, len(tgt))
+            cols.append({tgt_index[m]: c for m, c in img.items()})
+        return Mat.from_sparse_cols(cols, len(tgt))
 
 
 def verma_window(pair, cb, lam, depth) -> VermaWindow:
@@ -334,23 +344,27 @@ class ContravariantForm:
         """
         vw = self.vw
         if w == vw.lam:
-            return Mat([[_F1]])
+            return Mat.identity(1)
         basis = vw.basis(w)
         by_first = {}
         for i, mono in enumerate(basis):
             first = next(p for p, k in enumerate(mono) if k)
             by_first.setdefault(first, []).append(i)
         cb = vw.cb
-        rows = [None] * len(basis)
+        parts = []
         for first, idx in by_first.items():
             beta = cb.pos[first]
             up = {m: j for j, m in enumerate(vw.basis(w + beta))}
-            above = self.gram(w + beta)
-            picked = Mat([above.rows[up[_dec(basis[i], first)]] for i in idx], len(up))
+            picked = self.gram(w + beta).take([up[_dec(basis[i], first)] for i in idx])
             prod = picked @ vw.action(("e", beta), w)
-            for i, row in zip(idx, prod.scale(_F1 / cb.kappa_integral(beta)).rows):
-                rows[i] = row
-        return Mat(rows, len(basis))
+            parts.append((idx, prod.scale(_F1 / cb.kappa_integral(beta))))
+        den = lcm(*(prod.den for _, prod in parts))
+        rows = [None] * len(basis)
+        for idx, prod in parts:
+            f = den // prod.den
+            for i, row in zip(idx, prod.num):
+                rows[i] = row if f == 1 else [x * f for x in row]
+        return Mat.from_ints(rows, len(basis), den)
 
     def radical(self, w):
         return self.gram(w).nullspace()
@@ -388,26 +402,21 @@ class QuotientWindow(WeightModuleWindow):
         d = self._data.get(w)
         if d is None:
             pdim = self.parent.dim(w)
-            sub = span_basis(self._sub_basis_fn(w), pdim)
-            pivots = Mat(sub, pdim).rref()[1] if sub else []
+            red, pivots = Mat(self._sub_basis_fn(w), pdim).rref()
             pivset = set(pivots)
             keep = [j for j in range(pdim) if j not in pivset]
             # projection along the subspace onto the kept coordinates:
-            # column k is the kept part of e_k - sum_i e_k[pivot_i] * sub_i
+            # column k is the kept part of e_k - sum_i e_k[pivot_i] * sub_i,
+            # sub_i the i-th row of the rref (over its denominator)
             proj_rows = []
             for t in keep:
-                row = []
-                for k in range(pdim):
-                    if k == t:
-                        row.append(_F1)
-                    elif k in pivset:
-                        row.append(-sub[pivots.index(k)][t])
-                    else:
-                        row.append(_F0)
+                row = [0] * pdim
+                row[t] = red.den
+                for sub_row, p in zip(red.num, pivots):
+                    row[p] = -sub_row[t]
                 proj_rows.append(row)
-            proj = Mat(proj_rows, pdim) if keep else Mat([], pdim)
-            sect = Mat.from_cols([tuple(_F1 if i == t else _F0 for i in range(pdim))
-                                  for t in keep], pdim)
+            proj = Mat.from_ints(proj_rows, pdim, red.den)
+            sect = Mat.identity(pdim).take(cols=keep)
             d = (keep, proj, sect)
             self._data[w] = d
         return d
@@ -647,32 +656,39 @@ class TensorWindow(WeightModuleWindow):
         for (nu, fj, bd) in tgt_groups:
             tgt_offsets[(nu, fj)] = (off, bd)
             off += bd
-        nrows = off
-        rows = [[_F0] * self.dim(w) for _ in range(nrows)]
+        # (row offset, column offset, base action) tiles and
+        # (row offset, column offset, size, numerator, denominator) diagonals
+        tiles, diagonals = [], []
         coff = 0
         for (nu, fj, bd) in src_groups:
             # action on the base factor
             am = self.base.action(gen, w - nu)
             key = (nu, fj)
             if key in tgt_offsets and am.nrows:
-                roff = tgt_offsets[key][0]
-                for i in range(am.nrows):
-                    for j in range(bd):
-                        v = am.rows[i][j]
-                        if v:
-                            rows[roff + i][coff + j] = v
+                tiles.append((tgt_offsets[key][0], coff, am))
             # action on the finite factor
             fm = self.factor.action(gen, nu)
-            for i in range(fm.nrows):
-                c = fm.rows[i][fj]
-                if c:
+            for i, frow in enumerate(fm.num):
+                if frow[fj]:
                     key2 = (nu + self.cb.generator_weight(gen), i)
                     if key2 in tgt_offsets:
-                        roff, tbd = tgt_offsets[key2]
-                        for j in range(bd):
-                            rows[roff + j][coff + j] += c
+                        diagonals.append((tgt_offsets[key2][0], coff, bd, frow[fj], fm.den))
             coff += bd
-        return Mat(rows, self.dim(w))
+        den = lcm(*(am.den for _, _, am in tiles), *(d[4] for d in diagonals))
+        ncols = coff
+        rows = [[0] * ncols for _ in range(off)]
+        for roff, coff, am in tiles:
+            f = den // am.den
+            for i, arow in enumerate(am.num, roff):
+                row = rows[i]
+                for j, v in enumerate(arow, coff):
+                    if v:
+                        row[j] += f * v
+        for roff, coff, bd, c, cden in diagonals:
+            c *= den // cden
+            for j in range(bd):
+                rows[roff + j][coff + j] += c
+        return Mat.from_ints(rows, ncols, den)
 
 
 def tensor_with_finite_dim(m: WeightModuleWindow, f: ExplicitWindow) -> TensorWindow:
@@ -711,27 +727,15 @@ class SumWindow(WeightModuleWindow):
         tw = w + self.cb.generator_weight(gen)
         a = self.parts[0].action(gen, w)
         b = self.parts[1].action(gen, w)
-        rows = []
-        for i in range(a.nrows):
-            rows.append(list(a.rows[i]) + [_F0] * b.ncols)
-        for i in range(b.nrows):
-            rows.append([_F0] * a.ncols + list(b.rows[i]))
-        return Mat(rows, a.ncols + b.ncols)
+        return a.hstack(Mat.zero(a.nrows, b.ncols)).vstack(
+            Mat.zero(b.nrows, a.ncols).hstack(b))
 
     def inclusion_first(self, w) -> Mat:
-        d1 = self.parts[0].dim(w)
-        return Mat.from_cols([tuple(_F1 if i == j else _F0 for i in range(self.dim(w)))
-                              for j in range(d1)], self.dim(w))
+        return Mat.identity(self.dim(w)).take(cols=range(self.parts[0].dim(w)))
 
     def projection_second(self, w) -> Mat:
-        d1 = self.parts[0].dim(w)
-        d2 = self.parts[1].dim(w)
-        rows = []
-        for i in range(d2):
-            row = [_F0] * self.dim(w)
-            row[d1 + i] = _F1
-            rows.append(row)
-        return Mat(rows, self.dim(w))
+        n = self.dim(w)
+        return Mat.identity(n).take(rows=range(self.parts[0].dim(w), n))
 
 
 def singular_vectors(m: WeightModuleWindow, w: Weight):

@@ -9,6 +9,8 @@ arithmetic there.
 
 from fractions import Fraction
 from functools import partial
+from math import lcm
+from operator import sub
 
 from .exactla import (Mat, charpoly, span_basis, subspace_dim, subspace_intersect,
                       subspace_sum)
@@ -32,8 +34,13 @@ class BlockSpace:
         self.sm = sm
         self.m = m
         self.mu = mu
-        # spin weights repeat: look each distinct one up in m once
-        distinct = [mu - w for w in sm.distinct_weights]
+        # spin weights repeat: look each distinct one up in m once.  With
+        # w = top(S) - drop, mu - w is top(m) - (base - drop), where base
+        # = top(m) + top(S) - mu; it is integral (kept as ints, so the
+        # window's memo is keyed on int tuples) whenever mu is a block weight
+        base = [x.numerator if x.denominator == 1 else x
+                for x in (t + s - y for t, s, y in zip(m.top_weight, sm.top_weight, mu))]
+        distinct = [m.weight_below_top(tuple(map(sub, base, drop))) for drop in sm.distinct_drops]
         for w in distinct:
             if not m.materialized(w):
                 raise OutsideWindow(f"block {mu}: module weight {w} not materialized")
@@ -65,18 +72,21 @@ def block_operator(tgt: BlockSpace, src: BlockSpace, terms) -> Mat:
     E_ji sends the i-th spin basis vector to the j-th.  module_map(w) is
     the module map out of w, the i-th module weight of `src`, into the
     j-th module weight of `tgt`; it is called only when both are nonzero.
+    The tiles are summed as ints over the lcm of their denominators.
     """
-    rows = [[_F0] * src.dim for _ in range(tgt.dim)]
-    for j, i, coeff, module_map in terms:
-        if not (src.comp_dims[i] and tgt.comp_dims[j]):
-            continue
-        ro, co = tgt.offsets[j], src.offsets[i]
-        for r, mrow in enumerate(module_map(src.comp_weights[i]).rows):
-            row = rows[ro + r]
-            for c, v in enumerate(mrow):
+    tiles = [(tgt.offsets[j], src.offsets[i], coeff, module_map(src.comp_weights[i]))
+             for j, i, coeff, module_map in terms
+             if src.comp_dims[i] and tgt.comp_dims[j]]
+    den = lcm(*(coeff.denominator * tile.den for _, _, coeff, tile in tiles))
+    rows = [[0] * src.dim for _ in range(tgt.dim)]
+    for ro, co, coeff, tile in tiles:
+        f = coeff.numerator * (den // (coeff.denominator * tile.den))
+        for r, mrow in enumerate(tile.num, ro):
+            row = rows[r]
+            for c, v in enumerate(mrow, co):
                 if v:
-                    row[co + c] += coeff * v
-    return Mat(rows, src.dim)
+                    row[c] += f * v
+    return Mat.from_ints(rows, src.dim, den)
 
 
 def _identity_map(m):
@@ -230,7 +240,7 @@ class DiracBlock:
     def image(self):
         """Canonical basis of im D as a tuple, memoized."""
         if self._image is None:
-            self._image = tuple(span_basis(self.d.cols(), self.dim))
+            self._image = tuple(self.d.T.row_space())
         return self._image
 
     def htop_denominator(self, k):
@@ -329,9 +339,8 @@ def _nullspace_on(mat, cols):
     """Basis of ker `mat` among vectors supported on `cols`, in full coordinates."""
     if not cols:
         return []
-    sub = Mat([[row[j] for j in cols] for row in mat.rows], len(cols))
     out = []
-    for v in sub.nullspace():
+    for v in mat.take(cols=cols).nullspace():
         full = [_F0] * mat.ncols
         for ci, c in zip(cols, v):
             full[ci] = c

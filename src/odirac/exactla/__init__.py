@@ -1,37 +1,66 @@
 """Exact linear algebra over the rationals.
 
-Matrices are dense, entries are `fractions.Fraction` (ints allowed on
-input), and every operation is exact: ranks, kernels and solves carry
-proof weight in the test suite, so no floating point appears anywhere.
+A `Mat` is a tuple of Python-int rows `num` over one positive
+denominator `den`: entry (i, j) is num[i][j] / den.  The pair is kept
+canonical (den > 0 and gcd(den, all entries) = 1), so equal matrices
+have equal `num` and `den`, and `==` and `hash` are plain tuple
+compares.  No floating point appears anywhere: ranks, kernels and
+solves carry proof weight in the test suite.
 
-The two hot kernels, row reduction and matrix product, clear each row
-to integers (row scaling does not change the reduced echelon form, and
-the product divides the scales back out), run on Python ints, and build
-one Fraction per nonzero result entry.  That avoids a Fraction
-normalization per elementary operation.
+`Mat(rows)` is the boundary for callers holding `Fraction` (or int)
+entries: it clears them to one denominator once.  Inside the engine
+matrices are built from int rows and a denominator by `Mat.from_ints`
+(or from sparse columns by `Mat.from_sparse_cols`), and every
+operation (sums, scaling, products, transposes, stacks, slices,
+traces, the characteristic polynomial and row reduction) stays in
+ints.  Row reduction is fraction-free: it eliminates on the stored int
+rows, each updated row divided by the gcd of its entries.  `Fraction`s
+are built only for what leaves the module as vectors or scalars
+(kernel and span bases, solutions, `apply`, `trace`, `charpoly`) and
+for the read-only `rows` view, which is rebuilt on each access.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, sub
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-def _int_row(row):
-    """`row` times the lcm of its denominators, as a list of ints."""
-    d = lcm(*(x.denominator for x in row))
-    return [x.numerator * (d // x.denominator) for x in row]
+def _canonical(rows, den):
+    """(rows, den) with the common gcd of den and the entries divided out."""
+    g = den
+    for r in rows:
+        if g == 1:
+            return rows, den
+        g = gcd(g, *r)
+    if g == 1:
+        return rows, den
+    return tuple(tuple(x // g for x in r) for r in rows), den // g
 
 
-def _rref_rows(rows, ncols):
-    """Reduced row echelon rows of `rows` and the list of pivot columns.
+def _vec_ints(vec):
+    """(ints, den) with vec == ints / den, den the lcm of the denominators."""
+    den = lcm(*(x.denominator for x in vec if x))
+    return [x.numerator * (den // x.denominator) if x else 0 for x in vec], den
+
+
+def _fractions(row, den):
+    return tuple(Fraction(x, den) if x else _F0 for x in row)
+
+
+def _echelon(num, ncols, reduced=True):
+    """Fraction-free row reduction of int rows: (nonzero rows, pivot columns).
 
     Deterministic: for each column the first remaining row (lowest index)
-    with a nonzero entry is the pivot row.  Elimination is fraction-free on
-    integer rows, each updated row divided by the gcd of its entries.
+    with a nonzero entry is the pivot row.  Each updated row is divided
+    by the gcd of its entries, and every returned row has a positive
+    pivot.  With `reduced`, the rows above each pivot are cleared too
+    (reduced echelon form up to one positive factor per row); without it
+    only the rows below are, which is all a rank needs.
     """
-    work = [_int_row(r) for r in rows]
+    work = [r for r in num if any(r)]
     nrows = len(work)
     pivots = []
     r = 0
@@ -44,7 +73,8 @@ def _rref_rows(rows, ncols):
         work[pr], work[r] = work[r], work[pr]
         row = work[r]
         piv = row[c]
-        for i, other in enumerate(work):
+        for i in range(0 if reduced else r + 1, nrows):
+            other = work[i]
             f = other[c]
             if f and i != r:
                 new = [x * piv - f * y for x, y in zip(other, row)]
@@ -52,44 +82,17 @@ def _rref_rows(rows, ncols):
                 work[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
-    out = [[Fraction(x, row[p]) if x else _F0 for x in row]
-           for row, p in zip(work, pivots)]
-    out += [[_F0] * ncols for _ in range(nrows - r)]
-    return out, pivots
-
-
-def _matmul_rows(a, b, ncols):
-    """Rows of the product of row lists `a` (n x k) and `b` (k x ncols).
-
-    Only the nonzeros of each `a` row and of the matching `b` rows are
-    visited, so sparse factors such as the spin module's signed
-    permutations cost what they hold, not n * k * ncols.
-    """
-    bnz = [[(j, x) for j, x in enumerate(row) if x] for row in b]
-    bden = lcm(*(x.denominator for row in bnz for _, x in row))
-    bint = [[(j, x.numerator * (bden // x.denominator)) for j, x in row] for row in bnz]
-    out = []
-    for arow in a:
-        anz = [(t, x) for t, x in enumerate(arow) if x]
-        aden = lcm(*(x.denominator for _, x in anz))
-        acc = [0] * ncols
-        for t, x in anz:
-            x = x.numerator * (aden // x.denominator)
-            for j, y in bint[t]:
-                acc[j] += x * y
-        den = aden * bden
-        out.append([Fraction(v, den) if v else _F0 for v in acc])
-    return out
+    work = [[-x for x in row] if row[p] < 0 else row for row, p in zip(work, pivots)]
+    return work, pivots
 
 
 class Mat:
-    """Immutable dense matrix acting on column coordinate vectors."""
+    """Immutable dense rational matrix acting on column coordinate vectors."""
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("num", "den", "nrows", "ncols")
 
     def __init__(self, rows, ncols=None):
-        rows = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in r) for r in rows)
-        self.rows = rows
+        rows = [[x if isinstance(x, Fraction) else Fraction(x) for x in r] for r in rows]
         self.nrows = len(rows)
         if rows:
             self.ncols = len(rows[0])
@@ -101,100 +104,185 @@ class Mat:
             if ncols is None:
                 raise ValueError("empty matrix needs explicit ncols")
             self.ncols = ncols
+        # the lcm of the reduced denominators leaves gcd(den, entries) = 1
+        den = self.den = lcm(*(x.denominator for r in rows for x in r if x))
+        self.num = tuple(tuple(x.numerator * (den // x.denominator) for x in r) for r in rows)
+
+    @staticmethod
+    def from_ints(rows, ncols, den=1):
+        """The matrix rows / den for int rows and a positive int den, as given.
+
+        The trusted constructor: entries are not coerced, only the common
+        gcd of den and the entries is divided out.
+        """
+        m = Mat.__new__(Mat)
+        m.num, m.den = _canonical(tuple(map(tuple, rows)), den)
+        m.nrows = len(m.num)
+        m.ncols = ncols
+        return m
+
+    @staticmethod
+    def from_sparse_cols(cols, nrows):
+        """Matrix whose j-th column is the {row index: rational} dict cols[j].
+
+        Only the listed entries are read; they are cleared to one
+        denominator once.
+        """
+        den = lcm(*(x.denominator for col in cols for x in col.values()))
+        rows = [[0] * len(cols) for _ in range(nrows)]
+        for j, col in enumerate(cols):
+            for i, x in col.items():
+                rows[i][j] = x.numerator * (den // x.denominator)
+        return Mat.from_ints(rows, len(cols), den)
 
     @staticmethod
     def zero(nrows, ncols):
-        return Mat([[_F0] * ncols for _ in range(nrows)], ncols)
+        return Mat.from_ints(((0,) * ncols,) * nrows, ncols)
 
     @staticmethod
     def identity(n):
-        return Mat([[_F1 if i == j else _F0 for j in range(n)] for i in range(n)], n)
+        return Mat.scalar(n, 1)
 
     @staticmethod
     def scalar(n, c):
         """c times the n x n identity."""
         c = Fraction(c)
-        return Mat([[c if i == j else _F0 for j in range(n)] for i in range(n)], n)
+        x = c.numerator
+        return Mat.from_ints([(0,) * i + (x,) + (0,) * (n - i - 1) for i in range(n)],
+                             n, c.denominator)
 
     @staticmethod
     def from_cols(cols, nrows):
         """Matrix whose j-th column is cols[j] (each of length nrows)."""
-        return Mat([[col[i] for col in cols] for i in range(nrows)], len(cols))
+        return Mat(cols, nrows).T
+
+    @property
+    def rows(self):
+        """The entries as a tuple of `Fraction` rows, built on each access."""
+        return tuple(_fractions(r, self.den) for r in self.num)
 
     @property
     def T(self):
-        return Mat([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-                   self.nrows)
+        num = tuple(zip(*self.num)) if self.nrows else ((),) * self.ncols
+        return Mat.from_ints(num, self.nrows, self.den)
 
     def col(self, j):
-        return tuple(self.rows[i][j] for i in range(self.nrows))
+        den = self.den
+        return tuple(Fraction(r[j], den) if r[j] else _F0 for r in self.num)
 
-    def cols(self):
-        return [self.col(j) for j in range(self.ncols)]
+    def take(self, rows=None, cols=None):
+        """The submatrix on the listed row and column indices (all when None)."""
+        num = self.num if rows is None else [self.num[i] for i in rows]
+        if cols is None:
+            return Mat.from_ints(num, self.ncols, self.den)
+        return Mat.from_ints([[r[j] for j in cols] for r in num], len(cols), self.den)
 
     def __matmul__(self, other):
+        """Product visiting only the nonzeros of each row pair.
+
+        Sparse factors such as the spin module's signed permutations cost
+        what they hold, not n * k * ncols.
+        """
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matmul")
-        return Mat(_matmul_rows(self.rows, other.rows, other.ncols), other.ncols)
+        ncols = other.ncols
+        bnz = [[(j, y) for j, y in enumerate(row) if y] for row in other.num]
+        out = []
+        for arow in self.num:
+            acc = [0] * ncols
+            for t, x in enumerate(arow):
+                if x:
+                    for j, y in bnz[t]:
+                        acc[j] += x * y
+            out.append(acc)
+        return Mat.from_ints(out, ncols, self.den * other.den)
 
     def apply(self, vec):
         """Matrix-vector product, vec of length ncols."""
         if len(vec) != self.ncols:
             raise ValueError("shape mismatch in apply")
-        return tuple(sum((row[j] * vec[j] for j in range(self.ncols) if vec[j]), _F0)
-                     for row in self.rows)
+        ints, vden = _vec_ints(vec)
+        nz = [(j, y) for j, y in enumerate(ints) if y]
+        den = self.den * vden
+        out = []
+        for row in self.num:
+            s = sum(row[j] * y for j, y in nz)
+            out.append(Fraction(s, den) if s else _F0)
+        return tuple(out)
+
+    def _combine(self, other, op, what):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError(f"shape mismatch in {what}")
+        if self.den == other.den:
+            rows = [tuple(map(op, r1, r2)) for r1, r2 in zip(self.num, other.num)]
+            return Mat.from_ints(rows, self.ncols, self.den)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        rows = [[op(x * fa, y * fb) for x, y in zip(r1, r2)]
+                for r1, r2 in zip(self.num, other.num)]
+        return Mat.from_ints(rows, self.ncols, den)
 
     def __add__(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in add")
-        return Mat([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-                   self.ncols)
+        return self._combine(other, add, "add")
 
     def __sub__(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in sub")
-        return Mat([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-                   self.ncols)
+        return self._combine(other, sub, "sub")
 
     def __neg__(self):
-        return Mat([[-a for a in r] for r in self.rows], self.ncols)
+        return Mat.from_ints([[-x for x in r] for r in self.num], self.ncols, self.den)
 
     def scale(self, c):
         c = Fraction(c)
-        return Mat([[c * a for a in r] for r in self.rows], self.ncols)
+        x = c.numerator
+        return Mat.from_ints([[x * a for a in r] for r in self.num], self.ncols,
+                             self.den * c.denominator)
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.nrows == other.nrows
-                and self.ncols == other.ncols and self.rows == other.rows)
+                and self.ncols == other.ncols and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, self.rows))
+        return hash((self.nrows, self.ncols, self.den, self.num))
 
     def is_zero(self):
-        return all(not x for row in self.rows for x in row)
+        return not any(any(r) for r in self.num)
 
     def trace(self):
-        return sum((self.rows[i][i] for i in range(min(self.nrows, self.ncols))), _F0)
+        return Fraction(sum(self.num[i][i] for i in range(min(self.nrows, self.ncols))),
+                        self.den)
 
     def rref(self):
         """Return (reduced row echelon Mat, pivot column list)."""
-        rows, pivots = _rref_rows(self.rows, self.ncols)
-        return Mat(rows, self.ncols), pivots
+        work, pivots = _echelon(self.num, self.ncols)
+        # row i over its pivot is the reduced row; bring all to one denominator
+        den = lcm(*(row[p] for row, p in zip(work, pivots)))
+        rows = [[x * (den // row[p]) for x in row] for row, p in zip(work, pivots)]
+        rows += [(0,) * self.ncols] * (self.nrows - len(pivots))
+        return Mat.from_ints(rows, self.ncols, den), pivots
 
     def rank(self):
-        return len(self.rref()[1])
+        return len(_echelon(self.num, self.ncols, reduced=False)[1])
+
+    def row_space(self):
+        """Canonical basis of the row space: the nonzero rows of the rref."""
+        red, pivots = self.rref()
+        return [_fractions(r, red.den) for r in red.num[:len(pivots)]]
 
     def nullspace(self):
         """Deterministic kernel basis (one vector per free column)."""
         red, pivots = self.rref()
         pivset = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivset]
+        den = red.den
         basis = []
-        for f in free:
+        for f in range(self.ncols):
+            if f in pivset:
+                continue
             v = [_F0] * self.ncols
             v[f] = _F1
-            for i, p in enumerate(pivots):
-                v[p] = -red.rows[i][f]
+            for row, p in zip(red.num, pivots):
+                if row[f]:
+                    v[p] = Fraction(-row[f], den)
             basis.append(tuple(v))
         return basis
 
@@ -202,25 +290,26 @@ class Mat:
         """Particular solution x of self @ x = rhs, or None if inconsistent."""
         if len(rhs) != self.nrows:
             raise ValueError("rhs length mismatch")
-        aug = Mat([list(row) + [rhs[i]] for i, row in enumerate(self.rows)], self.ncols + 1)
+        ints, rden = _vec_ints(rhs)
+        aug = self.hstack(Mat.from_ints([(x,) for x in ints], 1, rden))
         red, pivots = aug.rref()
-        if self.ncols in pivots:
+        n = self.ncols
+        if n in pivots:
             return None
-        x = [_F0] * self.ncols
-        for i, p in enumerate(pivots):
-            x[p] = red.rows[i][self.ncols]
+        x = [_F0] * n
+        for row, p in zip(red.num, pivots):
+            if row[n]:
+                x[p] = Fraction(row[n], red.den)
         return tuple(x)
 
     def inv(self):
         if self.nrows != self.ncols:
             raise ValueError("not square")
         n = self.nrows
-        aug = Mat([list(self.rows[i]) + [_F1 if j == i else _F0 for j in range(n)]
-                   for i in range(n)], 2 * n)
-        red, pivots = aug.rref()
+        red, pivots = self.hstack(Mat.identity(n)).rref()
         if pivots != list(range(n)):
             raise ValueError("singular matrix")
-        return Mat([row[n:] for row in red.rows], n)
+        return red.take(cols=range(n, 2 * n))
 
     def power(self, k):
         if self.nrows != self.ncols:
@@ -236,16 +325,23 @@ class Mat:
             k = base_needed
         return result
 
+    def _over(self, den):
+        """The int rows over the multiple `den` of self.den."""
+        f = den // self.den
+        return self.num if f == 1 else [[x * f for x in r] for r in self.num]
+
     def hstack(self, other):
         if self.nrows != other.nrows:
             raise ValueError("row mismatch in hstack")
-        return Mat([list(a) + list(b) for a, b in zip(self.rows, other.rows)],
-                   self.ncols + other.ncols)
+        den = lcm(self.den, other.den)
+        rows = [tuple(a) + tuple(b) for a, b in zip(self._over(den), other._over(den))]
+        return Mat.from_ints(rows, self.ncols + other.ncols, den)
 
     def vstack(self, other):
         if self.ncols != other.ncols:
             raise ValueError("col mismatch in vstack")
-        return Mat(list(self.rows) + list(other.rows), self.ncols)
+        den = lcm(self.den, other.den)
+        return Mat.from_ints(list(self._over(den)) + list(other._over(den)), self.ncols, den)
 
     def __repr__(self):
         return f"Mat({self.nrows}x{self.ncols})"
@@ -279,9 +375,7 @@ def span_basis(vectors, dim=None):
     vectors = [v for v in vectors if any(v)]
     if not vectors:
         return []
-    mat = Mat(vectors)
-    red, pivots = mat.rref()
-    return [red.rows[i] for i in range(len(pivots))]
+    return Mat(vectors).row_space()
 
 
 def subspace_dim(vectors):

@@ -13,7 +13,7 @@ nilpotent cohomology into exact rank arithmetic.
 from fractions import Fraction
 from functools import partial
 
-from .exactla import Mat, _int_row, span_basis, subspace_intersect
+from .exactla import Mat, subspace_intersect
 from .cato import WeightModuleWindow, shapovalov_grams
 from .dirac import block, block_operator, block_space
 from .liealg import PairGH, is_symmetric_pair
@@ -89,8 +89,7 @@ class UnitaryStructure:
     def gram(self, w) -> Mat:
         if self.vw.kind == "simple":
             keep = self.vw.kept_indices(w)
-            full = self.form.gram(w)
-            g = Mat([[full.rows[i][j] for j in keep] for i in keep], len(keep))
+            g = self.form.gram(w).take(keep, keep)
         else:
             g = self.form.gram(w)
         deg = self.hp.q_degree(self.lam - w)
@@ -101,12 +100,13 @@ class UnitaryStructure:
     def positive_definite(self, w) -> bool:
         """Sylvester's criterion from one fraction-free (Bareiss) elimination.
 
-        Clearing each row to integers multiplies every leading principal
-        minor by a positive integer.  Without row exchanges the k-th
-        Bareiss pivot is the k-th leading minor of that integer matrix,
-        so the first pivot <= 0 decides.
+        The Gram's int rows are the Gram times its positive denominator,
+        which multiplies every leading principal minor by a positive
+        integer.  Without row exchanges the k-th Bareiss pivot is the k-th
+        leading minor of that integer matrix, so the first pivot <= 0
+        decides.
         """
-        a = [_int_row(row) for row in self.gram(w).rows]
+        a = [list(row) for row in self.gram(w).num]
         prev = 1
         for k, pivot_row in enumerate(a):
             piv = pivot_row[k]
@@ -186,7 +186,7 @@ class CEComplex:
     def graded_block(self, op: Mat, k_from, k_to) -> Mat:
         src = self.degree_indices(k_from)
         tgt = self.degree_indices(k_to)
-        return Mat([[op.rows[i][j] for j in src] for i in tgt], len(src))
+        return op.take(tgt, src)
 
     def _homology(self, op, step):
         """dim C_k - rank(op out of k) - rank(op into k), nonzero degrees only.
@@ -274,14 +274,14 @@ def hodge_decomposition_check(hp, sm, m, us: UnitaryStructure, mu) -> dict:
     split_ok = not meet and (len(ker) + len(im) == n)
     # ker C+ = im C+ (+) ker D, orthogonal direct sum
     kerc = blk.d_plus.nullspace()
-    imc = span_basis(blk.d_plus.cols(), n)
+    imc = blk.d_plus.T.row_space()
     inside = all(not any(blk.d_plus.apply(v)) for v in imc)  # C+^2 = 0
     kd_in = all(not any(blk.d_plus.apply(v)) for v in ker)
     meet2 = subspace_intersect(imc, ker, n)
     cplus_ok = inside and kd_in and not meet2 and \
         len(kerc) == len(imc) + len(ker)
     kerc_m = blk.d_minus.nullspace()
-    imc_m = span_basis(blk.d_minus.cols(), n)
+    imc_m = blk.d_minus.T.row_space()
     cminus_ok = all(not any(blk.d_minus.apply(v)) for v in imc_m) and \
         all(not any(blk.d_minus.apply(v)) for v in ker) and \
         not subspace_intersect(imc_m, ker, n) and \

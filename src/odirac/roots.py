@@ -180,11 +180,12 @@ class InvariantForm:
         amat = Mat([[Fraction(a[i][j]) for j in range(r)] for i in range(r)], r)
         self.cartan_gram = kmat
         self.gram = amat @ kmat.inv() @ amat.T
+        self._gram_rows = self.gram.rows
         self._rs = rs
 
     def pair(self, v, w):
-        g = self.gram
-        return sum((v[i] * sum(g.rows[i][j] * w[j] for j in range(len(w)) if w[j])
+        g = self._gram_rows
+        return sum((v[i] * sum(g[i][j] * w[j] for j in range(len(w)) if w[j])
                     for i in range(len(v)) if v[i]), _F0)
 
     def norm2(self, v):

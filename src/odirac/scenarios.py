@@ -14,6 +14,7 @@ import hashlib
 import json
 import re
 from fractions import Fraction
+from operator import sub
 
 from . import __version__
 from .roots import (NotASubsystem, Weight, build_root_system, is_dominant_integral,
@@ -144,15 +145,18 @@ class PairContext:
         out = self._block_weights.get(key)
         if out is None:
             rank, sm = self.pair.rank, self.sm
-            # spin weights repeat, so test each distinct offset once
-            offsets = dict.fromkeys(ws + Weight(c) for ws in sm.weights
-                                    for c in _cone_coords(rank, margin))
+            # In integer coordinates below the tops: the block weight
+            # top(m) + top(S) - c, less the spin weight top(S) - drop and
+            # `margin` more, is top(m) - (c - drop + e).  Spin weights
+            # repeat, so each distinct offset drop - e is tested once.
+            offsets = dict.fromkeys(tuple(map(sub, drop, e)) for drop in sm.distinct_drops
+                                    for e in _cone_coords(rank, margin))
             top = m.top_weight + sm.top_weight
             out = []
             for c in _cone_coords(rank, depth):
-                mu = top - Weight(c)
-                if all(m.materialized(mu - off) for off in offsets):
-                    out.append(mu)
+                if all(m.materialized(m.weight_below_top(tuple(map(sub, c, off))))
+                       for off in offsets):
+                    out.append(top - Weight(c))
             out = self._block_weights[key] = sort_weights(out)
         return list(out)
 

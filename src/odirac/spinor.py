@@ -71,6 +71,9 @@ class SpinModule:
         # the distinct spin weights in order of first appearance, and for
         # each basis vector the position of its weight among them
         self.distinct_weights = list(dict.fromkeys(self.weights))
+        # each distinct weight as top_weight minus a sum of q-roots, in
+        # integer simple-root coordinates
+        self.distinct_drops = [tuple(int(c) for c in shift - w) for w in self.distinct_weights]
         where = {w: k for k, w in enumerate(self.distinct_weights)}
         self.weight_class = [where[w] for w in self.weights]
         # q basis order: e_beta for beta in q_pos, then f_beta; duals swap halves
@@ -137,14 +140,9 @@ class SpinModule:
         """Matrix of ad(gen) restricted to q, in the q basis."""
         cb = self.cb
         b = cb.generator_index(gen)
-        cols = []
-        for qi in range(2 * self.nq):
-            vec = cb.bracket(b, self._qidx_to_cb[qi])
-            col = [_F0] * (2 * self.nq)
-            for k, c in vec.items():
-                col[self._cb_to_qidx[k]] = c
-            cols.append(col)
-        return Mat.from_cols(cols, 2 * self.nq)
+        cols = [{self._cb_to_qidx[k]: c for k, c in cb.bracket(b, qb).items()}
+                for qb in self._qidx_to_cb]
+        return Mat.from_sparse_cols(cols, 2 * self.nq)
 
     def h_action(self, gen):
         """Action of an h-generator through ad and the so(q) embedding, sparse.
@@ -153,12 +151,12 @@ class SpinModule:
         """
         op = self._h_action_cache.get(gen)
         if op is None:
-            t = self.ad_on_q(gen)
+            t = self.ad_on_q(gen).rows
             terms = []
             for qi in range(2 * self.nq):
                 dual = self.dual_index(qi)
                 for k in range(2 * self.nq):
-                    c = t.rows[k][qi] / 4
+                    c = t[k][qi] / 4
                     if c:
                         terms += [(c, (k, dual)), (-c, (dual, k))]
             op = self._h_action_cache[gen] = self.clifford_sum(terms)
@@ -222,15 +220,16 @@ def cubic_term_rebased(pair: PairGH, cb: ChevalleyBasis, sm: SpinModule,
     dual = gram.inv() @ base_change.T.inv()
     gammas_p = [sm.gamma_coeffs(base_change.col(i)) for i in range(n)]
     gammas_d = [sm.gamma_coeffs(dual.col(i)) for i in range(n)]
+    p = base_change.rows
 
     def bracket_cols(j, k):
         vec = {}
         for a in range(n):
-            ca = base_change.rows[a][j]
+            ca = p[a][j]
             if not ca:
                 continue
             for b in range(n):
-                cbk = base_change.rows[b][k]
+                cbk = p[b][k]
                 if not cbk:
                     continue
                 for m, c in cb.bracket(cb_idx[a], cb_idx[b]).items():
@@ -245,7 +244,7 @@ def cubic_term_rebased(pair: PairGH, cb: ChevalleyBasis, sm: SpinModule,
         s = _F0
         for m, c in vec.items():
             for a in range(n):
-                ca = base_change.rows[a][i]
+                ca = p[a][i]
                 if ca:
                     s += ca * c * cb.pairing(cb_idx[a], m)
         return s

@@ -437,6 +437,34 @@ def test_one_block_space_per_key(monkeypatch):
         assert sp.comp_dims == [sp.m.dim(w) for w in comp]
 
 
+def test_hot_path_coerces_no_entries(monkeypatch):
+    """On a cold sl3 context, block assembly, the eigen decomposition and the
+    square check build every matrix from ints: the Fraction-coercing
+    constructor is never called."""
+    from odirac import dirac, scenarios
+
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+    c = scenarios.pair_context("A2", [(1, 0)])
+    pair, cb, sm = c.pair, c.cb, c.sm
+    vw = c.verma((-1, -1), 14)
+    weights = c.block_weights(vw, 8)
+    coerced = []
+    init = Mat.__init__
+
+    def counted(self, rows, ncols=None):
+        coerced.append(ncols)
+        init(self, rows, ncols)
+
+    monkeypatch.setattr(Mat, "__init__", counted)
+    for mu in weights:
+        blk = dirac.block(sm, vw, mu)
+        assert blk.eigenvalue_decomposition()
+        assert dirac.check_square(pair, cb, sm, vw, blk)["matrix_identity"]
+    assert len(weights) > 40 and not coerced
+    Mat([[1]])
+    assert coerced  # the counter sees the constructor
+
+
 def test_spin_weight_classes(a2_su21):
     """Each spin basis vector points at its weight among the distinct ones."""
     c = ctx("B3", [(1, 0, 0), (0, 0, 1)])
@@ -699,7 +727,7 @@ def reference_singular_cohomology_weights(pair, cb, sm, m, weights):
         return kernels[b, j]
 
     def image(b):
-        return span_basis(b.d.cols(), b.dim) if b.dim else []
+        return span_basis(b.d.T.rows, b.dim) if b.dim else []
 
     def den_hd(b):
         return subspace_intersect(kernel(b, 1), image(b), b.dim) if b.dim else []

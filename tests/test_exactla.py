@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,3 +170,131 @@ def test_charpoly_cayley_hamilton(seed):
     for c in coeffs:
         acc = acc @ a + Mat.identity(n).scale(c)
     assert acc.is_zero()
+
+
+# -- the int-rows-over-one-denominator representation ----------------------
+
+def assert_canonical(m):
+    """den > 0, int entries, and gcd(den, entries) = 1."""
+    assert isinstance(m.den, int) and m.den > 0
+    assert all(type(x) is int for r in m.num for x in r)
+    assert gcd(m.den, *(x for r in m.num for x in r)) == 1
+    assert len(m.num) == m.nrows and all(len(r) == m.ncols for r in m.num)
+
+
+def ref_transpose(a, nrows, ncols):
+    return [[a[i][j] for i in range(nrows)] for j in range(ncols)]
+
+
+def ref_solution(a, rhs, ncols):
+    """The solution with free coordinates zero, or None, from the oracle rref."""
+    red, pivots = oracle_rref([list(r) + [y] for r, y in zip(a, rhs)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [F(0)] * ncols
+    for row, p in zip(red, pivots):
+        x[p] = row[ncols]
+    return tuple(x)
+
+
+def ref_nullspace(a, ncols):
+    red, pivots = oracle_rref(a, ncols)
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        basis.append(tuple(v))
+    return basis
+
+
+def ref_charpoly(a, n):
+    """Faddeev-LeVerrier on plain Fraction lists."""
+    coeffs = [F(1)]
+    mk = [list(r) for r in a]
+    for k in range(1, n + 1):
+        if k > 1:
+            shifted = [[x + (coeffs[-1] if i == j else 0) for j, x in enumerate(r)]
+                       for i, r in enumerate(mk)]
+            mk = oracle_matmul(a, shifted, n)
+        coeffs.append(-sum((mk[i][i] for i in range(n)), F(0)) / k)
+    return coeffs
+
+
+@st.composite
+def operands(draw):
+    n, m, k = (draw(st.integers(0, 5)) for _ in range(3))
+    if draw(st.booleans()):
+        n = m  # square: inv and charpoly apply
+    return (n, m, k, draw(matrices(n, m)), draw(matrices(n, m)), draw(matrices(m, k)),
+            draw(matrices(n, k)), draw(st.lists(rationals, min_size=m, max_size=m)),
+            draw(st.lists(rationals, min_size=n, max_size=n)), draw(rationals))
+
+
+@settings(max_examples=60, deadline=None)
+@given(operands())
+def test_every_operation_matches_fraction_reference(ops):
+    n, m, k, a, b, c, d, v, rhs, s = ops
+    ma, mb, mc, md = Mat(a, m), Mat(b, m), Mat(c, k), Mat(d, k)
+
+    def same(got, want_rows, ncols):
+        assert_canonical(got)
+        assert (got.nrows, got.ncols) == (len(want_rows), ncols)
+        assert got.rows == tuple(tuple(r) for r in want_rows)
+        assert all(type(x) is F for r in got.rows for x in r)
+
+    for mat, rows, ncols in ((ma, a, m), (mb, b, m), (mc, c, k)):
+        same(mat, rows, ncols)
+    same(ma + mb, [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)], m)
+    same(ma - mb, [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)], m)
+    same(-ma, [[-x for x in r] for r in a], m)
+    same(ma.scale(s), [[s * x for x in r] for r in a], m)
+    same(ma.T, ref_transpose(a, n, m), n)
+    same(ma.hstack(md), [list(r1) + list(r2) for r1, r2 in zip(a, d)], m + k)
+    same(ma.vstack(mb), list(a) + list(b), m)
+    same(ma @ mc, oracle_matmul(a, c, k), k)
+    assert ma.apply(v) == tuple(sum((x * y for x, y in zip(r, v)), F(0)) for r in a)
+    red, pivots = oracle_rref(a, m)
+    assert ma.rank() == len(pivots)
+    assert ma.nullspace() == ref_nullspace(a, m)
+    assert ma.solve(rhs) == ref_solution(a, rhs, m)
+    assert ma.solve(ma.apply(v)) == ref_solution(a, ma.apply(v), m)
+    if n == m:
+        assert ma.trace() == sum((a[i][i] for i in range(n)), F(0))
+        assert charpoly(ma) == ref_charpoly(a, n)
+        if len(pivots) < n:
+            with pytest.raises(ValueError):
+                ma.inv()
+        else:
+            inv_rows, _ = oracle_rref([list(r) + [F(i == j) for j in range(n)]
+                                       for i, r in enumerate(a)], 2 * n)
+            same(ma.inv(), [r[n:] for r in inv_rows], n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_equal_matrices_share_one_form(n, m, data):
+    """Every route to the same matrix gives equal num, den and hash."""
+    a = data.draw(matrices(n, m))
+    s = data.draw(rationals.filter(bool))
+    base = Mat(a, m)
+    t = data.draw(st.integers(1, 30))
+    routes = [
+        Mat.from_ints([[x * t for x in r] for r in base.num], m, base.den * t),
+        Mat([[str(x) for x in r] for r in a], m),
+        base.scale(s).scale(1 / s),
+        (base + base) - base,
+        -(-base),
+        base.T.T,
+        base.hstack(Mat.zero(n, 1)).take(cols=range(m)),
+        Mat.zero(0, m).vstack(base),
+        Mat.identity(n) @ base,
+    ]
+    for got in routes:
+        assert_canonical(got)
+        assert got == base and hash(got) == hash(base)
+    zeros = [base - base, base.scale(0), Mat.zero(n, m)]
+    for z in zeros:
+        assert_canonical(z)
+        assert z == Mat.zero(n, m) and z.den == 1 and hash(z) == hash(Mat.zero(n, m))

@@ -95,12 +95,12 @@ class DenseSpin:
     def h_action(self, gen):
         # (1/4) sum_i [gamma(T z_i), gamma(z^i)], expanded over gamma(T z_i)
         sm, g = self.sm, self.gammas
-        t = sm.ad_on_q(gen)
+        t = sm.ad_on_q(gen).rows
         out = _zeros(sm.dim)
         for qi in range(2 * sm.nq):
             dual = g[sm.dual_index(qi)]
             for k in range(2 * sm.nq):
-                c = t.rows[k][qi]
+                c = t[k][qi]
                 if c:
                     _place(out, 0, 0, g[k] @ dual, c / 4)
                     _place(out, 0, 0, dual @ g[k], -c / 4)
@@ -162,22 +162,25 @@ def test_b3_spin_block_matches_dense_assembly(depth, mu):
     sp = blk.space
     n = sp.dim
     plus, minus, cubic = _zeros(n), _zeros(n), _zeros(n)
+    lowering = {alpha: dense.gamma_root(-alpha).rows for alpha in pair.q_positive}
+    raising = {alpha: dense.gamma_root(alpha).rows for alpha in pair.q_positive}
+    dense_cubic = dense.cubic.rows
     for i in range(sm.dim):
         for j in range(sm.dim):
             if not (sp.comp_dims[i] and sp.comp_dims[j]):
                 continue
             ro, co = sp.offsets[j], sp.offsets[i]
             for alpha in pair.q_positive:
-                c_low = dense.gamma_root(-alpha).rows[j][i]
+                c_low = lowering[alpha][j][i]
                 if c_low:
                     act = vw.action(("e", alpha), sp.comp_weights[i])
                     _place(plus, ro, co, act, c_low)
-                c_rai = dense.gamma_root(alpha).rows[j][i]
+                c_rai = raising[alpha][j][i]
                 if c_rai:
                     act = vw.action(("f", alpha), sp.comp_weights[i])
                     _place(minus, ro, co, act, c_rai)
-            if dense.cubic.rows[j][i]:
-                _place(cubic, ro, co, Mat.identity(sp.comp_dims[i]), dense.cubic.rows[j][i])
+            if dense_cubic[j][i]:
+                _place(cubic, ro, co, Mat.identity(sp.comp_dims[i]), dense_cubic[j][i])
     assert any(any(r) for r in plus) and any(any(r) for r in minus)
     assert any(any(r) for r in cubic) == (depth == 5)
     assert blk.d_plus == Mat(plus, n)
