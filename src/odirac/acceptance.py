@@ -146,7 +146,7 @@ def criterion_4_simple_verma():
     for cartan, dh, lams in _THM41_CASES:
         ctx = pair_context(cartan, dh)
         pair = ctx.pair
-        spread = int(sum((b.height for b in pair.q_positive), _F(0)))
+        spread = sum(b.height for b in pair.q_positive)
         for lam in lams:
             if lam is None:
                 lam = -pair.rho  # the integral-edge case
@@ -230,13 +230,13 @@ def criterion_6_higher_index():
     verma_runs = [(pair_context("A2", [(1, 0)]), -pair_context("A2", [(1, 0)]).pair.rho, 6)]
     for cartan, dh, lams in _THM41_CASES:
         c = pair_context(cartan, dh)
-        spread = int(sum((b.height for b in c.pair.q_positive), _F(0)))
+        spread = sum(b.height for b in c.pair.q_positive)
         for lam in lams:
             verma_runs.append((c, lam if lam is not None else -c.pair.rho,
                                min(4, 8 + spread)))
     checked = 0
     for c, lam, depth in verma_runs:
-        spread = int(sum((b.height for b in c.pair.q_positive), _F(0)))
+        spread = sum(b.height for b in c.pair.q_positive)
         vw = c.verma(lam, 8 + spread + 1)
         for mu in c.block_weights(vw, depth):
             rep = index_identity_check(c.pair, c.cb, c.sm, vw, mu)
@@ -379,7 +379,7 @@ def vogan_runs():
     runs.append(("pinned tensor", fixture["ctx"], fixture["module"], 8))
     for cartan, dh, lams in _THM41_CASES:
         c = pair_context(cartan, dh)
-        spread = int(sum((b.height for b in c.pair.q_positive), _F(0)))
+        spread = sum(b.height for b in c.pair.q_positive)
         for lam in lams:
             lam = lam if lam is not None else -c.pair.rho
             runs.append((f"{cartan} dh={len(dh)} M({lam})", c,

@@ -49,12 +49,10 @@ def _delta_coords(lam, w):
     """lam - w as integer coordinates, or None when w is outside the cone."""
     coords = []
     for a, b in zip(lam, w):
-        # a - b = num / den, without building the Fraction
-        num = a.numerator * b.denominator - b.numerator * a.denominator
-        den = a.denominator * b.denominator
-        if num < 0 or num % den:
+        c = a - b
+        if c < 0 or c.denominator != 1:
             return None
-        coords.append(num // den)
+        coords.append(c.numerator)
     return tuple(coords)
 
 
@@ -67,7 +65,7 @@ class _PBWCone:
     """
 
     def __init__(self, pos_roots):
-        self.roots = tuple(tuple(int(c) for c in beta) for beta in pos_roots)
+        self.roots = tuple(map(tuple, pos_roots))
         self._memo = {}
 
     def monomials(self, delta, i=0):
@@ -118,8 +116,7 @@ class _Straightener:
         # h_j-eigenvalues: lam(h_j) minus the integer sum over the monomial
         rs = cb.rs
         self._lam_h = rs.pairing_with_simple_coroots(lam)
-        self._root_h = [tuple(int(c) for c in rs.pairing_with_simple_coroots(beta))
-                        for beta in cb.pos]
+        self._root_h = [rs.pairing_with_simple_coroots(beta) for beta in cb.pos]
         self._memo = {}
 
     def h_value(self, j, mono):
@@ -575,7 +572,7 @@ def finite_dim_simple(pair, cb, lam) -> ExplicitWindow:
         raise ValueError(f"{lam} is not dominant integral")
     w0lam = pair.weyl.act(pair.weyl.longest, lam)
     depth = int((lam - w0lam).height)
-    margin = max(int(a.height) for a in rs.positive_roots)
+    margin = max(a.height for a in rs.positive_roots)
     vw = verma_window(pair, cb, lam, depth + margin)
     quot = simple_quotient_window(vw)
     dims = {}

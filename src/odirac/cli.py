@@ -45,12 +45,19 @@ def main(argv=None):
 def _cmd_run(args):
     """Exit 0 if every check passed, 1 if a mathematical check failed,
     2 on bad input and 3 on an internal error."""
+    outdir = args.out or os.environ.get("ODIRAC_OUT") or "."
     try:
         scn = load_scenario(args.scenario)
         if args.depth is not None:
             doc = dict(scn.doc)
             doc["module"] = dict(doc["module"], depth=args.depth)
             scn = Scenario(doc)
+        # an unusable output directory is bad input: fail before the run
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as e:
+            print(f"cannot create output directory: {e}", file=sys.stderr)
+            return 2
         bundle = run_scenario(scn)
     except ScenarioError as e:
         print(f"scenario error: {e}", file=sys.stderr)
@@ -62,11 +69,13 @@ def _cmd_run(args):
         traceback.print_exc()
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    outdir = args.out or os.environ.get("ODIRAC_OUT") or "."
-    os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, f"{scn.name}.bundle.json")
-    with open(path, "w") as fh:
-        fh.write(bundle_to_json(bundle))
+    try:
+        with open(path, "w") as fh:
+            fh.write(bundle_to_json(bundle))
+    except OSError as e:
+        print(f"cannot write bundle: {e}", file=sys.stderr)
+        return 2
     print(path)
     if not bundle["ok"]:
         failing = sorted(t for t, d in bundle["tasks"].items() if not d.get("ok", True))
@@ -81,6 +90,10 @@ def _cmd_report(args):
             bundle = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         print(f"cannot read bundle: {e}", file=sys.stderr)
+        return 2
+    if not isinstance(bundle, dict):
+        print("cannot read bundle: not a bundle (the top level is not a JSON object)",
+              file=sys.stderr)
         return 2
     sys.stdout.write(render_bundle(bundle))
     if args.csv:

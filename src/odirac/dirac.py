@@ -36,10 +36,8 @@ class BlockSpace:
         self.mu = mu
         # spin weights repeat: look each distinct one up in m once.  With
         # w = top(S) - drop, mu - w is top(m) - (base - drop), where base
-        # = top(m) + top(S) - mu; it is integral (kept as ints, so the
-        # window's memo is keyed on int tuples) whenever mu is a block weight
-        base = [x.numerator if x.denominator == 1 else x
-                for x in (t + s - y for t, s, y in zip(m.top_weight, sm.top_weight, mu))]
+        # = top(m) + top(S) - mu; it is integral whenever mu is a block weight
+        base = m.top_weight + sm.top_weight - mu
         distinct = [m.weight_below_top(tuple(map(sub, base, drop))) for drop in sm.distinct_drops]
         for w in distinct:
             if not m.materialized(w):

@@ -155,14 +155,14 @@ class CEComplex:
         self.shift = hp.pair.rho - hp.pair.rho_h
         self.space = block_space(sm, m, nu + self.shift)
         self.nq = sm.nq
+        # slice basis indices by wedge degree, the popcount of the spin mask
+        by_degree = [[] for _ in range(self.nq + 1)]
+        for mask, (off, d) in enumerate(zip(self.space.offsets, self.space.comp_dims)):
+            by_degree[mask.bit_count()].extend(range(off, off + d))
+        self._by_degree = tuple(map(tuple, by_degree))
 
     def degree_indices(self, k):
-        idx = []
-        for i in range(self.sm.dim):
-            if bin(i).count("1") == k:
-                for j in range(self.space.comp_dims[i]):
-                    idx.append(self.space.offsets[i] + j)
-        return idx
+        return self._by_degree[k] if 0 <= k <= self.nq else ()
 
     def degree_dim(self, k):
         return len(self.degree_indices(k))

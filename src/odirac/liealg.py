@@ -46,6 +46,7 @@ class ChevalleyBasis:
         for a in self.pos:
             self._scale[self.e_index(-a)] = self._kappa_root[a]
         self._table = self._rescaled_brackets()
+        self._cartan_rows = form.cartan_gram.rows
 
     # -- indexing ------------------------------------------------------------
 
@@ -232,15 +233,13 @@ class ChevalleyBasis:
 
     def pairing(self, i, j):
         """Killing form on the rescaled basis."""
-        ri, rj = self.index_root(i), self.index_root(j)
-        if ri is None and rj is None:
-            return self.form.cartan_gram.rows[i][j]
-        if ri is None or rj is None:
+        r = self.rank
+        if i < r and j < r:
+            return self._cartan_rows[i][j]
+        # e_alpha (index r + p) pairs only with f_alpha (index r + npos + p)
+        if i < r or j < r or abs(i - j) != self.npos:
             return _F0
-        if ri + rj == zero_weight(self.rank):
-            alpha = ri if _is_positive(ri) else rj
-            return self._kappa_root[alpha] / (self._scale[i] * self._scale[j])
-        return _F0
+        return self._kappa_root[self.pos[min(i, j) - r]] / (self._scale[i] * self._scale[j])
 
     def kappa_integral(self, alpha):
         """kappa(e_alpha, e_{-alpha}) before rescaling, from the adjoint trace."""

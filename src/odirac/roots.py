@@ -8,6 +8,7 @@ Dirac operator identities downstream hold without normalization fudge.
 """
 
 from fractions import Fraction
+from operator import add, neg, sub
 
 from .exactla import Mat
 
@@ -15,15 +16,33 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
+def _canon(c):
+    """c as an int when it is integral, else as a reduced Fraction."""
+    if type(c) is not Fraction:
+        if type(c) is int:
+            return c
+        if isinstance(c, float):
+            # inexact: an int / int reached weight arithmetic
+            raise TypeError(f"float weight coordinate {c!r}")
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class Weight(tuple):
-    """Vector in simple-root coordinates; supports exact arithmetic."""
+    """Vector in simple-root coordinates; supports exact arithmetic.
+
+    Each coordinate is kept in one canonical form: a Python int when it
+    is integral and a reduced Fraction otherwise.  Since Fraction(n) ==
+    n, hash(Fraction(n)) == hash(n) and both print alike, equality,
+    hashing, order and output agree with a tuple of Fractions, while
+    integral weights hash, compare and add as ints.
+    """
 
     def __new__(cls, coords):
-        return super().__new__(cls, (c if isinstance(c, Fraction) else Fraction(c)
-                                     for c in coords))
+        return super().__new__(cls, [c if type(c) is int else _canon(c) for c in coords])
 
     def __add__(self, other):
-        return Weight(a + b for a, b in zip(self, other))
+        return Weight(map(add, self, other))
 
     def __radd__(self, other):
         if other == 0:
@@ -31,14 +50,14 @@ class Weight(tuple):
         return self.__add__(other)
 
     def __sub__(self, other):
-        return Weight(a - b for a, b in zip(self, other))
+        return Weight(map(sub, self, other))
 
     def __neg__(self):
-        return Weight(-a for a in self)
+        return Weight(map(neg, self))
 
     def __mul__(self, c):
-        c = Fraction(c)
-        return Weight(c * a for a in self)
+        c = _canon(c)
+        return Weight([c * a for a in self])
 
     __rmul__ = __mul__
 
@@ -51,7 +70,7 @@ class Weight(tuple):
 
 
 def zero_weight(rank):
-    return Weight([_F0] * rank)
+    return Weight([0] * rank)
 
 
 _SIMPLE_CARTAN = {

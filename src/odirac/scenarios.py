@@ -363,7 +363,7 @@ def _task_dirac(ws):
 
 
 def _task_square(ws):
-    margin = max(int(a.height) for a in ws.pair.rs.positive_roots)
+    margin = max(a.height for a in ws.pair.rs.positive_roots)
     weights = ws.block_weights(margin=margin)
 
     def one(mu):

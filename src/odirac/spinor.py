@@ -73,7 +73,7 @@ class SpinModule:
         self.distinct_weights = list(dict.fromkeys(self.weights))
         # each distinct weight as top_weight minus a sum of q-roots, in
         # integer simple-root coordinates
-        self.distinct_drops = [tuple(int(c) for c in shift - w) for w in self.distinct_weights]
+        self.distinct_drops = [tuple(shift - w) for w in self.distinct_weights]
         where = {w: k for k, w in enumerate(self.distinct_weights)}
         self.weight_class = [where[w] for w in self.weights]
         # q basis order: e_beta for beta in q_pos, then f_beta; duals swap halves

@@ -87,6 +87,45 @@ def test_unparseable_file_exits_2(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("doc", [[1, 2], "text", 3, None])
+def test_report_on_non_object_json_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "list.bundle.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["cannot read bundle: not a bundle "
+                                "(the top level is not a JSON object)"]
+
+
+def test_out_is_existing_file_exits_2(tmp_path, capsys, monkeypatch):
+    def run(scn):
+        raise AssertionError("the run must not start")
+
+    monkeypatch.setattr(cli, "run_scenario", run)
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"name": "scn", "cartan_type": "A1",
+                                "module": {"kind": "verma", "lambda": [0], "depth": 4}}))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    assert main(["run", str(path), "--out", str(taken)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cannot create output directory:")
+    assert taken.read_text() == "not a directory"
+
+
+def test_unwritable_bundle_path_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_scenario", lambda scn: {"manifest": {}, "tasks": {}, "ok": True})
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"name": "scn", "cartan_type": "A1",
+                                "module": {"kind": "verma", "lambda": [0], "depth": 4}}))
+    (tmp_path / "out" / "scn.bundle.json").mkdir(parents=True)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("cannot write bundle:")
+
+
 A1_VERMA = {"kind": "verma", "lambda": [0], "depth": 4}
 
 

@@ -1,9 +1,13 @@
 """Root systems, the dual Killing form, Weyl groups and antidominance."""
 
+import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from odirac import scenarios
+from odirac.cato import WeightModuleWindow
 from odirac.exactla import Mat
 from odirac.roots import (NotASubsystem, UnsupportedCartanType, Weight,
                           build_root_system, eps_to_weight, is_antidominant,
@@ -200,3 +204,100 @@ def test_fundamental_coordinates_roundtrip():
     rs2 = build_root_system("A2")
     om1 = weight_from_fundamental(rs2, (1, 0))
     assert om1 == Weight([F(2, 3), F(1, 3)])
+
+
+# -- the canonical coordinate form of Weight ----------------------------------
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+def assert_canonical(w):
+    """A Weight whose coordinates are ints when integral, reduced Fractions otherwise."""
+    assert type(w) is Weight
+    for c in w:
+        assert type(c) is int or (type(c) is F and c.denominator != 1), (w, type(c))
+
+
+@st.composite
+def coordinate_lists(draw, n):
+    """n rationals, and the same values as a mix of Fraction, int and str inputs."""
+    vals = draw(st.lists(rationals, min_size=n, max_size=n))
+    forms = draw(st.lists(st.sampled_from(["fraction", "exact", "str"]), min_size=n, max_size=n))
+    inputs = [v if f == "fraction" else str(v) if f == "str"
+              else v.numerator if v.denominator == 1 else v
+              for v, f in zip(vals, forms)]
+    return tuple(vals), inputs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(coordinate_lists(n), coordinate_lists(n))),
+       rationals, st.integers(-4, 4))
+def test_weight_matches_fraction_tuples(pair, s, k):
+    (a, a_in), (b, b_in) = pair
+    wa, wb = Weight(a_in), Weight(b_in)
+    results = {
+        "new": (wa, a),
+        "add": (wa + wb, tuple(x + y for x, y in zip(a, b))),
+        "sub": (wa - wb, tuple(x - y for x, y in zip(a, b))),
+        "neg": (-wa, tuple(-x for x in a)),
+        "mul": (wa * s, tuple(s * x for x in a)),
+        "rmul": (s * wa, tuple(s * x for x in a)),
+        "int mul": (k * wa, tuple(k * x for x in a)),
+        "sum": (sum([wa, wb]), tuple(x + y for x, y in zip(a, b))),
+    }
+    for what, (got, ref) in results.items():
+        assert_canonical(got)
+        assert got == ref and tuple(got) == ref, what
+        assert hash(got) == hash(ref), what
+        assert got.height == sum(ref, F(0)), what
+        assert repr(got) == "(" + ", ".join(str(x) for x in ref) + ")", what
+        assert scenarios.wkey(got) == "[" + ", ".join(str(x) for x in ref) + "]", what
+    assert (wa == wb) == (a == b) and (wa != wb) == (a != b)
+    assert (wa < wb) == (a < b) and (wa <= wb) == (a <= b)
+    ws = [got for got, _ in results.values()]
+    refs = [ref for _, ref in results.values()]
+    assert [tuple(w) for w in sorted(ws)] == sorted(refs)
+    assert [tuple(w) for w in sorted(ws, key=lambda v: (-v.height, v))] == \
+        sorted(refs, key=lambda v: (-sum(v, F(0)), v))
+    assert {w: i for i, w in enumerate(ws)} == {r: i for i, r in enumerate(refs)}
+
+
+def test_weight_rejects_floats():
+    with pytest.raises(TypeError):
+        Weight([F(1, 2), 0.5])
+    with pytest.raises(TypeError):
+        Weight([1, 2]) * 0.5
+
+
+def _window_weight_keys(m):
+    """Every Weight cached on a window: action, basis, Gram and below-top caches."""
+    for gen, w in m._action_cache:
+        yield w
+        if gen[0] != "h":
+            yield gen[1]
+    yield from getattr(m, "_basis_cache", {})
+    yield from m._below_top.values()
+    form = getattr(m, "_form", None)
+    if form is not None:
+        yield from form._grams
+
+
+@pytest.mark.parametrize("path", [
+    os.path.join(REPO, "scenarios", "sl3_paper_example.json"),
+    os.path.join(REPO, "perfbench", "workloads", "a3_hodge.json"),
+], ids=["sl3_paper_example", "a3_hodge"])
+def test_cached_weight_keys_are_canonical(path):
+    scn = scenarios.load_scenario(path)
+    assert scenarios.run_scenario(scn)["ok"]
+    ctx = scn.ctx
+    sm = ctx.sm
+    windows = {m for m, _ in sm.blocks} | {m for m, _ in sm.spaces}
+    windows |= set(ctx._vermas.values()) | set(ctx._tensors.values())
+    keys = [w for _, w in sm.blocks] + [w for _, w in sm.spaces]
+    assert keys and all(isinstance(m, WeightModuleWindow) for m in windows)
+    for m in windows:
+        keys.extend(_window_weight_keys(m))
+    assert len(keys) > 100
+    for w in keys:
+        assert_canonical(w)
