@@ -82,8 +82,8 @@ def criterion_2_kostant():
         ok = ok and rep["match"]
     ctx3 = pair_context("A2", [])
     cubic = ctx3.sm.cubic
-    cubic_nonzero = bool(cubic)
-    kills_vacuum = all(col != 0 for _, col in cubic)
+    cubic_nonzero = not cubic.is_zero()
+    kills_vacuum = not cubic.column(0)
     ok = ok and cubic_nonzero and kills_vacuum
     elapsed = time.time() - t0
     ok = ok and elapsed < 30
@@ -477,7 +477,7 @@ def criterion_10_structural():
         rebased = cubic_term_rebased(c.pair, c.cb, sm, Mat(p, n))
         if rebased != to_mat(sm.cubic, sm.dim):
             cubic_ok = False
-        if label == "B2" and not sm.cubic:
+        if label == "B2" and sm.cubic.is_zero():
             cubic_ok = False  # h = t in B2 must have a nonzero cubic term
     details["cubic term basis independence"] = cubic_ok
     ok = ok and cubic_ok

@@ -56,16 +56,24 @@ def _delta_coords(lam, w):
     return tuple(coords)
 
 
+def comparable_tops(a, b) -> bool:
+    """True iff a - b or b - a has nonnegative integer simple-root coordinates."""
+    return _delta_coords(a, b) is not None or _delta_coords(b, a) is not None
+
+
 class _PBWCone:
     """PBW exponent tuples over positive roots, in integer simple-root coordinates.
 
     `monomials(delta)` lists the tuples k with sum k_i beta_i = delta in
-    lex order.  The suffix list of every (root position, remaining
-    coordinates) is memoized, so each is enumerated once per cone.
+    lex order, each k_i at most `cap` when one is given (cap 1 lists the
+    subsets of the roots, as the spin module does).  The suffix list of
+    every (root position, remaining coordinates) is memoized, so each is
+    enumerated once per cone.
     """
 
-    def __init__(self, pos_roots):
+    def __init__(self, pos_roots, cap=None):
         self.roots = tuple(map(tuple, pos_roots))
+        self.cap = cap
         self._memo = {}
 
     def monomials(self, delta, i=0):
@@ -78,7 +86,7 @@ class _PBWCone:
                 beta = self.roots[i]
                 out = []
                 k = 0
-                while all(c >= 0 for c in delta):
+                while (self.cap is None or k <= self.cap) and all(c >= 0 for c in delta):
                     out.extend((k,) + s for s in self.monomials(delta, i + 1))
                     k += 1
                     delta = tuple(c - b for c, b in zip(delta, beta))
@@ -177,7 +185,10 @@ def _dec(mono, i):
 
 
 class WeightModuleWindow:
-    """Shared surface of all window kinds; subclasses fill the hooks."""
+    """Shared surface of all window kinds; subclasses fill the hooks.
+
+    Every nonzero weight lies below `top_weight` (Dirac blocks rely on it).
+    """
 
     kind = "abstract"
     complete = False
@@ -693,11 +704,14 @@ def tensor_with_finite_dim(m: WeightModuleWindow, f: ExplicitWindow) -> TensorWi
 
 
 class SumWindow(WeightModuleWindow):
-    """Direct sum of two windows, with the canonical split exact structure."""
+    """Direct sum of two windows with comparable tops, split exact structure."""
 
     kind = "sum"
 
     def __init__(self, m1: WeightModuleWindow, m2: WeightModuleWindow):
+        if not comparable_tops(m1.top_weight, m2.top_weight):
+            raise ValueError(f"sum: tops {m1.top_weight} and {m2.top_weight} "
+                             "are not comparable")
         super().__init__(m1.pair, m1.cb)
         self.parts = (m1, m2)
         self.infchars = tuple(sorted(set(m1.infchars) | set(m2.infchars)))

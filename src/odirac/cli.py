@@ -95,22 +95,39 @@ def _cmd_report(args):
         print("cannot read bundle: not a bundle (the top level is not a JSON object)",
               file=sys.stderr)
         return 2
-    sys.stdout.write(render_bundle(bundle))
+    # an unusable CSV path is bad input: fail before any output
+    written = []
     if args.csv:
-        for path in write_csv_tables(bundle, args.csv):
-            print(f"wrote {path}")
+        try:
+            written = write_csv_tables(bundle, args.csv)
+        except OSError as e:
+            print(f"cannot write CSV tables: {e}", file=sys.stderr)
+            return 2
+    sys.stdout.write(render_bundle(bundle))
+    for path in written:
+        print(f"wrote {path}")
     return 0
 
 
 def _cmd_selftest(args):
     from .acceptance import run_all
 
+    # an unusable results path is bad input: fail before the suite runs
+    if args.json and (os.path.isdir(args.json)
+                      or not os.path.isdir(os.path.dirname(args.json) or ".")):
+        print(f"cannot write results: {args.json!r} is not a file in an existing "
+              "directory", file=sys.stderr)
+        return 2
     results, total = run_all(verbose=True)
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump({"results": results, "total_seconds": round(total, 2)},
-                      fh, indent=1, sort_keys=True, default=str)
-            fh.write("\n")
+        try:
+            with open(args.json, "w") as fh:
+                json.dump({"results": results, "total_seconds": round(total, 2)},
+                          fh, indent=1, sort_keys=True, default=str)
+                fh.write("\n")
+        except OSError as e:
+            print(f"cannot write results: {e}", file=sys.stderr)
+            return 2
     return 0 if all(r["ok"] for r in results) else 1
 
 

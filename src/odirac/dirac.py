@@ -28,53 +28,59 @@ class LiftFailure(Exception):
 
 
 class BlockSpace:
-    """Basis bookkeeping for (M tensor S) at one weight; see `block_space`."""
+    """Basis bookkeeping for (M tensor S) at one weight; see `block_space`.
+
+    `slot[I]` = (offset, module weight, dim) for each spin basis vector
+    u_I with a nonzero module component, in increasing mask order.
+    """
 
     def __init__(self, sm: SpinModule, m: WeightModuleWindow, mu: Weight):
         self.sm = sm
         self.m = m
         self.mu = mu
-        # spin weights repeat: look each distinct one up in m once.  With
-        # w = top(S) - drop, mu - w is top(m) - (base - drop), where base
-        # = top(m) + top(S) - mu; it is integral whenever mu is a block weight
+        # With wt(u_I) = top(S) - drop, mu - wt(u_I) is top(m) - (base - drop),
+        # base = top(m) + top(S) - mu.  Every nonzero weight of m lies below
+        # top(m), so only integral base and drops <= base can meet m.
         base = m.top_weight + sm.top_weight - mu
-        distinct = [m.weight_below_top(tuple(map(sub, base, drop))) for drop in sm.distinct_drops]
-        for w in distinct:
-            if not m.materialized(w):
-                raise OutsideWindow(f"block {mu}: module weight {w} not materialized")
-        dims = [m.dim(w) for w in distinct]
-        self.comp_weights = [distinct[k] for k in sm.weight_class]
-        self.comp_dims = [dims[k] for k in sm.weight_class]
-        self.offsets = []
+        comps = []
+        if all(c.denominator == 1 for c in base):
+            base = tuple(base)
+            for drop in sm.drops:
+                rest = tuple(map(sub, base, drop))
+                if min(rest) < 0:
+                    continue
+                w = m.weight_below_top(rest)
+                if not m.materialized(w):
+                    raise OutsideWindow(f"block {mu}: module weight {w} not materialized")
+                d = m.dim(w)
+                if d:
+                    comps += [(mask, w, d) for mask in sm.masks(drop)]
+        comps.sort()  # masks are distinct
+        self.slot = {}
+        self.parity = []
         off = 0
-        for d in self.comp_dims:
-            self.offsets.append(off)
+        for mask, w, d in comps:
+            self.slot[mask] = (off, w, d)
+            self.parity += [mask.bit_count() & 1] * d
             off += d
         self.dim = off
-        self.parity = []
-        for i, d in enumerate(self.comp_dims):
-            self.parity.extend([sm.parity[i]] * d)
-
-    def parity_cols(self, sign):
-        want = 0 if sign > 0 else 1
-        return [i for i, p in enumerate(self.parity) if p == want]
 
     def graded_dims(self):
-        plus = len(self.parity_cols(+1))
-        return plus, self.dim - plus
+        minus = sum(self.parity)
+        return self.dim - minus, minus
 
 
 def block_operator(tgt: BlockSpace, src: BlockSpace, terms) -> Mat:
     """The sum of coeff * E_ji (x) module_map over terms (j, i, coeff, module_map).
 
-    E_ji sends the i-th spin basis vector to the j-th.  module_map(w) is
-    the module map out of w, the i-th module weight of `src`, into the
-    j-th module weight of `tgt`; it is called only when both are nonzero.
-    The tiles are summed as ints over the lcm of their denominators.
+    E_ji sends the spin basis vector u_i, which has a slot in `src`, to u_j.
+    module_map(w) is the module map out of w, the module weight of u_i,
+    into that of u_j in `tgt`; terms whose u_j has no slot there are
+    skipped, so it is called only when both are nonzero.  The tiles are
+    summed as ints over the lcm of their denominators.
     """
-    tiles = [(tgt.offsets[j], src.offsets[i], coeff, module_map(src.comp_weights[i]))
-             for j, i, coeff, module_map in terms
-             if src.comp_dims[i] and tgt.comp_dims[j]]
+    tiles = [(tgt.slot[j][0], src.slot[i][0], coeff, module_map(src.slot[i][1]))
+             for j, i, coeff, module_map in terms if j in tgt.slot]
     den = lcm(*(coeff.denominator * tile.den for _, _, coeff, tile in tiles))
     rows = [[0] * src.dim for _ in range(tgt.dim)]
     for ro, co, coeff, tile in tiles:
@@ -85,6 +91,11 @@ def block_operator(tgt: BlockSpace, src: BlockSpace, terms) -> Mat:
                 if v:
                     row[c] += f * v
     return Mat.from_ints(rows, src.dim, den)
+
+
+def spin_terms(src: BlockSpace, op, module_map):
+    """The terms (j, i, coeff, module_map) of op (x) module_map on the masks of `src`."""
+    return ((j, i, c, module_map) for i in src.slot for j, c in op.column(i).items())
 
 
 def _identity_map(m):
@@ -107,10 +118,8 @@ def h_generator_block(cb, sm, m, gen, mu) -> Mat:
     """Diagonal action of an h-generator from the block at mu to mu + wt(gen)."""
     src = block_space(sm, m, mu)
     tgt = block_space(sm, m, mu + cb.generator_weight(gen))
-    act = partial(m.action, gen)
-    ident = _identity_map(m)
-    terms = [(i, i, 1, act) for i in range(sm.dim)]
-    terms += [(j, i, c, ident) for (j, i), c in sm.h_action(gen).items()]
+    terms = [*spin_terms(src, sm.identity, partial(m.action, gen)),
+             *spin_terms(src, sm.h_action(gen), _identity_map(m))]
     return block_operator(tgt, src, terms)
 
 
@@ -128,14 +137,12 @@ class DiracBlock:
         # e_alpha against the wedge (spin weight drops by alpha), f_alpha
         # against the contraction (spin weight rises)
         self.d_plus = block_operator(sp, sp, (
-            (j, i, s, partial(m.action, ("e", a)))
-            for a in pair.q_positive for i, (j, s) in sm.gamma_root(-a).items()))
+            t for a in pair.q_positive
+            for t in spin_terms(sp, sm.gamma_root(-a), partial(m.action, ("e", a)))))
         self.d_minus = block_operator(sp, sp, (
-            (j, i, s, partial(m.action, ("f", a)))
-            for a in pair.q_positive for i, (j, s) in sm.gamma_root(a).items()))
-        ident = _identity_map(m)
-        self.cubic_part = block_operator(
-            sp, sp, ((j, i, c, ident) for (j, i), c in sm.cubic.items()))
+            t for a in pair.q_positive
+            for t in spin_terms(sp, sm.gamma_root(a), partial(m.action, ("f", a)))))
+        self.cubic_part = block_operator(sp, sp, spin_terms(sp, sm.cubic, _identity_map(m)))
         self.d = self.d_plus + self.d_minus - self.cubic_part
         self._gen0 = None
         self._nilp = None
@@ -529,7 +536,7 @@ def check_square(pair, cb, sm, m, block: DiracBlock) -> dict:
     sp = block.space
     n = sp.dim
     casimir = partial(casimir_matrix, m, pos_roots=pair.rs.positive_roots, form=form)
-    omega_g = block_operator(sp, sp, ((i, i, 1, casimir) for i in range(sm.dim)))
+    omega_g = block_operator(sp, sp, spin_terms(sp, sm.identity, casimir))
     omega_h = casimir_h_block(pair, cb, sm, m, mu)
     scalar = form.norm2(pair.rho) - form.norm2(pair.rho_h)
     rhs = omega_g - omega_h + Mat.scalar(n, scalar)
@@ -558,7 +565,8 @@ def kostant_kernel_check(pair, cb, sm, f) -> dict:
     from .cato import finite_character_h
 
     lam = f.top_weight
-    block_weights = sorted({wm + ws for wm in f.weights() for ws in set(sm.weights)},
+    spin_weights = [sm.top_weight - Weight(drop) for drop in sm.drops]
+    block_weights = sorted({wm + ws for wm in f.weights() for ws in spin_weights},
                            key=lambda v: (-v.height, v))
     actual = {}
     for mu in block_weights:
@@ -589,9 +597,7 @@ def nonvanishing_check(pair, cb, sm, m) -> dict:
     mu = top + sm.top_weight
     blk = block(sm, m, mu)
     sp = blk.space
-    vac = sm.weights.index(sm.top_weight)
-    off = sp.offsets[vac]
-    d_top = sp.comp_dims[vac]
+    off, _, d_top = sp.slot.get(0, (0, None, 0))  # the vacuum u_0 has the top spin weight
     if d_top == 0:
         raise AssertionError("top weight space is empty")
     units = [tuple(_F1 if i == off + j else _F0 for i in range(sp.dim))
@@ -731,7 +737,7 @@ def block_map(sm, src_m, tgt_m, mat_fn, mu) -> Mat:
     """Tensor a per-weight module map with the identity of S on the mu-block."""
     src = block_space(sm, src_m, mu)
     tgt = block_space(sm, tgt_m, mu)
-    return block_operator(tgt, src, ((i, i, 1, mat_fn) for i in range(sm.dim)))
+    return block_operator(tgt, src, spin_terms(src, sm.identity, mat_fn))
 
 
 class CircleCertificate:

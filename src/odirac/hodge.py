@@ -12,10 +12,11 @@ nilpotent cohomology into exact rank arithmetic.
 
 from fractions import Fraction
 from functools import partial
+from math import prod
 
 from .exactla import Mat, subspace_intersect
 from .cato import WeightModuleWindow, shapovalov_grams
-from .dirac import block, block_operator, block_space
+from .dirac import block, block_operator, block_space, spin_terms
 from .liealg import PairGH, is_symmetric_pair
 from .roots import Weight
 from .spinor import SpinModule
@@ -157,7 +158,7 @@ class CEComplex:
         self.nq = sm.nq
         # slice basis indices by wedge degree, the popcount of the spin mask
         by_degree = [[] for _ in range(self.nq + 1)]
-        for mask, (off, d) in enumerate(zip(self.space.offsets, self.space.comp_dims)):
+        for mask, (off, _, d) in self.space.slot.items():
             by_degree[mask.bit_count()].extend(range(off, off + d))
         self._by_degree = tuple(map(tuple, by_degree))
 
@@ -172,7 +173,7 @@ class CEComplex:
         for alpha in self.hp.pair.q_positive:
             g = self.sm.gamma_root(-alpha) if raising else self.sm.gamma_root(alpha)
             act = partial(self.m.action, ("e", alpha) if raising else ("f", alpha))
-            terms += [(j, i, s, act) for i, (j, s) in g.items()]
+            terms += spin_terms(self.space, g, act)
         return block_operator(self.space, self.space, terms)
 
     def differential(self) -> Mat:
@@ -245,14 +246,9 @@ def block_inner_gram(us: UnitaryStructure, sm: SpinModule, m, mu) -> Mat:
     """
     sp = block_space(sm, m, mu)
     kappas = [m.cb.kappa_integral(beta) for beta in sm.q_pos]
-    terms = []
-    for i in range(sm.dim):
-        norm = _F1
-        for b, kappa in enumerate(kappas):
-            if i >> b & 1:
-                norm /= kappa
-        terms.append((i, i, norm, us.gram))
-    return block_operator(sp, sp, terms)
+    return block_operator(sp, sp, (
+        (i, i, _F1 / prod(k for b, k in enumerate(kappas) if i >> b & 1), us.gram)
+        for i in sp.slot))
 
 
 def hodge_decomposition_check(hp, sm, m, us: UnitaryStructure, mu) -> dict:

@@ -20,7 +20,7 @@ from . import __version__
 from .roots import (NotASubsystem, Weight, build_root_system, is_dominant_integral,
                     killing_form_on_dual)
 from .liealg import chevalley_basis, validate_pair
-from .cato import (_cone_coords, finite_dim_simple, ses_from_embedding,
+from .cato import (_cone_coords, comparable_tops, finite_dim_simple, ses_from_embedding,
                    ses_split, simple_quotient_window, singular_vectors,
                    sort_weights, tensor_with_finite_dim, verma_window)
 from .spinor import SpinModule
@@ -114,7 +114,7 @@ class PairContext:
 
     @property
     def sm(self):
-        # built on demand: 2^{|q+|}-dimensional, huge for high-rank h = t
+        # built on demand; it holds no table over its 2^{|q+|} basis vectors
         if self._sm is None:
             self._sm = SpinModule(self.pair, self.cb)
         return self._sm
@@ -147,15 +147,16 @@ class PairContext:
             rank, sm = self.pair.rank, self.sm
             # In integer coordinates below the tops: the block weight
             # top(m) + top(S) - c, less the spin weight top(S) - drop and
-            # `margin` more, is top(m) - (c - drop + e).  Spin weights
-            # repeat, so each distinct offset drop - e is tested once.
-            offsets = dict.fromkeys(tuple(map(sub, drop, e)) for drop in sm.distinct_drops
+            # `margin` more, is top(m) - (c - drop + e).  Each distinct
+            # offset drop - e is tested once, and only where c - drop + e
+            # >= 0: every other weight lies outside m's cone.
+            offsets = dict.fromkeys(tuple(map(sub, drop, e)) for drop in sm.drops
                                     for e in _cone_coords(rank, margin))
             top = m.top_weight + sm.top_weight
             out = []
             for c in _cone_coords(rank, depth):
-                if all(m.materialized(m.weight_below_top(tuple(map(sub, c, off))))
-                       for off in offsets):
+                rests = (tuple(map(sub, c, off)) for off in offsets)
+                if all(m.materialized(m.weight_below_top(r)) for r in rests if min(r) >= 0):
                     out.append(top - Weight(c))
             out = self._block_weights[key] = sort_weights(out)
         return list(out)
@@ -210,6 +211,11 @@ class Scenario:
             raise ScenarioError(f"module kind {kind!r} needs {', '.join(missing)}")
         self.weights = {key: parse_weight(module[key], rank)
                         for key in _WEIGHT_FIELDS if key in module}
+        if kind == "ses_split":
+            lam, lam2 = self.weights["lambda"], self.weights["lambda2"]
+            if not comparable_tops(lam, lam2):
+                raise ScenarioError(f"ses_split tops {wkey(lam)} and {wkey(lam2)} differ "
+                                    "by no sum of positive roots in either direction")
         finite = {"finite": "lambda", "tensor": "factor_lambda"}.get(kind)
         if finite:
             lam = self.weights[finite]
@@ -390,7 +396,7 @@ def _task_kostant(ws):
         "expected_character": {wkey(w): d for w, d in sorted(rep["expected_character"].items())},
         "constituents": [wkey(w) for w in rep["constituents"]],
         "coset_size": len(ws.pair.weyl.coset_W1),
-        "cubic_term_zero": not ws.sm.cubic,
+        "cubic_term_zero": ws.sm.cubic.is_zero(),
     }
 
 

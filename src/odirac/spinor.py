@@ -8,15 +8,17 @@ ad followed by the quadratic embedding of so(q) into the Clifford
 algebra; the cubic term is the dual-basis contraction of the canonical
 3-form x,y,z -> <x,[y,z]>.
 
-In the monomial basis every gamma is a signed partial permutation,
-stored as {column mask: (row mask, +1 or -1)}.  A product of gammas is
-again one, so the cubic term and the h-action are sums of such
-products, stored as sparse maps {(row, col): Fraction} without zero
-entries.  `to_mat` gives the dense view of either form.
+The basis vector u_I is a bitmask I over the positive q-roots.  No
+table over the 2^|q+| masks is built: every spin operator (a gamma, an
+h-action, the cubic term) is one `SpinOperator`, applied per basis
+vector, and `masks(drop)` lists the basis vectors of one weight, so a
+Dirac block reads only the masks it meets.  `to_mat` gives the dense view.
 """
 
 from fractions import Fraction
+from operator import add
 
+from .cato import _PBWCone
 from .exactla import Mat
 from .liealg import ChevalleyBasis, PairGH
 from .roots import Weight
@@ -24,15 +26,53 @@ from .roots import Weight
 _F0 = Fraction(0)
 
 
-def to_mat(op, dim) -> Mat:
-    """Dense dim x dim matrix of a gamma or of a sparse spin operator."""
+class SpinOperator:
+    """The sum of coeff * gamma_{a1} ... gamma_{ak} over (coeff, (a1, ..., ak)) terms.
+
+    gamma_a contracts by e_{beta_a} for a < nq and wedges by f_{beta_{a-nq}}
+    otherwise (<e_beta, f_beta> = 1).  On u_mask it flips bit a mod nq, with
+    the sign of the wedge factors below that bit, and gives zero when a
+    wedge finds the bit set or a contraction finds it clear.
+    """
+
+    def __init__(self, nq, terms):
+        self.nq = nq
+        self.terms = tuple(terms)
+        self._columns = {}
+
+    def _apply(self, mask):
+        col = {}
+        for coeff, word in self.terms:
+            row = mask
+            for a in reversed(word):
+                bit = 1 << (a % self.nq)
+                if bool(row & bit) == (a >= self.nq):
+                    break
+                if (row & (bit - 1)).bit_count() & 1:
+                    coeff = -coeff
+                row ^= bit
+            else:
+                col[row] = col.get(row, 0) + coeff
+        return {row: v for row, v in col.items() if v}
+
+    def column(self, mask):
+        """{row mask: coefficient} of the image of u_mask, without zeros; memoized."""
+        col = self._columns.get(mask)
+        if col is None:
+            col = self._columns[mask] = self._apply(mask)
+        return col
+
+    def is_zero(self):
+        """True iff the operator vanishes: a dense audit over every basis vector."""
+        return not any(self._apply(mask) for mask in range(1 << self.nq))
+
+
+def to_mat(op: SpinOperator, dim) -> Mat:
+    """Dense dim x dim matrix of a spin operator."""
     rows = [[_F0] * dim for _ in range(dim)]
-    for key, val in op.items():
-        if isinstance(val, tuple):  # gamma: column -> (row, sign)
-            (r, v), c = val, key
-        else:
-            (r, c), v = key, val
-        rows[r][c] = v
+    for c in range(dim):
+        for r, v in op.column(c).items():
+            rows[r][c] = v
     return Mat(rows, dim)
 
 
@@ -55,32 +95,20 @@ class SpinModule:
             self.q_pos = list(q_order)
         self.nq = len(self.q_pos)
         self.dim = 1 << self.nq
-        shift = pair.rho - pair.rho_h
-        self.weights = []
-        self.parity = []
-        for mask in range(self.dim):
-            w = shift
-            bits = 0
-            for i in range(self.nq):
-                if mask >> i & 1:
-                    w = w - self.q_pos[i]
-                    bits += 1
-            self.weights.append(w)
-            self.parity.append(bits & 1)
-        self.top_weight = shift
-        # the distinct spin weights in order of first appearance, and for
-        # each basis vector the position of its weight among them
-        self.distinct_weights = list(dict.fromkeys(self.weights))
-        # each distinct weight as top_weight minus a sum of q-roots, in
-        # integer simple-root coordinates
-        self.distinct_drops = [tuple(shift - w) for w in self.distinct_weights]
-        where = {w: k for k, w in enumerate(self.distinct_weights)}
-        self.weight_class = [where[w] for w in self.weights]
+        self.top_weight = pair.rho - pair.rho_h
+        # subsets of q+ with exponents capped at 1: the basis vectors of a drop
+        self.cone = _PBWCone(self.q_pos, cap=1)
+        # the distinct drops: subset sums of q+, in integer simple-root coordinates
+        drops = {(0,) * pair.rank}
+        for beta in self.cone.roots:
+            drops |= {tuple(map(add, d, beta)) for d in drops}
+        self.drops = sorted(drops)
         # q basis order: e_beta for beta in q_pos, then f_beta; duals swap halves
         self._qidx_to_cb = [cb.e_index(b) for b in self.q_pos] + \
                            [cb.e_index(-b) for b in self.q_pos]
         self._cb_to_qidx = {c: i for i, c in enumerate(self._qidx_to_cb)}
-        self._gamma = [self._signed_permutation(qi) for qi in range(2 * self.nq)]
+        self._gamma = [SpinOperator(self.nq, [(1, (qi,))]) for qi in range(2 * self.nq)]
+        self.identity = SpinOperator(self.nq, [(1, ())])
         self._h_action_cache = {}
         self.cubic = cubic_term(pair, cb, self)
         # Dirac blocks and their BlockSpaces on this module, keyed by
@@ -88,36 +116,15 @@ class SpinModule:
         self.blocks = {}
         self.spaces = {}
 
+    def masks(self, drop):
+        """The basis vectors u_I with top_weight - wt(u_I) = drop, increasing."""
+        return sorted(sum(k << i for i, k in enumerate(mono))
+                      for mono in self.cone.monomials(drop))
+
     # -- Clifford multiplication -----------------------------------------------
 
-    def _signed_permutation(self, qi):
-        """Wedge by f_{beta_j} for qi = nq + j, contraction by e_{beta_j} for qi = j.
-
-        <e_beta, f_beta> = 1; the sign counts the wedge factors below j.
-        """
-        wedge = qi >= self.nq
-        bit = 1 << (qi - self.nq if wedge else qi)
-        return {mask: (mask ^ bit, -1 if (mask & (bit - 1)).bit_count() & 1 else 1)
-                for mask in range(self.dim) if bool(mask & bit) != wedge}
-
-    def clifford_sum(self, terms):
-        """Sparse sum of coeff * gamma_{a1} ... gamma_{ak} over (coeff, (a1, ..., ak))."""
-        out = {}
-        for coeff, word in terms:
-            first, *rest = [self._gamma[a] for a in reversed(word)]
-            for col, (row, sign) in first.items():
-                for g in rest:
-                    hit = g.get(row)
-                    if hit is None:
-                        break
-                    row, s = hit
-                    sign *= s
-                else:
-                    out[row, col] = out.get((row, col), _F0) + coeff * sign
-        return {k: v for k, v in out.items() if v}
-
     def gamma_q(self, qi):
-        """Gamma of the qi-th q-basis vector (e's first, then f's), {col: (row, sign)}."""
+        """Gamma of the qi-th q-basis vector (e's first, then f's)."""
         return self._gamma[qi]
 
     def gamma_root(self, root: Weight):
@@ -131,7 +138,7 @@ class SpinModule:
 
     def gamma_coeffs(self, coeffs) -> Mat:
         """Dense gamma of a q-vector given by coefficients over the q basis."""
-        return to_mat(self.clifford_sum((c, (qi,)) for qi, c in enumerate(coeffs) if c),
+        return to_mat(SpinOperator(self.nq, ((c, (qi,)) for qi, c in enumerate(coeffs) if c)),
                       self.dim)
 
     # -- induced action of the subalgebra ----------------------------------------
@@ -144,8 +151,8 @@ class SpinModule:
                 for qb in self._qidx_to_cb]
         return Mat.from_sparse_cols(cols, 2 * self.nq)
 
-    def h_action(self, gen):
-        """Action of an h-generator through ad and the so(q) embedding, sparse.
+    def h_action(self, gen) -> SpinOperator:
+        """Action of an h-generator through ad and the so(q) embedding.
 
         phi(T) = (1/4) sum_i [gamma(T z_i), gamma(z^i)] over dual pairs.
         """
@@ -159,31 +166,12 @@ class SpinModule:
                     c = t[k][qi] / 4
                     if c:
                         terms += [(c, (k, dual)), (-c, (dual, k))]
-            op = self._h_action_cache[gen] = self.clifford_sum(terms)
+            op = self._h_action_cache[gen] = SpinOperator(self.nq, terms)
         return op
 
-    # -- characters and grading ---------------------------------------------------
 
-    def parity_indices(self, sign):
-        want = 0 if sign > 0 else 1
-        return [i for i in range(self.dim) if self.parity[i] == want]
-
-    def spin_character(self):
-        out = {}
-        for w in self.weights:
-            out[w] = out.get(w, 0) + 1
-        return out
-
-    def graded_characters(self):
-        plus, minus = {}, {}
-        for i, w in enumerate(self.weights):
-            d = minus if self.parity[i] else plus
-            d[w] = d.get(w, 0) + 1
-        return plus, minus
-
-
-def cubic_term(pair: PairGH, cb: ChevalleyBasis, sm: SpinModule):
-    """gamma(c) = (1/6) sum <z_i,[z_j,z_k]> gamma(z^i)gamma(z^j)gamma(z^k), sparse.
+def cubic_term(pair: PairGH, cb: ChevalleyBasis, sm: SpinModule) -> SpinOperator:
+    """gamma(c) = (1/6) sum <z_i,[z_j,z_k]> gamma(z^i)gamma(z^j)gamma(z^k).
 
     The sum runs over the root-vector basis of q with its Killing-dual
     partners; only the q-component of the brackets survives the pairing.
@@ -202,7 +190,7 @@ def cubic_term(pair: PairGH, cb: ChevalleyBasis, sm: SpinModule):
                 if pairing:
                     terms.append((sixth * pairing,
                                   (sm.dual_index(i), sm.dual_index(j), sm.dual_index(k))))
-    return sm.clifford_sum(terms)
+    return SpinOperator(sm.nq, terms)
 
 
 def cubic_term_rebased(pair: PairGH, cb: ChevalleyBasis, sm: SpinModule,
@@ -218,7 +206,6 @@ def cubic_term_rebased(pair: PairGH, cb: ChevalleyBasis, sm: SpinModule,
     cb_idx = sm._qidx_to_cb
     gram = Mat([[cb.pairing(cb_idx[i], cb_idx[j]) for j in range(n)] for i in range(n)], n)
     dual = gram.inv() @ base_change.T.inv()
-    gammas_p = [sm.gamma_coeffs(base_change.col(i)) for i in range(n)]
     gammas_d = [sm.gamma_coeffs(dual.col(i)) for i in range(n)]
     p = base_change.rows
 

@@ -23,6 +23,31 @@ def a2_t():
     return ctx("A2")
 
 
+def spin_weight(sm, mask):
+    """The weight of the spin basis vector u_mask: top(S) minus its q-roots."""
+    w = sm.top_weight
+    for i, beta in enumerate(sm.q_pos):
+        if mask >> i & 1:
+            w = w - beta
+    return w
+
+
+def spin_weights(sm):
+    """The weight of every spin basis vector, in mask order."""
+    return [spin_weight(sm, mask) for mask in range(sm.dim)]
+
+
+def spin_parity(mask):
+    """0 for an even wedge degree, 1 for an odd one."""
+    return mask.bit_count() & 1
+
+
+def parity_indices(sm, sign):
+    """The spin basis vectors of one parity: +1 even, -1 odd."""
+    want = 0 if sign > 0 else 1
+    return [mask for mask in range(sm.dim) if spin_parity(mask) == want]
+
+
 def frac(x):
     return Fraction(x)
 

@@ -354,6 +354,12 @@ def test_ses_split(a1):
         assert (p @ i).is_zero()
         assert i.rank() + 0 == m1.dim(w)
         assert p.rank() == m3.dim(w)
+    # tops that differ by a non-integral amount, or in both directions, are refused
+    with pytest.raises(ValueError, match="not comparable"):
+        ses_split(m1, verma_window(pair, cb, Weight([0]), 8))
+    a2 = ctx("A2")
+    with pytest.raises(ValueError, match="not comparable"):
+        ses_split(a2.verma((0, 0), 4), a2.verma((1, -1), 4))
 
 
 def test_characters(a2_su21):

@@ -114,6 +114,36 @@ def test_out_is_existing_file_exits_2(tmp_path, capsys, monkeypatch):
     assert taken.read_text() == "not a directory"
 
 
+def test_report_csv_is_existing_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"name": "scn", "cartan_type": "A1", "module": A1_VERMA,
+                                "tasks": ["dirac"]}))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    assert main(["report", str(tmp_path / "scn.bundle.json"), "--csv", str(taken)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("cannot write CSV tables:")
+    assert taken.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("target", ["dir", "missing/results.json"])
+def test_selftest_json_path_checked_before_the_suite(tmp_path, capsys, monkeypatch, target):
+    from odirac import acceptance
+
+    def run_all(verbose=False):
+        raise AssertionError("the suite must not start")
+
+    monkeypatch.setattr(acceptance, "run_all", run_all)
+    (tmp_path / "dir").mkdir()
+    assert main(["selftest", "--json", str(tmp_path / target)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cannot write results:")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir"]
+
+
 def test_unwritable_bundle_path_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_scenario", lambda scn: {"manifest": {}, "tasks": {}, "ok": True})
     path = tmp_path / "scn.json"
@@ -147,11 +177,14 @@ A1_VERMA = {"kind": "verma", "lambda": [0], "depth": 4}
     ({"options": {"expect_nonunitary": "false"}},
      "options.expect_nonunitary must be true or false, got 'false'"),
     ({"options": {"expect_nonunitry": True}}, "unknown option 'expect_nonunitry'"),
+    ({"cartan_type": "A2", "tasks": ["circle"],
+      "module": {"kind": "ses_split", "lambda": [0, 0], "lambda2": [1, -1], "depth": 6}},
+     "ses_split tops [0, 0] and [1, -1] differ by no sum of positive roots"),
 ], ids=["missing_depth", "depth_not_int", "negative_depth", "finite_not_dominant",
         "tasks_not_list", "delta_h_not_subsystem", "delta_h_not_list",
         "kostant_not_finite", "circle_without_ses", "hodge_not_highest_weight",
         "hodge_not_hermitian", "options_not_object", "option_not_boolean",
-        "option_misspelt"])
+        "option_misspelt", "ses_split_tops_not_comparable"])
 def test_invalid_scenario_fields_exit_2(tmp_path, capsys, fields, message):
     scn = {"name": "bad", "cartan_type": "A1", "delta_h": [], "module": A1_VERMA,
            "tasks": ["dirac"], **fields}

@@ -15,7 +15,7 @@ from odirac.dirac import (DiracBlock, GradedNilpotent, check_square,
                           kostant_kernel_check, nonvanishing_check,
                           simple_verma_theorem_check, singular_cohomology_weights,
                           vogan_audit)
-from conftest import ctx
+from conftest import ctx, spin_parity, spin_weight, spin_weights
 
 F = Fraction
 
@@ -34,14 +34,15 @@ def test_trivial_module_is_cubic(a2_t, a2_su21):
     for c in (a2_t, a2_su21):
         pair, cb, sm = c.pair, c.cb, c.sm
         triv = finite_dim_simple(pair, cb, zero_weight(2))
-        for w in sorted(set(sm.weights)):
+        weights = spin_weights(sm)
+        for w in sorted(set(weights)):
             blk = DiracBlock(pair, cb, sm, triv, w)
-            idx = [i for i in range(sm.dim) if sm.weights[i] == w]
+            idx = [i for i in range(sm.dim) if weights[i] == w]
             cubic = to_mat(sm.cubic, sm.dim)
             sub = Mat([[cubic.rows[a][b] for b in idx] for a in idx], len(idx))
             assert blk.d == -sub
     triv = finite_dim_simple(a2_su21.pair, a2_su21.cb, zero_weight(2))
-    for w in set(a2_su21.sm.weights):
+    for w in set(spin_weights(a2_su21.sm)):
         assert DiracBlock(a2_su21.pair, a2_su21.cb, a2_su21.sm, triv, w).d.is_zero()
 
 
@@ -116,7 +117,7 @@ def test_finite_module_hd_is_kernel(a2_su21):
     pair, cb, sm = a2_su21.pair, a2_su21.cb, a2_su21.sm
     f = finite_dim_simple(pair, cb, Weight([F(2, 3), F(1, 3)]))
     for wm in f.weights():
-        for ws in set(sm.weights):
+        for ws in set(spin_weights(sm)):
             mu = wm + ws
             blk = DiracBlock(pair, cb, sm, f, mu)
             if blk.dim == 0:
@@ -150,7 +151,7 @@ def test_kostant_a2_cases(a2_su21, a2_t):
     f0 = finite_dim_simple(a2_t.pair, a2_t.cb, zero_weight(2))
     rep = kostant_kernel_check(a2_t.pair, a2_t.cb, a2_t.sm, f0)
     assert sum(rep["kernel_character"].values()) == 6
-    assert a2_t.sm.cubic
+    assert not a2_t.sm.cubic.is_zero()
     # the w = 1 constituent F_{rho - rho_h} always contains the vacuum line
     assert a2_t.pair.rho in rep["constituents"]
 
@@ -362,13 +363,14 @@ def test_index_identity_trivial_module(a2_su21):
     """Symmetric pair, trivial module: D = 0 and both index sides match."""
     pair, cb, sm = a2_su21.pair, a2_su21.cb, a2_su21.sm
     triv = finite_dim_simple(pair, cb, Weight([0, 0]))
-    for w in sorted(set(sm.weights)):
+    weights = spin_weights(sm)
+    for w in sorted(set(weights)):
         rep = index_identity_check(pair, cb, sm, triv, w)
         assert rep["ok"]
-        plus = sum(1 for i, ws in enumerate(sm.weights)
-                   if ws == w and sm.parity[i] == 0)
-        minus = sum(1 for i, ws in enumerate(sm.weights)
-                    if ws == w and sm.parity[i] == 1)
+        plus = sum(1 for i, ws in enumerate(weights)
+                   if ws == w and spin_parity(i) == 0)
+        minus = sum(1 for i, ws in enumerate(weights)
+                    if ws == w and spin_parity(i) == 1)
         assert rep["graded_difference"] == plus - minus
         assert rep["signed_sum"] == plus - minus
 
@@ -432,9 +434,14 @@ def test_one_block_space_per_key(monkeypatch):
     assert scenarios.run_scenario(scenarios.load_scenario(path))["ok"]
     assert len(builds) > 50 and set(builds.values()) == {1}
     for sp in spaces:
-        comp = [sp.mu - w for w in sp.sm.weights]
-        assert sp.comp_weights == comp
-        assert sp.comp_dims == [sp.m.dim(w) for w in comp]
+        comp = [sp.mu - w for w in spin_weights(sp.sm)]
+        dims = [sp.m.dim(w) for w in comp]
+        slot, off = {}, 0
+        for mask, (w, d) in enumerate(zip(comp, dims)):
+            if d:
+                slot[mask] = (off, w, d)
+                off += d
+        assert sp.slot == slot and list(sp.slot) == sorted(slot) and sp.dim == off
 
 
 def test_hot_path_coerces_no_entries(monkeypatch):
@@ -466,12 +473,14 @@ def test_hot_path_coerces_no_entries(monkeypatch):
 
 
 def test_spin_weight_classes(a2_su21):
-    """Each spin basis vector points at its weight among the distinct ones."""
+    """Each spin basis vector is listed once, under the drop of its weight."""
     c = ctx("B3", [(1, 0, 0), (0, 0, 1)])
     for sm in (a2_su21.sm, c.sm):
-        assert len(set(sm.distinct_weights)) == len(sm.distinct_weights)
-        assert [sm.distinct_weights[k] for k in sm.weight_class] == sm.weights
-    assert len(c.sm.distinct_weights) < c.sm.dim
+        assert len(set(sm.drops)) == len(sm.drops)
+        listed = [(mask, d) for d in sm.drops for mask in sm.masks(d)]
+        assert sorted(mask for mask, _ in listed) == list(range(sm.dim))
+        assert all(sm.top_weight - Weight(d) == spin_weight(sm, mask) for mask, d in listed)
+    assert len(c.sm.drops) < c.sm.dim
 
 
 # -- spectral layer: eigen decomposition against a plain-Fraction reference ---

@@ -5,6 +5,7 @@ import os
 from odirac.cato import _cone_coords, sort_weights
 from odirac.roots import Weight
 from odirac.scenarios import PairContext, Workspace, load_scenario
+from conftest import spin_weights
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -12,7 +13,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def reference_block_weights(ctx, m, depth, margin=0):
     """Every spin offset tested, repeats included, on every call."""
     rank, sm = ctx.pair.rank, ctx.sm
-    offsets = [ws + Weight(c) for ws in sm.weights for c in _cone_coords(rank, margin)]
+    offsets = [ws + Weight(c) for ws in spin_weights(sm) for c in _cone_coords(rank, margin)]
     top = m.top_weight + sm.top_weight
     out = []
     for c in _cone_coords(rank, depth):
@@ -26,7 +27,8 @@ def test_block_weights_match_reference_once_per_key(monkeypatch):
     b3 = Workspace(load_scenario(os.path.join(REPO, "perfbench", "workloads", "b3_spin.json")))
     sl3 = Workspace(load_scenario(os.path.join(REPO, "scenarios", "sl3_paper_example.json")))
     square_margin = max(int(a.height) for a in sl3.pair.rs.positive_roots)
-    assert len(set(b3.sm.weights)) < len(b3.sm.weights)  # offsets do repeat there
+    weights = spin_weights(b3.sm)
+    assert len(set(weights)) < len(weights)  # offsets do repeat there
     for ws, margin in ((b3, 0), (sl3, square_margin)):
         scn, m = ws.scenario, ws.module
         depth = scn.depth_below_top

@@ -1,9 +1,9 @@
-"""The sparse spin layer against a test-side copy of the former dense construction.
+"""The spin layer against a test-side copy of the former dense construction.
 
 The reference builds every gamma as a dense matrix by wedge and
 contraction, the cubic term and the h-action from dense matrix
 products, and a Dirac block by placing dense tiles.  Each must equal
-the engine's sparse form (through `to_mat`) entry for entry.
+the engine's spin operator (through `to_mat`) entry for entry.
 """
 
 import random
@@ -16,6 +16,7 @@ from odirac.exactla import Mat
 from odirac.roots import Weight
 from odirac.scenarios import pair_context
 from odirac.spinor import SpinModule, to_mat
+from conftest import spin_weight
 
 F = Fraction
 
@@ -165,22 +166,27 @@ def test_b3_spin_block_matches_dense_assembly(depth, mu):
     lowering = {alpha: dense.gamma_root(-alpha).rows for alpha in pair.q_positive}
     raising = {alpha: dense.gamma_root(alpha).rows for alpha in pair.q_positive}
     dense_cubic = dense.cubic.rows
+    # every spin basis vector with its module component, in mask order
+    comp_weights = [blk.mu - spin_weight(sm, i) for i in range(sm.dim)]
+    comp_dims = [vw.dim(w) for w in comp_weights]
+    offsets = [sum(comp_dims[:i]) for i in range(sm.dim)]
+    assert n == sum(comp_dims)
     for i in range(sm.dim):
         for j in range(sm.dim):
-            if not (sp.comp_dims[i] and sp.comp_dims[j]):
+            if not (comp_dims[i] and comp_dims[j]):
                 continue
-            ro, co = sp.offsets[j], sp.offsets[i]
+            ro, co = offsets[j], offsets[i]
             for alpha in pair.q_positive:
                 c_low = lowering[alpha][j][i]
                 if c_low:
-                    act = vw.action(("e", alpha), sp.comp_weights[i])
+                    act = vw.action(("e", alpha), comp_weights[i])
                     _place(plus, ro, co, act, c_low)
                 c_rai = raising[alpha][j][i]
                 if c_rai:
-                    act = vw.action(("f", alpha), sp.comp_weights[i])
+                    act = vw.action(("f", alpha), comp_weights[i])
                     _place(minus, ro, co, act, c_rai)
             if dense_cubic[j][i]:
-                _place(cubic, ro, co, Mat.identity(sp.comp_dims[i]), dense_cubic[j][i])
+                _place(cubic, ro, co, Mat.identity(comp_dims[i]), dense_cubic[j][i])
     assert any(any(r) for r in plus) and any(any(r) for r in minus)
     assert any(any(r) for r in cubic) == (depth == 5)
     assert blk.d_plus == Mat(plus, n)
