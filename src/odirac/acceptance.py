@@ -1,8 +1,13 @@
 """The acceptance suite: one callable per criterion, all exact.
 
-Every check here reproduces an algebraic identity at zero tolerance;
-the only numeric thresholds are the runtime targets.  `run_all` prints
-one PASS/FAIL line per criterion and is what the CLI selftest runs.
+Criteria 1-9 are lists of scenario documents, the plain dicts a scenario
+file holds.  Each document runs through `Scenario` and `run_scenario`,
+the path `odirac run` takes, and the criterion reads its verdict off the
+bundles, together with how many runs or blocks each check visited.
+Criterion 10 checks structural properties below the runner.  Every check
+reproduces an algebraic identity at zero tolerance; the only numeric
+thresholds are the runtime targets.  `run_all` prints one PASS/FAIL line
+per criterion and is what the CLI selftest runs.
 """
 
 import json
@@ -11,18 +16,12 @@ import time
 from fractions import Fraction
 
 from .exactla import Mat
-from .roots import Weight, eps_to_weight, is_antidominant, weight_from_fundamental
-from .cato import (_cone_coords, commutation_defect, finite_dim_simple,
-                   ses_from_embedding, ses_split, simple_quotient_window,
-                   singular_vectors)
+from .roots import Weight, eps_to_weight
+from .cato import _cone_coords, commutation_defect
 from .spinor import SpinModule, cubic_term_rebased, to_mat
-from .dirac import (block, check_square, exact_circle, h_equivariance_defect,
-                    index_identity_check, kostant_kernel_check, nonvanishing_check,
-                    simple_verma_theorem_check, singular_cohomology_weights,
-                    vogan_audit)
-from .hodge import (CEComplex, detect_hermitian, hodge_decomposition_check,
-                    identification_check, theorem52_comparison, unitarity_check)
-from .scenarios import PairContext, Scenario, bundle_to_json, pair_context, run_scenario
+from .dirac import block, h_equivariance_defect
+from .hodge import CEComplex, detect_hermitian
+from .scenarios import PairContext, Scenario, bundle_to_json, pair_context, run_scenario, wkey
 
 _F = Fraction
 
@@ -34,61 +33,127 @@ def _result(name, ok, seconds, details):
             "details": details}
 
 
+# -- scenario documents ---------------------------------------------------------
+#
+# Weights are in simple-root coordinates, as in scenario files: rho is [1/2]
+# on A1 and [1, 1] on A2.
+
+_SU21 = [[1, 0]]  # the one-string subsystem of sl(3), an su(2,1)-type pair
+
+
+def _doc(cartan, dh, module, tasks, depth_below_top, **options):
+    """A scenario document, named after its pair and module."""
+    name = f"{cartan}-dh{len(dh)}-{module['kind']}" + "".join(
+        f"_{c}" for v in module.values() if isinstance(v, list) for c in v).replace("/", "over")
+    doc = {"cartan_type": cartan, "delta_h": dh, "module": module, "tasks": tasks,
+           "depth_below_top": depth_below_top}
+    if "depth" in module:
+        name += f"-d{module['depth']}"
+        doc["max_depth"] = module["depth"]
+    if options:
+        doc["options"] = options
+    return dict(doc, name=name)
+
+
+def _run(docs):
+    """(name, bundle) of each document, run in order."""
+    return [(doc["name"], run_scenario(Scenario(doc))) for doc in docs]
+
+
+def _per_weight(runs, task):
+    """(run name, weight key, record) of every per-weight record of a task."""
+    return [(name, k, rec) for name, b in runs
+            for k, rec in b["tasks"][task].get("per_weight", {}).items()]
+
+
+# the finite modules of the Kostant check: (cartan type, delta_h, highest weights)
+_FINITE_CASES = [
+    ("A1", [], [[0], ["1/2"], [1], ["3/2"], [2]]),
+    ("A2", _SU21, [[0, 0], ["2/3", "1/3"], [1, 1]]),
+    ("A2", [], [[0, 0]]),
+]
+
+# antidominant Vermas of the simple-Verma theorem: (cartan type, delta_h,
+# window depth, highest weights).  The depth is 8 + ht(sum of q+) + 1, so
+# every block within 8 of the top lies in the window; [-1, -1] is -rho, the
+# integral edge.
+_THM41_CASES = [
+    ("A1", [], 10, [["-1/2"], ["-1/4"], ["-4/3"]]),
+    ("A2", _SU21, 12, [[-1, -1], ["-2/3", "-4/5"], ["-10/7", "-9/7"]]),
+    ("A2", [], 13, [[-1, -1], ["-2/3", "-4/5"], ["-10/7", "-9/7"]]),
+]
+
+
+def _finite_docs(tasks):
+    """The modules of _FINITE_CASES, 2 ht(lambda) + 6 deep: past their lowest block."""
+    return [_doc(cartan, dh, {"kind": "finite", "lambda": lam}, tasks,
+                 2 * int(sum(map(_F, lam))) + 6)
+            for cartan, dh, lams in _FINITE_CASES for lam in lams]
+
+
+def _simple_verma_docs(tasks, depth_below_top):
+    return [_doc(cartan, dh, {"kind": "verma", "lambda": lam, "depth": depth}, tasks,
+                 depth_below_top)
+            for cartan, dh, depth, lams in _THM41_CASES for lam in lams]
+
+
+def _sl3_doc(tasks, depth_below_top, depth=14):
+    """The worked example: M(-rho) over the su(2,1)-type pair of sl(3)."""
+    return _doc("A2", _SU21, {"kind": "verma", "lambda": [-1, -1], "depth": depth}, tasks,
+                depth_below_top)
+
+
+def _tensor_doc(lambda_h, factor_h, tasks, depth_below_top):
+    """An A1 (h = t) Verma window of depth 16 tensor a finite module."""
+    module = {"kind": "tensor", "lambda": [str(_F(lambda_h, 2))],
+              "factor_lambda": [str(_F(factor_h, 2))], "depth": 16}
+    return _doc("A1", [], module, tasks, depth_below_top)
+
+
+def _jordan_doc(tasks, depth_below_top):
+    fx = load_jordan_fixture()["fixture"]
+    return _tensor_doc(fx["lambda_h"], fx["factor_h"], tasks, depth_below_top)
+
+
 # -- criteria -------------------------------------------------------------------
 
 def criterion_1_sl3_example():
     """Worked sl(3) example: H_D(M(-rho)) is the subsystem Verma M_h(-rho_h)."""
     t0 = time.time()
-    ctx = pair_context("A2", [(1, 0)])
-    pair, sm = ctx.pair, ctx.sm
-    vw = ctx.verma(-pair.rho, 14)
-    rep = simple_verma_theorem_check(pair, ctx.cb, sm, vw, 8)
-    mu_top = rep["mu_top"]
-    assert mu_top == -pair.rho_h
-    # the claimed highest weight in epsilon coordinates
-    assert mu_top == eps_to_weight(ctx.rs, (_F(-1, 2), _F(1, 2), 0))
-    char_ok = rep["match"]
-    top_blk = block(sm, vw, mu_top)
-    top_ok = top_blk.dim == 1 and top_blk.d.is_zero()
+    [(_, b)] = _run([_sl3_doc(["simple_verma", "dirac"], 8)])
+    sv, dirac = b["tasks"]["simple_verma"], b["tasks"]["dirac"]
+    pair = pair_context("A2", _SU21).pair
+    # the top block sits at -rho_h, the claimed highest weight in epsilon coordinates
+    top_key = dirac["nonvanishing"]["weight"]
+    top_ok = top_key == wkey(-pair.rho_h) == wkey(
+        eps_to_weight(pair.rs, (_F(-1, 2), _F(1, 2), 0)))
+    top = dirac["per_weight"][top_key]
     elapsed = time.time() - t0
-    ok = char_ok and top_ok and elapsed < 10
+    ok = (sv["ok"] and dirac["ok"] and top_ok and top["dim_block"] == 1
+          and top["dims"]["ker"] == 1 and elapsed < 10)
     return _result("sl(3) worked example", ok, elapsed, {
-        "character_match": char_ok,
-        "top_space_dim": top_blk.dim,
-        "d_kills_top": top_blk.d.is_zero(),
-        "weights_with_hd": len(rep["hd_character"]),
+        "character_match": sv["ok"],
+        "top_space_dim": top["dim_block"],
+        "d_kills_top": top["dims"]["ker"] == top["dim_block"],
+        "weights_with_hd": len(sv["hd_character"]),
+        "visited": {"simple_verma_runs": 1},
         "runtime_target": "< 10 s",
     })
-
-
-def _kostant_cases():
-    a1, su21, a2 = pair_context("A1"), pair_context("A2", [(1, 0)]), pair_context("A2")
-    return ([(a1, Weight([_F(n, 2)])) for n in range(5)]
-            + [(su21, lam) for lam in (Weight([0, 0]), Weight([_F(2, 3), _F(1, 3)]),
-                                       Weight([1, 1]))]
-            + [(a2, Weight([0, 0]))])
 
 
 def criterion_2_kostant():
     """Kostant kernel formula on finite modules across three pairs."""
     t0 = time.time()
-    details = {}
-    ok = True
-    for ctx, lam in _kostant_cases():
-        f = finite_dim_simple(ctx.pair, ctx.cb, lam)
-        rep = kostant_kernel_check(ctx.pair, ctx.cb, ctx.sm, f)
-        label = f"{ctx.pair.rs.cartan_type} dh={len(ctx.pair.delta_h_pos)} lam={lam}"
-        details[label] = rep["match"]
-        ok = ok and rep["match"]
-    ctx3 = pair_context("A2", [])
-    cubic = ctx3.sm.cubic
-    cubic_nonzero = not cubic.is_zero()
-    kills_vacuum = not cubic.column(0)
-    ok = ok and cubic_nonzero and kills_vacuum
+    runs = _run(_finite_docs(["kostant"]))
+    details = {name: b["tasks"]["kostant"]["ok"] for name, b in runs}
+    # h = t in A2 (the last case): the cubic term is nonzero and kills the vacuum
+    cubic_nonzero = not runs[-1][1]["tasks"]["kostant"]["cubic_term_zero"]
+    kills_vacuum = not pair_context("A2").sm.cubic.column(0)
     elapsed = time.time() - t0
-    ok = ok and elapsed < 30
+    ok = all(details.values()) and cubic_nonzero and kills_vacuum and elapsed < 30
     details["cubic_nonzero_h_eq_t"] = cubic_nonzero
     details["cubic_kills_vacuum"] = kills_vacuum
+    details["visited"] = {"kostant_runs": len(runs)}
     details["runtime_target"] = "< 30 s total"
     return _result("Kostant kernel formula", ok, elapsed, details)
 
@@ -96,89 +161,39 @@ def criterion_2_kostant():
 def criterion_3_square():
     """2D^2 equals the Casimir expression, eigenvalues as predicted."""
     t0 = time.time()
-    checked = 0
-    ok = True
-    first_failure = None
-    # Verma scenario of criterion 1, blocks safe for the Casimir round trips
-    ctx = pair_context("A2", [(1, 0)])
-    vw = ctx.verma(-ctx.pair.rho, 14)
-    mu_top = -ctx.pair.rho_h
-    for c in _cone_coords(2, 8):
-        mu = mu_top - Weight(c)
-        blk = block(ctx.sm, vw, mu)
-        if blk.dim == 0:
-            continue
-        rep = check_square(ctx.pair, ctx.cb, ctx.sm, vw, blk)
-        checked += 1
-        if not rep["matrix_identity"]:
-            ok = False
-            first_failure = first_failure or str(mu)
-    # finite module scenarios of criterion 2
-    for cctx, lam in _kostant_cases():
-        f = finite_dim_simple(cctx.pair, cctx.cb, lam)
-        for mu in cctx.block_weights(f, 2 * int(f.top_weight.height) + 6):
-            blk = block(cctx.sm, f, mu)
-            if blk.dim == 0:
-                continue
-            rep = check_square(cctx.pair, cctx.cb, cctx.sm, f, blk)
-            checked += 1
-            if not rep["matrix_identity"]:
-                ok = False
-                first_failure = first_failure or str(mu)
-    return _result("square formula", ok, time.time() - t0, {
-        "blocks_checked": checked, "first_failure": first_failure})
-
-
-_THM41_CASES = [
-    ("A1", [], [Weight([_F(-1, 2)]), Weight([_F(-1, 4)]), Weight([_F(-4, 3)])]),
-    ("A2", [(1, 0)], [None, Weight([_F(-2, 3), _F(-4, 5)]),
-                      Weight([_F(-10, 7), _F(-9, 7)])]),
-    ("A2", [], [None, Weight([_F(-2, 3), _F(-4, 5)]),
-                Weight([_F(-10, 7), _F(-9, 7)])]),
-]
+    # the worked example, and the finite modules of criterion 2
+    runs = _run([_sl3_doc(["square"], 8)] + _finite_docs(["square"]))
+    first_failure = next((b["tasks"]["square"]["first_failure"] for _, b in runs
+                          if b["tasks"]["square"]["first_failure"]), None)
+    return _result("square formula", all(b["ok"] for _, b in runs), time.time() - t0, {
+        "first_failure": first_failure,
+        "visited": {"square_blocks": len(_per_weight(runs, "square"))}})
 
 
 def criterion_4_simple_verma():
     """Dirac cohomology of simple Vermas is the subsystem Verma, per weight."""
     t0 = time.time()
-    details = {}
-    ok = True
-    for cartan, dh, lams in _THM41_CASES:
-        ctx = pair_context(cartan, dh)
-        pair = ctx.pair
-        spread = sum(b.height for b in pair.q_positive)
-        for lam in lams:
-            if lam is None:
-                lam = -pair.rho  # the integral-edge case
-            assert is_antidominant(lam, pair.rs, pair.form, pair.rho), lam
-            vw = ctx.verma(lam, 8 + spread + 1)
-            rep = simple_verma_theorem_check(pair, ctx.cb, ctx.sm, vw, 8)
-            good = rep["antidominant"] and rep["target_antidominant"] and rep["match"]
-            details[f"{cartan} dh={len(dh)} lam={lam}"] = good
-            ok = ok and good
+    runs = _run(_simple_verma_docs(["simple_verma"], 8))
+    details = {name: b["ok"] for name, b in runs}
+    ok = all(details.values())
+    details["visited"] = {"simple_verma_runs": len(runs)}
     return _result("simple Verma theorem", ok, time.time() - t0, details)
 
 
 def criterion_5_nonvanishing():
     """The top vector survives into Dirac cohomology in every scenario."""
     t0 = time.time()
-    details = {}
-    ok = True
-    modules = []
-    ctx1 = pair_context("A2", [(1, 0)])
-    modules.append(("A2 su21 M(-rho)", ctx1, ctx1.verma(-ctx1.pair.rho, 14)))
-    f = finite_dim_simple(ctx1.pair, ctx1.cb, Weight([1, 1]))
-    modules.append(("A2 su21 F(adjoint)", ctx1, f))
-    ctxa = pair_context("A1", [])
-    modules.append(("A1 M(-1/2 alpha)", ctxa, ctxa.verma(Weight([_F(-1, 2)]), 10)))
-    vw0 = ctxa.verma(Weight([0]), 10)
-    modules.append(("A1 L(0)", ctxa, simple_quotient_window(vw0)))
-    fixture = load_jordan_fixture()
-    modules.append(("pinned tensor", fixture["ctx"], fixture["module"]))
-    for name, ctx, m in modules:
-        rep = nonvanishing_check(ctx.pair, ctx.cb, ctx.sm, m)
-        details[name] = rep["ok"]
-        ok = ok and rep["ok"]
+    # the dirac task at the top block only reports the nonvanishing check
+    runs = _run([
+        _sl3_doc(["dirac"], 0),
+        _doc("A2", _SU21, {"kind": "finite", "lambda": [1, 1]}, ["dirac"], 0),
+        _doc("A1", [], {"kind": "verma", "lambda": ["-1/2"], "depth": 10}, ["dirac"], 0),
+        _doc("A1", [], {"kind": "simple", "lambda": [0], "depth": 10}, ["dirac"], 0),
+        _jordan_doc(["dirac"], 0),
+    ])
+    details = {name: b["ok"] for name, b in runs}
+    ok = all(details.values())
+    details["visited"] = {"nonvanishing_runs": len(runs)}
     return _result("nonvanishing", ok, time.time() - t0, details)
 
 
@@ -187,25 +202,21 @@ def criterion_5_nonvanishing():
 def search_jordan_scenario():
     """First small tensor scenario whose Dirac operator has a Jordan block >= 2.
 
-    Deterministic scan over A1 (h = t) tensor modules; returns the pinned
-    parameters and the witness weight.
+    Deterministic scan over A1 (h = t) tensor modules, 9 below the top
+    block, through the `higher` task; returns the pinned parameters and
+    the witness weight.
     """
-    ctx = pair_context("A1", [])
-    sm = ctx.sm
     for lam_h in (-2, -1, 0, 1, -3):
-        lam = Weight([_F(lam_h, 2)])
         for f_h in (1, 2):
-            t = ctx.tensor(lam, 16, Weight([_F(f_h, 2)]))
-            mu_top = t.top_weight + sm.top_weight
-            for mu in ctx.block_weights(t, 9):
-                blk = block(sm, t, mu)
-                if blk.dim == 0:
-                    continue
-                sizes = [len(c) for c in blk.nilpotent().chains()]
-                if sizes and max(sizes) >= 2:
+            [(_, b)] = _run([_tensor_doc(lam_h, f_h, ["higher"], 9)])
+            records = b["tasks"]["higher"]["per_weight"]
+            top = next(iter(records))  # in block-weight order, so the top first
+            for k, rec in records.items():
+                if max(rec["jordan_sizes"], default=0) >= 2:
+                    # A1 weights are multiples of the simple root: one coordinate
                     return {"lambda_h": lam_h, "factor_h": f_h,
-                            "depth_below_top": int((mu_top - mu).height),
-                            "jordan_sizes": sorted(sizes)}
+                            "depth_below_top": int(_F(top[1:-1]) - _F(k[1:-1])),
+                            "jordan_sizes": rec["jordan_sizes"]}
     raise AssertionError("no small tensor scenario with a nontrivial Jordan block")
 
 
@@ -223,185 +234,98 @@ def load_jordan_fixture():
 def criterion_6_higher_index():
     """Higher Dirac index identity, including the pinned Jordan scenario."""
     t0 = time.time()
-    details = {}
-    ok = True
-    # (a) every Verma scenario of the suite: the worked example and the
+    # every Verma scenario of the suite: the worked example and the
     # simple-Verma cases of all three pairs
-    verma_runs = [(pair_context("A2", [(1, 0)]), -pair_context("A2", [(1, 0)]).pair.rho, 6)]
-    for cartan, dh, lams in _THM41_CASES:
-        c = pair_context(cartan, dh)
-        spread = sum(b.height for b in c.pair.q_positive)
-        for lam in lams:
-            verma_runs.append((c, lam if lam is not None else -c.pair.rho,
-                               min(4, 8 + spread)))
-    checked = 0
-    for c, lam, depth in verma_runs:
-        spread = sum(b.height for b in c.pair.q_positive)
-        vw = c.verma(lam, 8 + spread + 1)
-        for mu in c.block_weights(vw, depth):
-            rep = index_identity_check(c.pair, c.cb, c.sm, vw, mu)
-            checked += 1
-            if not rep["ok"]:
-                ok = False
-                details.setdefault("verma_failures", []).append(str(mu))
-    details["verma_blocks_checked"] = checked
-    details["verma_scenario"] = ok
-    # (b) pinned tensor fixture with a Jordan block of size >= 2
+    vermas = _run([_sl3_doc(["index"], 6, depth=12)]
+                  + _simple_verma_docs(["index"], 4))
+    # the pinned tensor with a Jordan block of size >= 2; higher cross-asserts
+    # the direct and Jordan routes to H_top
+    [tensor] = _run([_jordan_doc(["index", "higher"], 8)])
     found = search_jordan_scenario()
-    fixture = load_jordan_fixture()
-    pin_ok = {k: found[k] for k in ("lambda_h", "factor_h", "depth_below_top")} == \
-        {k: fixture["fixture"][k] for k in ("lambda_h", "factor_h", "depth_below_top")}
-    details["search_matches_fixture"] = pin_ok
-    ok = ok and pin_ok
-    fctx, t = fixture["ctx"], fixture["module"]
-    max_size = 0
-    for mu in fctx.block_weights(t, 8):
-        blk = block(fctx.sm, t, mu)
-        if blk.dim == 0:
-            continue
-        sizes = [len(c) for c in blk.nilpotent().chains()]
-        max_size = max(max_size, max(sizes, default=0))
-        rep = index_identity_check(fctx.pair, fctx.cb, fctx.sm, t, mu)
-        # higher_cohomology cross-asserts the direct and Jordan routes
-        blk.higher_cohomology()
-        if not rep["ok"]:
-            ok = False
-            details.setdefault("tensor_failures", []).append(str(mu))
-    details["max_jordan_size"] = max_size
-    ok = ok and max_size >= 2
-    return _result("higher Dirac index", ok, time.time() - t0, details)
+    keys = ("lambda_h", "factor_h", "depth_below_top")
+    pin_ok = {k: found[k] for k in keys} == {k: load_jordan_fixture()["fixture"][k]
+                                             for k in keys}
+    max_size = tensor[1]["tasks"]["higher"]["max_jordan_size"]
+    records = _per_weight(vermas + [tensor], "index")
+    failures = [f"{name} {k}" for name, k, rec in records if not rec["ok"]]
+    ok = not failures and pin_ok and max_size >= 2
+    return _result("higher Dirac index", ok, time.time() - t0, {
+        "verma_scenario": all(b["ok"] for _, b in vermas),
+        "failures": failures,
+        "search_matches_fixture": pin_ok,
+        "max_jordan_size": max_size,
+        "visited": {"index_blocks": len(records)}})
 
 
 def criterion_7_exact_circle():
     """Six-term exactness for Verma/simple SES and a split SES."""
     t0 = time.time()
+    # M(s.lam) inside M(lam) for lam(h) = 0, 1, 2, then M(1/2) + M(-3/2)
+    runs = _run([_doc("A1", [], {"kind": "ses", "lambda": lam, "sub_weight": sub, "depth": 12},
+                      ["circle"], 8)
+                 for lam, sub in (([0], [-1]), (["1/2"], ["-3/2"]), ([1], [-2]))]
+                + [_doc("A1", [], {"kind": "ses_split", "lambda": ["1/2"], "lambda2": ["-3/2"],
+                                   "depth": 12}, ["circle"], 6)])
     details = {}
     ok = True
-    ctx = pair_context("A1", [])
-    pair, cb, sm = ctx.pair, ctx.cb, ctx.sm
-    alpha = pair.rs.simple_roots[0]
-    for n in (0, 1, 2):
-        lam = Weight([_F(n, 2)])
-        vw = ctx.verma(lam, 12)
-        w0 = lam - alpha * (n + 1)
-        sv = singular_vectors(vw, w0)
-        ses = ses_from_embedding(vw, w0, sv[0])
-        mu_top = lam + pair.rho
-        nonzero = 0
-        for k in range(9):
-            cert = exact_circle(pair, cb, sm, ses, mu_top - alpha * k)
-            if not cert.exact:
-                ok = False
-            if sum(cert.node_dims.values()):
-                nonzero += 1
-        details[f"ses lam(h)={n}"] = {"exact": ok, "weights_with_cohomology": nonzero}
-        ok = ok and nonzero >= 2
-    m1 = ctx.verma(Weight([_F(1, 2)]), 12)
-    m3 = ctx.verma(Weight([_F(-3, 2)]), 12)
-    split = ses_split(m1, m3)
-    mu_top = m1.top_weight + pair.rho
-    split_ok = True
-    for k in range(7):
-        cert = exact_circle(pair, cb, sm, split, mu_top - alpha * k)
-        split_ok = split_ok and cert.exact
-    details["split ses"] = split_ok
-    ok = ok and split_ok
+    for n, (_, b) in enumerate(runs[:3]):
+        nonzero = sum(1 for rec in b["tasks"]["circle"]["per_weight"].values()
+                      if sum(rec["node_dims"].values()))
+        details[f"ses lam(h)={n}"] = {"exact": b["ok"], "weights_with_cohomology": nonzero}
+        ok = ok and b["ok"] and nonzero >= 2
+    details["split ses"] = runs[3][1]["ok"]
+    ok = ok and runs[3][1]["ok"]
+    details["visited"] = {"circle_weights": len(_per_weight(runs, "circle"))}
     return _result("exact circle", ok, time.time() - t0, details)
 
 
 def criterion_8_hodge():
     """Hodge chain on unitary modules for both Hermitian pairs, plus the negative test."""
     t0 = time.time()
-    details = {}
-    ok = True
-    # A1, k = t, M(-rho) is unitary
-    ctx = pair_context("A1", [])
-    pair, cb, sm = ctx.pair, ctx.cb, ctx.sm
-    hp = detect_hermitian(pair)
-    lam = -pair.rho
-    vw = ctx.verma(lam, 12)
-    ws = [lam - pair.rs.simple_roots[0] * k for k in range(9)]
-    urep = unitarity_check(hp, vw, ws)
-    a1_ok = urep["unitary"]
-    us = urep["structure"]
-    mu_top = lam + pair.rho
-    for k in range(7):
-        mu = mu_top - pair.rs.simple_roots[0] * k
-        a1_ok = a1_ok and identification_check(hp, sm, vw, mu)["ok"]
-        a1_ok = a1_ok and hodge_decomposition_check(hp, sm, vw, us, mu)["ok"]
-        a1_ok = a1_ok and theorem52_comparison(hp, sm, vw, mu)["ok"]
-    details["A1 M(-rho)"] = a1_ok
-    ok = ok and a1_ok
-    # A2 su(2,1)-type pair: unitary simple quotient L(omega1 - 7/2 omega2)
-    ctx2 = pair_context("A2", [(1, 0)])
-    pair2, cb2, sm2 = ctx2.pair, ctx2.cb, ctx2.sm
-    hp2 = detect_hermitian(pair2)
-    lam2 = weight_from_fundamental(pair2.rs, (_F(1), _F(-7, 2)))
-    vw2 = ctx2.verma(lam2, 14)
-    quot = simple_quotient_window(vw2)
-    test_ws = [quot.top_weight - Weight(c) for c in _cone_coords(2, 10)]
-    urep2 = unitarity_check(hp2, quot, test_ws)
-    a2_ok = urep2["unitary"]
-    us2 = urep2["structure"]
-    mu_top2 = lam2 + pair2.rho - pair2.rho_h
-    nonzero = 0
-    for c in _cone_coords(2, 6):
-        mu = mu_top2 - Weight(c)
-        a2_ok = a2_ok and identification_check(hp2, sm2, quot, mu)["ok"]
-        a2_ok = a2_ok and hodge_decomposition_check(hp2, sm2, quot, us2, mu)["ok"]
-        cmp = theorem52_comparison(hp2, sm2, quot, mu)
-        a2_ok = a2_ok and cmp["ok"]
-        if cmp["hd"]:
-            nonzero += 1
-    details["A2 su21 L(omega1-7/2omega2)"] = a2_ok
-    details["A2 weights_with_hd"] = nonzero
-    ok = ok and a2_ok and nonzero >= 2
-    # negative test: lam(h) = 1 fails positivity
-    lam_bad = Weight([_F(1, 2)])
-    vw_bad = ctx.verma(lam_bad, 10)
-    rep_bad = unitarity_check(hp, vw_bad,
-                              [lam_bad - pair.rs.simple_roots[0] * k for k in range(5)])
-    details["negative test failed positivity"] = not rep_bad["unitary"]
-    ok = ok and not rep_bad["unitary"]
-    return _result("Hodge comparison", ok, time.time() - t0, details)
+    runs = _run([
+        # A1, k = t, M(-rho) is unitary
+        _doc("A1", [], {"kind": "verma", "lambda": ["-1/2"], "depth": 12}, ["hodge"], 8),
+        # A2 su(2,1)-type pair: unitary simple quotient L(omega1 - 7/2 omega2)
+        _doc("A2", _SU21, {"kind": "simple", "lambda": ["-1/2", -2], "depth": 14},
+             ["hodge"], 8),
+        # negative test: lam(h) = 1 fails positivity
+        _doc("A1", [], {"kind": "verma", "lambda": ["1/2"], "depth": 10}, ["hodge"], 4,
+             expect_nonunitary=True),
+    ])
+    (_, a1_run), (_, a2_run), (_, bad_run) = runs
+    nonzero = sum(1 for rec in a2_run["tasks"]["hodge"]["per_weight"].values() if rec["hd"])
+    bad = bad_run["tasks"]["hodge"]
+    negative_ok = bad["ok"] and not bad["unitary_on_window"]
+    ok = a1_run["ok"] and a2_run["ok"] and nonzero >= 2 and negative_ok
+    return _result("Hodge comparison", ok, time.time() - t0, {
+        "A1 M(-rho)": a1_run["ok"],
+        "A2 su21 L(omega1-7/2omega2)": a2_run["ok"],
+        "A2 weights_with_hd": nonzero,
+        "negative test failed positivity": negative_ok,
+        "visited": {"hodge_weights": len(_per_weight(runs, "hodge")),
+                    "positivity_weights": sum(len(b["tasks"]["hodge"]["positivity_per_weight"])
+                                              for _, b in runs)}})
 
 
-def vogan_runs():
-    """The (name, context, module, depth) runs of the Vogan audit."""
-    runs = []
-    ctx = pair_context("A2", [(1, 0)])
-    runs.append(("A2 su21 M(-rho)", ctx, ctx.verma(-ctx.pair.rho, 14), 8))
-    f = finite_dim_simple(ctx.pair, ctx.cb, Weight([_F(2, 3), _F(1, 3)]))
-    runs.append(("A2 su21 F(omega1)", ctx, f, 6))
-    fad = finite_dim_simple(ctx.pair, ctx.cb, Weight([1, 1]))
-    runs.append(("A2 su21 F(adjoint)", ctx, fad, 6))
-    fixture = load_jordan_fixture()
-    runs.append(("pinned tensor", fixture["ctx"], fixture["module"], 8))
-    for cartan, dh, lams in _THM41_CASES:
-        c = pair_context(cartan, dh)
-        spread = sum(b.height for b in c.pair.q_positive)
-        for lam in lams:
-            lam = lam if lam is not None else -c.pair.rho
-            runs.append((f"{cartan} dh={len(dh)} M({lam})", c,
-                         c.verma(lam, 8 + spread + 1), 5))
-    ctx1 = pair_context("A1", [])
-    vw0 = ctx1.verma(Weight([0]), 10)
-    runs.append(("A1 L(0)", ctx1,
-                 simple_quotient_window(vw0), 5))
-    return runs
+def vogan_documents():
+    """The scenario documents of the Vogan audit."""
+    return ([_sl3_doc(["vogan"], 8)]
+            + [_doc("A2", _SU21, {"kind": "finite", "lambda": lam}, ["vogan"], 6)
+               for lam in (["2/3", "1/3"], [1, 1])]
+            + [_jordan_doc(["vogan"], 8)]
+            + _simple_verma_docs(["vogan"], 5)
+            + [_doc("A1", [], {"kind": "simple", "lambda": [0], "depth": 10}, ["vogan"], 5)])
 
 
 def criterion_9_vogan():
     """Infinitesimal-character audit wherever cohomology survives."""
     t0 = time.time()
-    details = {}
-    ok = True
-    for name, c, m, depth in vogan_runs():
-        weights = c.block_weights(m, depth)
-        singular = singular_cohomology_weights(c.pair, c.cb, c.sm, m, weights)
-        rep = vogan_audit(c.pair, sorted(singular), m.infchars)
-        details[name] = {"ok": rep["ok"], "constituent_weights": len(singular)}
-        ok = ok and rep["ok"] and bool(singular)
+    runs = _run(vogan_documents())
+    details = {name: {"ok": b["ok"],
+                      "constituent_weights": len(b["tasks"]["vogan"]["constituent_weights"])}
+               for name, b in runs}
+    ok = all(d["ok"] and d["constituent_weights"] for d in details.values())
+    details["visited"] = {"vogan_runs": len(runs)}
     return _result("Vogan audit", ok, time.time() - t0, details)
 
 

@@ -95,6 +95,13 @@ def _cmd_report(args):
         print("cannot read bundle: not a bundle (the top level is not a JSON object)",
               file=sys.stderr)
         return 2
+    # a JSON object of the wrong shape is bad input: render before writing anything
+    try:
+        text = render_bundle(bundle)
+    except (KeyError, TypeError, AttributeError) as e:
+        print(f"cannot read bundle: not a bundle ({type(e).__name__}: {e})",
+              file=sys.stderr)
+        return 2
     # an unusable CSV path is bad input: fail before any output
     written = []
     if args.csv:
@@ -103,7 +110,7 @@ def _cmd_report(args):
         except OSError as e:
             print(f"cannot write CSV tables: {e}", file=sys.stderr)
             return 2
-    sys.stdout.write(render_bundle(bundle))
+    sys.stdout.write(text)
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -614,9 +614,9 @@ def nonvanishing_check(pair, cb, sm, m) -> dict:
     }
 
 
-def simple_verma_theorem_check(pair, cb, sm, m, depth_below_top) -> dict:
-    """H_D(M(lambda)) against the subsystem Verma character, per weight."""
-    from .cato import verma_character_h, _cone_coords
+def simple_verma_theorem_check(pair, cb, sm, m, weights) -> dict:
+    """H_D(M(lambda)) against the subsystem Verma character at the given weights."""
+    from .cato import verma_character_h
     from .roots import is_antidominant
 
     lam = m.top_weight
@@ -627,7 +627,6 @@ def simple_verma_theorem_check(pair, cb, sm, m, depth_below_top) -> dict:
         v = pair.form.coroot_pair(mu_top + pair.rho_h, alpha)
         if v.denominator == 1 and v > 0:
             target_anti = False
-    weights = [mu_top - Weight(c) for c in _cone_coords(pair.rank, depth_below_top)]
     actual = {}
     for mu in weights:
         blk = block(sm, m, mu)

@@ -292,6 +292,9 @@ class Workspace:
             return simple_quotient_window(vw)
         if kind == "ses":
             w0 = scn.weights["sub_weight"]
+            if not vw.materialized(w0):
+                raise ScenarioError(f"sub_weight {wkey(w0)} lies below the window "
+                                    f"of depth {depth}")
             sv = singular_vectors(vw, w0)
             if len(sv) != 1:
                 raise ScenarioError(
@@ -335,13 +338,14 @@ def _map_weights(fn, weights):
     return {k: rec for k, rec in records.items() if rec is not None}
 
 
-def _task_dirac(ws):
-    weights = ws.block_weights()
+def _map_blocks(fn, ws, margin=0):
+    """{wkey(mu): fn(block at mu)} over the nonzero Dirac blocks at ws's block weights."""
+    blocks = (block(ws.sm, ws.module, mu) for mu in ws.block_weights(margin=margin))
+    return {wkey(blk.mu): fn(blk) for blk in blocks if blk.dim}
 
-    def one(mu):
-        blk = block(ws.sm, ws.module, mu)
-        if blk.dim == 0:
-            return None
+
+def _task_dirac(ws):
+    def one(blk):
         hd = blk.dirac_cohomology()
         htop = blk.higher_cohomology()
         eigs = blk.eigenvalue_decomposition()
@@ -355,7 +359,7 @@ def _task_dirac(ws):
             "eigenvalues": [str(c) for c in sorted(eigs)],
         }
 
-    records = _map_weights(one, weights)
+    records = _map_blocks(one, ws)
     nv = nonvanishing_check(ws.pair, ws.cb, ws.sm, ws.module)
     return {
         "per_weight": records,
@@ -370,19 +374,15 @@ def _task_dirac(ws):
 
 def _task_square(ws):
     margin = max(a.height for a in ws.pair.rs.positive_roots)
-    weights = ws.block_weights(margin=margin)
 
-    def one(mu):
-        blk = block(ws.sm, ws.module, mu)
-        if blk.dim == 0:
-            return None
+    def one(blk):
         rep = check_square(ws.pair, ws.cb, ws.sm, ws.module, blk)
         return {
             "matrix_identity": rep["matrix_identity"],
             "eigenvalues": {str(c): d for c, d in sorted(rep["eigenvalues"].items())},
         }
 
-    records = _map_weights(one, weights)
+    records = _map_blocks(one, ws, margin)
     ok = all(r["matrix_identity"] for r in records.values())
     return {"per_weight": records, "ok": ok, "first_failure": next(
         (k for k, r in sorted(records.items()) if not r["matrix_identity"]), None)}
@@ -401,8 +401,7 @@ def _task_kostant(ws):
 
 
 def _task_simple_verma(ws):
-    rep = simple_verma_theorem_check(ws.pair, ws.cb, ws.sm, ws.module,
-                                     ws.scenario.depth_below_top)
+    rep = simple_verma_theorem_check(ws.pair, ws.cb, ws.sm, ws.module, ws.block_weights())
     return {
         "ok": rep["antidominant"] and rep["target_antidominant"] and rep["match"],
         "antidominant": rep["antidominant"],
@@ -413,12 +412,7 @@ def _task_simple_verma(ws):
 
 
 def _task_higher(ws):
-    weights = ws.block_weights()
-
-    def one(mu):
-        blk = block(ws.sm, ws.module, mu)
-        if blk.dim == 0:
-            return None
+    def one(blk):
         htop = blk.higher_cohomology()  # asserts both routes agree
         sizes = sorted(len(c) for c in blk.nilpotent().chains())
         return {
@@ -426,25 +420,20 @@ def _task_higher(ws):
             "jordan_sizes": sizes,
         }
 
-    records = _map_weights(one, weights)
+    records = _map_blocks(one, ws)
     max_size = max((max(r["jordan_sizes"]) for r in records.values()
                     if r["jordan_sizes"]), default=0)
     return {"per_weight": records, "max_jordan_size": max_size, "ok": True}
 
 
 def _task_index(ws):
-    weights = ws.block_weights()
-
-    def one(mu):
-        blk = block(ws.sm, ws.module, mu)
-        if blk.dim == 0:
-            return None
-        rep = index_identity_check(ws.pair, ws.cb, ws.sm, ws.module, mu)
+    def one(blk):
+        rep = index_identity_check(ws.pair, ws.cb, ws.sm, ws.module, blk.mu)
         return {"signed_sum": rep["signed_sum"],
                 "graded_difference": rep["graded_difference"],
                 "ok": rep["ok"]}
 
-    records = _map_weights(one, weights)
+    records = _map_blocks(one, ws)
     return {"per_weight": records, "ok": all(r["ok"] for r in records.values())}
 
 

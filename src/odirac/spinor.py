@@ -175,6 +175,9 @@ def cubic_term(pair: PairGH, cb: ChevalleyBasis, sm: SpinModule) -> SpinOperator
 
     The sum runs over the root-vector basis of q with its Killing-dual
     partners; only the q-component of the brackets survives the pairing.
+    [z_j, z_k] is one root vector or lies in the Cartan part, and a root
+    vector pairs only with its opposite, so each bracket meets at most one
+    z_i: the dual partner of its q-component.
     """
     n = 2 * sm.nq
     cb_idx = sm._qidx_to_cb
@@ -182,11 +185,11 @@ def cubic_term(pair: PairGH, cb: ChevalleyBasis, sm: SpinModule) -> SpinOperator
     terms = []
     for j in range(n):
         for k in range(n):
-            vec = cb.bracket(cb_idx[j], cb_idx[k])
-            if not vec:
-                continue
-            for i in range(n):
-                pairing = sum((c * cb.pairing(cb_idx[i], m) for m, c in vec.items()), _F0)
+            for m, c in cb.bracket(cb_idx[j], cb_idx[k]).items():
+                if m not in sm._cb_to_qidx:
+                    continue  # a Cartan or h-root component pairs to zero with q
+                i = sm.dual_index(sm._cb_to_qidx[m])
+                pairing = c * cb.pairing(cb_idx[i], m)
                 if pairing:
                     terms.append((sixth * pairing,
                                   (sm.dual_index(i), sm.dual_index(j), sm.dual_index(k))))

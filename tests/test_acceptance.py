@@ -69,6 +69,30 @@ def test_criterion_10_structural_suites():
     assert res["ok"], res["details"]
 
 
+# The fewest runs or blocks each check may visit, so that an edit to a
+# criterion's scenario documents cannot quietly shrink what it covers.
+COVERAGE_FLOORS = {
+    "sl(3) worked example": {"simple_verma_runs": 1},
+    "Kostant kernel formula": {"kostant_runs": 9},
+    "square formula": {"square_blocks": 98},
+    "simple Verma theorem": {"simple_verma_runs": 9},
+    "nonvanishing": {"nonvanishing_runs": 5},
+    "higher Dirac index": {"index_blocks": 142},
+    "exact circle": {"circle_weights": 34},
+    "Hodge comparison": {"hodge_weights": 35, "positivity_weights": 55},
+    "Vogan audit": {"vogan_runs": 14},
+}
+
+
+def test_coverage_floors():
+    assert len(_RESULTS) == 10, "criteria must run before the coverage check"
+    for name, floors in COVERAGE_FLOORS.items():
+        visited = _RESULTS[name]["details"]["visited"]
+        assert set(visited) == set(floors), name
+        for check, floor in floors.items():
+            assert visited[check] >= floor, (name, check, visited[check])
+
+
 def test_total_runtime_budget():
     # the full suite must stay inside the three-minute budget
     assert len(_RESULTS) == 10, "criteria must run before the budget check"

@@ -87,15 +87,23 @@ def test_unparseable_file_exits_2(tmp_path):
     assert res.returncode == 2
 
 
-@pytest.mark.parametrize("doc", [[1, 2], "text", 3, None])
+@pytest.mark.parametrize("doc", [
+    [1, 2], "text", 3, None,
+    {"tasks": ["dirac"]},
+    {"tasks": {"dirac": 3}},
+    {"tasks": {"dirac": {"per_weight": {"[0]": {}}}}},
+])
 def test_report_on_non_object_json_exits_2(tmp_path, capsys, doc):
     path = tmp_path / "list.bundle.json"
     path.write_text(json.dumps(doc))
-    assert main(["report", str(path)]) == 2
+    assert main(["report", str(path), "--csv", str(tmp_path / "csv")]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.splitlines() == ["cannot read bundle: not a bundle "
-                                "(the top level is not a JSON object)"]
+    assert len(err.splitlines()) == 1 and err.startswith("cannot read bundle: not a bundle (")
+    if not isinstance(doc, dict):
+        assert err.splitlines() == ["cannot read bundle: not a bundle "
+                                    "(the top level is not a JSON object)"]
+    assert not (tmp_path / "csv").exists()
 
 
 def test_out_is_existing_file_exits_2(tmp_path, capsys, monkeypatch):
@@ -180,11 +188,14 @@ A1_VERMA = {"kind": "verma", "lambda": [0], "depth": 4}
     ({"cartan_type": "A2", "tasks": ["circle"],
       "module": {"kind": "ses_split", "lambda": [0, 0], "lambda2": [1, -1], "depth": 6}},
      "ses_split tops [0, 0] and [1, -1] differ by no sum of positive roots"),
+    ({"tasks": ["circle"],
+      "module": {"kind": "ses", "lambda": ["1/2"], "sub_weight": ["-3/2"], "depth": 1}},
+     "sub_weight [-3/2] lies below the window of depth 1"),
 ], ids=["missing_depth", "depth_not_int", "negative_depth", "finite_not_dominant",
         "tasks_not_list", "delta_h_not_subsystem", "delta_h_not_list",
         "kostant_not_finite", "circle_without_ses", "hodge_not_highest_weight",
         "hodge_not_hermitian", "options_not_object", "option_not_boolean",
-        "option_misspelt", "ses_split_tops_not_comparable"])
+        "option_misspelt", "ses_split_tops_not_comparable", "ses_sub_weight_below_window"])
 def test_invalid_scenario_fields_exit_2(tmp_path, capsys, fields, message):
     scn = {"name": "bad", "cartan_type": "A1", "delta_h": [], "module": A1_VERMA,
            "tasks": ["dirac"], **fields}
@@ -227,6 +238,31 @@ def test_depth_cap_enforced(tmp_path):
     scn["max_depth"] = 12
     path.write_text(json.dumps(scn))
     assert run_cli("run", str(path), "--out", str(tmp_path)).returncode == 0
+
+
+def test_simple_verma_reports_only_weights_inside_the_window(tmp_path):
+    """depth_below_top may reach past a shallow window: the check keeps to the
+    block weights whose components the window holds."""
+    scn = {"name": "shallow", "cartan_type": "A1", "delta_h": [],
+           "module": {"kind": "verma", "lambda": [-1], "depth": 2},
+           "depth_below_top": 8, "tasks": ["simple_verma"]}
+    path = tmp_path / "shallow.json"
+    path.write_text(json.dumps(scn))
+    res = run_cli("run", str(path), "--out", str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    sv = json.loads((tmp_path / "shallow.bundle.json").read_text())["tasks"]["simple_verma"]
+    assert sv["hd_character"] == sv["expected_character"] == {"[-1/2]": 1}
+
+
+def test_selftest_json_end_to_end(tmp_path):
+    res = run_cli("selftest", "--json", str(tmp_path / "results.json"))
+    assert res.returncode == 0, res.stdout + res.stderr
+    results = json.loads((tmp_path / "results.json").read_text())["results"]
+    assert [r["name"] for r in results] == [
+        "sl(3) worked example", "Kostant kernel formula", "square formula",
+        "simple Verma theorem", "nonvanishing", "higher Dirac index", "exact circle",
+        "Hodge comparison", "Vogan audit", "structural properties"]
+    assert all(r["ok"] for r in results)
 
 
 def test_depth_override(tmp_path):

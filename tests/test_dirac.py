@@ -167,12 +167,13 @@ def test_nonvanishing(a2_su21, a1):
 
 def test_simple_verma_theorem(a1, a2_su21):
     vw = verma_window(a1.pair, a1.cb, Weight([F(-3, 4)]), 12)
-    rep = simple_verma_theorem_check(a1.pair, a1.cb, a1.sm, vw, 8)
+    rep = simple_verma_theorem_check(a1.pair, a1.cb, a1.sm, vw, a1.block_weights(vw, 8))
     assert rep["antidominant"] and rep["target_antidominant"] and rep["match"]
     # A1 h = t: H_D is the single line at lam + rho
     assert list(rep["hd_character"].values()) == [1]
     vw2 = verma_window(a2_su21.pair, a2_su21.cb, -a2_su21.pair.rho, 14)
-    rep2 = simple_verma_theorem_check(a2_su21.pair, a2_su21.cb, a2_su21.sm, vw2, 8)
+    rep2 = simple_verma_theorem_check(a2_su21.pair, a2_su21.cb, a2_su21.sm, vw2,
+                                      a2_su21.block_weights(vw2, 8))
     assert rep2["match"] and rep2["mu_top"] == -a2_su21.pair.rho_h
 
 
@@ -809,19 +810,24 @@ def test_dirac_cohomology_is_htop_level_zero():
         assert blk.dirac_cohomology() == reference_dirac_cohomology(blk), blk.mu
 
 
-def test_singular_classes_match_two_branch_reference(a1):
+def test_singular_classes_match_two_branch_reference():
     """Entry for entry on every run of the Vogan audit criterion, and on A1's
     M(0), whose H_top^1 classes need ker D^2 in the denominator (the
     criterion's runs would not notice it missing)."""
-    from odirac.acceptance import vogan_runs
+    from odirac.acceptance import vogan_documents
+    from odirac.scenarios import Scenario, Workspace
 
-    runs = vogan_runs() + [("A1 M(0)", a1, a1.verma(Weight([0]), 12), 6)]
-    for name, c, m, depth in runs:
-        weights = c.block_weights(m, depth)
-        got = singular_cohomology_weights(c.pair, c.cb, c.sm, m, weights)
-        assert got, name
-        assert got == reference_singular_cohomology_weights(c.pair, c.cb, c.sm, m, weights), \
-            name
+    a1_m0 = {"name": "A1-M0", "cartan_type": "A1", "max_depth": 12, "depth_below_top": 6,
+             "module": {"kind": "verma", "lambda": [0], "depth": 12}}
+    docs = vogan_documents() + [a1_m0]
+    assert len(docs) == 15
+    for doc in docs:
+        ws = Workspace(Scenario(doc))
+        weights = ws.block_weights()
+        got = singular_cohomology_weights(ws.pair, ws.cb, ws.sm, ws.module, weights)
+        assert got, doc["name"]
+        assert got == reference_singular_cohomology_weights(
+            ws.pair, ws.cb, ws.sm, ws.module, weights), doc["name"]
 
 
 def _homogeneous(vecs, parity):

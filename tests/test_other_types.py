@@ -21,7 +21,7 @@ def test_b2_short_root_pair_is_hermitian():
     assert all(hp.q_degree(b) == 1 for b in c.pair.q_positive)
     lam = -c.pair.rho
     vw = verma_window(c.pair, c.cb, lam, 10)
-    rep = simple_verma_theorem_check(c.pair, c.cb, c.sm, vw, 4)
+    rep = simple_verma_theorem_check(c.pair, c.cb, c.sm, vw, c.block_weights(vw, 4))
     assert rep["antidominant"] and rep["target_antidominant"] and rep["match"]
     mu_top = lam + c.pair.rho - c.pair.rho_h
     for cc in _cone_coords(2, 2):
@@ -66,7 +66,7 @@ def test_g2_long_root_pair_top_block():
 def test_a1xa1_pair():
     c = ctx("A1xA1", [(1, 0)])
     vw = verma_window(c.pair, c.cb, -c.pair.rho, 8)
-    assert simple_verma_theorem_check(c.pair, c.cb, c.sm, vw, 4)["match"]
+    assert simple_verma_theorem_check(c.pair, c.cb, c.sm, vw, c.block_weights(vw, 4))["match"]
     f = finite_dim_simple(c.pair, c.cb, Weight([F(1, 2), F(1, 2)]))
     assert kostant_kernel_check(c.pair, c.cb, c.sm, f)["match"]
 
@@ -78,7 +78,7 @@ def test_a3_rank_two_subsystem():
     f = finite_dim_simple(c.pair, c.cb, Weight([0, 0, 0]))
     assert kostant_kernel_check(c.pair, c.cb, c.sm, f)["match"]
     vw = verma_window(c.pair, c.cb, -c.pair.rho, 6)
-    assert simple_verma_theorem_check(c.pair, c.cb, c.sm, vw, 2)["match"]
+    assert simple_verma_theorem_check(c.pair, c.cb, c.sm, vw, c.block_weights(vw, 2))["match"]
 
 
 def test_g2_long_root_kostant_seven_dim():
