@@ -7,8 +7,10 @@ order) with recursive straightening against the bracket table.  The
 monomials of a weight w are enumerated in the integer cone coordinates
 lambda - w; a `Weight` is built only where the window's API takes or
 returns one.  Simple quotients, finite-dimensional simples, tensor
-products, submodules and quotients are derived views.  Everything is
-rational and deterministic.
+products, submodules and quotients are derived views.  A simple
+quotient finds its radical top-down from the simple raising maps and
+carries its own contravariant form, so no Verma Gram is built on the
+way to L(lambda).  Everything is rational and deterministic.
 """
 
 from fractions import Fraction
@@ -192,6 +194,7 @@ class WeightModuleWindow:
 
     kind = "abstract"
     complete = False
+    _form = None  # the window's ContravariantForm, see shapovalov_grams
 
     def __init__(self, pair: PairGH, cb: ChevalleyBasis):
         self.pair = pair
@@ -273,7 +276,6 @@ class VermaWindow(WeightModuleWindow):
         self.straightener = _Straightener(cb, self.lam)
         self.cone = _PBWCone(cb.pos)
         self._basis_cache = {}
-        self._form = None  # the window's ContravariantForm, see shapovalov_grams
 
     def materialized(self, w):
         coords = _delta_coords(self.lam, w)
@@ -324,13 +326,17 @@ def verma_window(pair, cb, lam, depth) -> VermaWindow:
 # -- contravariant (Shapovalov) form -----------------------------------------
 
 class ContravariantForm:
-    """Gram matrices of the contravariant form on a Verma window.
+    """Gram matrices of the contravariant form on a Verma window or on its
+    simple quotient.
 
-    Built by `shapovalov_grams`, which keeps one per window.
+    Built by `shapovalov_grams`, which keeps one per window.  On the
+    quotient the Gram at w is the form on the kept basis vectors, the
+    Verma Gram's kept rows and columns, computed without it.
     """
 
-    def __init__(self, vw: VermaWindow):
-        self.vw = vw
+    def __init__(self, window):
+        self.window = window
+        self.vw = window.parent if window.kind == "simple" else window
         self._grams = {}
 
     def gram(self, w) -> Mat:
@@ -343,54 +349,71 @@ class ContravariantForm:
     def _compute(self, w):
         """G(w) from the Grams above it and the window's raising actions.
 
-        Write basis monomial i as f_beta u, with f_beta its first factor
-        and u (weight w + beta) the monomial with that exponent lowered
-        by one.  tau(f_beta) = e_beta / kappa_beta, so
-        <f_beta u, v> = <u, e_beta v> / kappa_beta: row i of G(w) is row u
-        of G(w + beta) times the action of e_beta on weight w, divided by
-        kappa_beta.  The rows that share beta are one product.
+        Write kept basis monomial i as f_beta u, with f_beta its first
+        factor and u (weight w + beta) the monomial with that exponent
+        lowered by one.  tau(f_beta) = e_beta / kappa_beta, so
+        <f_beta u, v> = <u, e_beta v> / kappa_beta: row i of G(w) is the
+        image of u in the window at w + beta (column u of its projection,
+        a unit vector on a Verma window) against G(w + beta), times the
+        window's action of e_beta on weight w, divided by kappa_beta.
+        The rows that share beta are one product.
         """
-        vw = self.vw
+        win, vw = self.window, self.vw
         if w == vw.lam:
             return Mat.identity(1)
         basis = vw.basis(w)
+        keep = range(len(basis)) if win is vw else win.kept_indices(w)
         by_first = {}
-        for i, mono in enumerate(basis):
-            first = next(p for p, k in enumerate(mono) if k)
-            by_first.setdefault(first, []).append(i)
+        for r, i in enumerate(keep):
+            first = next(p for p, k in enumerate(basis[i]) if k)
+            by_first.setdefault(first, []).append(r)
         cb = vw.cb
         parts = []
-        for first, idx in by_first.items():
+        for first, rows in by_first.items():
             beta = cb.pos[first]
             up = {m: j for j, m in enumerate(vw.basis(w + beta))}
-            picked = self.gram(w + beta).take([up[_dec(basis[i], first)] for i in idx])
-            prod = picked @ vw.action(("e", beta), w)
-            parts.append((idx, prod.scale(_F1 / cb.kappa_integral(beta))))
+            us = [up[_dec(basis[keep[r]], first)] for r in rows]
+            g = self.gram(w + beta)
+            picked = g.take(us) if win is vw else win.projection(w + beta).take(cols=us).T @ g
+            prod = picked @ win.action(("e", beta), w)
+            parts.append((rows, prod.scale(_F1 / cb.kappa_integral(beta))))
         den = lcm(*(prod.den for _, prod in parts))
-        rows = [None] * len(basis)
-        for idx, prod in parts:
+        out = [None] * len(keep)
+        for rows, prod in parts:
             f = den // prod.den
-            for i, row in zip(idx, prod.num):
-                rows[i] = row if f == 1 else [x * f for x in row]
-        return Mat.from_ints(rows, len(basis), den)
+            for r, row in zip(rows, prod.num):
+                out[r] = row if f == 1 else [x * f for x in row]
+        return Mat.from_ints(out, len(keep), den)
 
     def radical(self, w):
+        """The nullspace of the Gram at w.
+
+        On a Verma window this is N(lambda)_w read off the form: the
+        reference route for the radical `simple_quotient_window` finds
+        from the raising maps.
+        """
         return self.gram(w).nullspace()
 
 
-def shapovalov_grams(vw: VermaWindow) -> ContravariantForm:
-    """The contravariant form of a Verma window, one per window."""
-    if vw.kind != "verma":
-        raise ValueError("contravariant grams are computed on Verma windows")
-    if vw._form is None:
-        vw._form = ContravariantForm(vw)
-    return vw._form
+def shapovalov_grams(window) -> ContravariantForm:
+    """The contravariant form of a Verma window or of its simple quotient,
+    one per window."""
+    if window.kind not in ("verma", "simple"):
+        raise ValueError("contravariant grams are computed on Verma windows "
+                         "and their simple quotients")
+    if window._form is None:
+        window._form = ContravariantForm(window)
+    return window._form
 
 
 # -- derived windows ---------------------------------------------------------
 
 class QuotientWindow(WeightModuleWindow):
-    """Quotient of a parent window by a per-weight subspace (a submodule)."""
+    """Quotient of a parent window by a per-weight subspace (a submodule).
+
+    `sub_basis_fn(w)` lists vectors spanning the subspace at w, or
+    returns None when it is the whole weight space.
+    """
 
     kind = "quotient"
 
@@ -410,7 +433,11 @@ class QuotientWindow(WeightModuleWindow):
         d = self._data.get(w)
         if d is None:
             pdim = self.parent.dim(w)
-            red, pivots = Mat(self._sub_basis_fn(w), pdim).rref()
+            sub = self._sub_basis_fn(w)
+            if sub is None:
+                d = self._data[w] = ([], Mat.zero(0, pdim), Mat.zero(pdim, 0))
+                return d
+            red, pivots = Mat(sub, pdim).rref()
             pivset = set(pivots)
             keep = [j for j in range(pdim) if j not in pivset]
             # projection along the subspace onto the kept coordinates:
@@ -556,9 +583,32 @@ class ExplicitWindow(WeightModuleWindow):
 
 
 def simple_quotient_window(vw: VermaWindow) -> QuotientWindow:
-    """L(lambda) on the window: quotient by the radical of the contravariant form."""
-    form = shapovalov_grams(vw)
-    return QuotientWindow(vw, lambda w: form.radical(w), kind="simple")
+    """L(lambda) on the window: the quotient of M(lambda) by its largest
+    proper submodule N(lambda), the radical of the contravariant form.
+
+    N is found top-down without the form.  U(n+) is generated by the
+    simple raising operators e_i, so for w != lambda a vector v of
+    weight w lies in N iff e_i v lies in N at w + alpha_i for every i:
+    N_w is the kernel of the stacked maps (projection to L at
+    w + alpha_i) @ e_i, over the i with L nonzero at w + alpha_i.  With
+    no such i, N_w is all of M_w.  The kernel equals the Gram's
+    nullspace as a subspace, so both give the same canonical basis.
+    """
+    simples = vw.pair.rs.simple_roots
+
+    def radical(w):
+        if w == vw.lam:
+            return []
+        stacked = None
+        for alpha in simples:
+            up = w + alpha
+            if quot.dim(up):
+                m = quot.projection(up) @ vw.action(("e", alpha), w)
+                stacked = m if stacked is None else stacked.vstack(m)
+        return None if stacked is None else stacked.nullspace()
+
+    quot = QuotientWindow(vw, radical, kind="simple")
+    return quot
 
 
 def weyl_dimension(pair: PairGH, lam: Weight, pos_roots=None,

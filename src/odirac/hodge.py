@@ -77,22 +77,18 @@ class UnitaryStructure:
     On a highest weight module of the noncompact Hermitian real form the
     invariant form differs from the contravariant one by the sign of the
     parabolic degree of the drop from the highest weight.  Works on a
-    Verma window or on its simple quotient (form induced on a complement
-    of the radical); either way the form is the Verma window's own.
+    Verma window or on its simple quotient, each through its own
+    contravariant form (`shapovalov_grams`): the quotient's Grams live
+    on its kept basis vectors and never pass through the Verma Grams.
     """
 
     def __init__(self, hp: HermitianPair, vw):
         self.hp = hp
-        self.vw = vw
-        self.form = shapovalov_grams(vw.parent if vw.kind == "simple" else vw)
+        self.form = shapovalov_grams(vw)
         self.lam = vw.top_weight
 
     def gram(self, w) -> Mat:
-        if self.vw.kind == "simple":
-            keep = self.vw.kept_indices(w)
-            g = self.form.gram(w).take(keep, keep)
-        else:
-            g = self.form.gram(w)
+        g = self.form.gram(w)
         deg = self.hp.q_degree(self.lam - w)
         if deg.denominator != 1:
             raise AssertionError(f"non-integral parabolic degree at {w}")

@@ -37,7 +37,12 @@ KNOWN_TASKS = ("dirac", "square", "kostant", "simple_verma", "higher", "index",
                "circle", "hodge", "vogan")
 
 
+# The top-level keys of a scenario document; any other key is an error.
+SCENARIO_KEYS = ("name", "comment", "cartan_type", "delta_h", "module", "max_depth",
+                 "depth_below_top", "tasks", "options")
+
 # The fields each module kind reads besides "kind"; Workspace relies on them.
+# A module may also carry "depth" (a finite module ignores it); nothing else.
 MODULE_FIELDS = {
     "verma": ("lambda", "depth"),
     "simple": ("lambda", "depth"),
@@ -97,8 +102,9 @@ def wkey(w: Weight) -> str:
 class PairContext:
     """Root data, Chevalley basis, pair and spin module of one (g, h).
 
-    Also caches the Verma windows, their tensor products with finite
-    modules built on the pair, and each module's block weights.  Dirac
+    Also caches the modules built on the pair (Verma windows, their
+    simple quotients, finite modules and tensor products of a Verma
+    window with a finite module) and each module's block weights.  Dirac
     blocks are memoized on the spin module (`dirac.block`).
     """
 
@@ -109,6 +115,8 @@ class PairContext:
         self.pair = validate_pair(self.rs, self.form, delta_h)
         self._sm = None
         self._vermas = {}
+        self._simples = {}
+        self._finites = {}
         self._tensors = {}
         self._block_weights = {}
 
@@ -126,13 +134,29 @@ class PairContext:
             vw = self._vermas[key] = verma_window(self.pair, self.cb, key[0], depth)
         return vw
 
+    def simple(self, lam, depth):
+        """The simple quotient of the Verma window of (lam, depth)."""
+        key = (Weight(lam), depth)
+        q = self._simples.get(key)
+        if q is None:
+            q = self._simples[key] = simple_quotient_window(self.verma(*key))
+        return q
+
+    def finite(self, lam):
+        """The finite-dimensional simple module of dominant integral lam."""
+        lam = Weight(lam)
+        f = self._finites.get(lam)
+        if f is None:
+            f = self._finites[lam] = finite_dim_simple(self.pair, self.cb, lam)
+        return f
+
     def tensor(self, lam, depth, factor_lam):
         """The Verma window of (lam, depth) tensor the finite module of factor_lam."""
         key = (Weight(lam), depth, Weight(factor_lam))
         t = self._tensors.get(key)
         if t is None:
-            f = finite_dim_simple(self.pair, self.cb, key[2])
-            t = self._tensors[key] = tensor_with_finite_dim(self.verma(lam, depth), f)
+            t = self._tensors[key] = tensor_with_finite_dim(self.verma(lam, depth),
+                                                            self.finite(key[2]))
         return t
 
     def block_weights(self, m, depth, margin=0):
@@ -178,6 +202,9 @@ class Scenario:
     def __init__(self, doc):
         if not isinstance(doc, dict):
             raise ScenarioError("scenario must be a JSON object")
+        unknown = sorted(set(doc) - set(SCENARIO_KEYS))
+        if unknown:
+            raise ScenarioError(f"unknown scenario key {unknown[0]!r}")
         self.doc = doc
         self.name = doc.get("name", "scenario")
         if not isinstance(self.name, str) or not _FILE_STEM.fullmatch(self.name):
@@ -209,6 +236,9 @@ class Scenario:
         missing = [key for key in MODULE_FIELDS[kind] if key not in module]
         if missing:
             raise ScenarioError(f"module kind {kind!r} needs {', '.join(missing)}")
+        unknown = sorted(set(module) - {"kind", "depth", *MODULE_FIELDS[kind]})
+        if unknown:
+            raise ScenarioError(f"unknown key {unknown[0]!r} for module kind {kind!r}")
         self.weights = {key: parse_weight(module[key], rank)
                         for key in _WEIGHT_FIELDS if key in module}
         if kind == "ses_split":
@@ -282,14 +312,14 @@ class Workspace:
         ctx = self.ctx
         kind, lam, depth = scn.module["kind"], scn.weights["lambda"], scn.depth
         if kind == "finite":
-            return finite_dim_simple(ctx.pair, ctx.cb, lam)
+            return ctx.finite(lam)
         if kind == "tensor":
             return ctx.tensor(lam, depth, scn.weights["factor_lambda"])
+        if kind == "simple":
+            return ctx.simple(lam, depth)
         vw = ctx.verma(lam, depth)
         if kind == "verma":
             return vw
-        if kind == "simple":
-            return simple_quotient_window(vw)
         if kind == "ses":
             w0 = scn.weights["sub_weight"]
             if not vw.materialized(w0):

@@ -99,3 +99,22 @@ def test_total_runtime_budget():
     total = sum(r["seconds"] for r in _RESULTS.values())
     print(f"acceptance total: {total:.1f}s")
     assert total < 180
+
+
+def test_selftest_builds_each_finite_module_once(monkeypatch):
+    """The finite modules of the suite come from the context caches: one
+    `finite_dim_simple` per distinct (pair, highest weight)."""
+    from odirac import scenarios
+
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold process
+    built = []
+    build = scenarios.finite_dim_simple
+
+    def counted(pair, cb, lam):
+        built.append((pair, lam))
+        return build(pair, cb, lam)
+
+    monkeypatch.setattr(scenarios, "finite_dim_simple", counted)
+    results, _ = acceptance.run_all(verbose=False)
+    assert all(r["ok"] for r in results)
+    assert len(set(built)) == len(built) == 9

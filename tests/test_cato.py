@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from odirac.exactla import Mat
-from odirac.roots import Weight, is_antidominant, zero_weight
-from odirac.cato import (OutsideWindow, commutation_defect, finite_character_h,
-                         finite_dim_simple, kostant_partition_counter,
+from odirac.roots import Weight, is_antidominant, weight_from_fundamental, zero_weight
+from odirac.cato import (OutsideWindow, QuotientWindow, commutation_defect,
+                         finite_character_h, finite_dim_simple, kostant_partition_counter,
                          ses_from_embedding, ses_split, shapovalov_grams,
                          simple_quotient_window, singular_vectors,
                          sort_weights, tensor_with_finite_dim, verma_character_h,
@@ -178,20 +178,27 @@ def test_grams_match_raising_strings(cartan, delta_h, lam, depth):
     assert checked > depth  # every weight of the window below the top too
 
 
-def test_one_form_per_verma_window(monkeypatch, a1):
-    """Each Verma window has one form, and a hodge run computes each Gram once."""
+def test_simple_quotients_read_no_verma_form(monkeypatch, a1):
+    """A simple quotient carries its own form and never computes a Verma Gram.
+
+    On a cold context the a2_hodge_unitary hodge task and
+    `finite_dim_simple` compute no Gram of a Verma window's form, and
+    each (form, weight) Gram is computed once.
+    """
     import os
     from collections import Counter
     from odirac import cato, scenarios
 
     vw = verma_window(a1.pair, a1.cb, Weight([1]), 6)
-    form = shapovalov_grams(vw)
-    assert shapovalov_grams(vw) is form
     quot = simple_quotient_window(vw)
     assert quot.dim(Weight([1]) - a1.rs.simple_roots[0] * 3) == 0  # dim L = 3
-    assert set(form._grams)  # the quotient read the window's own form
-    with pytest.raises(ValueError):
-        shapovalov_grams(quot)
+    form = shapovalov_grams(quot)
+    assert shapovalov_grams(quot) is form
+    grams = [form.gram(Weight([1]) - a1.rs.simple_roots[0] * k) for k in range(3)]
+    verma_form = shapovalov_grams(vw)
+    assert verma_form is not form and not verma_form._grams  # nothing read from it
+    assert grams == [verma_form.gram(Weight([1]) - a1.rs.simple_roots[0] * k)
+                     for k in range(3)]
 
     monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
     forms, computed = Counter(), Counter()
@@ -202,15 +209,79 @@ def test_one_form_per_verma_window(monkeypatch, a1):
         init(self, window)
 
     def counted_compute(self, w):
-        computed[(self.vw, w)] += 1
+        computed[(self, w)] += 1
         return compute(self, w)
 
     monkeypatch.setattr(cato.ContravariantForm, "__init__", counted_init)
     monkeypatch.setattr(cato.ContravariantForm, "_compute", counted_compute)
     path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "a2_hodge_unitary.json")
     assert scenarios.run_scenario(scenarios.load_scenario(path))["ok"]
+    c = scenarios.pair_context("A2", [(1, 0)])
+    assert finite_dim_simple(c.pair, c.cb, Weight([1, 1])).total_dim() == 8
     assert set(forms.values()) == {1}
     assert computed and set(computed.values()) == {1}
+    assert {form.window.kind for form, _ in computed} == {"simple"}
+
+
+_RADICAL_CASES = [(cartan, label, depth)
+                  for cartan, depth in (("A1", 10), ("A2", 8), ("A3", 5), ("B2", 8),
+                                        ("G2", 9), ("C3", 5))
+                  for label in ("dominant", "antidominant", "s1.0", "generic")]
+_RADICAL_CASES.append(("A2", "a2_hodge_unitary", 8))
+
+
+def _radical_case_lambda(c, label):
+    """The highest weight of one differential case, in simple-root coordinates."""
+    rank = c.rs.rank
+    fund = {"dominant": [2] + [1] * (rank - 1),
+            "antidominant": [-2] + [-1] * (rank - 1),
+            "generic": [F(-1, 3), F(5, 7), F(2, 9)][:rank]}
+    if label in fund:
+        return weight_from_fundamental(c.rs, fund[label])
+    if label == "s1.0":
+        return -c.rs.simple_roots[0]  # s_1(rho) - rho, a reducible w . 0
+    return Weight([F(-1, 2), F(-2)])  # half-integral: the a2_hodge_unitary module
+
+
+@pytest.mark.parametrize("cartan, label, depth", _RADICAL_CASES,
+                         ids=[f"{c}-{label}" for c, label, _ in _RADICAL_CASES])
+def test_simple_radical_matches_verma_gram_radical(cartan, label, depth):
+    """The radical from the simple raising maps is the Verma Gram's nullspace.
+
+    At every weight of the window: the same kept indices, projection and
+    section as the quotient by `shapovalov_grams(vw).radical`, the
+    quotient's own Gram is the Verma Gram on the kept indices, and the
+    radical is stable under every generator.
+    """
+    c = ctx(cartan)
+    lam = _radical_case_lambda(c, label)
+    vw = verma_window(c.pair, c.cb, lam, depth)
+    form = shapovalov_grams(vw)
+    ref = QuotientWindow(vw, form.radical)
+    quot = simple_quotient_window(vw)
+    qform = shapovalov_grams(quot)
+    radical_seen = 0
+    for cc in _cone_coords(c.rs.rank, depth):
+        w = lam - Weight(cc)
+        if not vw.dim(w):
+            continue
+        keep = quot.kept_indices(w)
+        assert keep == ref.kept_indices(w), w
+        assert quot.projection(w) == ref.projection(w), w
+        assert quot.section(w) == ref.section(w), w
+        assert qform.gram(w) == form.gram(w).take(keep, keep), w
+        rad = form.radical(w)
+        radical_seen += bool(rad)
+        for gen in vw.generator_list():
+            tw = w + c.cb.generator_weight(gen)
+            if rad and vw.materialized(tw) and vw.dim(tw):
+                image = quot.projection(tw) @ vw.action(gen, w)
+                assert not any(any(image.apply(v)) for v in rad), (w, gen)
+    # M(lambda) is reducible on these windows exactly for the dominant lambda
+    # and, off A1 (where s_1 . 0 = -2 rho is antidominant), for s_1 . 0
+    expected = {"dominant": True, "antidominant": False, "s1.0": c.rs.rank > 1}
+    if label in expected:
+        assert bool(radical_seen) == expected[label]
 
 
 def test_antidominant_grams_nonsingular(a1):

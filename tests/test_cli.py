@@ -191,11 +191,19 @@ A1_VERMA = {"kind": "verma", "lambda": [0], "depth": 4}
     ({"tasks": ["circle"],
       "module": {"kind": "ses", "lambda": ["1/2"], "sub_weight": ["-3/2"], "depth": 1}},
      "sub_weight [-3/2] lies below the window of depth 1"),
+    ({"expect_nonunitary": True}, "unknown scenario key 'expect_nonunitary'"),
+    ({"depth_below_tp": 2}, "unknown scenario key 'depth_below_tp'"),
+    ({"module": {**A1_VERMA, "factor_lambda": [1]}},
+     "unknown key 'factor_lambda' for module kind 'verma'"),
+    ({"module": {"kind": "finite", "lambda": [1], "lamda": [2]}},
+     "unknown key 'lamda' for module kind 'finite'"),
 ], ids=["missing_depth", "depth_not_int", "negative_depth", "finite_not_dominant",
         "tasks_not_list", "delta_h_not_subsystem", "delta_h_not_list",
         "kostant_not_finite", "circle_without_ses", "hodge_not_highest_weight",
         "hodge_not_hermitian", "options_not_object", "option_not_boolean",
-        "option_misspelt", "ses_split_tops_not_comparable", "ses_sub_weight_below_window"])
+        "option_misspelt", "ses_split_tops_not_comparable", "ses_sub_weight_below_window",
+        "option_at_top_level", "top_level_key_misspelt", "module_key_of_another_kind",
+        "module_key_misspelt"])
 def test_invalid_scenario_fields_exit_2(tmp_path, capsys, fields, message):
     scn = {"name": "bad", "cartan_type": "A1", "delta_h": [], "module": A1_VERMA,
            "tasks": ["dirac"], **fields}
@@ -217,12 +225,17 @@ def test_name_cannot_leave_out_dir(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["scn.json"]
 
 
-def test_scenario_cannot_choose_out_dir(tmp_path, monkeypatch):
+def test_scenario_cannot_choose_out_dir(tmp_path, monkeypatch, capsys):
     scn = {"name": "placed", "cartan_type": "A1", "delta_h": [],
            "module": A1_VERMA, "tasks": [], "out_dir": str(tmp_path / "elsewhere")}
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(scn))
     monkeypatch.setenv("ODIRAC_OUT", str(tmp_path / "env"))
+    assert main(["run", str(path)]) == 2  # an unknown key, rejected before any run
+    assert "unknown scenario key 'out_dir'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scn.json"]
+    del scn["out_dir"]
+    path.write_text(json.dumps(scn))
     assert main(["run", str(path)]) == 0
     assert (tmp_path / "env" / "placed.bundle.json").exists()
     assert not (tmp_path / "elsewhere").exists()

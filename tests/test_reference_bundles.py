@@ -20,12 +20,16 @@ with open(os.path.join(REPO, "perfbench", "reference.json")) as _fh:
 # Sample scenarios the benchmark does not list.  c3_spin_probe is the only
 # sample whose blocks have a nonzero cubic part under dirac, index and higher.
 # b4_spin_probe (dim S = 32768) is pinned to the bundle of the eager spin
-# layer, which built every spin basis vector up front.
+# layer, which built every spin basis vector up front.  c3_kostant_adjoint,
+# the one rank-3 finite module, is pinned to the bundle of the simple
+# quotient whose radical was the nullspace of the Verma Gram.
 PINNED = {
     "scenarios/c3_spin_probe.json":
         "c61e872b99648a05deaf2fad75838fb084728ddf4d90d4bf05a1dd4bdfc6e8c5",
     "scenarios/b4_spin_probe.json":
         "ca4c9eb83971696ec435952535665d907e22c0eff12b2b1800fbfbb2012532f9",
+    "scenarios/c3_kostant_adjoint.json":
+        "c84d03cc0300ed5ea666b9ffb85e2e37963df7ca51ee991ce2f3c913618ccd29",
 }
 BUNDLES = {**REFERENCE, **PINNED}
 
