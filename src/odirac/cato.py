@@ -7,10 +7,13 @@ order) with recursive straightening against the bracket table.  The
 monomials of a weight w are enumerated in the integer cone coordinates
 lambda - w; a `Weight` is built only where the window's API takes or
 returns one.  Simple quotients, finite-dimensional simples, tensor
-products, submodules and quotients are derived views.  A simple
-quotient finds its radical top-down from the simple raising maps and
-carries its own contravariant form, so no Verma Gram is built on the
-way to L(lambda).  Everything is rational and deterministic.
+products, submodules and quotients are derived views.  A quotient
+keeps, per weight, the parent indices that stay a basis and the
+projection onto them.  A simple quotient reads both off one row
+reduction of its simple raising maps (the reversed-rref identity in
+`simple_quotient_window`) and carries its own contravariant form, so
+neither a basis of the radical nor a Verma Gram is built on the way
+to L(lambda).  Everything is rational and deterministic.
 """
 
 from fractions import Fraction
@@ -409,51 +412,27 @@ def shapovalov_grams(window) -> ContravariantForm:
 # -- derived windows ---------------------------------------------------------
 
 class QuotientWindow(WeightModuleWindow):
-    """Quotient of a parent window by a per-weight subspace (a submodule).
+    """Quotient of a parent window by a submodule, given per weight.
 
-    `sub_basis_fn(w)` lists vectors spanning the subspace at w, or
-    returns None when it is the whole weight space.
+    `weight_data(w)` returns (keep, proj): the parent basis indices whose
+    vectors stay a basis of the quotient at w, and the projection onto
+    them along the submodule (may be None when keep is empty).  The
+    quotient's basis vector j is the parent's basis vector keep[j].
     """
 
-    kind = "quotient"
-
-    def __init__(self, parent: WeightModuleWindow, sub_basis_fn, infchars=None,
-                 top_weight=None, kind=None):
+    def __init__(self, parent: WeightModuleWindow, weight_data, kind):
         super().__init__(parent.pair, parent.cb)
         self.parent = parent
-        self._sub_basis_fn = sub_basis_fn
+        self._weight_data_fn = weight_data
         self._data = {}
-        self.infchars = infchars if infchars is not None else parent.infchars
-        self.top_weight = top_weight if top_weight is not None else parent.top_weight
-        self.depth = getattr(parent, "depth", None)
-        if kind:
-            self.kind = kind
+        self.infchars = parent.infchars
+        self.top_weight = parent.top_weight
+        self.kind = kind
 
     def _weight_data(self, w):
         d = self._data.get(w)
         if d is None:
-            pdim = self.parent.dim(w)
-            sub = self._sub_basis_fn(w)
-            if sub is None:
-                d = self._data[w] = ([], Mat.zero(0, pdim), Mat.zero(pdim, 0))
-                return d
-            red, pivots = Mat(sub, pdim).rref()
-            pivset = set(pivots)
-            keep = [j for j in range(pdim) if j not in pivset]
-            # projection along the subspace onto the kept coordinates:
-            # column k is the kept part of e_k - sum_i e_k[pivot_i] * sub_i,
-            # sub_i the i-th row of the rref (over its denominator)
-            proj_rows = []
-            for t in keep:
-                row = [0] * pdim
-                row[t] = red.den
-                for sub_row, p in zip(red.num, pivots):
-                    row[p] = -sub_row[t]
-                proj_rows.append(row)
-            proj = Mat.from_ints(proj_rows, pdim, red.den)
-            sect = Mat.identity(pdim).take(cols=keep)
-            d = (keep, proj, sect)
-            self._data[w] = d
+            d = self._data[w] = self._weight_data_fn(w)
         return d
 
     def materialized(self, w):
@@ -462,35 +441,44 @@ class QuotientWindow(WeightModuleWindow):
     def dim(self, w):
         if not self.materialized(w):
             raise OutsideWindow(f"{self.kind}: weight {w} not materialized")
-        if self.parent.dim(w) == 0:
-            return 0
         return len(self._weight_data(w)[0])
 
     def weights(self):
         return sort_weights(w for w in self.parent.weights() if self.dim(w))
 
     def kept_indices(self, w):
-        if self.parent.dim(w) == 0:
-            return []
         return self._weight_data(w)[0]
 
     def projection(self, w) -> Mat:
-        if self.parent.dim(w) == 0:
-            return Mat([], 0)
-        return self._weight_data(w)[1]
-
-    def section(self, w) -> Mat:
-        if self.parent.dim(w) == 0:
-            return Mat.zero(0, 0)
-        return self._weight_data(w)[2]
+        proj = self._weight_data(w)[1]
+        return Mat.zero(0, self.parent.dim(w)) if proj is None else proj
 
     def _compute_action(self, gen, w):
         tw = w + self.cb.generator_weight(gen)
-        if self.parent.dim(w) == 0:
-            return Mat.zero(self.dim(tw), 0)
-        if self.parent.dim(tw) == 0:
-            return Mat.zero(0, self.dim(w))
-        return self.projection(tw) @ self.parent.action(gen, w) @ self.section(w)
+        keep = self.kept_indices(w)
+        if not keep or not self.dim(tw):
+            return Mat.zero(self.dim(tw), len(keep))
+        return self.projection(tw) @ self.parent.action(gen, w).take(cols=keep)
+
+
+def span_quotient_data(vectors, dim):
+    """(keep, proj) for the quotient of Q^dim by the span of `vectors`.
+
+    keep lists the non-pivot columns of the span's rref; the projection
+    sends e_k to the kept part of e_k - sum_i e_k[pivot_i] * sub_i, sub_i
+    the i-th rref row (over its denominator).
+    """
+    red, pivots = Mat(vectors, dim).rref()
+    pivset = set(pivots)
+    keep = [j for j in range(dim) if j not in pivset]
+    proj_rows = []
+    for t in keep:
+        row = [0] * dim
+        row[t] = red.den
+        for sub_row, p in zip(red.num, pivots):
+            row[p] = -sub_row[t]
+        proj_rows.append(row)
+    return keep, Mat.from_ints(proj_rows, dim, red.den)
 
 
 class SubWindow(WeightModuleWindow):
@@ -506,7 +494,6 @@ class SubWindow(WeightModuleWindow):
         self._basis = {}
         self.infchars = infchars
         self.top_weight = top_weight
-        self.depth = getattr(parent, "depth", None)
 
     def materialized(self, w):
         return self.parent.materialized(w)
@@ -552,15 +539,12 @@ class ExplicitWindow(WeightModuleWindow):
     kind = "finite"
     complete = True
 
-    def __init__(self, pair, cb, dims, actions, top_weight, infchars, kind=None):
+    def __init__(self, pair, cb, dims, actions, top_weight, infchars):
         super().__init__(pair, cb)
         self._dims = {w: d for w, d in dims.items() if d}
         self._actions = actions
         self.top_weight = top_weight
         self.infchars = infchars
-        self.depth = None
-        if kind:
-            self.kind = kind
 
     def materialized(self, w):
         return True
@@ -589,25 +573,40 @@ def simple_quotient_window(vw: VermaWindow) -> QuotientWindow:
     N is found top-down without the form.  U(n+) is generated by the
     simple raising operators e_i, so for w != lambda a vector v of
     weight w lies in N iff e_i v lies in N at w + alpha_i for every i:
-    N_w is the kernel of the stacked maps (projection to L at
-    w + alpha_i) @ e_i, over the i with L nonzero at w + alpha_i.  With
-    no such i, N_w is all of M_w.  The kernel equals the Gram's
-    nullspace as a subspace, so both give the same canonical basis.
+    N_w = ker A, A the stacked maps (projection to L at w + alpha_i) @ e_i
+    over the i with L nonzero at w + alpha_i.  With no such i, or w
+    outside the cone, L_w = 0 and no Verma basis is listed.
+
+    One rref of A with its columns reversed gives both halves of the
+    quotient.  Its kernel vectors, read back in order, lead at the free
+    columns and vanish at the other free columns: they are the rref of
+    N_w, so its pivots (read back) are the kept indices.  Its nonzero
+    rows, read back, are the identity on the kept indices and vanish on
+    N_w: they are the projection.  Both equal what the Gram's nullspace
+    gives.
     """
     simples = vw.pair.rs.simple_roots
 
-    def radical(w):
+    def weight_data(w):
         if w == vw.lam:
-            return []
+            return [0], Mat.identity(1)
+        if _delta_coords(vw.lam, w) is None:
+            return [], None
         stacked = None
         for alpha in simples:
             up = w + alpha
             if quot.dim(up):
                 m = quot.projection(up) @ vw.action(("e", alpha), w)
                 stacked = m if stacked is None else stacked.vstack(m)
-        return None if stacked is None else stacked.nullspace()
+        if stacked is None:
+            return [], None
+        n = stacked.ncols
+        rev = range(n - 1, -1, -1)
+        red, pivots = stacked.take(cols=rev).rref()
+        keep = [n - 1 - p for p in reversed(pivots)]
+        return keep, red.take(rows=range(len(pivots) - 1, -1, -1), cols=rev)
 
-    quot = QuotientWindow(vw, radical, kind="simple")
+    quot = QuotientWindow(vw, weight_data, "simple")
     return quot
 
 
@@ -677,8 +676,6 @@ class TensorWindow(WeightModuleWindow):
         self.top_weight = m.top_weight + f.top_weight
         self.infchars = tuple(sorted({lam + nu for lam in m.infchars
                                       for nu in self.supp_f}))
-        self.complete = m.complete
-        self.depth = getattr(m, "depth", None)
 
     def materialized(self, w):
         return all(self.base.materialized(w - nu) for nu in self.supp_f)
@@ -767,10 +764,6 @@ class SumWindow(WeightModuleWindow):
         self.infchars = tuple(sorted(set(m1.infchars) | set(m2.infchars)))
         tops = sort_weights([m1.top_weight, m2.top_weight])
         self.top_weight = tops[0]
-        self.complete = m1.complete and m2.complete
-        d1 = getattr(m1, "depth", None)
-        d2 = getattr(m2, "depth", None)
-        self.depth = None if d1 is None or d2 is None else min(d1, d2)
 
     def materialized(self, w):
         return all(p.materialized(w) for p in self.parts)
@@ -837,7 +830,7 @@ class SESData:
         return (self.sub, self.mid, self.quot)
 
 
-def ses_from_embedding(vw: WeightModuleWindow, w0: Weight, gen_vec) -> SESData:
+def ses_from_embedding(vw: VermaWindow, w0: Weight, gen_vec) -> SESData:
     """SES from the U(n-)-span of a singular vector gen_vec at weight w0."""
     if not any(gen_vec):
         raise ValueError("generating vector is zero")
@@ -849,15 +842,11 @@ def ses_from_embedding(vw: WeightModuleWindow, w0: Weight, gen_vec) -> SESData:
     span = {w0: [tuple(Fraction(c) for c in gen_vec)]}
     # walk the cone below w0 by increasing depth, materialized weights only
     pos = vw.pair.rs.positive_roots
-    depth_cap = vw.depth if getattr(vw, "depth", None) is not None else None
     cand = []
-    if depth_cap is None:
-        cand = [w for w in vw.weights() if _delta_coords(w0, w) is not None]
-    else:
-        for c in _cone_coords(vw.rank, depth_cap):
-            w = w0 - Weight(c)
-            if vw.materialized(w) and _delta_coords(vw.top_weight, w) is not None:
-                cand.append(w)
+    for c in _cone_coords(vw.rank, vw.depth):
+        w = w0 - Weight(c)
+        if vw.materialized(w) and _delta_coords(vw.top_weight, w) is not None:
+            cand.append(w)
     for w in sorted(set(cand), key=lambda v: (w0 - v).height):
         if w == w0:
             continue
@@ -877,16 +866,13 @@ def ses_from_embedding(vw: WeightModuleWindow, w0: Weight, gen_vec) -> SESData:
         return span.get(w, [])
 
     sub = SubWindow(vw, sub_fn, infchars=(w0,), top_weight=w0)
-    quot = QuotientWindow(vw, sub_fn, infchars=vw.infchars,
-                          top_weight=vw.top_weight, kind="sesquot")
-    return SESData(sub, vw, quot, lambda w: sub.inclusion(w),
-                   lambda w: quot.projection(w))
+    quot = QuotientWindow(vw, lambda w: span_quotient_data(sub_fn(w), vw.dim(w)), "sesquot")
+    return SESData(sub, vw, quot, sub.inclusion, quot.projection)
 
 
 def ses_split(m1: WeightModuleWindow, m3: WeightModuleWindow) -> SESData:
     s = SumWindow(m1, m3)
-    return SESData(m1, s, m3, lambda w: s.inclusion_first(w),
-                   lambda w: s.projection_second(w))
+    return SESData(m1, s, m3, s.inclusion_first, s.projection_second)
 
 
 # -- characters ---------------------------------------------------------------

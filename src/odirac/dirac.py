@@ -16,7 +16,7 @@ from .exactla import (Mat, charpoly, span_basis, subspace_dim, subspace_intersec
                       subspace_sum)
 from .cato import OutsideWindow, WeightModuleWindow
 from .liealg import PairGH
-from .roots import Weight
+from .roots import Weight, same_infinitesimal_character, zero_weight
 from .spinor import SpinModule
 
 _F0 = Fraction(0)
@@ -447,14 +447,16 @@ class GradedNilpotent:
             for vec, _size in pool:
                 if self._chain_length(vec) != k:
                     raise LiftFailure(f"seed has chain length != {k}")
-                if subspace_dim(taken + [vec]) == len(span_basis(taken)):
+                grown = span_basis(taken + [vec])
+                if len(grown) == len(taken):
                     raise LiftFailure("seed top is not independent at its level")
-                taken = span_basis(taken + [vec])
+                taken = grown
                 chains.append(self._chain_of(vec, k))
             for sign in (+1, -1):
                 for v in self.kernel_graded(k, sign):
-                    if subspace_dim(taken + [v]) > len(span_basis(taken)):
-                        taken = span_basis(taken + [v])
+                    grown = span_basis(taken + [v])
+                    if len(grown) > len(taken):
+                        taken = grown
                         chains.append(self._chain_of(v, k))
         total = sum(len(c) for c in chains)
         if total != self.dim:
@@ -715,16 +717,14 @@ def singular_cohomology_weights(pair, cb, sm, m, weights) -> dict:
 def vogan_audit(pair, weights_with_cohomology, infchars) -> dict:
     """Every weight carrying cohomology has a rho_h-shift in some W(lam+rho)."""
     weyl = pair.weyl
+    zero = zero_weight(pair.rank)
     audited = {}
     ok = True
     for nu in weights_with_cohomology:
-        shifted = any(
-            any(weyl.act(i, lam + pair.rho) == nu + pair.rho_h
-                for i in range(len(weyl.elements)))
-            for lam in infchars)
-        unshifted = any(
-            any(weyl.act(i, Weight(lam)) == nu for i in range(len(weyl.elements)))
-            for lam in infchars)
+        shifted = any(same_infinitesimal_character(lam, nu, pair.rho, pair.rho_h, weyl)
+                      for lam in infchars)
+        unshifted = any(same_infinitesimal_character(lam, nu, zero, zero, weyl)
+                        for lam in infchars)
         audited[nu] = {"shifted": shifted, "unshifted": unshifted}
         ok = ok and shifted
     return {"ok": ok, "per_weight": audited}

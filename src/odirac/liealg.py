@@ -1,4 +1,4 @@
-"""Chevalley bases, subalgebra pairs and Casimir bookkeeping.
+"""Chevalley bases and subalgebra pairs.
 
 Structure constants are determined by the classical extraspecial-pair
 procedure: signs of the extraspecial pairs are fixed positive, every
@@ -320,23 +320,3 @@ def is_symmetric_pair(pair: PairGH) -> bool:
             if s in pair.rs.root_set and s not in pair.delta_h_signed:
                 return False
     return True
-
-
-class CasimirData:
-    """Dual-basis Casimir data for g and for h (with the restricted form)."""
-
-    def __init__(self, pair: PairGH, cb: ChevalleyBasis):
-        self.pair = pair
-        self.cb = cb
-        self.g_roots = list(pair.rs.positive_roots)
-        self.h_roots = list(pair.delta_h_pos)
-
-    def scalar_on_highest(self, lam: Weight, which: str) -> Fraction:
-        """Casimir scalar on a highest weight module of highest weight lam."""
-        form = self.pair.form
-        rho = self.pair.rho if which == "g" else self.pair.rho_h
-        return form.norm2(lam + rho) - form.norm2(rho)
-
-
-def casimir_elements(pair: PairGH, cb: ChevalleyBasis) -> CasimirData:
-    return CasimirData(pair, cb)

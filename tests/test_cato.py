@@ -10,7 +10,7 @@ from odirac.roots import Weight, is_antidominant, weight_from_fundamental, zero_
 from odirac.cato import (OutsideWindow, QuotientWindow, commutation_defect,
                          finite_character_h, finite_dim_simple, kostant_partition_counter,
                          ses_from_embedding, ses_split, shapovalov_grams,
-                         simple_quotient_window, singular_vectors,
+                         simple_quotient_window, singular_vectors, span_quotient_data,
                          sort_weights, tensor_with_finite_dim, verma_character_h,
                          verma_window, weyl_dimension, _cone_coords)
 from conftest import ctx
@@ -248,8 +248,8 @@ def _radical_case_lambda(c, label):
 def test_simple_radical_matches_verma_gram_radical(cartan, label, depth):
     """The radical from the simple raising maps is the Verma Gram's nullspace.
 
-    At every weight of the window: the same kept indices, projection and
-    section as the quotient by `shapovalov_grams(vw).radical`, the
+    At every weight of the window: the same kept indices and projection
+    as the quotient by the span of `shapovalov_grams(vw).radical`, the
     quotient's own Gram is the Verma Gram on the kept indices, and the
     radical is stable under every generator.
     """
@@ -257,7 +257,8 @@ def test_simple_radical_matches_verma_gram_radical(cartan, label, depth):
     lam = _radical_case_lambda(c, label)
     vw = verma_window(c.pair, c.cb, lam, depth)
     form = shapovalov_grams(vw)
-    ref = QuotientWindow(vw, form.radical)
+    ref = QuotientWindow(vw, lambda w: span_quotient_data(form.radical(w), vw.dim(w)),
+                         "quotient")
     quot = simple_quotient_window(vw)
     qform = shapovalov_grams(quot)
     radical_seen = 0
@@ -268,7 +269,6 @@ def test_simple_radical_matches_verma_gram_radical(cartan, label, depth):
         keep = quot.kept_indices(w)
         assert keep == ref.kept_indices(w), w
         assert quot.projection(w) == ref.projection(w), w
-        assert quot.section(w) == ref.section(w), w
         assert qform.gram(w) == form.gram(w).take(keep, keep), w
         rad = form.radical(w)
         radical_seen += bool(rad)
@@ -282,6 +282,63 @@ def test_simple_radical_matches_verma_gram_radical(cartan, label, depth):
     expected = {"dominant": True, "antidominant": False, "s1.0": c.rs.rank > 1}
     if label in expected:
         assert bool(radical_seen) == expected[label]
+
+
+def test_simple_quotient_reduces_each_weight_once(monkeypatch):
+    """On a cold a3_hodge run the simple quotient row-reduces once per weight.
+
+    A weight whose stacked raising maps are nonempty costs one `Mat.rref`
+    and no `Mat.nullspace`; a weight without maps costs neither.  No Verma
+    basis is listed at a weight w != lambda where every L_{w + alpha_i}
+    is zero.
+    """
+    import os
+    from odirac import cato, scenarios
+
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+    frames, counts, listed, quots = [], {}, set(), []
+    init, basis = cato.QuotientWindow.__init__, cato.VermaWindow.basis
+
+    def counting(name, fn):
+        def counted(*args):
+            if frames:
+                frames[-1][name] += 1
+            return fn(*args)
+        return counted
+
+    def traced_init(self, parent, weight_data, kind):
+        def traced(w):
+            frames.append({"rref": 0, "nullspace": 0})
+            try:
+                return weight_data(w)
+            finally:
+                counts[w] = frames.pop()
+        init(self, parent, traced, kind)
+        quots.append(self)
+
+    def listing(self, w):
+        listed.add(w)
+        return basis(self, w)
+
+    monkeypatch.setattr(Mat, "rref", counting("rref", Mat.rref))
+    monkeypatch.setattr(Mat, "nullspace", counting("nullspace", Mat.nullspace))
+    monkeypatch.setattr(cato.QuotientWindow, "__init__", traced_init)
+    monkeypatch.setattr(cato.VermaWindow, "basis", listing)
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads",
+                        "a3_hodge.json")
+    assert scenarios.run_scenario(scenarios.load_scenario(path))["ok"]
+    [quot] = quots
+    vw, simples = quot.parent, quot.pair.rs.simple_roots
+
+    def has_maps(w):
+        return (w != vw.lam and vw.materialized(w) and cato._delta_coords(vw.lam, w) is not None
+                and any(quot.dim(w + a) for a in simples))
+
+    with_maps = {w for w in counts if has_maps(w)}
+    assert with_maps and len(with_maps) < len(counts)
+    for w, c in counts.items():
+        assert c == {"rref": int(w in with_maps), "nullspace": 0}, w
+    assert all(w == vw.lam or has_maps(w) for w in listed)
 
 
 def test_antidominant_grams_nonsingular(a1):

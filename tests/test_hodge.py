@@ -254,3 +254,35 @@ def test_hodge_and_simple_verma_build_no_nilpotent(monkeypatch):
         doc["tasks"] = [task]
         assert scenarios.run_scenario(scenarios.Scenario(doc))["ok"], name
     assert not built
+
+
+def test_hodge_task_fails_with_one_failing_cminus(monkeypatch):
+    """The hodge task reads each check's own verdict, C- included.
+
+    The bundle records no C- field, so one weight whose C- decomposition
+    fails leaves every recorded field true and must still fail the task.
+    """
+    import json
+    import os
+    from odirac import scenarios
+
+    check = scenarios.hodge_decomposition_check
+    broken = []
+
+    def cminus_fails_once(hp, sm, m, us, mu):
+        rep = check(hp, sm, m, us, mu)
+        if not broken:
+            broken.append(mu)
+            rep = dict(rep, cminus=False, ok=False)
+        return rep
+
+    monkeypatch.setattr(scenarios, "hodge_decomposition_check", cminus_fails_once)
+    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "a2_hodge_unitary.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["tasks"] = ["hodge"]
+    bundle = scenarios.run_scenario(scenarios.Scenario(doc))
+    task = bundle["tasks"]["hodge"]
+    assert broken and not task["ok"] and not bundle["ok"]
+    assert all(v is True for rec in task["per_weight"].values() for v in rec.values()
+               if isinstance(v, bool))

@@ -6,7 +6,7 @@ import pytest
 
 from odirac.exactla import Mat
 from odirac.roots import NotASubsystem, Weight, zero_weight
-from odirac.liealg import casimir_elements, is_symmetric_pair, validate_pair
+from odirac.liealg import is_symmetric_pair, validate_pair
 from odirac.cato import verma_window
 from odirac.dirac import casimir_matrix
 from conftest import ctx
@@ -106,9 +106,7 @@ def test_casimir_scalar_on_verma(a1):
     pair, cb = a1.pair, a1.cb
     lam = Weight([F(3, 7)])
     vw = verma_window(pair, cb, lam, 7)
-    cas = casimir_elements(pair, cb)
-    scal = cas.scalar_on_highest(lam, "g")
-    assert scal == pair.form.norm2(lam + pair.rho) - pair.form.norm2(pair.rho)
+    scal = pair.form.norm2(lam + pair.rho) - pair.form.norm2(pair.rho)
     alpha = pair.rs.simple_roots[0]
     for k in range(6):
         w = lam - alpha * k
@@ -123,9 +121,9 @@ def test_casimir_toral_and_trivial(a2_su21):
     w = -pair.rho - Weight([1, 0])
     m = casimir_matrix(vw, w, [], pair.form)
     assert m == Mat.identity(vw.dim(w)).scale(pair.form.norm2(w))
-    # trivial module: Omega_g acts by zero
-    cas = casimir_elements(pair, cb)
-    assert cas.scalar_on_highest(zero_weight(2), "g") == 0
+    # trivial top: Omega_g acts by norm2(0 + rho) - norm2(rho) = 0
+    v0 = verma_window(pair, cb, zero_weight(2), 2)
+    assert casimir_matrix(v0, zero_weight(2), pair.rs.positive_roots, pair.form).is_zero()
 
 
 def test_casimir_assembly_order_independent(a2_su21):
