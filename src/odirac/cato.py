@@ -13,10 +13,15 @@ projection onto them.  A simple quotient reads both off one row
 reduction of its simple raising maps (the reversed-rref identity in
 `simple_quotient_window`) and carries its own contravariant form, so
 neither a basis of the radical nor a Verma Gram is built on the way
-to L(lambda).  Everything is rational and deterministic.
+to L(lambda).  A finite module F(lambda) is that simple quotient with
+certified dimensions, zero below them.  M tensor F lays out each weight
+in `SlotSpace` slots and assembles its actions with `block_operator`,
+as the Dirac blocks of M tensor S do.  Everything is rational and
+deterministic.
 """
 
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
 from .exactla import Mat, span_basis
@@ -196,7 +201,6 @@ class WeightModuleWindow:
     """
 
     kind = "abstract"
-    complete = False
     _form = None  # the window's ContravariantForm, see shapovalov_grams
 
     def __init__(self, pair: PairGH, cb: ChevalleyBasis):
@@ -213,10 +217,6 @@ class WeightModuleWindow:
         raise NotImplementedError
 
     def _compute_action(self, gen, w: Weight) -> Mat:
-        raise NotImplementedError
-
-    def weights(self):
-        """Sorted materialized weights of nonzero dimension."""
         raise NotImplementedError
 
     def weight_below_top(self, drop) -> Weight:
@@ -303,11 +303,6 @@ class VermaWindow(WeightModuleWindow):
         if not self.materialized(w):
             raise OutsideWindow(f"verma: weight {w} not materialized")
         return len(self.basis(w))
-
-    def weights(self):
-        return sort_weights(Weight(a - c for a, c in zip(self.lam, coords))
-                            for coords in _cone_coords(self.rank, self.depth)
-                            if self.cone.monomials(coords))
 
     def _compute_action(self, gen, w):
         src = self.basis(w)
@@ -443,9 +438,6 @@ class QuotientWindow(WeightModuleWindow):
             raise OutsideWindow(f"{self.kind}: weight {w} not materialized")
         return len(self._weight_data(w)[0])
 
-    def weights(self):
-        return sort_weights(w for w in self.parent.weights() if self.dim(w))
-
     def kept_indices(self, w):
         return self._weight_data(w)[0]
 
@@ -455,10 +447,11 @@ class QuotientWindow(WeightModuleWindow):
 
     def _compute_action(self, gen, w):
         tw = w + self.cb.generator_weight(gen)
-        keep = self.kept_indices(w)
-        if not keep or not self.dim(tw):
-            return Mat.zero(self.dim(tw), len(keep))
-        return self.projection(tw) @ self.parent.action(gen, w).take(cols=keep)
+        # dims first: a finite module is zero below its parent's window
+        rows, cols = self.dim(tw), self.dim(w)
+        if not rows or not cols:
+            return Mat.zero(rows, cols)
+        return self.projection(tw) @ self.parent.action(gen, w).take(cols=self.kept_indices(w))
 
 
 def span_quotient_data(vectors, dim):
@@ -511,9 +504,6 @@ class SubWindow(WeightModuleWindow):
             raise OutsideWindow(f"sub: weight {w} not materialized")
         return len(self.basis_vectors(w))
 
-    def weights(self):
-        return sort_weights(w for w in self.parent.weights() if self.dim(w))
-
     def inclusion(self, w) -> Mat:
         return Mat.from_cols(self.basis_vectors(w), self.parent.dim(w))
 
@@ -533,18 +523,19 @@ class SubWindow(WeightModuleWindow):
         return Mat.from_cols(cols, self.dim(tw))
 
 
-class ExplicitWindow(WeightModuleWindow):
-    """Fully materialized module given by explicit dims and action matrices."""
+class FiniteWindow(QuotientWindow):
+    """F(lambda): a simple quotient whose dimensions `finite_dim_simple`
+    certified.
 
-    kind = "finite"
-    complete = True
+    A view of that quotient, sharing its weight data: dimensions come
+    from `dims`, zero at every other weight, and each action is computed
+    on demand from the quotient's projections.
+    """
 
-    def __init__(self, pair, cb, dims, actions, top_weight, infchars):
-        super().__init__(pair, cb)
-        self._dims = {w: d for w, d in dims.items() if d}
-        self._actions = actions
-        self.top_weight = top_weight
-        self.infchars = infchars
+    def __init__(self, quot: QuotientWindow, dims):
+        super().__init__(quot.parent, quot._weight_data_fn, "finite")
+        self._data = quot._data
+        self._dims = dims
 
     def materialized(self, w):
         return True
@@ -553,17 +544,11 @@ class ExplicitWindow(WeightModuleWindow):
         return self._dims.get(w, 0)
 
     def weights(self):
+        """Sorted weights of nonzero dimension."""
         return sort_weights(self._dims)
 
     def total_dim(self):
         return sum(self._dims.values())
-
-    def _compute_action(self, gen, w):
-        m = self._actions.get((gen, w))
-        if m is None:
-            tw = w + self.cb.generator_weight(gen)
-            m = Mat.zero(self.dim(tw), self.dim(w))
-        return m
 
 
 def simple_quotient_window(vw: VermaWindow) -> QuotientWindow:
@@ -623,8 +608,13 @@ def weyl_dimension(pair: PairGH, lam: Weight, pos_roots=None,
     return num / den
 
 
-def finite_dim_simple(pair, cb, lam) -> ExplicitWindow:
-    """F(lambda) for dominant integral lambda, materialized in full."""
+def finite_dim_simple(pair, cb, lam) -> FiniteWindow:
+    """F(lambda) for dominant integral lambda: its simple quotient, certified.
+
+    The quotient is read on a Verma window `margin` deeper than the lowest
+    weight; it must vanish below that weight and match Weyl's dimension
+    formula.
+    """
     lam = Weight(lam)
     rs = pair.rs
     form = pair.form
@@ -649,26 +639,69 @@ def finite_dim_simple(pair, cb, lam) -> ExplicitWindow:
     if expected != total:
         raise WindowTooShallow(
             f"dim L({lam}) = {total} on window, Weyl dimension formula gives {expected}")
-    actions = {}
-    for w in dims:
-        for gen in quot.generator_list():
-            tw = w + cb.generator_weight(gen)
-            if not quot.materialized(tw):
-                continue  # beyond the window; the quotient is certified zero there
-            m = quot.action(gen, w)
-            if not m.is_zero():
-                actions[(gen, w)] = m
-    return ExplicitWindow(pair, cb, dims, actions, lam, (lam,))
+    return FiniteWindow(quot, dims)
+
+
+# -- slot spaces: M tensor F here, M tensor S in `dirac` -------------------------
+
+class SlotSpace:
+    """Basis bookkeeping of a direct sum of module weight spaces.
+
+    `slot[key]` = (offset, module weight, dim) for each (key, module
+    weight, dim) of `comps`, in the given order, and `dim` is the total.
+    A tensor window keys its slots by the basis vectors of its finite
+    factor, a Dirac block (`dirac.BlockSpace`) by spin basis vectors.
+    """
+
+    def __init__(self, comps):
+        self.slot = {}
+        off = 0
+        for key, w, d in comps:
+            self.slot[key] = (off, w, d)
+            off += d
+        self.dim = off
+
+
+def block_operator(tgt: SlotSpace, src: SlotSpace, terms) -> Mat:
+    """The sum of coeff * E_ji (x) module_map over terms (j, i, coeff, module_map).
+
+    E_ji sends slot i of `src` to slot j of `tgt`.  module_map(w) is the
+    module map out of w, the module weight of slot i, into that of slot
+    j; terms whose j has no slot in `tgt` are skipped, so it is called
+    only when both are nonzero.  The tiles are summed as ints over the
+    lcm of their denominators.
+    """
+    tiles = [(tgt.slot[j][0], src.slot[i][0], coeff, module_map(src.slot[i][1]))
+             for j, i, coeff, module_map in terms if j in tgt.slot]
+    den = lcm(*(coeff.denominator * tile.den for _, _, coeff, tile in tiles))
+    rows = [[0] * src.dim for _ in range(tgt.dim)]
+    for ro, co, coeff, tile in tiles:
+        f = coeff.numerator * (den // (coeff.denominator * tile.den))
+        for r, mrow in enumerate(tile.num, ro):
+            row = rows[r]
+            for c, v in enumerate(mrow, co):
+                if v:
+                    row[c] += f * v
+    return Mat.from_ints(rows, src.dim, den)
+
+
+def _identity_map(m):
+    return lambda w: Mat.identity(m.dim(w))
 
 
 class TensorWindow(WeightModuleWindow):
-    """m tensor f with f fully materialized; Leibniz-rule actions."""
+    """m tensor F, F a finite module; Leibniz-rule actions.
+
+    The basis at w is a `SlotSpace` with one slot (nu, j) per basis
+    vector j of F at each weight nu of F, holding m at w - nu, in
+    `supp_f` order and then by j.
+    """
 
     kind = "tensor"
 
-    def __init__(self, m: WeightModuleWindow, f: ExplicitWindow):
-        if not f.complete:
-            raise ValueError("tensor factor must be fully materialized")
+    def __init__(self, m: WeightModuleWindow, f: FiniteWindow):
+        if not isinstance(f, FiniteWindow):
+            raise ValueError("tensor factor must be a finite module")
         super().__init__(m.pair, m.cb)
         self.base = m
         self.factor = f
@@ -676,77 +709,42 @@ class TensorWindow(WeightModuleWindow):
         self.top_weight = m.top_weight + f.top_weight
         self.infchars = tuple(sorted({lam + nu for lam in m.infchars
                                       for nu in self.supp_f}))
+        self._spaces = {}
 
     def materialized(self, w):
         return all(self.base.materialized(w - nu) for nu in self.supp_f)
 
-    def groups(self, w):
-        """Ordered (nu, f-index) groups with base dimensions at w - nu."""
-        out = []
-        for nu in self.supp_f:
-            bd = self.base.dim(w - nu)
-            if bd:
-                for fj in range(self.factor.dim(nu)):
-                    out.append((nu, fj, bd))
-        return out
+    def space(self, w) -> SlotSpace:
+        """The slots of the basis at w; memoized."""
+        sp = self._spaces.get(w)
+        if sp is None:
+            if not self.materialized(w):
+                raise OutsideWindow(f"tensor: weight {w} not materialized")
+            comps = []
+            for nu in self.supp_f:
+                d = self.base.dim(w - nu)
+                if d:
+                    comps += [((nu, j), w - nu, d) for j in range(self.factor.dim(nu))]
+            sp = self._spaces[w] = SlotSpace(comps)
+        return sp
 
     def dim(self, w):
-        if not self.materialized(w):
-            raise OutsideWindow(f"tensor: weight {w} not materialized")
-        return sum(bd for (_, _, bd) in self.groups(w))
-
-    def weights(self):
-        cand = set()
-        for wm in self.base.weights():
-            for nu in self.supp_f:
-                cand.add(wm + nu)
-        return sort_weights(w for w in cand if self.materialized(w) and self.dim(w))
+        return self.space(w).dim
 
     def _compute_action(self, gen, w):
-        tw = w + self.cb.generator_weight(gen)
-        src_groups = self.groups(w)
-        tgt_groups = self.groups(tw)
-        tgt_offsets = {}
-        off = 0
-        for (nu, fj, bd) in tgt_groups:
-            tgt_offsets[(nu, fj)] = (off, bd)
-            off += bd
-        # (row offset, column offset, base action) tiles and
-        # (row offset, column offset, size, numerator, denominator) diagonals
-        tiles, diagonals = [], []
-        coff = 0
-        for (nu, fj, bd) in src_groups:
-            # action on the base factor
-            am = self.base.action(gen, w - nu)
-            key = (nu, fj)
-            if key in tgt_offsets and am.nrows:
-                tiles.append((tgt_offsets[key][0], coff, am))
-            # action on the finite factor
+        """gen on the base in each slot, plus gen on F times the identity."""
+        wt = self.cb.generator_weight(gen)
+        src = self.space(w)
+        base_map, identity = partial(self.base.action, gen), _identity_map(self.base)
+        terms = [(key, key, 1, base_map) for key in src.slot]
+        for nu, j in src.slot:
             fm = self.factor.action(gen, nu)
-            for i, frow in enumerate(fm.num):
-                if frow[fj]:
-                    key2 = (nu + self.cb.generator_weight(gen), i)
-                    if key2 in tgt_offsets:
-                        diagonals.append((tgt_offsets[key2][0], coff, bd, frow[fj], fm.den))
-            coff += bd
-        den = lcm(*(am.den for _, _, am in tiles), *(d[4] for d in diagonals))
-        ncols = coff
-        rows = [[0] * ncols for _ in range(off)]
-        for roff, coff, am in tiles:
-            f = den // am.den
-            for i, arow in enumerate(am.num, roff):
-                row = rows[i]
-                for j, v in enumerate(arow, coff):
-                    if v:
-                        row[j] += f * v
-        for roff, coff, bd, c, cden in diagonals:
-            c *= den // cden
-            for j in range(bd):
-                rows[roff + j][coff + j] += c
-        return Mat.from_ints(rows, ncols, den)
+            terms += [((nu + wt, r), (nu, j), Fraction(row[j], fm.den), identity)
+                      for r, row in enumerate(fm.num) if row[j]]
+        return block_operator(self.space(w + wt), src, terms)
 
 
-def tensor_with_finite_dim(m: WeightModuleWindow, f: ExplicitWindow) -> TensorWindow:
+def tensor_with_finite_dim(m: WeightModuleWindow, f: FiniteWindow) -> TensorWindow:
     return TensorWindow(m, f)
 
 
@@ -772,10 +770,6 @@ class SumWindow(WeightModuleWindow):
         if not self.materialized(w):
             raise OutsideWindow(f"sum: weight {w} not materialized")
         return sum(p.dim(w) for p in self.parts)
-
-    def weights(self):
-        cand = set(self.parts[0].weights()) | set(self.parts[1].weights())
-        return sort_weights(w for w in cand if self.materialized(w) and self.dim(w))
 
     def _compute_action(self, gen, w):
         tw = w + self.cb.generator_weight(gen)

@@ -88,7 +88,7 @@ def _cmd_report(args):
     try:
         with open(args.bundle) as fh:
             bundle = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: bad JSON or not UTF-8
         print(f"cannot read bundle: {e}", file=sys.stderr)
         return 2
     if not isinstance(bundle, dict):

@@ -9,12 +9,10 @@ arithmetic there.
 
 from fractions import Fraction
 from functools import partial
-from math import lcm
 from operator import sub
 
-from .exactla import (Mat, charpoly, span_basis, subspace_dim, subspace_intersect,
-                      subspace_sum)
-from .cato import OutsideWindow, WeightModuleWindow
+from .exactla import Mat, span_basis, subspace_dim, subspace_intersect, subspace_sum
+from .cato import OutsideWindow, SlotSpace, WeightModuleWindow, _identity_map, block_operator
 from .liealg import PairGH
 from .roots import Weight, same_infinitesimal_character, zero_weight
 from .spinor import SpinModule
@@ -27,11 +25,12 @@ class LiftFailure(Exception):
     """A Jordan lift violated the structure the exact-circle proof guarantees."""
 
 
-class BlockSpace:
+class BlockSpace(SlotSpace):
     """Basis bookkeeping for (M tensor S) at one weight; see `block_space`.
 
-    `slot[I]` = (offset, module weight, dim) for each spin basis vector
-    u_I with a nonzero module component, in increasing mask order.
+    One slot per spin basis vector u_I with a nonzero module component,
+    keyed by its mask I, in increasing mask order; `parity` lists the
+    parity of each basis vector.
     """
 
     def __init__(self, sm: SpinModule, m: WeightModuleWindow, mu: Weight):
@@ -56,50 +55,17 @@ class BlockSpace:
                 if d:
                     comps += [(mask, w, d) for mask in sm.masks(drop)]
         comps.sort()  # masks are distinct
-        self.slot = {}
-        self.parity = []
-        off = 0
-        for mask, w, d in comps:
-            self.slot[mask] = (off, w, d)
-            self.parity += [mask.bit_count() & 1] * d
-            off += d
-        self.dim = off
+        super().__init__(comps)
+        self.parity = [mask.bit_count() & 1 for mask, _, d in comps for _ in range(d)]
 
     def graded_dims(self):
         minus = sum(self.parity)
         return self.dim - minus, minus
 
 
-def block_operator(tgt: BlockSpace, src: BlockSpace, terms) -> Mat:
-    """The sum of coeff * E_ji (x) module_map over terms (j, i, coeff, module_map).
-
-    E_ji sends the spin basis vector u_i, which has a slot in `src`, to u_j.
-    module_map(w) is the module map out of w, the module weight of u_i,
-    into that of u_j in `tgt`; terms whose u_j has no slot there are
-    skipped, so it is called only when both are nonzero.  The tiles are
-    summed as ints over the lcm of their denominators.
-    """
-    tiles = [(tgt.slot[j][0], src.slot[i][0], coeff, module_map(src.slot[i][1]))
-             for j, i, coeff, module_map in terms if j in tgt.slot]
-    den = lcm(*(coeff.denominator * tile.den for _, _, coeff, tile in tiles))
-    rows = [[0] * src.dim for _ in range(tgt.dim)]
-    for ro, co, coeff, tile in tiles:
-        f = coeff.numerator * (den // (coeff.denominator * tile.den))
-        for r, mrow in enumerate(tile.num, ro):
-            row = rows[r]
-            for c, v in enumerate(mrow, co):
-                if v:
-                    row[c] += f * v
-    return Mat.from_ints(rows, src.dim, den)
-
-
 def spin_terms(src: BlockSpace, op, module_map):
     """The terms (j, i, coeff, module_map) of op (x) module_map on the masks of `src`."""
     return ((j, i, c, module_map) for i in src.slot for j, c in op.column(i).items())
-
-
-def _identity_map(m):
-    return lambda w: Mat.identity(m.dim(w))
 
 
 def block_space(sm: SpinModule, m: WeightModuleWindow, mu: Weight) -> BlockSpace:
@@ -290,14 +256,6 @@ class DiracBlock:
         if total != n:
             raise AssertionError(
                 f"predicted eigenvalues cover {total} of {n} dims at {self.mu}")
-        if n <= 14:
-            poly = charpoly(d2)
-            expect = [_F1]
-            for c, k in out.items():
-                for _ in range(k):
-                    expect = _poly_mul_linear(expect, c)
-            if poly != expect:
-                raise AssertionError(f"charpoly factorization mismatch at {self.mu}")
         return out
 
     def _candidate_eigenvalues(self):
@@ -330,14 +288,6 @@ def block(sm: SpinModule, m: WeightModuleWindow, mu: Weight) -> DiracBlock:
     if b is None:
         b = sm.blocks[(m, mu)] = DiracBlock(sm.pair, sm.cb, sm, m, mu)
     return b
-
-
-def _poly_mul_linear(coeffs, c):
-    # multiply polynomial (descending coeffs) by (x - c)
-    out = list(coeffs) + [_F0]
-    for i in range(len(coeffs)):
-        out[i + 1] -= c * coeffs[i]
-    return out
 
 
 def _nullspace_on(mat, cols):

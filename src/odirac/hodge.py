@@ -15,8 +15,8 @@ from functools import partial
 from math import prod
 
 from .exactla import Mat, subspace_intersect
-from .cato import WeightModuleWindow, shapovalov_grams
-from .dirac import block, block_operator, block_space, spin_terms
+from .cato import WeightModuleWindow, block_operator, shapovalov_grams
+from .dirac import block, block_space, spin_terms
 from .liealg import PairGH, is_symmetric_pair
 from .roots import Weight
 from .spinor import SpinModule
@@ -247,8 +247,17 @@ def block_inner_gram(us: UnitaryStructure, sm: SpinModule, m, mu) -> Mat:
         for i in sp.slot))
 
 
+def _half_decomposes(c, ker_d, n) -> bool:
+    """ker C = im C (+) ker D for one half C of D, with C^2 = 0 and ker D in ker C."""
+    imc = c.T.row_space()
+    return all(not any(c.apply(v)) for v in imc) and \
+        all(not any(c.apply(v)) for v in ker_d) and \
+        not subspace_intersect(imc, ker_d, n) and \
+        len(c.nullspace()) == len(imc) + len(ker_d)
+
+
 def hodge_decomposition_check(hp, sm, m, us: UnitaryStructure, mu) -> dict:
-    """Adjointness, kernel-image splitting and the C+ decomposition at mu."""
+    """Adjointness, kernel-image splitting and the C+ and C- decompositions at mu."""
     blk = block(sm, m, mu)
     g = block_inner_gram(us, sm, m, mu)
     n = blk.dim
@@ -264,20 +273,8 @@ def hodge_decomposition_check(hp, sm, m, us: UnitaryStructure, mu) -> dict:
     im = blk.image()
     meet = subspace_intersect(ker, im, n)
     split_ok = not meet and (len(ker) + len(im) == n)
-    # ker C+ = im C+ (+) ker D, orthogonal direct sum
-    kerc = blk.d_plus.nullspace()
-    imc = blk.d_plus.T.row_space()
-    inside = all(not any(blk.d_plus.apply(v)) for v in imc)  # C+^2 = 0
-    kd_in = all(not any(blk.d_plus.apply(v)) for v in ker)
-    meet2 = subspace_intersect(imc, ker, n)
-    cplus_ok = inside and kd_in and not meet2 and \
-        len(kerc) == len(imc) + len(ker)
-    kerc_m = blk.d_minus.nullspace()
-    imc_m = blk.d_minus.T.row_space()
-    cminus_ok = all(not any(blk.d_minus.apply(v)) for v in imc_m) and \
-        all(not any(blk.d_minus.apply(v)) for v in ker) and \
-        not subspace_intersect(imc_m, ker, n) and \
-        len(kerc_m) == len(imc_m) + len(ker)
+    cplus_ok = _half_decomposes(blk.d_plus, ker, n)
+    cminus_ok = _half_decomposes(blk.d_minus, ker, n)
     report.update({
         "adjoint": adjoint_ok,
         "splitting": split_ok,

@@ -114,10 +114,7 @@ class PairContext:
         self.cb = chevalley_basis(self.rs, self.form)
         self.pair = validate_pair(self.rs, self.form, delta_h)
         self._sm = None
-        self._vermas = {}
-        self._simples = {}
-        self._finites = {}
-        self._tensors = {}
+        self._modules = {}
         self._block_weights = {}
 
     @property
@@ -127,37 +124,36 @@ class PairContext:
             self._sm = SpinModule(self.pair, self.cb)
         return self._sm
 
+    def _module(self, key, build):
+        """The module cached under key = (kind, ...), built on first use."""
+        m = self._modules.get(key)
+        if m is None:
+            m = self._modules[key] = build()
+        return m
+
     def verma(self, lam, depth):
-        key = (Weight(lam), depth)
-        vw = self._vermas.get(key)
-        if vw is None:
-            vw = self._vermas[key] = verma_window(self.pair, self.cb, key[0], depth)
-        return vw
+        lam = Weight(lam)
+        return self._module(("verma", lam, depth),
+                            lambda: verma_window(self.pair, self.cb, lam, depth))
 
     def simple(self, lam, depth):
         """The simple quotient of the Verma window of (lam, depth)."""
-        key = (Weight(lam), depth)
-        q = self._simples.get(key)
-        if q is None:
-            q = self._simples[key] = simple_quotient_window(self.verma(*key))
-        return q
+        lam = Weight(lam)
+        return self._module(("simple", lam, depth),
+                            lambda: simple_quotient_window(self.verma(lam, depth)))
 
     def finite(self, lam):
         """The finite-dimensional simple module of dominant integral lam."""
         lam = Weight(lam)
-        f = self._finites.get(lam)
-        if f is None:
-            f = self._finites[lam] = finite_dim_simple(self.pair, self.cb, lam)
-        return f
+        return self._module(("finite", lam),
+                            lambda: finite_dim_simple(self.pair, self.cb, lam))
 
     def tensor(self, lam, depth, factor_lam):
         """The Verma window of (lam, depth) tensor the finite module of factor_lam."""
-        key = (Weight(lam), depth, Weight(factor_lam))
-        t = self._tensors.get(key)
-        if t is None:
-            t = self._tensors[key] = tensor_with_finite_dim(self.verma(lam, depth),
-                                                            self.finite(key[2]))
-        return t
+        lam, factor_lam = Weight(lam), Weight(factor_lam)
+        return self._module(("tensor", lam, depth, factor_lam),
+                            lambda: tensor_with_finite_dim(self.verma(lam, depth),
+                                                           self.finite(factor_lam)))
 
     def block_weights(self, m, depth, margin=0):
         """Block weights within `depth` of the top of m (tensor S) whose
@@ -292,7 +288,7 @@ def load_scenario(path) -> Scenario:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: bad JSON or not UTF-8
         raise ScenarioError(f"cannot parse scenario {path}: {e}")
     return Scenario(doc)
 

@@ -405,11 +405,11 @@ def test_tensor_dims(a1, a2_su21):
     vw = verma_window(pair, cb, lam, 10)
     trivial = finite_dim_simple(pair, cb, zero_weight(1))
     t0 = tensor_with_finite_dim(vw, trivial)
-    for w in vw.weights():
-        assert t0.dim(w) == vw.dim(w)
+    alpha = pair.rs.simple_roots[0]
+    for k in range(11):
+        assert t0.dim(lam - alpha * k) == vw.dim(lam - alpha * k) == 1
     f1 = finite_dim_simple(pair, cb, Weight([F(1, 2)]))  # dim 2
     t1 = tensor_with_finite_dim(vw, f1)
-    alpha = pair.rs.simple_roots[0]
     top = t1.top_weight
     dims = [t1.dim(top - alpha * F(k, 1) * F(1, 2) * 2) for k in range(7)]
     # counting oracle with dim M(lam)_k = 1 down the string
@@ -419,6 +419,162 @@ def test_tensor_dims(a1, a2_su21):
         expected.append(sum(vw.dim(w - nu) * f1.dim(nu) for nu in f1.weights()))
     assert dims == expected
     assert expected[:4] == [1, 2, 2, 2]
+
+
+# -- finite modules as certified quotient views, tensor windows on slots -----
+
+def eager_finite_module(pair, cb, lam):
+    """Reference: the dims and every nonzero action of F(lam), computed
+    eagerly on a fresh simple quotient, as finite modules once were built."""
+    depth = int((lam - pair.weyl.act(pair.weyl.longest, lam)).height)
+    margin = max(a.height for a in pair.rs.positive_roots)
+    quot = simple_quotient_window(verma_window(pair, cb, lam, depth + margin))
+    dims = {}
+    for cc in _cone_coords(pair.rank, depth):
+        w = lam - Weight(cc)
+        if quot.dim(w):
+            dims[w] = quot.dim(w)
+    actions = {}
+    for w in dims:
+        for gen in quot.generator_list():
+            if quot.materialized(w + cb.generator_weight(gen)):
+                m = quot.action(gen, w)
+                if not m.is_zero():
+                    actions[(gen, w)] = m
+    return dims, actions
+
+
+_FINITE_CASES = [
+    ("A1", [], (1,)),
+    ("A1", [], (3,)),
+    ("A2", [(1, 0)], (1, 0)),  # the su(2,1)-type pair
+    ("A2", [], (1, 1)),
+    ("B2", [(0, 1)], (1, 0)),
+    ("B2", [], (1, 1)),
+    ("G2", [], (1, 0)),
+    ("C3", [(1, 0, 0), (0, 1, 0), (1, 1, 0)], (2, 0, 0)),  # the adjoint, 21-dim
+]
+
+
+@pytest.mark.parametrize("cartan, delta_h, fund", _FINITE_CASES,
+                         ids=[f"{c}-{len(d)}-{''.join(map(str, f))}" for c, d, f in _FINITE_CASES])
+def test_finite_window_matches_eager_table(cartan, delta_h, fund):
+    """A finite module, a lazy view of its certified quotient, has the eager
+    table's weights, dims and action at every (generator, weight), and is
+    zero below its Verma window without reading that window there."""
+    c = ctx(cartan, delta_h)
+    lam = weight_from_fundamental(c.rs, fund)
+    f = finite_dim_simple(c.pair, c.cb, lam)
+    dims, actions = eager_finite_module(c.pair, c.cb, lam)
+    assert f.weights() == sort_weights(dims)
+    assert {w: f.dim(w) for w in f.weights()} == dims
+    assert f.total_dim() == weyl_dimension(c.pair, lam)
+    lowest = c.pair.weyl.act(c.pair.weyl.longest, lam)
+    theta = max(c.rs.positive_roots, key=lambda a: a.height)
+    below = [lowest - theta * 2, lowest - theta * 3]  # past the window's margin
+    for w in [*dims, *below]:
+        for gen in f.generator_list():
+            tw = w + c.cb.generator_weight(gen)
+            expect = actions.get((gen, w), Mat.zero(f.dim(tw), f.dim(w)))
+            assert f.action(gen, w) == expect, (gen, w)
+    vw = f.parent
+    assert not any(w in vw._basis_cache or w in f._data for w in below)
+
+
+def test_finite_dim_simple_computes_no_action(monkeypatch):
+    """Certifying a finite module computes no quotient action: its actions
+    are computed only when asked for."""
+    computed = []
+    compute = QuotientWindow._compute_action
+
+    def counted(self, gen, w):
+        computed.append((gen, w))
+        return compute(self, gen, w)
+
+    monkeypatch.setattr(QuotientWindow, "_compute_action", counted)
+    c = ctx("C3", [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    f = finite_dim_simple(c.pair, c.cb, Weight([2, 2, 1]))
+    assert f.total_dim() == 21 and not computed and not f._action_cache
+
+
+def test_kostant_run_computes_finite_actions_its_blocks_ask_for(monkeypatch):
+    """On a cold c3_kostant_adjoint run each action of the finite module is
+    computed at most once, and only between weights some block meets."""
+    import os
+    from collections import Counter
+    from odirac import scenarios
+    from odirac.cato import FiniteWindow
+
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+    computed = Counter()
+    compute = QuotientWindow._compute_action
+
+    def counted(self, gen, w):
+        if isinstance(self, FiniteWindow):
+            computed[(self, gen, w)] += 1
+        return compute(self, gen, w)
+
+    monkeypatch.setattr(QuotientWindow, "_compute_action", counted)
+    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "c3_kostant_adjoint.json")
+    scn = scenarios.load_scenario(path)
+    assert scenarios.run_scenario(scn)["ok"]
+    f = scn.ctx.finite(Weight([2, 2, 1]))
+    sm = scn.ctx.sm
+    met = {w for (m, _), sp in sm.spaces.items() if m is f for _, w, _ in sp.slot.values()}
+    q_gens = {(kind, a) for a in sm.pair.q_positive for kind in ("e", "f")}
+    assert computed and set(computed.values()) == {1}
+    assert {m for m, _, _ in computed} == {f}
+    for _, gen, w in computed:
+        assert gen in q_gens and w in met and w + f.cb.generator_weight(gen) in met
+    assert len(computed) < len(f.weights()) * len(q_gens)
+
+
+def leibniz_reference(t, gen, w):
+    """Reference: gen on base (x) F at w as gen (x) 1 + 1 (x) gen, a dense
+    Fraction matrix on the basis (nu, j, k): nu in supp F, then the basis
+    vector j of F at nu, then the basis vector k of the base at w - nu."""
+    base, f = t.base, t.factor
+    wt = t.cb.generator_weight(gen)
+
+    def basis(x):
+        return [(nu, j, k) for nu in f.weights() for j in range(f.dim(nu))
+                for k in range(base.dim(x - nu))]
+
+    src, tgt = basis(w), basis(w + wt)
+    index = {b: r for r, b in enumerate(tgt)}
+    rows = [[F(0)] * len(src) for _ in tgt]
+    for col, (nu, j, k) in enumerate(src):
+        up = base.action(gen, w - nu).rows
+        for r in range(len(up)):
+            rows[index[(nu, j, r)]][col] += up[r][k]
+        fa = f.action(gen, nu).rows
+        for r in range(len(fa)):
+            rows[index[(nu + wt, r, k)]][col] += fa[r][j]
+    return Mat(rows, len(src))
+
+
+@pytest.mark.parametrize("cartan, delta_h, lam, factor, depth", [
+    ("A1", [], [F(-1, 3)], (1,), 8),
+    ("A1", [], [-1], (2,), 8),
+    ("A2", [(1, 0)], [F(-1, 2), -1], (1, 0), 5),
+    ("A2", [], [-1, -1], (1, 1), 5),
+])
+def test_tensor_window_matches_leibniz_reference(cartan, delta_h, lam, factor, depth):
+    """Every tensor-window action equals the dense Leibniz assembly."""
+    c = ctx(cartan, delta_h)
+    vw = verma_window(c.pair, c.cb, Weight(lam), depth)
+    f = finite_dim_simple(c.pair, c.cb, weight_from_fundamental(c.rs, factor))
+    t = tensor_with_finite_dim(vw, f)
+    checked = 0
+    for cc in _cone_coords(c.rs.rank, depth):
+        w = t.top_weight - Weight(cc)
+        for gen in t.generator_list():
+            if t.materialized(w) and t.materialized(w + c.cb.generator_weight(gen)):
+                assert t.action(gen, w) == leibniz_reference(t, gen, w), (gen, w)
+                checked += not t.action(gen, w).is_zero()
+    assert checked > 10
+    with pytest.raises(ValueError):
+        tensor_with_finite_dim(vw, simple_quotient_window(vw))
 
 
 def test_singular_vectors(a1):
@@ -569,14 +725,9 @@ def test_pbw_enumeration_matches_weight_recursion(cartan, lam, depth):
     c = ctx(cartan)
     lam = Weight(lam)
     vw = verma_window(c.pair, c.cb, lam, depth)
-    nonzero = []
     for cc in _cone_coords(c.rs.rank, depth):
         w = lam - Weight(cc)
-        expect = weight_recursion_monomials(c.cb.pos, lam - w)
-        assert vw.basis(w) == expect, w
-        if expect:
-            nonzero.append(w)
-    assert vw.weights() == sort_weights(nonzero)
+        assert vw.basis(w) == weight_recursion_monomials(c.cb.pos, lam - w), w
     # lam - w not integral: outside the support cone, no monomials
     off = lam - Weight([F(1, 2)] + [0] * (c.rs.rank - 1))
     assert vw.basis(off) == [] and vw.dim(off) == 0

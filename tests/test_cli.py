@@ -87,6 +87,18 @@ def test_unparseable_file_exits_2(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("command, out_flag", [("run", "--out"), ("report", "--csv")])
+def test_undecodable_file_exits_2(tmp_path, capsys, command, out_flag):
+    """A file that is not UTF-8 is bad input for both commands."""
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    out = tmp_path / "out"
+    assert main([command, str(path), out_flag, str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("doc", [
     [1, 2], "text", 3, None,
     {"tasks": ["dirac"]},

@@ -293,7 +293,7 @@ def test_cached_weight_keys_are_canonical(path):
     ctx = scn.ctx
     sm = ctx.sm
     windows = {m for m, _ in sm.blocks} | {m for m, _ in sm.spaces}
-    windows |= set(ctx._vermas.values()) | set(ctx._tensors.values())
+    windows |= set(ctx._modules.values())
     keys = [w for _, w in sm.blocks] + [w for _, w in sm.spaces]
     assert keys and all(isinstance(m, WeightModuleWindow) for m in windows)
     for m in windows:
