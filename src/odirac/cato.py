@@ -7,16 +7,20 @@ order) with recursive straightening against the bracket table.  The
 monomials of a weight w are enumerated in the integer cone coordinates
 lambda - w; a `Weight` is built only where the window's API takes or
 returns one.  Simple quotients, finite-dimensional simples, tensor
-products, submodules and quotients are derived views.  A quotient
-keeps, per weight, the parent indices that stay a basis and the
-projection onto them.  A simple quotient reads both off one row
-reduction of its simple raising maps (the reversed-rref identity in
+products and quotients are derived views.  A quotient keeps, per
+weight, the parent indices that stay a basis and the projection onto
+them.  A simple quotient reads both off one row reduction of its
+simple raising maps (the reversed-rref identity in
 `simple_quotient_window`) and carries its own contravariant form, so
 neither a basis of the radical nor a Verma Gram is built on the way
 to L(lambda).  A finite module F(lambda) is that simple quotient with
 certified dimensions, zero below them.  M tensor F lays out each weight
 in `SlotSpace` slots and assembles its actions with `block_operator`,
-as the Dirac blocks of M tensor S do.  Everything is rational and
+as the Dirac blocks of M tensor S do.  The exact sequence
+0 -> M(w0) -> M(lambda) -> M(lambda)/M(w0) -> 0 cut out by a singular
+vector at w0 needs no submodule view: U(n-) acts freely on a Verma
+module, so its sub is the Verma window of w0, mapped in by f-actions
+from the singular vector.  Everything is rational and
 deterministic.
 """
 
@@ -24,7 +28,7 @@ from fractions import Fraction
 from functools import partial
 from math import lcm
 
-from .exactla import Mat, span_basis
+from .exactla import Mat
 from .liealg import ChevalleyBasis, PairGH
 from .roots import Weight, is_dominant_integral, zero_weight
 
@@ -321,6 +325,26 @@ def verma_window(pair, cb, lam, depth) -> VermaWindow:
     return VermaWindow(pair, cb, lam, depth)
 
 
+def _first_root_split(vw: VermaWindow, w, indices):
+    """Basis monomials of vw at w, written f_beta u, grouped by their first root.
+
+    A monomial whose first nonzero exponent sits at root beta is f_beta
+    applied to u, the monomial with that exponent lowered by one, of
+    weight w + beta.  Yields (beta, positions, us) per first root: the
+    positions in `indices` of the monomials that start with beta and the
+    indices of their u in the basis at w + beta.
+    """
+    basis = vw.basis(w)
+    by_first = {}
+    for r, i in enumerate(indices):
+        first = next(p for p, k in enumerate(basis[i]) if k)
+        by_first.setdefault(first, []).append(r)
+    for first, positions in by_first.items():
+        beta = vw.cb.pos[first]
+        up = {m: j for j, m in enumerate(vw.basis(w + beta))}
+        yield beta, positions, [up[_dec(basis[indices[r]], first)] for r in positions]
+
+
 # -- contravariant (Shapovalov) form -----------------------------------------
 
 class ContravariantForm:
@@ -359,22 +383,13 @@ class ContravariantForm:
         win, vw = self.window, self.vw
         if w == vw.lam:
             return Mat.identity(1)
-        basis = vw.basis(w)
-        keep = range(len(basis)) if win is vw else win.kept_indices(w)
-        by_first = {}
-        for r, i in enumerate(keep):
-            first = next(p for p, k in enumerate(basis[i]) if k)
-            by_first.setdefault(first, []).append(r)
-        cb = vw.cb
+        keep = range(vw.dim(w)) if win is vw else win.kept_indices(w)
         parts = []
-        for first, rows in by_first.items():
-            beta = cb.pos[first]
-            up = {m: j for j, m in enumerate(vw.basis(w + beta))}
-            us = [up[_dec(basis[keep[r]], first)] for r in rows]
+        for beta, rows, us in _first_root_split(vw, w, keep):
             g = self.gram(w + beta)
             picked = g.take(us) if win is vw else win.projection(w + beta).take(cols=us).T @ g
             prod = picked @ win.action(("e", beta), w)
-            parts.append((rows, prod.scale(_F1 / cb.kappa_integral(beta))))
+            parts.append((rows, prod.scale(_F1 / vw.cb.kappa_integral(beta))))
         den = lcm(*(prod.den for _, prod in parts))
         out = [None] * len(keep)
         for rows, prod in parts:
@@ -472,55 +487,6 @@ def span_quotient_data(vectors, dim):
             row[p] = -sub_row[t]
         proj_rows.append(row)
     return keep, Mat.from_ints(proj_rows, dim, red.den)
-
-
-class SubWindow(WeightModuleWindow):
-    """Submodule of a parent window spanned by given per-weight subspaces."""
-
-    kind = "sub"
-
-    def __init__(self, parent: WeightModuleWindow, sub_basis_fn, infchars,
-                 top_weight):
-        super().__init__(parent.pair, parent.cb)
-        self.parent = parent
-        self._sub_basis_fn = sub_basis_fn
-        self._basis = {}
-        self.infchars = infchars
-        self.top_weight = top_weight
-
-    def materialized(self, w):
-        return self.parent.materialized(w)
-
-    def basis_vectors(self, w):
-        b = self._basis.get(w)
-        if b is None:
-            pdim = self.parent.dim(w)
-            b = span_basis(self._sub_basis_fn(w), pdim) if pdim else []
-            self._basis[w] = b
-        return b
-
-    def dim(self, w):
-        if not self.materialized(w):
-            raise OutsideWindow(f"sub: weight {w} not materialized")
-        return len(self.basis_vectors(w))
-
-    def inclusion(self, w) -> Mat:
-        return Mat.from_cols(self.basis_vectors(w), self.parent.dim(w))
-
-    def _compute_action(self, gen, w):
-        tw = w + self.cb.generator_weight(gen)
-        src = self.inclusion(w)
-        tgt = self.inclusion(tw)
-        if self.dim(tw) == 0:
-            return Mat.zero(0, self.dim(w))
-        image = self.parent.action(gen, w) @ src
-        cols = []
-        for j in range(image.ncols):
-            x = tgt.solve(image.col(j))
-            if x is None:
-                raise AssertionError("sub window is not action-stable")
-            cols.append(x)
-        return Mat.from_cols(cols, self.dim(tw))
 
 
 class FiniteWindow(QuotientWindow):
@@ -825,7 +791,16 @@ class SESData:
 
 
 def ses_from_embedding(vw: VermaWindow, w0: Weight, gen_vec) -> SESData:
-    """SES from the U(n-)-span of a singular vector gen_vec at weight w0."""
+    """0 -> M(w0) -> M(lambda) -> M(lambda)/M(w0) -> 0 from a singular vector.
+
+    gen_vec is a singular vector of vw at w0.  U(n-) acts freely on a
+    Verma module, so the submodule it generates is M(w0), and the sub
+    is the Verma window of w0 reaching as deep as vw.  Its inclusion
+    sends the top to gen_vec and a monomial f_beta u, f_beta its first
+    factor, to f_beta applied to the image of u: one product per first
+    root at each weight, computed when first asked for.  The quotient
+    keeps, per weight, the indices the image's rref leaves free.
+    """
     if not any(gen_vec):
         raise ValueError("generating vector is zero")
     for i in range(vw.rank):
@@ -833,35 +808,23 @@ def ses_from_embedding(vw: VermaWindow, w0: Weight, gen_vec) -> SESData:
         img = vw.action(("e", alpha), w0).apply(gen_vec)
         if any(img):
             raise ValueError("generating vector is not singular")
-    span = {w0: [tuple(Fraction(c) for c in gen_vec)]}
-    # walk the cone below w0 by increasing depth, materialized weights only
-    pos = vw.pair.rs.positive_roots
-    cand = []
-    for c in _cone_coords(vw.rank, vw.depth):
-        w = w0 - Weight(c)
-        if vw.materialized(w) and _delta_coords(vw.top_weight, w) is not None:
-            cand.append(w)
-    for w in sorted(set(cand), key=lambda v: (w0 - v).height):
-        if w == w0:
-            continue
-        vecs = []
-        for beta in pos:
-            up = w + beta
-            if up in span and vw.materialized(up) and vw.materialized(w):
-                act = vw.action(("f", beta), up)
-                for v in span[up]:
-                    img = act.apply(v)
-                    if any(img):
-                        vecs.append(img)
-        if vecs:
-            span[w] = span_basis(vecs, vw.dim(w))
+    sub = verma_window(vw.pair, vw.cb, w0, vw.depth - int((vw.lam - w0).height))
+    images = {w0: Mat.from_cols([gen_vec], vw.dim(w0))}
 
-    def sub_fn(w):
-        return span.get(w, [])
+    def inclusion(w):
+        incl = images.get(w)
+        if incl is None:
+            cols = [None] * sub.dim(w)
+            for beta, positions, us in _first_root_split(sub, w, range(len(cols))):
+                img = vw.action(("f", beta), w + beta) @ inclusion(w + beta).take(cols=us)
+                for j, r in enumerate(positions):
+                    cols[r] = img.col(j)
+            incl = images[w] = Mat.from_cols(cols, vw.dim(w))
+        return incl
 
-    sub = SubWindow(vw, sub_fn, infchars=(w0,), top_weight=w0)
-    quot = QuotientWindow(vw, lambda w: span_quotient_data(sub_fn(w), vw.dim(w)), "sesquot")
-    return SESData(sub, vw, quot, sub.inclusion, quot.projection)
+    quot = QuotientWindow(vw, lambda w: span_quotient_data(inclusion(w).T.rows, vw.dim(w)),
+                          "sesquot")
+    return SESData(sub, vw, quot, inclusion, quot.projection)
 
 
 def ses_split(m1: WeightModuleWindow, m3: WeightModuleWindow) -> SESData:

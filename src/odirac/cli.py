@@ -4,10 +4,8 @@ import argparse
 import json
 import os
 import sys
-import traceback
 
 from .dirac import LiftFailure
-from .reporting import render_bundle, write_csv_tables
 from .scenarios import Scenario, ScenarioError, bundle_to_json, load_scenario, run_scenario
 
 
@@ -66,6 +64,8 @@ def _cmd_run(args):
         print(f"assertion failure: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     except Exception as e:
+        import traceback
+
         traceback.print_exc()
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
@@ -85,6 +85,8 @@ def _cmd_run(args):
 
 
 def _cmd_report(args):
+    from .reporting import render_bundle, write_csv_tables
+
     try:
         with open(args.bundle) as fh:
             bundle = json.load(fh)

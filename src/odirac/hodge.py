@@ -211,7 +211,14 @@ class CEComplex:
 
 
 def identification_check(hp, sm, m, mu) -> dict:
-    """C+ = d and C- = del under the wedge/spin identification at block mu."""
+    """C+ = d and C- = del under the wedge/spin identification at block mu.
+
+    Not yet an independent check: `DiracBlock.d_plus` and `d_minus` and
+    `CEComplex.differential` and `boundary` are the same `block_operator`
+    sums of `spin_terms` on the same memoized `BlockSpace`, so
+    c_plus_is_d and c_minus_is_boundary cannot fail, and d_is_sum holds
+    exactly when cubic_vanishes does.
+    """
     blk = block(sm, m, mu)
     ce = CEComplex(hp, sm, m, mu - (hp.pair.rho - hp.pair.rho_h))
     d = ce.differential()

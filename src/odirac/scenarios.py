@@ -28,8 +28,6 @@ from .dirac import (block, check_square, exact_circle, index_identity_check,
                     kostant_kernel_check, nonvanishing_check,
                     simple_verma_theorem_check, singular_cohomology_weights,
                     vogan_audit)
-from .hodge import (NotHermitian, detect_hermitian, hodge_decomposition_check,
-                    identification_check, theorem52_comparison, unitarity_check)
 
 DEFAULT_MAX_DEPTH = 10
 
@@ -263,6 +261,8 @@ class Scenario:
                 raise ScenarioError(
                     f"task {t} needs module kind {' or '.join(kinds)}, got {kind!r}")
         if "hodge" in self.tasks:
+            from .hodge import NotHermitian, detect_hermitian
+
             try:
                 detect_hermitian(self.ctx.pair)
             except NotHermitian as e:
@@ -477,6 +477,9 @@ def _task_circle(ws):
 
 
 def _task_hodge(ws):
+    from .hodge import (detect_hermitian, hodge_decomposition_check, identification_check,
+                        theorem52_comparison, unitarity_check)
+
     pair, cb, sm, m = ws.pair, ws.cb, ws.sm, ws.module
     hp = detect_hermitian(pair)
     d = ws.scenario.depth_below_top

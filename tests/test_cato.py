@@ -5,14 +5,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from odirac.exactla import Mat
+from odirac.exactla import Mat, span_basis
 from odirac.roots import Weight, is_antidominant, weight_from_fundamental, zero_weight
-from odirac.cato import (OutsideWindow, QuotientWindow, commutation_defect,
+from odirac.cato import (OutsideWindow, QuotientWindow, SESData, WeightModuleWindow,
+                         commutation_defect,
                          finite_character_h, finite_dim_simple, kostant_partition_counter,
                          ses_from_embedding, ses_split, shapovalov_grams,
                          simple_quotient_window, singular_vectors, span_quotient_data,
                          sort_weights, tensor_with_finite_dim, verma_character_h,
                          verma_window, weyl_dimension, _cone_coords)
+from odirac.dirac import exact_circle
 from conftest import ctx
 
 F = Fraction
@@ -622,6 +624,95 @@ def test_ses_from_embedding(a1):
         assert quot2.dim(lam - alpha * k) == 0
     with pytest.raises(ValueError):
         ses_from_embedding(vw, lam - alpha, (F(0),))
+
+
+def span_walk(vw, w0, v):
+    """Reference SES sub: the f_beta-images of v, spanned weight by weight
+    down the cone below w0 (canonical rref bases)."""
+    span = {w0: [tuple(F(c) for c in v)]}
+    below = [w0 - Weight(c) for c in _cone_coords(vw.rank, vw.depth)]
+    for w in sorted((u for u in below if vw.materialized(u)), key=lambda u: (w0 - u).height):
+        if w != w0:
+            span[w] = span_basis([vw.action(("f", beta), w + beta).apply(u)
+                                  for beta in vw.pair.rs.positive_roots
+                                  if w + beta in span for u in span[w + beta]])
+    return span
+
+
+class SpanWalkSub(WeightModuleWindow):
+    """The span walk as a window: actions solved column by column against
+    the parent."""
+
+    kind = "sub"
+
+    def __init__(self, vw, w0, span):
+        super().__init__(vw.pair, vw.cb)
+        self.parent, self.span = vw, span
+        self.top_weight, self.infchars = w0, (w0,)
+
+    def materialized(self, w):
+        return self.parent.materialized(w)
+
+    def dim(self, w):
+        return len(self.span.get(w, []))
+
+    def inclusion(self, w):
+        return Mat.from_cols(self.span.get(w, []), self.parent.dim(w))
+
+    def _compute_action(self, gen, w):
+        tw = w + self.cb.generator_weight(gen)
+        if not self.dim(tw):
+            return Mat.zero(0, self.dim(w))
+        image = self.parent.action(gen, w) @ self.inclusion(w)
+        tgt = self.inclusion(tw)
+        return Mat.from_cols([tgt.solve(image.col(j)) for j in range(image.ncols)],
+                             self.dim(tw))
+
+
+@pytest.mark.parametrize("cartan, delta_h, w0", [
+    ("A2", (), (-1, 0)), ("A2", (), (-2, -2)), ("A2", [(1, 0)], (0, -1)),
+    ("B2", (), (-1, 0)), ("G2", (), (0, -1)),
+])
+def test_ses_from_embedding_rank2_matches_span_walk(cartan, delta_h, w0):
+    """On rank 2, where weight spaces have dimension above 1, the Verma
+    sub and its inclusion give the span walk's submodule, quotient and
+    circle certificates, and every generator intertwines both maps."""
+    c = ctx(cartan, delta_h)
+    pair, cb = c.pair, c.cb
+    vw = verma_window(pair, cb, zero_weight(2), 6)
+    w0 = Weight(w0)
+    sv = singular_vectors(vw, w0)
+    assert len(sv) == 1
+    ses = ses_from_embedding(vw, w0, sv[0])
+    sub, mid, quot = ses.modules()
+    assert sub.kind == "verma" and sub.top_weight == w0 and mid is vw
+    span = span_walk(vw, w0, sv[0])
+    ref_sub = SpanWalkSub(vw, w0, span)
+    ref_quot = QuotientWindow(vw, lambda w: span_quotient_data(span.get(w, []), vw.dim(w)),
+                              "sesquot")
+    weights = [vw.lam - Weight(d) for d in _cone_coords(2, vw.depth)]
+    assert max(vw.dim(w) for w in weights) > 1
+    for w in weights:
+        incl = ses.inclusion(w)
+        assert sub.dim(w) == incl.rank() == ref_sub.dim(w)
+        assert span_basis(incl.T.rows) == span_basis(span.get(w, []))
+        assert quot.kept_indices(w) == ref_quot.kept_indices(w)
+        assert quot.projection(w) == ref_quot.projection(w)
+        for gen in vw.generator_list():
+            tw = w + cb.generator_weight(gen)
+            if not vw.materialized(tw):
+                continue
+            assert ses.inclusion(tw) @ sub.action(gen, w) == vw.action(gen, w) @ incl
+            assert ses.projection(tw) @ vw.action(gen, w) == \
+                quot.action(gen, w) @ ses.projection(w)
+    ref = SESData(ref_sub, vw, ref_quot, ref_sub.inclusion, ref_quot.projection)
+    mus = c.block_weights(vw, 3)
+    assert len(mus) == 10
+    for mu in mus:
+        got, want = (exact_circle(pair, cb, c.sm, s, mu) for s in (ses, ref))
+        assert got.exact and want.exact and got.node_dims == want.node_dims
+        assert [(t["k"], t["l"], t["m"]) for t in got.triples] == \
+            [(t["k"], t["l"], t["m"]) for t in want.triples]
 
 
 def test_ses_split(a1):

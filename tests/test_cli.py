@@ -45,6 +45,27 @@ def test_run_sl3_example(tmp_path):
     assert nv["in_kernel"] and nv["not_in_image"]
 
 
+ONLY_FOR_HODGE_OR_REPORT = ("odirac.hodge", "odirac.reporting", "odirac.acceptance", "csv",
+                            "traceback", "linecache", "tokenize", "textwrap")
+
+
+@pytest.mark.parametrize("path, loaded", [
+    (os.path.join(SCENARIOS, "sl3_paper_example.json"), ()),
+    (os.path.join(REPO, "perfbench", "workloads", "a3_hodge.json"), ("odirac.hodge",)),
+])
+def test_run_imports_only_what_its_tasks_use(tmp_path, path, loaded):
+    """A run without a hodge task loads neither hodge nor the report and
+    error-report modules; a hodge run loads hodge."""
+    code = ("import sys\nfrom odirac import cli\n"
+            f"assert cli.main(['run', {path!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            f"print(' '.join(m for m in {ONLY_FOR_HODGE_OR_REPORT!r} if m in sys.modules))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=CHILD_ENV)
+    assert res.returncode == 0, res.stderr
+    # the first line is the bundle path printed by the run
+    assert res.stdout.splitlines()[-1].split() == list(loaded)
+
+
 def test_golden_bundle(tmp_path):
     res = run_cli("run", os.path.join(SCENARIOS, "sl3_paper_example.json"),
                   "--out", str(tmp_path))

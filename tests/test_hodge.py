@@ -264,9 +264,9 @@ def test_hodge_task_fails_with_one_failing_cminus(monkeypatch):
     """
     import json
     import os
-    from odirac import scenarios
+    from odirac import hodge, scenarios
 
-    check = scenarios.hodge_decomposition_check
+    check = hodge.hodge_decomposition_check
     broken = []
 
     def cminus_fails_once(hp, sm, m, us, mu):
@@ -276,7 +276,7 @@ def test_hodge_task_fails_with_one_failing_cminus(monkeypatch):
             rep = dict(rep, cminus=False, ok=False)
         return rep
 
-    monkeypatch.setattr(scenarios, "hodge_decomposition_check", cminus_fails_once)
+    monkeypatch.setattr(hodge, "hodge_decomposition_check", cminus_fails_once)
     path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "a2_hodge_unitary.json")
     with open(path) as fh:
         doc = json.load(fh)
