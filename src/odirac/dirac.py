@@ -145,7 +145,10 @@ class DiracBlock:
         """D on the generalized kernel, for its Jordan chains."""
         if self._nilp is None:
             vecs, parities = self.gen0()
-            self._nilp = GradedNilpotent.from_operator(self.d, vecs, parities)
+            self._nilp = GradedNilpotent(
+                _in_basis(self.d, vecs, Mat.from_cols(vecs, self.dim),
+                          AssertionError("operator does not preserve the generalized kernel")),
+                parities)
         return self._nilp
 
     def htop(self):
@@ -311,6 +314,21 @@ def _parity_of(vec, parity):
     return pars.pop()
 
 
+def _in_basis(op, vecs, tgt, failure):
+    """op restricted to span(vecs), in the coordinates of tgt's columns.
+
+    Column j solves tgt x = op vecs[j]; an image outside the span of
+    tgt raises `failure`.  tgt is dim x 0 when its basis is empty.
+    """
+    cols = []
+    for v in vecs:
+        x = tgt.solve(op.apply(v))
+        if x is None:
+            raise failure
+        cols.append(x)
+    return Mat.from_cols(cols, tgt.ncols)
+
+
 def _graded_dims(vecs, parity):
     """(plus, minus): the parity count of a homogeneous basis."""
     minus = sum(_parity_of(v, parity) for v in vecs)
@@ -328,18 +346,6 @@ class GradedNilpotent:
         self._kernels = {}
         self._floors = {}
         self._chains = None
-
-    @staticmethod
-    def from_operator(d, basis_vecs, parities):
-        g = Mat.from_cols(basis_vecs, d.nrows) if basis_vecs else Mat([], 0)
-        cols = []
-        for v in basis_vecs:
-            img = d.apply(v)
-            x = g.solve(img)
-            if x is None:
-                raise AssertionError("operator does not preserve the generalized kernel")
-            cols.append(x)
-        return GradedNilpotent(Mat.from_cols(cols, len(basis_vecs)), parities)
 
     def power(self, k):
         while len(self._powers) <= k:
@@ -689,6 +695,28 @@ def block_map(sm, src_m, tgt_m, mat_fn, mu) -> Mat:
     return block_operator(tgt, src, spin_terms(src, sm.identity, mat_fn))
 
 
+def circle_nodes(parities):
+    """Node dims and exactness of H1+ -> H2+ -> H3+ -> H1- -> H2- -> H3- -> H1+.
+
+    `parities` holds one {node: parity} per triple (k, l, m) of Jordan
+    sizes, for its odd sizes, with node "H1", "H2", "H3" for k, l, m and
+    parity 0 for +.  Since l = k + m, a triple has zero or two odd
+    sizes, so each class has exactly one neighbour: iota (H1 -> H2) or
+    pi (H2 -> H3), which keep the parity, or the connecting map
+    (H3 -> H1), which flips it.  The circle is exact iff every pair lies
+    on an arrow of the circle.
+    """
+    node_dims = {f"{n}{s}": 0 for s in "+-" for n in ("H1", "H2", "H3")}
+    exact = True
+    for par in parities:
+        for n, p in par.items():
+            node_dims[n + "+-"[p]] += 1
+        if par:
+            a, b = sorted(par)
+            exact = exact and (par[a] != par[b]) == ((a, b) == ("H1", "H3"))
+    return node_dims, exact
+
+
 class CircleCertificate:
     def __init__(self, mu, triples, node_dims, exact):
         self.mu = mu
@@ -698,7 +726,15 @@ class CircleCertificate:
 
 
 def exact_circle(pair, cb, sm, ses, mu) -> CircleCertificate:
-    """Jordan-compatible decomposition of an SES block and the six-term circle."""
+    """Jordan-compatible decomposition of an SES block and the six-term circle.
+
+    The Jordan chains of the quotient block lift to the middle block and
+    their tails pull back to seeds in the sub block, so the generalized
+    kernels split into triples (k, l, m) of chain sizes with l = k + m,
+    each checked against the blocks' direct H_top quotients.  Exactness
+    of the circle is then the parity rule of `circle_nodes` on the tops
+    of the odd chains.
+    """
     m1, m2, m3 = ses.modules()
     b1 = block(sm, m1, mu)
     b2 = block(sm, m2, mu)
@@ -710,35 +746,19 @@ def exact_circle(pair, cb, sm, ses, mu) -> CircleCertificate:
     if not (pmap @ b2.d == b3.d @ pmap):
         raise AssertionError("projection does not intertwine the Dirac operators")
 
-    g1_vecs, g1_par = b1.gen0()
-    g2_vecs, g2_par = b2.gen0()
-    g3_vecs, g3_par = b3.gen0()
+    g1_vecs, g2_vecs, g3_vecs = b1.gen0()[0], b2.gen0()[0], b3.gen0()[0]
     n1, n2, n3 = len(g1_vecs), len(g2_vecs), len(g3_vecs)
     if n2 != n1 + n3:
         raise LiftFailure(f"generalized kernels not exact at {mu}: {n1}+{n3} != {n2}")
-    g1 = Mat.from_cols(g1_vecs, b1.dim) if n1 else Mat([], 0)
-    g2 = Mat.from_cols(g2_vecs, b2.dim) if n2 else Mat([], 0)
-    g3 = Mat.from_cols(g3_vecs, b3.dim) if n3 else Mat([], 0)
-
-    def restrict(mapmat, src_g, tgt_g, src_n, tgt_n):
-        cols = []
-        for j in range(src_n):
-            img = mapmat.apply(src_g.col(j))
-            x = tgt_g.solve(img)
-            if x is None:
-                raise LiftFailure("map does not respect generalized kernels")
-            cols.append(x)
-        return Mat.from_cols(cols, tgt_n)
-
-    i0 = restrict(imap, g1, g2, n1, n2)
-    p0 = restrict(pmap, g2, g3, n2, n3)
+    failure = LiftFailure("map does not respect generalized kernels")
+    i0 = _in_basis(imap, g1_vecs, Mat.from_cols(g2_vecs, b2.dim), failure)
+    p0 = _in_basis(pmap, g2_vecs, Mat.from_cols(g3_vecs, b3.dim), failure)
     nil1 = b1.nilpotent()
     nil2 = b2.nilpotent()
     nil3 = b3.nilpotent()
 
     chains3 = nil3.chains()
-    lifted = []  # (chain2, chain3, k, l, m)
-    seeds2 = []
+    lifted = []  # (top2, l, m, chain3)
     for chain3 in chains3:
         msize = len(chain3)
         top3 = chain3[0]
@@ -753,11 +773,9 @@ def exact_circle(pair, cb, sm, ses, mu) -> CircleCertificate:
         if subspace_dim(list(floor) + [u]) == len(floor):
             raise LiftFailure("lifted preimage is not a Jordan top")
         lifted.append((u, l, msize, chain3))
-        seeds2.append((u, l))
 
     # tails pull back to seed chains in the sub block
     seeds1 = []
-    tails = []
     for (u, l, msize, chain3) in lifted:
         if l > msize:
             t = tuple(u)
@@ -767,7 +785,6 @@ def exact_circle(pair, cb, sm, ses, mu) -> CircleCertificate:
             if x is None:
                 raise LiftFailure("tail of a lifted chain is not in the sub block")
             seeds1.append((x, l - msize))
-            tails.append(x)
 
     chains1 = nil1.chains(seeds=seeds1)
     triples = []
@@ -800,59 +817,18 @@ def exact_circle(pair, cb, sm, ses, mu) -> CircleCertificate:
     if nil2.htop_from_chains(chain2_list) != b2.htop():
         raise LiftFailure("adapted decomposition disagrees with the direct quotients")
 
-    # six-node circle: H1+ -> H2+ -> H3+ -> H1- -> H2- -> H3- -> H1+
-    node_basis = {("H1", 0): [], ("H1", 1): [], ("H2", 0): [], ("H2", 1): [],
-                  ("H3", 0): [], ("H3", 1): []}
-    arrows = []  # (src_node, tgt_node, src_index, tgt_index)
-    for tidx, t in enumerate(triples):
-        k, l, msize = t["k"], t["l"], t["m"]
-        p1 = p2 = p3 = None
-        if k % 2:
-            ch = nil2._chain_of(t["top2"], l)
-            top1 = ch[msize]  # image of the J1 top inside J2
-            p1 = nil2.vector_parity(top1)
-            node_basis[("H1", p1)].append(("J1", tidx))
-        if l % 2:
-            p2 = nil2.vector_parity(t["top2"])
-            node_basis[("H2", p2)].append(("J2", tidx))
-        if msize % 2:
-            p3 = nil3.vector_parity(t["top3"])
-            node_basis[("H3", p3)].append(("J3", tidx))
-        if k % 2 and l % 2:  # m even: iota is the isomorphism
-            arrows.append((("H1", p1), ("H2", p2), ("J1", tidx), ("J2", tidx)))
-        elif l % 2 and msize % 2:  # k even: pi is the isomorphism
-            arrows.append((("H2", p2), ("H3", p3), ("J2", tidx), ("J3", tidx)))
-        elif k % 2 and msize % 2:  # l even: connecting map
-            arrows.append((("H3", p3), ("H1", p1), ("J3", tidx), ("J1", tidx)))
-
-    # assemble the six maps as 0/1 matrices in the per-node bases
-    order = [("H1", 0), ("H2", 0), ("H3", 0), ("H1", 1), ("H2", 1), ("H3", 1)]
-    mats = {}
-    for si in range(6):
-        src = order[si]
-        tgt = order[(si + 1) % 6]
-        rows = [[_F0] * len(node_basis[src]) for _ in range(len(node_basis[tgt]))]
-        for (a, bnode, akey, bkey) in arrows:
-            if a == src and bnode == tgt:
-                rows[node_basis[tgt].index(bkey)][node_basis[src].index(akey)] = _F1
-        mats[(src, tgt)] = Mat(rows, len(node_basis[src]))
-
-    exact = True
-    for si in range(6):
-        prev = order[(si - 1) % 6]
-        here = order[si]
-        nxt = order[(si + 1) % 6]
-        incoming = mats[(prev, here)]
-        outgoing = mats[(here, nxt)]
-        if incoming.ncols and outgoing.nrows:
-            if not (outgoing @ incoming).is_zero():
-                exact = False
-        im_rank = incoming.rank()
-        ker_dim = len(node_basis[here]) - outgoing.rank()
-        if im_rank != ker_dim:
-            exact = False
-    node_dims = {f"{n}{'+' if p == 0 else '-'}": len(node_basis[(n, p)])
-                 for (n, p) in order}
+    # the parity of each odd Jordan block's top, per triple
+    parities = []
+    for t, ch in zip(triples, chain2_list):
+        par = {}
+        if t["k"] % 2:  # the J1 top is the image of N^m top2 inside J2
+            par["H1"] = nil2.vector_parity(ch[t["m"]])
+        if t["l"] % 2:
+            par["H2"] = nil2.vector_parity(t["top2"])
+        if t["m"] % 2:
+            par["H3"] = nil3.vector_parity(t["top3"])
+        parities.append(par)
+    node_dims, exact = circle_nodes(parities)
     # the adapted H3 and H1 data must also match their direct quotients
     if nil3.htop_from_chains(chains3) != b3.htop():
         raise LiftFailure("quotient block decomposition disagrees with direct quotients")

@@ -10,7 +10,7 @@ from odirac.cato import (_cone_coords, finite_dim_simple, ses_from_embedding,
                          ses_split, singular_vectors, verma_character_h,
                          verma_window)
 from odirac.spinor import SpinModule, to_mat
-from odirac.dirac import (DiracBlock, GradedNilpotent, check_square,
+from odirac.dirac import (DiracBlock, GradedNilpotent, block, check_square,
                           exact_circle, h_equivariance_defect, index_identity_check,
                           kostant_kernel_check, nonvanishing_check,
                           simple_verma_theorem_check, singular_cohomology_weights,
@@ -270,6 +270,81 @@ def test_exact_circle_cases(a1):
         # the split circle has zero connecting maps: no (k, l, m) with all odd-even mix
         for t in cert.triples:
             assert t["m"] == 0 or t["k"] == 0 or t["l"] == t["k"] + t["m"]
+
+
+def test_exact_circle_empty_quotient_kernel(a2_su21):
+    """A quotient block whose generalized kernel is zero next to a nonzero middle one."""
+    c = a2_su21
+    ses = ses_split(c.verma(Weight([0, 0]), 8), c.verma(Weight([-1, -1]), 8))
+    _, m2, m3 = ses.modules()
+    for x, dim3 in ((F(-1, 2), 2), (F(-3, 2), 4), (F(-5, 2), 4)):
+        mu = Weight([x, -1])
+        b3 = block(c.sm, m3, mu)
+        assert b3.dim == dim3 and not b3.gen0()[0] and block(c.sm, m2, mu).gen0()[0]
+        assert exact_circle(c.pair, c.cb, c.sm, ses, mu).exact
+
+
+def six_matrix_circle(triples, parities):
+    """The circle verdict from 0/1 matrices of the six maps and their ranks.
+
+    The assembly `circle_nodes` replaced, kept as its reference: triples
+    are (k, l, m) and parities (p1, p2, p3), read only for odd sizes.
+    """
+    node_basis = {(n, p): [] for n in ("H1", "H2", "H3") for p in (0, 1)}
+    arrows = []  # (src_node, tgt_node, src_index, tgt_index)
+    for tidx, ((k, l, msize), (p1, p2, p3)) in enumerate(zip(triples, parities)):
+        if k % 2:
+            node_basis[("H1", p1)].append(("J1", tidx))
+        if l % 2:
+            node_basis[("H2", p2)].append(("J2", tidx))
+        if msize % 2:
+            node_basis[("H3", p3)].append(("J3", tidx))
+        if k % 2 and l % 2:
+            arrows.append((("H1", p1), ("H2", p2), ("J1", tidx), ("J2", tidx)))
+        elif l % 2 and msize % 2:
+            arrows.append((("H2", p2), ("H3", p3), ("J2", tidx), ("J3", tidx)))
+        elif k % 2 and msize % 2:
+            arrows.append((("H3", p3), ("H1", p1), ("J3", tidx), ("J1", tidx)))
+    order = [("H1", 0), ("H2", 0), ("H3", 0), ("H1", 1), ("H2", 1), ("H3", 1)]
+    mats = {}
+    for si in range(6):
+        src, tgt = order[si], order[(si + 1) % 6]
+        rows = [[0] * len(node_basis[src]) for _ in range(len(node_basis[tgt]))]
+        for a, b, akey, bkey in arrows:
+            if a == src and b == tgt:
+                rows[node_basis[tgt].index(bkey)][node_basis[src].index(akey)] = 1
+        mats[(src, tgt)] = Mat(rows, len(node_basis[src]))
+    exact = True
+    for si in range(6):
+        prev, here, nxt = order[(si - 1) % 6], order[si], order[(si + 1) % 6]
+        incoming, outgoing = mats[(prev, here)], mats[(here, nxt)]
+        if incoming.ncols and outgoing.nrows and not (outgoing @ incoming).is_zero():
+            exact = False
+        if incoming.rank() != len(node_basis[here]) - outgoing.rank():
+            exact = False
+    node_dims = {f"{n}{'+' if p == 0 else '-'}": len(node_basis[(n, p)]) for n, p in order}
+    return node_dims, exact
+
+
+def test_circle_nodes_matches_six_matrix_assembly():
+    """Every one- or two-triple list with k, m <= 3, under every parity assignment."""
+    from itertools import product
+
+    from odirac.dirac import circle_nodes
+
+    cases = [((k, k + m, m), ps) for k in range(4) for m in range(4) if k + m
+             for ps in product((0, 1), repeat=3)]
+    lists = [[c] for c in cases] + [[c, d] for c in cases for d in cases]
+    assert len(lists) == 14520
+    verdicts = set()
+    for lst in lists:
+        triples = [t for t, _ in lst]
+        parities = [{n: p for n, size, p in zip(("H1", "H2", "H3"), t, ps) if size % 2}
+                    for t, ps in lst]
+        got = circle_nodes(parities)
+        assert got == six_matrix_circle(triples, [ps for _, ps in lst]), lst
+        verdicts.add(got[1])
+    assert verdicts == {True, False}
 
 
 def test_circle_parity_case_pattern(a1):
@@ -661,6 +736,16 @@ def reference_gen0(blk):
     return vecs, tags
 
 
+def reference_nilpotent(blk):
+    """D on the generalized kernel of `reference_gen0`, in its coordinates."""
+    from odirac.dirac import _in_basis
+
+    vecs, parities = reference_gen0(blk)
+    d_on_gen0 = _in_basis(blk.d, vecs, Mat.from_cols(vecs, blk.dim),
+                          AssertionError("D does not preserve the generalized kernel"))
+    return GradedNilpotent(d_on_gen0, parities)
+
+
 def reference_image_graded(nil, sign):
     """Basis of (im N) in the sign part: N applied to the opposite part."""
     from odirac.exactla import span_basis
@@ -674,7 +759,7 @@ def reference_htop(blk):
     """{k: (plus, minus)} from the quotients in generalized-kernel coordinates."""
     from odirac.exactla import span_basis, subspace_intersect, subspace_sum
 
-    nil = GradedNilpotent.from_operator(blk.d, *reference_gen0(blk))
+    nil = reference_nilpotent(blk)
 
     def quotient(ker_basis, sign, lower_k):
         if not ker_basis:
@@ -700,8 +785,7 @@ def reference_dirac_cohomology(blk):
     """ker/im from rank D; H_D as ker N / (ker N meet im N) in each parity."""
     from odirac.exactla import span_basis, subspace_intersect
 
-    vecs, parities = reference_gen0(blk)
-    nil = GradedNilpotent.from_operator(blk.d, vecs, parities)
+    nil = reference_nilpotent(blk)
 
     def hd(sign):
         ker = nil.kernel_graded(1, sign)

@@ -8,6 +8,7 @@ from odirac.exactla import Mat
 from odirac.roots import Weight, zero_weight
 from odirac.cato import _cone_coords, simple_quotient_window, verma_window
 from odirac.dirac import DiracBlock
+from odirac.scenarios import pair_context as ctx
 from odirac.hodge import (CEComplex, NotHermitian, UnitaryStructure,
                           detect_hermitian, hodge_decomposition_check,
                           identification_check, theorem52_comparison,
@@ -102,6 +103,73 @@ def test_identification(a1, a2_su21):
             mu = mu_top - Weight(cc)
             rep = identification_check(hp, sm, vw, mu)
             assert rep["ok"], (c.rs.cartan_type, mu, rep)
+
+
+def reference_ce_operator(m, q_pos, nu, raising):
+    """The CE differential d (raising) or boundary del at nu, from the definition.
+
+    A chain v (x) f_I has I a sorted tuple of q+ positions and v in M at
+    nu + sum of beta_i over I.  d(v (x) f_I) = sum over b not in I of
+    e_b v (x) f_b ^ f_I, and del(v (x) f_I) = sum over b in I of
+    f_b v (x) contract(e_b) f_I.  Moving f_b to or from the front of f_I
+    passes the factors of I below b, so the sign is (-1)^#{i in I : i < b}.
+    Returns the chains {I: module weight} and the tiles {(J, I): module map}.
+    """
+    from itertools import combinations
+
+    chains = {}
+    for k in range(len(q_pos) + 1):
+        for wedge in combinations(range(len(q_pos)), k):
+            w = nu
+            for i in wedge:
+                w = w + q_pos[i]
+            if m.dim(w):
+                chains[wedge] = w
+    tiles = {}
+    for wedge, w in chains.items():
+        for b, beta in enumerate(q_pos):
+            if (b in wedge) == raising:
+                continue
+            tgt = tuple(sorted(wedge + (b,))) if raising else tuple(i for i in wedge if i != b)
+            if tgt in chains:
+                sign = (-1) ** sum(i < b for i in wedge)
+                tiles[tgt, wedge] = m.action(("e" if raising else "f", beta), w).scale(sign)
+    return chains, tiles
+
+
+@pytest.mark.parametrize("label, delta_h, lam, depth, slices", [
+    ("A1", [], [F(-1, 2)], 10, 4),
+    ("A2", [(1, 0)], [-1, -1], 12, 10),
+    ("A3", [(1, 0, 0), (0, 1, 0), (1, 1, 0)], [-1, -2, -3], 6, 20),
+])
+def test_ce_operators_match_definition(label, delta_h, lam, depth, slices):
+    """C+ and C- of the block equal d and del built from the definition, entry for entry.
+
+    The reference's chains are aligned with the block's slots by mask; every
+    CE weight within 3 of the Verma top is compared.
+    """
+    c = ctx(label, delta_h)
+    hp = detect_hermitian(c.pair)
+    vw = c.verma(Weight(lam), depth)
+    seen = nonzero = 0
+    for cc in _cone_coords(c.pair.rank, 3):
+        nu = vw.top_weight - Weight(cc)
+        ce = CEComplex(hp, c.sm, vw, nu)
+        sp = ce.space
+        for op, raising in ((ce.differential(), True), (ce.boundary(), False)):
+            chains, tiles = reference_ce_operator(vw, c.sm.q_pos, nu, raising)
+            mask = {wedge: sum(1 << i for i in wedge) for wedge in chains}
+            assert {mask[I]: (w, vw.dim(w)) for I, w in chains.items()} == \
+                {key: (w, d) for key, (_, w, d) in sp.slot.items()}
+            rows = [[F(0)] * sp.dim for _ in range(sp.dim)]
+            for (J, I), tile in tiles.items():
+                r0, c0 = sp.slot[mask[J]][0], sp.slot[mask[I]][0]
+                for r, row in enumerate(tile.rows):
+                    rows[r0 + r][c0:c0 + len(row)] = row
+            assert op == Mat(rows, sp.dim), (label, nu, raising)
+            nonzero += not op.is_zero()
+        seen += 1
+    assert seen == slices and nonzero
 
 
 def test_adjointness_negative_control(a1):
