@@ -257,13 +257,6 @@ class WeightModuleWindow:
             gen = ("f", -root)
         return self.action(gen, w)
 
-    def generator_list(self):
-        gens = [("h", i) for i in range(self.rank)]
-        for a in self.pair.rs.positive_roots:
-            gens.append(("e", a))
-            gens.append(("f", a))
-        return gens
-
 
 def sort_weights(ws):
     return sorted(ws, key=lambda v: (-v.height, v))
@@ -512,9 +505,6 @@ class FiniteWindow(QuotientWindow):
     def weights(self):
         """Sorted weights of nonzero dimension."""
         return sort_weights(self._dims)
-
-    def total_dim(self):
-        return sum(self._dims.values())
 
 
 def simple_quotient_window(vw: VermaWindow) -> QuotientWindow:

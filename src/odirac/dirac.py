@@ -474,6 +474,15 @@ def casimir_matrix(m: WeightModuleWindow, w: Weight, pos_roots, form) -> Mat:
     return out
 
 
+def _casimir(sm: SpinModule, m: WeightModuleWindow, w: Weight) -> Mat:
+    """casimir_matrix of m at w over all positive roots, built once per spin module."""
+    c = sm.casimirs.get((m, w))
+    if c is None:
+        pair = sm.pair
+        c = sm.casimirs[(m, w)] = casimir_matrix(m, w, pair.rs.positive_roots, pair.form)
+    return c
+
+
 def casimir_h_block(pair, cb, sm, m, mu) -> Mat:
     """(Omega_h)_Delta on the block at mu via the diagonal h-action."""
     space = block_space(sm, m, mu)
@@ -493,8 +502,7 @@ def check_square(pair, cb, sm, m, block: DiracBlock) -> dict:
     form = pair.form
     sp = block.space
     n = sp.dim
-    casimir = partial(casimir_matrix, m, pos_roots=pair.rs.positive_roots, form=form)
-    omega_g = block_operator(sp, sp, spin_terms(sp, sm.identity, casimir))
+    omega_g = block_operator(sp, sp, spin_terms(sp, sm.identity, partial(_casimir, sm, m)))
     omega_h = casimir_h_block(pair, cb, sm, m, mu)
     scalar = form.norm2(pair.rho) - form.norm2(pair.rho_h)
     rhs = omega_g - omega_h + Mat.scalar(n, scalar)

@@ -13,7 +13,6 @@ normalization and stay rational.
 
 from fractions import Fraction
 
-from .exactla import Mat
 from .roots import (InvariantForm, NotASubsystem, RootSystem, Weight,
                     WeylData, rho_vectors, validate_delta_h, weyl_group,
                     zero_weight)
@@ -245,13 +244,6 @@ class ChevalleyBasis:
         """kappa(e_alpha, e_{-alpha}) before rescaling, from the adjoint trace."""
         return self._kappa_root[alpha if _is_positive(alpha) else -alpha]
 
-    def ad_matrix(self, i):
-        cols = []
-        for b in range(self.dim):
-            vec = self.bracket(i, b)
-            cols.append(tuple(vec.get(k, _F0) for k in range(self.dim)))
-        return Mat.from_cols(cols, self.dim)
-
     def jacobi_residual(self):
         """Largest absolute residual of the Jacobi identity over basis triples."""
         worst = _F0
@@ -286,7 +278,15 @@ class PairGH:
         self.q_positive = [a for a in rs.positive_roots if a not in self.delta_h_signed]
         self.q_signed = frozenset(self.q_positive) | frozenset(-a for a in self.q_positive)
         self.rho, self.rho_h = rho_vectors(rs, self.delta_h_pos)
-        self.weyl: WeylData = weyl_group(rs, form, self.delta_h_pos)
+        self._weyl = None
+
+    @property
+    def weyl(self) -> WeylData:
+        """W with lengths, W_h and the coset set, enumerated on first use: only
+        finite modules, `kostant` and `vogan` read it."""
+        if self._weyl is None:
+            self._weyl = weyl_group(self.rs, self.form, self.delta_h_pos)
+        return self._weyl
 
     @property
     def rank(self):

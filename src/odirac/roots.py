@@ -8,9 +8,9 @@ Dirac operator identities downstream hold without normalization fudge.
 """
 
 from fractions import Fraction
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 
-from .exactla import Mat
+from .exactla import Mat, _vec_ints
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -199,13 +199,17 @@ class InvariantForm:
         amat = Mat([[Fraction(a[i][j]) for j in range(r)] for i in range(r)], r)
         self.cartan_gram = kmat
         self.gram = amat @ kmat.inv() @ amat.T
-        self._gram_rows = self.gram.rows
         self._rs = rs
 
     def pair(self, v, w):
-        g = self._gram_rows
-        return sum((v[i] * sum(g[i][j] * w[j] for j in range(len(w)) if w[j])
-                    for i in range(len(v)) if v[i]), _F0)
+        """<v, w> summed in ints over the Gram's one denominator: one Fraction per call."""
+        v, dv = _vec_ints(v)
+        w, dw = _vec_ints(w)
+        total = 0
+        for c, row in zip(v, self.gram.num):
+            if c:
+                total += c * sum(map(mul, row, w))
+        return Fraction(total, self.gram.den * dv * dw)
 
     def norm2(self, v):
         return self.pair(v, v)
@@ -369,31 +373,7 @@ def same_infinitesimal_character(lam, mu, shift_l, shift_r, weyl: WeylData) -> b
     return any(weyl.act(i, src) == target for i in range(len(weyl.elements)))
 
 
-# -- presentation helpers -----------------------------------------------------
-
-def weight_to_fundamental(rs: RootSystem, v: Weight):
-    """Values of v on the simple coroots (fundamental-weight coordinates)."""
-    return tuple(rs.pairing_with_simple_coroots(v))
-
-
-def weight_from_fundamental(rs: RootSystem, vals):
-    """Weight with the given simple-coroot values; exact inverse of the above."""
-    a = Mat([[Fraction(x) for x in row] for row in rs.cartan_matrix], rs.rank)
-    return Weight(a.T.inv().apply(tuple(Fraction(x) for x in vals)))
-
-
 # -- epsilon-coordinate presentation (A types only) -------------------------
-
-def weight_to_eps(rs: RootSystem, v: Weight):
-    if not rs.cartan_type.startswith("A") or "x" in rs.cartan_type:
-        raise ValueError("epsilon coordinates only for simple A types")
-    n = rs.rank
-    eps = [v[0]]
-    for i in range(1, n):
-        eps.append(v[i] - v[i - 1])
-    eps.append(-v[n - 1])
-    return tuple(eps)
-
 
 def eps_to_weight(rs: RootSystem, eps):
     if not rs.cartan_type.startswith("A") or "x" in rs.cartan_type:

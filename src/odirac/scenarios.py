@@ -10,11 +10,20 @@ exact-arithmetic attestation.  Identical scenarios produce byte-identical
 bundles, whatever the process has cached before.
 """
 
-import hashlib
 import json
 import re
 from fractions import Fraction
 from operator import sub
+
+# SHA-256 from CPython's own module: `hashlib` would load OpenSSL's libcrypto
+# (several MB of resident memory) for one digest of a small document.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256  # a build without the builtin module
 
 from . import __version__
 from .roots import (NotASubsystem, Weight, build_root_system, is_dominant_integral,
@@ -106,8 +115,8 @@ class PairContext:
     blocks are memoized on the spin module (`dirac.block`).
     """
 
-    def __init__(self, cartan_type, delta_h):
-        self.rs = build_root_system(cartan_type)
+    def __init__(self, cartan_type, delta_h, rs=None):
+        self.rs = rs or build_root_system(cartan_type)
         self.form = killing_form_on_dual(self.rs)
         self.cb = chevalley_basis(self.rs, self.form)
         self.pair = validate_pair(self.rs, self.form, delta_h)
@@ -183,12 +192,15 @@ class PairContext:
 _CONTEXTS = {}
 
 
-def pair_context(cartan_type, delta_h=()) -> PairContext:
-    """The process-wide context of (cartan_type, delta_h), built on first use."""
+def pair_context(cartan_type, delta_h=(), rs=None) -> PairContext:
+    """The process-wide context of (cartan_type, delta_h), built on first use.
+
+    `rs` is the root system of cartan_type, if the caller has built it.
+    """
     key = (cartan_type, tuple(Weight(v) for v in delta_h))
     ctx = _CONTEXTS.get(key)
     if ctx is None:
-        ctx = _CONTEXTS[key] = PairContext(*key)
+        ctx = _CONTEXTS[key] = PairContext(*key, rs)
     return ctx
 
 
@@ -209,15 +221,16 @@ class Scenario:
         except KeyError:
             raise ScenarioError("missing cartan_type")
         try:
-            rank = build_root_system(self.cartan_type).rank
+            rs = build_root_system(self.cartan_type)
         except ValueError as e:
             raise ScenarioError(str(e))
+        rank = rs.rank
         delta_h = doc.get("delta_h", [])
         if not isinstance(delta_h, list):
             raise ScenarioError(f"delta_h must be a list, got {delta_h!r}")
         self.delta_h = [parse_weight(v, rank) for v in delta_h]
         try:
-            self.ctx = pair_context(self.cartan_type, self.delta_h)
+            self.ctx = pair_context(self.cartan_type, self.delta_h, rs)
         except NotASubsystem as e:
             raise ScenarioError(f"NotASubsystem: {e}")
         module = doc.get("module")
@@ -267,7 +280,11 @@ class Scenario:
                 detect_hermitian(self.ctx.pair)
             except NotHermitian as e:
                 raise ScenarioError(f"task hodge needs a Hermitian pair: {e}")
+        # block_weights walks every cone point within depth_below_top of the top
         self.depth_below_top = parse_count(doc, "depth_below_top", 6)
+        if self.depth_below_top > self.max_depth:
+            raise ScenarioError(f"depth_below_top {self.depth_below_top} exceeds the "
+                                f"configured maximum {self.max_depth}")
         options = doc.get("options", {})
         if not isinstance(options, dict):
             raise ScenarioError(f"options must be an object, got {options!r}")
@@ -281,7 +298,7 @@ class Scenario:
 
     def sha256(self):
         blob = json.dumps(self.doc, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return sha256(blob.encode()).hexdigest()
 
 
 def load_scenario(path) -> Scenario:

@@ -112,9 +112,11 @@ class SpinModule:
         self._h_action_cache = {}
         self.cubic = cubic_term(pair, cb, self)
         # Dirac blocks and their BlockSpaces on this module, keyed by
-        # (module window, weight): dirac.block and dirac.block_space
+        # (module window, weight): dirac.block and dirac.block_space; the
+        # Casimir of g on each module weight space: dirac.check_square
         self.blocks = {}
         self.spaces = {}
+        self.casimirs = {}
 
     def masks(self, drop):
         """The basis vectors u_I with top_weight - wt(u_I) = drop, increasing."""

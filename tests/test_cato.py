@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from odirac.exactla import Mat, span_basis
-from odirac.roots import Weight, is_antidominant, weight_from_fundamental, zero_weight
+from odirac.roots import Weight, is_antidominant, zero_weight
 from odirac.cato import (OutsideWindow, QuotientWindow, SESData, WeightModuleWindow,
                          commutation_defect,
                          finite_character_h, finite_dim_simple, kostant_partition_counter,
@@ -16,6 +16,7 @@ from odirac.cato import (OutsideWindow, QuotientWindow, SESData, WeightModuleWin
                          verma_window, weyl_dimension, _cone_coords)
 from odirac.dirac import exact_circle
 from conftest import ctx
+from helpers import generator_list, total_dim, weight_from_fundamental
 
 F = Fraction
 
@@ -219,7 +220,7 @@ def test_simple_quotients_read_no_verma_form(monkeypatch, a1):
     path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "a2_hodge_unitary.json")
     assert scenarios.run_scenario(scenarios.load_scenario(path))["ok"]
     c = scenarios.pair_context("A2", [(1, 0)])
-    assert finite_dim_simple(c.pair, c.cb, Weight([1, 1])).total_dim() == 8
+    assert total_dim(finite_dim_simple(c.pair, c.cb, Weight([1, 1]))) == 8
     assert set(forms.values()) == {1}
     assert computed and set(computed.values()) == {1}
     assert {form.window.kind for form, _ in computed} == {"simple"}
@@ -274,7 +275,7 @@ def test_simple_radical_matches_verma_gram_radical(cartan, label, depth):
         assert qform.gram(w) == form.gram(w).take(keep, keep), w
         rad = form.radical(w)
         radical_seen += bool(rad)
-        for gen in vw.generator_list():
+        for gen in generator_list(vw):
             tw = w + c.cb.generator_weight(gen)
             if rad and vw.materialized(tw) and vw.dim(tw):
                 image = quot.projection(tw) @ vw.action(gen, w)
@@ -376,7 +377,7 @@ def test_projection_intertwines(a1):
     lam = Weight([1])  # lam(h) = 2
     vw = verma_window(pair, cb, lam, 8)
     quot = simple_quotient_window(vw)
-    for gen in vw.generator_list():
+    for gen in generator_list(vw):
         for k in range(1, 6):
             w = lam - alpha * k
             tw = w + cb.generator_weight(gen)
@@ -389,13 +390,13 @@ def test_projection_intertwines(a1):
 
 def test_finite_dim_simple(a1, a2_su21):
     trivial = finite_dim_simple(a2_su21.pair, a2_su21.cb, zero_weight(2))
-    assert trivial.total_dim() == 1
+    assert total_dim(trivial) == 1
     om1 = Weight([F(2, 3), F(1, 3)])
     f = finite_dim_simple(a2_su21.pair, a2_su21.cb, om1)
-    assert f.total_dim() == 3 == weyl_dimension(a2_su21.pair, om1)
+    assert total_dim(f) == 3 == weyl_dimension(a2_su21.pair, om1)
     alpha = a1.rs.simple_roots[0]
     f2 = finite_dim_simple(a1.pair, a1.cb, Weight([1]))
-    assert f2.total_dim() == 3
+    assert total_dim(f2) == 3
     assert sorted(f2.weights()) == sorted([alpha, zero_weight(1), -alpha])
     with pytest.raises(ValueError):
         finite_dim_simple(a1.pair, a1.cb, Weight([F(-1, 2)]))
@@ -438,7 +439,7 @@ def eager_finite_module(pair, cb, lam):
             dims[w] = quot.dim(w)
     actions = {}
     for w in dims:
-        for gen in quot.generator_list():
+        for gen in generator_list(quot):
             if quot.materialized(w + cb.generator_weight(gen)):
                 m = quot.action(gen, w)
                 if not m.is_zero():
@@ -470,12 +471,12 @@ def test_finite_window_matches_eager_table(cartan, delta_h, fund):
     dims, actions = eager_finite_module(c.pair, c.cb, lam)
     assert f.weights() == sort_weights(dims)
     assert {w: f.dim(w) for w in f.weights()} == dims
-    assert f.total_dim() == weyl_dimension(c.pair, lam)
+    assert total_dim(f) == weyl_dimension(c.pair, lam)
     lowest = c.pair.weyl.act(c.pair.weyl.longest, lam)
     theta = max(c.rs.positive_roots, key=lambda a: a.height)
     below = [lowest - theta * 2, lowest - theta * 3]  # past the window's margin
     for w in [*dims, *below]:
-        for gen in f.generator_list():
+        for gen in generator_list(f):
             tw = w + c.cb.generator_weight(gen)
             expect = actions.get((gen, w), Mat.zero(f.dim(tw), f.dim(w)))
             assert f.action(gen, w) == expect, (gen, w)
@@ -496,7 +497,7 @@ def test_finite_dim_simple_computes_no_action(monkeypatch):
     monkeypatch.setattr(QuotientWindow, "_compute_action", counted)
     c = ctx("C3", [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
     f = finite_dim_simple(c.pair, c.cb, Weight([2, 2, 1]))
-    assert f.total_dim() == 21 and not computed and not f._action_cache
+    assert total_dim(f) == 21 and not computed and not f._action_cache
 
 
 def test_kostant_run_computes_finite_actions_its_blocks_ask_for(monkeypatch):
@@ -570,7 +571,7 @@ def test_tensor_window_matches_leibniz_reference(cartan, delta_h, lam, factor, d
     checked = 0
     for cc in _cone_coords(c.rs.rank, depth):
         w = t.top_weight - Weight(cc)
-        for gen in t.generator_list():
+        for gen in generator_list(t):
             if t.materialized(w) and t.materialized(w + c.cb.generator_weight(gen)):
                 assert t.action(gen, w) == leibniz_reference(t, gen, w), (gen, w)
                 checked += not t.action(gen, w).is_zero()
@@ -606,7 +607,7 @@ def test_ses_from_embedding(a1):
              quot.dim(lam - alpha * k)) for k in range(4)]
     assert dims == [(0, 1, 1), (1, 1, 0), (1, 1, 0), (1, 1, 0)]
     # per-weight exactness and intertwining of the canonical maps
-    for gen in vw.generator_list():
+    for gen in generator_list(vw):
         for k in range(1, 6):
             w = lam - alpha * k
             tw = w + cb.generator_weight(gen)
@@ -698,7 +699,7 @@ def test_ses_from_embedding_rank2_matches_span_walk(cartan, delta_h, w0):
         assert span_basis(incl.T.rows) == span_basis(span.get(w, []))
         assert quot.kept_indices(w) == ref_quot.kept_indices(w)
         assert quot.projection(w) == ref_quot.projection(w)
-        for gen in vw.generator_list():
+        for gen in generator_list(vw):
             tw = w + cb.generator_weight(gen)
             if not vw.materialized(tw):
                 continue

@@ -1,5 +1,7 @@
 """CLI surface: scenario runs, bundles, reports, determinism, golden file."""
 
+import glob
+import importlib.util
 import json
 import os
 import subprocess
@@ -45,8 +47,12 @@ def test_run_sl3_example(tmp_path):
     assert nv["in_kernel"] and nv["not_in_image"]
 
 
+# Scenario.sha256 takes CPython's builtin SHA-256 module where the build has
+# one; only without it does a run load hashlib and OpenSSL's libcrypto.
+BUILTIN_SHA256 = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
+NEVER_LOADED = ("hashlib", "_hashlib") if BUILTIN_SHA256 else ()
 ONLY_FOR_HODGE_OR_REPORT = ("odirac.hodge", "odirac.reporting", "odirac.acceptance", "csv",
-                            "traceback", "linecache", "tokenize", "textwrap")
+                            "traceback", "linecache", "tokenize", "textwrap", *NEVER_LOADED)
 
 
 @pytest.mark.parametrize("path, loaded", [
@@ -64,6 +70,23 @@ def test_run_imports_only_what_its_tasks_use(tmp_path, path, loaded):
     assert res.returncode == 0, res.stderr
     # the first line is the bundle path printed by the run
     assert res.stdout.splitlines()[-1].split() == list(loaded)
+
+
+@pytest.mark.skipif(not BUILTIN_SHA256, reason="no builtin SHA-256 module in this build")
+def test_no_run_loads_openssl(tmp_path):
+    """Every sample scenario and benchmark workload runs without hashlib's
+    OpenSSL binding."""
+    paths = sorted(glob.glob(os.path.join(SCENARIOS, "*.json")) +
+                   glob.glob(os.path.join(REPO, "perfbench", "workloads", "*.json")))
+    assert len(paths) == 13
+    code = ("import sys\nfrom odirac import cli\n"
+            f"for path in {paths!r}:\n"
+            f"    assert cli.main(['run', path, '--out', {str(tmp_path)!r}]) == 0, path\n"
+            "print(' '.join(m for m in ('hashlib', '_hashlib') if m in sys.modules))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=CHILD_ENV)
+    assert res.returncode == 0, res.stderr
+    assert len(res.stdout.splitlines()) == 14 and res.stdout.splitlines()[-1] == ""
 
 
 def test_golden_bundle(tmp_path):
@@ -230,13 +253,16 @@ A1_VERMA = {"kind": "verma", "lambda": [0], "depth": 4}
      "unknown key 'factor_lambda' for module kind 'verma'"),
     ({"module": {"kind": "finite", "lambda": [1], "lamda": [2]}},
      "unknown key 'lamda' for module kind 'finite'"),
+    ({"cartan_type": "A2", "module": {"kind": "verma", "lambda": [0, 0], "depth": 2},
+      "depth_below_top": 100000},
+     "depth_below_top 100000 exceeds the configured maximum 10"),
 ], ids=["missing_depth", "depth_not_int", "negative_depth", "finite_not_dominant",
         "tasks_not_list", "delta_h_not_subsystem", "delta_h_not_list",
         "kostant_not_finite", "circle_without_ses", "hodge_not_highest_weight",
         "hodge_not_hermitian", "options_not_object", "option_not_boolean",
         "option_misspelt", "ses_split_tops_not_comparable", "ses_sub_weight_below_window",
         "option_at_top_level", "top_level_key_misspelt", "module_key_of_another_kind",
-        "module_key_misspelt"])
+        "module_key_misspelt", "depth_below_top_over_cap"])
 def test_invalid_scenario_fields_exit_2(tmp_path, capsys, fields, message):
     scn = {"name": "bad", "cartan_type": "A1", "delta_h": [], "module": A1_VERMA,
            "tasks": ["dirac"], **fields}

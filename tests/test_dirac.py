@@ -520,6 +520,36 @@ def test_one_block_space_per_key(monkeypatch):
         assert sp.slot == slot and list(sp.slot) == sorted(slot) and sp.dim == off
 
 
+def test_one_casimir_per_module_weight(monkeypatch):
+    """The square task builds the Casimir of g once per module weight, not once
+    per block that holds it: on sl3 its 45 distinct weights recur 130 times."""
+    import json
+    import os
+    from collections import Counter
+    from odirac import dirac, scenarios
+
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+    builds, uses = Counter(), Counter()
+    casimir, check = dirac.casimir_matrix, dirac.check_square
+
+    def counted(m, w, pos_roots, form):
+        builds[(m, w)] += 1
+        return casimir(m, w, pos_roots, form)
+
+    def counted_check(pair, cb, sm, m, blk):
+        uses.update((m, w) for _, w, _ in blk.space.slot.values())
+        return check(pair, cb, sm, m, blk)
+
+    monkeypatch.setattr(dirac, "casimir_matrix", counted)
+    monkeypatch.setattr(scenarios, "check_square", counted_check)
+    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "sl3_paper_example.json")
+    with open(path) as fh:
+        doc = dict(json.load(fh), tasks=["square"])
+    assert scenarios.run_scenario(scenarios.Scenario(doc))["ok"]
+    assert set(builds) == set(uses) and set(builds.values()) == {1}
+    assert (len(builds), sum(uses.values())) == (45, 130)
+
+
 def test_hot_path_coerces_no_entries(monkeypatch):
     """On a cold sl3 context, block assembly, the eigen decomposition and the
     square check build every matrix from ints: the Fraction-coercing

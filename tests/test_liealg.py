@@ -10,6 +10,7 @@ from odirac.liealg import is_symmetric_pair, validate_pair
 from odirac.cato import verma_window
 from odirac.dirac import casimir_matrix
 from conftest import ctx
+from helpers import generator_list
 
 F = Fraction
 
@@ -141,7 +142,7 @@ def test_casimir_commutes_with_actions(a2_su21):
     vw = verma_window(pair, cb, lam, 7)
     pos = pair.rs.positive_roots
     margin = max(int(a.height) for a in pos)
-    for gen in vw.generator_list():
+    for gen in generator_list(vw):
         wt = cb.generator_weight(gen)
         for c in [(1, 1), (2, 1), (1, 2)]:
             w = lam - Weight(c)

@@ -12,8 +12,9 @@ from odirac.exactla import Mat
 from odirac.roots import (NotASubsystem, UnsupportedCartanType, Weight,
                           build_root_system, eps_to_weight, is_antidominant,
                           rho_vectors, same_infinitesimal_character,
-                          weight_to_eps, weyl_group, zero_weight)
+                          weyl_group, zero_weight)
 from conftest import ctx
+from helpers import ad_matrix, weight_from_fundamental, weight_to_eps, weight_to_fundamental
 
 F = Fraction
 
@@ -77,7 +78,7 @@ def test_killing_form_values():
             row = []
             for j in range(rs.rank):
                 tr = F(0)
-                adi, adj = cb.ad_matrix(i), cb.ad_matrix(j)
+                adi, adj = ad_matrix(cb, i), ad_matrix(cb, j)
                 prod = adi @ adj
                 row.append(prod.trace())
             k_rows.append(row)
@@ -103,6 +104,34 @@ def test_form_weyl_invariance_and_rationality():
     for row in c.form.gram.rows:
         for x in row:
             assert isinstance(x, F)
+
+
+def reference_pair(gram_rows, v, w):
+    """<v, w> as one Fraction multiply-add per Gram entry, on the Fraction view."""
+    return sum((v[i] * g_ij * w[j] for i, row in enumerate(gram_rows)
+                for j, g_ij in enumerate(row)), F(0))
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
+                                   "C3", "C4", "D4", "G2", "F4", "A1xA1", "A1xB2"])
+def test_form_pair_matches_fraction_reference(label):
+    """The int pairing equals the plain-Fraction one on every root pair, and
+    on each rho- or rho_h-shifted root against every root and every shift
+    (h spanned by the first simple root)."""
+    c = ctx(label)
+    rs = c.rs
+    rho, rho_h = rho_vectors(rs, [rs.simple_roots[0]])
+    assert rho_h == rs.simple_roots[0] * F(1, 2)
+    mixed = Weight([F(1, k + 2) for k in range(rs.rank)])
+    shifts = [rho, rho_h, rho - rho_h, mixed]
+    weights = [*rs.all_roots, *(a + rho for a in rs.all_roots),
+               *(a - rho_h for a in rs.all_roots), *shifts]
+    g = c.form.gram.rows
+    for v in weights:
+        assert c.form.norm2(v) == reference_pair(g, v, v)
+        for w in [*rs.all_roots, *shifts]:
+            got = c.form.pair(v, w)
+            assert type(got) is F and got == reference_pair(g, v, w)
 
 
 def test_rho_vectors():
@@ -195,8 +224,6 @@ def test_eps_roundtrip_exact():
 
 
 def test_fundamental_coordinates_roundtrip():
-    from odirac.roots import weight_from_fundamental, weight_to_fundamental
-
     rs = build_root_system("B2")
     v = Weight([F(5, 3), F(-7, 4)])
     vals = weight_to_fundamental(rs, v)

@@ -1,13 +1,23 @@
-"""PairContext.block_weights against the enumeration it replaced."""
+"""Scenario loading: PairContext.block_weights against the enumeration it
+replaced, the scenario digest and what a pair context builds."""
 
+import glob
+import hashlib
+import json
 import os
+from collections import Counter
 
+import pytest
+
+from odirac import liealg, scenarios
 from odirac.cato import _cone_coords, sort_weights
 from odirac.roots import Weight
-from odirac.scenarios import PairContext, Workspace, load_scenario
+from odirac.scenarios import PairContext, Scenario, Workspace, load_scenario, run_scenario
 from conftest import spin_weights
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DOCUMENTS = sorted(glob.glob(os.path.join(REPO, "scenarios", "*.json")) +
+                   glob.glob(os.path.join(REPO, "perfbench", "workloads", "*.json")))
 
 
 def reference_block_weights(ctx, m, depth, margin=0):
@@ -45,3 +55,62 @@ def test_block_weights_match_reference_once_per_key(monkeypatch):
             first.clear()  # the caller's list is its own
             assert ctx.block_weights(m, depth, margin) == want
             assert len(calls) == enumerated  # one enumeration per (module, depth, margin)
+
+
+def reference_sha256(doc):
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("path", DOCUMENTS, ids=os.path.basename)
+def test_sha256_matches_hashlib(path):
+    assert load_scenario(path).sha256() == reference_sha256(load_scenario(path).doc)
+
+
+def test_sha256_matches_hashlib_on_generated_documents():
+    """Names of every allowed length and comments with non-ASCII text (which
+    json.dumps escapes), so the blobs cross several 64-byte block boundaries."""
+    base = {"cartan_type": "A1", "module": {"kind": "verma", "lambda": [0], "depth": 2}}
+    seen = set()
+    for n in range(1, 150):
+        for doc in (dict(base, name="n" * n),
+                    dict(base, name=f"x{n}", comment="é—λ🜂" * n),
+                    dict(base, name="a-b_c.d", comment="\u0000" + "ω" * n)):
+            digest = Scenario(doc).sha256()
+            assert digest == reference_sha256(doc)
+            seen.add(digest)
+    assert len(seen) == 3 * 149
+
+
+def counted_weyl_group(monkeypatch):
+    """Count liealg's calls to roots.weyl_group, on cold pair contexts."""
+    calls = Counter()
+    weyl_group = liealg.weyl_group
+
+    def counted(rs, form, delta_h_pos):
+        calls[(rs.cartan_type, tuple(delta_h_pos))] += 1
+        return weyl_group(rs, form, delta_h_pos)
+
+    monkeypatch.setattr(liealg, "weyl_group", counted)
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})
+    return calls
+
+
+def test_spin_tasks_never_enumerate_the_weyl_group(monkeypatch):
+    """dirac, index and higher on a Verma module read no Weyl group."""
+    calls = counted_weyl_group(monkeypatch)
+    scn = load_scenario(os.path.join(REPO, "scenarios", "b4_spin_probe.json"))
+    assert sorted(scn.tasks) == ["dirac", "higher", "index"]
+    assert run_scenario(scn)["ok"]
+    assert not calls
+
+
+@pytest.mark.parametrize("name, task", [("a1_kostant_ladder", "kostant"),
+                                        ("a2_kostant_adjoint", "kostant"),
+                                        ("sl3_paper_example", "vogan")])
+def test_weyl_group_once_per_context(monkeypatch, name, task):
+    calls = counted_weyl_group(monkeypatch)
+    scn = load_scenario(os.path.join(REPO, "scenarios", f"{name}.json"))
+    assert task in scn.tasks
+    assert run_scenario(scn)["ok"] and run_scenario(scn)["ok"]
+    assert list(calls.values()) == [1]

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from odirac.exactla import Mat
-from odirac.roots import Weight, weight_to_eps
+from odirac.roots import Weight
 from odirac.spinor import SpinModule, cubic_term_rebased, to_mat
 from conftest import ctx, parity_indices, spin_parity, spin_weight, spin_weights
+from helpers import weight_to_eps
 
 F = Fraction
 
