@@ -338,6 +338,18 @@ def _first_root_split(vw: VermaWindow, w, indices):
         yield beta, positions, [up[_dec(basis[indices[r]], first)] for r in positions]
 
 
+def _placed_rows(parts, nrows, ncols) -> Mat:
+    """The nrows x ncols Mat whose row positions[j] is row j of m, for each
+    (positions, m) in parts; the positions cover every row once."""
+    den = lcm(*(m.den for _, m in parts))
+    out = [None] * nrows
+    for positions, m in parts:
+        f = den // m.den
+        for r, row in zip(positions, m.num):
+            out[r] = row if f == 1 else [x * f for x in row]
+    return Mat.from_ints(out, ncols, den)
+
+
 # -- contravariant (Shapovalov) form -----------------------------------------
 
 class ContravariantForm:
@@ -383,16 +395,10 @@ class ContravariantForm:
             picked = g.take(us) if win is vw else win.projection(w + beta).take(cols=us).T @ g
             prod = picked @ win.action(("e", beta), w)
             parts.append((rows, prod.scale(_F1 / vw.cb.kappa_integral(beta))))
-        den = lcm(*(prod.den for _, prod in parts))
-        out = [None] * len(keep)
-        for rows, prod in parts:
-            f = den // prod.den
-            for r, row in zip(rows, prod.num):
-                out[r] = row if f == 1 else [x * f for x in row]
-        return Mat.from_ints(out, len(keep), den)
+        return _placed_rows(parts, len(keep), len(keep))
 
     def radical(self, w):
-        """The nullspace of the Gram at w.
+        """The nullspace of the Gram at w, as basis rows.
 
         On a Verma window this is N(lambda)_w read off the form: the
         reference route for the radical `simple_quotient_window` finds
@@ -462,14 +468,15 @@ class QuotientWindow(WeightModuleWindow):
         return self.projection(tw) @ self.parent.action(gen, w).take(cols=self.kept_indices(w))
 
 
-def span_quotient_data(vectors, dim):
-    """(keep, proj) for the quotient of Q^dim by the span of `vectors`.
+def span_quotient_data(sub: Mat):
+    """(keep, proj) for the quotient of Q^dim by the row space of `sub`.
 
     keep lists the non-pivot columns of the span's rref; the projection
     sends e_k to the kept part of e_k - sum_i e_k[pivot_i] * sub_i, sub_i
     the i-th rref row (over its denominator).
     """
-    red, pivots = Mat(vectors, dim).rref()
+    dim = sub.ncols
+    red, pivots = sub.rref()
     pivset = set(pivots)
     keep = [j for j in range(dim) if j not in pivset]
     proj_rows = []
@@ -742,11 +749,11 @@ class SumWindow(WeightModuleWindow):
         return Mat.identity(n).take(rows=range(self.parts[0].dim(w), n))
 
 
-def singular_vectors(m: WeightModuleWindow, w: Weight):
-    """Basis of the weight-w vectors killed by every simple raising operator."""
+def singular_vectors(m: WeightModuleWindow, w: Weight) -> Mat:
+    """Basis rows of the weight-w vectors killed by every simple raising operator."""
     d = m.dim(w)
     if d == 0:
-        return []
+        return Mat.zero(0, 0)
     stacked = None
     for i in range(m.rank):
         alpha = m.pair.rs.simple_roots[i]
@@ -755,7 +762,7 @@ def singular_vectors(m: WeightModuleWindow, w: Weight):
             continue
         stacked = a if stacked is None else stacked.vstack(a)
     if stacked is None:
-        return [tuple(_F1 if i == j else _F0 for i in range(d)) for j in range(d)]
+        return Mat.identity(d)
     return stacked.nullspace()
 
 
@@ -783,37 +790,35 @@ class SESData:
 def ses_from_embedding(vw: VermaWindow, w0: Weight, gen_vec) -> SESData:
     """0 -> M(w0) -> M(lambda) -> M(lambda)/M(w0) -> 0 from a singular vector.
 
-    gen_vec is a singular vector of vw at w0.  U(n-) acts freely on a
-    Verma module, so the submodule it generates is M(w0), and the sub
-    is the Verma window of w0 reaching as deep as vw.  Its inclusion
+    gen_vec, a one-row Mat, is a singular vector of vw at w0.  U(n-) acts
+    freely on a Verma module, so the submodule it generates is M(w0), and
+    the sub is the Verma window of w0 reaching as deep as vw.  Its inclusion
     sends the top to gen_vec and a monomial f_beta u, f_beta its first
     factor, to f_beta applied to the image of u: one product per first
     root at each weight, computed when first asked for.  The quotient
     keeps, per weight, the indices the image's rref leaves free.
     """
-    if not any(gen_vec):
+    if gen_vec.is_zero():
         raise ValueError("generating vector is zero")
+    top = gen_vec.T
     for i in range(vw.rank):
         alpha = vw.pair.rs.simple_roots[i]
-        img = vw.action(("e", alpha), w0).apply(gen_vec)
-        if any(img):
+        if not (vw.action(("e", alpha), w0) @ top).is_zero():
             raise ValueError("generating vector is not singular")
     sub = verma_window(vw.pair, vw.cb, w0, vw.depth - int((vw.lam - w0).height))
-    images = {w0: Mat.from_cols([gen_vec], vw.dim(w0))}
+    images = {w0: top}
 
     def inclusion(w):
         incl = images.get(w)
         if incl is None:
-            cols = [None] * sub.dim(w)
-            for beta, positions, us in _first_root_split(sub, w, range(len(cols))):
-                img = vw.action(("f", beta), w + beta) @ inclusion(w + beta).take(cols=us)
-                for j, r in enumerate(positions):
-                    cols[r] = img.col(j)
-            incl = images[w] = Mat.from_cols(cols, vw.dim(w))
+            # row r of the transpose is the image of the sub's monomial r
+            parts = [(positions, (vw.action(("f", beta), w + beta)
+                                  @ inclusion(w + beta).take(cols=us)).T)
+                     for beta, positions, us in _first_root_split(sub, w, range(sub.dim(w)))]
+            incl = images[w] = _placed_rows(parts, sub.dim(w), vw.dim(w)).T
         return incl
 
-    quot = QuotientWindow(vw, lambda w: span_quotient_data(inclusion(w).T.rows, vw.dim(w)),
-                          "sesquot")
+    quot = QuotientWindow(vw, lambda w: span_quotient_data(inclusion(w).T), "sesquot")
     return SESData(sub, vw, quot, inclusion, quot.projection)
 
 
@@ -874,11 +879,10 @@ def finite_character_h(pair: PairGH, nu: Weight):
     lowest = weyl.act(w0h, nu)
     # bounding box in subsystem-simple coordinates
     gap = nu - lowest
-    smat = Mat.from_cols(simples, pair.rank)
-    box = smat.solve(gap)
+    box = Mat.from_cols(simples, pair.rank).solve(Mat.from_cols([gap], pair.rank))
     if box is None:
         raise AssertionError("weight gap not in the subsystem root lattice")
-    bounds = [int(b) for b in box]
+    bounds = [int(b) for b in box.col(0)]
     out = {}
     for c in _box_coords(bounds):
         mu = nu - sum((simples[i] * c[i] for i in range(len(simples))),

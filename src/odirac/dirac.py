@@ -4,21 +4,19 @@ Everything is computed per weight subspace of M tensor S: the operator
 never leaves a weight space, each block is a finite exact rational
 matrix, and kernels, images, generalized eigenspaces, Jordan chains,
 (higher) Dirac cohomology and the index identities reduce to rank
-arithmetic there.
+arithmetic there.  Every subspace is the row space of an int `Mat` and
+every vector a one-row `Mat`, from one reduction to the next.
 """
 
 from fractions import Fraction
 from functools import partial
 from operator import sub
 
-from .exactla import Mat, span_basis, subspace_dim, subspace_intersect, subspace_sum
+from .exactla import Mat, subspace_intersect
 from .cato import OutsideWindow, SlotSpace, WeightModuleWindow, _identity_map, block_operator
 from .liealg import PairGH
 from .roots import Weight, same_infinitesimal_character, zero_weight
 from .spinor import SpinModule
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 class LiftFailure(Exception):
@@ -114,7 +112,7 @@ class DiracBlock:
         self._nilp = None
         self._htop = None
         self._d_powers = None
-        self._d_kernels = {0: ()}  # ker D^0 = 0
+        self._d_kernels = {0: Mat.zero(0, sp.dim)}  # ker D^0 = 0
         self._image = None
         self._htop_dens = {}
         self._eigs = None
@@ -128,17 +126,17 @@ class DiracBlock:
     def stable_index(self):
         """The first s with ker D^s = ker D^{s+1}; ker D^s is the generalized kernel."""
         s = 0
-        while len(self.d_kernel(s + 1)) != len(self.d_kernel(s)):
+        while self.d_kernel(s + 1).nrows != self.d_kernel(s).nrows:
             s += 1
         return s
 
     def gen0(self):
-        """Basis of the generalized kernel, even vectors first, with parities."""
+        """(basis rows, parities) of the generalized kernel, even rows first."""
         if self._gen0 is None:
             ker = self.d_kernel(self.stable_index())
-            pars = [_parity_of(v, self.space.parity) for v in ker]
-            order = sorted(range(len(ker)), key=pars.__getitem__)
-            self._gen0 = [ker[i] for i in order], [pars[i] for i in order]
+            pars = [_parity_of(v, self.space.parity) for v in ker.num]
+            order = sorted(range(ker.nrows), key=pars.__getitem__)
+            self._gen0 = ker.take(rows=order), [pars[i] for i in order]
         return self._gen0
 
     def nilpotent(self):
@@ -146,7 +144,7 @@ class DiracBlock:
         if self._nilp is None:
             vecs, parities = self.gen0()
             self._nilp = GradedNilpotent(
-                _in_basis(self.d, vecs, Mat.from_cols(vecs, self.dim),
+                _in_basis(self.d, vecs, vecs,
                           AssertionError("operator does not preserve the generalized kernel")),
                 parities)
         return self._nilp
@@ -175,12 +173,12 @@ class DiracBlock:
     def dirac_cohomology(self):
         """Dims of H_D = H_top^0 and its graded halves at this weight."""
         hd_plus, hd_minus = self.htop().get(0, (0, 0))
-        ker = len(self.d_kernel(1))
+        ker = self.d_kernel(1).nrows
         return {
             "dim_block": self.dim,
             "ker": ker,
             "im": self.dim - ker,
-            "gen0": len(self.d_kernel(self.stable_index())),
+            "gen0": self.d_kernel(self.stable_index()).nrows,
             "hd": hd_plus + hd_minus,
             "hd_plus": hd_plus,
             "hd_minus": hd_minus,
@@ -205,28 +203,28 @@ class DiracBlock:
         return powers[k]
 
     def d_kernel(self, k):
-        """Basis of ker D^k as a tuple, memoized per k."""
+        """Basis rows of ker D^k, memoized per k."""
         ker = self._d_kernels.get(k)
         if ker is None:
-            ker = self._d_kernels[k] = tuple(self.d_power(k).nullspace())
+            ker = self._d_kernels[k] = self.d_power(k).nullspace()
         return ker
 
     def image(self):
-        """Canonical basis of im D as a tuple, memoized."""
+        """Canonical basis rows of im D, memoized."""
         if self._image is None:
-            self._image = tuple(self.d.T.row_space())
+            self._image = self.d.T.row_space()
         return self._image
 
     def htop_denominator(self, k):
-        """Canonical basis of (ker D^{2k+1} meet im D) + ker D^{2k}, memoized per k.
+        """Canonical basis rows of (ker D^{2k+1} meet im D) + ker D^{2k}, memoized per k.
 
         H_top^k is ker D^{2k+1} modulo this subspace; at k = 0 (ker D^0 = 0)
         it is H_D = ker D / (ker D meet im D).
         """
         den = self._htop_dens.get(k)
         if den is None:
-            meet = subspace_intersect(self.d_kernel(2 * k + 1), self.image(), self.dim)
-            den = self._htop_dens[k] = tuple(subspace_sum(meet, self.d_kernel(2 * k)))
+            meet = subspace_intersect(self.d_kernel(2 * k + 1), self.image())
+            den = self._htop_dens[k] = meet.vstack(self.d_kernel(2 * k)).row_space()
         return den
 
     def eigenvalue_decomposition(self):
@@ -294,52 +292,50 @@ def block(sm: SpinModule, m: WeightModuleWindow, mu: Weight) -> DiracBlock:
 
 
 def _nullspace_on(mat, cols):
-    """Basis of ker `mat` among vectors supported on `cols`, in full coordinates."""
+    """Basis rows of ker `mat` among vectors supported on `cols`, in full coordinates."""
     if not cols:
-        return []
-    out = []
-    for v in mat.take(cols=cols).nullspace():
-        full = [_F0] * mat.ncols
-        for ci, c in zip(cols, v):
-            full[ci] = c
-        out.append(tuple(full))
-    return out
+        return Mat.zero(0, mat.ncols)
+    # the unit rows of `cols` scatter each kernel row into full coordinates
+    return mat.take(cols=cols).nullspace() @ Mat.identity(mat.ncols).take(rows=cols)
 
 
-def _parity_of(vec, parity):
-    """The parity of a nonzero homogeneous vector; AssertionError otherwise."""
-    pars = {parity[i] for i, c in enumerate(vec) if c}
+def _parity_of(row, parity):
+    """The parity of a nonzero homogeneous int row; AssertionError otherwise."""
+    pars = {parity[i] for i, c in enumerate(row) if c}
     if len(pars) != 1:
         raise AssertionError("vector is not parity homogeneous")
     return pars.pop()
 
 
 def _in_basis(op, vecs, tgt, failure):
-    """op restricted to span(vecs), in the coordinates of tgt's columns.
+    """op restricted to the row space of `vecs`, in the coordinates of tgt's rows.
 
-    Column j solves tgt x = op vecs[j]; an image outside the span of
-    tgt raises `failure`.  tgt is dim x 0 when its basis is empty.
+    Column j holds the coordinates of op applied to row j of vecs, all
+    solved from one reduction; an image outside the row space of tgt
+    raises `failure`.  tgt is 0 x dim when its basis is empty.
     """
-    cols = []
-    for v in vecs:
-        x = tgt.solve(op.apply(v))
-        if x is None:
-            raise failure
-        cols.append(x)
-    return Mat.from_cols(cols, tgt.ncols)
+    x = tgt.T.solve(op @ vecs.T)
+    if x is None:
+        raise failure
+    return x
 
 
 def _graded_dims(vecs, parity):
-    """(plus, minus): the parity count of a homogeneous basis."""
-    minus = sum(_parity_of(v, parity) for v in vecs)
-    return len(vecs) - minus, minus
+    """(plus, minus): the parity count of the homogeneous basis rows of vecs."""
+    minus = sum(_parity_of(v, parity) for v in vecs.num)
+    return vecs.nrows - minus, minus
 
 
 class GradedNilpotent:
-    """A parity-odd nilpotent operator on a graded space, in its own coordinates."""
+    """A parity-odd nilpotent operator on a graded space, in its own coordinates.
+
+    Vectors are one-row `Mat`s: N sends the row v to v @ N^T, and a Jordan
+    chain is the `Mat` of rows [top, N top, ...].
+    """
 
     def __init__(self, n_mat: Mat, parity):
         self.n = n_mat
+        self._nt = n_mat.T
         self.dim = n_mat.nrows
         self.parity = list(parity)
         self._powers = [Mat.identity(self.dim), n_mat]
@@ -357,30 +353,34 @@ class GradedNilpotent:
         return [i for i, p in enumerate(self.parity) if p == want]
 
     def kernel_graded(self, k, sign):
-        """Basis of ker(N^k) in the sign part as a tuple, memoized per (k, sign)."""
+        """Basis rows of ker(N^k) in the sign part, memoized per (k, sign)."""
         ker = self._kernels.get((k, sign))
         if ker is None:
-            ker = self._kernels[k, sign] = tuple(_nullspace_on(self.power(k), self.cols_of(sign)))
+            ker = self._kernels[k, sign] = _nullspace_on(self.power(k), self.cols_of(sign))
         return ker
 
+    def kernel(self, k):
+        """Basis rows of ker(N^k): the even part, then the odd part."""
+        return self.kernel_graded(k, +1).vstack(self.kernel_graded(k, -1))
+
     def level_floor(self, k):
-        """Canonical basis of ker N^{k-1} + N ker N^{k+1}, memoized per k.
+        """Canonical basis rows of ker N^{k-1} + N ker N^{k+1}, memoized per k.
 
         A vector of ker N^k outside this floor tops a Jordan chain of size k.
         """
         floor = self._floors.get(k)
         if floor is None:
-            base = [v for sign in (+1, -1) for v in self.kernel_graded(k - 1, sign)]
-            base += [self.n.apply(v) for sign in (+1, -1) for v in self.kernel_graded(k + 1, sign)]
-            floor = self._floors[k] = tuple(span_basis(base, self.dim))
+            floor = self._floors[k] = \
+                self.kernel(k - 1).vstack(self.kernel(k + 1) @ self._nt).row_space()
         return floor
 
     # -- Jordan chains ----------------------------------------------------------
 
     def chains(self, seeds=None):
-        """Jordan chains [top, N top, ...], homogeneous, deterministic.
+        """Jordan chains, each the Mat of rows [top, N top, ...]; homogeneous,
+        deterministic.
 
-        `seeds` is a list of (vector, size) pairs that must appear as
+        `seeds` is a list of (one-row Mat, size) pairs that must appear as
         chain tops; a seed that cannot be completed raises LiftFailure.
         """
         if self._chains is not None and seeds is None:
@@ -398,27 +398,29 @@ class GradedNilpotent:
             s += 1
         chains = []
         for k in range(s, 0, -1):
-            taken = list(self.level_floor(k))
-            pool = [(vec, size) for vec, size in seeds if size == k]
-            for vec, _size in pool:
+            # the floor's rows and the tops kept so far stay independent, so
+            # a candidate is new iff it raises the rank of the stack
+            taken = self.level_floor(k)
+            for vec, size in seeds:
+                if size != k:
+                    continue
                 if self._chain_length(vec) != k:
                     raise LiftFailure(f"seed has chain length != {k}")
-                grown = span_basis(taken + [vec])
-                if len(grown) == len(taken):
+                grown = taken.vstack(vec)
+                if grown.rank() == taken.nrows:
                     raise LiftFailure("seed top is not independent at its level")
                 taken = grown
                 chains.append(self._chain_of(vec, k))
-            for sign in (+1, -1):
-                for v in self.kernel_graded(k, sign):
-                    grown = span_basis(taken + [v])
-                    if len(grown) > len(taken):
-                        taken = grown
-                        chains.append(self._chain_of(v, k))
-        total = sum(len(c) for c in chains)
-        if total != self.dim:
+            ker = self.kernel(k)
+            for i in range(ker.nrows):
+                v = ker.take(rows=[i])
+                grown = taken.vstack(v)
+                if grown.rank() > taken.nrows:
+                    taken = grown
+                    chains.append(self._chain_of(v, k))
+        if sum(c.nrows for c in chains) != self.dim:
             raise AssertionError("Jordan chains do not fill the generalized kernel")
-        flat = [v for c in chains for v in c]
-        if len(span_basis(flat, self.dim)) != self.dim:
+        if Mat.zero(0, self.dim).vstack(*chains).rank() != self.dim:
             raise AssertionError("Jordan chain vectors are not independent")
         return chains
 
@@ -427,32 +429,30 @@ class GradedNilpotent:
 
     def _chain_length(self, vec):
         k = 0
-        cur = tuple(vec)
-        while any(cur):
-            cur = self.n.apply(cur)
+        while not vec.is_zero():
+            vec = vec @ self._nt
             k += 1
         return k
 
     def _chain_of(self, top, size):
-        out = [tuple(top)]
-        cur = tuple(top)
+        out = [top]
         for _ in range(size - 1):
-            cur = self.n.apply(cur)
-            out.append(cur)
-        return out
+            out.append(out[-1] @ self._nt)
+        return top.vstack(*out[1:])
 
     def vector_parity(self, vec):
-        return _parity_of(vec, self.parity)
+        """The parity of the homogeneous one-row Mat vec."""
+        return _parity_of(vec.num[0], self.parity)
 
     def htop_from_chains(self, chains=None):
         """{k: (plus, minus)} counting odd chains by top parity."""
         out = {}
         for chain in (chains if chains is not None else self.chains()):
-            size = len(chain)
+            size = chain.nrows
             if size % 2 == 0:
                 continue
             k = (size - 1) // 2
-            p = self.vector_parity(chain[0])
+            p = _parity_of(chain.num[0], self.parity)
             dp, dm = out.get(k, (0, 0))
             if p == 0:
                 out[k] = (dp + 1, dm)
@@ -539,7 +539,7 @@ def kostant_kernel_check(pair, cb, sm, f) -> dict:
         blk = block(sm, f, mu)
         if blk.dim == 0:
             continue
-        kd = len(blk.d_kernel(1))
+        kd = blk.d_kernel(1).nrows
         if kd:
             actual[mu] = kd
     expected = {}
@@ -566,11 +566,10 @@ def nonvanishing_check(pair, cb, sm, m) -> dict:
     off, _, d_top = sp.slot.get(0, (0, None, 0))  # the vacuum u_0 has the top spin weight
     if d_top == 0:
         raise AssertionError("top weight space is empty")
-    units = [tuple(_F1 if i == off + j else _F0 for i in range(sp.dim))
-             for j in range(d_top)]
-    killed = all(not any(blk.d.apply(u)) for u in units)
+    top = range(off, off + d_top)
+    killed = blk.d.take(cols=top).is_zero()  # D on the unit vectors of the top
     im = blk.image()
-    disjoint = subspace_dim(list(im) + units) == len(im) + d_top
+    disjoint = im.vstack(Mat.identity(sp.dim).take(rows=top)).rank() == im.nrows + d_top
     return {
         "weight": mu,
         "top_dim": d_top,
@@ -628,16 +627,14 @@ def index_identity_check(pair, cb, sm, m, mu) -> dict:
     }
 
 
-def _preimage_subspace(a: Mat, w_basis, src_dim):
-    """Canonical basis of {v : a v lies in the span of w_basis}."""
+def _preimage_subspace(a: Mat, w_basis: Mat):
+    """Canonical basis rows of {v : a v lies in the row space of w_basis}."""
     if a.nrows == 0:
-        return [tuple(_F1 if i == j else _F0 for i in range(src_dim))
-                for j in range(src_dim)]
-    if not w_basis:
+        return Mat.identity(a.ncols)
+    if not w_basis.nrows:
         return a.nullspace()
-    stacked = a.hstack(Mat.from_cols(w_basis, a.nrows).scale(-1))
-    vs = [z[:a.ncols] for z in stacked.nullspace()]
-    return span_basis(vs, src_dim)
+    # (v, y) with a v + w_basis^T y = 0: the v are the preimage
+    return a.hstack(w_basis.T).nullspace().take(cols=range(a.ncols)).row_space()
 
 
 def singular_cohomology_weights(pair, cb, sm, m, weights) -> dict:
@@ -669,8 +666,8 @@ def singular_cohomology_weights(pair, cb, sm, m, weights) -> dict:
             cand = b.d_kernel(2 * k + 1)
             for alpha, e_map in raisers:
                 up = block(sm, m, mu + alpha).htop_denominator(k)
-                cand = subspace_intersect(cand, _preimage_subspace(e_map, up, b.dim), b.dim)
-            dk = len(cand) - len(b.htop_denominator(k))
+                cand = subspace_intersect(cand, _preimage_subspace(e_map, up))
+            dk = cand.nrows - b.htop_denominator(k).nrows
             if dk:
                 htop[k] = dk
         if htop:
@@ -754,72 +751,60 @@ def exact_circle(pair, cb, sm, ses, mu) -> CircleCertificate:
     if not (pmap @ b2.d == b3.d @ pmap):
         raise AssertionError("projection does not intertwine the Dirac operators")
 
-    g1_vecs, g2_vecs, g3_vecs = b1.gen0()[0], b2.gen0()[0], b3.gen0()[0]
-    n1, n2, n3 = len(g1_vecs), len(g2_vecs), len(g3_vecs)
+    g1, g2, g3 = b1.gen0()[0], b2.gen0()[0], b3.gen0()[0]
+    n1, n2, n3 = g1.nrows, g2.nrows, g3.nrows
     if n2 != n1 + n3:
         raise LiftFailure(f"generalized kernels not exact at {mu}: {n1}+{n3} != {n2}")
     failure = LiftFailure("map does not respect generalized kernels")
-    i0 = _in_basis(imap, g1_vecs, Mat.from_cols(g2_vecs, b2.dim), failure)
-    p0 = _in_basis(pmap, g2_vecs, Mat.from_cols(g3_vecs, b3.dim), failure)
+    i0 = _in_basis(imap, g1, g2, failure)
+    p0 = _in_basis(pmap, g2, g3, failure)
     nil1 = b1.nilpotent()
     nil2 = b2.nilpotent()
     nil3 = b3.nilpotent()
 
     chains3 = nil3.chains()
-    lifted = []  # (top2, l, m, chain3)
+    lifted = []  # (top2, l, m, top3)
     for chain3 in chains3:
-        msize = len(chain3)
-        top3 = chain3[0]
-        u = p0.solve(top3)
+        msize = chain3.nrows
+        top3 = chain3.take(rows=[0])
+        u = p0.solve(top3.T)
         if u is None:
             raise LiftFailure("top summand has no preimage in the generalized kernel")
+        u = u.T
         l = nil2._chain_length(u)
         if l < msize:
             raise LiftFailure("lift died too early")
         # top criterion: u not in ker N^{l-1} + N ker N^{l+1}
         floor = nil2.level_floor(l)
-        if subspace_dim(list(floor) + [u]) == len(floor):
+        if floor.vstack(u).rank() == floor.nrows:
             raise LiftFailure("lifted preimage is not a Jordan top")
-        lifted.append((u, l, msize, chain3))
+        lifted.append((u, l, msize, top3))
 
     # tails pull back to seed chains in the sub block
     seeds1 = []
-    for (u, l, msize, chain3) in lifted:
+    for (u, l, msize, _top3) in lifted:
         if l > msize:
-            t = tuple(u)
-            for _ in range(msize):
-                t = nil2.n.apply(t)
-            x = i0.solve(t)
+            x = i0.solve(nil2.power(msize) @ u.T)
             if x is None:
                 raise LiftFailure("tail of a lifted chain is not in the sub block")
-            seeds1.append((x, l - msize))
+            seeds1.append((x.T, l - msize))
 
     chains1 = nil1.chains(seeds=seeds1)
-    triples = []
-    for (u, l, msize, chain3) in lifted:
-        triples.append({"k": l - msize, "l": l, "m": msize,
-                        "top2": tuple(u), "top3": tuple(chain3[0])})
+    triples = [{"k": l - msize, "l": l, "m": msize, "top2": u, "top3": top3}
+               for (u, l, msize, top3) in lifted]
     # residual chains in the sub block are those not seeded
-    seed_tops = [tuple(s[0]) for s in seeds1]
-    residual = []
+    seed_tops = [s[0] for s in seeds1]
     for ch in chains1:
-        if tuple(ch[0]) in seed_tops:
-            seed_tops.remove(tuple(ch[0]))
+        top1 = ch.take(rows=[0])
+        if top1 in seed_tops:
+            seed_tops.remove(top1)
         else:
-            residual.append(ch)
-    for ch in residual:
-        k = len(ch)
-        triples.append({"k": k, "l": k, "m": 0,
-                        "top2": tuple(i0.apply(ch[0])), "top3": None})
+            triples.append({"k": ch.nrows, "l": ch.nrows, "m": 0,
+                            "top2": top1 @ i0.T, "top3": None})
 
     # full decomposition of the middle block: lifted chains + i(residual chains)
-    all2 = []
-    chain2_list = []
-    for t in triples:
-        ch = nil2._chain_of(t["top2"], t["l"])
-        chain2_list.append(ch)
-        all2.extend(ch)
-    if len(span_basis(all2, n2)) != n2:
+    chain2_list = [nil2._chain_of(t["top2"], t["l"]) for t in triples]
+    if Mat.zero(0, n2).vstack(*chain2_list).rank() != n2:
         raise LiftFailure("compatible decomposition does not span the middle kernel")
     # cross-check higher cohomology of the adapted decomposition
     if nil2.htop_from_chains(chain2_list) != b2.htop():
@@ -830,7 +815,7 @@ def exact_circle(pair, cb, sm, ses, mu) -> CircleCertificate:
     for t, ch in zip(triples, chain2_list):
         par = {}
         if t["k"] % 2:  # the J1 top is the image of N^m top2 inside J2
-            par["H1"] = nil2.vector_parity(ch[t["m"]])
+            par["H1"] = nil2.vector_parity(ch.take(rows=[t["m"]]))
         if t["l"] % 2:
             par["H2"] = nil2.vector_parity(t["top2"])
         if t["m"] % 2:

@@ -14,10 +14,13 @@ matrices are built from int rows and a denominator by `Mat.from_ints`
 operation (sums, scaling, products, transposes, stacks, slices,
 traces, the characteristic polynomial and row reduction) stays in
 ints.  Row reduction is fraction-free: it eliminates on the stored int
-rows, each updated row divided by the gcd of its entries.  `Fraction`s
-are built only for what leaves the module as vectors or scalars
-(kernel and span bases, solutions, `apply`, `trace`, `charpoly`) and
-for the read-only `rows` view, which is rebuilt on each access.
+rows, each updated row divided by the gcd of its entries.  Subspaces
+are `Mat`s too: kernel, row-space and intersection bases are the rows
+of a `Mat`, a vector is a one-row `Mat`, and `solve` answers a `Mat` of
+right-hand sides, so one reduction feeds the next without leaving
+ints.  `Fraction`s are built only for scalars (`trace`, `charpoly`),
+for the weight-coordinate boundary (`apply`, `col`) and for the
+read-only `rows` view, which is rebuilt on each access.
 """
 
 from fractions import Fraction
@@ -265,12 +268,18 @@ class Mat:
         return len(_echelon(self.num, self.ncols, reduced=False)[1])
 
     def row_space(self):
-        """Canonical basis of the row space: the nonzero rows of the rref."""
+        """Canonical basis of the row space: the nonzero rows of the rref, as a Mat."""
+        if self.is_zero():
+            return Mat.zero(0, self.ncols)
         red, pivots = self.rref()
-        return [_fractions(r, red.den) for r in red.num[:len(pivots)]]
+        return red.take(rows=range(len(pivots)))
 
     def nullspace(self):
-        """Deterministic kernel basis (one vector per free column)."""
+        """Deterministic kernel basis as the rows of a Mat, one per free column.
+
+        The row of free column f is 1 at f, minus the rref's column f at
+        the pivots, and 0 elsewhere.
+        """
         red, pivots = self.rref()
         pivset = set(pivots)
         den = red.den
@@ -278,29 +287,29 @@ class Mat:
         for f in range(self.ncols):
             if f in pivset:
                 continue
-            v = [_F0] * self.ncols
-            v[f] = _F1
+            v = [0] * self.ncols
+            v[f] = den
             for row, p in zip(red.num, pivots):
-                if row[f]:
-                    v[p] = Fraction(-row[f], den)
-            basis.append(tuple(v))
-        return basis
+                v[p] = -row[f]
+            basis.append(v)
+        return Mat.from_ints(basis, self.ncols, den)
 
     def solve(self, rhs):
-        """Particular solution x of self @ x = rhs, or None if inconsistent."""
-        if len(rhs) != self.nrows:
-            raise ValueError("rhs length mismatch")
-        ints, rden = _vec_ints(rhs)
-        aug = self.hstack(Mat.from_ints([(x,) for x in ints], 1, rden))
-        red, pivots = aug.rref()
+        """X with self @ X = rhs, or None if some column of rhs is inconsistent.
+
+        One reduction of the augmented matrix answers every column; each
+        column of X is the particular solution with the free coordinates 0.
+        """
+        if rhs.nrows != self.nrows:
+            raise ValueError("rhs row mismatch")
         n = self.ncols
-        if n in pivots:
+        red, pivots = self.hstack(rhs).rref()
+        if pivots and pivots[-1] >= n:  # the first inconsistent column is a pivot
             return None
-        x = [_F0] * n
+        x = [(0,) * rhs.ncols] * n
         for row, p in zip(red.num, pivots):
-            if row[n]:
-                x[p] = Fraction(row[n], red.den)
-        return tuple(x)
+            x[p] = row[n:]
+        return Mat.from_ints(x, rhs.ncols, red.den)
 
     def inv(self):
         if self.nrows != self.ncols:
@@ -337,11 +346,13 @@ class Mat:
         rows = [tuple(a) + tuple(b) for a, b in zip(self._over(den), other._over(den))]
         return Mat.from_ints(rows, self.ncols + other.ncols, den)
 
-    def vstack(self, other):
-        if self.ncols != other.ncols:
+    def vstack(self, *others):
+        """self with the rows of each of `others` below it, in order."""
+        if any(o.ncols != self.ncols for o in others):
             raise ValueError("col mismatch in vstack")
-        den = lcm(self.den, other.den)
-        return Mat.from_ints(list(self._over(den)) + list(other._over(den)), self.ncols, den)
+        mats = (self, *others)
+        den = lcm(*(m.den for m in mats))
+        return Mat.from_ints([r for m in mats for r in m._over(den)], self.ncols, den)
 
     def __repr__(self):
         return f"Mat({self.nrows}x{self.ncols})"
@@ -367,35 +378,16 @@ def charpoly(m):
 
 # -- subspace arithmetic ----------------------------------------------------
 #
-# Subspaces of Q^n are lists of coordinate vectors (tuples).  `span_basis`
-# canonicalizes via RREF so equal subspaces get identical bases, which keeps
-# golden files and Jordan chain choices deterministic.
+# A subspace of Q^n is the row space of a Mat with n columns.  `row_space`
+# and `nullspace` return canonical (rref-derived) bases, so equal subspaces
+# get identical Mats, which keeps bundles and Jordan chain choices
+# deterministic.  Sums are `vstack(...).row_space()` and dimensions of
+# spans are `rank()`.
 
-def span_basis(vectors, dim=None):
-    vectors = [v for v in vectors if any(v)]
-    if not vectors:
-        return []
-    return Mat(vectors).row_space()
-
-
-def subspace_dim(vectors):
-    return len(span_basis(vectors))
-
-
-def subspace_sum(a, b):
-    return span_basis(list(a) + list(b))
-
-
-def subspace_intersect(a, b, dim):
-    """Canonical basis of span(a) meet span(b) inside Q^dim."""
-    a = span_basis(a)
-    b = span_basis(b)
-    if not a or not b:
-        return []
-    ma = Mat.from_cols(a, dim)
-    mb = Mat.from_cols(b, dim)
-    combos = ma.hstack(mb).nullspace()
-    vecs = []
-    for c in combos:
-        vecs.append(ma.apply(c[: len(a)]))
-    return span_basis(vecs)
+def subspace_intersect(a, b):
+    """Canonical basis of the meet of the row spaces of a and b, as a Mat."""
+    if not a.nrows or not b.nrows:
+        return Mat.zero(0, a.ncols)
+    # c with c_a a + c_b b = 0 gives c_a a in the meet, and every meet vector so
+    combos = a.vstack(b).T.nullspace()
+    return (combos.take(cols=range(a.nrows)) @ a).row_space()

@@ -50,19 +50,12 @@ class HermitianPair:
 
     def _grading_functional(self):
         # phi with phi = 0 on the subsystem, 1 on positive q-roots
-        rows = []
-        rhs = []
-        for a in self.pair.delta_h_pos:
-            rows.append(list(a))
-            rhs.append(_F0)
-        for b in self.pair.q_positive:
-            rows.append(list(b))
-            rhs.append(_F1)
-        mat = Mat(rows, self.pair.rank)
-        sol = mat.solve(tuple(rhs)) if rows else None
+        rows = [list(a) for a in self.pair.delta_h_pos] + [list(b) for b in self.pair.q_positive]
+        rhs = [[0]] * len(self.pair.delta_h_pos) + [[1]] * len(self.pair.q_positive)
+        sol = Mat(rows, self.pair.rank).solve(Mat(rhs, 1)) if rows else None
         if sol is None:
             raise NotHermitian("no parabolic grading functional")
-        return sol
+        return sol.col(0)
 
     def q_degree(self, v: Weight) -> Fraction:
         return sum((self._grading[i] * v[i] for i in range(len(v))), _F0)
@@ -234,13 +227,15 @@ def block_inner_gram(us: UnitaryStructure, sm: SpinModule, m, mu) -> Mat:
         for i in sp.slot))
 
 
-def _half_decomposes(c, ker_d, n) -> bool:
-    """ker C = im C (+) ker D for one half C of D, with C^2 = 0 and ker D in ker C."""
+def _half_decomposes(c, ker_d) -> bool:
+    """ker C = im C (+) ker D for one half C of D, with C^2 = 0 and ker D in ker C.
+
+    dim ker C is n - rank C, and rank C is the row count of the im C basis.
+    """
     imc = c.T.row_space()
-    return all(not any(c.apply(v)) for v in imc) and \
-        all(not any(c.apply(v)) for v in ker_d) and \
-        not subspace_intersect(imc, ker_d, n) and \
-        len(c.nullspace()) == len(imc) + len(ker_d)
+    return (imc @ c.T).is_zero() and (ker_d @ c.T).is_zero() and \
+        not subspace_intersect(imc, ker_d).nrows and \
+        c.ncols - imc.nrows == imc.nrows + ker_d.nrows
 
 
 def hodge_decomposition_check(hp, sm, m, us: UnitaryStructure, mu) -> dict:
@@ -258,10 +253,9 @@ def hodge_decomposition_check(hp, sm, m, us: UnitaryStructure, mu) -> dict:
     adjoint_ok = (adj_plus == -blk.d_minus) and (adj_minus == -blk.d_plus)
     ker = blk.d_kernel(1)
     im = blk.image()
-    meet = subspace_intersect(ker, im, n)
-    split_ok = not meet and (len(ker) + len(im) == n)
-    cplus_ok = _half_decomposes(blk.d_plus, ker, n)
-    cminus_ok = _half_decomposes(blk.d_minus, ker, n)
+    split_ok = not subspace_intersect(ker, im).nrows and ker.nrows + im.nrows == n
+    cplus_ok = _half_decomposes(blk.d_plus, ker)
+    cminus_ok = _half_decomposes(blk.d_minus, ker)
     report.update({
         "adjoint": adjoint_ok,
         "splitting": split_ok,

@@ -339,10 +339,10 @@ class Workspace:
                 raise ScenarioError(f"sub_weight {wkey(w0)} lies below the window "
                                     f"of depth {depth}")
             sv = singular_vectors(vw, w0)
-            if len(sv) != 1:
+            if sv.nrows != 1:
                 raise ScenarioError(
-                    f"expected one singular vector at {w0}, found {len(sv)}")
-            self.ses = ses_from_embedding(vw, w0, sv[0])
+                    f"expected one singular vector at {w0}, found {sv.nrows}")
+            self.ses = ses_from_embedding(vw, w0, sv)
             return vw
         # ses_split, the last kind in MODULE_FIELDS
         self.ses = ses_split(vw, ctx.verma(scn.weights["lambda2"], depth))
@@ -457,7 +457,7 @@ def _task_simple_verma(ws):
 def _task_higher(ws):
     def one(blk):
         htop = blk.higher_cohomology()  # asserts both routes agree
-        sizes = sorted(len(c) for c in blk.nilpotent().chains())
+        sizes = sorted(c.nrows for c in blk.nilpotent().chains())
         return {
             "Htop": {str(k): list(v) for k, v in sorted(htop.items())},
             "jordan_sizes": sizes,

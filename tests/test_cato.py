@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from odirac.exactla import Mat, span_basis
+from odirac.exactla import Mat
 from odirac.roots import Weight, is_antidominant, zero_weight
 from odirac.cato import (OutsideWindow, QuotientWindow, SESData, WeightModuleWindow,
                          commutation_defect,
@@ -260,8 +260,7 @@ def test_simple_radical_matches_verma_gram_radical(cartan, label, depth):
     lam = _radical_case_lambda(c, label)
     vw = verma_window(c.pair, c.cb, lam, depth)
     form = shapovalov_grams(vw)
-    ref = QuotientWindow(vw, lambda w: span_quotient_data(form.radical(w), vw.dim(w)),
-                         "quotient")
+    ref = QuotientWindow(vw, lambda w: span_quotient_data(form.radical(w)), "quotient")
     quot = simple_quotient_window(vw)
     qform = shapovalov_grams(quot)
     radical_seen = 0
@@ -274,12 +273,12 @@ def test_simple_radical_matches_verma_gram_radical(cartan, label, depth):
         assert quot.projection(w) == ref.projection(w), w
         assert qform.gram(w) == form.gram(w).take(keep, keep), w
         rad = form.radical(w)
-        radical_seen += bool(rad)
+        radical_seen += bool(rad.nrows)
         for gen in generator_list(vw):
             tw = w + c.cb.generator_weight(gen)
-            if rad and vw.materialized(tw) and vw.dim(tw):
+            if rad.nrows and vw.materialized(tw) and vw.dim(tw):
                 image = quot.projection(tw) @ vw.action(gen, w)
-                assert not any(any(image.apply(v)) for v in rad), (w, gen)
+                assert (image @ rad.T).is_zero(), (w, gen)
     # M(lambda) is reducible on these windows exactly for the dominant lambda
     # and, off A1 (where s_1 . 0 = -2 rho is antidominant), for s_1 . 0
     expected = {"dominant": True, "antidominant": False, "s1.0": c.rs.rank > 1}
@@ -585,14 +584,14 @@ def test_singular_vectors(a1):
     alpha = pair.rs.simple_roots[0]
     lam = Weight([1])  # dominant integral, lam(h) = 2
     vw = verma_window(pair, cb, lam, 9)
-    assert len(singular_vectors(vw, lam)) == 1
-    assert len(singular_vectors(vw, lam - alpha * 3)) == 1  # s.lam
+    assert singular_vectors(vw, lam).nrows == 1
+    assert singular_vectors(vw, lam - alpha * 3).nrows == 1  # s.lam
     for k in (1, 2, 4, 5):
-        assert singular_vectors(vw, lam - alpha * k) == []
+        assert singular_vectors(vw, lam - alpha * k).nrows == 0
     lam2 = Weight([F(-3, 4)])  # antidominant non-integral
     vw2 = verma_window(pair, cb, lam2, 8)
     for k in range(1, 8):
-        assert singular_vectors(vw2, lam2 - alpha * k) == []
+        assert singular_vectors(vw2, lam2 - alpha * k).nrows == 0
 
 
 def test_ses_from_embedding(a1):
@@ -601,7 +600,7 @@ def test_ses_from_embedding(a1):
     lam = zero_weight(1)
     vw = verma_window(pair, cb, lam, 8)
     sv = singular_vectors(vw, lam - alpha)
-    ses = ses_from_embedding(vw, lam - alpha, sv[0])
+    ses = ses_from_embedding(vw, lam - alpha, sv)
     sub, mid, quot = ses.modules()
     dims = [(sub.dim(lam - alpha * k), mid.dim(lam - alpha * k),
              quot.dim(lam - alpha * k)) for k in range(4)]
@@ -618,31 +617,30 @@ def test_ses_from_embedding(a1):
             assert ses.projection(tw) @ vw.action(gen, w) == \
                 quot.action(gen, w) @ ses.projection(w)
     # generating from the top vector gives sub = everything
-    ses2 = ses_from_embedding(vw, lam, (F(1),))
+    ses2 = ses_from_embedding(vw, lam, Mat.identity(1))
     sub2, _, quot2 = ses2.modules()
     for k in range(6):
         assert sub2.dim(lam - alpha * k) == vw.dim(lam - alpha * k)
         assert quot2.dim(lam - alpha * k) == 0
     with pytest.raises(ValueError):
-        ses_from_embedding(vw, lam - alpha, (F(0),))
+        ses_from_embedding(vw, lam - alpha, Mat.zero(1, 1))
 
 
 def span_walk(vw, w0, v):
-    """Reference SES sub: the f_beta-images of v, spanned weight by weight
-    down the cone below w0 (canonical rref bases)."""
-    span = {w0: [tuple(F(c) for c in v)]}
+    """Reference SES sub: the f_beta-images of the one-row Mat v, spanned
+    weight by weight down the cone below w0 (canonical rref basis rows)."""
+    span = {w0: v}
     below = [w0 - Weight(c) for c in _cone_coords(vw.rank, vw.depth)]
     for w in sorted((u for u in below if vw.materialized(u)), key=lambda u: (w0 - u).height):
         if w != w0:
-            span[w] = span_basis([vw.action(("f", beta), w + beta).apply(u)
-                                  for beta in vw.pair.rs.positive_roots
-                                  if w + beta in span for u in span[w + beta]])
+            span[w] = Mat.zero(0, vw.dim(w)).vstack(
+                *(span[w + beta] @ vw.action(("f", beta), w + beta).T
+                  for beta in vw.pair.rs.positive_roots if w + beta in span)).row_space()
     return span
 
 
 class SpanWalkSub(WeightModuleWindow):
-    """The span walk as a window: actions solved column by column against
-    the parent."""
+    """The span walk as a window: actions solved against the parent."""
 
     kind = "sub"
 
@@ -655,19 +653,17 @@ class SpanWalkSub(WeightModuleWindow):
         return self.parent.materialized(w)
 
     def dim(self, w):
-        return len(self.span.get(w, []))
+        return self.span[w].nrows if w in self.span else 0
 
     def inclusion(self, w):
-        return Mat.from_cols(self.span.get(w, []), self.parent.dim(w))
+        return self.span[w].T if w in self.span else Mat.zero(self.parent.dim(w), 0)
 
     def _compute_action(self, gen, w):
         tw = w + self.cb.generator_weight(gen)
         if not self.dim(tw):
             return Mat.zero(0, self.dim(w))
         image = self.parent.action(gen, w) @ self.inclusion(w)
-        tgt = self.inclusion(tw)
-        return Mat.from_cols([tgt.solve(image.col(j)) for j in range(image.ncols)],
-                             self.dim(tw))
+        return self.inclusion(tw).solve(image)
 
 
 @pytest.mark.parametrize("cartan, delta_h, w0", [
@@ -683,20 +679,20 @@ def test_ses_from_embedding_rank2_matches_span_walk(cartan, delta_h, w0):
     vw = verma_window(pair, cb, zero_weight(2), 6)
     w0 = Weight(w0)
     sv = singular_vectors(vw, w0)
-    assert len(sv) == 1
-    ses = ses_from_embedding(vw, w0, sv[0])
+    assert sv.nrows == 1
+    ses = ses_from_embedding(vw, w0, sv)
     sub, mid, quot = ses.modules()
     assert sub.kind == "verma" and sub.top_weight == w0 and mid is vw
-    span = span_walk(vw, w0, sv[0])
+    span = span_walk(vw, w0, sv)
     ref_sub = SpanWalkSub(vw, w0, span)
-    ref_quot = QuotientWindow(vw, lambda w: span_quotient_data(span.get(w, []), vw.dim(w)),
+    ref_quot = QuotientWindow(vw, lambda w: span_quotient_data(ref_sub.inclusion(w).T),
                               "sesquot")
     weights = [vw.lam - Weight(d) for d in _cone_coords(2, vw.depth)]
     assert max(vw.dim(w) for w in weights) > 1
     for w in weights:
         incl = ses.inclusion(w)
         assert sub.dim(w) == incl.rank() == ref_sub.dim(w)
-        assert span_basis(incl.T.rows) == span_basis(span.get(w, []))
+        assert incl.T.row_space() == ref_sub.inclusion(w).T.row_space()
         assert quot.kept_indices(w) == ref_quot.kept_indices(w)
         assert quot.projection(w) == ref_quot.projection(w)
         for gen in generator_list(vw):
@@ -766,7 +762,7 @@ def test_quotient_plus_radical_dimension(a1):
     alpha = pair.rs.simple_roots[0]
     for k in range(8):
         w = lam - alpha * k
-        assert quot.dim(w) + len(grams.radical(w)) == vw.dim(w)
+        assert quot.dim(w) + grams.radical(w).nrows == vw.dim(w)
 
 
 @settings(max_examples=12, deadline=None)

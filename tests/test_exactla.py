@@ -5,10 +5,9 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from odirac.exactla import (Mat, charpoly, span_basis, subspace_dim,
-                            subspace_intersect, subspace_sum)
+from odirac.exactla import Mat, charpoly, subspace_intersect
 from conftest import subspace_eq
 
 F = Fraction
@@ -55,12 +54,12 @@ def test_solve_and_nullspace():
     a = Mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert a.rank() == 2
     ns = a.nullspace()
-    assert len(ns) == 1
-    assert not any(a.apply(ns[0]))
-    rhs = a.apply((F(1), F(2), F(-1)))
+    assert ns.nrows == 1
+    assert (a @ ns.T).is_zero()
+    rhs = a @ Mat([[1, 0], [2, 1], [-1, 0]])
     x = a.solve(rhs)
-    assert a.apply(x) == rhs
-    assert a.solve((1, 0, 0)) is None  # inconsistent
+    assert a @ x == rhs
+    assert a.solve(Mat([[1], [0], [0]])) is None  # inconsistent
 
 
 def test_inverse_roundtrip():
@@ -90,13 +89,13 @@ def test_power():
 
 
 def test_subspace_arithmetic():
-    e1, e2, e3 = (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))
-    a = [e1, e2]
-    b = [e2, e3]
-    assert subspace_dim(subspace_sum(a, b)) == 3
-    meet = subspace_intersect(a, b, 3)
-    assert subspace_eq(meet, [e2])
-    assert span_basis([e1, (F(2), F(0), F(0))]) == [e1]
+    e = Mat.identity(3)
+    a = e.take(rows=[0, 1])
+    b = e.take(rows=[1, 2])
+    assert a.vstack(b).rank() == 3
+    meet = subspace_intersect(a, b)
+    assert subspace_eq(meet, e.take(rows=[1]))
+    assert Mat([[1, 0, 0], [2, 0, 0]]).row_space() == e.take(rows=[0])
 
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
@@ -153,9 +152,8 @@ def test_rank_nullity_property(seed):
     n, m = rng.randint(1, 6), rng.randint(1, 6)
     a = Mat(rand_mat(rng, n, m), m)
     ns = a.nullspace()
-    assert a.rank() + len(ns) == m
-    for v in ns:
-        assert not any(a.apply(v))
+    assert a.rank() + ns.nrows == m
+    assert (a @ ns.T).is_zero()
 
 
 @settings(max_examples=25, deadline=None)
@@ -197,6 +195,28 @@ def ref_solution(a, rhs, ncols):
     return tuple(x)
 
 
+def ref_solve(a, rhs, ncols, k):
+    """ref_solution for each of the k columns of rhs, as rows; None if any is None."""
+    cols = [ref_solution(a, [r[j] for r in rhs], ncols) for j in range(k)]
+    if None in cols:
+        return None
+    return [[col[i] for col in cols] for i in range(ncols)]
+
+
+def ref_row_space(a, ncols):
+    red, pivots = oracle_rref(a, ncols)
+    return red[:len(pivots)]
+
+
+def ref_intersect(a, b, ncols):
+    """The row space of the combinations c_a a with c_a a + c_b b = 0."""
+    n = len(a) + len(b)
+    combos = ref_nullspace(ref_transpose(list(a) + list(b), n, ncols), n)
+    meet = [[sum((c[i] * a[i][j] for i in range(len(a))), F(0)) for j in range(ncols)]
+            for c in combos]
+    return ref_row_space(meet, ncols)
+
+
 def ref_nullspace(a, ncols):
     red, pivots = oracle_rref(a, ncols)
     basis = []
@@ -232,13 +252,44 @@ def operands(draw):
             draw(st.lists(rationals, min_size=n, max_size=n)), draw(rationals))
 
 
+# Fixed inputs for the differential test: 0-row, 0-column and all-zero
+# operands, and solves against a rank-2 matrix (row 3 is row 1 + row 2):
+# two consistent columns, then three columns whose inconsistent column
+# (0, 0, 1) comes first, in the middle or last.
+_RANK2 = [[F(1), F(2), F(0)], [F(0), F(0), F(3)], [F(1), F(2), F(3)]]
+_GOOD = [[F(3), F(1, 2), F(7, 2)], [F(-2), F(5), F(3)]]
+_BAD = [F(0), F(0), F(1)]
+_C32 = [[F(1), F(0)], [F(0), F(1)], [F(2), F(-1)]]
+_B23 = [[F(1), F(-1), F(2)], [F(0), F(1, 3), F(1)]]
+
+
+def _rank2_solve(bad_at=None):
+    cols = list(_GOOD)
+    if bad_at is not None:
+        cols.insert(bad_at, _BAD)
+    k = len(cols)
+    return (3, 3, k, _RANK2, _RANK2[::-1], [[F(i == j) for j in range(k)] for i in range(3)],
+            [list(r) for r in zip(*cols)], [F(1), F(-1), F(2)], _BAD, F(3))
+
+
 @settings(max_examples=60, deadline=None)
 @given(operands())
+@example((0, 0, 0, [], [], [], [], [], [], F(1)))
+@example((0, 3, 2, [], [], _C32, [], [F(1), F(0), F(-1)], [], F(2)))
+@example((2, 3, 2, [[F(0)] * 3] * 2, _B23, _C32, [[F(1), F(0)], [F(0), F(0)]],
+          [F(1), F(0), F(-1)], [F(0), F(0)], F(-1)))
+@example(_rank2_solve())
+@example(_rank2_solve(0))
+@example(_rank2_solve(1))
+@example(_rank2_solve(2))
 def test_every_operation_matches_fraction_reference(ops):
     n, m, k, a, b, c, d, v, rhs, s = ops
     ma, mb, mc, md = Mat(a, m), Mat(b, m), Mat(c, k), Mat(d, k)
 
     def same(got, want_rows, ncols):
+        if want_rows is None:
+            assert got is None
+            return
         assert_canonical(got)
         assert (got.nrows, got.ncols) == (len(want_rows), ncols)
         assert got.rows == tuple(tuple(r) for r in want_rows)
@@ -257,9 +308,16 @@ def test_every_operation_matches_fraction_reference(ops):
     assert ma.apply(v) == tuple(sum((x * y for x, y in zip(r, v)), F(0)) for r in a)
     red, pivots = oracle_rref(a, m)
     assert ma.rank() == len(pivots)
-    assert ma.nullspace() == ref_nullspace(a, m)
-    assert ma.solve(rhs) == ref_solution(a, rhs, m)
-    assert ma.solve(ma.apply(v)) == ref_solution(a, ma.apply(v), m)
+    same(ma.row_space(), ref_row_space(a, m), m)
+    same(ma.nullspace(), ref_nullspace(a, m), m)
+    same(subspace_intersect(ma, mb), ref_intersect(a, b, m), m)
+    for x, y in ((a, []), ([], a), ([], [])):  # a 0-row operand
+        same(subspace_intersect(Mat(x, m), Mat(y, m)), ref_intersect(x, y, m), m)
+    same(ma.solve(md), ref_solve(a, d, m, k), k)
+    col = [[y] for y in rhs]
+    same(ma.solve(Mat(col, 1)), ref_solve(a, col, m, 1), 1)
+    image = [[y] for y in ma.apply(v)]
+    same(ma.solve(Mat(image, 1)), ref_solve(a, image, m, 1), 1)
     if n == m:
         assert ma.trace() == sum((a[i][i] for i in range(n)), F(0))
         assert charpoly(ma) == ref_charpoly(a, n)
