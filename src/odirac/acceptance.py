@@ -285,7 +285,7 @@ def criterion_8_hodge():
     runs = _run([
         # A1, k = t, M(-rho) is unitary
         _doc("A1", [], {"kind": "verma", "lambda": ["-1/2"], "depth": 12}, ["hodge"], 8),
-        # A2 su(2,1)-type pair: unitary simple quotient L(omega1 - 7/2 omega2)
+        # A2 su(2,1)-type pair: unitary simple module L(omega1 - 7/2 omega2)
         _doc("A2", _SU21, {"kind": "simple", "lambda": ["-1/2", -2], "depth": 14},
              ["hodge"], 8),
         # negative test: lam(h) = 1 fails positivity

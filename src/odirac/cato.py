@@ -6,22 +6,22 @@ monomials in the negative root vectors (fixed height-then-lex root
 order) with recursive straightening against the bracket table.  The
 monomials of a weight w are enumerated in the integer cone coordinates
 lambda - w; a `Weight` is built only where the window's API takes or
-returns one.  Simple quotients, finite-dimensional simples, tensor
-products and quotients are derived views.  A quotient keeps, per
+returns one.  A simple module L(lambda) is built top down from its own
+weight spaces, not as a quotient of a Verma window: L_w is spanned by
+f_j applied to L at w + alpha_j, each spanning vector represented by
+its e_i-images one weight up (faithful, since L has no singular vector
+below lambda), and one row reduction per weight gives the basis and
+the simple e and f maps.  Work follows dim L.  Each Verma and simple
+window carries its own contravariant form.  A finite module F(lambda)
+is that simple window with certified dimensions, zero below them.
+M tensor F lays out each weight in `SlotSpace` slots and assembles its
+actions with `block_operator`, as the Dirac blocks of M tensor S do.
+The exact sequence 0 -> M(w0) -> M(lambda) -> M(lambda)/M(w0) -> 0 cut
+out by a singular vector at w0 needs no submodule view: U(n-) acts
+freely on a Verma module, so its sub is the Verma window of w0, mapped
+in by f-actions from the singular vector, and its quotient keeps, per
 weight, the parent indices that stay a basis and the projection onto
-them.  A simple quotient reads both off one row reduction of its
-simple raising maps (the reversed-rref identity in
-`simple_quotient_window`) and carries its own contravariant form, so
-neither a basis of the radical nor a Verma Gram is built on the way
-to L(lambda).  A finite module F(lambda) is that simple quotient with
-certified dimensions, zero below them.  M tensor F lays out each weight
-in `SlotSpace` slots and assembles its actions with `block_operator`,
-as the Dirac blocks of M tensor S do.  The exact sequence
-0 -> M(w0) -> M(lambda) -> M(lambda)/M(w0) -> 0 cut out by a singular
-vector at w0 needs no submodule view: U(n-) acts freely on a Verma
-module, so its sub is the Verma window of w0, mapped in by f-actions
-from the singular vector.  Everything is rational and
-deterministic.
+them.  Everything is rational and deterministic.
 """
 
 from fractions import Fraction
@@ -68,6 +68,13 @@ def _delta_coords(lam, w):
             return None
         coords.append(c.numerator)
     return tuple(coords)
+
+
+def _within_depth(lam, depth, w):
+    """True iff w is within `depth` of lam or outside the cone below lam
+    (where a highest weight module is known to be zero)."""
+    coords = _delta_coords(lam, w)
+    return coords is None or sum(coords) <= depth
 
 
 def comparable_tops(a, b) -> bool:
@@ -278,10 +285,7 @@ class VermaWindow(WeightModuleWindow):
         self._basis_cache = {}
 
     def materialized(self, w):
-        coords = _delta_coords(self.lam, w)
-        if coords is None:
-            return True  # outside the support cone: known zero
-        return sum(coords) <= self.depth
+        return _within_depth(self.lam, self.depth, w)
 
     def basis(self, w):
         b = self._basis_cache.get(w)
@@ -313,29 +317,28 @@ class VermaWindow(WeightModuleWindow):
             cols.append({tgt_index[m]: c for m, c in img.items()})
         return Mat.from_sparse_cols(cols, len(tgt))
 
+    def first_factors(self, w):
+        """The basis monomials at w, written f_beta u, grouped by their first root.
+
+        A monomial whose first nonzero exponent sits at root beta is f_beta
+        applied to u, the monomial with that exponent lowered by one, of
+        weight w + beta.  Yields (beta, positions, us) per first root: the
+        basis positions of the monomials that start with beta and the
+        indices of their u in the basis at w + beta.
+        """
+        basis = self.basis(w)
+        by_first = {}
+        for r, mono in enumerate(basis):
+            first = next(p for p, k in enumerate(mono) if k)
+            by_first.setdefault(first, []).append(r)
+        for first, positions in by_first.items():
+            beta = self.cb.pos[first]
+            up = {m: j for j, m in enumerate(self.basis(w + beta))}
+            yield beta, positions, [up[_dec(basis[r], first)] for r in positions]
+
 
 def verma_window(pair, cb, lam, depth) -> VermaWindow:
     return VermaWindow(pair, cb, lam, depth)
-
-
-def _first_root_split(vw: VermaWindow, w, indices):
-    """Basis monomials of vw at w, written f_beta u, grouped by their first root.
-
-    A monomial whose first nonzero exponent sits at root beta is f_beta
-    applied to u, the monomial with that exponent lowered by one, of
-    weight w + beta.  Yields (beta, positions, us) per first root: the
-    positions in `indices` of the monomials that start with beta and the
-    indices of their u in the basis at w + beta.
-    """
-    basis = vw.basis(w)
-    by_first = {}
-    for r, i in enumerate(indices):
-        first = next(p for p, k in enumerate(basis[i]) if k)
-        by_first.setdefault(first, []).append(r)
-    for first, positions in by_first.items():
-        beta = vw.cb.pos[first]
-        up = {m: j for j, m in enumerate(vw.basis(w + beta))}
-        yield beta, positions, [up[_dec(basis[indices[r]], first)] for r in positions]
 
 
 def _placed_rows(parts, nrows, ncols) -> Mat:
@@ -353,17 +356,19 @@ def _placed_rows(parts, nrows, ncols) -> Mat:
 # -- contravariant (Shapovalov) form -----------------------------------------
 
 class ContravariantForm:
-    """Gram matrices of the contravariant form on a Verma window or on its
-    simple quotient.
+    """Gram matrices of the contravariant form on a Verma window or on a
+    simple window L(lambda).
 
-    Built by `shapovalov_grams`, which keeps one per window.  On the
-    quotient the Gram at w is the form on the kept basis vectors, the
-    Verma Gram's kept rows and columns, computed without it.
+    Built by `shapovalov_grams`, which keeps one per window.  Each window
+    writes its basis vectors at w as f_beta u, u a basis vector at
+    w + beta (`first_factors`): PBW monomials split at their first root
+    on a Verma window, f_j applied to the basis of L at w + alpha_j on a
+    simple window.  So the simple window's Grams never pass through a
+    Verma window.
     """
 
     def __init__(self, window):
         self.window = window
-        self.vw = window.parent if window.kind == "simple" else window
         self._grams = {}
 
     def gram(self, w) -> Mat:
@@ -376,43 +381,38 @@ class ContravariantForm:
     def _compute(self, w):
         """G(w) from the Grams above it and the window's raising actions.
 
-        Write kept basis monomial i as f_beta u, with f_beta its first
-        factor and u (weight w + beta) the monomial with that exponent
-        lowered by one.  tau(f_beta) = e_beta / kappa_beta, so
-        <f_beta u, v> = <u, e_beta v> / kappa_beta: row i of G(w) is the
-        image of u in the window at w + beta (column u of its projection,
-        a unit vector on a Verma window) against G(w + beta), times the
-        window's action of e_beta on weight w, divided by kappa_beta.
-        The rows that share beta are one product.
+        Write basis vector i as f_beta u, u of weight w + beta.
+        tau(f_beta) = e_beta / kappa_beta, so
+        <f_beta u, v> = <u, e_beta v> / kappa_beta: row i of G(w) is row u
+        of G(w + beta) times the window's action of e_beta on weight w,
+        divided by kappa_beta.  The rows that share beta are one product.
         """
-        win, vw = self.window, self.vw
-        if w == vw.lam:
+        win = self.window
+        if w == win.top_weight:
             return Mat.identity(1)
-        keep = range(vw.dim(w)) if win is vw else win.kept_indices(w)
         parts = []
-        for beta, rows, us in _first_root_split(vw, w, keep):
-            g = self.gram(w + beta)
-            picked = g.take(us) if win is vw else win.projection(w + beta).take(cols=us).T @ g
-            prod = picked @ win.action(("e", beta), w)
-            parts.append((rows, prod.scale(_F1 / vw.cb.kappa_integral(beta))))
-        return _placed_rows(parts, len(keep), len(keep))
+        for beta, rows, us in win.first_factors(w):
+            prod = self.gram(w + beta).take(us) @ win.action(("e", beta), w)
+            parts.append((rows, prod.scale(_F1 / win.cb.kappa_integral(beta))))
+        n = win.dim(w)
+        return _placed_rows(parts, n, n)
 
     def radical(self, w):
         """The nullspace of the Gram at w, as basis rows.
 
-        On a Verma window this is N(lambda)_w read off the form: the
-        reference route for the radical `simple_quotient_window` finds
-        from the raising maps.
+        On a Verma window this is N(lambda)_w read off the form, the
+        largest proper submodule that L(lambda) = M(lambda)/N(lambda)
+        divides out.
         """
         return self.gram(w).nullspace()
 
 
 def shapovalov_grams(window) -> ContravariantForm:
-    """The contravariant form of a Verma window or of its simple quotient,
-    one per window."""
+    """The contravariant form of a Verma window or of a simple window, one
+    per window."""
     if window.kind not in ("verma", "simple"):
         raise ValueError("contravariant grams are computed on Verma windows "
-                         "and their simple quotients")
+                         "and simple windows")
     if window._form is None:
         window._form = ContravariantForm(window)
     return window._form
@@ -425,8 +425,9 @@ class QuotientWindow(WeightModuleWindow):
 
     `weight_data(w)` returns (keep, proj): the parent basis indices whose
     vectors stay a basis of the quotient at w, and the projection onto
-    them along the submodule (may be None when keep is empty).  The
-    quotient's basis vector j is the parent's basis vector keep[j].
+    them along the submodule.  The quotient's basis vector j is the
+    parent's basis vector keep[j].  The SES quotient M(lambda)/M(w0) is
+    one (`ses_from_embedding`).
     """
 
     def __init__(self, parent: WeightModuleWindow, weight_data, kind):
@@ -456,12 +457,10 @@ class QuotientWindow(WeightModuleWindow):
         return self._weight_data(w)[0]
 
     def projection(self, w) -> Mat:
-        proj = self._weight_data(w)[1]
-        return Mat.zero(0, self.parent.dim(w)) if proj is None else proj
+        return self._weight_data(w)[1]
 
     def _compute_action(self, gen, w):
         tw = w + self.cb.generator_weight(gen)
-        # dims first: a finite module is zero below its parent's window
         rows, cols = self.dim(tw), self.dim(w)
         if not rows or not cols:
             return Mat.zero(rows, cols)
@@ -489,18 +488,184 @@ def span_quotient_data(sub: Mat):
     return keep, Mat.from_ints(proj_rows, dim, red.den)
 
 
-class FiniteWindow(QuotientWindow):
-    """F(lambda): a simple quotient whose dimensions `finite_dim_simple`
-    certified.
+class _WeightSpace:
+    """One weight space of a `SimpleWindow`.
 
-    A view of that quotient, sharing its weight data: dimensions come
-    from `dims`, zero at every other weight, and each action is computed
-    on demand from the quotient's projections.
+    `labels[k]` = (j, c): basis vector k is f_j applied to basis vector c
+    of the space at w + alpha_j.  `e[i]` is the action of e_i into
+    w + alpha_i and `f[j]` the action of f_j from w + alpha_j, for each
+    i (j) whose space is nonzero there.
     """
 
-    def __init__(self, quot: QuotientWindow, dims):
-        super().__init__(quot.parent, quot._weight_data_fn, "finite")
-        self._data = quot._data
+    __slots__ = ("dim", "labels", "e", "f")
+
+    def __init__(self, dim, labels=(), e=None, f=None):
+        self.dim = dim
+        self.labels = labels
+        self.e = e
+        self.f = f
+
+
+_ZERO_SPACE = _WeightSpace(0)
+_TOP_SPACE = _WeightSpace(1)
+
+
+class SimpleWindow(WeightModuleWindow):
+    """L(lambda) truncated at a fixed depth, built from its own weight spaces.
+
+    For w != lambda, L_w is spanned by f_j u over the simple roots alpha_j
+    and the basis u of L at w + alpha_j.  L has no singular vector below
+    lambda, so a vector x of L_w is zero iff e_i x = 0 for every i: f_j u
+    is represented faithfully by its images
+    e_i f_j u = f_j e_i u + delta_ij [e_i, f_i] u in the sum of the L at
+    w + alpha_i, all read off the spaces above w.  One row reduction of
+    these columns, A, gives the whole weight space: its pivot columns are
+    the basis of L_w, its rows the f_j maps into w (each f_j u in that
+    basis) and A's own columns at the pivots the e_i maps out of w.  A
+    weight with no nonzero L_{w + alpha_i}, or outside the cone below
+    lambda, has L_w = 0 and costs nothing.  Work follows dim L, not the
+    dimension of the Verma module.
+
+    h_j acts on L_w by w(h_j).  A root vector of a non-simple root acts
+    as a commutator, x_gamma = [x_i, x_{gamma - alpha_i}] / c with c from
+    the bracket table and alpha_i the first simple root with
+    gamma - alpha_i a root.
+    """
+
+    kind = "simple"
+
+    def __init__(self, pair, cb, lam, depth: int):
+        super().__init__(pair, cb)
+        self.lam = Weight(lam)
+        self.depth = int(depth)
+        self.top_weight = self.lam
+        self.infchars = (self.lam,)
+        rs = pair.rs
+        self._simples = rs.simple_roots
+        self._simple_index = {a: i for i, a in enumerate(self._simples)}
+        self._positive = set(rs.positive_roots)
+        # [e_i, f_i] as a sparse Cartan vector, acting on L_w by its value on w
+        self._coroots = [cb.bracket(cb.e_index(a), cb.e_index(-a)) for a in self._simples]
+        self._spaces = {}
+
+    def materialized(self, w):
+        return _within_depth(self.lam, self.depth, w)
+
+    def dim(self, w):
+        sp = self._spaces.get(w)
+        if sp is None:  # only materialized weights are ever built
+            if not self.materialized(w):
+                raise OutsideWindow(f"simple: weight {w} not materialized")
+            sp = self._space(w)
+        return sp.dim
+
+    def _space(self, w) -> _WeightSpace:
+        sp = self._spaces.get(w)
+        if sp is None:
+            sp = self._spaces[w] = self._build_space(w)
+        return sp
+
+    def _build_space(self, w):
+        if w == self.lam:
+            return _TOP_SPACE
+        if _delta_coords(self.lam, w) is None:
+            return _ZERO_SPACE
+        simples = self._simples
+        ups = []  # (i, w + alpha_i, dim L there) where L is nonzero
+        for i, a in enumerate(simples):
+            d = self.dim(w + a)
+            if d:
+                ups.append((i, w + a, d))
+        if not ups:
+            return _ZERO_SPACE
+        slots = SlotSpace(ups)
+        terms = []
+        for i, wi, _ in ups:
+            h = self.pair.rs.pairing_with_simple_coroots(wi)
+            value = sum((c * h[k] for k, c in self._coroots[i].items()), _F0)
+            if value:
+                terms.append((i, i, value, _identity_map(self)))
+            # f_j e_i u for u at w + alpha_j, through w + alpha_i + alpha_j
+            terms += [(i, j, 1, partial(self._f_after_e, i, j, wi))
+                      for j, _, _ in ups if self.dim(wi + simples[j])]
+        a = block_operator(slots, slots, terms)
+        red, pivots = a.rref()
+        if not pivots:
+            return _ZERO_SPACE
+        labels = []
+        for p in pivots:
+            j = next(j for j, (off, _, d) in slots.slot.items() if off <= p < off + d)
+            labels.append((j, p - slots.slot[j][0]))
+        top = range(len(pivots))
+        e = {i: a.take(rows=range(off, off + d), cols=pivots)
+             for i, (off, _, d) in slots.slot.items()}
+        f = {j: red.take(rows=top, cols=range(off, off + d))
+             for j, (off, _, d) in slots.slot.items()}
+        return _WeightSpace(len(pivots), labels, e, f)
+
+    def _f_after_e(self, i, j, wi, wj):
+        """f_j e_i from L at w + alpha_j to L at w + alpha_i."""
+        return self._space(wi).f[j] @ self._space(wj).e[i]
+
+    def first_factors(self, w):
+        """Basis vector k at w is f_j u, u at w + alpha_j: (alpha_j,
+        positions, us) per simple root j, as `VermaWindow.first_factors`."""
+        by_j = {}
+        for k, (j, c) in enumerate(self._space(w).labels):
+            rows, us = by_j.setdefault(j, ([], []))
+            rows.append(k)
+            us.append(c)
+        for j, (rows, us) in by_j.items():
+            yield self._simples[j], rows, us
+
+    def _commutator(self, gen):
+        """(x, y, c) with [x, y] = c gen, for a non-simple root vector gen."""
+        kind, gamma = gen
+        alpha = next(a for a in self._simples if gamma - a in self._positive)
+        x, y = (kind, alpha), (kind, gamma - alpha)
+        cb = self.cb
+        return x, y, cb.bracket(cb.generator_index(x), cb.generator_index(y))[cb.generator_index(gen)]
+
+    def _compute_action(self, gen, w):
+        cb = self.cb
+        tw = w + cb.generator_weight(gen)
+        rows, cols = self.dim(tw), self.dim(w)
+        if not rows or not cols:
+            return Mat.zero(rows, cols)
+        kind, root = gen
+        if kind == "h":
+            return Mat.scalar(rows, self.pair.rs.pairing_with_simple_coroots(w)[root])
+        i = self._simple_index.get(root)
+        if i is not None:
+            return self._space(w).e[i] if kind == "e" else self._space(tw).f[i]
+        x, y, c = self._commutator(gen)
+        wx, wy = cb.generator_weight(x), cb.generator_weight(y)
+        xy = self.action(x, w + wy) @ self.action(y, w)
+        yx = self.action(y, w + wx) @ self.action(x, w)
+        return (xy - yx).scale(_F1 / c)
+
+
+def simple_quotient_window(pair, cb, lam, depth) -> SimpleWindow:
+    """L(lambda) on the weights within `depth` of lambda (`SimpleWindow`)."""
+    return SimpleWindow(pair, cb, lam, depth)
+
+
+class FiniteWindow(WeightModuleWindow):
+    """F(lambda): a simple window whose dimensions `finite_dim_simple`
+    certified.
+
+    A lazy view of that window: dimensions come from `dims`, zero at
+    every other weight, and each action is the simple window's, computed
+    when first asked for.
+    """
+
+    kind = "finite"
+
+    def __init__(self, simple: SimpleWindow, dims):
+        super().__init__(simple.pair, simple.cb)
+        self.simple = simple
+        self.top_weight = simple.top_weight
+        self.infchars = simple.infchars
         self._dims = dims
 
     def materialized(self, w):
@@ -513,49 +678,11 @@ class FiniteWindow(QuotientWindow):
         """Sorted weights of nonzero dimension."""
         return sort_weights(self._dims)
 
-
-def simple_quotient_window(vw: VermaWindow) -> QuotientWindow:
-    """L(lambda) on the window: the quotient of M(lambda) by its largest
-    proper submodule N(lambda), the radical of the contravariant form.
-
-    N is found top-down without the form.  U(n+) is generated by the
-    simple raising operators e_i, so for w != lambda a vector v of
-    weight w lies in N iff e_i v lies in N at w + alpha_i for every i:
-    N_w = ker A, A the stacked maps (projection to L at w + alpha_i) @ e_i
-    over the i with L nonzero at w + alpha_i.  With no such i, or w
-    outside the cone, L_w = 0 and no Verma basis is listed.
-
-    One rref of A with its columns reversed gives both halves of the
-    quotient.  Its kernel vectors, read back in order, lead at the free
-    columns and vanish at the other free columns: they are the rref of
-    N_w, so its pivots (read back) are the kept indices.  Its nonzero
-    rows, read back, are the identity on the kept indices and vanish on
-    N_w: they are the projection.  Both equal what the Gram's nullspace
-    gives.
-    """
-    simples = vw.pair.rs.simple_roots
-
-    def weight_data(w):
-        if w == vw.lam:
-            return [0], Mat.identity(1)
-        if _delta_coords(vw.lam, w) is None:
-            return [], None
-        stacked = None
-        for alpha in simples:
-            up = w + alpha
-            if quot.dim(up):
-                m = quot.projection(up) @ vw.action(("e", alpha), w)
-                stacked = m if stacked is None else stacked.vstack(m)
-        if stacked is None:
-            return [], None
-        n = stacked.ncols
-        rev = range(n - 1, -1, -1)
-        red, pivots = stacked.take(cols=rev).rref()
-        keep = [n - 1 - p for p in reversed(pivots)]
-        return keep, red.take(rows=range(len(pivots) - 1, -1, -1), cols=rev)
-
-    quot = QuotientWindow(vw, weight_data, "simple")
-    return quot
+    def _compute_action(self, gen, w):
+        rows, cols = self.dim(w + self.cb.generator_weight(gen)), self.dim(w)
+        if not rows or not cols:
+            return Mat.zero(rows, cols)
+        return self.simple.action(gen, w)
 
 
 def weyl_dimension(pair: PairGH, lam: Weight, pos_roots=None,
@@ -572,11 +699,10 @@ def weyl_dimension(pair: PairGH, lam: Weight, pos_roots=None,
 
 
 def finite_dim_simple(pair, cb, lam) -> FiniteWindow:
-    """F(lambda) for dominant integral lambda: its simple quotient, certified.
+    """F(lambda) for dominant integral lambda: its simple window, certified.
 
-    The quotient is read on a Verma window `margin` deeper than the lowest
-    weight; it must vanish below that weight and match Weyl's dimension
-    formula.
+    The simple window reaches `margin` deeper than the lowest weight; it
+    must vanish below that weight and match Weyl's dimension formula.
     """
     lam = Weight(lam)
     rs = pair.rs
@@ -586,23 +712,22 @@ def finite_dim_simple(pair, cb, lam) -> FiniteWindow:
     w0lam = pair.weyl.act(pair.weyl.longest, lam)
     depth = int((lam - w0lam).height)
     margin = max(a.height for a in rs.positive_roots)
-    vw = verma_window(pair, cb, lam, depth + margin)
-    quot = simple_quotient_window(vw)
+    simple = simple_quotient_window(pair, cb, lam, depth + margin)
     dims = {}
     for c in _cone_coords(pair.rank, depth + margin):
         w = lam - Weight(c)
-        d = quot.dim(w)
+        d = simple.dim(w)
         if d:
             if sum(c) > depth:
                 raise WindowTooShallow(
-                    f"simple quotient of {lam} still alive at depth {sum(c)}")
+                    f"simple module {lam} still alive at depth {sum(c)}")
             dims[w] = d
     expected = weyl_dimension(pair, lam)
     total = sum(dims.values())
     if expected != total:
         raise WindowTooShallow(
             f"dim L({lam}) = {total} on window, Weyl dimension formula gives {expected}")
-    return FiniteWindow(quot, dims)
+    return FiniteWindow(simple, dims)
 
 
 # -- slot spaces: M tensor F here, M tensor S in `dirac` -------------------------
@@ -814,7 +939,7 @@ def ses_from_embedding(vw: VermaWindow, w0: Weight, gen_vec) -> SESData:
             # row r of the transpose is the image of the sub's monomial r
             parts = [(positions, (vw.action(("f", beta), w + beta)
                                   @ inclusion(w + beta).take(cols=us)).T)
-                     for beta, positions, us in _first_root_split(sub, w, range(sub.dim(w)))]
+                     for beta, positions, us in sub.first_factors(w)]
             incl = images[w] = _placed_rows(parts, sub.dim(w), vw.dim(w)).T
         return incl
 

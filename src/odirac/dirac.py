@@ -203,10 +203,19 @@ class DiracBlock:
         return powers[k]
 
     def d_kernel(self, k):
-        """Basis rows of ker D^k, memoized per k."""
+        """Basis rows of ker D^k, memoized per k.
+
+        ker D^k lies in the generalized 0-eigenspace of D^2, so once the
+        block's decomposition is memoized without the eigenvalue 0, every
+        ker D^k is 0 and needs no reduction.
+        """
         ker = self._d_kernels.get(k)
         if ker is None:
-            ker = self._d_kernels[k] = self.d_power(k).nullspace()
+            if self._eigs is not None and 0 not in self._eigs:
+                ker = Mat.zero(0, self.dim)
+            else:
+                ker = self.d_power(k).nullspace()
+            self._d_kernels[k] = ker
         return ker
 
     def image(self):

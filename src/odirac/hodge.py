@@ -73,9 +73,9 @@ class UnitaryStructure:
     On a highest weight module of the noncompact Hermitian real form the
     invariant form differs from the contravariant one by the sign of the
     parabolic degree of the drop from the highest weight.  Works on a
-    Verma window or on its simple quotient, each through its own
-    contravariant form (`shapovalov_grams`): the quotient's Grams live
-    on its kept basis vectors and never pass through the Verma Grams.
+    Verma window or on a simple window, each through its own
+    contravariant form (`shapovalov_grams`): a simple window's Grams live
+    on its own basis and never pass through a Verma window.
     """
 
     def __init__(self, hp: HermitianPair, vw):

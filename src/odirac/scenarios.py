@@ -109,9 +109,9 @@ def wkey(w: Weight) -> str:
 class PairContext:
     """Root data, Chevalley basis, pair and spin module of one (g, h).
 
-    Also caches the modules built on the pair (Verma windows, their
-    simple quotients, finite modules and tensor products of a Verma
-    window with a finite module) and each module's block weights.  Dirac
+    Also caches the modules built on the pair (Verma windows, simple
+    modules, finite modules and tensor products of a Verma window with a
+    finite module) and each module's block weights.  Dirac
     blocks are memoized on the spin module (`dirac.block`).
     """
 
@@ -144,10 +144,10 @@ class PairContext:
                             lambda: verma_window(self.pair, self.cb, lam, depth))
 
     def simple(self, lam, depth):
-        """The simple quotient of the Verma window of (lam, depth)."""
+        """The simple module L(lam) on the weights within depth of lam."""
         lam = Weight(lam)
         return self._module(("simple", lam, depth),
-                            lambda: simple_quotient_window(self.verma(lam, depth)))
+                            lambda: simple_quotient_window(self.pair, self.cb, lam, depth))
 
     def finite(self, lam):
         """The finite-dimensional simple module of dominant integral lam."""
@@ -389,9 +389,10 @@ def _map_blocks(fn, ws, margin=0):
 
 def _task_dirac(ws):
     def one(blk):
+        # the spectrum first: a block without the eigenvalue 0 has no kernels
+        eigs = blk.eigenvalue_decomposition()
         hd = blk.dirac_cohomology()
         htop = blk.higher_cohomology()
-        eigs = blk.eigenvalue_decomposition()
         return {
             "dim_block": blk.dim,
             "dims": {

@@ -1,8 +1,10 @@
-"""Test-side presentation helpers: adjoint matrices, generator lists,
-window dimensions and the fundamental-weight and epsilon coordinates."""
+"""Test-side helpers: adjoint matrices, generator lists, window
+dimensions, the fundamental-weight and epsilon coordinates, and the
+reference simple quotient of a Verma window."""
 
 from fractions import Fraction
 
+from odirac.cato import QuotientWindow, _delta_coords
 from odirac.exactla import Mat
 from odirac.roots import Weight
 
@@ -53,3 +55,70 @@ def weight_to_eps(rs, v):
         eps.append(v[i] - v[i - 1])
     eps.append(-v[n - 1])
     return tuple(eps)
+
+
+def verma_simple_quotient(vw):
+    """Reference L(lambda): the quotient of the Verma window vw by N(lambda).
+
+    N is found top-down without the form.  U(n+) is generated by the
+    simple raising operators e_i, so for w != lambda a vector v of weight
+    w lies in N iff e_i v lies in N at w + alpha_i for every i:
+    N_w = ker A, A the stacked maps (projection to L at w + alpha_i) @ e_i
+    over the i with L nonzero at w + alpha_i.
+
+    One rref of A with its columns reversed gives both halves of the
+    quotient.  Its kernel vectors, read back in order, lead at the free
+    columns and vanish at the other free columns: they are the rref of
+    N_w, so its pivots (read back) are the kept indices.  Its nonzero
+    rows, read back, are the identity on the kept indices and vanish on
+    N_w: they are the projection.  Both equal what the Gram's nullspace
+    gives.
+    """
+    simples = vw.pair.rs.simple_roots
+
+    def weight_data(w):
+        if w == vw.lam:
+            return [0], Mat.identity(1)
+        if _delta_coords(vw.lam, w) is None:
+            return [], Mat.zero(0, 0)
+        stacked = None
+        for alpha in simples:
+            up = w + alpha
+            if quot.dim(up):
+                m = quot.projection(up) @ vw.action(("e", alpha), w)
+                stacked = m if stacked is None else stacked.vstack(m)
+        if stacked is None:
+            return [], Mat.zero(0, vw.dim(w))
+        n = stacked.ncols
+        rev = range(n - 1, -1, -1)
+        red, pivots = stacked.take(cols=rev).rref()
+        keep = [n - 1 - p for p in reversed(pivots)]
+        return keep, red.take(rows=range(len(pivots) - 1, -1, -1), cols=rev)
+
+    quot = QuotientWindow(vw, weight_data, "quotient")
+    return quot
+
+
+def lowering_map(src, tgt, weights):
+    """{w: M_w}, the module map from the highest weight window `src` to `tgt`
+    that fixes the top vector: M_top = 1, and src's basis vector f_beta u
+    at w (`src.first_factors`) goes to f_beta applied in tgt to
+    M_{w + beta} u.  `weights` must list every weight of src that lies
+    above one of them; they are visited from the top down.
+
+    From a Verma window onto a simple window this is the projection
+    M(lambda) -> L(lambda); from a simple window to the reference
+    quotient `verma_simple_quotient`, the isomorphism T.
+    """
+    maps = {}
+    for w in sorted(weights, key=lambda v: -v.height):
+        if w == src.top_weight:
+            maps[w] = Mat.identity(1)
+            continue
+        cols = [None] * src.dim(w)
+        for beta, positions, us in src.first_factors(w):
+            images = (tgt.action(("f", beta), w + beta) @ maps[w + beta]).take(cols=us)
+            for k, col in zip(positions, images.T.num):
+                cols[k] = Mat.from_ints([col], images.nrows, images.den)
+        maps[w] = Mat.zero(0, tgt.dim(w)).vstack(*cols).T
+    return maps

@@ -16,7 +16,8 @@ from odirac.cato import (OutsideWindow, QuotientWindow, SESData, WeightModuleWin
                          verma_window, weyl_dimension, _cone_coords)
 from odirac.dirac import exact_circle
 from conftest import ctx
-from helpers import generator_list, total_dim, weight_from_fundamental
+from helpers import (generator_list, lowering_map, total_dim, verma_simple_quotient,
+                     weight_from_fundamental)
 
 F = Fraction
 
@@ -181,46 +182,93 @@ def test_grams_match_raising_strings(cartan, delta_h, lam, depth):
     assert checked > depth  # every weight of the window below the top too
 
 
-def test_simple_quotients_read_no_verma_form(monkeypatch, a1):
-    """A simple quotient carries its own form and never computes a Verma Gram.
+def test_simple_modules_build_no_verma_window(monkeypatch, a1):
+    """Simple and finite modules are built from their own weight spaces.
 
-    On a cold context the a2_hodge_unitary hodge task and
-    `finite_dim_simple` compute no Gram of a Verma window's form, and
-    each (form, weight) Gram is computed once.
+    A simple window carries its own form; on A1, where both bases are
+    f^k v, its Grams are the Verma Grams.  On a cold context the a3_hodge
+    run, the a2_hodge_unitary run and `finite_dim_simple` build no
+    `VermaWindow` and no `_Straightener`, and each weight space costs one
+    `Mat.rref` when its spanning set is nonempty (w != lambda in the cone
+    with some L_{w + alpha_i} nonzero) and none otherwise, with no
+    `Mat.nullspace`.  Each window has one form, each (form, weight) Gram
+    is computed once, and every form read is a simple window's.
     """
     import os
     from collections import Counter
     from odirac import cato, scenarios
 
-    vw = verma_window(a1.pair, a1.cb, Weight([1]), 6)
-    quot = simple_quotient_window(vw)
-    assert quot.dim(Weight([1]) - a1.rs.simple_roots[0] * 3) == 0  # dim L = 3
-    form = shapovalov_grams(quot)
-    assert shapovalov_grams(quot) is form
-    grams = [form.gram(Weight([1]) - a1.rs.simple_roots[0] * k) for k in range(3)]
-    verma_form = shapovalov_grams(vw)
-    assert verma_form is not form and not verma_form._grams  # nothing read from it
-    assert grams == [verma_form.gram(Weight([1]) - a1.rs.simple_roots[0] * k)
-                     for k in range(3)]
+    top, alpha = Weight([1]), a1.rs.simple_roots[0]
+    simple = simple_quotient_window(a1.pair, a1.cb, top, 6)
+    assert [simple.dim(top - alpha * k) for k in range(5)] == [1, 1, 1, 0, 0]  # dim L = 3
+    form = shapovalov_grams(simple)
+    assert shapovalov_grams(simple) is form
+    verma_form = shapovalov_grams(verma_window(a1.pair, a1.cb, top, 6))
+    assert [form.gram(top - alpha * k) for k in range(3)] == \
+        [verma_form.gram(top - alpha * k) for k in range(3)]
 
     monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+    built, frames, counts, windows = [], [], {}, []
     forms, computed = Counter(), Counter()
-    init, compute = cato.ContravariantForm.__init__, cato.ContravariantForm._compute
+    form_init, form_compute = cato.ContravariantForm.__init__, cato.ContravariantForm._compute
+    build_space = cato.SimpleWindow._build_space
+
+    def recording(cls):
+        init = cls.__init__
+
+        def recorded(self, *args):
+            built.append(cls.__name__)
+            init(self, *args)
+        monkeypatch.setattr(cls, "__init__", recorded)
+
+    def counting(name, fn):
+        def counted(*args):
+            if frames:
+                frames[-1][name] += 1
+            return fn(*args)
+        return counted
+
+    def traced_build(self, w):
+        if self not in windows:
+            windows.append(self)
+        frames.append({"rref": 0, "nullspace": 0})
+        try:
+            return build_space(self, w)
+        finally:
+            counts[(self, w)] = frames.pop()
 
     def counted_init(self, window):
         forms[window] += 1
-        init(self, window)
+        form_init(self, window)
 
     def counted_compute(self, w):
         computed[(self, w)] += 1
-        return compute(self, w)
+        return form_compute(self, w)
 
+    recording(cato.VermaWindow)
+    recording(cato._Straightener)
+    monkeypatch.setattr(Mat, "rref", counting("rref", Mat.rref))
+    monkeypatch.setattr(Mat, "nullspace", counting("nullspace", Mat.nullspace))
+    monkeypatch.setattr(cato.SimpleWindow, "_build_space", traced_build)
     monkeypatch.setattr(cato.ContravariantForm, "__init__", counted_init)
     monkeypatch.setattr(cato.ContravariantForm, "_compute", counted_compute)
-    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "a2_hodge_unitary.json")
-    assert scenarios.run_scenario(scenarios.load_scenario(path))["ok"]
+    root = os.path.join(os.path.dirname(__file__), "..")
+    for path in ("perfbench/workloads/a3_hodge.json", "scenarios/a2_hodge_unitary.json"):
+        scn = scenarios.load_scenario(os.path.join(root, path))
+        assert scenarios.run_scenario(scn)["ok"]
     c = scenarios.pair_context("A2", [(1, 0)])
     assert total_dim(finite_dim_simple(c.pair, c.cb, Weight([1, 1]))) == 8
+    assert not built
+    assert len(windows) == 3
+
+    def spanned(m, w):
+        return (w != m.lam and cato._delta_coords(m.lam, w) is not None
+                and any(m.dim(w + a) for a in m.pair.rs.simple_roots))
+
+    with_span = {key for key in counts if spanned(*key)}
+    assert with_span and len(with_span) < len(counts)
+    for key, n in counts.items():
+        assert n == {"rref": int(key in with_span), "nullspace": 0}, key
     assert set(forms.values()) == {1}
     assert computed and set(computed.values()) == {1}
     assert {form.window.kind for form, _ in computed} == {"simple"}
@@ -249,20 +297,21 @@ def _radical_case_lambda(c, label):
 @pytest.mark.parametrize("cartan, label, depth", _RADICAL_CASES,
                          ids=[f"{c}-{label}" for c, label, _ in _RADICAL_CASES])
 def test_simple_radical_matches_verma_gram_radical(cartan, label, depth):
-    """The radical from the simple raising maps is the Verma Gram's nullspace.
+    """The reference quotient's radical is the Verma Gram's nullspace.
 
-    At every weight of the window: the same kept indices and projection
-    as the quotient by the span of `shapovalov_grams(vw).radical`, the
-    quotient's own Gram is the Verma Gram on the kept indices, and the
-    radical is stable under every generator.
+    At every weight of the window: `verma_simple_quotient`, whose radical
+    comes from the simple raising maps, has the same kept indices and
+    projection as the quotient by the span of `shapovalov_grams(vw).radical`,
+    the simple window has its dimension, and the radical is stable under
+    every generator.
     """
     c = ctx(cartan)
     lam = _radical_case_lambda(c, label)
     vw = verma_window(c.pair, c.cb, lam, depth)
     form = shapovalov_grams(vw)
     ref = QuotientWindow(vw, lambda w: span_quotient_data(form.radical(w)), "quotient")
-    quot = simple_quotient_window(vw)
-    qform = shapovalov_grams(quot)
+    quot = verma_simple_quotient(vw)
+    simple = simple_quotient_window(c.pair, c.cb, lam, depth)
     radical_seen = 0
     for cc in _cone_coords(c.rs.rank, depth):
         w = lam - Weight(cc)
@@ -271,7 +320,7 @@ def test_simple_radical_matches_verma_gram_radical(cartan, label, depth):
         keep = quot.kept_indices(w)
         assert keep == ref.kept_indices(w), w
         assert quot.projection(w) == ref.projection(w), w
-        assert qform.gram(w) == form.gram(w).take(keep, keep), w
+        assert simple.dim(w) == len(keep), w
         rad = form.radical(w)
         radical_seen += bool(rad.nrows)
         for gen in generator_list(vw):
@@ -284,63 +333,6 @@ def test_simple_radical_matches_verma_gram_radical(cartan, label, depth):
     expected = {"dominant": True, "antidominant": False, "s1.0": c.rs.rank > 1}
     if label in expected:
         assert bool(radical_seen) == expected[label]
-
-
-def test_simple_quotient_reduces_each_weight_once(monkeypatch):
-    """On a cold a3_hodge run the simple quotient row-reduces once per weight.
-
-    A weight whose stacked raising maps are nonempty costs one `Mat.rref`
-    and no `Mat.nullspace`; a weight without maps costs neither.  No Verma
-    basis is listed at a weight w != lambda where every L_{w + alpha_i}
-    is zero.
-    """
-    import os
-    from odirac import cato, scenarios
-
-    monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
-    frames, counts, listed, quots = [], {}, set(), []
-    init, basis = cato.QuotientWindow.__init__, cato.VermaWindow.basis
-
-    def counting(name, fn):
-        def counted(*args):
-            if frames:
-                frames[-1][name] += 1
-            return fn(*args)
-        return counted
-
-    def traced_init(self, parent, weight_data, kind):
-        def traced(w):
-            frames.append({"rref": 0, "nullspace": 0})
-            try:
-                return weight_data(w)
-            finally:
-                counts[w] = frames.pop()
-        init(self, parent, traced, kind)
-        quots.append(self)
-
-    def listing(self, w):
-        listed.add(w)
-        return basis(self, w)
-
-    monkeypatch.setattr(Mat, "rref", counting("rref", Mat.rref))
-    monkeypatch.setattr(Mat, "nullspace", counting("nullspace", Mat.nullspace))
-    monkeypatch.setattr(cato.QuotientWindow, "__init__", traced_init)
-    monkeypatch.setattr(cato.VermaWindow, "basis", listing)
-    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads",
-                        "a3_hodge.json")
-    assert scenarios.run_scenario(scenarios.load_scenario(path))["ok"]
-    [quot] = quots
-    vw, simples = quot.parent, quot.pair.rs.simple_roots
-
-    def has_maps(w):
-        return (w != vw.lam and vw.materialized(w) and cato._delta_coords(vw.lam, w) is not None
-                and any(quot.dim(w + a) for a in simples))
-
-    with_maps = {w for w in counts if has_maps(w)}
-    assert with_maps and len(with_maps) < len(counts)
-    for w, c in counts.items():
-        assert c == {"rref": int(w in with_maps), "nullspace": 0}, w
-    assert all(w == vw.lam or has_maps(w) for w in listed)
 
 
 def test_antidominant_grams_nonsingular(a1):
@@ -358,33 +350,44 @@ def test_simple_quotient_sl2(a1):
     pair, cb = a1.pair, a1.cb
     alpha = pair.rs.simple_roots[0]
     lam = Weight([F(3, 2)])  # lam(h) = 3
-    vw = verma_window(pair, cb, lam, 9)
-    quot = simple_quotient_window(vw)
+    quot = simple_quotient_window(pair, cb, lam, 9)
     dims = [quot.dim(lam - alpha * k) for k in range(9)]
     assert dims == [1, 1, 1, 1, 0, 0, 0, 0, 0]
     # antidominant: L = M on the window
     lam2 = Weight([F(-3, 4)])
     vw2 = verma_window(pair, cb, lam2, 8)
-    quot2 = simple_quotient_window(vw2)
+    quot2 = simple_quotient_window(pair, cb, lam2, 8)
     for k in range(8):
         assert quot2.dim(lam2 - alpha * k) == vw2.dim(lam2 - alpha * k)
 
 
-def test_projection_intertwines(a1):
-    pair, cb = a1.pair, a1.cb
-    alpha = pair.rs.simple_roots[0]
-    lam = Weight([1])  # lam(h) = 2
-    vw = verma_window(pair, cb, lam, 8)
-    quot = simple_quotient_window(vw)
-    for gen in generator_list(vw):
-        for k in range(1, 6):
-            w = lam - alpha * k
-            tw = w + cb.generator_weight(gen)
-            if not vw.materialized(tw):
+def _check_projection(c, lam, depth):
+    vw = verma_window(c.pair, c.cb, lam, depth)
+    quot = simple_quotient_window(c.pair, c.cb, lam, depth)
+    weights = [lam - Weight(cc) for cc in _cone_coords(c.rs.rank, depth)]
+    proj = lowering_map(vw, quot, weights)
+    for w in weights:
+        assert proj[w].rank() == quot.dim(w), w
+        for gen in generator_list(vw):
+            tw = w + c.cb.generator_weight(gen)
+            if tw not in proj:
                 continue
-            lhs = quot.projection(tw) @ vw.action(gen, w)
-            rhs = quot.action(gen, w) @ quot.projection(w)
-            assert lhs == rhs
+            lhs = proj[tw] @ vw.action(gen, w)
+            rhs = quot.action(gen, w) @ proj[w]
+            assert lhs == rhs, (gen, w)
+
+
+def test_projection_intertwines(a1):
+    """The natural projection of the Verma window onto the simple window
+    intertwines every generator, and is onto at every weight."""
+    _check_projection(a1, Weight([1]), 8)  # lam(h) = 2
+
+
+@pytest.mark.parametrize("lam", [[1, 1], [-1, 0]], ids=["adjoint", "s1.0"])
+def test_projection_intertwines_rank2(a2_t, lam):
+    """As on A1, for the adjoint of A2 and for L(s_1 . 0), where the
+    non-simple root vectors act as commutators."""
+    _check_projection(a2_t, Weight(lam), 5)
 
 
 def test_finite_dim_simple(a1, a2_su21):
@@ -427,10 +430,11 @@ def test_tensor_dims(a1, a2_su21):
 
 def eager_finite_module(pair, cb, lam):
     """Reference: the dims and every nonzero action of F(lam), computed
-    eagerly on a fresh simple quotient, as finite modules once were built."""
+    eagerly on the reference quotient of a Verma window, as finite modules
+    once were built; and that quotient."""
     depth = int((lam - pair.weyl.act(pair.weyl.longest, lam)).height)
     margin = max(a.height for a in pair.rs.positive_roots)
-    quot = simple_quotient_window(verma_window(pair, cb, lam, depth + margin))
+    quot = verma_simple_quotient(verma_window(pair, cb, lam, depth + margin))
     dims = {}
     for cc in _cone_coords(pair.rank, depth):
         w = lam - Weight(cc)
@@ -443,7 +447,7 @@ def eager_finite_module(pair, cb, lam):
                 m = quot.action(gen, w)
                 if not m.is_zero():
                     actions[(gen, w)] = m
-    return dims, actions
+    return dims, actions, quot
 
 
 _FINITE_CASES = [
@@ -458,45 +462,100 @@ _FINITE_CASES = [
 ]
 
 
+def _isomorphism_cases():
+    for cartan, label, depth in _RADICAL_CASES:
+        c = ctx(cartan)
+        yield pytest.param(cartan, (), _radical_case_lambda(c, label), depth,
+                           id=f"{cartan}-{label}")
+    for cartan, delta_h, fund in _FINITE_CASES:
+        c = ctx(cartan, delta_h)
+        lam = weight_from_fundamental(c.rs, fund)
+        depth = int((lam - c.pair.weyl.act(c.pair.weyl.longest, lam)).height)
+        margin = max(a.height for a in c.rs.positive_roots)
+        yield pytest.param(cartan, delta_h, lam, depth + margin,
+                           id=f"finite-{cartan}-{len(delta_h)}-{''.join(map(str, fund))}")
+
+
+@pytest.mark.parametrize("cartan, delta_h, lam, depth", _isomorphism_cases())
+def test_simple_window_is_isomorphic_to_verma_quotient(cartan, delta_h, lam, depth):
+    """The simple window is L(lambda) = M(lambda)/N(lambda), up to one basis change.
+
+    T_lambda = 1 and T_w(f_j u) = f_j T_{w + alpha_j} u in the reference
+    quotient.  At every weight of the window T_w is square and
+    invertible, T intertwines every e, f and h, and T carries the Verma
+    Gram on the kept indices to the simple window's own Gram.
+    """
+    c = ctx(cartan, delta_h)
+    vw = verma_window(c.pair, c.cb, lam, depth)
+    ref = verma_simple_quotient(vw)
+    simple = simple_quotient_window(c.pair, c.cb, lam, depth)
+    verma_form, form = shapovalov_grams(vw), shapovalov_grams(simple)
+    weights = [lam - Weight(cc) for cc in _cone_coords(c.rs.rank, depth)]
+    t = lowering_map(simple, ref, weights)
+    nonzero = 0
+    for w in weights:
+        n = simple.dim(w)
+        assert t[w].nrows == t[w].ncols == n == ref.dim(w), w
+        assert t[w].rank() == n, w
+        if not n:
+            continue
+        nonzero += 1
+        keep = ref.kept_indices(w)
+        assert t[w].T @ verma_form.gram(w).take(keep, keep) @ t[w] == form.gram(w), w
+        for gen in generator_list(vw):
+            tw = w + c.cb.generator_weight(gen)
+            if tw in t:
+                assert t[tw] @ simple.action(gen, w) == ref.action(gen, w) @ t[w], (gen, w)
+    assert nonzero > 1
+
+
+
 @pytest.mark.parametrize("cartan, delta_h, fund", _FINITE_CASES,
                          ids=[f"{c}-{len(d)}-{''.join(map(str, f))}" for c, d, f in _FINITE_CASES])
 def test_finite_window_matches_eager_table(cartan, delta_h, fund):
-    """A finite module, a lazy view of its certified quotient, has the eager
-    table's weights, dims and action at every (generator, weight), and is
-    zero below its Verma window without reading that window there."""
+    """A finite module, a lazy view of its certified simple window, has the
+    eager table's weights and dims, and its action at every (generator,
+    weight) is the table's up to the basis change T of
+    `lowering_map`.  It is zero below its window without reading
+    that window there."""
     c = ctx(cartan, delta_h)
     lam = weight_from_fundamental(c.rs, fund)
     f = finite_dim_simple(c.pair, c.cb, lam)
-    dims, actions = eager_finite_module(c.pair, c.cb, lam)
+    dims, actions, quot = eager_finite_module(c.pair, c.cb, lam)
     assert f.weights() == sort_weights(dims)
     assert {w: f.dim(w) for w in f.weights()} == dims
     assert total_dim(f) == weyl_dimension(c.pair, lam)
+    t = lowering_map(f.simple, quot, list(dims))
     lowest = c.pair.weyl.act(c.pair.weyl.longest, lam)
     theta = max(c.rs.positive_roots, key=lambda a: a.height)
     below = [lowest - theta * 2, lowest - theta * 3]  # past the window's margin
     for w in [*dims, *below]:
         for gen in generator_list(f):
             tw = w + c.cb.generator_weight(gen)
-            expect = actions.get((gen, w), Mat.zero(f.dim(tw), f.dim(w)))
-            assert f.action(gen, w) == expect, (gen, w)
-    vw = f.parent
-    assert not any(w in vw._basis_cache or w in f._data for w in below)
+            got = f.action(gen, w)
+            if w in dims and tw in dims:
+                expect = actions.get((gen, w), Mat.zero(f.dim(tw), f.dim(w)))
+                assert t[tw] @ got == expect @ t[w], (gen, w)
+            else:
+                assert got == Mat.zero(f.dim(tw), f.dim(w)) and (gen, w) not in actions
+    assert not any(w in f.simple._spaces for w in below)
 
 
 def test_finite_dim_simple_computes_no_action(monkeypatch):
-    """Certifying a finite module computes no quotient action: its actions
-    are computed only when asked for."""
+    """Certifying a finite module computes no action, of the finite module
+    or of its simple window: actions are computed only when asked for."""
+    from odirac.cato import FiniteWindow, SimpleWindow
+
     computed = []
-    compute = QuotientWindow._compute_action
-
-    def counted(self, gen, w):
-        computed.append((gen, w))
-        return compute(self, gen, w)
-
-    monkeypatch.setattr(QuotientWindow, "_compute_action", counted)
+    for cls in (SimpleWindow, FiniteWindow):
+        def counted(self, gen, w, compute=cls._compute_action):
+            computed.append((gen, w))
+            return compute(self, gen, w)
+        monkeypatch.setattr(cls, "_compute_action", counted)
     c = ctx("C3", [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
     f = finite_dim_simple(c.pair, c.cb, Weight([2, 2, 1]))
-    assert total_dim(f) == 21 and not computed and not f._action_cache
+    assert total_dim(f) == 21 and not computed
+    assert not f._action_cache and not f.simple._action_cache
 
 
 def test_kostant_run_computes_finite_actions_its_blocks_ask_for(monkeypatch):
@@ -509,14 +568,13 @@ def test_kostant_run_computes_finite_actions_its_blocks_ask_for(monkeypatch):
 
     monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
     computed = Counter()
-    compute = QuotientWindow._compute_action
+    compute = FiniteWindow._compute_action
 
     def counted(self, gen, w):
-        if isinstance(self, FiniteWindow):
-            computed[(self, gen, w)] += 1
+        computed[(self, gen, w)] += 1
         return compute(self, gen, w)
 
-    monkeypatch.setattr(QuotientWindow, "_compute_action", counted)
+    monkeypatch.setattr(FiniteWindow, "_compute_action", counted)
     path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "c3_kostant_adjoint.json")
     scn = scenarios.load_scenario(path)
     assert scenarios.run_scenario(scn)["ok"]
@@ -576,7 +634,7 @@ def test_tensor_window_matches_leibniz_reference(cartan, delta_h, lam, factor, d
                 checked += not t.action(gen, w).is_zero()
     assert checked > 10
     with pytest.raises(ValueError):
-        tensor_with_finite_dim(vw, simple_quotient_window(vw))
+        tensor_with_finite_dim(vw, simple_quotient_window(c.pair, c.cb, Weight(lam), depth))
 
 
 def test_singular_vectors(a1):
@@ -758,7 +816,7 @@ def test_quotient_plus_radical_dimension(a1):
     lam = Weight([1])
     vw = verma_window(pair, cb, lam, 8)
     grams = shapovalov_grams(vw)
-    quot = simple_quotient_window(vw)
+    quot = simple_quotient_window(pair, cb, lam, 8)
     alpha = pair.rs.simple_roots[0]
     for k in range(8):
         w = lam - alpha * k

@@ -988,6 +988,67 @@ def test_one_nullspace_per_graded_kernel(monkeypatch):
     assert len(computed) == len(asked) and set(computed.values()) == {1}
 
 
+def _scenario_blocks(name):
+    """Every Dirac block of a cold run of scenarios/NAME.json, after the run."""
+    import os
+    from odirac import scenarios
+
+    scn = scenarios.load_scenario(
+        os.path.join(os.path.dirname(__file__), "..", "scenarios", name + ".json"))
+    assert scenarios.run_scenario(scn)["ok"]
+    return list(scn.ctx.sm.blocks.values())
+
+
+@pytest.mark.parametrize("name", ["sl3_paper_example", "jordan_tensor", "a3_kl_s1s3"])
+def test_kernels_from_the_spectrum_match_the_nullspace(monkeypatch, name):
+    """Every ker D^k a run memoized is the nullspace of D^k, also where the
+    spectrum of D^2 answered it without a reduction."""
+    from odirac import scenarios
+
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+    blocks = _scenario_blocks(name)
+    short = 0
+    for blk in blocks:
+        short += blk._eigs is not None and 0 not in blk._eigs
+        top = max(blk._d_kernels)
+        for k in range(1, top + 2):
+            assert blk.d_kernel(k) == blk.d_power(k).nullspace(), (blk.mu, k)
+    assert 0 < short < len(blocks)
+
+
+def test_no_nullspace_on_a_block_without_eigenvalue_zero(monkeypatch):
+    """On a run of scenarios/a3_kl_s1s3.json, which decomposes D^2 before
+    asking for kernels, a block whose spectrum lacks 0 runs no
+    `Mat.nullspace`; blocks with the eigenvalue 0 still do."""
+    from collections import Counter
+    from odirac import scenarios
+
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+    active, counts = [], Counter()
+    for name, fn in list(vars(DiracBlock).items()):
+        if callable(fn) and not name.startswith("__"):
+            def traced(self, *args, fn=fn):
+                active.append(self)
+                try:
+                    return fn(self, *args)
+                finally:
+                    active.pop()
+            monkeypatch.setattr(DiracBlock, name, traced)
+    nullspace = Mat.nullspace
+
+    def counted(mat):
+        if active:
+            counts[active[-1]] += 1
+        return nullspace(mat)
+
+    monkeypatch.setattr(Mat, "nullspace", counted)
+    blocks = [blk for blk in _scenario_blocks("a3_kl_s1s3") if blk.dim]
+    assert all(blk._eigs is not None for blk in blocks)
+    without = [blk for blk in blocks if 0 not in blk._eigs]
+    assert without and not any(counts[blk] for blk in without)
+    assert any(counts[blk] for blk in blocks if 0 in blk._eigs)
+
+
 # -- H_top and Jordan sizes from plain-Fraction ranks --------------------------
 
 # The SES whose circle run exits 1 (LiftFailure) at three weights: it finds no

@@ -206,8 +206,7 @@ def test_hodge_su21_simple_quotient(a2_su21):
     pair, cb, sm = a2_su21.pair, a2_su21.cb, a2_su21.sm
     hp = detect_hermitian(pair)
     lam = Weight([F(-1, 2), F(-2)])  # fund coords (1, -7/2)
-    vw = verma_window(pair, cb, lam, 12)
-    quot = simple_quotient_window(vw)
+    quot = simple_quotient_window(pair, cb, lam, 12)
     ws = [quot.top_weight - Weight(c) for c in _cone_coords(2, 8)]
     urep = unitarity_check(hp, quot, ws)
     assert urep["unitary"]

@@ -25,7 +25,9 @@ with open(os.path.join(REPO, "perfbench", "reference.json")) as _fh:
 # quotient whose radical was the nullspace of the Verma Gram.  a2_circle_split,
 # whose quotient blocks at three weights have an empty generalized kernel, is
 # pinned to its first bundle: the circle task stopped with an internal error
-# there before the restriction maps took a dim x 0 basis.
+# there before the restriction maps took a dim x 0 basis.  a3_kl_s1s3, a simple
+# module with weight multiplicities above 1, is pinned to the bundle of the
+# simple quotient of a Verma window.
 PINNED = {
     "scenarios/a2_circle_split.json":
         "b05f7e7e1b0f1969e171e07cccd88385290169db786002f74a4c16f0f3f26fdf",
@@ -35,6 +37,8 @@ PINNED = {
         "ca4c9eb83971696ec435952535665d907e22c0eff12b2b1800fbfbb2012532f9",
     "scenarios/c3_kostant_adjoint.json":
         "c84d03cc0300ed5ea666b9ffb85e2e37963df7ca51ee991ce2f3c913618ccd29",
+    "scenarios/a3_kl_s1s3.json":
+        "3d9863448a6babc8248aca72cfa5b9e6f250925cd6c208ebcaaf114667bee659",
 }
 BUNDLES = {**REFERENCE, **PINNED}
 
