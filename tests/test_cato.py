@@ -182,30 +182,18 @@ def test_grams_match_raising_strings(cartan, delta_h, lam, depth):
     assert checked > depth  # every weight of the window below the top too
 
 
-def test_simple_modules_build_no_verma_window(monkeypatch, a1):
-    """Simple and finite modules are built from their own weight spaces.
+def _cold_simple_runs(monkeypatch, paths, finite=False):
+    """Run scenario files on a cold context, recording what simple windows cost.
 
-    A simple window carries its own form; on A1, where both bases are
-    f^k v, its Grams are the Verma Grams.  On a cold context the a3_hodge
-    run, the a2_hodge_unitary run and `finite_dim_simple` build no
-    `VermaWindow` and no `_Straightener`, and each weight space costs one
-    `Mat.rref` when its spanning set is nonempty (w != lambda in the cone
-    with some L_{w + alpha_i} nonzero) and none otherwise, with no
-    `Mat.nullspace`.  Each window has one form, each (form, weight) Gram
-    is computed once, and every form read is a simple window's.
+    Returns the names of `VermaWindow` and `_Straightener` instances built,
+    the `SimpleWindow`s whose weight spaces were built, the `Mat.rref` and
+    `Mat.nullspace` calls made building each (window, weight) space, the
+    forms made per window and the computations per (form, weight) Gram.
+    With `finite`, `finite_dim_simple` of A2 at rho runs last.
     """
     import os
     from collections import Counter
     from odirac import cato, scenarios
-
-    top, alpha = Weight([1]), a1.rs.simple_roots[0]
-    simple = simple_quotient_window(a1.pair, a1.cb, top, 6)
-    assert [simple.dim(top - alpha * k) for k in range(5)] == [1, 1, 1, 0, 0]  # dim L = 3
-    form = shapovalov_grams(simple)
-    assert shapovalov_grams(simple) is form
-    verma_form = shapovalov_grams(verma_window(a1.pair, a1.cb, top, 6))
-    assert [form.gram(top - alpha * k) for k in range(3)] == \
-        [verma_form.gram(top - alpha * k) for k in range(3)]
 
     monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
     built, frames, counts, windows = [], [], {}, []
@@ -253,13 +241,21 @@ def test_simple_modules_build_no_verma_window(monkeypatch, a1):
     monkeypatch.setattr(cato.ContravariantForm, "__init__", counted_init)
     monkeypatch.setattr(cato.ContravariantForm, "_compute", counted_compute)
     root = os.path.join(os.path.dirname(__file__), "..")
-    for path in ("perfbench/workloads/a3_hodge.json", "scenarios/a2_hodge_unitary.json"):
+    for path in paths:
         scn = scenarios.load_scenario(os.path.join(root, path))
         assert scenarios.run_scenario(scn)["ok"]
-    c = scenarios.pair_context("A2", [(1, 0)])
-    assert total_dim(finite_dim_simple(c.pair, c.cb, Weight([1, 1]))) == 8
-    assert not built
-    assert len(windows) == 3
+    if finite:
+        c = scenarios.pair_context("A2", [(1, 0)])
+        assert total_dim(finite_dim_simple(c.pair, c.cb, Weight([1, 1]))) == 8
+    monkeypatch.undo()
+    return built, windows, counts, forms, computed
+
+
+def _assert_one_rref_per_spanned_weight(counts):
+    """One `Mat.rref` for each weight space with a nonempty spanning set
+    (w != lambda in the cone with some L_{w + alpha_i} nonzero), none for
+    the others, and no `Mat.nullspace` anywhere."""
+    from odirac import cato
 
     def spanned(m, w):
         return (w != m.lam and cato._delta_coords(m.lam, w) is not None
@@ -269,9 +265,48 @@ def test_simple_modules_build_no_verma_window(monkeypatch, a1):
     assert with_span and len(with_span) < len(counts)
     for key, n in counts.items():
         assert n == {"rref": int(key in with_span), "nullspace": 0}, key
+
+
+def test_simple_quotients_read_no_verma_form(monkeypatch, a1):
+    """A simple window carries its own form and never builds a Verma window.
+
+    On A1, where both bases are f^k v, its Grams are the Verma Grams.  On
+    a cold context the a2_hodge_unitary run and `finite_dim_simple` build
+    no `VermaWindow` and no `_Straightener`; each window has one form,
+    each (form, weight) Gram is computed once, and every form read is a
+    simple window's.
+    """
+    top, alpha = Weight([1]), a1.rs.simple_roots[0]
+    simple = simple_quotient_window(a1.pair, a1.cb, top, 6)
+    assert [simple.dim(top - alpha * k) for k in range(5)] == [1, 1, 1, 0, 0]  # dim L = 3
+    form = shapovalov_grams(simple)
+    assert shapovalov_grams(simple) is form
+    verma_form = shapovalov_grams(verma_window(a1.pair, a1.cb, top, 6))
+    assert [form.gram(top - alpha * k) for k in range(3)] == \
+        [verma_form.gram(top - alpha * k) for k in range(3)]
+
+    built, windows, counts, forms, computed = _cold_simple_runs(
+        monkeypatch, ["scenarios/a2_hodge_unitary.json"], finite=True)
+    assert not built
+    assert len(windows) == 2
+    _assert_one_rref_per_spanned_weight(counts)
     assert set(forms.values()) == {1}
     assert computed and set(computed.values()) == {1}
     assert {form.window.kind for form, _ in computed} == {"simple"}
+
+
+def test_simple_quotient_reduces_each_weight_once(monkeypatch):
+    """On a cold a3_hodge run the simple window row-reduces once per weight.
+
+    The run builds one simple window and no `VermaWindow` or
+    `_Straightener`.  A weight space whose spanning set is nonempty costs
+    one `Mat.rref` and no `Mat.nullspace`; any other costs neither.
+    """
+    built, windows, counts, _, _ = _cold_simple_runs(
+        monkeypatch, ["perfbench/workloads/a3_hodge.json"])
+    assert not built
+    assert len(windows) == 1
+    _assert_one_rref_per_spanned_weight(counts)
 
 
 _RADICAL_CASES = [(cartan, label, depth)
