@@ -86,15 +86,12 @@ class _PBWCone:
     """PBW exponent tuples over positive roots, in integer simple-root coordinates.
 
     `monomials(delta)` lists the tuples k with sum k_i beta_i = delta in
-    lex order, each k_i at most `cap` when one is given (cap 1 lists the
-    subsets of the roots, as the spin module does).  The suffix list of
-    every (root position, remaining coordinates) is memoized, so each is
-    enumerated once per cone.
+    lex order.  The suffix list of every (root position, remaining
+    coordinates) is memoized, so each is enumerated once per cone.
     """
 
-    def __init__(self, pos_roots, cap=None):
+    def __init__(self, pos_roots):
         self.roots = tuple(map(tuple, pos_roots))
-        self.cap = cap
         self._memo = {}
 
     def monomials(self, delta, i=0):
@@ -107,7 +104,7 @@ class _PBWCone:
                 beta = self.roots[i]
                 out = []
                 k = 0
-                while (self.cap is None or k <= self.cap) and all(c >= 0 for c in delta):
+                while all(c >= 0 for c in delta):
                     out.extend((k,) + s for s in self.monomials(delta, i + 1))
                     k += 1
                     delta = tuple(c - b for c, b in zip(delta, beta))

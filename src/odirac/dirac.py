@@ -41,17 +41,13 @@ class BlockSpace(SlotSpace):
         base = m.top_weight + sm.top_weight - mu
         comps = []
         if all(c.denominator == 1 for c in base):
-            base = tuple(base)
-            for drop in sm.drops:
-                rest = tuple(map(sub, base, drop))
-                if min(rest) < 0:
-                    continue
-                w = m.weight_below_top(rest)
+            for drop, masks in sm.drops_within(base).items():
+                w = m.weight_below_top(tuple(map(sub, base, drop)))
                 if not m.materialized(w):
                     raise OutsideWindow(f"block {mu}: module weight {w} not materialized")
                 d = m.dim(w)
                 if d:
-                    comps += [(mask, w, d) for mask in sm.masks(drop)]
+                    comps += [(mask, w, d) for mask in masks]
         comps.sort()  # masks are distinct
         super().__init__(comps)
         self.parity = [mask.bit_count() & 1 for mask, _, d in comps for _ in range(d)]
@@ -536,11 +532,12 @@ def h_equivariance_defect(pair, cb, sm, m, mu, gen) -> Mat:
 # -- theorem-level checks -----------------------------------------------------
 
 def kostant_kernel_check(pair, cb, sm, f) -> dict:
-    """ker D on F tensor S against the coset-sum of subsystem characters."""
+    """ker D on F tensor S against the coset-sum of subsystem characters: it
+    visits all spin weights, for finite modules, not rank-4 Verma runs."""
     from .cato import finite_character_h
 
     lam = f.top_weight
-    spin_weights = [sm.top_weight - Weight(drop) for drop in sm.drops]
+    spin_weights = [sm.top_weight - Weight(d) for d in sm.drops_within(tuple(2 * sm.top_weight))]
     block_weights = sorted({wm + ws for wm in f.weights() for ws in spin_weights},
                            key=lambda v: (-v.height, v))
     actual = {}

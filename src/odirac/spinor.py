@@ -11,14 +11,13 @@ algebra; the cubic term is the dual-basis contraction of the canonical
 The basis vector u_I is a bitmask I over the positive q-roots.  No
 table over the 2^|q+| masks is built: every spin operator (a gamma, an
 h-action, the cubic term) is one `SpinOperator`, applied per basis
-vector, and `masks(drop)` lists the basis vectors of one weight, so a
-Dirac block reads only the masks it meets.  `to_mat` gives the dense view.
+vector, and `drops_within(bound)` walks only the masks whose drop fits a
+bound, so a Dirac block reads only the masks it meets.  `to_mat` gives the dense view.
 """
 
 from fractions import Fraction
-from operator import add
+from operator import sub
 
-from .cato import _PBWCone
 from .exactla import Mat
 from .liealg import ChevalleyBasis, PairGH
 from .roots import Weight
@@ -63,12 +62,14 @@ class SpinOperator:
         return col
 
     def is_zero(self):
-        """True iff the operator vanishes: a dense audit over every basis vector."""
+        """True iff the operator vanishes: a dense audit over all 2^|q+| basis
+        vectors, for audits and finite modules, not rank-4 Verma runs."""
         return not any(self._apply(mask) for mask in range(1 << self.nq))
 
 
 def to_mat(op: SpinOperator, dim) -> Mat:
-    """Dense dim x dim matrix of a spin operator."""
+    """Dense dim x dim matrix of a spin operator: it visits all 2^|q+| basis
+    vectors, for audits and finite modules, not rank-4 Verma runs."""
     rows = [[_F0] * dim for _ in range(dim)]
     for c in range(dim):
         for r, v in op.column(c).items():
@@ -96,13 +97,6 @@ class SpinModule:
         self.nq = len(self.q_pos)
         self.dim = 1 << self.nq
         self.top_weight = pair.rho - pair.rho_h
-        # subsets of q+ with exponents capped at 1: the basis vectors of a drop
-        self.cone = _PBWCone(self.q_pos, cap=1)
-        # the distinct drops: subset sums of q+, in integer simple-root coordinates
-        drops = {(0,) * pair.rank}
-        for beta in self.cone.roots:
-            drops |= {tuple(map(add, d, beta)) for d in drops}
-        self.drops = sorted(drops)
         # q basis order: e_beta for beta in q_pos, then f_beta; duals swap halves
         self._qidx_to_cb = [cb.e_index(b) for b in self.q_pos] + \
                            [cb.e_index(-b) for b in self.q_pos]
@@ -118,10 +112,20 @@ class SpinModule:
         self.spaces = {}
         self.casimirs = {}
 
-    def masks(self, drop):
-        """The basis vectors u_I with top_weight - wt(u_I) = drop, increasing."""
-        return sorted(sum(k << i for i, k in enumerate(mono))
-                      for mono in self.cone.monomials(drop))
+    def drops_within(self, bound):
+        """{drop: increasing masks} of the u_I whose drop top_weight - wt(u_I) is
+        at most `bound` in every coordinate.  The walk adds q+ one root at a
+        time, from the last, and prunes a subset as soon as a coordinate
+        passes the bound; a negative bound gives {}."""
+        level = [(0, tuple(bound))] if min(bound) >= 0 else []  # (mask, bound - drop)
+        for i, beta in reversed(list(enumerate(self.q_pos))):
+            level = [(mask | bit, r) for mask, room in level
+                     for bit, r in ((0, room), (1 << i, tuple(map(sub, room, beta))))
+                     if min(r) >= 0]
+        out = {}
+        for mask, room in level:
+            out.setdefault(tuple(map(sub, bound, room)), []).append(mask)
+        return out
 
     # -- Clifford multiplication -----------------------------------------------
 
@@ -139,7 +143,8 @@ class SpinModule:
         return qi + self.nq if qi < self.nq else qi - self.nq
 
     def gamma_coeffs(self, coeffs) -> Mat:
-        """Dense gamma of a q-vector given by coefficients over the q basis."""
+        """Dense gamma of a q-vector given by coefficients over the q basis; it
+        visits all 2^|q+| basis vectors, for audits, not rank-4 Verma runs."""
         return to_mat(SpinOperator(self.nq, ((c, (qi,)) for qi, c in enumerate(coeffs) if c)),
                       self.dim)
 

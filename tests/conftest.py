@@ -31,6 +31,11 @@ def spin_weight(sm, mask):
     return w
 
 
+def full_drop(sm):
+    """The drop of all of q+ below top(S): the sum of every positive q-root."""
+    return tuple(map(sum, zip((0,) * sm.pair.rank, *sm.q_pos)))
+
+
 def spin_weights(sm):
     """The weight of every spin basis vector, in mask order."""
     return [spin_weight(sm, mask) for mask in range(sm.dim)]

@@ -1,10 +1,13 @@
 """Test-side helpers: adjoint matrices, generator lists, window
-dimensions, the fundamental-weight and epsilon coordinates, and the
-reference simple quotient of a Verma window."""
+dimensions, the fundamental-weight and epsilon coordinates, the
+reference simple quotient of a Verma window, and block weights by the
+offset filter over every subset sum of q+."""
 
 from fractions import Fraction
+from itertools import takewhile
+from operator import add, le, sub
 
-from odirac.cato import QuotientWindow, _delta_coords
+from odirac.cato import QuotientWindow, _cone_coords, _delta_coords, sort_weights
 from odirac.exactla import Mat
 from odirac.roots import Weight
 
@@ -122,3 +125,41 @@ def lowering_map(src, tgt, weights):
                 cols[k] = Mat.from_ints([col], images.nrows, images.den)
         maps[w] = Mat.zero(0, tgt.dim(w)).vstack(*cols).T
     return maps
+
+
+def subset_sums(sm):
+    """Every distinct sum of a subset of q+ (the drops of the spin basis
+    vectors below top(S)), in integer simple-root coordinates, lowest
+    height first."""
+    sums = {(0,) * sm.pair.rank}
+    for beta in sm.q_pos:
+        sums |= {tuple(map(add, d, beta)) for d in sums}
+    return sorted(sums, key=lambda d: (sum(d), d))
+
+
+def offset_filter_block_weights(ctx, m, depth, margin=0):
+    """`PairContext.block_weights` by the offset filter over every subset sum.
+
+    The cone point c (the block weight top(m) + top(S) - c) is kept iff m
+    materializes top(m) - r for every rest r = c - drop + e >= 0, over
+    every subset sum `drop` of q+ and every e in the cone of `margin`:
+    also the rests whose drop is not <= c, which the engine's bounded
+    walk leaves out.  The rests are grouped by p = c + e, where they are
+    p - drop over the drops <= p, and each p is tested once; a drop
+    higher than p cannot lie below it.
+    """
+    sm = ctx.sm
+    sums = subset_sums(sm)
+    verdict = {}
+
+    def fits(p):
+        if p not in verdict:
+            verdict[p] = all(m.materialized(m.weight_below_top(tuple(map(sub, p, d))))
+                             for d in takewhile(lambda d: sum(d) <= sum(p), sums)
+                             if all(map(le, d, p)))
+        return verdict[p]
+
+    top = m.top_weight + sm.top_weight
+    margins = _cone_coords(ctx.pair.rank, margin)
+    return sort_weights([top - Weight(c) for c in _cone_coords(ctx.pair.rank, depth)
+                         if all(fits(tuple(map(add, c, e))) for e in margins)])

@@ -15,7 +15,8 @@ from odirac.dirac import (DiracBlock, GradedNilpotent, block, check_square,
                           kostant_kernel_check, nonvanishing_check,
                           simple_verma_theorem_check, singular_cohomology_weights,
                           vogan_audit)
-from conftest import ctx, spin_parity, spin_weight, spin_weights
+from conftest import ctx, full_drop, spin_parity, spin_weight, spin_weights
+from helpers import subset_sums
 
 F = Fraction
 
@@ -580,11 +581,12 @@ def test_spin_weight_classes(a2_su21):
     """Each spin basis vector is listed once, under the drop of its weight."""
     c = ctx("B3", [(1, 0, 0), (0, 0, 1)])
     for sm in (a2_su21.sm, c.sm):
-        assert len(set(sm.drops)) == len(sm.drops)
-        listed = [(mask, d) for d in sm.drops for mask in sm.masks(d)]
+        classes = sm.drops_within(full_drop(sm))
+        assert sorted(classes) == sorted(subset_sums(sm))  # the distinct drops
+        listed = [(mask, d) for d, masks in classes.items() for mask in masks]
         assert sorted(mask for mask, _ in listed) == list(range(sm.dim))
         assert all(sm.top_weight - Weight(d) == spin_weight(sm, mask) for mask, d in listed)
-    assert len(c.sm.drops) < c.sm.dim
+    assert len(classes) < c.sm.dim
 
 
 # -- spectral layer: eigen decomposition against a plain-Fraction reference ---

@@ -27,7 +27,8 @@ with open(os.path.join(REPO, "perfbench", "reference.json")) as _fh:
 # pinned to its first bundle: the circle task stopped with an internal error
 # there before the restriction maps took a dim x 0 basis.  a3_kl_s1s3, a simple
 # module with weight multiplicities above 1, is pinned to the bundle of the
-# simple quotient of a Verma window.
+# simple quotient of a Verma window.  f4_spin_probe (dim S = 2^23) is pinned
+# to the bundle of the spin module that listed every subset sum of q+ up front.
 PINNED = {
     "scenarios/a2_circle_split.json":
         "b05f7e7e1b0f1969e171e07cccd88385290169db786002f74a4c16f0f3f26fdf",
@@ -39,6 +40,8 @@ PINNED = {
         "c84d03cc0300ed5ea666b9ffb85e2e37963df7ca51ee991ce2f3c913618ccd29",
     "scenarios/a3_kl_s1s3.json":
         "3d9863448a6babc8248aca72cfa5b9e6f250925cd6c208ebcaaf114667bee659",
+    "scenarios/f4_spin_probe.json":
+        "092015e8fc1f30deab2384dcb61fcc9005f8f923e4c2694e6e1fad423703ca90",
 }
 BUNDLES = {**REFERENCE, **PINNED}
 

@@ -1,4 +1,4 @@
-"""Scenario loading: PairContext.block_weights against the enumeration it
+"""Scenario loading: PairContext.block_weights against the enumerations it
 replaced, the scenario digest and what a pair context builds."""
 
 import glob
@@ -6,14 +6,17 @@ import hashlib
 import json
 import os
 from collections import Counter
+from functools import partial
 
 import pytest
 
 from odirac import liealg, scenarios
 from odirac.cato import _cone_coords, sort_weights
 from odirac.roots import Weight
-from odirac.scenarios import PairContext, Scenario, Workspace, load_scenario, run_scenario
+from odirac.scenarios import (PairContext, Scenario, Workspace, load_scenario, pair_context,
+                              run_scenario)
 from conftest import spin_weights
+from helpers import offset_filter_block_weights
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DOCUMENTS = sorted(glob.glob(os.path.join(REPO, "scenarios", "*.json")) +
@@ -55,6 +58,38 @@ def test_block_weights_match_reference_once_per_key(monkeypatch):
             first.clear()  # the caller's list is its own
             assert ctx.block_weights(m, depth, margin) == want
             assert len(calls) == enumerated  # one enumeration per (module, depth, margin)
+
+
+def _scenario_module(path):
+    ws = Workspace(load_scenario(path))
+    return ws.ctx, ws.module, ws.scenario.depth_below_top
+
+
+def _b4_one_root_probe():
+    ctx = pair_context("B4", [(1, 0, 0, 0)])
+    return ctx, ctx.verma((-1, -1, -1, -1), 6), 5
+
+
+# every sample scenario's module, and the B4 one-root spin probe at depth 6
+# (its F4 twin is scenarios/f4_spin_probe.json)
+BLOCK_WEIGHT_MODULES = {
+    **{os.path.basename(p): partial(_scenario_module, p)
+       for p in glob.glob(os.path.join(REPO, "scenarios", "*.json"))},
+    "B4 one-root probe": _b4_one_root_probe,
+}
+
+
+@pytest.mark.parametrize("label", sorted(BLOCK_WEIGHT_MODULES))
+def test_block_weights_match_the_offset_filter(label):
+    """Walking only the drops <= c changes no block set, for any margin the
+    tasks use: the left-out rests lie below the vacuum's, and every window
+    materializes what lies between a materialized weight and its top."""
+    ctx, m, depth = BLOCK_WEIGHT_MODULES[label]()
+    top_height = max(a.height for a in ctx.pair.rs.positive_roots)
+    assert ctx.block_weights(m, depth)
+    for margin in range(top_height + 1):
+        want = offset_filter_block_weights(ctx, m, depth, margin)
+        assert ctx.block_weights(m, depth, margin) == want, margin
 
 
 def reference_sha256(doc):

@@ -6,24 +6,27 @@ permutation {column mask: (row mask, sign)} over all masks, the cubic
 term and the h-action as sparse maps {(row, col): coefficient}, and a
 block basis over every mask, zero components included.  Every block
 operator of a small window must equal its eager assembly entry for
-entry, and the drops must list each basis vector once, under its weight.
+entry, and the bounded drop walk must list each basis vector within its
+bound once, under its weight.
 """
 
 import os
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, product
 from math import lcm
-from operator import sub
+from operator import le, sub
 
 import pytest
 
 from odirac.cato import OutsideWindow, finite_dim_simple
-from odirac.dirac import block, h_generator_block
+from odirac.dirac import block, block_space, h_generator_block
 from odirac.exactla import Mat
 from odirac.roots import Weight
 from odirac.scenarios import load_scenario, pair_context, run_scenario
-from conftest import spin_weight
+from odirac.spinor import SpinModule
+from conftest import full_drop, spin_weight
+from helpers import subset_sums
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _F0 = Fraction(0)
@@ -219,14 +222,47 @@ def test_drops_partition_the_basis(label):
     sm = pair_context(cartan_type, delta_h).sm
     eager = EagerSpin(sm)
     owner = {}
-    for drop in sm.drops:
-        masks = sm.masks(drop)
+    for drop, masks in sm.drops_within(full_drop(sm)).items():
         assert masks == sorted(masks) and masks
         for mask in masks:
             assert mask not in owner
             owner[mask] = drop
             assert sm.top_weight - Weight(drop) == eager.weights[mask]
     assert sorted(owner) == list(range(sm.dim))
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_drops_within_matches_brute_force(label):
+    """Every bound up to the drop of all of q+, and one negative bound: the
+    walk gives the 2^|q+| masks grouped by drop, kept where drop <= bound."""
+    cartan_type, delta_h, _ = CASES[label]
+    sm = pair_context(cartan_type, delta_h).sm
+    by_drop = {}
+    for mask in range(sm.dim):
+        by_drop.setdefault(tuple(sm.top_weight - spin_weight(sm, mask)), []).append(mask)
+    top = full_drop(sm)
+    bounds = list(product(*(range(t + 1) for t in top)))
+    for bound in bounds + [(-1,) + top[1:]]:
+        want = {d: masks for d, masks in by_drop.items() if all(map(le, d, bound))}
+        assert sm.drops_within(bound) == want, bound
+
+
+def test_f4_top_block_walks_one_drop(monkeypatch):
+    """F4 with a one-root h (dim S = 2^23): a new spin module and its block
+    at the top weight walk the vacuum's drop alone, and nothing the module
+    keeps is as long as the list of subset sums of q+."""
+    c = pair_context("F4", [(1, 0, 0, 0)])
+    sm = SpinModule(c.pair, c.cb)
+    assert sm.dim == 1 << 23 and len(subset_sums(sm)) == 12380
+    vw = c.verma((-1, -1, -1, -1), 6)
+    walked = []
+    walk = SpinModule.drops_within
+    monkeypatch.setattr(SpinModule, "drops_within",
+                        lambda self, bound: walked.append(walk(self, bound)) or walked[-1])
+    sp = block_space(sm, vw, vw.top_weight + sm.top_weight)
+    assert walked == [{(0, 0, 0, 0): [0]}] and list(sp.slot) == [0]
+    sizes = {name: len(v) for name, v in vars(sm).items() if hasattr(v, "__len__")}
+    assert max(sizes.values()) <= 2 * sm.nq, sizes
 
 
 def test_b4_probe_holds_nothing_of_spin_dimension():
@@ -239,7 +275,6 @@ def test_b4_probe_holds_nothing_of_spin_dimension():
     assert sm.dim == 1 << 15
     ops = [sm.cubic, sm.identity, *sm._gamma, *sm._h_action_cache.values()]
     sizes = {name: len(v) for name, v in vars(sm).items() if hasattr(v, "__len__")}
-    sizes["cone memo"] = len(sm.cone._memo)
     sizes.update((f"operator {k} columns", len(op._columns)) for k, op in enumerate(ops))
     sizes.update((f"block {mu} slots", len(sp.slot)) for (_, mu), sp in sm.spaces.items())
     assert sm.spaces and max(sizes.values()) < sm.dim, sizes

@@ -8,7 +8,7 @@ import pytest
 from odirac.exactla import Mat
 from odirac.roots import Weight
 from odirac.spinor import SpinModule, cubic_term_rebased, to_mat
-from conftest import ctx, parity_indices, spin_parity, spin_weight, spin_weights
+from conftest import ctx, full_drop, parity_indices, spin_parity, spin_weight, spin_weights
 from helpers import weight_to_eps
 
 F = Fraction
@@ -150,7 +150,8 @@ def test_spin_character_and_split(a2_su21, a2_t):
         assert len(parity_indices(sm, +1)) == len(parity_indices(sm, -1)) \
             == sm.dim // 2
         # the character as the engine lists it: the basis vectors of each drop
-        ch = {sm.top_weight - Weight(d): len(sm.masks(d)) for d in sm.drops}
+        ch = {sm.top_weight - Weight(d): len(masks)
+              for d, masks in sm.drops_within(full_drop(sm)).items()}
         assert sum(ch.values()) == sm.dim
         # character equals the exterior-algebra character shifted by rho - rho_h
         shift = c.pair.rho - c.pair.rho_h
@@ -161,8 +162,8 @@ def test_spin_character_and_split(a2_su21, a2_t):
         assert ch == {w + shift: d for w, d in wedge.items()}
     sm = a2_su21.sm
     plus, minus = {}, {}
-    for d in sm.drops:
-        for mask in sm.masks(d):
+    for d, masks in sm.drops_within(full_drop(sm)).items():
+        for mask in masks:
             part = minus if spin_parity(mask) else plus
             w = sm.top_weight - Weight(d)
             part[w] = part.get(w, 0) + 1
