@@ -399,38 +399,31 @@ class GradedNilpotent:
         if self.dim == 0:
             return []
         s = 0
-        while self.kernel_dim(s) < self.dim:
+        while self.kernel(s).nrows < self.dim:
             s += 1
         chains = []
         for k in range(s, 0, -1):
-            # the floor's rows and the tops kept so far stay independent, so
-            # a candidate is new iff it raises the rank of the stack
-            taken = self.level_floor(k)
-            for vec, size in seeds:
-                if size != k:
-                    continue
+            # Stack the floor (independent rows), this level's seeds, then
+            # ker N^k: a column of the transpose is a pivot iff its vector is
+            # independent of all before it, so the pivots past the floor are
+            # the level's tops in order, and every seed must be one.
+            floor = self.level_floor(k)
+            mine = [vec for vec, size in seeds if size == k]
+            cands = floor.vstack(*mine, self.kernel(k))
+            pivots = cands.T.rref()[1]
+            for i, vec in enumerate(mine):
                 if self._chain_length(vec) != k:
                     raise LiftFailure(f"seed has chain length != {k}")
-                grown = taken.vstack(vec)
-                if grown.rank() == taken.nrows:
+                if floor.nrows + i not in pivots:
                     raise LiftFailure("seed top is not independent at its level")
-                taken = grown
-                chains.append(self._chain_of(vec, k))
-            ker = self.kernel(k)
-            for i in range(ker.nrows):
-                v = ker.take(rows=[i])
-                grown = taken.vstack(v)
-                if grown.rank() > taken.nrows:
-                    taken = grown
-                    chains.append(self._chain_of(v, k))
+            start = floor.nrows + len(mine)
+            tops = mine + [cands.take(rows=[p]) for p in pivots if p >= start]
+            chains.extend(self._chain_of(v, k) for v in tops)
         if sum(c.nrows for c in chains) != self.dim:
             raise AssertionError("Jordan chains do not fill the generalized kernel")
         if Mat.zero(0, self.dim).vstack(*chains).rank() != self.dim:
             raise AssertionError("Jordan chain vectors are not independent")
         return chains
-
-    def kernel_dim(self, k):
-        return self.dim - self.power(k).rank()
 
     def _chain_length(self, vec):
         k = 0

@@ -13,7 +13,7 @@ bundles, whatever the process has cached before.
 import json
 import re
 from fractions import Fraction
-from operator import add, sub
+from operator import add
 
 # SHA-256 from CPython's own module: `hashlib` would load OpenSSL's libcrypto
 # (several MB of resident memory) for one digest of a small document.
@@ -174,16 +174,15 @@ class PairContext:
             rank, sm = self.pair.rank, self.sm
             # In integer coordinates below the tops: the block weight
             # top(m) + top(S) - c, less the spin weight top(S) - drop and
-            # `margin` more, is top(m) - (c - drop + e).  Only drops <= c are
-            # walked: any other rest >= 0 lies between the vacuum's c + e and
+            # `margin` more, is top(m) - (c - drop + e).  Only the vacuum's
+            # rests c + e are tested: every other rest lies between c + e and
             # m's top, which every window materializes once it has c + e.
             margins = _cone_coords(rank, margin)
             top = m.top_weight + sm.top_weight
             out = []
             for c in _cone_coords(rank, depth):
-                rests = (tuple(map(add, map(sub, c, drop), e))
-                         for drop in sm.drops_within(c) for e in margins)
-                if all(m.materialized(m.weight_below_top(r)) for r in rests):
+                if all(m.materialized(m.weight_below_top(tuple(map(add, c, e))))
+                       for e in margins):
                     out.append(top - Weight(c))
             out = self._block_weights[key] = sort_weights(out)
         return list(out)

@@ -1,7 +1,8 @@
 """Test-side helpers: adjoint matrices, generator lists, window
 dimensions, the fundamental-weight and epsilon coordinates, the
-reference simple quotient of a Verma window, and block weights by the
-offset filter over every subset sum of q+."""
+reference simple quotient of a Verma window, block weights by the
+offset filter over every subset sum of q+, and Jordan chains chosen one
+candidate top at a time."""
 
 from fractions import Fraction
 from itertools import takewhile
@@ -143,10 +144,10 @@ def offset_filter_block_weights(ctx, m, depth, margin=0):
     The cone point c (the block weight top(m) + top(S) - c) is kept iff m
     materializes top(m) - r for every rest r = c - drop + e >= 0, over
     every subset sum `drop` of q+ and every e in the cone of `margin`:
-    also the rests whose drop is not <= c, which the engine's bounded
-    walk leaves out.  The rests are grouped by p = c + e, where they are
-    p - drop over the drops <= p, and each p is tested once; a drop
-    higher than p cannot lie below it.
+    also the rests other than c + e, which the engine does not test.  The
+    rests are grouped by p = c + e, where they are p - drop over the
+    drops <= p, and each p is tested once; a drop higher than p cannot
+    lie below it.
     """
     sm = ctx.sm
     sums = subset_sums(sm)
@@ -163,3 +164,34 @@ def offset_filter_block_weights(ctx, m, depth, margin=0):
     margins = _cone_coords(ctx.pair.rank, margin)
     return sort_weights([top - Weight(c) for c in _cone_coords(ctx.pair.rank, depth)
                          if all(fits(tuple(map(add, c, e))) for e in margins)])
+
+
+def greedy_chains(nil, seeds=()):
+    """The Jordan chains of the `GradedNilpotent` nil, tops chosen one
+    candidate at a time.
+
+    From the nilpotency index down to 1, level k walks its seeds (one-row
+    `Mat`s paired with their size), then the rows of ker N^k, and keeps a
+    candidate when it raises the rank of `level_floor(k)` stacked with the
+    tops kept so far; every seed must be kept.  One full rank per candidate.
+    """
+    s = 0
+    while nil.power(s).rank():
+        s += 1
+    nt = nil.n.T
+    chains = []
+    for k in range(s, 0, -1):
+        taken = nil.level_floor(k)
+        ker = nil.kernel(k)
+        mine = [vec for vec, size in seeds if size == k]
+        for i, vec in enumerate(mine + [ker.take(rows=[j]) for j in range(ker.nrows)]):
+            grown = taken.vstack(vec)
+            if grown.rank() == taken.nrows:
+                assert i >= len(mine), "seed top is not independent at its level"
+                continue
+            taken = grown
+            chain = [vec]
+            for _ in range(k - 1):
+                chain.append(chain[-1] @ nt)
+            chains.append(vec.vstack(*chain[1:]))
+    return chains

@@ -10,13 +10,13 @@ from odirac.cato import (_cone_coords, finite_dim_simple, ses_from_embedding,
                          ses_split, singular_vectors, verma_character_h,
                          verma_window)
 from odirac.spinor import SpinModule, to_mat
-from odirac.dirac import (DiracBlock, GradedNilpotent, block, check_square,
+from odirac.dirac import (DiracBlock, GradedNilpotent, LiftFailure, block, check_square,
                           exact_circle, h_equivariance_defect, index_identity_check,
                           kostant_kernel_check, nonvanishing_check,
                           simple_verma_theorem_check, singular_cohomology_weights,
                           vogan_audit)
 from conftest import ctx, full_drop, spin_parity, spin_weight, spin_weights
-from helpers import subset_sums
+from helpers import greedy_chains, subset_sums
 
 F = Fraction
 
@@ -1136,6 +1136,103 @@ def test_htop_and_jordan_sizes_match_rank_oracle():
         mu = Weight([x, -1])
         assert [seen["a2-ses-repro", i, mu] for i in range(3)] == \
             [({}, [2]), ({}, [2, 4]), ({0: (1, 0), 1: (0, 1)}, [1, 3])], mu
+
+
+def _nonzero_blocks(scn):
+    """The nonzero blocks of every module of the Scenario scn at its block weights."""
+    from odirac.scenarios import Workspace
+
+    ws = Workspace(scn)
+    modules = ws.ses.modules() if ws.ses else (ws.module,)
+    blocks = (block(ws.sm, m, mu) for mu in ws.block_weights() for m in modules)
+    return [blk for blk in blocks if blk.dim]
+
+
+def _a3_kl_s1s3():
+    import os
+
+    from odirac.scenarios import load_scenario
+
+    return load_scenario(
+        os.path.join(os.path.dirname(__file__), "..", "scenarios", "a3_kl_s1s3.json"))
+
+
+def test_chains_match_greedy_rank_choice():
+    """On every nonzero block of the rank-oracle documents and of
+    scenarios/a3_kl_s1s3.json, `chains()` returns the chains that
+    `greedy_chains` picks one rank at a time: the same Mats, tops and full
+    chains, in order.  Fed back as seeds in reverse order, one level's tops
+    come out first at that level, and the rest still match."""
+    from odirac.scenarios import Scenario
+
+    blocks = _nonzero_blocks(_a3_kl_s1s3())
+    for doc in _oracle_documents():
+        blocks += _nonzero_blocks(Scenario(doc))
+    seeded = 0
+    for blk in blocks:
+        nil = blk.nilpotent()
+        chains = nil.chains()
+        assert chains == greedy_chains(nil), blk.mu
+        if not chains:
+            continue
+        size = chains[0].nrows
+        seeds = [(c.take(rows=[0]), size) for c in reversed(chains) if c.nrows == size]
+        got = nil.chains(seeds)
+        assert got == greedy_chains(nil, seeds), blk.mu
+        assert [c.take(rows=[0]) for c in got[:len(seeds)]] == [v for v, _ in seeds]
+        assert nil.chains() is chains  # a seeded call leaves the memo alone
+        seeded += len(seeds) > 1
+    assert len(blocks) > 150 and seeded
+
+
+def _unit(dim, *coords):
+    """The one-row Mat with 1 at each of coords."""
+    return Mat([[F(int(i in coords)) for i in range(dim)]])
+
+
+def test_seed_of_the_wrong_length_raises():
+    # chains e0 -> e1 and e2; e2 dies after one step
+    nil = graded_nilpotent([2, 1])
+    with pytest.raises(LiftFailure, match="chain length != 2"):
+        nil.chains([(_unit(3, 2), 2)])
+
+
+def test_dependent_seed_raises():
+    # the floor at level 1 is N ker N^2 = span(e1)
+    nil = graded_nilpotent([2, 1, 1])
+    with pytest.raises(LiftFailure, match="not independent"):
+        nil.chains([(_unit(4, 1), 1)])
+    with pytest.raises(LiftFailure, match="not independent"):
+        nil.chains([(_unit(4, 2, 3), 1), (_unit(4, 1, 2, 3), 1)])
+
+
+def test_valid_seed_comes_first_at_its_level():
+    nil = graded_nilpotent([2, 1, 1])
+    seed = _unit(4, 2, 3)
+    chains = nil.chains([(seed, 1)])
+    assert chains == [_unit(4, 0).vstack(_unit(4, 1)), seed, _unit(4, 2)]
+    assert nil.chains() == [_unit(4, 0).vstack(_unit(4, 1)), _unit(4, 2), _unit(4, 3)]
+
+
+def test_chains_rank_once_per_nonzero_generalized_kernel(monkeypatch):
+    """On scenarios/a3_kl_s1s3.json, the Jordan chains of every block take one
+    `Mat.rank` per block with a nonzero generalized kernel, the final
+    independence check: the tops of a level come from one reduction."""
+    from odirac import scenarios
+
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+    nils = [blk.nilpotent() for blk in _nonzero_blocks(_a3_kl_s1s3())]
+    calls = []
+    rank = Mat.rank
+
+    def counted(mat):
+        calls.append(mat)
+        return rank(mat)
+
+    monkeypatch.setattr(Mat, "rank", counted)
+    for nil in nils:
+        nil.chains()
+    assert len(calls) == sum(1 for nil in nils if nil.dim) == 10
 
 
 def test_block_layer_constructs_no_coerced_matrix(monkeypatch):

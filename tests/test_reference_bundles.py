@@ -29,6 +29,9 @@ with open(os.path.join(REPO, "perfbench", "reference.json")) as _fh:
 # module with weight multiplicities above 1, is pinned to the bundle of the
 # simple quotient of a Verma window.  f4_spin_probe (dim S = 2^23) is pinned
 # to the bundle of the spin module that listed every subset sum of q+ up front.
+# a3_kl_s2, the other A3 simple module whose Dirac cohomology the Bruhat
+# interval does not count, is pinned to the bundle of the Jordan tops chosen
+# by one rank per candidate.
 PINNED = {
     "scenarios/a2_circle_split.json":
         "b05f7e7e1b0f1969e171e07cccd88385290169db786002f74a4c16f0f3f26fdf",
@@ -42,6 +45,8 @@ PINNED = {
         "3d9863448a6babc8248aca72cfa5b9e6f250925cd6c208ebcaaf114667bee659",
     "scenarios/f4_spin_probe.json":
         "092015e8fc1f30deab2384dcb61fcc9005f8f923e4c2694e6e1fad423703ca90",
+    "scenarios/a3_kl_s2.json":
+        "e44dcde0525a9ecc8cd4523d84d1f0699fce28ec74ca1d26f9e0f6e0ea0f8cac",
 }
 BUNDLES = {**REFERENCE, **PINNED}
 

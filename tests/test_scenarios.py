@@ -81,9 +81,10 @@ BLOCK_WEIGHT_MODULES = {
 
 @pytest.mark.parametrize("label", sorted(BLOCK_WEIGHT_MODULES))
 def test_block_weights_match_the_offset_filter(label):
-    """Walking only the drops <= c changes no block set, for any margin the
-    tasks use: the left-out rests lie below the vacuum's, and every window
-    materializes what lies between a materialized weight and its top."""
+    """Testing only the vacuum's rests c + e changes no block set, for any
+    margin the tasks use: every other rest lies between c + e and m's top,
+    and every window materializes what lies between a materialized weight
+    and its top."""
     ctx, m, depth = BLOCK_WEIGHT_MODULES[label]()
     top_height = max(a.height for a in ctx.pair.rs.positive_roots)
     assert ctx.block_weights(m, depth)
