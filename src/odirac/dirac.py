@@ -106,7 +106,7 @@ class DiracBlock:
         self.d = self.d_plus + self.d_minus - self.cubic_part
         self._gen0 = None
         self._nilp = None
-        self._htop = None
+        self._ranks = None
         self._d_powers = None
         self._d_kernels = {0: Mat.zero(0, sp.dim)}  # ker D^0 = 0
         self._image = None
@@ -117,14 +117,30 @@ class DiracBlock:
     def dim(self):
         return self.space.dim
 
-    # -- generalized kernel, H_top levels and the nilpotent restriction ------
+    # -- the rank profile, H_top levels and the nilpotent restriction ---------
+
+    def ranks(self):
+        """[(R_0(j), R_1(j)) for j = 0..s], memoized: R_q(j) is the rank of D^j on the
+        parity-q columns, and every power past the stable index s repeats R(s).  D is
+        odd, so rank D^j = R_0(j) + R_1(j).  A spectrum without 0 gives s = 0 unranked."""
+        if self._ranks is None:
+            cols = [[i for i, p in enumerate(self.space.parity) if p == q] for q in (0, 1)]
+            out = [self.space.graded_dims()]  # D^0 is the identity
+            while self._eigs is None or 0 in self._eigs:
+                r = tuple(self.d_power(len(out)).take(cols=c).rank() for c in cols)
+                if r == out[-1]:
+                    break
+                out.append(r)
+            self._ranks = out
+        return self._ranks
+
+    def d_ranks(self, j):
+        """(R_0(j), R_1(j)) of `ranks()`, for any j >= 0."""
+        return self.ranks()[min(j, self.stable_index())]
 
     def stable_index(self):
         """The first s with ker D^s = ker D^{s+1}; ker D^s is the generalized kernel."""
-        s = 0
-        while self.d_kernel(s + 1).nrows != self.d_kernel(s).nrows:
-            s += 1
-        return s
+        return len(self.ranks()) - 1
 
     def gen0(self):
         """(basis rows, parities) of the generalized kernel, even rows first."""
@@ -148,40 +164,32 @@ class DiracBlock:
     def htop(self):
         """{k: (dim plus, dim minus)} of the nonzero H_top^k; k = 0 is H_D.
 
-        H_top^k is ker D^{2k+1} modulo `htop_denominator(k)`.  D is odd, so
-        both are graded and their canonical bases are homogeneous: the
-        halves of the quotient are differences of parity counts.  Past
-        the stable index s, ker D^{2k+1} = ker D^{2k}, so only 2k + 1 <= s
-        can be nonzero.  Computed once; each call returns a fresh copy.
-        """
-        if self._htop is None:
-            parity = self.space.parity
-            out = {}
-            for k in range((self.stable_index() + 1) // 2):
-                num_p, num_m = _graded_dims(self.d_kernel(2 * k + 1), parity)
-                den_p, den_m = _graded_dims(self.htop_denominator(k), parity)
-                plus, minus = num_p - den_p, num_m - den_m
-                if plus or minus:
-                    out[k] = (plus, minus)
-            self._htop = out
-        return dict(self._htop)
+        H_top^k is ker D^{2k+1} modulo `htop_denominator(k)`; its parity-q half is
+        R_q(2k) - R_q(2k+1) - R_{1-q}(2k+1) + R_{1-q}(2k+2) on `ranks()`, nonzero
+        only for 2k + 1 <= s."""
+        out = {}
+        for k in range(len(self.ranks()) // 2):
+            (a0, a1), b, (c0, c1) = map(self.d_ranks, (2 * k, 2 * k + 1, 2 * k + 2))
+            plus, minus = a0 - sum(b) + c1, a1 - sum(b) + c0
+            if plus or minus:
+                out[k] = (plus, minus)
+        return out
 
     def dirac_cohomology(self):
         """Dims of H_D = H_top^0 and its graded halves at this weight."""
         hd_plus, hd_minus = self.htop().get(0, (0, 0))
-        ker = self.d_kernel(1).nrows
         return {
             "dim_block": self.dim,
-            "ker": ker,
-            "im": self.dim - ker,
-            "gen0": self.d_kernel(self.stable_index()).nrows,
+            "ker": self.dim - sum(self.d_ranks(1)),
+            "im": sum(self.d_ranks(1)),
+            "gen0": self.dim - sum(self.d_ranks(self.stable_index())),
             "hd": hd_plus + hd_minus,
             "hd_plus": hd_plus,
             "hd_minus": hd_minus,
         }
 
     def higher_cohomology(self):
-        """H_top^k dims by the defining quotient, cross-checked against Jordan data."""
+        """H_top^k dims from the rank profile, cross-checked against Jordan data."""
         direct = self.htop()
         from_jordan = self.nilpotent().htop_from_chains()
         if direct != from_jordan:
@@ -323,12 +331,6 @@ def _in_basis(op, vecs, tgt, failure):
     if x is None:
         raise failure
     return x
-
-
-def _graded_dims(vecs, parity):
-    """(plus, minus): the parity count of the homogeneous basis rows of vecs."""
-    minus = sum(_parity_of(v, parity) for v in vecs.num)
-    return vecs.nrows - minus, minus
 
 
 class GradedNilpotent:
@@ -567,8 +569,8 @@ def nonvanishing_check(pair, cb, sm, m) -> dict:
         raise AssertionError("top weight space is empty")
     top = range(off, off + d_top)
     killed = blk.d.take(cols=top).is_zero()  # D on the unit vectors of the top
-    im = blk.image()
-    disjoint = im.vstack(Mat.identity(sp.dim).take(rows=top)).rank() == im.nrows + d_top
+    units = Mat.identity(sp.dim).take(rows=top)  # im D is the row space of D^T
+    disjoint = blk.d.T.vstack(units).rank() == sum(blk.d_ranks(1)) + d_top
     return {
         "weight": mu,
         "top_dim": d_top,
@@ -735,9 +737,8 @@ def exact_circle(pair, cb, sm, ses, mu) -> CircleCertificate:
     The Jordan chains of the quotient block lift to the middle block and
     their tails pull back to seeds in the sub block, so the generalized
     kernels split into triples (k, l, m) of chain sizes with l = k + m,
-    each checked against the blocks' direct H_top quotients.  Exactness
-    of the circle is then the parity rule of `circle_nodes` on the tops
-    of the odd chains.
+    each checked against the blocks' `htop()`.  Exactness of the circle is
+    then the parity rule of `circle_nodes` on the tops of the odd chains.
     """
     m1, m2, m3 = ses.modules()
     b1 = block(sm, m1, mu)
@@ -807,7 +808,7 @@ def exact_circle(pair, cb, sm, ses, mu) -> CircleCertificate:
         raise LiftFailure("compatible decomposition does not span the middle kernel")
     # cross-check higher cohomology of the adapted decomposition
     if nil2.htop_from_chains(chain2_list) != b2.htop():
-        raise LiftFailure("adapted decomposition disagrees with the direct quotients")
+        raise LiftFailure("adapted decomposition disagrees with the rank profile")
 
     # the parity of each odd Jordan block's top, per triple
     parities = []
@@ -821,9 +822,9 @@ def exact_circle(pair, cb, sm, ses, mu) -> CircleCertificate:
             par["H3"] = nil3.vector_parity(t["top3"])
         parities.append(par)
     node_dims, exact = circle_nodes(parities)
-    # the adapted H3 and H1 data must also match their direct quotients
+    # the adapted H3 and H1 data must also match their rank profiles
     if nil3.htop_from_chains(chains3) != b3.htop():
-        raise LiftFailure("quotient block decomposition disagrees with direct quotients")
+        raise LiftFailure("quotient block decomposition disagrees with its rank profile")
     if nil1.htop_from_chains(chains1) != b1.htop():
-        raise LiftFailure("sub block decomposition disagrees with direct quotients")
+        raise LiftFailure("sub block decomposition disagrees with its rank profile")
     return CircleCertificate(mu, triples, node_dims, exact)

@@ -252,8 +252,7 @@ def hodge_decomposition_check(hp, sm, m, us: UnitaryStructure, mu) -> dict:
     adj_minus = ginv @ blk.d_minus.T @ g
     adjoint_ok = (adj_plus == -blk.d_minus) and (adj_minus == -blk.d_plus)
     ker = blk.d_kernel(1)
-    im = blk.image()
-    split_ok = not subspace_intersect(ker, im).nrows and ker.nrows + im.nrows == n
+    split_ok = blk.stable_index() <= 1  # ker D meet im D = 0 iff ker D = ker D^2
     cplus_ok = _half_decomposes(blk.d_plus, ker)
     cminus_ok = _half_decomposes(blk.d_minus, ker)
     report.update({

@@ -1097,6 +1097,38 @@ def rank_oracle(blk):
     return htop, sizes
 
 
+def quotient_htop(blk):
+    """{k: (plus, minus)} by the defining quotient: the parity counts of the
+    canonical (homogeneous) basis of ker D^{2k+1} minus those of
+    `htop_denominator(k)`, for 2k + 1 <= s, with the stable index s found
+    from the nullspaces of the powers of D."""
+    from odirac.dirac import _parity_of
+
+    def counts(vecs):
+        minus = sum(_parity_of(v, blk.space.parity) for v in vecs.num)
+        return vecs.nrows - minus, minus
+
+    s = 0
+    while blk.d_kernel(s + 1).nrows != blk.d_kernel(s).nrows:
+        s += 1
+    out = {}
+    for k in range((s + 1) // 2):
+        (num_p, num_m), (den_p, den_m) = map(counts, (blk.d_kernel(2 * k + 1),
+                                                      blk.htop_denominator(k)))
+        if num_p - den_p or num_m - den_m:
+            out[k] = (num_p - den_p, num_m - den_m)
+    return out
+
+
+def _scenario_file(name):
+    import os
+
+    from odirac.scenarios import load_scenario
+
+    return load_scenario(os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                                      name + ".json"))
+
+
 def _oracle_documents():
     import json
     import os
@@ -1109,33 +1141,115 @@ def _oracle_documents():
     return docs + [SES_REPRO]
 
 
-def test_htop_and_jordan_sizes_match_rank_oracle():
-    """htop() and the chain sizes against `rank_oracle` on every nonzero block
-    of the sl3 example, the Jordan tensor, the split circle and `SES_REPRO`
-    (its sub, middle and quotient), whose three failing circle weights are
-    pinned."""
+def test_htop_and_jordan_sizes_match_rank_oracle(monkeypatch):
+    """The rank profile's htop(), ker, im and gen0, and the chain sizes,
+    against `rank_oracle`, `quotient_htop` and the nullspaces and rank of
+    the powers of D, on every nonzero block of the sl3 example, the Jordan
+    tensor, the split circle, `SES_REPRO` (its sub, middle and quotient) and
+    the two A3 KL scenarios.  Each document runs twice on a cold context:
+    asking for H_top before the spectrum, and after it, where a block whose
+    spectrum lacks 0 reads its profile without a reduction.  The three
+    failing circle weights of `SES_REPRO` are pinned."""
+    from odirac import scenarios
     from odirac.scenarios import Scenario, Workspace
 
-    seen = {}
-    for doc in _oracle_documents():
-        ws = Workspace(Scenario(doc))
-        modules = ws.ses.modules() if ws.ses else (ws.module,)
-        for mu in ws.block_weights():
-            for i, m in enumerate(modules):
-                blk = block(ws.sm, m, mu)
-                if not blk.dim:
-                    continue
-                htop, sizes = rank_oracle(blk)
-                assert blk.htop() == htop, (doc["name"], i, mu)
-                assert sorted(c.nrows for c in blk.nilpotent().chains()) == sizes, \
-                    (doc["name"], i, mu)
-                seen[doc["name"], i, mu] = htop, sizes
-    assert len(seen) > 150
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})
+    oracle, short = {}, 0
+    for spectrum_first in (False, True):
+        scenarios._CONTEXTS.clear()  # fresh blocks for each pass
+        scns = [Scenario(doc) for doc in _oracle_documents()]
+        scns += [_scenario_file("a3_kl_s1s3"), _scenario_file("a3_kl_s2")]
+        for scn in scns:
+            ws = Workspace(scn)
+            modules = ws.ses.modules() if ws.ses else (ws.module,)
+            for mu in ws.block_weights():
+                for i, m in enumerate(modules):
+                    blk = block(ws.sm, m, mu)
+                    if not blk.dim:
+                        continue
+                    key = scn.name, i, mu
+                    if spectrum_first:
+                        short += 0 not in blk.eigenvalue_decomposition()
+                    htop = blk.htop()
+                    dims = blk.dirac_cohomology()
+                    if key not in oracle:
+                        oracle[key] = rank_oracle(blk)
+                    assert htop == oracle[key][0] == quotient_htop(blk), key
+                    s = blk.stable_index()
+                    assert (dims["ker"], dims["im"], dims["gen0"]) == \
+                        (blk.d_kernel(1).nrows, blk.d.rank(), blk.d_kernel(s).nrows), key
+                    assert blk.d_kernel(s + 1).nrows == blk.d_kernel(s).nrows, key
+                    assert sorted(c.nrows for c in blk.nilpotent().chains()) == \
+                        oracle[key][1], key
+    assert len(oracle) > 150 + 79 + 164 and short
     # sub, middle and quotient where the SES_REPRO circle run exits 1
     for x in (F(-3, 2), F(-5, 2), F(-7, 2)):
         mu = Weight([x, -1])
-        assert [seen["a2-ses-repro", i, mu] for i in range(3)] == \
+        assert [oracle["a2-ses-repro", i, mu] for i in range(3)] == \
             [({}, [2]), ({}, [2, 4]), ({0: (1, 0), 1: (0, 1)}, [1, 3])], mu
+
+
+def test_splitting_and_nonvanishing_match_the_image_route(monkeypatch):
+    """The two checks that read the rank profile, against the subspaces they
+    read before.  `hodge_decomposition_check`'s splitting is stable index
+    <= 1, which must equal ker D meet im D = 0 on every nonzero block of the
+    rank-oracle documents and of scenarios/a2_hodge_unitary.json: the
+    3-chains of the Jordan tensor give False.  `nonvanishing_check`'s
+    not_in_image must equal the test on the basis of im D at the top block
+    of every scenarios/*.json."""
+    import glob
+    import os
+
+    from odirac import scenarios
+    from odirac.exactla import subspace_intersect
+    from odirac.scenarios import Scenario, Workspace
+
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # cold contexts
+    scns = [Scenario(doc) for doc in _oracle_documents()]
+    blocks = [blk for scn in scns + [_scenario_file("a2_hodge_unitary")]
+              for blk in _nonzero_blocks(scn)]
+    seen = set()
+    for blk in blocks:
+        split = blk.stable_index() <= 1
+        assert split == (not subspace_intersect(blk.d_kernel(1), blk.image()).nrows), blk.mu
+        seen.add(split)
+    assert seen == {True, False}
+    paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                                          "*.json")))
+    for path in paths:
+        ws = Workspace(scenarios.load_scenario(path))
+        nv = nonvanishing_check(ws.pair, ws.cb, ws.sm, ws.module)
+        blk = block(ws.sm, ws.module, nv["weight"])
+        off = blk.space.slot[0][0]
+        units = Mat.identity(blk.dim).take(rows=range(off, off + nv["top_dim"]))
+        im = blk.image()
+        assert nv["not_in_image"] == \
+            (im.vstack(units).rank() == im.nrows + nv["top_dim"]), path
+    assert len(paths) >= 14
+
+
+def test_dimensions_build_no_quotient_subspace(monkeypatch):
+    """A cold run of scenarios/a3_kl_s1s3.json reads every dimension off the
+    rank profiles: it never builds an H_top denominator, im D or a subspace
+    meet."""
+    from collections import Counter
+    from odirac import dirac, scenarios
+
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+    calls = Counter()
+    for owner, name in ((DiracBlock, "htop_denominator"), (DiracBlock, "image"),
+                        (dirac, "subspace_intersect")):
+        def counted(*args, fn=getattr(owner, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    assert scenarios.run_scenario(_scenario_file("a3_kl_s1s3"))["ok"]
+    assert not calls
+    # the counters see the calls
+    blk = next(b for b in _nonzero_blocks(_scenario_file("a3_kl_s1s3")) if b.htop())
+    blk.htop_denominator(0)
+    assert set(calls) == {"htop_denominator", "image", "subspace_intersect"}
 
 
 def _nonzero_blocks(scn):
@@ -1148,15 +1262,6 @@ def _nonzero_blocks(scn):
     return [blk for blk in blocks if blk.dim]
 
 
-def _a3_kl_s1s3():
-    import os
-
-    from odirac.scenarios import load_scenario
-
-    return load_scenario(
-        os.path.join(os.path.dirname(__file__), "..", "scenarios", "a3_kl_s1s3.json"))
-
-
 def test_chains_match_greedy_rank_choice():
     """On every nonzero block of the rank-oracle documents and of
     scenarios/a3_kl_s1s3.json, `chains()` returns the chains that
@@ -1165,7 +1270,7 @@ def test_chains_match_greedy_rank_choice():
     come out first at that level, and the rest still match."""
     from odirac.scenarios import Scenario
 
-    blocks = _nonzero_blocks(_a3_kl_s1s3())
+    blocks = _nonzero_blocks(_scenario_file("a3_kl_s1s3"))
     for doc in _oracle_documents():
         blocks += _nonzero_blocks(Scenario(doc))
     seeded = 0
@@ -1221,7 +1326,7 @@ def test_chains_rank_once_per_nonzero_generalized_kernel(monkeypatch):
     from odirac import scenarios
 
     monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
-    nils = [blk.nilpotent() for blk in _nonzero_blocks(_a3_kl_s1s3())]
+    nils = [blk.nilpotent() for blk in _nonzero_blocks(_scenario_file("a3_kl_s1s3"))]
     calls = []
     rank = Mat.rank
 
