@@ -1005,15 +1005,14 @@ def finite_character_h(pair: PairGH, nu: Weight):
     if box is None:
         raise AssertionError("weight gap not in the subsystem root lattice")
     bounds = [int(b) for b in box.col(0)]
+    # each element's sign and image of nu + rho_h, once for the whole box
+    images = [(-1 if weyl.subsystem_length(wi) % 2 else 1, weyl.act(wi, nu + rho_h))
+              for wi in wh]
     out = {}
     for c in _box_coords(bounds):
         mu = nu - sum((simples[i] * c[i] for i in range(len(simples))),
                       zero_weight(pair.rank))
-        m = _F0
-        for wi in wh:
-            sgn = -1 if weyl.subsystem_length(wi) % 2 else 1
-            arg = weyl.act(wi, nu + rho_h) - (mu + rho_h)
-            m += sgn * count(arg)
+        m = sum((sgn * count(img - (mu + rho_h)) for sgn, img in images), _F0)
         if m:
             out[mu] = int(m)
     total = sum(out.values())

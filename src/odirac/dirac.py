@@ -9,7 +9,8 @@ every vector a one-row `Mat`, from one reduction to the next.
 """
 
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
+from itertools import chain
 from operator import sub
 
 from .exactla import Mat, subspace_intersect
@@ -89,25 +90,16 @@ class DiracBlock:
     def __init__(self, pair: PairGH, cb, sm: SpinModule, m: WeightModuleWindow,
                  mu: Weight):
         self.pair = pair
-        self.cb = cb
         self.sm = sm
         self.m = m
         self.mu = mu
         sp = self.space = block_space(sm, m, mu)
-        # e_alpha against the wedge (spin weight drops by alpha), f_alpha
-        # against the contraction (spin weight rises)
-        self.d_plus = block_operator(sp, sp, (
-            t for a in pair.q_positive
-            for t in spin_terms(sp, sm.gamma_root(-a), partial(m.action, ("e", a)))))
-        self.d_minus = block_operator(sp, sp, (
-            t for a in pair.q_positive
-            for t in spin_terms(sp, sm.gamma_root(a), partial(m.action, ("f", a)))))
-        self.cubic_part = block_operator(sp, sp, spin_terms(sp, sm.cubic, _identity_map(m)))
-        self.d = self.d_plus + self.d_minus - self.cubic_part
+        negated_cubic = ((j, i, -c, f) for j, i, c, f in self._terms("cubic"))
+        self.d = block_operator(sp, sp, chain(self._terms("e"), self._terms("f"), negated_cubic))
         self._gen0 = None
         self._nilp = None
         self._ranks = None
-        self._d_powers = None
+        self._d_powers = [self.d]  # D^1, D^2, ...
         self._d_kernels = {0: Mat.zero(0, sp.dim)}  # ker D^0 = 0
         self._image = None
         self._htop_dens = {}
@@ -116,6 +108,25 @@ class DiracBlock:
     @property
     def dim(self):
         return self.space.dim
+
+    # -- D = C+ + C- - cubic part; the parts are built only where read ---------
+
+    def _terms(self, part):
+        """The `block_operator` terms of C+ (part "e": e_alpha against the wedge,
+        spin weight drops by alpha), C- ("f": f_alpha against the contraction,
+        spin weight rises) or the cubic part ("cubic", against the identity)."""
+        sp, sm, m = self.space, self.sm, self.m
+        if part == "cubic":
+            return spin_terms(sp, sm.cubic, _identity_map(m))
+        return (t for a in self.pair.q_positive
+                for t in spin_terms(sp, sm.gamma_root(-a if part == "e" else a),
+                                    partial(m.action, (part, a))))
+
+    # each part is assembled on its first read, once per block
+    d_plus = cached_property(lambda self: block_operator(self.space, self.space, self._terms("e")))
+    d_minus = cached_property(lambda self: block_operator(self.space, self.space, self._terms("f")))
+    cubic_part = cached_property(
+        lambda self: block_operator(self.space, self.space, self._terms("cubic")))
 
     # -- the rank profile, H_top levels and the nilpotent restriction ---------
 
@@ -198,13 +209,13 @@ class DiracBlock:
         return direct
 
     def d_power(self, k):
-        """D^k, memoized with every lower power."""
-        if self._d_powers is None:
-            self._d_powers = [Mat.identity(self.dim), self.d]
+        """D^k, memoized with every lower power from D up; D^0 is the identity."""
+        if k == 0:
+            return Mat.identity(self.dim)
         powers = self._d_powers
-        while len(powers) <= k:
+        while len(powers) < k:
             powers.append(powers[-1] @ self.d)
-        return powers[k]
+        return powers[k - 1]
 
     def d_kernel(self, k):
         """Basis rows of ker D^k, memoized per k.
@@ -540,7 +551,7 @@ def kostant_kernel_check(pair, cb, sm, f) -> dict:
         blk = block(sm, f, mu)
         if blk.dim == 0:
             continue
-        kd = blk.d_kernel(1).nrows
+        kd = blk.dim - blk.d.rank()
         if kd:
             actual[mu] = kd
     expected = {}

@@ -7,7 +7,9 @@ complexes, C+ is the Chevalley-Eilenberg differential and C- the
 boundary.  `CEComplex` is that identification: a weight slice of the
 complexes is the Dirac block read by wedge degree, so the runs check
 the cubic part, and tests/test_hodge.py checks C+ and C- against d and
-del built from their definition.  Unitarity of a
+del built from their definition.  The checks here are the only readers
+of C+, C- and the cubic part: a block stores D alone and assembles each
+part on its first read.  Unitarity of a
 highest weight module is certified through the contravariant form
 twisted by the parabolic grading (the Hermitian form of the noncompact
 real form), and positivity turns the per-weight comparison of Dirac and
@@ -138,7 +140,9 @@ class CEComplex:
     del = sum pi(f_j) (x) contract(e_j).  The chain v (x) f_I is the
     spin basis vector u_I of the Dirac block at nu + rho - rho_h, and
     d and del are that block's half operators C+ and C-: the slice is a
-    view of the block, graded by wedge degree.
+    view of the block, graded by wedge degree.  The block assembles each
+    half on the first call of `differential()` or `boundary()` on any of
+    its slices, once.
     """
 
     def __init__(self, hp: HermitianPair, sm: SpinModule, m: WeightModuleWindow,

@@ -718,8 +718,10 @@ def test_eigen_decomposition_memo(a2_su21, monkeypatch):
     weights = a2_su21.block_weights(vw, 8)  # the weights of sl3_paper_example's vogan task
     assert singular_cohomology_weights(pair, cb, cold, vw, weights)
     for b in cold.blocks.values():
-        # D^j = D^{j-1} @ D for j >= 2, so D is a right factor once per such power
-        assert products[id(b.d)] == max(len(b._d_powers or ()) - 2, 0), b.mu
+        # the memo holds D^1, D^2, ...; D^j = D^{j-1} @ D for j >= 2, so D is a
+        # right factor once per memoized power past the first
+        assert b._d_powers[0] is b.d, b.mu
+        assert products[id(b.d)] == len(b._d_powers) - 1, b.mu
         assert all(nullspaces[id(b.d_power(j))] == 1 for j in b._d_kernels if j), b.mu
     assert meets["all"] == len(asked)
     assert sum(asked.values()) > len(asked)  # neighbours ask again and hit the memo
@@ -1049,6 +1051,81 @@ def test_no_nullspace_on_a_block_without_eigenvalue_zero(monkeypatch):
     without = [blk for blk in blocks if 0 not in blk._eigs]
     assert without and not any(counts[blk] for blk in without)
     assert any(counts[blk] for blk in blocks if 0 in blk._eigs)
+
+
+_PARTS = {"e": "d_plus", "f": "d_minus", "cubic": "cubic_part"}  # DiracBlock._terms
+
+
+def test_block_assembles_d_in_one_pass(monkeypatch):
+    """On a cold run of scenarios/a3_kl_s1s3.json (`dirac` + `index`), building
+    a block calls `block_operator` once and adds or subtracts none of its
+    tables (module actions computed on the way may add their own); the run
+    builds none of C+, C- and the cubic part, and no power memo holds D^0."""
+    from collections import Counter
+    from odirac import dirac, scenarios
+
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+    building, calls, tables = [], Counter(), {}
+    init, assemble = DiracBlock.__init__, dirac.block_operator
+
+    def counted_init(self, *args):
+        building.append(self)
+        try:
+            init(self, *args)
+        finally:
+            building.pop()
+
+    def counted_assemble(*args):
+        out = assemble(*args)
+        if building:
+            calls[building[-1], "assemble"] += 1
+            tables[id(out)] = building[-1], out  # keeps it alive, so no id is reused
+        return out
+
+    def counting(name, fn):
+        def counted(a, b):
+            for m in (a, b):
+                if id(m) in tables:
+                    calls[tables[id(m)][0], name] += 1
+            return fn(a, b)
+        return counted
+
+    monkeypatch.setattr(DiracBlock, "__init__", counted_init)
+    monkeypatch.setattr(dirac, "block_operator", counted_assemble)
+    monkeypatch.setattr(Mat, "__add__", counting("add", Mat.__add__))
+    monkeypatch.setattr(Mat, "__sub__", counting("sub", Mat.__sub__))
+    blocks = _scenario_blocks("a3_kl_s1s3")
+    assert any(blk.dim for blk in blocks)
+    for blk in blocks:
+        assert calls[blk, "assemble"] == 1 and not calls[blk, "add"] + calls[blk, "sub"], blk.mu
+        assert not set(_PARTS.values()) & set(vars(blk)), blk.mu
+        assert blk._d_powers[0] is blk.d, blk.mu
+    assert set(calls) == {(blk, "assemble") for blk in blocks}
+
+
+def test_hodge_run_builds_each_part_once_per_block(monkeypatch):
+    """A cold `hodge` run reads C+, C- and the cubic part, and assembles each
+    at most once per block, besides the one pass that builds D."""
+    from collections import Counter
+    from odirac import scenarios
+
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+    asked = Counter()
+    terms = DiracBlock._terms
+
+    def counted_terms(self, part):
+        asked[self, part] += 1
+        return terms(self, part)
+
+    monkeypatch.setattr(DiracBlock, "_terms", counted_terms)
+    blocks = _scenario_blocks("a2_hodge_unitary")
+    read = {(blk, part) for blk in blocks for part, name in _PARTS.items()
+            if name in vars(blk)}
+    assert {part for _, part in read} == set(_PARTS)
+    assert all(asked[key] == 1 + (key in read) for key in asked)
+    for blk, part in read:
+        assert getattr(blk, _PARTS[part]) is getattr(blk, _PARTS[part])
+    assert all(blk.d == blk.d_plus + blk.d_minus - blk.cubic_part for blk in blocks)
 
 
 # -- H_top and Jordan sizes from plain-Fraction ranks --------------------------

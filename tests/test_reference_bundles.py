@@ -31,7 +31,9 @@ with open(os.path.join(REPO, "perfbench", "reference.json")) as _fh:
 # to the bundle of the spin module that listed every subset sum of q+ up front.
 # a3_kl_s2, the other A3 simple module whose Dirac cohomology the Bruhat
 # interval does not count, is pinned to the bundle of the Jordan tops chosen
-# by one rank per candidate.
+# by one rank per candidate.  b3_kl_s2, a B3 simple module with h = t whose
+# blocks mostly carry a nonzero cubic part, is pinned to the bundle of the
+# block that assembled C+, C- and the cubic part apart and added them.
 PINNED = {
     "scenarios/a2_circle_split.json":
         "b05f7e7e1b0f1969e171e07cccd88385290169db786002f74a4c16f0f3f26fdf",
@@ -47,6 +49,8 @@ PINNED = {
         "092015e8fc1f30deab2384dcb61fcc9005f8f923e4c2694e6e1fad423703ca90",
     "scenarios/a3_kl_s2.json":
         "e44dcde0525a9ecc8cd4523d84d1f0699fce28ec74ca1d26f9e0f6e0ea0f8cac",
+    "scenarios/b3_kl_s2.json":
+        "c2614b10816422b9bbbe16d97238135f596fdd06567fe5e6c07b885b6696cd6e",
 }
 BUNDLES = {**REFERENCE, **PINNED}
 
