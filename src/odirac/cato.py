@@ -25,7 +25,7 @@ them.  Everything is rational and deterministic.
 """
 
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from math import lcm
 
 from .exactla import Mat
@@ -770,8 +770,13 @@ def block_operator(tgt: SlotSpace, src: SlotSpace, terms) -> Mat:
     return Mat.from_ints(rows, src.dim, den)
 
 
+@cache  # a Mat is immutable, so every tile of size n shares one identity
+def _identity(n):
+    return Mat.identity(n)
+
+
 def _identity_map(m):
-    return lambda w: Mat.identity(m.dim(w))
+    return lambda w: _identity(m.dim(w))
 
 
 class TensorWindow(WeightModuleWindow):

@@ -4,8 +4,9 @@ Everything is computed per weight subspace of M tensor S: the operator
 never leaves a weight space, each block is a finite exact rational
 matrix, and kernels, images, generalized eigenspaces, Jordan chains,
 (higher) Dirac cohomology and the index identities reduce to rank
-arithmetic there.  Every subspace is the row space of an int `Mat` and
-every vector a one-row `Mat`, from one reduction to the next.
+arithmetic there.  The only subspaces built are the generalized kernel
+and its Jordan chains, row spaces of int `Mat`s; a vector is a one-row
+`Mat`.
 """
 
 from fractions import Fraction
@@ -13,7 +14,7 @@ from functools import cached_property, partial
 from itertools import chain
 from operator import sub
 
-from .exactla import Mat, subspace_intersect
+from .exactla import Mat
 from .cato import OutsideWindow, SlotSpace, WeightModuleWindow, _identity_map, block_operator
 from .liealg import PairGH
 from .roots import Weight, same_infinitesimal_character, zero_weight
@@ -100,9 +101,6 @@ class DiracBlock:
         self._nilp = None
         self._ranks = None
         self._d_powers = [self.d]  # D^1, D^2, ...
-        self._d_kernels = {0: Mat.zero(0, sp.dim)}  # ker D^0 = 0
-        self._image = None
-        self._htop_dens = {}
         self._eigs = None
 
     @property
@@ -154,9 +152,10 @@ class DiracBlock:
         return len(self.ranks()) - 1
 
     def gen0(self):
-        """(basis rows, parities) of the generalized kernel, even rows first."""
+        """(basis rows, parities) of the generalized kernel ker D^s, even rows first."""
         if self._gen0 is None:
-            ker = self.d_kernel(self.stable_index())
+            s = self.stable_index()
+            ker = self.d_power(s).nullspace() if s else Mat.zero(0, self.dim)
             pars = [_parity_of(v, self.space.parity) for v in ker.num]
             order = sorted(range(ker.nrows), key=pars.__getitem__)
             self._gen0 = ker.take(rows=order), [pars[i] for i in order]
@@ -175,7 +174,8 @@ class DiracBlock:
     def htop(self):
         """{k: (dim plus, dim minus)} of the nonzero H_top^k; k = 0 is H_D.
 
-        H_top^k is ker D^{2k+1} modulo `htop_denominator(k)`; its parity-q half is
+        H_top^k is ker D^{2k+1} modulo (ker D^{2k+1} meet im D) + ker D^{2k}, spanned
+        by the tops of the Jordan chains of size 2k + 1; its parity-q half is
         R_q(2k) - R_q(2k+1) - R_{1-q}(2k+1) + R_{1-q}(2k+2) on `ranks()`, nonzero
         only for 2k + 1 <= s."""
         out = {}
@@ -216,40 +216,6 @@ class DiracBlock:
         while len(powers) < k:
             powers.append(powers[-1] @ self.d)
         return powers[k - 1]
-
-    def d_kernel(self, k):
-        """Basis rows of ker D^k, memoized per k.
-
-        ker D^k lies in the generalized 0-eigenspace of D^2, so once the
-        block's decomposition is memoized without the eigenvalue 0, every
-        ker D^k is 0 and needs no reduction.
-        """
-        ker = self._d_kernels.get(k)
-        if ker is None:
-            if self._eigs is not None and 0 not in self._eigs:
-                ker = Mat.zero(0, self.dim)
-            else:
-                ker = self.d_power(k).nullspace()
-            self._d_kernels[k] = ker
-        return ker
-
-    def image(self):
-        """Canonical basis rows of im D, memoized."""
-        if self._image is None:
-            self._image = self.d.T.row_space()
-        return self._image
-
-    def htop_denominator(self, k):
-        """Canonical basis rows of (ker D^{2k+1} meet im D) + ker D^{2k}, memoized per k.
-
-        H_top^k is ker D^{2k+1} modulo this subspace; at k = 0 (ker D^0 = 0)
-        it is H_D = ker D / (ker D meet im D).
-        """
-        den = self._htop_dens.get(k)
-        if den is None:
-            meet = subspace_intersect(self.d_kernel(2 * k + 1), self.image())
-            den = self._htop_dens[k] = meet.vstack(self.d_kernel(2 * k)).row_space()
-        return den
 
     def eigenvalue_decomposition(self):
         """Exact generalized eigenvalues of D^2 with their eigenspace dims.
@@ -639,14 +605,16 @@ def index_identity_check(pair, cb, sm, m, mu) -> dict:
     }
 
 
-def _preimage_subspace(a: Mat, w_basis: Mat):
-    """Canonical basis rows of {v : a v lies in the row space of w_basis}."""
-    if a.nrows == 0:
-        return Mat.identity(a.ncols)
-    if not w_basis.nrows:
-        return a.nullspace()
-    # (v, y) with a v + w_basis^T y = 0: the v are the preimage
-    return a.hstack(w_basis.T).nullspace().take(cols=range(a.ncols)).row_space()
+def _jordan_basis(b: DiracBlock):
+    """(rows, tops): the Jordan chain vectors of block b in its coordinates, chain
+    by chain, and {k: the row index of each top of a chain of size 2k + 1}."""
+    chains = b.nilpotent().chains()
+    tops, at = {}, 0
+    for c in chains:
+        if c.nrows % 2:
+            tops.setdefault(c.nrows // 2, []).append(at)
+        at += c.nrows
+    return chains[0].vstack(*chains[1:]) @ b.gen0()[0], tops
 
 
 def singular_cohomology_weights(pair, cb, sm, m, weights) -> dict:
@@ -656,9 +624,12 @@ def singular_cohomology_weights(pair, cb, sm, m, weights) -> dict:
     subsystem constituents of the cohomology, which are detected by
     classes killed by every simple raising operator of the subsystem.
     H_D is H_top^0, so its singular classes are the k = 0 level.  The
-    raisers commute with D and map denominators into denominators, so
-    the singular classes of level k form a subspace of H_top^k: only
-    the block's nonzero levels are searched.
+    levels come from `higher_cohomology()`, which cross-checks the
+    chains against the rank profile.  The tops of the chains of size
+    2k + 1 represent H_top^k.  A raiser e_alpha commutes with D, so the
+    class of e_alpha top is its coordinates on the size-(2k + 1) tops
+    in the Jordan basis at mu + alpha; the singular classes of level k
+    are the kernel of these coordinates, stacked over alpha.
     """
     from .cato import _h_simples
 
@@ -668,18 +639,29 @@ def singular_cohomology_weights(pair, cb, sm, m, weights) -> dict:
         b = block(sm, m, mu)
         if b.dim == 0:
             continue
-        levels = b.htop()
+        levels = b.higher_cohomology()
         if not levels:
             continue
-        raisers = [(alpha, h_generator_block(cb, sm, m, ("e", alpha), mu))
-                   for alpha in simples]
+        basis, where = _jordan_basis(b)
+        order = [i for k in levels for i in where[k]]
+        tops = basis.take(rows=order)
+        mine = {k: [order.index(i) for i in where[k]] for k in levels}  # columns of x
+        coords = {k: Mat.zero(0, len(mine[k])) for k in levels}
+        for alpha in simples:
+            up = block(sm, m, mu + alpha)
+            shared = [k for k in levels if k in up.htop()]
+            if not shared:
+                continue
+            up_basis, theirs = _jordan_basis(up)
+            e_map = h_generator_block(cb, sm, m, ("e", alpha), mu)
+            x = up_basis.T.solve(e_map @ tops.T)
+            if x is None:
+                raise AssertionError(f"a raiser leaves the generalized kernel at {mu}")
+            for k in shared:
+                coords[k] = coords[k].vstack(x.take(rows=theirs[k], cols=mine[k]))
         htop = {}
         for k in levels:
-            cand = b.d_kernel(2 * k + 1)
-            for alpha, e_map in raisers:
-                up = block(sm, m, mu + alpha).htop_denominator(k)
-                cand = subspace_intersect(cand, _preimage_subspace(e_map, up))
-            dk = cand.nrows - b.htop_denominator(k).nrows
+            dk = len(mine[k]) - coords[k].rank()
             if dk:
                 htop[k] = dk
         if htop:

@@ -15,10 +15,10 @@ operation (sums, scaling, products, transposes, stacks, slices,
 traces, the characteristic polynomial and row reduction) stays in
 ints.  Row reduction is fraction-free: it eliminates on the stored int
 rows, each updated row divided by the gcd of its entries.  Subspaces
-are `Mat`s too: kernel, row-space and intersection bases are the rows
-of a `Mat`, a vector is a one-row `Mat`, and `solve` answers a `Mat` of
-right-hand sides, so one reduction feeds the next without leaving
-ints.  `Fraction`s are built only for scalars (`trace`, `charpoly`),
+are `Mat`s too: kernel and row-space bases are the rows of a `Mat`, a
+vector is a one-row `Mat`, and `solve` answers a `Mat` of right-hand
+sides, so one reduction feeds the next without leaving ints.
+`Fraction`s are built only for scalars (`trace`, `charpoly`),
 for the weight-coordinate boundary (`apply`, `col`) and for the
 read-only `rows` view, which is rebuilt on each access.
 """
@@ -268,14 +268,17 @@ class Mat:
         return len(_echelon(self.num, self.ncols, reduced=False)[1])
 
     def row_space(self):
-        """Canonical basis of the row space: the nonzero rows of the rref, as a Mat."""
+        """Canonical basis of the row space: the nonzero rows of the rref, as a Mat.
+        Equal subspaces get identical Mats, which keeps Jordan chain choices
+        deterministic."""
         if self.is_zero():
             return Mat.zero(0, self.ncols)
         red, pivots = self.rref()
         return red.take(rows=range(len(pivots)))
 
     def nullspace(self):
-        """Deterministic kernel basis as the rows of a Mat, one per free column.
+        """Canonical (rref-derived) kernel basis as the rows of a Mat, one per free
+        column, which keeps Jordan chain choices deterministic.
 
         The row of free column f is 1 at f, minus the rref's column f at
         the pivots, and 0 elsewhere.
@@ -375,19 +378,3 @@ def charpoly(m):
         coeffs.append(ck)
     return coeffs
 
-
-# -- subspace arithmetic ----------------------------------------------------
-#
-# A subspace of Q^n is the row space of a Mat with n columns.  `row_space`
-# and `nullspace` return canonical (rref-derived) bases, so equal subspaces
-# get identical Mats, which keeps bundles and Jordan chain choices
-# deterministic.  Sums are `vstack(...).row_space()` and dimensions of
-# spans are `rank()`.
-
-def subspace_intersect(a, b):
-    """Canonical basis of the meet of the row spaces of a and b, as a Mat."""
-    if not a.nrows or not b.nrows:
-        return Mat.zero(0, a.ncols)
-    # c with c_a a + c_b b = 0 gives c_a a in the meet, and every meet vector so
-    combos = a.vstack(b).T.nullspace()
-    return (combos.take(cols=range(a.nrows)) @ a).row_space()

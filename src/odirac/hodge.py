@@ -9,17 +9,18 @@ complexes is the Dirac block read by wedge degree, so the runs check
 the cubic part, and tests/test_hodge.py checks C+ and C- against d and
 del built from their definition.  The checks here are the only readers
 of C+, C- and the cubic part: a block stores D alone and assembles each
-part on its first read.  Unitarity of a
-highest weight module is certified through the contravariant form
-twisted by the parabolic grading (the Hermitian form of the noncompact
-real form), and positivity turns the per-weight comparison of Dirac and
-nilpotent cohomology into exact rank arithmetic.
+part on its first read.  Unitarity of a highest weight module is
+certified through the contravariant form twisted by the parabolic
+grading (the Hermitian form of the noncompact real form), and
+positivity turns the per-weight comparison of Dirac and nilpotent
+cohomology into exact rank arithmetic: the splitting of ker D and the
+C+ and C- decompositions are read off ranks, and no subspace is built.
 """
 
 from fractions import Fraction
 from math import prod
 
-from .exactla import Mat, subspace_intersect
+from .exactla import Mat
 from .cato import WeightModuleWindow, block_operator, shapovalov_grams
 from .dirac import block, block_space
 from .liealg import PairGH, is_symmetric_pair
@@ -231,15 +232,16 @@ def block_inner_gram(us: UnitaryStructure, sm: SpinModule, m, mu) -> Mat:
         for i in sp.slot))
 
 
-def _half_decomposes(c, ker_d) -> bool:
-    """ker C = im C (+) ker D for one half C of D, with C^2 = 0 and ker D in ker C.
+def _half_decomposes(c, d, rank_d) -> bool:
+    """ker C = im C (+) ker D for one half C of D, from ranks alone.
 
-    dim ker C is n - rank C, and rank C is the row count of the im C basis.
+    C^2 = 0 puts im C in ker C; rank [D; C] = rank D says ker D lies in
+    ker C; rank DC = rank C says im C meets ker D in 0; and then
+    dim ker C = dim im C + dim ker D reads rank D = 2 rank C.
     """
-    imc = c.T.row_space()
-    return (imc @ c.T).is_zero() and (ker_d @ c.T).is_zero() and \
-        not subspace_intersect(imc, ker_d).nrows and \
-        c.ncols - imc.nrows == imc.nrows + ker_d.nrows
+    rank_c = c.rank()
+    return rank_d == 2 * rank_c and (c @ c).is_zero() and \
+        d.vstack(c).rank() == rank_d and (d @ c).rank() == rank_c
 
 
 def hodge_decomposition_check(hp, sm, m, us: UnitaryStructure, mu) -> dict:
@@ -255,10 +257,10 @@ def hodge_decomposition_check(hp, sm, m, us: UnitaryStructure, mu) -> dict:
     adj_plus = ginv @ blk.d_plus.T @ g
     adj_minus = ginv @ blk.d_minus.T @ g
     adjoint_ok = (adj_plus == -blk.d_minus) and (adj_minus == -blk.d_plus)
-    ker = blk.d_kernel(1)
+    rank_d = sum(blk.d_ranks(1))
     split_ok = blk.stable_index() <= 1  # ker D meet im D = 0 iff ker D = ker D^2
-    cplus_ok = _half_decomposes(blk.d_plus, ker)
-    cminus_ok = _half_decomposes(blk.d_minus, ker)
+    cplus_ok = _half_decomposes(blk.d_plus, blk.d, rank_d)
+    cminus_ok = _half_decomposes(blk.d_minus, blk.d, rank_d)
     report.update({
         "adjoint": adjoint_ok,
         "splitting": split_ok,

@@ -1,8 +1,9 @@
 """Test-side helpers: adjoint matrices, generator lists, window
 dimensions, the fundamental-weight and epsilon coordinates, the
 reference simple quotient of a Verma window, block weights by the
-offset filter over every subset sum of q+, and Jordan chains chosen one
-candidate top at a time."""
+offset filter over every subset sum of q+, Jordan chains chosen one
+candidate top at a time, and the subspace meet and preimage that the
+reference singular classes and Hodge decompositions are built from."""
 
 from fractions import Fraction
 from itertools import takewhile
@@ -195,3 +196,29 @@ def greedy_chains(nil, seeds=()):
                 chain.append(chain[-1] @ nt)
             chains.append(vec.vstack(*chain[1:]))
     return chains
+
+
+# -- subspace arithmetic ----------------------------------------------------
+#
+# A subspace of Q^n is the row space of a Mat with n columns.  `row_space`
+# and `nullspace` return canonical (rref-derived) bases, so equal subspaces
+# get identical Mats.  Sums are `vstack(...).row_space()` and dimensions of
+# spans are `rank()`.
+
+def subspace_intersect(a, b):
+    """Canonical basis of the meet of the row spaces of a and b, as a Mat."""
+    if not a.nrows or not b.nrows:
+        return Mat.zero(0, a.ncols)
+    # c with c_a a + c_b b = 0 gives c_a a in the meet, and every meet vector so
+    combos = a.vstack(b).T.nullspace()
+    return (combos.take(cols=range(a.nrows)) @ a).row_space()
+
+
+def preimage_subspace(a, w_basis):
+    """Canonical basis rows of {v : a v lies in the row space of w_basis}."""
+    if a.nrows == 0:
+        return Mat.identity(a.ncols)
+    if not w_basis.nrows:
+        return a.nullspace()
+    # (v, y) with a v + w_basis^T y = 0: the v are the preimage
+    return a.hstack(w_basis.T).nullspace().take(cols=range(a.ncols)).row_space()

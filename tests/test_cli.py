@@ -78,7 +78,7 @@ def test_no_run_loads_openssl(tmp_path):
     OpenSSL binding."""
     paths = sorted(glob.glob(os.path.join(SCENARIOS, "*.json")) +
                    glob.glob(os.path.join(REPO, "perfbench", "workloads", "*.json")))
-    assert len(paths) == 17
+    assert len(paths) == 18
     code = ("import sys\nfrom odirac import cli\n"
             f"for path in {paths!r}:\n"
             f"    assert cli.main(['run', path, '--out', {str(tmp_path)!r}]) == 0, path\n"
@@ -86,7 +86,7 @@ def test_no_run_loads_openssl(tmp_path):
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=CHILD_ENV)
     assert res.returncode == 0, res.stderr
-    assert len(res.stdout.splitlines()) == 18 and res.stdout.splitlines()[-1] == ""
+    assert len(res.stdout.splitlines()) == 19 and res.stdout.splitlines()[-1] == ""
 
 
 def test_golden_bundle(tmp_path):

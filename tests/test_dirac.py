@@ -16,7 +16,7 @@ from odirac.dirac import (DiracBlock, GradedNilpotent, LiftFailure, block, check
                           simple_verma_theorem_check, singular_cohomology_weights,
                           vogan_audit)
 from conftest import ctx, full_drop, spin_parity, spin_weight, spin_weights
-from helpers import greedy_chains, subset_sums
+from helpers import greedy_chains, preimage_subspace, subset_sums, subspace_intersect
 
 F = Fraction
 
@@ -679,17 +679,16 @@ def test_eigen_decomposition_memo(a2_su21, monkeypatch):
     assert [blk.d_power(k) for k in (3, 0, 1, 2, 5)] == \
         [blk.d.power(k) for k in (3, 0, 1, 2, 5)]
     assert blk.d_power(2) is blk.d_power(2) and blk.d_power(5) is blk.d_power(5)
-    # the memo of ker D^j
-    assert blk.d_kernel(3) == blk.d.power(3).nullspace()
-    assert blk.d_kernel(3) is blk.d_kernel(3)
-    # On a cold spin module, singular_cohomology_weights computes each D^j,
-    # each ker D^j and each H_top denominator once per block.
-    from odirac import dirac
-
-    products, nullspaces, meets, asked = Counter(), Counter(), Counter(), Counter()
+    # the memo of the generalized kernel ker D^s
+    s = blk.stable_index()
+    assert blk.gen0() is blk.gen0()
+    assert blk.gen0()[0].row_space() == blk.d.power(s).nullspace().row_space()
+    # On a cold spin module, singular_cohomology_weights computes each D^j, each
+    # generalized kernel and each block's Jordan chains once per block.
+    products, nullspaces, computed, asked = Counter(), Counter(), Counter(), Counter()
     kept = []  # keeps every counted operand alive, so no id is reused
     matmul, nullspace = Mat.__matmul__, Mat.nullspace
-    intersect, htop_denominator = dirac.subspace_intersect, DiracBlock.htop_denominator
+    chains, compute_chains = GradedNilpotent.chains, GradedNilpotent._compute_chains
 
     def counted_matmul(self, other):
         kept.append(other)
@@ -701,19 +700,18 @@ def test_eigen_decomposition_memo(a2_su21, monkeypatch):
         nullspaces[id(self)] += 1
         return nullspace(self)
 
-    def counted_intersect(a, b):  # a meet with im D: once per computed denominator
-        if any(b is blk._image for blk in cold.blocks.values()):
-            meets["all"] += 1
-        return intersect(a, b)
+    def counted_chains(self, seeds=None):
+        asked[self] += 1
+        return chains(self, seeds)
 
-    def counted_denominator(self, k):
-        asked[self, k] += 1
-        return htop_denominator(self, k)
+    def counted_compute(self, seeds):
+        computed[self] += 1
+        return compute_chains(self, seeds)
 
     monkeypatch.setattr(Mat, "__matmul__", counted_matmul)
     monkeypatch.setattr(Mat, "nullspace", counted_nullspace)
-    monkeypatch.setattr(dirac, "subspace_intersect", counted_intersect)
-    monkeypatch.setattr(DiracBlock, "htop_denominator", counted_denominator)
+    monkeypatch.setattr(GradedNilpotent, "chains", counted_chains)
+    monkeypatch.setattr(GradedNilpotent, "_compute_chains", counted_compute)
     cold = SpinModule(pair, cb)  # no block of it is built yet
     weights = a2_su21.block_weights(vw, 8)  # the weights of sl3_paper_example's vogan task
     assert singular_cohomology_weights(pair, cb, cold, vw, weights)
@@ -722,8 +720,10 @@ def test_eigen_decomposition_memo(a2_su21, monkeypatch):
         # right factor once per memoized power past the first
         assert b._d_powers[0] is b.d, b.mu
         assert products[id(b.d)] == len(b._d_powers) - 1, b.mu
-        assert all(nullspaces[id(b.d_power(j))] == 1 for j in b._d_kernels if j), b.mu
-    assert meets["all"] == len(asked)
+        # one nullspace, of D^s, for a generalized kernel that was built
+        assert sum(nullspaces[id(p)] for p in b._d_powers) == \
+            (b._gen0 is not None and b.stable_index() > 0), b.mu
+    assert computed and set(computed.values()) == {1}
     assert sum(asked.values()) > len(asked)  # neighbours ask again and hit the memo
 
 
@@ -783,8 +783,6 @@ def reference_image_graded(nil, sign):
 
 def reference_htop(blk):
     """{k: (plus, minus)} from the quotients in generalized-kernel coordinates."""
-    from odirac.exactla import subspace_intersect
-
     nil = reference_nilpotent(blk)
 
     def quotient(ker_basis, sign, lower_k):
@@ -809,8 +807,6 @@ def reference_htop(blk):
 
 def reference_dirac_cohomology(blk):
     """ker/im from rank D; H_D as ker N / (ker N meet im N) in each parity."""
-    from odirac.exactla import subspace_intersect
-
     nil = reference_nilpotent(blk)
 
     def hd(sign):
@@ -828,8 +824,7 @@ def reference_dirac_cohomology(blk):
 def reference_singular_cohomology_weights(pair, cb, sm, m, weights):
     """Singular classes with H_D's denominators on a branch of their own."""
     from odirac.cato import _h_simples
-    from odirac.dirac import _preimage_subspace, block, h_generator_block
-    from odirac.exactla import subspace_intersect
+    from odirac.dirac import block, h_generator_block
 
     kernels = {}
 
@@ -862,7 +857,7 @@ def reference_singular_cohomology_weights(pair, cb, sm, m, weights):
             cand = num
             for alpha, e_map in raisers:
                 cand = subspace_intersect(
-                    cand, _preimage_subspace(e_map, den_hd(block(sm, m, mu + alpha))))
+                    cand, preimage_subspace(e_map, den_hd(block(sm, m, mu + alpha))))
             d_hd = cand.nrows - den_hd(b).nrows
             if d_hd:
                 entry["hd"] = d_hd
@@ -873,7 +868,7 @@ def reference_singular_cohomology_weights(pair, cb, sm, m, weights):
             cand = numk
             for alpha, e_map in raisers:
                 cand = subspace_intersect(
-                    cand, _preimage_subspace(e_map, den_htop(block(sm, m, mu + alpha), k)))
+                    cand, preimage_subspace(e_map, den_htop(block(sm, m, mu + alpha), k)))
             dk = cand.nrows - den_htop(b, k).nrows
             if dk:
                 htop[k] = dk
@@ -908,16 +903,24 @@ def test_dirac_cohomology_is_htop_level_zero():
 
 
 def test_singular_classes_match_two_branch_reference():
-    """Entry for entry on every run of the Vogan audit criterion, and on A1's
+    """Entry for entry on every run of the Vogan audit criterion, on A1's
     M(0), whose H_top^1 classes need ker D^2 in the denominator (the
-    criterion's runs would not notice it missing)."""
+    criterion's runs would not notice it missing), and on
+    scenarios/a2_levi_tensor_vogan.json, a Levi h with singular classes at
+    levels k = 0 to 3, where a raiser moves some class of a level k >= 1."""
+    import json
+    import os
+
     from odirac.acceptance import vogan_documents
     from odirac.scenarios import Scenario, Workspace
 
     a1_m0 = {"name": "A1-M0", "cartan_type": "A1", "max_depth": 12, "depth_below_top": 6,
              "module": {"kind": "verma", "lambda": [0], "depth": 12}}
-    docs = vogan_documents() + [a1_m0]
-    assert len(docs) == 15
+    with open(os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                           "a2_levi_tensor_vogan.json")) as fh:
+        levi = json.load(fh)
+    docs = vogan_documents() + [a1_m0, levi]
+    assert len(docs) == 16
     for doc in docs:
         ws = Workspace(Scenario(doc))
         weights = ws.block_weights()
@@ -925,6 +928,12 @@ def test_singular_classes_match_two_branch_reference():
         assert got, doc["name"]
         assert got == reference_singular_cohomology_weights(
             ws.pair, ws.cb, ws.sm, ws.module, weights), doc["name"]
+    # the Levi run: levels up to 3, and fewer singular classes than H_top^k at
+    # some level k >= 1, so a raiser sends a top there to a nonzero class
+    assert {k for entry in got.values() for k in entry["htop"]} == {0, 1, 2, 3}
+    assert got[Weight([F(-3, 2), -1])]["htop"] == {0: 1, 2: 1, 3: 1}
+    assert any(got.get(mu, {}).get("htop", {}).get(k, 0) < sum(dims)
+               for mu in weights for k, dims in block(ws.sm, ws.module, mu).htop().items() if k)
 
 
 def _homogeneous(vecs, parity):
@@ -957,9 +966,9 @@ def test_htop_matches_generalized_kernel_route(a1):
         assert blk.htop() == want, blk.mu
         higher += any(k for k in want)
         for k in range(blk.stable_index() + 2):
-            assert _homogeneous(blk.d_kernel(k), parity), (blk.mu, k)
-            assert _homogeneous(blk.htop_denominator(k), parity), (blk.mu, k)
-        assert _homogeneous(blk.image(), parity), blk.mu
+            assert _homogeneous(blk.d_power(k).nullspace(), parity), (blk.mu, k)
+            assert _homogeneous(htop_denominator(blk, k), parity), (blk.mu, k)
+        assert _homogeneous(blk.d.T.row_space(), parity), blk.mu
     assert higher
 
 
@@ -1005,8 +1014,9 @@ def _scenario_blocks(name):
 
 @pytest.mark.parametrize("name", ["sl3_paper_example", "jordan_tensor", "a3_kl_s1s3"])
 def test_kernels_from_the_spectrum_match_the_nullspace(monkeypatch, name):
-    """Every ker D^k a run memoized is the nullspace of D^k, also where the
-    spectrum of D^2 answered it without a reduction."""
+    """After a run, every block's generalized kernel is ker D^s and ker D^{s+1}
+    by nullspaces of binary powers of D, also where the spectrum of D^2 gave
+    s = 0 and no rows without a reduction."""
     from odirac import scenarios
 
     monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
@@ -1014,9 +1024,9 @@ def test_kernels_from_the_spectrum_match_the_nullspace(monkeypatch, name):
     short = 0
     for blk in blocks:
         short += blk._eigs is not None and 0 not in blk._eigs
-        top = max(blk._d_kernels)
-        for k in range(1, top + 2):
-            assert blk.d_kernel(k) == blk.d_power(k).nullspace(), (blk.mu, k)
+        s, gen = blk.stable_index(), blk.gen0()[0].row_space()
+        for k in (s, s + 1):
+            assert gen == blk.d.power(k).nullspace().row_space(), (blk.mu, k)
     assert 0 < short < len(blocks)
 
 
@@ -1174,27 +1184,47 @@ def rank_oracle(blk):
     return htop, sizes
 
 
+def htop_denominator(blk, k, kernel=None):
+    """Canonical basis rows of (ker D^{2k+1} meet im D) + ker D^{2k} on blk.
+
+    H_top^k is ker D^{2k+1} modulo this subspace; at k = 0 (ker D^0 = 0) it
+    is H_D = ker D / (ker D meet im D).  `kernel(j)` gives ker D^j; by
+    default the nullspace of `d_power(j)`.
+    """
+    kernel = kernel or (lambda j: blk.d_power(j).nullspace())
+    meet = subspace_intersect(kernel(2 * k + 1), blk.d.T.row_space())
+    return meet.vstack(kernel(2 * k)).row_space()
+
+
 def quotient_htop(blk):
-    """{k: (plus, minus)} by the defining quotient: the parity counts of the
-    canonical (homogeneous) basis of ker D^{2k+1} minus those of
-    `htop_denominator(k)`, for 2k + 1 <= s, with the stable index s found
-    from the nullspaces of the powers of D."""
+    """({k: (plus, minus)}, kernels) by the defining quotient: the parity
+    counts of the canonical (homogeneous) basis of ker D^{2k+1} minus those
+    of `htop_denominator`, for 2k + 1 <= s, with the stable index s found
+    from the nullspaces of the powers of D; kernels maps j to ker D^j for
+    every j it computed, s + 1 included."""
     from odirac.dirac import _parity_of
+
+    kernels = {}
+
+    def kernel(j):
+        if j not in kernels:
+            kernels[j] = blk.d_power(j).nullspace()
+        return kernels[j]
 
     def counts(vecs):
         minus = sum(_parity_of(v, blk.space.parity) for v in vecs.num)
         return vecs.nrows - minus, minus
 
     s = 0
-    while blk.d_kernel(s + 1).nrows != blk.d_kernel(s).nrows:
+    while kernel(s + 1).nrows != kernel(s).nrows:
         s += 1
     out = {}
     for k in range((s + 1) // 2):
-        (num_p, num_m), (den_p, den_m) = map(counts, (blk.d_kernel(2 * k + 1),
-                                                      blk.htop_denominator(k)))
+        (num_p, num_m), (den_p, den_m) = map(counts, (kernel(2 * k + 1),
+                                                      htop_denominator(blk, k, kernel)))
         if num_p - den_p or num_m - den_m:
             out[k] = (num_p - den_p, num_m - den_m)
-    return out
+    return out, kernels
 
 
 def _scenario_file(name):
@@ -1251,11 +1281,12 @@ def test_htop_and_jordan_sizes_match_rank_oracle(monkeypatch):
                     dims = blk.dirac_cohomology()
                     if key not in oracle:
                         oracle[key] = rank_oracle(blk)
-                    assert htop == oracle[key][0] == quotient_htop(blk), key
+                    quotient, kernel = quotient_htop(blk)
+                    assert htop == oracle[key][0] == quotient, key
                     s = blk.stable_index()
                     assert (dims["ker"], dims["im"], dims["gen0"]) == \
-                        (blk.d_kernel(1).nrows, blk.d.rank(), blk.d_kernel(s).nrows), key
-                    assert blk.d_kernel(s + 1).nrows == blk.d_kernel(s).nrows, key
+                        (kernel[1].nrows, blk.d.rank(), kernel[s].nrows), key
+                    assert kernel[s + 1].nrows == kernel[s].nrows, key
                     assert sorted(c.nrows for c in blk.nilpotent().chains()) == \
                         oracle[key][1], key
     assert len(oracle) > 150 + 79 + 164 and short
@@ -1278,7 +1309,6 @@ def test_splitting_and_nonvanishing_match_the_image_route(monkeypatch):
     import os
 
     from odirac import scenarios
-    from odirac.exactla import subspace_intersect
     from odirac.scenarios import Scenario, Workspace
 
     monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # cold contexts
@@ -1288,7 +1318,8 @@ def test_splitting_and_nonvanishing_match_the_image_route(monkeypatch):
     seen = set()
     for blk in blocks:
         split = blk.stable_index() <= 1
-        assert split == (not subspace_intersect(blk.d_kernel(1), blk.image()).nrows), blk.mu
+        assert split == (not subspace_intersect(blk.d.nullspace(), blk.d.T.row_space()).nrows), \
+            blk.mu
         seen.add(split)
     assert seen == {True, False}
     paths = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "scenarios",
@@ -1299,34 +1330,38 @@ def test_splitting_and_nonvanishing_match_the_image_route(monkeypatch):
         blk = block(ws.sm, ws.module, nv["weight"])
         off = blk.space.slot[0][0]
         units = Mat.identity(blk.dim).take(rows=range(off, off + nv["top_dim"]))
-        im = blk.image()
+        im = blk.d.T.row_space()
         assert nv["not_in_image"] == \
             (im.vstack(units).rank() == im.nrows + nv["top_dim"]), path
     assert len(paths) >= 14
 
 
 def test_dimensions_build_no_quotient_subspace(monkeypatch):
-    """A cold run of scenarios/a3_kl_s1s3.json reads every dimension off the
-    rank profiles: it never builds an H_top denominator, im D or a subspace
-    meet."""
+    """On the cold blocks of scenarios/a3_kl_s1s3.json, `dirac_cohomology()`
+    and `htop()` read every dimension off the rank profile: they call no
+    `Mat.nullspace` and no `Mat.row_space`."""
     from collections import Counter
-    from odirac import dirac, scenarios
+    from odirac import scenarios
 
     monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+    blocks = _nonzero_blocks(_scenario_file("a3_kl_s1s3"))
     calls = Counter()
-    for owner, name in ((DiracBlock, "htop_denominator"), (DiracBlock, "image"),
-                        (dirac, "subspace_intersect")):
-        def counted(*args, fn=getattr(owner, name), name=name):
+    for name in ("nullspace", "row_space"):
+        def counted(mat, fn=getattr(Mat, name), name=name):
             calls[name] += 1
-            return fn(*args)
+            return fn(mat)
 
-        monkeypatch.setattr(owner, name, counted)
-    assert scenarios.run_scenario(_scenario_file("a3_kl_s1s3"))["ok"]
+        monkeypatch.setattr(Mat, name, counted)
+    for blk in blocks:
+        blk.dirac_cohomology()
+        blk.htop()
     assert not calls
+    assert sum(1 for blk in blocks if blk.htop()) >= 10
     # the counters see the calls
-    blk = next(b for b in _nonzero_blocks(_scenario_file("a3_kl_s1s3")) if b.htop())
-    blk.htop_denominator(0)
-    assert set(calls) == {"htop_denominator", "image", "subspace_intersect"}
+    blk = next(b for b in blocks if b.htop())
+    blk.gen0()
+    htop_denominator(blk, 0)
+    assert set(calls) == {"nullspace", "row_space"}
 
 
 def _nonzero_blocks(scn):
@@ -1451,8 +1486,9 @@ def test_block_layer_constructs_no_coerced_matrix(monkeypatch):
                 blk.dirac_cohomology()
                 blk.higher_cohomology()
                 nil = blk.nilpotent()
-                bases += [blk.d_kernel(1), blk.image(), blk.htop_denominator(0),
-                          blk.gen0()[0], nil.kernel_graded(1, +1), nil.level_floor(1),
+                bases += [blk.d_power(1).nullspace(), blk.d.T.row_space(),
+                          htop_denominator(blk, 0), blk.gen0()[0], nil.kernel_graded(1, +1),
+                          nil.level_floor(1),
                           *nil.chains()]
             singular_cohomology_weights(ws.pair, ws.cb, ws.sm, m, weights)
         if ws.ses:

@@ -7,8 +7,9 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from odirac.exactla import Mat, charpoly, subspace_intersect
+from odirac.exactla import Mat, charpoly
 from conftest import subspace_eq
+from helpers import subspace_intersect
 
 F = Fraction
 

@@ -9,10 +9,11 @@ from odirac.roots import Weight, zero_weight
 from odirac.cato import _cone_coords, simple_quotient_window, verma_window
 from odirac.dirac import DiracBlock
 from odirac.scenarios import pair_context as ctx
-from odirac.hodge import (CEComplex, NotHermitian, UnitaryStructure,
+from odirac.hodge import (CEComplex, NotHermitian, UnitaryStructure, _half_decomposes,
                           detect_hermitian, hodge_decomposition_check,
                           identification_check, theorem52_comparison,
                           unitarity_check)
+from helpers import subspace_intersect
 
 F = Fraction
 
@@ -200,6 +201,62 @@ def test_hodge_decomposition_and_theorem(a1):
         assert cmp["ok"]
         hits += 1 if cmp["hd"] else 0
     assert hits >= 1
+
+
+def subspace_half_decomposes(c, d):
+    """ker C = im C (+) ker D as a statement on canonical bases: C kills im C
+    and ker D, im C meets ker D in 0, and dim ker C = dim im C + dim ker D."""
+    imc, ker_d = c.T.row_space(), d.nullspace()
+    return (imc @ c.T).is_zero() and (ker_d @ c.T).is_zero() and \
+        not subspace_intersect(imc, ker_d).nrows and \
+        c.ncols - imc.nrows == imc.nrows + ker_d.nrows
+
+
+# (C, D) pairs: one passing, then each rank condition of `_half_decomposes`
+# failing while the other three hold
+_HALVES = [
+    ("decomposes", [[0, 1], [0, 0]], [[0, 1], [1, 0]]),
+    ("C^2 != 0", [[1, 0], [0, 0]], [[1, 0], [0, 1]]),
+    ("ker D not in ker C", [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
+     [[1, 0, 0], [0, 1, 0], [0, 0, 0]]),
+    ("im C meets ker D", [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+     [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]),
+    ("rank D != 2 rank C", [[0]], [[1]]),
+]
+
+
+@pytest.mark.parametrize("label, c, d", _HALVES, ids=[h[0] for h in _HALVES])
+def test_half_decomposes_rank_conditions(label, c, d):
+    c, d = Mat(c), Mat(d)
+    rank_c, rank_d = c.rank(), d.rank()
+    conditions = {"C^2 != 0": (c @ c).is_zero(),
+                  "ker D not in ker C": d.vstack(c).rank() == rank_d,
+                  "im C meets ker D": (d @ c).rank() == rank_c,
+                  "rank D != 2 rank C": rank_d == 2 * rank_c}
+    assert [name for name, held in conditions.items() if not held] == \
+        ([] if label == "decomposes" else [label])
+    want = label == "decomposes"
+    assert _half_decomposes(c, d, rank_d) is want
+    assert subspace_half_decomposes(c, d) is want
+
+
+@pytest.mark.parametrize("path", ["perfbench/workloads/a3_hodge.json",
+                                  "scenarios/a2_hodge_unitary.json"])
+def test_half_decomposes_matches_subspace_statement(monkeypatch, path):
+    """After a cold hodge run, on every nonzero block it built, the rank tests
+    of C+ and C- agree with the subspace statement."""
+    import os
+    from odirac import scenarios
+
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+    scn = scenarios.load_scenario(os.path.join(os.path.dirname(__file__), "..", path))
+    assert scenarios.run_scenario(scn)["ok"]
+    blocks = [blk for blk in scn.ctx.sm.blocks.values() if blk.dim]
+    for blk in blocks:
+        for c in (blk.d_plus, blk.d_minus):
+            assert _half_decomposes(c, blk.d, blk.d.rank()) == \
+                subspace_half_decomposes(c, blk.d), blk.mu
+    assert len(blocks) > 10
 
 
 def test_hodge_su21_simple_quotient(a2_su21):

@@ -34,6 +34,10 @@ with open(os.path.join(REPO, "perfbench", "reference.json")) as _fh:
 # by one rank per candidate.  b3_kl_s2, a B3 simple module with h = t whose
 # blocks mostly carry a nonzero cubic part, is pinned to the bundle of the
 # block that assembled C+, C- and the cubic part apart and added them.
+# a2_levi_tensor_vogan, the one sample with a Levi h whose vogan task finds
+# singular classes in H_top^k for k >= 1 (k = 0 to 3), is pinned to the bundle
+# of the singular classes counted as subspaces: ker D^{2k+1} cut by the
+# preimages of the neighbours' H_top denominators, modulo its own.
 PINNED = {
     "scenarios/a2_circle_split.json":
         "b05f7e7e1b0f1969e171e07cccd88385290169db786002f74a4c16f0f3f26fdf",
@@ -51,6 +55,8 @@ PINNED = {
         "e44dcde0525a9ecc8cd4523d84d1f0699fce28ec74ca1d26f9e0f6e0ea0f8cac",
     "scenarios/b3_kl_s2.json":
         "c2614b10816422b9bbbe16d97238135f596fdd06567fe5e6c07b885b6696cd6e",
+    "scenarios/a2_levi_tensor_vogan.json":
+        "761ac2200d629b1ae1655933c0041d9747d1cab862ec648c5c153eb4cf7b7142",
 }
 BUNDLES = {**REFERENCE, **PINNED}
 
