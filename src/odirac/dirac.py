@@ -16,7 +16,6 @@ from operator import sub
 
 from .exactla import Mat
 from .cato import OutsideWindow, SlotSpace, WeightModuleWindow, _identity_map, block_operator
-from .liealg import PairGH
 from .roots import Weight, same_infinitesimal_character, zero_weight
 from .spinor import SpinModule
 
@@ -88,9 +87,8 @@ def h_generator_block(cb, sm, m, gen, mu) -> Mat:
 class DiracBlock:
     """The cubic Dirac operator on one weight space, with derived data."""
 
-    def __init__(self, pair: PairGH, cb, sm: SpinModule, m: WeightModuleWindow,
-                 mu: Weight):
-        self.pair = pair
+    def __init__(self, sm: SpinModule, m: WeightModuleWindow, mu: Weight):
+        self.pair = sm.pair
         self.sm = sm
         self.m = m
         self.mu = mu
@@ -277,16 +275,8 @@ def block(sm: SpinModule, m: WeightModuleWindow, mu: Weight) -> DiracBlock:
     """The Dirac block of m at mu, built once per spin module (keyed by m and mu)."""
     b = sm.blocks.get((m, mu))
     if b is None:
-        b = sm.blocks[(m, mu)] = DiracBlock(sm.pair, sm.cb, sm, m, mu)
+        b = sm.blocks[(m, mu)] = DiracBlock(sm, m, mu)
     return b
-
-
-def _nullspace_on(mat, cols):
-    """Basis rows of ker `mat` among vectors supported on `cols`, in full coordinates."""
-    if not cols:
-        return Mat.zero(0, mat.ncols)
-    # the unit rows of `cols` scatter each kernel row into full coordinates
-    return mat.take(cols=cols).nullspace() @ Mat.identity(mat.ncols).take(rows=cols)
 
 
 def _parity_of(row, parity):
@@ -314,7 +304,9 @@ class GradedNilpotent:
     """A parity-odd nilpotent operator on a graded space, in its own coordinates.
 
     Vectors are one-row `Mat`s: N sends the row v to v @ N^T, and a Jordan
-    chain is the `Mat` of rows [top, N top, ...].
+    chain is the `Mat` of rows [top, N top, ...].  N is odd, so each row of
+    N^k is supported on the columns of one parity, row reduction never
+    mixes parities, and every canonical kernel row is homogeneous.
     """
 
     def __init__(self, n_mat: Mat, parity):
@@ -332,20 +324,14 @@ class GradedNilpotent:
             self._powers.append(self._powers[-1] @ self.n)
         return self._powers[k]
 
-    def cols_of(self, sign):
-        want = 0 if sign > 0 else 1
-        return [i for i, p in enumerate(self.parity) if p == want]
-
-    def kernel_graded(self, k, sign):
-        """Basis rows of ker(N^k) in the sign part, memoized per (k, sign)."""
-        ker = self._kernels.get((k, sign))
-        if ker is None:
-            ker = self._kernels[k, sign] = _nullspace_on(self.power(k), self.cols_of(sign))
-        return ker
-
     def kernel(self, k):
-        """Basis rows of ker(N^k): the even part, then the odd part."""
-        return self.kernel_graded(k, +1).vstack(self.kernel_graded(k, -1))
+        """Canonical basis rows of ker(N^k), memoized per k: one row per free column,
+        in column order, each homogeneous of its column's parity.  On coordinates
+        with the even ones first (`DiracBlock.gen0`), the even rows come first."""
+        ker = self._kernels.get(k)
+        if ker is None:
+            ker = self._kernels[k] = self.power(k).nullspace()
+        return ker
 
     def level_floor(self, k):
         """Canonical basis rows of ker N^{k-1} + N ker N^{k+1}, memoized per k.
@@ -389,15 +375,14 @@ class GradedNilpotent:
             floor = self.level_floor(k)
             mine = [vec for vec, size in seeds if size == k]
             cands = floor.vstack(*mine, self.kernel(k))
-            pivots = cands.T.rref()[1]
+            pivots = cands.T.pivots()
             for i, vec in enumerate(mine):
                 if self._chain_length(vec) != k:
                     raise LiftFailure(f"seed has chain length != {k}")
                 if floor.nrows + i not in pivots:
                     raise LiftFailure("seed top is not independent at its level")
-            start = floor.nrows + len(mine)
-            tops = mine + [cands.take(rows=[p]) for p in pivots if p >= start]
-            chains.extend(self._chain_of(v, k) for v in tops)
+            tops = cands.take(rows=[p for p in pivots if p >= floor.nrows])
+            chains += self._chains_of(tops, k)
         if sum(c.nrows for c in chains) != self.dim:
             raise AssertionError("Jordan chains do not fill the generalized kernel")
         if Mat.zero(0, self.dim).vstack(*chains).rank() != self.dim:
@@ -411,11 +396,14 @@ class GradedNilpotent:
             k += 1
         return k
 
-    def _chain_of(self, top, size):
-        out = [top]
+    def _chains_of(self, tops, size):
+        """The chain [top, N top, ..., N^{size-1} top] of each row of `tops`, in
+        order; one product per step moves every top at once."""
+        steps = [tops]
         for _ in range(size - 1):
-            out.append(out[-1] @ self._nt)
-        return top.vstack(*out[1:])
+            steps.append(steps[-1] @ self._nt)
+        rows, n = tops.vstack(*steps[1:]), tops.nrows
+        return [rows.take(rows=range(i, n * size, n)) for i in range(n)]
 
     def vector_parity(self, vec):
         """The parity of the homogeneous one-row Mat vec."""
@@ -425,17 +413,9 @@ class GradedNilpotent:
         """{k: (plus, minus)} counting odd chains by top parity."""
         out = {}
         for chain in (chains if chains is not None else self.chains()):
-            size = chain.nrows
-            if size % 2 == 0:
-                continue
-            k = (size - 1) // 2
-            p = _parity_of(chain.num[0], self.parity)
-            dp, dm = out.get(k, (0, 0))
-            if p == 0:
-                out[k] = (dp + 1, dm)
-            else:
-                out[k] = (dp, dm + 1)
-        return out
+            if chain.nrows % 2:  # size 2k + 1
+                out.setdefault(chain.nrows // 2, [0, 0])[self.vector_parity(chain)] += 1
+        return {k: tuple(v) for k, v in out.items()}
 
 
 # -- Casimir identity ---------------------------------------------------------
@@ -535,7 +515,7 @@ def kostant_kernel_check(pair, cb, sm, f) -> dict:
     }
 
 
-def nonvanishing_check(pair, cb, sm, m) -> dict:
+def nonvanishing_check(sm, m) -> dict:
     """v+ tensor vacuum is in ker D and not in im D at the top weight."""
     top = m.top_weight
     mu = top + sm.top_weight
@@ -590,7 +570,7 @@ def simple_verma_theorem_check(pair, cb, sm, m, weights) -> dict:
     }
 
 
-def index_identity_check(pair, cb, sm, m, mu) -> dict:
+def index_identity_check(sm, m, mu) -> dict:
     """Signed higher-cohomology sum against the graded block dimensions."""
     blk = block(sm, m, mu)
     htop = blk.higher_cohomology()
@@ -724,7 +704,7 @@ class CircleCertificate:
         self.exact = exact
 
 
-def exact_circle(pair, cb, sm, ses, mu) -> CircleCertificate:
+def exact_circle(sm, ses, mu) -> CircleCertificate:
     """Jordan-compatible decomposition of an SES block and the six-term circle.
 
     The Jordan chains of the quotient block lift to the middle block and
@@ -796,7 +776,7 @@ def exact_circle(pair, cb, sm, ses, mu) -> CircleCertificate:
                             "top2": top1 @ i0.T, "top3": None})
 
     # full decomposition of the middle block: lifted chains + i(residual chains)
-    chain2_list = [nil2._chain_of(t["top2"], t["l"]) for t in triples]
+    chain2_list = [nil2._chains_of(t["top2"], t["l"])[0] for t in triples]
     if Mat.zero(0, n2).vstack(*chain2_list).rank() != n2:
         raise LiftFailure("compatible decomposition does not span the middle kernel")
     # cross-check higher cohomology of the adapted decomposition

@@ -61,7 +61,7 @@ def _echelon(num, ncols, reduced=True):
     by the gcd of its entries, and every returned row has a positive
     pivot.  With `reduced`, the rows above each pivot are cleared too
     (reduced echelon form up to one positive factor per row); without it
-    only the rows below are, which is all a rank needs.
+    only the rows below are: the same pivots, which is all a rank needs.
     """
     work = [r for r in num if any(r)]
     nrows = len(work)
@@ -264,8 +264,12 @@ class Mat:
         rows += [(0,) * self.ncols] * (self.nrows - len(pivots))
         return Mat.from_ints(rows, self.ncols, den), pivots
 
+    def pivots(self):
+        """The pivot columns of `rref()`, from the forward pass alone."""
+        return _echelon(self.num, self.ncols, reduced=False)[1]
+
     def rank(self):
-        return len(_echelon(self.num, self.ncols, reduced=False)[1])
+        return len(self.pivots())
 
     def row_space(self):
         """Canonical basis of the row space: the nonzero rows of the rref, as a Mat.

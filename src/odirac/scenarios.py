@@ -403,7 +403,7 @@ def _task_dirac(ws):
         }
 
     records = _map_blocks(one, ws)
-    nv = nonvanishing_check(ws.pair, ws.cb, ws.sm, ws.module)
+    nv = nonvanishing_check(ws.sm, ws.module)
     return {
         "per_weight": records,
         "nonvanishing": {
@@ -471,7 +471,7 @@ def _task_higher(ws):
 
 def _task_index(ws):
     def one(blk):
-        rep = index_identity_check(ws.pair, ws.cb, ws.sm, ws.module, blk.mu)
+        rep = index_identity_check(ws.sm, ws.module, blk.mu)
         return {"signed_sum": rep["signed_sum"],
                 "graded_difference": rep["graded_difference"],
                 "ok": rep["ok"]}
@@ -484,7 +484,7 @@ def _task_circle(ws):
     weights = ws.block_weights()
 
     def one(mu):
-        cert = exact_circle(ws.pair, ws.cb, ws.sm, ws.ses, mu)
+        cert = exact_circle(ws.sm, ws.ses, mu)
         return {"exact": cert.exact, "node_dims": cert.node_dims,
                 "triples": [{"k": t["k"], "l": t["l"], "m": t["m"]}
                             for t in cert.triples]}

@@ -42,16 +42,15 @@ class SpinOperator:
     def _apply(self, mask):
         col = {}
         for coeff, word in self.terms:
-            row = mask
+            row, flips = mask, 0
             for a in reversed(word):
                 bit = 1 << (a % self.nq)
                 if bool(row & bit) == (a >= self.nq):
                     break
-                if (row & (bit - 1)).bit_count() & 1:
-                    coeff = -coeff
+                flips += (row & (bit - 1)).bit_count()
                 row ^= bit
             else:
-                col[row] = col.get(row, 0) + coeff
+                col[row] = col.get(row, 0) + (-coeff if flips & 1 else coeff)
         return {row: v for row, v in col.items() if v}
 
     def column(self, mask):

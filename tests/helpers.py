@@ -2,8 +2,9 @@
 dimensions, the fundamental-weight and epsilon coordinates, the
 reference simple quotient of a Verma window, block weights by the
 offset filter over every subset sum of q+, Jordan chains chosen one
-candidate top at a time, and the subspace meet and preimage that the
-reference singular classes and Hodge decompositions are built from."""
+candidate top at a time, kernels restricted to one parity, and the
+subspace meet and preimage that the reference singular classes and
+Hodge decompositions are built from."""
 
 from fractions import Fraction
 from itertools import takewhile
@@ -198,6 +199,26 @@ def greedy_chains(nil, seeds=()):
     return chains
 
 
+def nullspace_on(mat, cols):
+    """Basis rows of ker `mat` among vectors supported on `cols`, in full coordinates."""
+    if not cols:
+        return Mat.zero(0, mat.ncols)
+    # the unit rows of `cols` scatter each kernel row into full coordinates
+    return mat.take(cols=cols).nullspace() @ Mat.identity(mat.ncols).take(rows=cols)
+
+
+def parity_cols(parity, sign):
+    """The coordinates of the sign part: parity 0 for sign +1, 1 for sign -1."""
+    want = 0 if sign > 0 else 1
+    return [i for i, p in enumerate(parity) if p == want]
+
+
+def graded_kernel(nil, k, sign):
+    """Basis rows of ker N^k in the sign part of the `GradedNilpotent` nil: a
+    nullspace of N^k on the columns of one parity, in full coordinates."""
+    return nullspace_on(nil.power(k), parity_cols(nil.parity, sign))
+
+
 # -- subspace arithmetic ----------------------------------------------------
 #
 # A subspace of Q^n is the row space of a Mat with n columns.  `row_space`
@@ -222,3 +243,72 @@ def preimage_subspace(a, w_basis):
         return a.nullspace()
     # (v, y) with a v + w_basis^T y = 0: the v are the preimage
     return a.hstack(w_basis.T).nullspace().take(cols=range(a.ncols)).row_space()
+
+
+# -- Bruhat order and Kazhdan-Lusztig polynomials -----------------------------
+#
+# Elements of W are the indices of a `roots.WeylData`; a polynomial in q is
+# its list of int coefficients, constant term first.
+
+def _poly_add(a, b, shift=0, scale=1):
+    """a + scale * q^shift * b."""
+    out = list(a) + [0] * max(0, len(b) + shift - len(a))
+    for i, c in enumerate(b):
+        out[i + shift] += scale * c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+class KazhdanLusztig:
+    """Bruhat order and the Kazhdan-Lusztig polynomials P_{x,w} on the Weyl
+    group `weyl` of the root system `rs`, by the recursion of
+    Kazhdan-Lusztig (1979, Invent. Math. 53, (2.2.c)).
+
+    `below[w]` is the Bruhat interval {x <= w}: for a simple s with sw < w,
+    x <= w iff min(x, sx) <= sw (the lifting property).  For the same s and
+    v = sw, with c = 1 if sx < x and 0 otherwise,
+        P_{x,w} = q^{1-c} P_{sx,v} + q^c P_{x,v}
+                  - sum over z < v with sz < z of mu(z, v) q^{(l(w)-l(z))/2} P_{x,z},
+    where mu(z, v) is the coefficient of q^{(l(v)-l(z)-1)/2} in P_{z,v}.
+    """
+
+    def __init__(self, weyl, rs):
+        self.weyl = weyl
+        elements, lengths = weyl.elements, weyl.lengths
+        n = len(elements)
+        self.left = [[weyl.index[rs.simple_reflection(j) @ x] for x in elements]
+                     for j in range(rs.rank)]
+        self.below = {}
+        self.p = {}
+        for w in sorted(range(n), key=lengths.__getitem__):
+            if lengths[w] == 0:
+                self.below[w] = {w}
+                self.p[w, w] = [1]
+                continue
+            s = next(s for s in self.left if lengths[s[w]] < lengths[w])
+            v = s[w]
+            self.below[w] = {x for x in range(n) if min(x, s[x], key=lengths.__getitem__)
+                             in self.below[v]}
+            mus = [(z, self.mu(z, v)) for z in self.below[v]
+                   if z != v and lengths[s[z]] < lengths[z]]
+            for x in self.below[w]:
+                c = int(lengths[s[x]] < lengths[x])
+                out = _poly_add(_poly_add([], self.poly(s[x], v), 1 - c), self.poly(x, v), c)
+                for z, m in mus:
+                    if m:
+                        out = _poly_add(out, self.poly(x, z), (lengths[w] - lengths[z]) // 2, -m)
+                self.p[x, w] = out
+
+    def poly(self, x, w):
+        """P_{x,w} as its coefficient list; [] unless x <= w."""
+        return self.p.get((x, w), [])
+
+    def mu(self, z, v):
+        weyl = self.weyl
+        d = weyl.lengths[v] - weyl.lengths[z]
+        coeffs = self.poly(z, v)
+        return coeffs[(d - 1) // 2] if d % 2 and (d - 1) // 2 < len(coeffs) else 0
+
+    def leq(self, x, w):
+        return x in self.below[w]

@@ -799,7 +799,7 @@ def test_ses_from_embedding_rank2_matches_span_walk(cartan, delta_h, w0):
     mus = c.block_weights(vw, 3)
     assert len(mus) == 10
     for mu in mus:
-        got, want = (exact_circle(pair, cb, c.sm, s, mu) for s in (ses, ref))
+        got, want = (exact_circle(c.sm, s, mu) for s in (ses, ref))
         assert got.exact and want.exact and got.node_dims == want.node_dims
         assert [(t["k"], t["l"], t["m"]) for t in got.triples] == \
             [(t["k"], t["l"], t["m"]) for t in want.triples]

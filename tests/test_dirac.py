@@ -16,7 +16,8 @@ from odirac.dirac import (DiracBlock, GradedNilpotent, LiftFailure, block, check
                           simple_verma_theorem_check, singular_cohomology_weights,
                           vogan_audit)
 from conftest import ctx, full_drop, spin_parity, spin_weight, spin_weights
-from helpers import greedy_chains, preimage_subspace, subset_sums, subspace_intersect
+from helpers import (graded_kernel, greedy_chains, nullspace_on, parity_cols, preimage_subspace,
+                     subset_sums, subspace_intersect)
 
 F = Fraction
 
@@ -24,7 +25,7 @@ F = Fraction
 def test_sl3_top_block(a2_su21):
     pair, cb, sm = a2_su21.pair, a2_su21.cb, a2_su21.sm
     vw = verma_window(pair, cb, -pair.rho, 12)
-    blk = DiracBlock(pair, cb, sm, vw, -pair.rho_h)
+    blk = DiracBlock(sm, vw, -pair.rho_h)
     assert blk.dim == 1
     assert blk.d.is_zero()
     assert blk.d == blk.d_plus + blk.d_minus - blk.cubic_part
@@ -37,14 +38,14 @@ def test_trivial_module_is_cubic(a2_t, a2_su21):
         triv = finite_dim_simple(pair, cb, zero_weight(2))
         weights = spin_weights(sm)
         for w in sorted(set(weights)):
-            blk = DiracBlock(pair, cb, sm, triv, w)
+            blk = DiracBlock(sm, triv, w)
             idx = [i for i in range(sm.dim) if weights[i] == w]
             cubic = to_mat(sm.cubic, sm.dim)
             sub = Mat([[cubic.rows[a][b] for b in idx] for a in idx], len(idx))
             assert blk.d == -sub
     triv = finite_dim_simple(a2_su21.pair, a2_su21.cb, zero_weight(2))
     for w in set(spin_weights(a2_su21.sm)):
-        assert DiracBlock(a2_su21.pair, a2_su21.cb, a2_su21.sm, triv, w).d.is_zero()
+        assert DiracBlock(a2_su21.sm, triv, w).d.is_zero()
 
 
 def test_a1_blocks_two_by_two(a1):
@@ -56,7 +57,7 @@ def test_a1_blocks_two_by_two(a1):
     alpha = pair.rs.simple_roots[0]
     for k in range(1, 7):
         mu = lam + sm.top_weight - alpha * k
-        blk = DiracBlock(pair, cb, sm, vw, mu)
+        blk = DiracBlock(sm, vw, mu)
         sq = blk.d @ blk.d
         # every vector in the block has t-weight mu, so D^2 is the scalar
         # (|lam+rho|^2 - |mu+rho_h|^2)/2 with rho_h = 0 here
@@ -72,7 +73,7 @@ def test_check_square_and_eigenvalues(a2_su21):
     form = pair.form
     for c in _cone_coords(2, 4):
         mu = -pair.rho_h - Weight(c)
-        blk = DiracBlock(pair, cb, sm, vw, mu)
+        blk = DiracBlock(sm, vw, mu)
         if blk.dim == 0:
             continue
         rep = check_square(pair, cb, sm, vw, blk)
@@ -105,7 +106,7 @@ def test_dirac_cohomology_worked_example(a2_su21):
     weights = [mu_top - Weight(c) for c in _cone_coords(2, 8)]
     actual = {}
     for mu in weights:
-        blk = DiracBlock(pair, cb, sm, vw, mu)
+        blk = DiracBlock(sm, vw, mu)
         if blk.dim:
             hd = blk.dirac_cohomology()["hd"]
             if hd:
@@ -120,7 +121,7 @@ def test_finite_module_hd_is_kernel(a2_su21):
     for wm in f.weights():
         for ws in set(spin_weights(sm)):
             mu = wm + ws
-            blk = DiracBlock(pair, cb, sm, f, mu)
+            blk = DiracBlock(sm, f, mu)
             if blk.dim == 0:
                 continue
             rep = blk.dirac_cohomology()
@@ -159,10 +160,10 @@ def test_kostant_a2_cases(a2_su21, a2_t):
 
 def test_nonvanishing(a2_su21, a1):
     vw = verma_window(a2_su21.pair, a2_su21.cb, -a2_su21.pair.rho, 12)
-    rep = nonvanishing_check(a2_su21.pair, a2_su21.cb, a2_su21.sm, vw)
+    rep = nonvanishing_check(a2_su21.sm, vw)
     assert rep["ok"] and rep["top_dim"] == 1
     f = finite_dim_simple(a1.pair, a1.cb, Weight([1]))
-    rep = nonvanishing_check(a1.pair, a1.cb, a1.sm, f)
+    rep = nonvanishing_check(a1.sm, f)
     assert rep["ok"]
 
 
@@ -216,12 +217,12 @@ def test_jordan_on_tensor_fixture():
     c, t = fx["ctx"], fx["module"]
     alpha = c.pair.rs.simple_roots[0]
     mu = t.top_weight + c.sm.top_weight - alpha * fx["fixture"]["depth_below_top"]
-    blk = DiracBlock(c.pair, c.cb, c.sm, t, mu)
+    blk = DiracBlock(c.sm, t, mu)
     sizes = sorted(ch.nrows for ch in blk.nilpotent().chains())
     assert sizes == fx["fixture"]["jordan_sizes"]
     assert max(sizes) >= 2
     blk.higher_cohomology()  # cross-asserts the two routes
-    assert index_identity_check(c.pair, c.cb, c.sm, t, mu)["ok"]
+    assert index_identity_check(c.sm, t, mu)["ok"]
 
 
 def test_index_identity_on_verma(a2_su21):
@@ -229,14 +230,14 @@ def test_index_identity_on_verma(a2_su21):
     vw = verma_window(pair, cb, -pair.rho, 12)
     for c in _cone_coords(2, 4):
         mu = -pair.rho_h - Weight(c)
-        blk = DiracBlock(pair, cb, sm, vw, mu)
+        blk = DiracBlock(sm, vw, mu)
         if blk.dim:
-            assert index_identity_check(pair, cb, sm, vw, mu)["ok"]
+            assert index_identity_check(sm, vw, mu)["ok"]
     # single infinitesimal character: H_top^k vanishes for k >= 1 and
     # H_top^0 matches H_D per weight
     for c in _cone_coords(2, 4):
         mu = -pair.rho_h - Weight(c)
-        blk = DiracBlock(pair, cb, sm, vw, mu)
+        blk = DiracBlock(sm, vw, mu)
         if blk.dim == 0:
             continue
         htop = blk.higher_cohomology()
@@ -257,7 +258,7 @@ def test_exact_circle_cases(a1):
         mu_top = lam + pair.rho
         interesting = 0
         for k in range(9):
-            cert = exact_circle(pair, cb, sm, ses, mu_top - alpha * k)
+            cert = exact_circle(sm, ses, mu_top - alpha * k)
             assert cert.exact
             if sum(cert.node_dims.values()):
                 interesting += 1
@@ -266,7 +267,7 @@ def test_exact_circle_cases(a1):
                       verma_window(pair, cb, Weight([F(-3, 2)]), 10))
     mu_top = Weight([F(1, 2)]) + pair.rho
     for k in range(6):
-        cert = exact_circle(pair, cb, sm, split, mu_top - alpha * k)
+        cert = exact_circle(sm, split, mu_top - alpha * k)
         assert cert.exact
         # the split circle has zero connecting maps: no (k, l, m) with all odd-even mix
         for t in cert.triples:
@@ -282,7 +283,7 @@ def test_exact_circle_empty_quotient_kernel(a2_su21):
         mu = Weight([x, -1])
         b3 = block(c.sm, m3, mu)
         assert b3.dim == dim3 and not b3.gen0()[0].nrows and block(c.sm, m2, mu).gen0()[0].nrows
-        assert exact_circle(c.pair, c.cb, c.sm, ses, mu).exact
+        assert exact_circle(c.sm, ses, mu).exact
 
 
 def six_matrix_circle(triples, parities):
@@ -356,7 +357,7 @@ def test_circle_parity_case_pattern(a1):
     vw = verma_window(pair, cb, lam, 12)
     w0 = lam - alpha * 2
     ses = ses_from_embedding(vw, w0, singular_vectors(vw, w0))
-    cert = exact_circle(pair, cb, sm, ses, -(lam + pair.rho))
+    cert = exact_circle(sm, ses, -(lam + pair.rho))
     nd = cert.node_dims
     assert nd["H1+"] + nd["H1-"] == 1 and nd["H3+"] + nd["H3-"] == 1
     assert nd["H2+"] == nd["H2-"] == 0
@@ -397,8 +398,8 @@ def test_rank_data_basis_independence(a2_su21):
     sm2 = SpinModule(pair, cb, q_order=list(reversed(pair.q_positive)))
     for c in _cone_coords(2, 3):
         mu = -pair.rho_h - Weight(c)
-        b1 = DiracBlock(pair, cb, sm1, vw, mu)
-        b2 = DiracBlock(pair, cb, sm2, vw, mu)
+        b1 = DiracBlock(sm1, vw, mu)
+        b2 = DiracBlock(sm2, vw, mu)
         assert b1.dirac_cohomology() == b2.dirac_cohomology()
         assert b1.higher_cohomology() == b2.higher_cohomology()
         assert b1.eigenvalue_decomposition() == b2.eigenvalue_decomposition()
@@ -408,7 +409,7 @@ def test_kernel_filtration_stabilizes(a2_su21):
     pair, cb, sm = a2_su21.pair, a2_su21.cb, a2_su21.sm
     vw = verma_window(pair, cb, -pair.rho, 12)
     mu = -pair.rho_h - Weight([1, 1])
-    blk = DiracBlock(pair, cb, sm, vw, mu)
+    blk = DiracBlock(sm, vw, mu)
     dims = []
     p = blk.d
     for k in range(1, blk.dim + 2):
@@ -428,7 +429,7 @@ def test_htop_quotient_well_formed(a2_su21):
     c, t = fx["ctx"], fx["module"]
     alpha = c.pair.rs.simple_roots[0]
     mu = t.top_weight + c.sm.top_weight - alpha
-    blk = DiracBlock(c.pair, c.cb, c.sm, t, mu)
+    blk = DiracBlock(c.sm, t, mu)
     nil = blk.nilpotent()
     for k in range(0, 2):
         assert subspace_le(nil.kernel(2 * k), nil.kernel(2 * k + 1))
@@ -440,7 +441,7 @@ def test_index_identity_trivial_module(a2_su21):
     triv = finite_dim_simple(pair, cb, Weight([0, 0]))
     weights = spin_weights(sm)
     for w in sorted(set(weights)):
-        rep = index_identity_check(pair, cb, sm, triv, w)
+        rep = index_identity_check(sm, triv, w)
         assert rep["ok"]
         plus = sum(1 for i, ws in enumerate(weights)
                    if ws == w and spin_parity(i) == 0)
@@ -465,9 +466,9 @@ def test_one_build_per_block(monkeypatch):
     init, eig = DiracBlock.__init__, DiracBlock.eigenvalue_decomposition
     cand = DiracBlock._candidate_eigenvalues
 
-    def counted(self, pair, cb, sm, m, mu):
+    def counted(self, sm, m, mu):
         builds[(sm, m, mu)] += 1
-        init(self, pair, cb, sm, m, mu)
+        init(self, sm, m, mu)
 
     def counted_eig(self):
         if self.dim:
@@ -667,7 +668,7 @@ def test_eigen_decomposition_memo(a2_su21, monkeypatch):
 
     pair, cb, sm = a2_su21.pair, a2_su21.cb, a2_su21.sm
     vw = a2_su21.verma(-pair.rho, 14)
-    blk = DiracBlock(pair, cb, sm, vw, -pair.rho_h - Weight([1, 2]))
+    blk = DiracBlock(sm, vw, -pair.rho_h - Weight([1, 2]))
     first = blk.eigenvalue_decomposition()
     assert first and blk.eigenvalue_decomposition() == first
     want = dict(first)
@@ -734,7 +735,7 @@ def test_eigen_checks_still_run(a2_su21, monkeypatch):
     mu = -pair.rho_h - Weight([1, 2])
 
     def fresh():
-        return DiracBlock(pair, cb, sm, vw, mu)
+        return DiracBlock(sm, vw, mu)
 
     assert len(fresh().eigenvalue_decomposition()) >= 2
     # drop the largest candidate: the rest no longer cover the block
@@ -749,8 +750,6 @@ def test_eigen_checks_still_run(a2_su21, monkeypatch):
 
 def reference_gen0(blk):
     """The generalized kernel by a stable-power loop of its own."""
-    from odirac.dirac import _nullspace_on
-
     d, n = blk.d, blk.dim
     if n == 0:
         return Mat.zero(0, 0), []
@@ -761,8 +760,7 @@ def reference_gen0(blk):
             break
         prev = dim_k
         power = power @ d
-    kers = [_nullspace_on(power, [i for i, p in enumerate(blk.space.parity) if p == want])
-            for want in (0, 1)]
+    kers = [nullspace_on(power, parity_cols(blk.space.parity, sign)) for sign in (+1, -1)]
     return kers[0].vstack(kers[1]), [0] * kers[0].nrows + [1] * kers[1].nrows
 
 
@@ -778,7 +776,7 @@ def reference_nilpotent(blk):
 
 def reference_image_graded(nil, sign):
     """Basis rows of (im N) in the sign part: N applied to the opposite part."""
-    return nil.n.take(cols=nil.cols_of(-sign)).T.row_space()
+    return nil.n.take(cols=parity_cols(nil.parity, -sign)).T.row_space()
 
 
 def reference_htop(blk):
@@ -789,14 +787,14 @@ def reference_htop(blk):
         if not ker_basis.nrows:
             return 0
         meet = subspace_intersect(ker_basis, reference_image_graded(nil, sign))
-        lower = nil.kernel_graded(lower_k, sign) if lower_k else Mat.zero(0, nil.dim)
+        lower = graded_kernel(nil, lower_k, sign) if lower_k else Mat.zero(0, nil.dim)
         return ker_basis.row_space().nrows - meet.vstack(lower).row_space().nrows
 
     out = {}
     k = 0
     while True:
-        kp = nil.kernel_graded(2 * k + 1, +1)
-        km = nil.kernel_graded(2 * k + 1, -1)
+        kp = graded_kernel(nil, 2 * k + 1, +1)
+        km = graded_kernel(nil, 2 * k + 1, -1)
         dp, dm = quotient(kp, +1, 2 * k), quotient(km, -1, 2 * k)
         if dp or dm:
             out[k] = (dp, dm)
@@ -810,7 +808,7 @@ def reference_dirac_cohomology(blk):
     nil = reference_nilpotent(blk)
 
     def hd(sign):
-        ker = nil.kernel_graded(1, sign)
+        ker = graded_kernel(nil, 1, sign)
         if not ker.nrows:
             return 0
         meet = subspace_intersect(ker, reference_image_graded(nil, sign))
@@ -973,32 +971,82 @@ def test_htop_matches_generalized_kernel_route(a1):
 
 
 def test_one_nullspace_per_graded_kernel(monkeypatch):
-    """A run of the C3 probe computes each ker N^k of each parity once per
-    nilpotent restriction, although the Jordan chains ask again."""
+    """A run of the C3 probe computes each ker N^k once per nilpotent
+    restriction, by one `Mat.nullspace` of N^k, although the Jordan chains
+    ask again; no other power of N is reduced for a kernel."""
     import os
     from collections import Counter
-    from odirac import dirac, scenarios
+    from odirac import scenarios
 
     monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
     asked, computed = Counter(), Counter()
     kept = []  # keeps every counted matrix alive, so no id is reused
-    kernel_graded, nullspace_on = GradedNilpotent.kernel_graded, dirac._nullspace_on
+    kernel, nullspace = GradedNilpotent.kernel, Mat.nullspace
 
-    def counted_kernel(self, k, sign):
-        asked[self, k, sign] += 1
-        return kernel_graded(self, k, sign)
+    def counted_kernel(self, k):
+        asked[self, k] += 1
+        return kernel(self, k)
 
-    def counted_nullspace(mat, cols):
+    def counted_nullspace(mat):
         kept.append(mat)
-        computed[id(mat), tuple(cols)] += 1
-        return nullspace_on(mat, cols)
+        computed[id(mat)] += 1
+        return nullspace(mat)
 
-    monkeypatch.setattr(GradedNilpotent, "kernel_graded", counted_kernel)
-    monkeypatch.setattr(dirac, "_nullspace_on", counted_nullspace)
+    monkeypatch.setattr(GradedNilpotent, "kernel", counted_kernel)
+    monkeypatch.setattr(Mat, "nullspace", counted_nullspace)
     path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "c3_spin_probe.json")
     assert scenarios.run_scenario(scenarios.load_scenario(path))["ok"]
     assert sum(asked.values()) > len(asked)  # the memo is hit
-    assert len(computed) == len(asked) and set(computed.values()) == {1}
+    assert all(computed[id(nil.power(k))] == 1 for nil, k in asked)
+    powers = {id(p) for nil in {nil for nil, _ in asked} for p in nil._powers}
+    assert sum(computed[i] for i in powers) == len(asked)
+
+
+def test_kernels_stack_the_graded_kernels():
+    """On every nonzero block of the rank-oracle documents, of
+    scenarios/a3_kl_s1s3.json and of scenarios/a2_levi_tensor_vogan.json,
+    `kernel(k)` (one nullspace of N^k) is the even part of ker N^k stacked
+    on its odd part, each a nullspace on the columns of one parity, for
+    k = 0 up to one past the nilpotency index: the same Mat, rows in
+    the same order, so the Jordan tops are chosen as from the stack."""
+    from odirac.scenarios import Scenario
+
+    blocks = _nonzero_blocks(_scenario_file("a3_kl_s1s3"))
+    blocks += _nonzero_blocks(_scenario_file("a2_levi_tensor_vogan"))
+    for doc in _oracle_documents():
+        blocks += _nonzero_blocks(Scenario(doc))
+    longest = 0
+    for blk in blocks:
+        nil = blk.nilpotent()
+        s = max((c.nrows for c in nil.chains()), default=0)
+        longest = max(longest, s)
+        for k in range(s + 2):
+            want = graded_kernel(nil, k, +1).vstack(graded_kernel(nil, k, -1))
+            assert nil.kernel(k) == want, (blk.mu, k)
+    assert len(blocks) > 150 and longest == 7
+
+
+def test_chains_call_no_rref(monkeypatch):
+    """On a cold run of scenarios/a3_kl_s1s3.json, `_compute_chains` reads each
+    level's tops off the forward pass (`Mat.pivots`) and calls `Mat.rref`
+    itself zero times; the floors' row spaces still reduce."""
+    import sys
+    from collections import Counter
+    from odirac import scenarios
+
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+    callers = Counter()
+    rref = Mat.rref
+
+    def counted(mat):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return rref(mat)
+
+    monkeypatch.setattr(Mat, "rref", counted)
+    blocks = _nonzero_blocks(_scenario_file("a3_kl_s1s3"))
+    assert sum(len(blk.nilpotent().chains()) for blk in blocks) > 0
+    assert callers["_compute_chains"] == 0
+    assert callers["row_space"]  # the counter sees the floors' reductions
 
 
 def _scenario_blocks(name):
@@ -1326,7 +1374,7 @@ def test_splitting_and_nonvanishing_match_the_image_route(monkeypatch):
                                           "*.json")))
     for path in paths:
         ws = Workspace(scenarios.load_scenario(path))
-        nv = nonvanishing_check(ws.pair, ws.cb, ws.sm, ws.module)
+        nv = nonvanishing_check(ws.sm, ws.module)
         blk = block(ws.sm, ws.module, nv["weight"])
         off = blk.space.slot[0][0]
         units = Mat.identity(blk.dim).take(rows=range(off, off + nv["top_dim"]))
@@ -1487,13 +1535,13 @@ def test_block_layer_constructs_no_coerced_matrix(monkeypatch):
                 blk.higher_cohomology()
                 nil = blk.nilpotent()
                 bases += [blk.d_power(1).nullspace(), blk.d.T.row_space(),
-                          htop_denominator(blk, 0), blk.gen0()[0], nil.kernel_graded(1, +1),
+                          htop_denominator(blk, 0), blk.gen0()[0], graded_kernel(nil, 1, +1),
                           nil.level_floor(1),
                           *nil.chains()]
             singular_cohomology_weights(ws.pair, ws.cb, ws.sm, m, weights)
         if ws.ses:
             for mu in weights:
-                cert = exact_circle(ws.pair, ws.cb, ws.sm, ws.ses, mu)
+                cert = exact_circle(ws.sm, ws.ses, mu)
                 assert cert.exact
                 bases += [t[key] for t in cert.triples for key in ("top2", "top3")
                           if t[key] is not None]

@@ -143,6 +143,9 @@ def test_kernels_match_fraction_oracle(operands):
     want_rows, want_pivots = oracle_rref(a, k)
     assert pivots == want_pivots
     assert red == Mat(want_rows, k)
+    # the forward pass alone gives the same pivots, and the rank is their count
+    assert Mat(a, k).pivots() == pivots
+    assert Mat(a, k).rank() == len(Mat(a, k).pivots())
     assert Mat(a, k) @ Mat(b, m) == Mat(oracle_matmul(a, b, m), m)
 
 

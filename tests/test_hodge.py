@@ -179,7 +179,7 @@ def test_adjointness_negative_control(a1):
     lam = -pair.rho
     vw = verma_window(pair, cb, lam, 10)
     mu = lam + pair.rho - pair.rs.simple_roots[0]
-    blk = DiracBlock(pair, cb, sm, vw, mu)
+    blk = DiracBlock(sm, vw, mu)
     g_wrong = Mat.identity(blk.dim)
     adj = g_wrong.inv() @ blk.d_plus.T @ g_wrong
     assert adj != -blk.d_minus

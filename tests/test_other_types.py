@@ -27,7 +27,7 @@ def test_b2_short_root_pair_is_hermitian():
     mu_top = lam + c.pair.rho - c.pair.rho_h
     for cc in _cone_coords(2, 2):
         mu = mu_top - Weight(cc)
-        blk = DiracBlock(c.pair, c.cb, c.sm, vw, mu)
+        blk = DiracBlock(c.sm, vw, mu)
         if blk.dim == 0:
             continue
         assert check_square(c.pair, c.cb, c.sm, vw, blk)["matrix_identity"]
@@ -40,7 +40,7 @@ def test_b2_kostant():
     assert total_dim(f) == 5
     rep = kostant_kernel_check(c.pair, c.cb, c.sm, f)
     assert rep["match"] and len(rep["constituents"]) == 4
-    assert nonvanishing_check(c.pair, c.cb, c.sm, f)["ok"]
+    assert nonvanishing_check(c.sm, f)["ok"]
 
 
 def test_g2_trivial_module_kernel_is_weyl_orbit():
@@ -59,9 +59,9 @@ def test_g2_long_root_pair_top_block():
     c2 = ctx("G2", [tuple(long_root)])
     assert len(c2.pair.weyl.coset_W1) * len(c2.pair.weyl.subgroup_h) == 12
     vw = verma_window(c2.pair, c2.cb, -c2.pair.rho, 8)
-    blk = DiracBlock(c2.pair, c2.cb, c2.sm, vw, -c2.pair.rho_h)
+    blk = DiracBlock(c2.sm, vw, -c2.pair.rho_h)
     assert blk.dim == 1 and blk.d.is_zero()
-    assert nonvanishing_check(c2.pair, c2.cb, c2.sm, vw)["ok"]
+    assert nonvanishing_check(c2.sm, vw)["ok"]
 
 
 def test_a1xa1_pair():
