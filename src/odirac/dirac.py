@@ -306,7 +306,8 @@ class GradedNilpotent:
     Vectors are one-row `Mat`s: N sends the row v to v @ N^T, and a Jordan
     chain is the `Mat` of rows [top, N top, ...].  N is odd, so each row of
     N^k is supported on the columns of one parity, row reduction never
-    mixes parities, and every canonical kernel row is homogeneous.
+    mixes parities, and every canonical kernel row is homogeneous.  Chain
+    tops are tested on their images under powers of N (`level_image`).
     """
 
     def __init__(self, n_mat: Mat, parity):
@@ -316,7 +317,7 @@ class GradedNilpotent:
         self.parity = list(parity)
         self._powers = [Mat.identity(self.dim), n_mat]
         self._kernels = {}
-        self._floors = {}
+        self._images = {}
         self._chains = None
 
     def power(self, k):
@@ -333,16 +334,16 @@ class GradedNilpotent:
             ker = self._kernels[k] = self.power(k).nullspace()
         return ker
 
-    def level_floor(self, k):
-        """Canonical basis rows of ker N^{k-1} + N ker N^{k+1}, memoized per k.
-
-        A vector of ker N^k outside this floor tops a Jordan chain of size k.
-        """
-        floor = self._floors.get(k)
-        if floor is None:
-            floor = self._floors[k] = \
-                self.kernel(k - 1).vstack(self.kernel(k + 1) @ self._nt).row_space()
-        return floor
+    def level_image(self, k):
+        """N^k applied to the rows of ker N^{k+1}, memoized per k: N^{k-1} of the
+        floor ker N^{k-1} + N ker N^{k+1}, outside which a vector of ker N^k tops
+        a chain of size k.  The floor holds ker N^{k-1}, so vectors are independent
+        of it and of each other iff their N^{k-1} images are independent of this
+        image and of each other.  At the top level N^k = 0 and the image is 0."""
+        image = self._images.get(k)
+        if image is None:
+            image = self._images[k] = self.kernel(k + 1) @ self.power(k).T
+        return image
 
     # -- Jordan chains ----------------------------------------------------------
 
@@ -368,20 +369,18 @@ class GradedNilpotent:
             s += 1
         chains = []
         for k in range(s, 0, -1):
-            # Stack the floor (independent rows), this level's seeds, then
-            # ker N^k: a column of the transpose is a pivot iff its vector is
-            # independent of all before it, so the pivots past the floor are
-            # the level's tops in order, and every seed must be one.
-            floor = self.level_floor(k)
+            # Past the level's image, the pivots of the stacked N^{k-1} images
+            # are the level's tops in order, and every seed must be one.
+            image = self.level_image(k)
             mine = [vec for vec, size in seeds if size == k]
-            cands = floor.vstack(*mine, self.kernel(k))
-            pivots = cands.T.pivots()
+            cands = Mat.zero(0, self.dim).vstack(*mine, self.kernel(k))
+            pivots = image.vstack(cands @ self.power(k - 1).T).T.pivots()
             for i, vec in enumerate(mine):
                 if self._chain_length(vec) != k:
                     raise LiftFailure(f"seed has chain length != {k}")
-                if floor.nrows + i not in pivots:
+                if image.nrows + i not in pivots:
                     raise LiftFailure("seed top is not independent at its level")
-            tops = cands.take(rows=[p for p in pivots if p >= floor.nrows])
+            tops = cands.take(rows=[p - image.nrows for p in pivots if p >= image.nrows])
             chains += self._chains_of(tops, k)
         if sum(c.nrows for c in chains) != self.dim:
             raise AssertionError("Jordan chains do not fill the generalized kernel")
@@ -483,7 +482,7 @@ def h_equivariance_defect(pair, cb, sm, m, mu, gen) -> Mat:
 
 # -- theorem-level checks -----------------------------------------------------
 
-def kostant_kernel_check(pair, cb, sm, f) -> dict:
+def kostant_kernel_check(pair, sm, f) -> dict:
     """ker D on F tensor S against the coset-sum of subsystem characters: it
     visits all spin weights, for finite modules, not rank-4 Verma runs."""
     from .cato import finite_character_h
@@ -537,7 +536,7 @@ def nonvanishing_check(sm, m) -> dict:
     }
 
 
-def simple_verma_theorem_check(pair, cb, sm, m, weights) -> dict:
+def simple_verma_theorem_check(pair, sm, m, weights) -> dict:
     """H_D(M(lambda)) against the subsystem Verma character at the given weights."""
     from .cato import verma_character_h
     from .roots import is_antidominant
@@ -747,9 +746,9 @@ def exact_circle(sm, ses, mu) -> CircleCertificate:
         l = nil2._chain_length(u)
         if l < msize:
             raise LiftFailure("lift died too early")
-        # top criterion: u not in ker N^{l-1} + N ker N^{l+1}
-        floor = nil2.level_floor(l)
-        if floor.vstack(u).rank() == floor.nrows:
+        # top criterion (`level_image`): N^{l-1} u outside the level's image
+        image = nil2.level_image(l)
+        if image.nrows not in image.vstack(u @ nil2.power(l - 1).T).T.pivots():
             raise LiftFailure("lifted preimage is not a Jordan top")
         lifted.append((u, l, msize, top3))
 

@@ -432,7 +432,7 @@ def _task_square(ws):
 
 
 def _task_kostant(ws):
-    rep = kostant_kernel_check(ws.pair, ws.cb, ws.sm, ws.module)
+    rep = kostant_kernel_check(ws.pair, ws.sm, ws.module)
     return {
         "ok": rep["match"],
         "kernel_character": {wkey(w): d for w, d in sorted(rep["kernel_character"].items())},
@@ -444,7 +444,7 @@ def _task_kostant(ws):
 
 
 def _task_simple_verma(ws):
-    rep = simple_verma_theorem_check(ws.pair, ws.cb, ws.sm, ws.module, ws.block_weights())
+    rep = simple_verma_theorem_check(ws.pair, ws.sm, ws.module, ws.block_weights())
     return {
         "ok": rep["antidominant"] and rep["target_antidominant"] and rep["match"],
         "antidominant": rep["antidominant"],

@@ -174,8 +174,9 @@ def greedy_chains(nil, seeds=()):
 
     From the nilpotency index down to 1, level k walks its seeds (one-row
     `Mat`s paired with their size), then the rows of ker N^k, and keeps a
-    candidate when it raises the rank of `level_floor(k)` stacked with the
-    tops kept so far; every seed must be kept.  One full rank per candidate.
+    candidate when it raises the rank of the floor ker N^{k-1} + N ker N^{k+1}
+    stacked with the tops kept so far; every seed must be kept.  One full
+    rank per candidate.
     """
     s = 0
     while nil.power(s).rank():
@@ -183,7 +184,7 @@ def greedy_chains(nil, seeds=()):
     nt = nil.n.T
     chains = []
     for k in range(s, 0, -1):
-        taken = nil.level_floor(k)
+        taken = nil.kernel(k - 1).vstack(nil.kernel(k + 1) @ nt).row_space()
         ker = nil.kernel(k)
         mine = [vec for vec, size in seeds if size == k]
         for i, vec in enumerate(mine + [ker.take(rows=[j]) for j in range(ker.nrows)]):

@@ -134,7 +134,7 @@ def test_kostant_a1_ladder(a1):
     alpha = pair.rs.simple_roots[0]
     for n in range(5):
         f = finite_dim_simple(pair, cb, Weight([F(n, 2)]))
-        rep = kostant_kernel_check(pair, cb, sm, f)
+        rep = kostant_kernel_check(pair, sm, f)
         assert rep["match"]
         # brute-force shape: two lines at +-(n+1) alpha/2
         want = {alpha * F(n + 1, 2): 1, alpha * F(-(n + 1), 2): 1}
@@ -146,12 +146,12 @@ def test_kostant_a2_cases(a2_su21, a2_t):
                    (a2_su21, Weight([F(2, 3), F(1, 3)])),
                    (a2_t, zero_weight(2))]:
         f = finite_dim_simple(c.pair, c.cb, lam)
-        rep = kostant_kernel_check(c.pair, c.cb, c.sm, f)
+        rep = kostant_kernel_check(c.pair, c.sm, f)
         assert rep["match"]
         assert len(rep["constituents"]) == len(c.pair.weyl.coset_W1)
     # h = t gives |W| = 6 one-dimensional constituents and a nonzero cubic term
     f0 = finite_dim_simple(a2_t.pair, a2_t.cb, zero_weight(2))
-    rep = kostant_kernel_check(a2_t.pair, a2_t.cb, a2_t.sm, f0)
+    rep = kostant_kernel_check(a2_t.pair, a2_t.sm, f0)
     assert sum(rep["kernel_character"].values()) == 6
     assert not a2_t.sm.cubic.is_zero()
     # the w = 1 constituent F_{rho - rho_h} always contains the vacuum line
@@ -169,12 +169,12 @@ def test_nonvanishing(a2_su21, a1):
 
 def test_simple_verma_theorem(a1, a2_su21):
     vw = verma_window(a1.pair, a1.cb, Weight([F(-3, 4)]), 12)
-    rep = simple_verma_theorem_check(a1.pair, a1.cb, a1.sm, vw, a1.block_weights(vw, 8))
+    rep = simple_verma_theorem_check(a1.pair, a1.sm, vw, a1.block_weights(vw, 8))
     assert rep["antidominant"] and rep["target_antidominant"] and rep["match"]
     # A1 h = t: H_D is the single line at lam + rho
     assert list(rep["hd_character"].values()) == [1]
     vw2 = verma_window(a2_su21.pair, a2_su21.cb, -a2_su21.pair.rho, 14)
-    rep2 = simple_verma_theorem_check(a2_su21.pair, a2_su21.cb, a2_su21.sm, vw2,
+    rep2 = simple_verma_theorem_check(a2_su21.pair, a2_su21.sm, vw2,
                                       a2_su21.block_weights(vw2, 8))
     assert rep2["match"] and rep2["mu_top"] == -a2_su21.pair.rho_h
 
@@ -1029,7 +1029,8 @@ def test_kernels_stack_the_graded_kernels():
 def test_chains_call_no_rref(monkeypatch):
     """On a cold run of scenarios/a3_kl_s1s3.json, `_compute_chains` reads each
     level's tops off the forward pass (`Mat.pivots`) and calls `Mat.rref`
-    itself zero times; the floors' row spaces still reduce."""
+    itself zero times, and no row space is reduced: tops are tested on
+    images."""
     import sys
     from collections import Counter
     from odirac import scenarios
@@ -1046,7 +1047,8 @@ def test_chains_call_no_rref(monkeypatch):
     blocks = _nonzero_blocks(_scenario_file("a3_kl_s1s3"))
     assert sum(len(blk.nilpotent().chains()) for blk in blocks) > 0
     assert callers["_compute_chains"] == 0
-    assert callers["row_space"]  # the counter sees the floors' reductions
+    assert callers["row_space"] == 0
+    assert callers["nullspace"]  # the counter sees the kernels' reductions
 
 
 def _scenario_blocks(name):
@@ -1345,6 +1347,26 @@ def test_htop_and_jordan_sizes_match_rank_oracle(monkeypatch):
             [({}, [2]), ({}, [2, 4]), ({0: (1, 0), 1: (0, 1)}, [1, 3])], mu
 
 
+def test_circle_rejects_the_repro_lifts_at_three_weights(monkeypatch):
+    """`exact_circle` on `SES_REPRO` finds N^{l-1} u inside the level's image
+    for a lifted preimage u, and raises, at exactly (-3/2, -1), (-5/2, -1)
+    and (-7/2, -1); it certifies the other 25 block weights."""
+    from odirac import scenarios
+    from odirac.scenarios import Scenario, Workspace
+
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+    ws = Workspace(Scenario(SES_REPRO))
+    rejected, certified = set(), []
+    for mu in ws.block_weights():
+        try:
+            certified.append(exact_circle(ws.sm, ws.ses, mu))
+        except LiftFailure as e:
+            assert str(e) == "lifted preimage is not a Jordan top", mu
+            rejected.add(mu)
+    assert rejected == {Weight([x, -1]) for x in (F(-3, 2), F(-5, 2), F(-7, 2))}
+    assert len(certified) == 25 and all(cert.exact for cert in certified)
+
+
 def test_splitting_and_nonvanishing_match_the_image_route(monkeypatch):
     """The two checks that read the rank profile, against the subspaces they
     read before.  `hodge_decomposition_check`'s splitting is stable index
@@ -1424,13 +1446,15 @@ def _nonzero_blocks(scn):
 
 def test_chains_match_greedy_rank_choice():
     """On every nonzero block of the rank-oracle documents and of
-    scenarios/a3_kl_s1s3.json, `chains()` returns the chains that
-    `greedy_chains` picks one rank at a time: the same Mats, tops and full
-    chains, in order.  Fed back as seeds in reverse order, one level's tops
+    scenarios/a3_kl_s1s3.json and a2_levi_tensor_vogan.json (chains up to
+    size 7), `chains()`, which tests tops on images, returns the chains that
+    `greedy_chains` picks one rank at a time against the floor: the same
+    Mats, tops and full chains, in order.  Fed back as seeds in reverse order, one level's tops
     come out first at that level, and the rest still match."""
     from odirac.scenarios import Scenario
 
     blocks = _nonzero_blocks(_scenario_file("a3_kl_s1s3"))
+    blocks += _nonzero_blocks(_scenario_file("a2_levi_tensor_vogan"))
     for doc in _oracle_documents():
         blocks += _nonzero_blocks(Scenario(doc))
     seeded = 0
@@ -1536,7 +1560,7 @@ def test_block_layer_constructs_no_coerced_matrix(monkeypatch):
                 nil = blk.nilpotent()
                 bases += [blk.d_power(1).nullspace(), blk.d.T.row_space(),
                           htop_denominator(blk, 0), blk.gen0()[0], graded_kernel(nil, 1, +1),
-                          nil.level_floor(1),
+                          nil.level_image(1),
                           *nil.chains()]
             singular_cohomology_weights(ws.pair, ws.cb, ws.sm, m, weights)
         if ws.ses:
