@@ -119,6 +119,8 @@ def _cmd_report(args):
 
 
 def _cmd_selftest(args):
+    """Exit 0 if every criterion passed, 1 if one failed, 2 on an unusable
+    results path and 3 if a criterion raised an internal error."""
     from .acceptance import run_all
 
     # an unusable results path is bad input: fail before the suite runs
@@ -137,6 +139,11 @@ def _cmd_selftest(args):
         except OSError as e:
             print(f"cannot write results: {e}", file=sys.stderr)
             return 2
+    internal = [r for r in results if r["details"].get("internal_error")]
+    for r in internal:
+        print(f"internal error: {r['name']}: {r['details']['exception']}", file=sys.stderr)
+    if internal:
+        return 3
     return 0 if all(r["ok"] for r in results) else 1
 
 

@@ -105,7 +105,7 @@ class DiracBlock:
     def dim(self):
         return self.space.dim
 
-    # -- D = C+ + C- - cubic part; the parts are built only where read ---------
+    # -- D = C+ + C- - cubic part; the halves are built only where read -------
 
     def _terms(self, part):
         """The `block_operator` terms of C+ (part "e": e_alpha against the wedge,
@@ -118,11 +118,10 @@ class DiracBlock:
                 for t in spin_terms(sp, sm.gamma_root(-a if part == "e" else a),
                                     partial(m.action, (part, a))))
 
-    # each part is assembled on its first read, once per block
+    # each half is assembled on its first read, once per block; the cubic
+    # part is read only inside D
     d_plus = cached_property(lambda self: block_operator(self.space, self.space, self._terms("e")))
     d_minus = cached_property(lambda self: block_operator(self.space, self.space, self._terms("f")))
-    cubic_part = cached_property(
-        lambda self: block_operator(self.space, self.space, self._terms("cubic")))
 
     # -- the rank profile, H_top levels and the nilpotent restriction ---------
 

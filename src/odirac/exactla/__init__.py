@@ -271,15 +271,6 @@ class Mat:
     def rank(self):
         return len(self.pivots())
 
-    def row_space(self):
-        """Canonical basis of the row space: the nonzero rows of the rref, as a Mat.
-        Equal subspaces get identical Mats, which keeps Jordan chain choices
-        deterministic."""
-        if self.is_zero():
-            return Mat.zero(0, self.ncols)
-        red, pivots = self.rref()
-        return red.take(rows=range(len(pivots)))
-
     def nullspace(self):
         """Canonical (rref-derived) kernel basis as the rows of a Mat, one per free
         column, which keeps Jordan chain choices deterministic.

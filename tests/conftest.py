@@ -2,6 +2,7 @@ import pytest
 from fractions import Fraction
 
 from odirac.scenarios import pair_context as ctx
+from helpers import row_space
 
 
 @pytest.fixture(scope="session")
@@ -63,4 +64,4 @@ def subspace_le(a, b):
 
 def subspace_eq(a, b):
     """True iff the Mats a and b have the same row space (same canonical basis)."""
-    return a.row_space() == b.row_space()
+    return row_space(a) == row_space(b)

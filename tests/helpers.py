@@ -2,15 +2,18 @@
 dimensions, the fundamental-weight and epsilon coordinates, the
 reference simple quotient of a Verma window, block weights by the
 offset filter over every subset sum of q+, Jordan chains chosen one
-candidate top at a time, kernels restricted to one parity, and the
-subspace meet and preimage that the reference singular classes and
-Hodge decompositions are built from."""
+candidate top at a time, kernels restricted to one parity, canonical
+row spaces and the subspace meet and preimage that the reference
+singular classes and Hodge decompositions are built from, the
+degree-graded Chevalley-Eilenberg complexes, and the Bruhat order and
+Kazhdan-Lusztig polynomials."""
 
 from fractions import Fraction
 from itertools import takewhile
 from operator import add, le, sub
 
 from odirac.cato import QuotientWindow, _cone_coords, _delta_coords, sort_weights
+from odirac.dirac import block
 from odirac.exactla import Mat
 from odirac.roots import Weight
 
@@ -184,7 +187,7 @@ def greedy_chains(nil, seeds=()):
     nt = nil.n.T
     chains = []
     for k in range(s, 0, -1):
-        taken = nil.kernel(k - 1).vstack(nil.kernel(k + 1) @ nt).row_space()
+        taken = row_space(nil.kernel(k - 1).vstack(nil.kernel(k + 1) @ nt))
         ker = nil.kernel(k)
         mine = [vec for vec, size in seeds if size == k]
         for i, vec in enumerate(mine + [ker.take(rows=[j]) for j in range(ker.nrows)]):
@@ -223,9 +226,17 @@ def graded_kernel(nil, k, sign):
 # -- subspace arithmetic ----------------------------------------------------
 #
 # A subspace of Q^n is the row space of a Mat with n columns.  `row_space`
-# and `nullspace` return canonical (rref-derived) bases, so equal subspaces
-# get identical Mats.  Sums are `vstack(...).row_space()` and dimensions of
-# spans are `rank()`.
+# and `Mat.nullspace` return canonical (rref-derived) bases, so equal
+# subspaces get identical Mats.  Sums are `row_space(a.vstack(...))` and
+# dimensions of spans are `rank()`.
+
+def row_space(a):
+    """Canonical basis of the row space: the nonzero rows of the rref, as a Mat."""
+    if a.is_zero():
+        return Mat.zero(0, a.ncols)
+    red, pivots = a.rref()
+    return red.take(rows=range(len(pivots)))
+
 
 def subspace_intersect(a, b):
     """Canonical basis of the meet of the row spaces of a and b, as a Mat."""
@@ -233,7 +244,7 @@ def subspace_intersect(a, b):
         return Mat.zero(0, a.ncols)
     # c with c_a a + c_b b = 0 gives c_a a in the meet, and every meet vector so
     combos = a.vstack(b).T.nullspace()
-    return (combos.take(cols=range(a.nrows)) @ a).row_space()
+    return row_space(combos.take(cols=range(a.nrows)) @ a)
 
 
 def preimage_subspace(a, w_basis):
@@ -243,7 +254,67 @@ def preimage_subspace(a, w_basis):
     if not w_basis.nrows:
         return a.nullspace()
     # (v, y) with a v + w_basis^T y = 0: the v are the preimage
-    return a.hstack(w_basis.T).nullspace().take(cols=range(a.ncols)).row_space()
+    return row_space(a.hstack(w_basis.T).nullspace().take(cols=range(a.ncols)))
+
+
+# -- Chevalley-Eilenberg complexes --------------------------------------------
+
+class CEComplex:
+    """Per-weight slice of the nilpotent (co)homology complexes of a module,
+    graded by wedge degree: the degree-by-degree reference for the totals
+    that `hodge.theorem52_comparison` reads off two ranks.
+
+    Degree-k chains are module vectors tensored with k-fold wedges of the
+    negative q-root vectors; with abelian q-halves the differential is
+    d = sum pi(e_j) (x) wedge(f_j) and the boundary is
+    del = sum pi(f_j) (x) contract(e_j).  The chain v (x) f_I is the
+    spin basis vector u_I of the Dirac block at nu + rho - rho_h, and
+    d and del are that block's half operators C+ and C-.
+    """
+
+    def __init__(self, sm, m, nu):
+        self.block = block(sm, m, nu + sm.pair.rho - sm.pair.rho_h)
+        self.space = self.block.space
+        self.nq = sm.nq
+        # slice basis indices by wedge degree, the popcount of the spin mask
+        by_degree = [[] for _ in range(self.nq + 1)]
+        for mask, (off, _, d) in self.space.slot.items():
+            by_degree[mask.bit_count()].extend(range(off, off + d))
+        self._by_degree = tuple(map(tuple, by_degree))
+
+    def degree_indices(self, k):
+        return self._by_degree[k] if 0 <= k <= self.nq else ()
+
+    def differential(self):
+        """d = C+ on the whole slice; restricts to degree k -> k+1."""
+        return self.block.d_plus
+
+    def boundary(self):
+        """del = C- on the whole slice; restricts to degree k+1 -> k."""
+        return self.block.d_minus
+
+    def _homology(self, op, step):
+        """dim C_k - rank(op out of k) - rank(op into k), nonzero degrees only.
+
+        `op` moves the degree by `step`: +1 for d, -1 for del.
+        """
+        def rank(k_from, k_to):  # no indices outside 0..nq, so rank 0 there
+            return op.take(self.degree_indices(k_to), self.degree_indices(k_from)).rank()
+
+        out = {}
+        for k in range(self.nq + 1):
+            val = len(self.degree_indices(k)) - rank(k, k + step) - rank(k - step, k)
+            if val:
+                out[k] = val
+        return out
+
+    def cohomology_dims(self):
+        """dim H^k(d) per degree on this weight slice."""
+        return self._homology(self.differential(), +1)
+
+    def homology_dims(self):
+        """dim H_k(del) per degree on this weight slice."""
+        return self._homology(self.boundary(), -1)
 
 
 # -- Bruhat order and Kazhdan-Lusztig polynomials -----------------------------

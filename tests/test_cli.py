@@ -337,6 +337,34 @@ def test_selftest_json_end_to_end(tmp_path):
     assert all(r["ok"] for r in results)
 
 
+@pytest.mark.parametrize("exc, code", [
+    (TypeError("unsupported operand"), 3),
+    (AssertionError("2 D^2 != Casimir"), 1),
+    (LiftFailure("tail left the sub block"), 1),
+], ids=["internal", "assertion", "lift_failure"])
+def test_selftest_exit_codes(tmp_path, capsys, monkeypatch, exc, code):
+    """A criterion that raises is a FAIL line and a failed entry in --json; the
+    selftest exits 1 for a failed check and 3 for an internal error."""
+    from odirac import acceptance
+
+    def passing():
+        return acceptance._result("passing", True, 0.0, {})
+
+    def raising():
+        raise exc
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [passing, raising])
+    path = tmp_path / "results.json"
+    assert main(["selftest", "--json", str(path)]) == code
+    results = json.loads(path.read_text())["results"]
+    assert [(r["name"], r["ok"]) for r in results] == [("passing", True), ("raising", False)]
+    assert results[1]["details"]["exception"] == f"{type(exc).__name__}: {exc}"
+    out, err = capsys.readouterr()
+    assert "FAIL  raising" in out.splitlines()[1]
+    assert ("internal error: raising: TypeError" in err) == (code == 3)
+    assert ("Traceback" in err) == (code == 3)
+
+
 def test_depth_override(tmp_path):
     scn = {"name": "shallow", "cartan_type": "A1", "delta_h": [],
            "module": {"kind": "verma", "lambda": [0], "depth": 6},

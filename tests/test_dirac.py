@@ -17,7 +17,7 @@ from odirac.dirac import (DiracBlock, GradedNilpotent, LiftFailure, block, check
                           vogan_audit)
 from conftest import ctx, full_drop, spin_parity, spin_weight, spin_weights
 from helpers import (graded_kernel, greedy_chains, nullspace_on, parity_cols, preimage_subspace,
-                     subset_sums, subspace_intersect)
+                     row_space, subset_sums, subspace_intersect)
 
 F = Fraction
 
@@ -28,7 +28,7 @@ def test_sl3_top_block(a2_su21):
     blk = DiracBlock(sm, vw, -pair.rho_h)
     assert blk.dim == 1
     assert blk.d.is_zero()
-    assert blk.d == blk.d_plus + blk.d_minus - blk.cubic_part
+    assert blk.d_plus + blk.d_minus - blk.d == Mat.zero(1, 1)  # su(2,1) has no cubic part
 
 
 def test_trivial_module_is_cubic(a2_t, a2_su21):
@@ -683,7 +683,7 @@ def test_eigen_decomposition_memo(a2_su21, monkeypatch):
     # the memo of the generalized kernel ker D^s
     s = blk.stable_index()
     assert blk.gen0() is blk.gen0()
-    assert blk.gen0()[0].row_space() == blk.d.power(s).nullspace().row_space()
+    assert row_space(blk.gen0()[0]) == row_space(blk.d.power(s).nullspace())
     # On a cold spin module, singular_cohomology_weights computes each D^j, each
     # generalized kernel and each block's Jordan chains once per block.
     products, nullspaces, computed, asked = Counter(), Counter(), Counter(), Counter()
@@ -776,7 +776,7 @@ def reference_nilpotent(blk):
 
 def reference_image_graded(nil, sign):
     """Basis rows of (im N) in the sign part: N applied to the opposite part."""
-    return nil.n.take(cols=parity_cols(nil.parity, -sign)).T.row_space()
+    return row_space(nil.n.take(cols=parity_cols(nil.parity, -sign)).T)
 
 
 def reference_htop(blk):
@@ -788,7 +788,7 @@ def reference_htop(blk):
             return 0
         meet = subspace_intersect(ker_basis, reference_image_graded(nil, sign))
         lower = graded_kernel(nil, lower_k, sign) if lower_k else Mat.zero(0, nil.dim)
-        return ker_basis.row_space().nrows - meet.vstack(lower).row_space().nrows
+        return row_space(ker_basis).nrows - row_space(meet.vstack(lower)).nrows
 
     out = {}
     k = 0
@@ -812,7 +812,7 @@ def reference_dirac_cohomology(blk):
         if not ker.nrows:
             return 0
         meet = subspace_intersect(ker, reference_image_graded(nil, sign))
-        return ker.row_space().nrows - meet.nrows
+        return row_space(ker).nrows - meet.nrows
 
     rank = blk.d.rank()
     return {"dim_block": blk.dim, "ker": blk.dim - rank, "im": rank, "gen0": nil.dim,
@@ -832,14 +832,14 @@ def reference_singular_cohomology_weights(pair, cb, sm, m, weights):
         return kernels[b, j]
 
     def image(b):
-        return b.d.T.row_space()
+        return row_space(b.d.T)
 
     def den_hd(b):
         return subspace_intersect(kernel(b, 1), image(b))
 
     def den_htop(b, k):
         meet = subspace_intersect(kernel(b, 2 * k + 1), image(b))
-        return meet.vstack(kernel(b, 2 * k)).row_space()
+        return row_space(meet.vstack(kernel(b, 2 * k)))
 
     simples = _h_simples(pair)
     out = {}
@@ -894,7 +894,7 @@ def _c3_probe_blocks():
 def test_dirac_cohomology_is_htop_level_zero():
     """sl3 (depth 8), the Jordan fixture and the C3 probe, block by block."""
     blocks = _spectral_blocks() + [b for b in _c3_probe_blocks() if b.dim]
-    assert any(not b.cubic_part.is_zero() for b in blocks)
+    assert any(b.d_plus + b.d_minus != b.d for b in blocks)  # a nonzero cubic part
     for blk in blocks:
         assert blk.gen0() == reference_gen0(blk), blk.mu
         assert blk.dirac_cohomology() == reference_dirac_cohomology(blk), blk.mu
@@ -966,7 +966,7 @@ def test_htop_matches_generalized_kernel_route(a1):
         for k in range(blk.stable_index() + 2):
             assert _homogeneous(blk.d_power(k).nullspace(), parity), (blk.mu, k)
             assert _homogeneous(htop_denominator(blk, k), parity), (blk.mu, k)
-        assert _homogeneous(blk.d.T.row_space(), parity), blk.mu
+        assert _homogeneous(row_space(blk.d.T), parity), blk.mu
     assert higher
 
 
@@ -1074,9 +1074,9 @@ def test_kernels_from_the_spectrum_match_the_nullspace(monkeypatch, name):
     short = 0
     for blk in blocks:
         short += blk._eigs is not None and 0 not in blk._eigs
-        s, gen = blk.stable_index(), blk.gen0()[0].row_space()
+        s, gen = blk.stable_index(), row_space(blk.gen0()[0])
         for k in (s, s + 1):
-            assert gen == blk.d.power(k).nullspace().row_space(), (blk.mu, k)
+            assert gen == row_space(blk.d.power(k).nullspace()), (blk.mu, k)
     assert 0 < short < len(blocks)
 
 
@@ -1113,14 +1113,14 @@ def test_no_nullspace_on_a_block_without_eigenvalue_zero(monkeypatch):
     assert any(counts[blk] for blk in blocks if 0 in blk._eigs)
 
 
-_PARTS = {"e": "d_plus", "f": "d_minus", "cubic": "cubic_part"}  # DiracBlock._terms
+_HALVES = {"e": "d_plus", "f": "d_minus"}  # DiracBlock._terms
 
 
 def test_block_assembles_d_in_one_pass(monkeypatch):
     """On a cold run of scenarios/a3_kl_s1s3.json (`dirac` + `index`), building
     a block calls `block_operator` once and adds or subtracts none of its
     tables (module actions computed on the way may add their own); the run
-    builds none of C+, C- and the cubic part, and no power memo holds D^0."""
+    builds neither C+ nor C-, and no power memo holds D^0."""
     from collections import Counter
     from odirac import dirac, scenarios
 
@@ -1158,14 +1158,15 @@ def test_block_assembles_d_in_one_pass(monkeypatch):
     assert any(blk.dim for blk in blocks)
     for blk in blocks:
         assert calls[blk, "assemble"] == 1 and not calls[blk, "add"] + calls[blk, "sub"], blk.mu
-        assert not set(_PARTS.values()) & set(vars(blk)), blk.mu
+        assert not set(_HALVES.values()) & set(vars(blk)), blk.mu
         assert blk._d_powers[0] is blk.d, blk.mu
     assert set(calls) == {(blk, "assemble") for blk in blocks}
 
 
 def test_hodge_run_builds_each_part_once_per_block(monkeypatch):
-    """A cold `hodge` run reads C+, C- and the cubic part, and assembles each
-    at most once per block, besides the one pass that builds D."""
+    """A cold `hodge` run reads C+ and C- and assembles each at most once per
+    block, besides the one pass that builds D; it takes the cubic part's
+    terms for that pass alone."""
     from collections import Counter
     from odirac import scenarios
 
@@ -1179,13 +1180,17 @@ def test_hodge_run_builds_each_part_once_per_block(monkeypatch):
 
     monkeypatch.setattr(DiracBlock, "_terms", counted_terms)
     blocks = _scenario_blocks("a2_hodge_unitary")
-    read = {(blk, part) for blk in blocks for part, name in _PARTS.items()
+    read = {(blk, part) for blk in blocks for part, name in _HALVES.items()
             if name in vars(blk)}
-    assert {part for _, part in read} == set(_PARTS)
+    assert {part for _, part in read} == set(_HALVES)
+    assert all(asked[blk, "cubic"] == 1 for blk in blocks)
     assert all(asked[key] == 1 + (key in read) for key in asked)
     for blk, part in read:
-        assert getattr(blk, _PARTS[part]) is getattr(blk, _PARTS[part])
-    assert all(blk.d == blk.d_plus + blk.d_minus - blk.cubic_part for blk in blocks)
+        assert getattr(blk, _HALVES[part]) is getattr(blk, _HALVES[part])
+    assert not hasattr(DiracBlock, "cubic_part")
+    # su(2,1) is symmetric, so its cubic part is zero
+    assert all(blk.d_plus + blk.d_minus - blk.d == Mat.zero(blk.dim, blk.dim)
+               for blk in blocks)
 
 
 # -- H_top and Jordan sizes from plain-Fraction ranks --------------------------
@@ -1242,8 +1247,8 @@ def htop_denominator(blk, k, kernel=None):
     default the nullspace of `d_power(j)`.
     """
     kernel = kernel or (lambda j: blk.d_power(j).nullspace())
-    meet = subspace_intersect(kernel(2 * k + 1), blk.d.T.row_space())
-    return meet.vstack(kernel(2 * k)).row_space()
+    meet = subspace_intersect(kernel(2 * k + 1), row_space(blk.d.T))
+    return row_space(meet.vstack(kernel(2 * k)))
 
 
 def quotient_htop(blk):
@@ -1388,7 +1393,7 @@ def test_splitting_and_nonvanishing_match_the_image_route(monkeypatch):
     seen = set()
     for blk in blocks:
         split = blk.stable_index() <= 1
-        assert split == (not subspace_intersect(blk.d.nullspace(), blk.d.T.row_space()).nrows), \
+        assert split == (not subspace_intersect(blk.d.nullspace(), row_space(blk.d.T)).nrows), \
             blk.mu
         seen.add(split)
     assert seen == {True, False}
@@ -1400,7 +1405,7 @@ def test_splitting_and_nonvanishing_match_the_image_route(monkeypatch):
         blk = block(ws.sm, ws.module, nv["weight"])
         off = blk.space.slot[0][0]
         units = Mat.identity(blk.dim).take(rows=range(off, off + nv["top_dim"]))
-        im = blk.d.T.row_space()
+        im = row_space(blk.d.T)
         assert nv["not_in_image"] == \
             (im.vstack(units).rank() == im.nrows + nv["top_dim"]), path
     assert len(paths) >= 14
@@ -1409,29 +1414,29 @@ def test_splitting_and_nonvanishing_match_the_image_route(monkeypatch):
 def test_dimensions_build_no_quotient_subspace(monkeypatch):
     """On the cold blocks of scenarios/a3_kl_s1s3.json, `dirac_cohomology()`
     and `htop()` read every dimension off the rank profile: they call no
-    `Mat.nullspace` and no `Mat.row_space`."""
-    from collections import Counter
+    `Mat.nullspace` (and `src` has no row space to reduce)."""
     from odirac import scenarios
 
     monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
     blocks = _nonzero_blocks(_scenario_file("a3_kl_s1s3"))
-    calls = Counter()
-    for name in ("nullspace", "row_space"):
-        def counted(mat, fn=getattr(Mat, name), name=name):
-            calls[name] += 1
-            return fn(mat)
+    calls = []
+    nullspace = Mat.nullspace
 
-        monkeypatch.setattr(Mat, name, counted)
+    def counted(mat):
+        calls.append(mat)
+        return nullspace(mat)
+
+    monkeypatch.setattr(Mat, "nullspace", counted)
     for blk in blocks:
         blk.dirac_cohomology()
         blk.htop()
     assert not calls
     assert sum(1 for blk in blocks if blk.htop()) >= 10
-    # the counters see the calls
+    # the counter sees the calls
     blk = next(b for b in blocks if b.htop())
     blk.gen0()
-    htop_denominator(blk, 0)
-    assert set(calls) == {"nullspace", "row_space"}
+    assert calls
+    assert not hasattr(Mat, "row_space")
 
 
 def _nonzero_blocks(scn):
@@ -1558,7 +1563,7 @@ def test_block_layer_constructs_no_coerced_matrix(monkeypatch):
                 blk.dirac_cohomology()
                 blk.higher_cohomology()
                 nil = blk.nilpotent()
-                bases += [blk.d_power(1).nullspace(), blk.d.T.row_space(),
+                bases += [blk.d_power(1).nullspace(), row_space(blk.d.T),
                           htop_denominator(blk, 0), blk.gen0()[0], graded_kernel(nil, 1, +1),
                           nil.level_image(1),
                           *nil.chains()]

@@ -9,20 +9,19 @@ from odirac.roots import Weight, zero_weight
 from odirac.cato import _cone_coords, simple_quotient_window, verma_window
 from odirac.dirac import DiracBlock
 from odirac.scenarios import pair_context as ctx
-from odirac.hodge import (CEComplex, NotHermitian, UnitaryStructure, _half_decomposes,
+from odirac.hodge import (NotHermitian, UnitaryStructure, _half_decomposes, block_inner_gram,
                           detect_hermitian, hodge_decomposition_check,
                           identification_check, theorem52_comparison,
                           unitarity_check)
-from helpers import subspace_intersect
+from helpers import CEComplex, row_space, subspace_intersect
 
 F = Fraction
 
 
 def test_detect_hermitian(a1, a2_su21, a2_t):
     hp1 = detect_hermitian(a1.pair)
-    assert hp1.q_abelian and hp1.p_plus == [a1.rs.simple_roots[0]]
-    hp2 = detect_hermitian(a2_su21.pair)
-    assert hp2.q_abelian
+    assert hp1.pair.q_positive == [a1.rs.simple_roots[0]]
+    assert detect_hermitian(a2_su21.pair).pair is a2_su21.pair
     with pytest.raises(NotHermitian) as err:
         detect_hermitian(a2_t.pair)
     assert "witness" in str(err.value)
@@ -68,7 +67,7 @@ def test_ce_complex_sl2(a1):
     coh = {}
     for k in range(8):
         nu = lam - alpha * k
-        ce = CEComplex(hp, sm, vw, nu)
+        ce = CEComplex(sm, vw, nu)
         d = ce.differential()
         assert (d @ d).is_zero()
         b = ce.boundary()
@@ -85,7 +84,7 @@ def test_ce_degree_zero_boundary(a1):
     pair, sm = a1.pair, a1.sm
     hp = detect_hermitian(pair)
     vw = verma_window(pair, a1.cb, -pair.rho, 8)
-    ce = CEComplex(hp, sm, vw, -pair.rho - pair.rs.simple_roots[0])
+    ce = CEComplex(sm, vw, -pair.rho - pair.rs.simple_roots[0])
     b = ce.boundary()
     # the boundary out of degree zero vanishes
     deg0 = ce.degree_indices(0)
@@ -155,7 +154,7 @@ def test_ce_operators_match_definition(label, delta_h, lam, depth, slices):
     seen = nonzero = 0
     for cc in _cone_coords(c.pair.rank, 3):
         nu = vw.top_weight - Weight(cc)
-        ce = CEComplex(hp, c.sm, vw, nu)
+        ce = CEComplex(c.sm, vw, nu)
         sp = ce.space
         for op, raising in ((ce.differential(), True), (ce.boundary(), False)):
             chains, tiles = reference_ce_operator(vw, c.sm.q_pos, nu, raising)
@@ -174,15 +173,17 @@ def test_ce_operators_match_definition(label, delta_h, lam, depth, slices):
 
 
 def test_adjointness_negative_control(a1):
-    """With the wrong inner product the half operators are not adjoint."""
+    """With the wrong inner product the half operators are not adjoint:
+    C+^T G = -G C- holds for the block's G and fails for the identity."""
     pair, cb, sm = a1.pair, a1.cb, a1.sm
     lam = -pair.rho
     vw = verma_window(pair, cb, lam, 10)
     mu = lam + pair.rho - pair.rs.simple_roots[0]
     blk = DiracBlock(sm, vw, mu)
+    g = block_inner_gram(UnitaryStructure(detect_hermitian(pair), vw), sm, vw, mu)
+    assert blk.d_plus.T @ g == -(g @ blk.d_minus)
     g_wrong = Mat.identity(blk.dim)
-    adj = g_wrong.inv() @ blk.d_plus.T @ g_wrong
-    assert adj != -blk.d_minus
+    assert blk.d_plus.T @ g_wrong != -(g_wrong @ blk.d_minus)
 
 
 def test_hodge_decomposition_and_theorem(a1):
@@ -206,7 +207,7 @@ def test_hodge_decomposition_and_theorem(a1):
 def subspace_half_decomposes(c, d):
     """ker C = im C (+) ker D as a statement on canonical bases: C kills im C
     and ker D, im C meets ker D in 0, and dim ker C = dim im C + dim ker D."""
-    imc, ker_d = c.T.row_space(), d.nullspace()
+    imc, ker_d = row_space(c.T), d.nullspace()
     return (imc @ c.T).is_zero() and (ker_d @ c.T).is_zero() and \
         not subspace_intersect(imc, ker_d).nrows and \
         c.ncols - imc.nrows == imc.nrows + ker_d.nrows
@@ -240,11 +241,8 @@ def test_half_decomposes_rank_conditions(label, c, d):
     assert subspace_half_decomposes(c, d) is want
 
 
-@pytest.mark.parametrize("path", ["perfbench/workloads/a3_hodge.json",
-                                  "scenarios/a2_hodge_unitary.json"])
-def test_half_decomposes_matches_subspace_statement(monkeypatch, path):
-    """After a cold hodge run, on every nonzero block it built, the rank tests
-    of C+ and C- agree with the subspace statement."""
+def _cold_hodge_blocks(monkeypatch, path):
+    """The nonzero blocks of a cold run of the hodge scenario at `path`."""
     import os
     from odirac import scenarios
 
@@ -252,11 +250,60 @@ def test_half_decomposes_matches_subspace_statement(monkeypatch, path):
     scn = scenarios.load_scenario(os.path.join(os.path.dirname(__file__), "..", path))
     assert scenarios.run_scenario(scn)["ok"]
     blocks = [blk for blk in scn.ctx.sm.blocks.values() if blk.dim]
-    for blk in blocks:
+    assert len(blocks) > 10
+    return blocks
+
+
+HODGE_RUNS = ["perfbench/workloads/a3_hodge.json", "scenarios/a2_hodge_unitary.json"]
+
+
+@pytest.mark.parametrize("path", HODGE_RUNS)
+def test_half_decomposes_matches_subspace_statement(monkeypatch, path):
+    """After a cold hodge run, on every nonzero block it built, the rank tests
+    of C+ and C- agree with the subspace statement."""
+    for blk in _cold_hodge_blocks(monkeypatch, path):
         for c in (blk.d_plus, blk.d_minus):
             assert _half_decomposes(c, blk.d, blk.d.rank()) == \
                 subspace_half_decomposes(c, blk.d), blk.mu
-    assert len(blocks) > 10
+
+
+@pytest.mark.parametrize("path", HODGE_RUNS)
+def test_ce_totals_from_two_ranks(monkeypatch, path):
+    """On every nonzero block of a cold hodge run, dim - 2 rank C+ and
+    dim - 2 rank C- are the totals of the degree-graded CE cohomology and
+    homology of the slice, and `theorem52_comparison` reports them."""
+    for blk in _cold_hodge_blocks(monkeypatch, path):
+        hp = detect_hermitian(blk.pair)
+        ce = CEComplex(blk.sm, blk.m, blk.mu - (blk.pair.rho - blk.pair.rho_h))
+        assert ce.block is blk
+        coh, hom = sum(ce.cohomology_dims().values()), sum(ce.homology_dims().values())
+        assert (blk.dim - 2 * blk.d_plus.rank(), blk.dim - 2 * blk.d_minus.rank()) == \
+            (coh, hom), blk.mu
+        cmp = theorem52_comparison(hp, blk.sm, blk.m, blk.mu)
+        assert (cmp["ce_cohomology"], cmp["ce_homology"]) == (coh, hom), blk.mu
+
+
+@pytest.mark.parametrize("path", HODGE_RUNS)
+def test_adjointness_without_inverse_matches_conjugation(monkeypatch, path):
+    """C+^T G = -G C- and C-^T G = -G C+ agree with G^-1 C+^T G = -C- and
+    G^-1 C-^T G = -C+: for the block's Gram both hold, and for the wrong
+    inner products I and G + I both fail on some block."""
+    wrong_fails = 0
+    for blk in _cold_hodge_blocks(monkeypatch, path):
+        us = UnitaryStructure(detect_hermitian(blk.pair), blk.m)
+        g = block_inner_gram(us, blk.sm, blk.m, blk.mu)
+        one = Mat.identity(blk.dim)
+        for inner in (g, one, g + one):
+            ginv = inner.inv()
+            old = (ginv @ blk.d_plus.T @ inner == -blk.d_minus) and \
+                (ginv @ blk.d_minus.T @ inner == -blk.d_plus)
+            new = (blk.d_plus.T @ inner == -(inner @ blk.d_minus)) and \
+                (blk.d_minus.T @ inner == -(inner @ blk.d_plus))
+            assert old == new, blk.mu
+            assert new or inner is not g, blk.mu
+            wrong_fails += not new
+        assert hodge_decomposition_check(None, blk.sm, blk.m, us, blk.mu)["adjoint"]
+    assert wrong_fails
 
 
 def test_hodge_su21_simple_quotient(a2_su21):
@@ -288,7 +335,7 @@ def test_homology_cohomology_duality(a2_su21):
     vw = verma_window(pair, a2_su21.cb, lam, 12)
     for c in _cone_coords(2, 4):
         nu = lam - Weight(c)
-        ce = CEComplex(hp, sm, vw, nu)
+        ce = CEComplex(sm, vw, nu)
         assert sum(ce.cohomology_dims().values()) == sum(ce.homology_dims().values())
 
 

@@ -207,8 +207,7 @@ def test_block_operators_match_eager_assembly(label):
             d_plus, d_minus, cubic = eager_block(eager, m, mu)
             assert blk.d_plus == d_plus, mu
             assert blk.d_minus == d_minus, mu
-            assert blk.cubic_part == cubic, mu
-            assert blk.d == d_plus + d_minus - cubic, mu
+            assert blk.d_plus + blk.d_minus - blk.d == cubic, mu
             cubic_blocks += not cubic.is_zero()
             for gen in c.pair.h_generators():
                 lazy = _attempt(h_generator_block, c.cb, sm, m, gen, mu)

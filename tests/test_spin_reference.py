@@ -191,5 +191,4 @@ def test_b3_spin_block_matches_dense_assembly(depth, mu):
     assert any(any(r) for r in cubic) == (depth == 5)
     assert blk.d_plus == Mat(plus, n)
     assert blk.d_minus == Mat(minus, n)
-    assert blk.cubic_part == Mat(cubic, n)
-    assert blk.d == Mat(plus, n) + Mat(minus, n) - Mat(cubic, n)
+    assert blk.d_plus + blk.d_minus - blk.d == Mat(cubic, n)
