@@ -371,7 +371,7 @@ def criterion_10_structural():
     heq_ok = True
     mu0 = -ctx.pair.rho_h - Weight([1, 1])
     for gen in ctx.pair.h_generators():
-        if not h_equivariance_defect(ctx.pair, cb, ctx.sm, vw, mu0, gen).is_zero():
+        if not h_equivariance_defect(ctx.sm, vw, mu0, gen).is_zero():
             heq_ok = False
     details["h-equivariance of D"] = heq_ok
     ok = ok and heq_ok
@@ -396,7 +396,7 @@ def criterion_10_structural():
         for i in range(n):
             p[perm[i]][i] = scale[i % len(scale)]
         p[perm[0]][1] += _F(1, 3)
-        rebased = cubic_term_rebased(c.pair, c.cb, sm, Mat(p, n))
+        rebased = cubic_term_rebased(sm, Mat(p, n))
         if rebased != to_mat(sm.cubic, sm.dim):
             cubic_ok = False
         if label == "B2" and sm.cubic.is_zero():

@@ -75,10 +75,10 @@ def block_space(sm: SpinModule, m: WeightModuleWindow, mu: Weight) -> BlockSpace
     return sp
 
 
-def h_generator_block(cb, sm, m, gen, mu) -> Mat:
+def h_generator_block(sm, m, gen, mu) -> Mat:
     """Diagonal action of an h-generator from the block at mu to mu + wt(gen)."""
     src = block_space(sm, m, mu)
-    tgt = block_space(sm, m, mu + cb.generator_weight(gen))
+    tgt = block_space(sm, m, mu + sm.cb.generator_weight(gen))
     terms = [*spin_terms(src, sm.identity, partial(m.action, gen)),
              *spin_terms(src, sm.h_action(gen), _identity_map(m))]
     return block_operator(tgt, src, terms)
@@ -118,10 +118,11 @@ class DiracBlock:
                 for t in spin_terms(sp, sm.gamma_root(-a if part == "e" else a),
                                     partial(m.action, (part, a))))
 
-    # each half is assembled on its first read, once per block; the cubic
-    # part is read only inside D
+    # each half is assembled on its first read and ranked once per block;
+    # the cubic part is read only inside D
     d_plus = cached_property(lambda self: block_operator(self.space, self.space, self._terms("e")))
     d_minus = cached_property(lambda self: block_operator(self.space, self.space, self._terms("f")))
+    half_ranks = cached_property(lambda self: (self.d_plus.rank(), self.d_minus.rank()))
 
     # -- the rank profile, H_top levels and the nilpotent restriction ---------
 
@@ -438,54 +439,48 @@ def _casimir(sm: SpinModule, m: WeightModuleWindow, w: Weight) -> Mat:
     return c
 
 
-def casimir_h_block(pair, cb, sm, m, mu) -> Mat:
+def casimir_h_block(sm, m, mu) -> Mat:
     """(Omega_h)_Delta on the block at mu via the diagonal h-action."""
-    space = block_space(sm, m, mu)
-    out = Mat.scalar(space.dim, pair.form.norm2(mu))
+    pair = sm.pair
+    out = Mat.scalar(block_space(sm, m, mu).dim, pair.form.norm2(mu))
     for alpha in pair.delta_h_pos:
-        e_up = h_generator_block(cb, sm, m, ("e", alpha), mu - alpha)
-        f_dn = h_generator_block(cb, sm, m, ("f", alpha), mu)
-        f_dn2 = h_generator_block(cb, sm, m, ("f", alpha), mu + alpha)
-        e_up2 = h_generator_block(cb, sm, m, ("e", alpha), mu)
+        e_up = h_generator_block(sm, m, ("e", alpha), mu - alpha)
+        f_dn = h_generator_block(sm, m, ("f", alpha), mu)
+        f_dn2 = h_generator_block(sm, m, ("f", alpha), mu + alpha)
+        e_up2 = h_generator_block(sm, m, ("e", alpha), mu)
         out = out + e_up @ f_dn + f_dn2 @ e_up2
     return out
 
 
-def check_square(pair, cb, sm, m, block: DiracBlock) -> dict:
+def check_square(blk: DiracBlock) -> dict:
     """2 D^2 against the Casimir expression, plus the eigenvalue audit."""
-    mu = block.mu
-    form = pair.form
-    sp = block.space
-    n = sp.dim
+    sm, m, sp, pair = blk.sm, blk.m, blk.space, blk.pair
     omega_g = block_operator(sp, sp, spin_terms(sp, sm.identity, partial(_casimir, sm, m)))
-    omega_h = casimir_h_block(pair, cb, sm, m, mu)
-    scalar = form.norm2(pair.rho) - form.norm2(pair.rho_h)
-    rhs = omega_g - omega_h + Mat.scalar(n, scalar)
-    lhs = block.d_power(2).scale(2)
-    identity_ok = lhs == rhs
-    eigs = block.eigenvalue_decomposition()
+    omega_h = casimir_h_block(sm, m, blk.mu)
+    scalar = pair.form.norm2(pair.rho) - pair.form.norm2(pair.rho_h)
+    rhs = omega_g - omega_h + Mat.scalar(sp.dim, scalar)
     return {
-        "matrix_identity": identity_ok,
-        "eigenvalues": eigs,
+        "matrix_identity": blk.d_power(2).scale(2) == rhs,
+        "eigenvalues": blk.eigenvalue_decomposition(),
     }
 
 
-def h_equivariance_defect(pair, cb, sm, m, mu, gen) -> Mat:
+def h_equivariance_defect(sm, m, mu, gen) -> Mat:
     """[diag h-action, D] on the block at mu; zero iff D is h-equivariant."""
-    wt = cb.generator_weight(gen)
     d_here = block(sm, m, mu).d
-    d_there = block(sm, m, mu + wt).d
-    g_here = h_generator_block(cb, sm, m, gen, mu)
+    d_there = block(sm, m, mu + sm.cb.generator_weight(gen)).d
+    g_here = h_generator_block(sm, m, gen, mu)
     return g_here @ d_here - d_there @ g_here
 
 
 # -- theorem-level checks -----------------------------------------------------
 
-def kostant_kernel_check(pair, sm, f) -> dict:
+def kostant_kernel_check(sm, f) -> dict:
     """ker D on F tensor S against the coset-sum of subsystem characters: it
     visits all spin weights, for finite modules, not rank-4 Verma runs."""
     from .cato import finite_character_h
 
+    pair = sm.pair
     lam = f.top_weight
     spin_weights = [sm.top_weight - Weight(d) for d in sm.drops_within(tuple(2 * sm.top_weight))]
     block_weights = sorted({wm + ws for wm in f.weights() for ws in spin_weights},
@@ -535,11 +530,12 @@ def nonvanishing_check(sm, m) -> dict:
     }
 
 
-def simple_verma_theorem_check(pair, sm, m, weights) -> dict:
+def simple_verma_theorem_check(sm, m, weights) -> dict:
     """H_D(M(lambda)) against the subsystem Verma character at the given weights."""
     from .cato import verma_character_h
     from .roots import is_antidominant
 
+    pair = sm.pair
     lam = m.top_weight
     mu_top = lam + pair.rho - pair.rho_h
     anti = is_antidominant(lam, pair.rs, pair.form, pair.rho)
@@ -568,14 +564,13 @@ def simple_verma_theorem_check(pair, sm, m, weights) -> dict:
     }
 
 
-def index_identity_check(sm, m, mu) -> dict:
+def index_identity_check(blk: DiracBlock) -> dict:
     """Signed higher-cohomology sum against the graded block dimensions."""
-    blk = block(sm, m, mu)
     htop = blk.higher_cohomology()
     signed = sum(dp - dm for dp, dm in htop.values())
     plus, minus = blk.space.graded_dims()
     return {
-        "weight": mu,
+        "weight": blk.mu,
         "htop": htop,
         "signed_sum": signed,
         "graded_difference": plus - minus,
@@ -595,7 +590,7 @@ def _jordan_basis(b: DiracBlock):
     return chains[0].vstack(*chains[1:]) @ b.gen0()[0], tops
 
 
-def singular_cohomology_weights(pair, cb, sm, m, weights) -> dict:
+def singular_cohomology_weights(sm, m, weights) -> dict:
     """Weights at which some H_top^k carries an h-singular class.
 
     The audit of the infinitesimal-character statements applies to the
@@ -611,7 +606,7 @@ def singular_cohomology_weights(pair, cb, sm, m, weights) -> dict:
     """
     from .cato import _h_simples
 
-    simples = _h_simples(pair)
+    simples = _h_simples(sm.pair)
     out = {}
     for mu in weights:
         b = block(sm, m, mu)
@@ -631,7 +626,7 @@ def singular_cohomology_weights(pair, cb, sm, m, weights) -> dict:
             if not shared:
                 continue
             up_basis, theirs = _jordan_basis(up)
-            e_map = h_generator_block(cb, sm, m, ("e", alpha), mu)
+            e_map = h_generator_block(sm, m, ("e", alpha), mu)
             x = up_basis.T.solve(e_map @ tops.T)
             if x is None:
                 raise AssertionError(f"a raiser leaves the generalized kernel at {mu}")

@@ -7,16 +7,17 @@ complexes, C+ is the Chevalley-Eilenberg differential d and C- the
 boundary del: the chain v (x) f_I is the spin basis vector u_I of the
 Dirac block at nu + rho - rho_h, so a weight slice of the complexes is
 that block read by wedge degree.  Every check here reads the block's own
-operators, and a block assembles C+ and C- on their first read, once:
-D = C+ + C- says the cubic part vanishes; C+ and C- are adjoint for the
-block's inner product G when C+^T G = -G C-, with no inverse of G; and
-since C+ raises and C- lowers the wedge degree by exactly one, the
-total CE cohomology and homology of a slice are dim - 2 rank C+ and
-dim - 2 rank C-.  tests/test_hodge.py checks C+ and C- against d and
-del built from their definition, and these totals against the
-degree-graded complexes.  Unitarity of a highest weight module is
-certified through the contravariant form twisted by the parabolic
-grading (the Hermitian form of the noncompact real form), and
+operators, and a block assembles C+ and C- on their first read and
+ranks each once: D = C+ + C- says the cubic part vanishes; C+ and C-
+are adjoint for the block's inner product G when G is symmetric and
+C+^T G = -G C-, with no inverse of G; and since C+ raises and C- lowers
+the wedge degree by exactly one, the total CE cohomology and homology
+of a slice are dim - 2 rank C+ and dim - 2 rank C-.  tests/test_hodge.py
+checks C+ and C- against d and del built from their definition, and
+these totals against the degree-graded complexes.  Unitarity of a
+highest weight module is certified through the contravariant form
+twisted by the parabolic grading (the Hermitian form of the noncompact
+real form), and
 positivity turns the per-weight comparison of Dirac and nilpotent
 cohomology into exact rank arithmetic: the splitting of ker D and the
 C+ and C- decompositions are read off ranks, and no subspace is built.
@@ -27,10 +28,8 @@ from math import prod
 
 from .exactla import Mat
 from .cato import block_operator, shapovalov_grams
-from .dirac import block, block_space
 from .liealg import PairGH, is_symmetric_pair
 from .roots import Weight
-from .spinor import SpinModule
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -132,23 +131,21 @@ def unitarity_check(hp: HermitianPair, vw, weights) -> dict:
     return {"unitary": ok, "per_weight": per_weight, "structure": us}
 
 
-def identification_check(hp, sm, m, mu) -> dict:
-    """D = C+ + C- at block mu: the cubic part of D vanishes.
+def identification_check(blk) -> dict:
+    """D = C+ + C- on the block: the cubic part of D vanishes.
 
     D = C+ + C- - cubic part, and C+ and C- are the Chevalley-Eilenberg
     d and del by construction (tests/test_hodge.py compares them with d
     and del built from their definition), so the part of the
     identification that can fail on a given pair is the cubic term.
-    `hp` keeps the signature of the other per-weight Hodge checks.
     """
-    blk = block(sm, m, mu)
     ok = blk.d == blk.d_plus + blk.d_minus
     return {"cubic_vanishes": ok, "ok": ok}
 
 
 # -- Hodge decomposition --------------------------------------------------------
 
-def block_inner_gram(us: UnitaryStructure, sm: SpinModule, m, mu) -> Mat:
+def block_inner_gram(us: UnitaryStructure, blk) -> Mat:
     """Inner product on the block: twisted module grams times the spin norms.
 
     In the pairing-1 root-vector basis the spin monomials are orthogonal
@@ -157,42 +154,41 @@ def block_inner_gram(us: UnitaryStructure, sm: SpinModule, m, mu) -> Mat:
     factors cancel the kappa's of the module-side transpose so that the
     half operators become exact mutual adjoints.
     """
-    sp = block_space(sm, m, mu)
-    kappas = [m.cb.kappa_integral(beta) for beta in sm.q_pos]
+    sp, sm = blk.space, blk.sm
+    kappas = [sm.cb.kappa_integral(beta) for beta in sm.q_pos]
     return block_operator(sp, sp, (
         (i, i, _F1 / prod(k for b, k in enumerate(kappas) if i >> b & 1), us.gram)
         for i in sp.slot))
 
 
-def _half_decomposes(c, d, rank_d) -> bool:
+def _half_decomposes(c, rank_c, d, rank_d) -> bool:
     """ker C = im C (+) ker D for one half C of D, from ranks alone.
 
     C^2 = 0 puts im C in ker C; rank [D; C] = rank D says ker D lies in
     ker C; rank DC = rank C says im C meets ker D in 0; and then
     dim ker C = dim im C + dim ker D reads rank D = 2 rank C.
     """
-    rank_c = c.rank()
     return rank_d == 2 * rank_c and (c @ c).is_zero() and \
         d.vstack(c).rank() == rank_d and (d @ c).rank() == rank_c
 
 
-def hodge_decomposition_check(hp, sm, m, us: UnitaryStructure, mu) -> dict:
-    """Adjointness, kernel-image splitting and the C+ and C- decompositions at mu."""
-    blk = block(sm, m, mu)
-    g = block_inner_gram(us, sm, m, mu)
+def hodge_decomposition_check(blk, us: UnitaryStructure) -> dict:
+    """Adjointness, kernel-image splitting and the C+ and C- decompositions."""
     n = blk.dim
-    report = {"weight": mu, "dim": n}
+    report = {"weight": blk.mu, "dim": n}
     if n == 0:
         report.update({"adjoint": True, "splitting": True, "cplus": True, "ok": True})
         return report
+    g = block_inner_gram(us, blk)
     # G^-1 C+^T G = -C- times G, so no inverse: the two agree for any
-    # invertible G, and the task certifies G positive definite first
-    adjoint_ok = (blk.d_plus.T @ g == -(g @ blk.d_minus)) and \
-        (blk.d_minus.T @ g == -(g @ blk.d_plus))
+    # invertible G, and the task certifies G positive definite first.  For
+    # a symmetric G the transpose of this equality is C-^T G = -G C+.
+    adjoint_ok = g == g.T and blk.d_plus.T @ g == -(g @ blk.d_minus)
     rank_d = sum(blk.d_ranks(1))
+    rank_plus, rank_minus = blk.half_ranks
     split_ok = blk.stable_index() <= 1  # ker D meet im D = 0 iff ker D = ker D^2
-    cplus_ok = _half_decomposes(blk.d_plus, blk.d, rank_d)
-    cminus_ok = _half_decomposes(blk.d_minus, blk.d, rank_d)
+    cplus_ok = _half_decomposes(blk.d_plus, rank_plus, blk.d, rank_d)
+    cminus_ok = _half_decomposes(blk.d_minus, rank_minus, blk.d, rank_d)
     report.update({
         "adjoint": adjoint_ok,
         "splitting": split_ok,
@@ -203,20 +199,19 @@ def hodge_decomposition_check(hp, sm, m, us: UnitaryStructure, mu) -> dict:
     return report
 
 
-def theorem52_comparison(hp, sm, m, mu) -> dict:
-    """H_D dims at mu against total CE cohomology and homology at the shift.
+def theorem52_comparison(blk) -> dict:
+    """H_D dims of the block against total CE cohomology and homology at the shift.
 
     The CE slice at mu - (rho - rho_h) is the block at mu graded by wedge
     degree.  C+ maps degree k into k + 1 only, so its rank is the sum of
     its per-degree ranks, and the total cohomology sum_k (dim C_k -
     rank d_k - rank d_(k-1)) is dim - 2 rank C+; likewise for C-.
     """
-    blk = block(sm, m, mu)
     hd = blk.dirac_cohomology()["hd"]
-    coh = blk.dim - 2 * blk.d_plus.rank()
-    hom = blk.dim - 2 * blk.d_minus.rank()
+    rank_plus, rank_minus = blk.half_ranks
+    coh, hom = blk.dim - 2 * rank_plus, blk.dim - 2 * rank_minus
     return {
-        "weight": mu,
+        "weight": blk.mu,
         "hd": hd,
         "ce_cohomology": coh,
         "ce_homology": hom,

@@ -419,7 +419,7 @@ def _task_square(ws):
     margin = max(a.height for a in ws.pair.rs.positive_roots)
 
     def one(blk):
-        rep = check_square(ws.pair, ws.cb, ws.sm, ws.module, blk)
+        rep = check_square(blk)
         return {
             "matrix_identity": rep["matrix_identity"],
             "eigenvalues": {str(c): d for c, d in sorted(rep["eigenvalues"].items())},
@@ -432,7 +432,7 @@ def _task_square(ws):
 
 
 def _task_kostant(ws):
-    rep = kostant_kernel_check(ws.pair, ws.sm, ws.module)
+    rep = kostant_kernel_check(ws.sm, ws.module)
     return {
         "ok": rep["match"],
         "kernel_character": {wkey(w): d for w, d in sorted(rep["kernel_character"].items())},
@@ -444,7 +444,7 @@ def _task_kostant(ws):
 
 
 def _task_simple_verma(ws):
-    rep = simple_verma_theorem_check(ws.pair, ws.sm, ws.module, ws.block_weights())
+    rep = simple_verma_theorem_check(ws.sm, ws.module, ws.block_weights())
     return {
         "ok": rep["antidominant"] and rep["target_antidominant"] and rep["match"],
         "antidominant": rep["antidominant"],
@@ -471,7 +471,7 @@ def _task_higher(ws):
 
 def _task_index(ws):
     def one(blk):
-        rep = index_identity_check(ws.sm, ws.module, blk.mu)
+        rep = index_identity_check(blk)
         return {"signed_sum": rep["signed_sum"],
                 "graded_difference": rep["graded_difference"],
                 "ok": rep["ok"]}
@@ -497,7 +497,7 @@ def _task_hodge(ws):
     from .hodge import (detect_hermitian, hodge_decomposition_check, identification_check,
                         theorem52_comparison, unitarity_check)
 
-    pair, cb, sm, m = ws.pair, ws.cb, ws.sm, ws.module
+    pair, sm, m = ws.pair, ws.sm, ws.module
     hp = detect_hermitian(pair)
     d = ws.scenario.depth_below_top
     test_ws = [m.top_weight - Weight(c)
@@ -518,9 +518,10 @@ def _task_hodge(ws):
     oks = []
 
     def one(mu):
-        ident = identification_check(hp, sm, m, mu)
-        hdg = hodge_decomposition_check(hp, sm, m, us, mu)
-        cmp = theorem52_comparison(hp, sm, m, mu)
+        blk = block(sm, m, mu)
+        ident = identification_check(blk)
+        hdg = hodge_decomposition_check(blk, us)
+        cmp = theorem52_comparison(blk)
         oks.append(ident["ok"] and hdg["ok"] and cmp["ok"])
         return {
             "identification": ident["ok"],
@@ -541,7 +542,7 @@ def _task_hodge(ws):
 
 def _task_vogan(ws):
     weights = ws.block_weights()
-    singular = singular_cohomology_weights(ws.pair, ws.cb, ws.sm, ws.module, weights)
+    singular = singular_cohomology_weights(ws.sm, ws.module, weights)
     rep = vogan_audit(ws.pair, sorted(singular), ws.module.infchars)
     return {
         "ok": rep["ok"],

@@ -103,10 +103,11 @@ class SpinModule:
         self._gamma = [SpinOperator(self.nq, [(1, (qi,))]) for qi in range(2 * self.nq)]
         self.identity = SpinOperator(self.nq, [(1, ())])
         self._h_action_cache = {}
-        self.cubic = cubic_term(pair, cb, self)
+        self.cubic = cubic_term(self)
         # Dirac blocks and their BlockSpaces on this module, keyed by
         # (module window, weight): dirac.block and dirac.block_space; the
-        # Casimir of g on each module weight space: dirac.check_square
+        # Casimir of g on each module weight space, keyed by (module window,
+        # weight): dirac._casimir, which dirac.check_square reads
         self.blocks = {}
         self.spaces = {}
         self.casimirs = {}
@@ -164,19 +165,19 @@ class SpinModule:
         """
         op = self._h_action_cache.get(gen)
         if op is None:
-            t = self.ad_on_q(gen).rows
+            t = self.ad_on_q(gen)
             terms = []
             for qi in range(2 * self.nq):
                 dual = self.dual_index(qi)
-                for k in range(2 * self.nq):
-                    c = t[k][qi] / 4
-                    if c:
+                for k, row in enumerate(t.num):
+                    if row[qi]:
+                        c = Fraction(row[qi], 4 * t.den)  # a quarter of ad's entry
                         terms += [(c, (k, dual)), (-c, (dual, k))]
             op = self._h_action_cache[gen] = SpinOperator(self.nq, terms)
         return op
 
 
-def cubic_term(pair: PairGH, cb: ChevalleyBasis, sm: SpinModule) -> SpinOperator:
+def cubic_term(sm: SpinModule) -> SpinOperator:
     """gamma(c) = (1/6) sum <z_i,[z_j,z_k]> gamma(z^i)gamma(z^j)gamma(z^k).
 
     The sum runs over the root-vector basis of q with its Killing-dual
@@ -186,7 +187,7 @@ def cubic_term(pair: PairGH, cb: ChevalleyBasis, sm: SpinModule) -> SpinOperator
     z_i: the dual partner of its q-component.
     """
     n = 2 * sm.nq
-    cb_idx = sm._qidx_to_cb
+    cb, cb_idx = sm.cb, sm._qidx_to_cb
     sixth = Fraction(1, 6)
     terms = []
     for j in range(n):
@@ -202,8 +203,7 @@ def cubic_term(pair: PairGH, cb: ChevalleyBasis, sm: SpinModule) -> SpinOperator
     return SpinOperator(sm.nq, terms)
 
 
-def cubic_term_rebased(pair: PairGH, cb: ChevalleyBasis, sm: SpinModule,
-                       base_change: Mat) -> Mat:
+def cubic_term_rebased(sm: SpinModule, base_change: Mat) -> Mat:
     """The same contraction computed in a rebased dual system of q.
 
     `base_change` P sends the root-vector basis to z'_i = sum P[k][i] z_k;
@@ -212,7 +212,7 @@ def cubic_term_rebased(pair: PairGH, cb: ChevalleyBasis, sm: SpinModule,
     invertible.
     """
     n = 2 * sm.nq
-    cb_idx = sm._qidx_to_cb
+    cb, cb_idx = sm.cb, sm._qidx_to_cb
     gram = Mat([[cb.pairing(cb_idx[i], cb_idx[j]) for j in range(n)] for i in range(n)], n)
     dual = gram.inv() @ base_change.T.inv()
     gammas_d = [sm.gamma_coeffs(dual.col(i)) for i in range(n)]

@@ -76,7 +76,7 @@ def test_check_square_and_eigenvalues(a2_su21):
         blk = DiracBlock(sm, vw, mu)
         if blk.dim == 0:
             continue
-        rep = check_square(pair, cb, sm, vw, blk)
+        rep = check_square(blk)
         assert rep["matrix_identity"]
         for val, d in rep["eigenvalues"].items():
             # every eigenvalue has the predicted shape for some block weight nu
@@ -96,7 +96,7 @@ def test_h_equivariance(a2_su21):
     for gen in pair.h_generators():
         for c in _cone_coords(2, 2):
             mu = -pair.rho_h - Weight(c)
-            assert h_equivariance_defect(pair, cb, sm, vw, mu, gen).is_zero()
+            assert h_equivariance_defect(sm, vw, mu, gen).is_zero()
 
 
 def test_dirac_cohomology_worked_example(a2_su21):
@@ -134,7 +134,7 @@ def test_kostant_a1_ladder(a1):
     alpha = pair.rs.simple_roots[0]
     for n in range(5):
         f = finite_dim_simple(pair, cb, Weight([F(n, 2)]))
-        rep = kostant_kernel_check(pair, sm, f)
+        rep = kostant_kernel_check(sm, f)
         assert rep["match"]
         # brute-force shape: two lines at +-(n+1) alpha/2
         want = {alpha * F(n + 1, 2): 1, alpha * F(-(n + 1), 2): 1}
@@ -146,12 +146,12 @@ def test_kostant_a2_cases(a2_su21, a2_t):
                    (a2_su21, Weight([F(2, 3), F(1, 3)])),
                    (a2_t, zero_weight(2))]:
         f = finite_dim_simple(c.pair, c.cb, lam)
-        rep = kostant_kernel_check(c.pair, c.sm, f)
+        rep = kostant_kernel_check(c.sm, f)
         assert rep["match"]
         assert len(rep["constituents"]) == len(c.pair.weyl.coset_W1)
     # h = t gives |W| = 6 one-dimensional constituents and a nonzero cubic term
     f0 = finite_dim_simple(a2_t.pair, a2_t.cb, zero_weight(2))
-    rep = kostant_kernel_check(a2_t.pair, a2_t.sm, f0)
+    rep = kostant_kernel_check(a2_t.sm, f0)
     assert sum(rep["kernel_character"].values()) == 6
     assert not a2_t.sm.cubic.is_zero()
     # the w = 1 constituent F_{rho - rho_h} always contains the vacuum line
@@ -169,13 +169,12 @@ def test_nonvanishing(a2_su21, a1):
 
 def test_simple_verma_theorem(a1, a2_su21):
     vw = verma_window(a1.pair, a1.cb, Weight([F(-3, 4)]), 12)
-    rep = simple_verma_theorem_check(a1.pair, a1.sm, vw, a1.block_weights(vw, 8))
+    rep = simple_verma_theorem_check(a1.sm, vw, a1.block_weights(vw, 8))
     assert rep["antidominant"] and rep["target_antidominant"] and rep["match"]
     # A1 h = t: H_D is the single line at lam + rho
     assert list(rep["hd_character"].values()) == [1]
     vw2 = verma_window(a2_su21.pair, a2_su21.cb, -a2_su21.pair.rho, 14)
-    rep2 = simple_verma_theorem_check(a2_su21.pair, a2_su21.sm, vw2,
-                                      a2_su21.block_weights(vw2, 8))
+    rep2 = simple_verma_theorem_check(a2_su21.sm, vw2, a2_su21.block_weights(vw2, 8))
     assert rep2["match"] and rep2["mu_top"] == -a2_su21.pair.rho_h
 
 
@@ -222,7 +221,7 @@ def test_jordan_on_tensor_fixture():
     assert sizes == fx["fixture"]["jordan_sizes"]
     assert max(sizes) >= 2
     blk.higher_cohomology()  # cross-asserts the two routes
-    assert index_identity_check(c.sm, t, mu)["ok"]
+    assert index_identity_check(blk)["ok"]
 
 
 def test_index_identity_on_verma(a2_su21):
@@ -232,7 +231,7 @@ def test_index_identity_on_verma(a2_su21):
         mu = -pair.rho_h - Weight(c)
         blk = DiracBlock(sm, vw, mu)
         if blk.dim:
-            assert index_identity_check(sm, vw, mu)["ok"]
+            assert index_identity_check(blk)["ok"]
     # single infinitesimal character: H_top^k vanishes for k >= 1 and
     # H_top^0 matches H_D per weight
     for c in _cone_coords(2, 4):
@@ -369,7 +368,7 @@ def test_vogan_audit_worked_example(a2_su21):
     pair, cb, sm = a2_su21.pair, a2_su21.cb, a2_su21.sm
     vw = verma_window(pair, cb, -pair.rho, 14)
     weights = [-pair.rho_h - Weight(c) for c in _cone_coords(2, 6)]
-    singular = singular_cohomology_weights(pair, cb, sm, vw, weights)
+    singular = singular_cohomology_weights(sm, vw, weights)
     assert list(singular) == [-pair.rho_h]
     rep = vogan_audit(pair, sorted(singular), vw.infchars)
     assert rep["ok"]
@@ -385,7 +384,7 @@ def test_vogan_audit_tensor():
     alpha = pair.rs.simple_roots[0]
     top = t.top_weight + sm.top_weight
     weights = [top - alpha * k for k in range(8)]
-    singular = singular_cohomology_weights(pair, cb, sm, t, weights)
+    singular = singular_cohomology_weights(sm, t, weights)
     assert singular
     rep = vogan_audit(pair, sorted(singular), t.infchars)
     assert rep["ok"]
@@ -441,7 +440,7 @@ def test_index_identity_trivial_module(a2_su21):
     triv = finite_dim_simple(pair, cb, Weight([0, 0]))
     weights = spin_weights(sm)
     for w in sorted(set(weights)):
-        rep = index_identity_check(sm, triv, w)
+        rep = index_identity_check(block(sm, triv, w))
         assert rep["ok"]
         plus = sum(1 for i, ws in enumerate(weights)
                    if ws == w and spin_parity(i) == 0)
@@ -536,9 +535,9 @@ def test_one_casimir_per_module_weight(monkeypatch):
         builds[(m, w)] += 1
         return casimir(m, w, pos_roots, form)
 
-    def counted_check(pair, cb, sm, m, blk):
-        uses.update((m, w) for _, w, _ in blk.space.slot.values())
-        return check(pair, cb, sm, m, blk)
+    def counted_check(blk):
+        uses.update((blk.m, w) for _, w, _ in blk.space.slot.values())
+        return check(blk)
 
     monkeypatch.setattr(dirac, "casimir_matrix", counted)
     monkeypatch.setattr(scenarios, "check_square", counted_check)
@@ -572,7 +571,7 @@ def test_hot_path_coerces_no_entries(monkeypatch):
     for mu in weights:
         blk = dirac.block(sm, vw, mu)
         assert blk.eigenvalue_decomposition()
-        assert dirac.check_square(pair, cb, sm, vw, blk)["matrix_identity"]
+        assert dirac.check_square(blk)["matrix_identity"]
     assert len(weights) > 40 and not coerced
     Mat([[1]])
     assert coerced  # the counter sees the constructor
@@ -715,7 +714,7 @@ def test_eigen_decomposition_memo(a2_su21, monkeypatch):
     monkeypatch.setattr(GradedNilpotent, "_compute_chains", counted_compute)
     cold = SpinModule(pair, cb)  # no block of it is built yet
     weights = a2_su21.block_weights(vw, 8)  # the weights of sl3_paper_example's vogan task
-    assert singular_cohomology_weights(pair, cb, cold, vw, weights)
+    assert singular_cohomology_weights(cold, vw, weights)
     for b in cold.blocks.values():
         # the memo holds D^1, D^2, ...; D^j = D^{j-1} @ D for j >= 2, so D is a
         # right factor once per memoized power past the first
@@ -819,7 +818,7 @@ def reference_dirac_cohomology(blk):
             "hd": hd(+1) + hd(-1), "hd_plus": hd(+1), "hd_minus": hd(-1)}
 
 
-def reference_singular_cohomology_weights(pair, cb, sm, m, weights):
+def reference_singular_cohomology_weights(sm, m, weights):
     """Singular classes with H_D's denominators on a branch of their own."""
     from odirac.cato import _h_simples
     from odirac.dirac import block, h_generator_block
@@ -841,13 +840,13 @@ def reference_singular_cohomology_weights(pair, cb, sm, m, weights):
         meet = subspace_intersect(kernel(b, 2 * k + 1), image(b))
         return row_space(meet.vstack(kernel(b, 2 * k)))
 
-    simples = _h_simples(pair)
+    simples = _h_simples(sm.pair)
     out = {}
     for mu in weights:
         b = block(sm, m, mu)
         if b.dim == 0:
             continue
-        raisers = [(alpha, h_generator_block(cb, sm, m, ("e", alpha), mu))
+        raisers = [(alpha, h_generator_block(sm, m, ("e", alpha), mu))
                    for alpha in simples]
         entry = {}
         num = kernel(b, 1)
@@ -922,10 +921,10 @@ def test_singular_classes_match_two_branch_reference():
     for doc in docs:
         ws = Workspace(Scenario(doc))
         weights = ws.block_weights()
-        got = singular_cohomology_weights(ws.pair, ws.cb, ws.sm, ws.module, weights)
+        got = singular_cohomology_weights(ws.sm, ws.module, weights)
         assert got, doc["name"]
-        assert got == reference_singular_cohomology_weights(
-            ws.pair, ws.cb, ws.sm, ws.module, weights), doc["name"]
+        assert got == reference_singular_cohomology_weights(ws.sm, ws.module, weights), \
+            doc["name"]
     # the Levi run: levels up to 3, and fewer singular classes than H_top^k at
     # some level k >= 1, so a raiser sends a top there to a nonzero class
     assert {k for entry in got.values() for k in entry["htop"]} == {0, 1, 2, 3}
@@ -1567,7 +1566,7 @@ def test_block_layer_constructs_no_coerced_matrix(monkeypatch):
                           htop_denominator(blk, 0), blk.gen0()[0], graded_kernel(nil, 1, +1),
                           nil.level_image(1),
                           *nil.chains()]
-            singular_cohomology_weights(ws.pair, ws.cb, ws.sm, m, weights)
+            singular_cohomology_weights(ws.sm, m, weights)
         if ws.ses:
             for mu in weights:
                 cert = exact_circle(ws.sm, ws.ses, mu)

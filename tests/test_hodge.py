@@ -1,5 +1,6 @@
 """Hermitian pairs, unitarity, CE complexes and the Hodge comparison."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from odirac.exactla import Mat
 from odirac.roots import Weight, zero_weight
 from odirac.cato import _cone_coords, simple_quotient_window, verma_window
-from odirac.dirac import DiracBlock
+from odirac.dirac import DiracBlock, block
 from odirac.scenarios import pair_context as ctx
 from odirac.hodge import (NotHermitian, UnitaryStructure, _half_decomposes, block_inner_gram,
                           detect_hermitian, hodge_decomposition_check,
@@ -96,12 +97,11 @@ def test_identification(a1, a2_su21):
     for c, lam, depth in [(a1, -a1.pair.rho, 10),
                           (a2_su21, -a2_su21.pair.rho, 12)]:
         pair, cb, sm = c.pair, c.cb, c.sm
-        hp = detect_hermitian(pair)
         vw = verma_window(pair, cb, lam, depth)
         mu_top = lam + pair.rho - pair.rho_h
         for cc in _cone_coords(pair.rank, 4):
             mu = mu_top - Weight(cc)
-            rep = identification_check(hp, sm, vw, mu)
+            rep = identification_check(block(sm, vw, mu))
             assert rep["ok"], (c.rs.cartan_type, mu, rep)
 
 
@@ -180,7 +180,7 @@ def test_adjointness_negative_control(a1):
     vw = verma_window(pair, cb, lam, 10)
     mu = lam + pair.rho - pair.rs.simple_roots[0]
     blk = DiracBlock(sm, vw, mu)
-    g = block_inner_gram(UnitaryStructure(detect_hermitian(pair), vw), sm, vw, mu)
+    g = block_inner_gram(UnitaryStructure(detect_hermitian(pair), vw), blk)
     assert blk.d_plus.T @ g == -(g @ blk.d_minus)
     g_wrong = Mat.identity(blk.dim)
     assert blk.d_plus.T @ g_wrong != -(g_wrong @ blk.d_minus)
@@ -195,10 +195,10 @@ def test_hodge_decomposition_and_theorem(a1):
     alpha = pair.rs.simple_roots[0]
     hits = 0
     for k in range(7):
-        mu = lam + pair.rho - alpha * k
-        rep = hodge_decomposition_check(hp, sm, vw, us, mu)
+        blk = block(sm, vw, lam + pair.rho - alpha * k)
+        rep = hodge_decomposition_check(blk, us)
         assert rep["ok"], (k, rep)
-        cmp = theorem52_comparison(hp, sm, vw, mu)
+        cmp = theorem52_comparison(blk)
         assert cmp["ok"]
         hits += 1 if cmp["hd"] else 0
     assert hits >= 1
@@ -237,7 +237,7 @@ def test_half_decomposes_rank_conditions(label, c, d):
     assert [name for name, held in conditions.items() if not held] == \
         ([] if label == "decomposes" else [label])
     want = label == "decomposes"
-    assert _half_decomposes(c, d, rank_d) is want
+    assert _half_decomposes(c, rank_c, d, rank_d) is want
     assert subspace_half_decomposes(c, d) is want
 
 
@@ -263,7 +263,7 @@ def test_half_decomposes_matches_subspace_statement(monkeypatch, path):
     of C+ and C- agree with the subspace statement."""
     for blk in _cold_hodge_blocks(monkeypatch, path):
         for c in (blk.d_plus, blk.d_minus):
-            assert _half_decomposes(c, blk.d, blk.d.rank()) == \
+            assert _half_decomposes(c, c.rank(), blk.d, blk.d.rank()) == \
                 subspace_half_decomposes(c, blk.d), blk.mu
 
 
@@ -273,37 +273,71 @@ def test_ce_totals_from_two_ranks(monkeypatch, path):
     dim - 2 rank C- are the totals of the degree-graded CE cohomology and
     homology of the slice, and `theorem52_comparison` reports them."""
     for blk in _cold_hodge_blocks(monkeypatch, path):
-        hp = detect_hermitian(blk.pair)
         ce = CEComplex(blk.sm, blk.m, blk.mu - (blk.pair.rho - blk.pair.rho_h))
         assert ce.block is blk
         coh, hom = sum(ce.cohomology_dims().values()), sum(ce.homology_dims().values())
         assert (blk.dim - 2 * blk.d_plus.rank(), blk.dim - 2 * blk.d_minus.rank()) == \
             (coh, hom), blk.mu
-        cmp = theorem52_comparison(hp, blk.sm, blk.m, blk.mu)
+        cmp = theorem52_comparison(blk)
         assert (cmp["ce_cohomology"], cmp["ce_homology"]) == (coh, hom), blk.mu
+
+
+@pytest.mark.parametrize("path", HODGE_RUNS)
+def test_half_ranks_read_once(monkeypatch, path):
+    """A cold hodge run ranks each C+ and C- it builds at most once: the
+    decomposition check and the CE comparison share `DiracBlock.half_ranks`."""
+    ranked = []  # the ranked matrices themselves, so no id is reused
+    rank = Mat.rank
+
+    def counted(self):
+        ranked.append(self)
+        return rank(self)
+
+    monkeypatch.setattr(Mat, "rank", counted)
+    blocks = _cold_hodge_blocks(monkeypatch, path)
+    calls = Counter(map(id, ranked))
+    halves = [blk.__dict__[h] for blk in blocks for h in ("d_plus", "d_minus")
+              if h in blk.__dict__]
+    assert len(halves) == 2 * len(blocks)
+    assert all(calls[id(c)] <= 1 for c in halves)
+    assert sum(calls[id(c)] for c in halves) == len(halves)
 
 
 @pytest.mark.parametrize("path", HODGE_RUNS)
 def test_adjointness_without_inverse_matches_conjugation(monkeypatch, path):
     """C+^T G = -G C- and C-^T G = -G C+ agree with G^-1 C+^T G = -C- and
     G^-1 C-^T G = -C+: for the block's Gram both hold, and for the wrong
-    inner products I and G + I both fail on some block."""
-    wrong_fails = 0
+    inner products I and G + I both fail on some block.  Every block Gram
+    is symmetric, and on the symmetric inner products G, I and G + I the
+    check's form, symmetry and C+^T G = -G C- alone, gives the same
+    verdict; an asymmetric inner product fails it."""
+    from odirac import hodge
+
+    wrong_fails = asymmetric = 0
     for blk in _cold_hodge_blocks(monkeypatch, path):
         us = UnitaryStructure(detect_hermitian(blk.pair), blk.m)
-        g = block_inner_gram(us, blk.sm, blk.m, blk.mu)
+        g = block_inner_gram(us, blk)
+        assert g == g.T, blk.mu
         one = Mat.identity(blk.dim)
         for inner in (g, one, g + one):
             ginv = inner.inv()
             old = (ginv @ blk.d_plus.T @ inner == -blk.d_minus) and \
                 (ginv @ blk.d_minus.T @ inner == -blk.d_plus)
-            new = (blk.d_plus.T @ inner == -(inner @ blk.d_minus)) and \
+            two_pairs = (blk.d_plus.T @ inner == -(inner @ blk.d_minus)) and \
                 (blk.d_minus.T @ inner == -(inner @ blk.d_plus))
-            assert old == new, blk.mu
-            assert new or inner is not g, blk.mu
-            wrong_fails += not new
-        assert hodge_decomposition_check(None, blk.sm, blk.m, us, blk.mu)["adjoint"]
-    assert wrong_fails
+            one_pair = inner == inner.T and blk.d_plus.T @ inner == -(inner @ blk.d_minus)
+            assert old == two_pairs == one_pair, blk.mu
+            assert one_pair or inner is not g, blk.mu
+            wrong_fails += not one_pair
+        assert hodge_decomposition_check(blk, us)["adjoint"]
+        if blk.dim > 1:  # G plus the strictly upper-triangular unit E_01
+            unit = Mat([[int((i, j) == (0, 1)) for j in range(blk.dim)]
+                        for i in range(blk.dim)])
+            with monkeypatch.context() as mp:
+                mp.setattr(hodge, "block_inner_gram", lambda us, blk: g + unit)
+                assert not hodge_decomposition_check(blk, us)["adjoint"], blk.mu
+            asymmetric += 1
+    assert wrong_fails and asymmetric
 
 
 def test_hodge_su21_simple_quotient(a2_su21):
@@ -319,9 +353,10 @@ def test_hodge_su21_simple_quotient(a2_su21):
     nonzero = 0
     for c in _cone_coords(2, 5):
         mu = mu_top - Weight(c)
-        assert identification_check(hp, sm, quot, mu)["ok"]
-        assert hodge_decomposition_check(hp, sm, quot, us, mu)["ok"]
-        cmp = theorem52_comparison(hp, sm, quot, mu)
+        blk = block(sm, quot, mu)
+        assert identification_check(blk)["ok"]
+        assert hodge_decomposition_check(blk, us)["ok"]
+        cmp = theorem52_comparison(blk)
         assert cmp["ok"]
         nonzero += 1 if cmp["hd"] else 0
     assert nonzero >= 1
@@ -440,10 +475,10 @@ def test_hodge_task_fails_with_one_failing_cminus(monkeypatch):
     check = hodge.hodge_decomposition_check
     broken = []
 
-    def cminus_fails_once(hp, sm, m, us, mu):
-        rep = check(hp, sm, m, us, mu)
+    def cminus_fails_once(blk, us):
+        rep = check(blk, us)
         if not broken:
-            broken.append(mu)
+            broken.append(blk.mu)
             rep = dict(rep, cminus=False, ok=False)
         return rep
 

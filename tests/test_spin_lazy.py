@@ -210,7 +210,7 @@ def test_block_operators_match_eager_assembly(label):
             assert blk.d_plus + blk.d_minus - blk.d == cubic, mu
             cubic_blocks += not cubic.is_zero()
             for gen in c.pair.h_generators():
-                lazy = _attempt(h_generator_block, c.cb, sm, m, gen, mu)
+                lazy = _attempt(h_generator_block, sm, m, gen, mu)
                 assert lazy == _attempt(eager_h_generator_block, eager, m, gen, mu), (mu, gen)
                 h_blocks += lazy is not OutsideWindow
     assert cubic_blocks and h_blocks  # the cubic term is exercised on every pair

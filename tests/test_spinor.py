@@ -140,7 +140,7 @@ def test_cubic_basis_independence(label):
         p[q][i] = F(rng.randint(1, 5), rng.randint(1, 3))
     p[perm[0]][1] += F(1, 2)
     p[perm[n - 1]][0] += F(3)
-    rebased = cubic_term_rebased(c.pair, c.cb, sm, Mat(p, n))
+    rebased = cubic_term_rebased(sm, Mat(p, n))
     assert rebased == to_mat(sm.cubic, sm.dim)
 
 
