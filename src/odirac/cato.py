@@ -206,6 +206,12 @@ class WeightModuleWindow:
     """Shared surface of all window kinds; subclasses fill the hooks.
 
     Every nonzero weight lies below `top_weight` (Dirac blocks rely on it).
+    The window also owns what is built from it, so dropping the last
+    reference to it frees all of that: its Dirac blocks and their
+    BlockSpaces keyed by (spin module, weight) (`dirac.block`,
+    `dirac.block_space`), the Casimir of g keyed by weight
+    (`dirac._casimir`) and its block-weight lists keyed by (depth,
+    margin) (`PairContext.block_weights`).
     """
 
     kind = "abstract"
@@ -217,6 +223,10 @@ class WeightModuleWindow:
         self.rank = pair.rank
         self._action_cache = {}
         self._below_top = {}
+        self.blocks = {}
+        self.block_spaces = {}
+        self.casimirs = {}
+        self.block_weight_lists = {}
 
     def materialized(self, w: Weight) -> bool:
         raise NotImplementedError
@@ -862,7 +872,6 @@ class SumWindow(WeightModuleWindow):
         return sum(p.dim(w) for p in self.parts)
 
     def _compute_action(self, gen, w):
-        tw = w + self.cb.generator_weight(gen)
         a = self.parts[0].action(gen, w)
         b = self.parts[1].action(gen, w)
         return a.hstack(Mat.zero(a.nrows, b.ncols)).vstack(

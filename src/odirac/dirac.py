@@ -64,14 +64,14 @@ def spin_terms(src: BlockSpace, op, module_map):
 
 
 def block_space(sm: SpinModule, m: WeightModuleWindow, mu: Weight) -> BlockSpace:
-    """The basis bookkeeping of m (x) S at mu, built once per spin module.
+    """The basis bookkeeping of m (x) S at mu, built once and kept on m.
 
     Callers only read a BlockSpace, so one instance serves every block
-    operator, Dirac block and Hodge form at (m, mu).
+    operator, Dirac block and Hodge form of m at (sm, mu).
     """
-    sp = sm.spaces.get((m, mu))
+    sp = m.block_spaces.get((sm, mu))
     if sp is None:
-        sp = sm.spaces[(m, mu)] = BlockSpace(sm, m, mu)
+        sp = m.block_spaces[(sm, mu)] = BlockSpace(sm, m, mu)
     return sp
 
 
@@ -272,10 +272,10 @@ class DiracBlock:
 
 
 def block(sm: SpinModule, m: WeightModuleWindow, mu: Weight) -> DiracBlock:
-    """The Dirac block of m at mu, built once per spin module (keyed by m and mu)."""
-    b = sm.blocks.get((m, mu))
+    """The Dirac block of m (x) S at mu, built once and kept on m (keyed by sm and mu)."""
+    b = m.blocks.get((sm, mu))
     if b is None:
-        b = sm.blocks[(m, mu)] = DiracBlock(sm, m, mu)
+        b = m.blocks[(sm, mu)] = DiracBlock(sm, m, mu)
     return b
 
 
@@ -430,12 +430,11 @@ def casimir_matrix(m: WeightModuleWindow, w: Weight, pos_roots, form) -> Mat:
     return out
 
 
-def _casimir(sm: SpinModule, m: WeightModuleWindow, w: Weight) -> Mat:
-    """casimir_matrix of m at w over all positive roots, built once per spin module."""
-    c = sm.casimirs.get((m, w))
+def _casimir(m: WeightModuleWindow, w: Weight) -> Mat:
+    """casimir_matrix of m at w over all positive roots, built once and kept on m."""
+    c = m.casimirs.get(w)
     if c is None:
-        pair = sm.pair
-        c = sm.casimirs[(m, w)] = casimir_matrix(m, w, pair.rs.positive_roots, pair.form)
+        c = m.casimirs[w] = casimir_matrix(m, w, m.pair.rs.positive_roots, m.pair.form)
     return c
 
 
@@ -455,7 +454,7 @@ def casimir_h_block(sm, m, mu) -> Mat:
 def check_square(blk: DiracBlock) -> dict:
     """2 D^2 against the Casimir expression, plus the eigenvalue audit."""
     sm, m, sp, pair = blk.sm, blk.m, blk.space, blk.pair
-    omega_g = block_operator(sp, sp, spin_terms(sp, sm.identity, partial(_casimir, sm, m)))
+    omega_g = block_operator(sp, sp, spin_terms(sp, sm.identity, partial(_casimir, m)))
     omega_h = casimir_h_block(sm, m, blk.mu)
     scalar = pair.form.norm2(pair.rho) - pair.form.norm2(pair.rho_h)
     rhs = omega_g - omega_h + Mat.scalar(sp.dim, scalar)
@@ -538,12 +537,8 @@ def simple_verma_theorem_check(sm, m, weights) -> dict:
     pair = sm.pair
     lam = m.top_weight
     mu_top = lam + pair.rho - pair.rho_h
-    anti = is_antidominant(lam, pair.rs, pair.form, pair.rho)
-    target_anti = True
-    for alpha in pair.delta_h_pos:
-        v = pair.form.coroot_pair(mu_top + pair.rho_h, alpha)
-        if v.denominator == 1 and v > 0:
-            target_anti = False
+    anti = is_antidominant(lam, pair.rs.positive_roots, pair.form, pair.rho)
+    target_anti = is_antidominant(mu_top, pair.delta_h_pos, pair.form, pair.rho_h)
     actual = {}
     for mu in weights:
         blk = block(sm, m, mu)

@@ -347,10 +347,10 @@ def weyl_group(rs: RootSystem, form: InvariantForm, delta_h_pos) -> WeylData:
     return WeylData(rs, form, delta_h_pos)
 
 
-def is_antidominant(lam: Weight, rs: RootSystem, form: InvariantForm, rho: Weight) -> bool:
-    """True iff <lam+rho, alpha^vee> is never a positive integer, alpha positive."""
+def is_antidominant(lam: Weight, roots, form: InvariantForm, rho: Weight) -> bool:
+    """True iff <lam+rho, alpha^vee> is never a positive integer, alpha in roots."""
     shifted = lam + rho
-    for alpha in rs.positive_roots:
+    for alpha in roots:
         v = form.coroot_pair(shifted, alpha)
         if v.denominator == 1 and v > 0:
             return False

@@ -111,8 +111,8 @@ class PairContext:
 
     Also caches the modules built on the pair (Verma windows, simple
     modules, finite modules and tensor products of a Verma window with a
-    finite module) and each module's block weights.  Dirac
-    blocks are memoized on the spin module (`dirac.block`).
+    finite module).  What is built from a module (its Dirac blocks, block
+    spaces, Casimirs and block weights) is memoized on the module window.
     """
 
     def __init__(self, cartan_type, delta_h, rs=None):
@@ -122,7 +122,6 @@ class PairContext:
         self.pair = validate_pair(self.rs, self.form, delta_h)
         self._sm = None
         self._modules = {}
-        self._block_weights = {}
 
     @property
     def sm(self):
@@ -166,10 +165,10 @@ class PairContext:
         """Block weights within `depth` of the top of m (tensor S) whose
         components, and everything `margin` below them, lie in m's window.
 
-        Computed once per (m, depth, margin); each call returns a fresh list.
+        Computed once per (depth, margin) and kept on m; each call returns a
+        fresh list.
         """
-        key = (m, depth, margin)
-        out = self._block_weights.get(key)
+        out = m.block_weight_lists.get((depth, margin))
         if out is None:
             rank, sm = self.pair.rank, self.sm
             # In integer coordinates below the tops: the block weight
@@ -184,7 +183,7 @@ class PairContext:
                 if all(m.materialized(m.weight_below_top(tuple(map(add, c, e))))
                        for e in margins):
                     out.append(top - Weight(c))
-            out = self._block_weights[key] = sort_weights(out)
+            out = m.block_weight_lists[(depth, margin)] = sort_weights(out)
         return list(out)
 
 
@@ -347,10 +346,9 @@ class Workspace:
         self.ses = ses_split(vw, ctx.verma(scn.weights["lambda2"], depth))
         return self.ses.modules()[1]
 
-    def block_weights(self, depth_below_top=None, margin=0):
+    def block_weights(self, margin=0):
         """Assemble-safe block weights within the reporting range of the top."""
-        d = self.scenario.depth_below_top if depth_below_top is None else depth_below_top
-        return self.ctx.block_weights(self.module, d, margin)
+        return self.ctx.block_weights(self.module, self.scenario.depth_below_top, margin)
 
 
 def run_scenario(scn: Scenario) -> dict:
@@ -376,8 +374,7 @@ def run_scenario(scn: Scenario) -> dict:
 
 
 def _map_weights(fn, weights):
-    records = {wkey(mu): fn(mu) for mu in weights}
-    return {k: rec for k, rec in records.items() if rec is not None}
+    return {wkey(mu): fn(mu) for mu in weights}
 
 
 def _map_blocks(fn, ws, margin=0):
@@ -514,7 +511,7 @@ def _task_hodge(ws):
         doc["ok"] = False
         return doc
     us = urep["structure"]
-    weights = ws.block_weights(depth_below_top=d)
+    weights = ws.block_weights()
     oks = []
 
     def one(mu):

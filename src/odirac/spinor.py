@@ -104,13 +104,6 @@ class SpinModule:
         self.identity = SpinOperator(self.nq, [(1, ())])
         self._h_action_cache = {}
         self.cubic = cubic_term(self)
-        # Dirac blocks and their BlockSpaces on this module, keyed by
-        # (module window, weight): dirac.block and dirac.block_space; the
-        # Casimir of g on each module weight space, keyed by (module window,
-        # weight): dirac._casimir, which dirac.check_square reads
-        self.blocks = {}
-        self.spaces = {}
-        self.casimirs = {}
 
     def drops_within(self, bound):
         """{drop: increasing masks} of the u_I whose drop top_weight - wt(u_I) is

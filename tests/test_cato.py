@@ -372,7 +372,7 @@ def test_simple_radical_matches_verma_gram_radical(cartan, label, depth):
 
 def test_antidominant_grams_nonsingular(a1):
     lam = Weight([F(-3, 4)])  # lam(h) = -3/2, antidominant non-integral
-    assert is_antidominant(lam, a1.rs, a1.form, a1.pair.rho)
+    assert is_antidominant(lam, a1.rs.positive_roots, a1.form, a1.pair.rho)
     vw = verma_window(a1.pair, a1.cb, lam, 8)
     grams = shapovalov_grams(vw)
     alpha = a1.rs.simple_roots[0]
@@ -615,7 +615,7 @@ def test_kostant_run_computes_finite_actions_its_blocks_ask_for(monkeypatch):
     assert scenarios.run_scenario(scn)["ok"]
     f = scn.ctx.finite(Weight([2, 2, 1]))
     sm = scn.ctx.sm
-    met = {w for (m, _), sp in sm.spaces.items() if m is f for _, w, _ in sp.slot.values()}
+    met = {w for sp in f.block_spaces.values() for _, w, _ in sp.slot.values()}
     q_gens = {(kind, a) for a in sm.pair.q_positive for kind in ("e", "f")}
     assert computed and set(computed.values()) == {1}
     assert {m for m, _, _ in computed} == {f}

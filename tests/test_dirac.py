@@ -715,7 +715,9 @@ def test_eigen_decomposition_memo(a2_su21, monkeypatch):
     cold = SpinModule(pair, cb)  # no block of it is built yet
     weights = a2_su21.block_weights(vw, 8)  # the weights of sl3_paper_example's vogan task
     assert singular_cohomology_weights(cold, vw, weights)
-    for b in cold.blocks.values():
+    cold_blocks = [blk for (s, _), blk in vw.blocks.items() if s is cold]
+    assert cold_blocks
+    for b in cold_blocks:
         # the memo holds D^1, D^2, ...; D^j = D^{j-1} @ D for j >= 2, so D is a
         # right factor once per memoized power past the first
         assert b._d_powers[0] is b.d, b.mu
@@ -1058,7 +1060,7 @@ def _scenario_blocks(name):
     scn = scenarios.load_scenario(
         os.path.join(os.path.dirname(__file__), "..", "scenarios", name + ".json"))
     assert scenarios.run_scenario(scn)["ok"]
-    return list(scn.ctx.sm.blocks.values())
+    return [blk for m in scn.ctx._modules.values() for blk in m.blocks.values()]
 
 
 @pytest.mark.parametrize("name", ["sl3_paper_example", "jordan_tensor", "a3_kl_s1s3"])

@@ -249,7 +249,7 @@ def _cold_hodge_blocks(monkeypatch, path):
     monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
     scn = scenarios.load_scenario(os.path.join(os.path.dirname(__file__), "..", path))
     assert scenarios.run_scenario(scn)["ok"]
-    blocks = [blk for blk in scn.ctx.sm.blocks.values() if blk.dim]
+    blocks = [blk for m in scn.ctx._modules.values() for blk in m.blocks.values() if blk.dim]
     assert len(blocks) > 10
     return blocks
 

@@ -1,4 +1,5 @@
-"""Source lint over src/odirac: a function reads every parameter it takes."""
+"""Source lint over src/odirac: a function reads every parameter it takes,
+and every function and method reads every local it assigns."""
 
 import ast
 import os
@@ -30,14 +31,44 @@ def _unread_parameters(fn):
     return [p for p in params if p not in read]
 
 
-def test_functions_read_every_parameter():
-    unread = []
+def _unread_locals(fn):
+    """(line, name) of each name fn assigns and never reads.
+
+    Reads in nested functions count, names declared global or nonlocal
+    are exempt, and so are names starting with "_", the marker of a
+    value unpacked only to be dropped.
+    """
+    declared = {name for n in ast.walk(fn) if isinstance(n, (ast.Global, ast.Nonlocal))
+                for name in n.names}
+    stored, read = {}, set()
+    for n in (n for stmt in fn.body for n in ast.walk(stmt)):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            read.add(n.id)
+        elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            stored.setdefault(n.id, n.lineno)
+    return sorted((line, v) for v, line in stored.items()
+                  if v not in read and v not in declared and not v.startswith("_"))
+
+
+def _trees():
     for dirpath, _, files in sorted(os.walk(SRC)):
         for name in sorted(f for f in files if f.endswith(".py")):
             path = os.path.join(dirpath, name)
             with open(path) as fh:
-                tree = ast.parse(fh.read(), path)
-            unread += [f"{os.path.relpath(path, SRC)}:{fn.lineno} {fn.name}: {p}"
-                       for fn in _functions_outside_class_bodies(tree)
-                       for p in _unread_parameters(fn)]
+                yield os.path.relpath(path, SRC), ast.parse(fh.read(), path)
+
+
+def test_functions_read_every_parameter():
+    unread = [f"{path}:{fn.lineno} {fn.name}: {p}"
+              for path, tree in _trees()
+              for fn in _functions_outside_class_bodies(tree)
+              for p in _unread_parameters(fn)]
+    assert not unread, "\n".join(unread)
+
+
+def test_functions_and_methods_read_every_local():
+    unread = [f"{path}:{line} {fn.name}: {v}"
+              for path, tree in _trees()
+              for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for line, v in _unread_locals(fn)]
     assert not unread, "\n".join(unread)

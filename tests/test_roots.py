@@ -184,8 +184,8 @@ def test_lengths_match_inversions():
 def test_antidominance():
     c2 = ctx("A2")
     rho, _ = rho_vectors(c2.rs, [])
-    assert is_antidominant(-rho, c2.rs, c2.form, rho)
-    assert is_antidominant(-2 * rho, c2.rs, c2.form, rho)
+    assert is_antidominant(-rho, c2.rs.positive_roots, c2.form, rho)
+    assert is_antidominant(-2 * rho, c2.rs.positive_roots, c2.form, rho)
     # the -2rho case evaluates to -1 on simple coroots, -2 on the highest one
     vals = sorted(c2.form.coroot_pair(-2 * rho + rho, alpha)
                   for alpha in c2.rs.positive_roots)
@@ -193,7 +193,7 @@ def test_antidominance():
     assert all(not (v.denominator == 1 and v > 0) for v in vals)
     c1 = ctx("A1")
     rho1, _ = rho_vectors(c1.rs, [])
-    assert not is_antidominant(zero_weight(1), c1.rs, c1.form, rho1)
+    assert not is_antidominant(zero_weight(1), c1.rs.positive_roots, c1.form, rho1)
     assert c1.form.coroot_pair(rho1, c1.rs.simple_roots[0]) == 1
 
 
@@ -298,13 +298,14 @@ def test_weight_rejects_floats():
 
 
 def _window_weight_keys(m):
-    """Every Weight cached on a window: action, basis, Gram and below-top caches."""
+    """Every Weight cached on a window: action, basis, Gram, below-top and Casimir caches."""
     for gen, w in m._action_cache:
         yield w
         if gen[0] != "h":
             yield gen[1]
     yield from getattr(m, "_basis_cache", {})
     yield from m._below_top.values()
+    yield from m.casimirs
     form = getattr(m, "_form", None)
     if form is not None:
         yield from form._grams
@@ -318,10 +319,8 @@ def test_cached_weight_keys_are_canonical(path):
     scn = scenarios.load_scenario(path)
     assert scenarios.run_scenario(scn)["ok"]
     ctx = scn.ctx
-    sm = ctx.sm
-    windows = {m for m, _ in sm.blocks} | {m for m, _ in sm.spaces}
-    windows |= set(ctx._modules.values())
-    keys = [w for _, w in sm.blocks] + [w for _, w in sm.spaces]
+    windows = set(ctx._modules.values())
+    keys = [w for m in windows for cache in (m.blocks, m.block_spaces) for _, w in cache]
     assert keys and all(isinstance(m, WeightModuleWindow) for m in windows)
     for m in windows:
         keys.extend(_window_weight_keys(m))

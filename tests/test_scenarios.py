@@ -1,17 +1,20 @@
 """Scenario loading: PairContext.block_weights against the enumerations it
 replaced, the scenario digest and what a pair context builds."""
 
+import gc
 import glob
 import hashlib
 import json
 import os
+import weakref
 from collections import Counter
 from functools import partial
 
 import pytest
 
 from odirac import liealg, scenarios
-from odirac.cato import _cone_coords, sort_weights
+from odirac.cato import _cone_coords, sort_weights, verma_window
+from odirac.dirac import block, check_square
 from odirac.roots import Weight
 from odirac.scenarios import (PairContext, Scenario, Workspace, load_scenario, pair_context,
                               run_scenario)
@@ -43,10 +46,12 @@ def test_block_weights_match_reference_once_per_key(monkeypatch):
     weights = spin_weights(b3.sm)
     assert len(set(weights)) < len(weights)  # offsets do repeat there
     for ws, margin in ((b3, 0), (sl3, square_margin)):
-        scn, m = ws.scenario, ws.module
+        scn = ws.scenario
         depth = scn.depth_below_top
-        want = reference_block_weights(ws.ctx, m, depth, margin)
-        ctx = PairContext(scn.cartan_type, scn.delta_h)  # nothing enumerated yet
+        want = reference_block_weights(ws.ctx, ws.module, depth, margin)
+        ctx = PairContext(scn.cartan_type, scn.delta_h)
+        m = ctx.verma(scn.weights["lambda"], scn.depth)  # a fresh window: nothing enumerated yet
+        assert type(m) is type(ws.module) and m is not ws.module
         calls = []
         materialized = type(m).materialized
         with monkeypatch.context() as mp:
@@ -58,6 +63,23 @@ def test_block_weights_match_reference_once_per_key(monkeypatch):
             first.clear()  # the caller's list is its own
             assert ctx.block_weights(m, depth, margin) == want
             assert len(calls) == enumerated  # one enumeration per (module, depth, margin)
+
+
+def test_a_window_takes_what_is_built_from_it():
+    """A window built outside the context memo, with a block, its Casimirs,
+    its H_D and its block weights, is freed once the caller drops it: the
+    spin module and the pair context keep nothing keyed by the window."""
+    ctx = pair_context("A2")
+    sm = ctx.sm
+    vw = verma_window(ctx.pair, ctx.cb, -ctx.pair.rho, 4)
+    blk = block(sm, vw, vw.top_weight + sm.top_weight - Weight([1, 1]))
+    assert blk.dim > 1 and check_square(blk)["matrix_identity"]  # fills the Casimir memo
+    blk.dirac_cohomology()
+    assert ctx.block_weights(vw, 3)
+    refs = [weakref.ref(vw), weakref.ref(blk)]
+    del vw, blk
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 def _scenario_module(path):

@@ -276,6 +276,7 @@ def test_b4_probe_holds_nothing_of_spin_dimension():
     ops = [sm.cubic, sm.identity, *sm._gamma, *sm._h_action_cache.values()]
     sizes = {name: len(v) for name, v in vars(sm).items() if hasattr(v, "__len__")}
     sizes.update((f"operator {k} columns", len(op._columns)) for k, op in enumerate(ops))
-    sizes.update((f"block {mu} slots", len(sp.slot)) for (_, mu), sp in sm.spaces.items())
-    assert sm.spaces and max(sizes.values()) < sm.dim, sizes
-    assert max(len(sp.slot) for sp in sm.spaces.values()) <= 4
+    spaces = scn.ctx.verma((-1, -1, -1, -1), 2).block_spaces
+    sizes.update((f"block {mu} slots", len(sp.slot)) for (_, mu), sp in spaces.items())
+    assert spaces and max(sizes.values()) < sm.dim, sizes
+    assert max(len(sp.slot) for sp in spaces.values()) <= 4
