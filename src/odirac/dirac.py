@@ -307,7 +307,8 @@ class GradedNilpotent:
     chain is the `Mat` of rows [top, N top, ...].  N is odd, so each row of
     N^k is supported on the columns of one parity, row reduction never
     mixes parities, and every canonical kernel row is homogeneous.  Chain
-    tops are tested on their images under powers of N (`level_image`).
+    tops are tested on their images under powers of N, against the bottoms
+    of the longer chains already found.
     """
 
     def __init__(self, n_mat: Mat, parity):
@@ -317,7 +318,6 @@ class GradedNilpotent:
         self.parity = list(parity)
         self._powers = [Mat.identity(self.dim), n_mat]
         self._kernels = {}
-        self._images = {}
         self._chains = None
 
     def power(self, k):
@@ -333,17 +333,6 @@ class GradedNilpotent:
         if ker is None:
             ker = self._kernels[k] = self.power(k).nullspace()
         return ker
-
-    def level_image(self, k):
-        """N^k applied to the rows of ker N^{k+1}, memoized per k: N^{k-1} of the
-        floor ker N^{k-1} + N ker N^{k+1}, outside which a vector of ker N^k tops
-        a chain of size k.  The floor holds ker N^{k-1}, so vectors are independent
-        of it and of each other iff their N^{k-1} images are independent of this
-        image and of each other.  At the top level N^k = 0 and the image is 0."""
-        image = self._images.get(k)
-        if image is None:
-            image = self._images[k] = self.kernel(k + 1) @ self.power(k).T
-        return image
 
     # -- Jordan chains ----------------------------------------------------------
 
@@ -369,9 +358,10 @@ class GradedNilpotent:
             s += 1
         chains = []
         for k in range(s, 0, -1):
-            # Past the level's image, the pivots of the stacked N^{k-1} images
-            # are the level's tops in order, and every seed must be one.
-            image = self.level_image(k)
+            # The bottoms of the chains longer than k span N^k ker N^{k+1}; past
+            # them, the pivots of the stacked N^{k-1} images are the level's tops
+            # in order, and every seed must be one.
+            image = Mat.zero(0, self.dim).vstack(*(c.take(rows=[c.nrows - 1]) for c in chains))
             mine = [vec for vec, size in seeds if size == k]
             cands = Mat.zero(0, self.dim).vstack(*mine, self.kernel(k))
             pivots = image.vstack(cands @ self.power(k - 1).T).T.pivots()
@@ -735,8 +725,9 @@ def exact_circle(sm, ses, mu) -> CircleCertificate:
         l = nil2._chain_length(u)
         if l < msize:
             raise LiftFailure("lift died too early")
-        # top criterion (`level_image`): N^{l-1} u outside the level's image
-        image = nil2.level_image(l)
+        # top criterion: N^{l-1} u lies in ker N, so it is outside
+        # N^l ker N^{l+1} = im N^l meet ker N exactly when it is outside im N^l
+        image = nil2.power(l).T
         if image.nrows not in image.vstack(u @ nil2.power(l - 1).T).T.pivots():
             raise LiftFailure("lifted preimage is not a Jordan top")
         lifted.append((u, l, msize, top3))

@@ -174,11 +174,7 @@ def _half_decomposes(c, rank_c, d, rank_d) -> bool:
 
 def hodge_decomposition_check(blk, us: UnitaryStructure) -> dict:
     """Adjointness, kernel-image splitting and the C+ and C- decompositions."""
-    n = blk.dim
-    report = {"weight": blk.mu, "dim": n}
-    if n == 0:
-        report.update({"adjoint": True, "splitting": True, "cplus": True, "ok": True})
-        return report
+    report = {"weight": blk.mu, "dim": blk.dim}
     g = block_inner_gram(us, blk)
     # G^-1 C+^T G = -C- times G, so no inverse: the two agree for any
     # invertible G, and the task certifies G positive definite first.  For

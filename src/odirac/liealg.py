@@ -36,7 +36,7 @@ class ChevalleyBasis:
         self.npos = len(self.pos)
         self.dim = self.rank + 2 * self.npos
         self._idx_pos = {a: i for i, a in enumerate(self.pos)}
-        self._npos_table = self._positive_constants()
+        self._positive_constants()
         self._int_table = self._integral_brackets()
         self._kappa_root = {}
         for a in self.pos:
@@ -98,7 +98,8 @@ class ChevalleyBasis:
         return k
 
     def _positive_constants(self):
-        """N_{a,b} for positive pairs a+b in Delta, idx(a) < idx(b)."""
+        """Set `_n_signed` to the signed N_{a,b}, from a table of N_{a,b} for
+        positive pairs a+b in Delta, idx(a) < idx(b)."""
         form = self.form
         idx = self._idx_pos
         table = {}
@@ -147,7 +148,6 @@ class ChevalleyBasis:
                     raise AssertionError(
                         f"structure constant determination failed at {a}+{b}={gamma}: {val}")
                 table[(a, b)] = val
-        return table
 
     def coroot_coords(self, alpha):
         """alpha^vee in the basis of simple coroots; entries are integers."""

@@ -1052,6 +1052,46 @@ def test_chains_call_no_rref(monkeypatch):
     assert callers["nullspace"]  # the counter sees the kernels' reductions
 
 
+@pytest.mark.parametrize("name, count", [("a3_kl_s1s3", 10), ("a2_levi_tensor_vogan", 14),
+                                         ("a1_circle", 5), ("a2_circle_split", 22)])
+def test_no_kernel_or_power_past_the_nilpotency_index(monkeypatch, name, count):
+    """On a cold run of scenarios/NAME.json, none of the COUNT `GradedNilpotent`s
+    that are asked for a kernel or a power is asked for `kernel(k)` or
+    `power(k)` with k above its nilpotency index: the chains and the circle
+    find their tops without ker N^{s+1}."""
+    import os
+    from odirac import scenarios
+
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+    asked = {}
+    init, kernel, power = GradedNilpotent.__init__, GradedNilpotent.kernel, GradedNilpotent.power
+
+    def counted_init(self, n_mat, parity):
+        asked[self] = set()
+        init(self, n_mat, parity)
+
+    def counted_kernel(self, k):
+        asked[self].add(k)
+        return kernel(self, k)
+
+    def counted_power(self, k):
+        asked[self].add(k)
+        return power(self, k)
+
+    monkeypatch.setattr(GradedNilpotent, "__init__", counted_init)
+    monkeypatch.setattr(GradedNilpotent, "kernel", counted_kernel)
+    monkeypatch.setattr(GradedNilpotent, "power", counted_power)
+    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", name + ".json")
+    assert scenarios.run_scenario(scenarios.load_scenario(path))["ok"]
+    asked = {nil: ks for nil, ks in asked.items() if ks}
+    assert len(asked) == count
+    for nil, ks in asked.items():
+        index = 0
+        while not power(nil, index).is_zero():
+            index += 1
+        assert max(ks) <= index, (nil.dim, index, sorted(ks))
+
+
 def _scenario_blocks(name):
     """Every Dirac block of a cold run of scenarios/NAME.json, after the run."""
     import os
@@ -1373,6 +1413,65 @@ def test_circle_rejects_the_repro_lifts_at_three_weights(monkeypatch):
     assert len(certified) == 25 and all(cert.exact for cert in certified)
 
 
+# (delta_h row, lambda, sub weight w): the block weights mu where `exact_circle`
+# rejects the A2 sequence 0 -> M(w) -> M(lambda) -> quotient, at depth 8 with
+# depth_below_top 6.  Weights are in simple-root coordinates.
+_MU_1 = [(-1, F(-7, 2)), (-1, F(-5, 2)), (-1, F(-3, 2))]
+_MU_2 = [(F(-7, 2), -1), (F(-5, 2), -1), (F(-3, 2), -1)]
+_MU_3 = [(F(-5, 2), -3)]
+CIRCLE_SWEEP_FAILURES = {
+    ((0, 1), (0, 0), (-2, -2)): _MU_1, ((0, 1), (0, 0), (-2, -1)): _MU_1,
+    ((0, 1), (0, 0), (-1, -2)): _MU_1, ((0, 1), (0, 0), (-1, 0)): _MU_1,
+    ((1, 0), (0, 0), (-2, -2)): _MU_2, ((1, 0), (0, 0), (-2, -1)): _MU_2,
+    ((1, 0), (0, 0), (-1, -2)): _MU_2, ((1, 0), (0, 0), (0, -1)): _MU_2,
+    ((1, 0), (-1, 0), (-2, -2)): _MU_2 + [(F(-9, 2), -1)],
+    ((1, 0), (-1, 0), (-2, -1)): _MU_2 + [(F(-9, 2), -1)],
+    ((1, 0), (-1, 0), (-1, -2)): _MU_2 + [(F(-9, 2), -1)],
+    ((1, 0), (-2, 1), (-3, -4)): _MU_3, ((1, 0), (-2, 1), (-3, 0)): _MU_3,
+    ((1, 0), (-2, 1), (-2, -4)): _MU_3,
+}
+
+
+def test_a2_circle_sweep_fails_only_on_levi_sequences(monkeypatch):
+    """Every A2 sequence 0 -> M(w) -> M(lambda) -> quotient whose weight w != lambda
+    of the depth-8 Verma window carries exactly one singular vector, for seven
+    lambdas (20 pairs) and h in {t, [[1, 0]], [[0, 1]]} (60 sequences), with
+    `exact_circle` at each block weight: no sequence with h = t fails, and 14
+    of the 40 Levi sequences fail at exactly the 39 pinned weights, each with
+    "lifted preimage is not a Jordan top" and stable index >= 3 on the middle
+    block (4 at the least)."""
+    from odirac import scenarios
+    from odirac.scenarios import Scenario, Workspace
+
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+    pairs = []
+    for lam in [(0, 0), (1, 0), (0, 1), (-1, 0), (-1, -1), (1, 1), (-2, 1)]:
+        vw = Workspace(Scenario({"name": "a2-verma", "cartan_type": "A2", "module": {
+            "kind": "verma", "lambda": list(lam), "depth": 8}})).module
+        for c in _cone_coords(2, 8):
+            w = vw.top_weight - Weight(c)
+            if any(c) and vw.materialized(w) and singular_vectors(vw, w).nrows == 1:
+                pairs.append((lam, tuple(int(x) for x in w)))
+    assert len(pairs) == 20
+    failures, indices = set(), []
+    for delta_h in ([], [[1, 0]], [[0, 1]]):
+        for lam, w in pairs:
+            ws = Workspace(Scenario({
+                "name": "a2-circle-sweep", "cartan_type": "A2", "delta_h": delta_h,
+                "module": {"kind": "ses", "lambda": list(lam), "sub_weight": list(w),
+                           "depth": 8},
+                "depth_below_top": 6, "tasks": ["circle"]}))
+            for mu in ws.block_weights():
+                try:
+                    exact_circle(ws.sm, ws.ses, mu)
+                except LiftFailure as e:
+                    assert str(e) == "lifted preimage is not a Jordan top", (delta_h, lam, w, mu)
+                    failures.add((tuple(delta_h[0]) if delta_h else (), lam, w, tuple(mu)))
+                    indices.append(block(ws.sm, ws.ses.modules()[1], mu).stable_index())
+    assert failures == {(*seq, mu) for seq, mus in CIRCLE_SWEEP_FAILURES.items() for mu in mus}
+    assert len(failures) == 39 and min(indices) == 4
+
+
 def test_splitting_and_nonvanishing_match_the_image_route(monkeypatch):
     """The two checks that read the rank profile, against the subspaces they
     read before.  `hodge_decomposition_check`'s splitting is stable index
@@ -1566,8 +1665,7 @@ def test_block_layer_constructs_no_coerced_matrix(monkeypatch):
                 nil = blk.nilpotent()
                 bases += [blk.d_power(1).nullspace(), row_space(blk.d.T),
                           htop_denominator(blk, 0), blk.gen0()[0], graded_kernel(nil, 1, +1),
-                          nil.level_image(1),
-                          *nil.chains()]
+                          nil.power(1).T, *nil.chains()]
             singular_cohomology_weights(ws.sm, m, weights)
         if ws.ses:
             for mu in weights:

@@ -257,6 +257,41 @@ def _cold_hodge_blocks(monkeypatch, path):
 HODGE_RUNS = ["perfbench/workloads/a3_hodge.json", "scenarios/a2_hodge_unitary.json"]
 
 
+@pytest.mark.parametrize("path, empty", zip(HODGE_RUNS, (61, 9)))
+def test_hodge_task_checks_no_empty_weight(monkeypatch, path, empty):
+    """A cold hodge run gives each empty block weight its record (every check
+    true, every total 0) without calling a check on it or assembling C+ or
+    C-; the nonempty weights are all checked."""
+    import os
+    from odirac import hodge, scenarios
+    from odirac.scenarios import wkey
+
+    checked = []
+    for name in ("identification_check", "hodge_decomposition_check",
+                 "theorem52_comparison"):
+        def counted(blk, *args, check=getattr(hodge, name)):
+            checked.append(blk)
+            return check(blk, *args)
+
+        monkeypatch.setattr(hodge, name, counted)
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+    scn = scenarios.load_scenario(os.path.join(os.path.dirname(__file__), "..", path))
+    bundle = scenarios.run_scenario(scn)
+    assert bundle["ok"]
+    records = bundle["tasks"]["hodge"]["per_weight"]
+    blocks = [blk for m in scn.ctx._modules.values() for blk in m.blocks.values()]
+    hollow = [blk for blk in blocks if not blk.dim]
+    assert len(hollow) == empty and len(blocks) == len(records)
+    for blk in hollow:
+        assert "d_plus" not in blk.__dict__ and "d_minus" not in blk.__dict__, blk.mu
+        assert records[wkey(blk.mu)] == {
+            "identification": True, "adjoint": True, "splitting": True,
+            "cplus_decomposition": True, "hd": 0, "ce_cohomology": 0, "ce_homology": 0,
+            "comparison": True}
+    assert sorted(id(blk) for blk in checked) == \
+        sorted(id(blk) for blk in blocks if blk.dim for _ in range(3))
+
+
 @pytest.mark.parametrize("path", HODGE_RUNS)
 def test_half_decomposes_matches_subspace_statement(monkeypatch, path):
     """After a cold hodge run, on every nonzero block it built, the rank tests

@@ -1,10 +1,12 @@
 """Source lint over src/odirac: a function reads every parameter it takes,
-and every function and method reads every local it assigns."""
+every function and method reads every local it assigns, and every attribute
+stored on `self` is read somewhere."""
 
 import ast
 import os
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "odirac")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src", "odirac")
 
 
 def _functions_outside_class_bodies(tree):
@@ -50,12 +52,12 @@ def _unread_locals(fn):
                   if v not in read and v not in declared and not v.startswith("_"))
 
 
-def _trees():
-    for dirpath, _, files in sorted(os.walk(SRC)):
+def _trees(root=SRC):
+    for dirpath, _, files in sorted(os.walk(root)):
         for name in sorted(f for f in files if f.endswith(".py")):
             path = os.path.join(dirpath, name)
             with open(path) as fh:
-                yield os.path.relpath(path, SRC), ast.parse(fh.read(), path)
+                yield os.path.relpath(path, root), ast.parse(fh.read(), path)
 
 
 def test_functions_read_every_parameter():
@@ -71,4 +73,28 @@ def test_functions_and_methods_read_every_local():
               for path, tree in _trees()
               for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
               for line, v in _unread_locals(fn)]
+    assert not unread, "\n".join(unread)
+
+
+def test_attributes_stored_on_self_are_read():
+    """Every attribute name src/odirac assigns on `self` is read as an attribute
+    of some object, or named in a string (a `__dict__` key, a `getattr`
+    name), somewhere in src/odirac or tests.  An augmented assignment reads
+    its target."""
+    stored, read = {}, set()
+    for root in (SRC, TESTS):
+        for path, tree in _trees(root):
+            for n in ast.walk(tree):
+                if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Attribute):
+                    read.add(n.target.attr)
+                elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                    read.add(n.attr)
+                elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                    read.add(n.value)
+                elif root is SRC and isinstance(n, ast.Attribute) and \
+                        isinstance(n.ctx, ast.Store) and isinstance(n.value, ast.Name) and \
+                        n.value.id == "self":
+                    stored.setdefault(n.attr, f"{path}:{n.lineno}")
+    unread = [f"{where} self.{attr}" for attr, where in sorted(stored.items())
+              if attr not in read]
     assert not unread, "\n".join(unread)
