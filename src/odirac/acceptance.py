@@ -362,7 +362,7 @@ def criterion_10_structural():
         for i in range(n):
             for j in range(n):
                 anti = gammas[i] @ gammas[j] + gammas[j] @ gammas[i]
-                expect = c.cb.pairing(sm._qidx_to_cb[i], sm._qidx_to_cb[j])
+                expect = c.cb.pairing(sm.q_basis[i], sm.q_basis[j])
                 if anti != Mat.scalar(sm.dim, expect):
                     cliff_ok = False
     details["clifford relations"] = cliff_ok

@@ -130,15 +130,9 @@ class _Straightener:
         # per root position: the cb index of f_beta; per cb index: the
         # generator kind and its root position (None for the Cartan part)
         self._f_index = [cb.e_index(-beta) for beta in cb.pos]
-        self._kind = []
-        for b in range(cb.dim):
-            root = cb.index_root(b)
-            if root is None:
-                self._kind.append(("h", None))
-            elif all(c >= 0 for c in root):
-                self._kind.append(("e", cb._idx_pos[root]))
-            else:
-                self._kind.append(("f", cb._idx_pos[-root]))
+        position = {beta: p for p, beta in enumerate(cb.pos)}
+        self._kind = [(kind, None if kind == "h" else position[val])
+                      for kind, val in cb.generators]
         # h_j-eigenvalues: lam(h_j) minus the integer sum over the monomial
         rs = cb.rs
         self._lam_h = rs.pairing_with_simple_coroots(lam)
@@ -206,6 +200,11 @@ class WeightModuleWindow:
     """Shared surface of all window kinds; subclasses fill the hooks.
 
     Every nonzero weight lies below `top_weight` (Dirac blocks rely on it).
+    `action(gen, w)` is the one place that finds the target weight tw of
+    a Chevalley generator (`ChevalleyBasis.generators`), checks that both
+    weights are materialized, answers the zero map when either space is
+    empty and memoizes the result; each kind's `_compute_action(gen, w,
+    tw)` is called only between two nonzero spaces.
     The window also owns what is built from it, so dropping the last
     reference to it frees all of that: its Dirac blocks and their
     BlockSpaces keyed by (spin module, weight) (`dirac.block`,
@@ -234,7 +233,7 @@ class WeightModuleWindow:
     def dim(self, w: Weight) -> int:
         raise NotImplementedError
 
-    def _compute_action(self, gen, w: Weight) -> Mat:
+    def _compute_action(self, gen, w: Weight, tw: Weight) -> Mat:
         raise NotImplementedError
 
     def weight_below_top(self, drop) -> Weight:
@@ -257,19 +256,17 @@ class WeightModuleWindow:
             tw = w + self.cb.generator_weight(gen)
             if not self.materialized(tw):
                 raise OutsideWindow(f"{self.kind}: target weight {tw} not materialized")
-            m = self._compute_action(gen, w)
+            rows, cols = self.dim(tw), self.dim(w)
+            m = (self._compute_action(gen, w, tw) if rows and cols
+                 else Mat.zero(rows, cols))
             self._action_cache[key] = m
         return m
 
-    def action_index(self, idx, w: Weight) -> Mat:
-        root = self.cb.index_root(idx)
-        if root is None:
-            gen = ("h", idx)
-        elif all(c >= 0 for c in root):
-            gen = ("e", root)
-        else:
-            gen = ("f", -root)
-        return self.action(gen, w)
+
+def commutator_action(m: WeightModuleWindow, x, y, w: Weight) -> Mat:
+    """x y - y x on m at weight w, for generators x and y."""
+    wx, wy = m.cb.generator_weight(x), m.cb.generator_weight(y)
+    return m.action(x, w + wy) @ m.action(y, w) - m.action(y, w + wx) @ m.action(x, w)
 
 
 def sort_weights(ws):
@@ -312,9 +309,8 @@ class VermaWindow(WeightModuleWindow):
             raise OutsideWindow(f"verma: weight {w} not materialized")
         return len(self.basis(w))
 
-    def _compute_action(self, gen, w):
+    def _compute_action(self, gen, w, tw):
         src = self.basis(w)
-        tw = w + self.cb.generator_weight(gen)
         tgt = self.basis(tw)
         tgt_index = {m: i for i, m in enumerate(tgt)}
         b = self.cb.generator_index(gen)
@@ -466,11 +462,7 @@ class QuotientWindow(WeightModuleWindow):
     def projection(self, w) -> Mat:
         return self._weight_data(w)[1]
 
-    def _compute_action(self, gen, w):
-        tw = w + self.cb.generator_weight(gen)
-        rows, cols = self.dim(tw), self.dim(w)
-        if not rows or not cols:
-            return Mat.zero(rows, cols)
+    def _compute_action(self, gen, w, tw):
         return self.projection(tw) @ self.parent.action(gen, w).take(cols=self.kept_indices(w))
 
 
@@ -633,23 +625,15 @@ class SimpleWindow(WeightModuleWindow):
         cb = self.cb
         return x, y, cb.bracket(cb.generator_index(x), cb.generator_index(y))[cb.generator_index(gen)]
 
-    def _compute_action(self, gen, w):
-        cb = self.cb
-        tw = w + cb.generator_weight(gen)
-        rows, cols = self.dim(tw), self.dim(w)
-        if not rows or not cols:
-            return Mat.zero(rows, cols)
+    def _compute_action(self, gen, w, tw):
         kind, root = gen
         if kind == "h":
-            return Mat.scalar(rows, self.pair.rs.pairing_with_simple_coroots(w)[root])
+            return Mat.scalar(self.dim(w), self.pair.rs.pairing_with_simple_coroots(w)[root])
         i = self._simple_index.get(root)
         if i is not None:
             return self._space(w).e[i] if kind == "e" else self._space(tw).f[i]
         x, y, c = self._commutator(gen)
-        wx, wy = cb.generator_weight(x), cb.generator_weight(y)
-        xy = self.action(x, w + wy) @ self.action(y, w)
-        yx = self.action(y, w + wx) @ self.action(x, w)
-        return (xy - yx).scale(_F1 / c)
+        return commutator_action(self, x, y, w).scale(_F1 / c)
 
 
 def simple_quotient_window(pair, cb, lam, depth) -> SimpleWindow:
@@ -685,10 +669,7 @@ class FiniteWindow(WeightModuleWindow):
         """Sorted weights of nonzero dimension."""
         return sort_weights(self._dims)
 
-    def _compute_action(self, gen, w):
-        rows, cols = self.dim(w + self.cb.generator_weight(gen)), self.dim(w)
-        if not rows or not cols:
-            return Mat.zero(rows, cols)
+    def _compute_action(self, gen, w, tw):
         return self.simple.action(gen, w)
 
 
@@ -831,9 +812,9 @@ class TensorWindow(WeightModuleWindow):
     def dim(self, w):
         return self.space(w).dim
 
-    def _compute_action(self, gen, w):
+    def _compute_action(self, gen, w, tw):
         """gen on the base in each slot, plus gen on F times the identity."""
-        wt = self.cb.generator_weight(gen)
+        wt = tw - w
         src = self.space(w)
         base_map, identity = partial(self.base.action, gen), _identity_map(self.base)
         terms = [(key, key, 1, base_map) for key in src.slot]
@@ -841,7 +822,7 @@ class TensorWindow(WeightModuleWindow):
             fm = self.factor.action(gen, nu)
             terms += [((nu + wt, r), (nu, j), Fraction(row[j], fm.den), identity)
                       for r, row in enumerate(fm.num) if row[j]]
-        return block_operator(self.space(w + wt), src, terms)
+        return block_operator(self.space(tw), src, terms)
 
 
 def tensor_with_finite_dim(m: WeightModuleWindow, f: FiniteWindow) -> TensorWindow:
@@ -871,7 +852,7 @@ class SumWindow(WeightModuleWindow):
             raise OutsideWindow(f"sum: weight {w} not materialized")
         return sum(p.dim(w) for p in self.parts)
 
-    def _compute_action(self, gen, w):
+    def _compute_action(self, gen, w, tw):
         a = self.parts[0].action(gen, w)
         b = self.parts[1].action(gen, w)
         return a.hstack(Mat.zero(a.nrows, b.ncols)).vstack(
@@ -1049,19 +1030,15 @@ def _box_coords(bounds):
 def commutation_defect(m: WeightModuleWindow, w: Weight, idx_x: int, idx_y: int):
     """action([x,y]) - [action(x), action(y)] at weight w; None if not coverable."""
     cb = m.cb
-    wx = cb.index_root(idx_x) or zero_weight(m.rank)
-    wy = cb.index_root(idx_y) or zero_weight(m.rank)
+    x, y = cb.generators[idx_x], cb.generators[idx_y]
+    wx, wy = cb.generator_weight(x), cb.generator_weight(y)
     for inter in (w + wx, w + wy, w + wx + wy):
         if not m.materialized(inter):
             return None
     if not m.materialized(w):
         return None
-    ax_after = m.action_index(idx_x, w + wy)
-    ay_first = m.action_index(idx_y, w)
-    ay_after = m.action_index(idx_y, w + wx)
-    ax_first = m.action_index(idx_x, w)
-    lhs = ax_after @ ay_first - ay_after @ ax_first
+    lhs = commutator_action(m, x, y, w)
     rhs = Mat.zero(lhs.nrows, lhs.ncols)
     for k, c in cb.bracket(idx_x, idx_y).items():
-        rhs = rhs + m.action_index(k, w).scale(c)
+        rhs = rhs + m.action(cb.generators[k], w).scale(c)
     return lhs - rhs

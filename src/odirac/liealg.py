@@ -26,7 +26,12 @@ def _is_positive(v):
 
 
 class ChevalleyBasis:
-    """Basis h_1..h_r, e_alpha (alpha > 0), f_alpha := e_{-alpha} rescaled."""
+    """Basis h_1..h_r, e_alpha (alpha > 0), f_alpha := e_{-alpha} rescaled.
+
+    `generators[i]` names basis index i as ("h", i) for i < rank, then
+    ("e", alpha) and then ("f", alpha) for each positive root alpha in
+    `pos` order; `generator_index` is its inverse.
+    """
 
     def __init__(self, rs: RootSystem, form: InvariantForm):
         self.rs = rs
@@ -36,6 +41,9 @@ class ChevalleyBasis:
         self.npos = len(self.pos)
         self.dim = self.rank + 2 * self.npos
         self._idx_pos = {a: i for i, a in enumerate(self.pos)}
+        self.generators = ([("h", i) for i in range(self.rank)] +
+                           [("e", a) for a in self.pos] + [("f", a) for a in self.pos])
+        self._gen_index = {g: i for i, g in enumerate(self.generators)}
         self._positive_constants()
         self._int_table = self._integral_brackets()
         self._kappa_root = {}
@@ -49,32 +57,16 @@ class ChevalleyBasis:
 
     # -- indexing ------------------------------------------------------------
 
-    def h_index(self, i):
-        return i
-
     def e_index(self, alpha):
         if _is_positive(alpha):
             return self.rank + self._idx_pos[alpha]
         return self.rank + self.npos + self._idx_pos[-alpha]
 
-    def index_root(self, idx):
-        """Root of a root-vector index, None for Cartan indices."""
-        if idx < self.rank:
-            return None
-        idx -= self.rank
-        if idx < self.npos:
-            return self.pos[idx]
-        return -self.pos[idx - self.npos]
-
     def generator_index(self, gen):
-        kind, val = gen
-        if kind == "h":
-            return self.h_index(val)
-        if kind == "e":
-            return self.e_index(val)
-        if kind == "f":
-            return self.e_index(-val)
-        raise ValueError(f"unknown generator {gen!r}")
+        try:
+            return self._gen_index[gen]
+        except KeyError:
+            raise ValueError(f"unknown generator {gen!r}") from None
 
     def generator_weight(self, gen):
         kind, val = gen

@@ -96,10 +96,11 @@ class SpinModule:
         self.nq = len(self.q_pos)
         self.dim = 1 << self.nq
         self.top_weight = pair.rho - pair.rho_h
-        # q basis order: e_beta for beta in q_pos, then f_beta; duals swap halves
-        self._qidx_to_cb = [cb.e_index(b) for b in self.q_pos] + \
-                           [cb.e_index(-b) for b in self.q_pos]
-        self._cb_to_qidx = {c: i for i, c in enumerate(self._qidx_to_cb)}
+        # q_basis[k]: the cb index of the k-th q basis vector, e_beta for
+        # beta in q_pos, then f_beta; duals swap halves
+        self.q_basis = [cb.e_index(b) for b in self.q_pos] + \
+            [cb.e_index(-b) for b in self.q_pos]
+        self._cb_to_qidx = {c: i for i, c in enumerate(self.q_basis)}
         self._gamma = [SpinOperator(self.nq, [(1, (qi,))]) for qi in range(2 * self.nq)]
         self.identity = SpinOperator(self.nq, [(1, ())])
         self._h_action_cache = {}
@@ -148,7 +149,7 @@ class SpinModule:
         cb = self.cb
         b = cb.generator_index(gen)
         cols = [{self._cb_to_qidx[k]: c for k, c in cb.bracket(b, qb).items()}
-                for qb in self._qidx_to_cb]
+                for qb in self.q_basis]
         return Mat.from_sparse_cols(cols, 2 * self.nq)
 
     def h_action(self, gen) -> SpinOperator:
@@ -180,7 +181,7 @@ def cubic_term(sm: SpinModule) -> SpinOperator:
     z_i: the dual partner of its q-component.
     """
     n = 2 * sm.nq
-    cb, cb_idx = sm.cb, sm._qidx_to_cb
+    cb, cb_idx = sm.cb, sm.q_basis
     sixth = Fraction(1, 6)
     terms = []
     for j in range(n):
@@ -205,7 +206,7 @@ def cubic_term_rebased(sm: SpinModule, base_change: Mat) -> Mat:
     invertible.
     """
     n = 2 * sm.nq
-    cb, cb_idx = sm.cb, sm._qidx_to_cb
+    cb, cb_idx = sm.cb, sm.q_basis
     gram = Mat([[cb.pairing(cb_idx[i], cb_idx[j]) for j in range(n)] for i in range(n)], n)
     dual = gram.inv() @ base_change.T.inv()
     gammas_d = [sm.gamma_coeffs(dual.col(i)) for i in range(n)]

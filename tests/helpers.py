@@ -1,11 +1,11 @@
-"""Test-side helpers: adjoint matrices, generator lists, window
-dimensions, the fundamental-weight and epsilon coordinates, the
-reference simple quotient of a Verma window, block weights by the
-offset filter over every subset sum of q+, Jordan chains chosen one
-candidate top at a time, kernels restricted to one parity, canonical
-row spaces and the subspace meet and preimage that the reference
-singular classes and Hodge decompositions are built from, the
-degree-graded Chevalley-Eilenberg complexes, and the Bruhat order and
+"""Test-side helpers: adjoint matrices, window dimensions, the
+fundamental-weight and epsilon coordinates, the reference simple
+quotient of a Verma window, block weights by the offset filter over
+every subset sum of q+, Jordan chains chosen one candidate top at a
+time, kernels restricted to one parity, canonical row spaces and the
+subspace meet and preimage that the reference singular classes and
+Hodge decompositions are built from, the degree-graded
+Chevalley-Eilenberg complexes, and the Bruhat order and
 Kazhdan-Lusztig polynomials."""
 
 from fractions import Fraction
@@ -27,15 +27,6 @@ def ad_matrix(cb, i):
         vec = cb.bracket(i, b)
         cols.append(tuple(vec.get(k, _F0) for k in range(cb.dim)))
     return Mat.from_cols(cols, cb.dim)
-
-
-def generator_list(m):
-    """Every generator of g acting on the window m: h_i, then e_a and f_a per positive root."""
-    gens = [("h", i) for i in range(m.rank)]
-    for a in m.pair.rs.positive_roots:
-        gens.append(("e", a))
-        gens.append(("f", a))
-    return gens
 
 
 def total_dim(f):

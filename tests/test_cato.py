@@ -16,8 +16,8 @@ from odirac.cato import (OutsideWindow, QuotientWindow, SESData, WeightModuleWin
                          verma_window, weyl_dimension, _cone_coords)
 from odirac.dirac import exact_circle
 from conftest import ctx
-from helpers import (generator_list, lowering_map, row_space, total_dim,
-                     verma_simple_quotient, weight_from_fundamental)
+from helpers import (lowering_map, row_space, total_dim, verma_simple_quotient,
+                     weight_from_fundamental)
 
 F = Fraction
 
@@ -358,7 +358,7 @@ def test_simple_radical_matches_verma_gram_radical(cartan, label, depth):
         assert simple.dim(w) == len(keep), w
         rad = form.radical(w)
         radical_seen += bool(rad.nrows)
-        for gen in generator_list(vw):
+        for gen in vw.cb.generators:
             tw = w + c.cb.generator_weight(gen)
             if rad.nrows and vw.materialized(tw) and vw.dim(tw):
                 image = quot.projection(tw) @ vw.action(gen, w)
@@ -403,7 +403,7 @@ def _check_projection(c, lam, depth):
     proj = lowering_map(vw, quot, weights)
     for w in weights:
         assert proj[w].rank() == quot.dim(w), w
-        for gen in generator_list(vw):
+        for gen in vw.cb.generators:
             tw = w + c.cb.generator_weight(gen)
             if tw not in proj:
                 continue
@@ -477,7 +477,7 @@ def eager_finite_module(pair, cb, lam):
             dims[w] = quot.dim(w)
     actions = {}
     for w in dims:
-        for gen in generator_list(quot):
+        for gen in quot.cb.generators:
             if quot.materialized(w + cb.generator_weight(gen)):
                 m = quot.action(gen, w)
                 if not m.is_zero():
@@ -537,7 +537,7 @@ def test_simple_window_is_isomorphic_to_verma_quotient(cartan, delta_h, lam, dep
         nonzero += 1
         keep = ref.kept_indices(w)
         assert t[w].T @ verma_form.gram(w).take(keep, keep) @ t[w] == form.gram(w), w
-        for gen in generator_list(vw):
+        for gen in vw.cb.generators:
             tw = w + c.cb.generator_weight(gen)
             if tw in t:
                 assert t[tw] @ simple.action(gen, w) == ref.action(gen, w) @ t[w], (gen, w)
@@ -565,7 +565,7 @@ def test_finite_window_matches_eager_table(cartan, delta_h, fund):
     theta = max(c.rs.positive_roots, key=lambda a: a.height)
     below = [lowest - theta * 2, lowest - theta * 3]  # past the window's margin
     for w in [*dims, *below]:
-        for gen in generator_list(f):
+        for gen in f.cb.generators:
             tw = w + c.cb.generator_weight(gen)
             got = f.action(gen, w)
             if w in dims and tw in dims:
@@ -583,9 +583,9 @@ def test_finite_dim_simple_computes_no_action(monkeypatch):
 
     computed = []
     for cls in (SimpleWindow, FiniteWindow):
-        def counted(self, gen, w, compute=cls._compute_action):
+        def counted(self, gen, w, tw, compute=cls._compute_action):
             computed.append((gen, w))
-            return compute(self, gen, w)
+            return compute(self, gen, w, tw)
         monkeypatch.setattr(cls, "_compute_action", counted)
     c = ctx("C3", [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
     f = finite_dim_simple(c.pair, c.cb, Weight([2, 2, 1]))
@@ -605,9 +605,9 @@ def test_kostant_run_computes_finite_actions_its_blocks_ask_for(monkeypatch):
     computed = Counter()
     compute = FiniteWindow._compute_action
 
-    def counted(self, gen, w):
+    def counted(self, gen, w, tw):
         computed[(self, gen, w)] += 1
-        return compute(self, gen, w)
+        return compute(self, gen, w, tw)
 
     monkeypatch.setattr(FiniteWindow, "_compute_action", counted)
     path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "c3_kostant_adjoint.json")
@@ -622,6 +622,36 @@ def test_kostant_run_computes_finite_actions_its_blocks_ask_for(monkeypatch):
     for _, gen, w in computed:
         assert gen in q_gens and w in met and w + f.cb.generator_weight(gen) in met
     assert len(computed) < len(f.weights()) * len(q_gens)
+
+
+def test_no_window_computes_an_empty_action(monkeypatch):
+    """On cold runs of every scenario and benchmark workload no window kind
+    computes a map with no rows or no columns: `WeightModuleWindow.action`
+    answers those with the zero map itself."""
+    import glob
+    import os
+    from collections import Counter
+    from odirac import scenarios
+    from odirac.cato import FiniteWindow, SimpleWindow, SumWindow, TensorWindow, VermaWindow
+
+    calls, empty = Counter(), Counter()
+    for cls in (VermaWindow, QuotientWindow, SimpleWindow, FiniteWindow, TensorWindow,
+                SumWindow):
+        def counted(self, *args, compute=cls._compute_action, kind=cls.__name__):
+            m = compute(self, *args)
+            calls[kind] += 1
+            empty[kind] += not (m.nrows and m.ncols)
+            return m
+        monkeypatch.setattr(cls, "_compute_action", counted)
+    root = os.path.join(os.path.dirname(__file__), "..")
+    paths = sorted(glob.glob(os.path.join(root, "scenarios", "*.json")) +
+                   glob.glob(os.path.join(root, "perfbench", "workloads", "*.json")))
+    assert len(paths) == 18
+    for path in paths:
+        monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+        assert scenarios.run_scenario(scenarios.load_scenario(path))["ok"], path
+    assert len(calls) == 6, calls
+    assert not +empty, empty
 
 
 def leibniz_reference(t, gen, w):
@@ -663,7 +693,7 @@ def test_tensor_window_matches_leibniz_reference(cartan, delta_h, lam, factor, d
     checked = 0
     for cc in _cone_coords(c.rs.rank, depth):
         w = t.top_weight - Weight(cc)
-        for gen in generator_list(t):
+        for gen in t.cb.generators:
             if t.materialized(w) and t.materialized(w + c.cb.generator_weight(gen)):
                 assert t.action(gen, w) == leibniz_reference(t, gen, w), (gen, w)
                 checked += not t.action(gen, w).is_zero()
@@ -699,7 +729,7 @@ def test_ses_from_embedding(a1):
              quot.dim(lam - alpha * k)) for k in range(4)]
     assert dims == [(0, 1, 1), (1, 1, 0), (1, 1, 0), (1, 1, 0)]
     # per-weight exactness and intertwining of the canonical maps
-    for gen in generator_list(vw):
+    for gen in vw.cb.generators:
         for k in range(1, 6):
             w = lam - alpha * k
             tw = w + cb.generator_weight(gen)
@@ -751,10 +781,7 @@ class SpanWalkSub(WeightModuleWindow):
     def inclusion(self, w):
         return self.span[w].T if w in self.span else Mat.zero(self.parent.dim(w), 0)
 
-    def _compute_action(self, gen, w):
-        tw = w + self.cb.generator_weight(gen)
-        if not self.dim(tw):
-            return Mat.zero(0, self.dim(w))
+    def _compute_action(self, gen, w, tw):
         image = self.parent.action(gen, w) @ self.inclusion(w)
         return self.inclusion(tw).solve(image)
 
@@ -788,7 +815,7 @@ def test_ses_from_embedding_rank2_matches_span_walk(cartan, delta_h, w0):
         assert row_space(incl.T) == row_space(ref_sub.inclusion(w).T)
         assert quot.kept_indices(w) == ref_quot.kept_indices(w)
         assert quot.projection(w) == ref_quot.projection(w)
-        for gen in generator_list(vw):
+        for gen in vw.cb.generators:
             tw = w + cb.generator_weight(gen)
             if not vw.materialized(tw):
                 continue

@@ -10,7 +10,6 @@ from odirac.liealg import is_symmetric_pair, validate_pair
 from odirac.cato import verma_window
 from odirac.dirac import casimir_matrix
 from conftest import ctx
-from helpers import generator_list
 
 F = Fraction
 
@@ -38,6 +37,25 @@ def test_a2_root_vector_product(a2_su21):
                                    "C3", "C4", "D4", "G2", "F4", "A1xA1"])
 def test_jacobi_exhaustive(label):
     assert ctx(label).cb.jacobi_residual() == 0
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2",
+                                   "F4", "A1xA1"])
+def test_generator_table_agrees_with_structure_constants(label):
+    """generators[i] names basis index i: generator_index and e_index give i
+    back, and h_j acts on b_i by the value of b_i's weight on the j-th
+    simple coroot."""
+    c = ctx(label)
+    cb = c.cb
+    assert len(cb.generators) == cb.dim
+    for i, gen in enumerate(cb.generators):
+        kind, val = gen
+        assert cb.generator_index(gen) == i
+        if kind != "h":
+            assert cb.e_index(val if kind == "e" else -val) == i
+        v = c.rs.pairing_with_simple_coroots(cb.generator_weight(gen))
+        for j in range(cb.rank):
+            assert cb.bracket(j, i) == ({i: v[j]} if v[j] else {}), (gen, j)
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
@@ -142,7 +160,7 @@ def test_casimir_commutes_with_actions(a2_su21):
     vw = verma_window(pair, cb, lam, 7)
     pos = pair.rs.positive_roots
     margin = max(int(a.height) for a in pos)
-    for gen in generator_list(vw):
+    for gen in vw.cb.generators:
         wt = cb.generator_weight(gen)
         for c in [(1, 1), (2, 1), (1, 2)]:
             w = lam - Weight(c)

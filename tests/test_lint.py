@@ -1,6 +1,7 @@
 """Source lint over src/odirac: a function reads every parameter it takes,
-every function and method reads every local it assigns, and every attribute
-stored on `self` is read somewhere."""
+every function and method reads every local it assigns, every attribute
+stored on `self` is read somewhere, and a private name is read only in the
+module that defines it."""
 
 import ast
 import os
@@ -98,3 +99,31 @@ def test_attributes_stored_on_self_are_read():
     unread = [f"{where} self.{attr}" for attr, where in sorted(stored.items())
               if attr not in read]
     assert not unread, "\n".join(unread)
+
+
+def _defined_names(tree):
+    """Every name a module defines: its functions, methods and classes, and
+    every name or attribute it assigns."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(n.name)
+        elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store):
+            out.add(n.attr)
+    return out
+
+
+def test_private_names_are_read_in_their_own_module():
+    """Every read `x._name` in src/odirac, x not `self` or `cls`, names
+    something the same file defines; dunder names are exempt."""
+    foreign = []
+    for path, tree in _trees():
+        defined = _defined_names(tree)
+        foreign += [f"{path}:{n.lineno} {ast.unparse(n)}" for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                    and n.attr.startswith("_") and not n.attr.startswith("__")
+                    and not (isinstance(n.value, ast.Name) and n.value.id in ("self", "cls"))
+                    and n.attr not in defined]
+    assert not foreign, "\n".join(foreign)

@@ -84,7 +84,7 @@ class EagerSpin:
 
     def _cubic_terms(self):
         sm, cb = self.sm, self.sm.cb
-        n, cb_idx = 2 * sm.nq, sm._qidx_to_cb
+        n, cb_idx = 2 * sm.nq, sm.q_basis
         terms = []
         for j in range(n):
             for k in range(n):

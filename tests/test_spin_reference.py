@@ -79,7 +79,7 @@ class DenseSpin:
         # (1/6) sum <z_i,[z_j,z_k]> gamma(z^i) gamma(z^j) gamma(z^k)
         sm, cb, g = self.sm, self.sm.cb, self.gammas
         n = 2 * sm.nq
-        cb_idx = sm._qidx_to_cb
+        cb_idx = sm.q_basis
         out = _zeros(sm.dim)
         for j in range(n):
             for k in range(n):

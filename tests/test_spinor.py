@@ -42,7 +42,7 @@ def test_clifford_relation(fixture, request):
         assert (gi @ gi).is_zero()  # isotropic squares
         for j in range(n):
             anti = gi @ gammas[j] + gammas[j] @ gi
-            expect = cb.pairing(sm._qidx_to_cb[i], sm._qidx_to_cb[j])
+            expect = cb.pairing(sm.q_basis[i], sm.q_basis[j])
             assert anti == Mat.identity(sm.dim).scale(expect)
 
 
@@ -87,14 +87,7 @@ def test_h_action_commutation_fidelity(a2_su21):
     sm, cb = a2_su21.sm, a2_su21.cb
 
     def act(idx):
-        root = cb.index_root(idx)
-        if root is None:
-            gen = ("h", idx)
-        elif all(x >= 0 for x in root):
-            gen = ("e", root)
-        else:
-            gen = ("f", -root)
-        return to_mat(sm.h_action(gen), sm.dim)
+        return to_mat(sm.h_action(cb.generators[idx]), sm.dim)
 
     gens = [cb.generator_index(g) for g in a2_su21.pair.h_generators()]
     for i1 in gens:
