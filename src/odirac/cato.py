@@ -208,9 +208,11 @@ class WeightModuleWindow:
     The window also owns what is built from it, so dropping the last
     reference to it frees all of that: its Dirac blocks and their
     BlockSpaces keyed by (spin module, weight) (`dirac.block`,
-    `dirac.block_space`), the Casimir of g keyed by weight
-    (`dirac._casimir`) and its block-weight lists keyed by (depth,
-    margin) (`PairContext.block_weights`).
+    `dirac.block_space`), the diagonal h-generator maps between blocks
+    keyed by (spin module, generator, weight) (`dirac.h_generator_block`),
+    the Casimir of g keyed by weight (`dirac._casimir`) and its
+    block-weight lists keyed by (depth, margin)
+    (`PairContext.block_weights`).
     """
 
     kind = "abstract"
@@ -224,6 +226,7 @@ class WeightModuleWindow:
         self._below_top = {}
         self.blocks = {}
         self.block_spaces = {}
+        self.h_blocks = {}
         self.casimirs = {}
         self.block_weight_lists = {}
 

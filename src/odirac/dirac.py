@@ -76,12 +76,16 @@ def block_space(sm: SpinModule, m: WeightModuleWindow, mu: Weight) -> BlockSpace
 
 
 def h_generator_block(sm, m, gen, mu) -> Mat:
-    """Diagonal action of an h-generator from the block at mu to mu + wt(gen)."""
-    src = block_space(sm, m, mu)
-    tgt = block_space(sm, m, mu + sm.cb.generator_weight(gen))
-    terms = [*spin_terms(src, sm.identity, partial(m.action, gen)),
-             *spin_terms(src, sm.h_action(gen), _identity_map(m))]
-    return block_operator(tgt, src, terms)
+    """Diagonal action of an h-generator from the block at mu to mu + wt(gen),
+    built once and kept on m."""
+    g = m.h_blocks.get((sm, gen, mu))
+    if g is None:
+        src = block_space(sm, m, mu)
+        tgt = block_space(sm, m, mu + sm.cb.generator_weight(gen))
+        terms = [*spin_terms(src, sm.identity, partial(m.action, gen)),
+                 *spin_terms(src, sm.h_action(gen), _identity_map(m))]
+        g = m.h_blocks[(sm, gen, mu)] = block_operator(tgt, src, terms)
+    return g
 
 
 class DiracBlock:
@@ -409,43 +413,35 @@ class GradedNilpotent:
 
 # -- Casimir identity ---------------------------------------------------------
 
-def casimir_matrix(m: WeightModuleWindow, w: Weight, pos_roots, form) -> Mat:
-    """Matrix of the Casimir built from the listed positive roots at weight w."""
-    n = m.dim(w)
+def casimir(action, w: Weight, n: int, roots, form) -> Mat:
+    """|w|^2 + sum over the listed positive roots alpha of (e_alpha f_alpha +
+    f_alpha e_alpha) on an n-dim space at weight w, where action(gen, v) is
+    the map of gen from weight v to v + wt(gen).  With a window's `action`
+    and all positive roots this is Omega_g; with `h_generator_block` and
+    Delta_h^+ it is (Omega_h)_Delta on a block of m (x) S."""
     out = Mat.scalar(n, form.norm2(w))
-    for alpha in pos_roots:
-        down_then_up = m.action(("e", alpha), w - alpha) @ m.action(("f", alpha), w)
-        up_then_down = m.action(("f", alpha), w + alpha) @ m.action(("e", alpha), w)
+    for alpha in roots:
+        down_then_up = action(("e", alpha), w - alpha) @ action(("f", alpha), w)
+        up_then_down = action(("f", alpha), w + alpha) @ action(("e", alpha), w)
         out = out + down_then_up + up_then_down
     return out
 
 
 def _casimir(m: WeightModuleWindow, w: Weight) -> Mat:
-    """casimir_matrix of m at w over all positive roots, built once and kept on m."""
+    """Omega_g on m at w, built once and kept on m."""
     c = m.casimirs.get(w)
     if c is None:
-        c = m.casimirs[w] = casimir_matrix(m, w, m.pair.rs.positive_roots, m.pair.form)
+        pair = m.pair
+        c = m.casimirs[w] = casimir(m.action, w, m.dim(w), pair.rs.positive_roots, pair.form)
     return c
-
-
-def casimir_h_block(sm, m, mu) -> Mat:
-    """(Omega_h)_Delta on the block at mu via the diagonal h-action."""
-    pair = sm.pair
-    out = Mat.scalar(block_space(sm, m, mu).dim, pair.form.norm2(mu))
-    for alpha in pair.delta_h_pos:
-        e_up = h_generator_block(sm, m, ("e", alpha), mu - alpha)
-        f_dn = h_generator_block(sm, m, ("f", alpha), mu)
-        f_dn2 = h_generator_block(sm, m, ("f", alpha), mu + alpha)
-        e_up2 = h_generator_block(sm, m, ("e", alpha), mu)
-        out = out + e_up @ f_dn + f_dn2 @ e_up2
-    return out
 
 
 def check_square(blk: DiracBlock) -> dict:
     """2 D^2 against the Casimir expression, plus the eigenvalue audit."""
     sm, m, sp, pair = blk.sm, blk.m, blk.space, blk.pair
-    omega_g = block_operator(sp, sp, spin_terms(sp, sm.identity, partial(_casimir, m)))
-    omega_h = casimir_h_block(sm, m, blk.mu)
+    omega_g = block_map(sm, m, m, partial(_casimir, m), blk.mu)
+    omega_h = casimir(partial(h_generator_block, sm, m), blk.mu, sp.dim, pair.delta_h_pos,
+                      pair.form)
     scalar = pair.form.norm2(pair.rho) - pair.form.norm2(pair.rho_h)
     rhs = omega_g - omega_h + Mat.scalar(sp.dim, scalar)
     return {

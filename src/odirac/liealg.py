@@ -5,10 +5,12 @@ procedure: signs of the extraspecial pairs are fixed positive, every
 other constant follows from the Killing-form contraction identities.
 The result is validated by the exhaustive Jacobi test in the suite.
 
-After construction the negative root vectors are rescaled so that
-kappa(e_alpha, e_{-alpha}) = 1 for every root; all downstream formulas
-(Clifford pairing, Dirac assembly, Casimir dual bases) rely on that
-normalization and stay rational.
+The negative root vectors are rescaled so that kappa(e_alpha, e_{-alpha})
+= 1 for every root: before rescaling it is 2 / <alpha, alpha>, read from
+the invariant form, and the bracket table is written on the rescaled
+basis directly.  All downstream formulas (Clifford pairing, Dirac
+assembly, Casimir dual bases) rely on that normalization and stay
+rational.
 """
 
 from fractions import Fraction
@@ -45,14 +47,7 @@ class ChevalleyBasis:
                            [("e", a) for a in self.pos] + [("f", a) for a in self.pos])
         self._gen_index = {g: i for i, g in enumerate(self.generators)}
         self._positive_constants()
-        self._int_table = self._integral_brackets()
-        self._kappa_root = {}
-        for a in self.pos:
-            self._kappa_root[a] = self._ad_trace_pair(self.e_index(a), self.e_index(-a))
-        self._scale = [_F1] * self.dim
-        for a in self.pos:
-            self._scale[self.e_index(-a)] = self._kappa_root[a]
-        self._table = self._rescaled_brackets()
+        self._table = self._brackets()
         self._cartan_rows = form.cartan_gram.rows
 
     # -- indexing ------------------------------------------------------------
@@ -153,13 +148,19 @@ class ChevalleyBasis:
             coords.append(c)
         return tuple(coords)
 
-    def _integral_brackets(self):
+    def _brackets(self):
+        """The bracket table on the rescaled basis, for index pairs i < j.
+
+        With f_alpha = e_{-alpha} / kappa(e_alpha, e_{-alpha}), each integral
+        constant c of [b_i, b_j] = c b_k is scaled by s_k / (s_i s_j), where
+        s is `kappa_integral` on f-indices and 1 elsewhere."""
         table = {}
         rs = self.rs
+        scale = [_F1] * (self.rank + self.npos) + [self.kappa_integral(a) for a in self.pos]
 
         def put(i, j, vec):
             if vec:
-                table[(i, j)] = dict(vec)
+                table[(i, j)] = {k: c * scale[k] / (scale[i] * scale[j]) for k, c in vec.items()}
 
         for i in range(self.rank):
             for alpha in rs.all_roots:
@@ -180,35 +181,13 @@ class ChevalleyBasis:
                         {self.e_index(s): (n if ia < ib else -n)})
         return table
 
-    def _bracket_from(self, table, i, j):
-        if i == j:
-            return {}
-        if i < j:
-            return table.get((i, j), {})
-        return {k: -c for k, c in table.get((j, i), {}).items()}
-
-    def _ad_trace_pair(self, i, j):
-        tr = _F0
-        for b in range(self.dim):
-            inner = self._bracket_from(self._int_table, j, b)
-            for k, c in inner.items():
-                outer = self._bracket_from(self._int_table, i, k)
-                if b in outer:
-                    tr += c * outer[b]
-        return tr
-
-    def _rescaled_brackets(self):
-        s = self._scale
-        out = {}
-        for (i, j), vec in self._int_table.items():
-            out[(i, j)] = {k: c * s[k] / (s[i] * s[j]) for k, c in vec.items()}
-        return out
-
     # -- public bracket/pairing ------------------------------------------------
 
     def bracket(self, i, j):
         """[b_i, b_j] as a sparse index->coefficient dict."""
-        return self._bracket_from(self._table, i, j)
+        if i <= j:
+            return self._table.get((i, j), {})
+        return {k: -c for k, c in self._table.get((j, i), {}).items()}
 
     def bracket_vec(self, x, y):
         out = {}
@@ -227,14 +206,19 @@ class ChevalleyBasis:
         r = self.rank
         if i < r and j < r:
             return self._cartan_rows[i][j]
-        # e_alpha (index r + p) pairs only with f_alpha (index r + npos + p)
+        # e_alpha (index r + p) pairs only with f_alpha (index r + npos + p),
+        # and the rescaling makes that pairing 1
         if i < r or j < r or abs(i - j) != self.npos:
             return _F0
-        return self._kappa_root[self.pos[min(i, j) - r]] / (self._scale[i] * self._scale[j])
+        return _F1
 
     def kappa_integral(self, alpha):
-        """kappa(e_alpha, e_{-alpha}) before rescaling, from the adjoint trace."""
-        return self._kappa_root[alpha if _is_positive(alpha) else -alpha]
+        """kappa(e_alpha, e_{-alpha}) before rescaling: 2 / <alpha, alpha>.
+
+        [e_alpha, e_{-alpha}] = h_alpha and invariance give
+        kappa(h_alpha, h_alpha) = 2 kappa(e_alpha, e_{-alpha}), and
+        kappa(h_alpha, h_alpha) = 4 / <alpha, alpha>."""
+        return 2 / self.form.pair(alpha, alpha)
 
     def jacobi_residual(self):
         """Largest absolute residual of the Jacobi identity over basis triples."""

@@ -271,11 +271,12 @@ class Scenario:
             if kinds and kind not in kinds:
                 raise ScenarioError(
                     f"task {t} needs module kind {' or '.join(kinds)}, got {kind!r}")
+        self.hermitian = None  # the validated HermitianPair, which `hodge` reads
         if "hodge" in self.tasks:
             from .hodge import NotHermitian, detect_hermitian
 
             try:
-                detect_hermitian(self.ctx.pair)
+                self.hermitian = detect_hermitian(self.ctx.pair)
             except NotHermitian as e:
                 raise ScenarioError(f"task hodge needs a Hermitian pair: {e}")
         # block_weights walks every cone point within depth_below_top of the top
@@ -491,16 +492,15 @@ def _task_circle(ws):
 
 
 def _task_hodge(ws):
-    from .hodge import (detect_hermitian, hodge_decomposition_check, identification_check,
-                        theorem52_comparison, unitarity_check)
+    from .hodge import (hodge_decomposition_check, identification_check, theorem52_comparison,
+                        unitarity_check)
 
     pair, sm, m = ws.pair, ws.sm, ws.module
-    hp = detect_hermitian(pair)
     d = ws.scenario.depth_below_top
     test_ws = [m.top_weight - Weight(c)
                for c in _cone_coords(pair.rank, d + 2 * int((pair.rho - pair.rho_h).height))]
     test_ws = [w for w in test_ws if m.materialized(w)]
-    urep = unitarity_check(hp, m, test_ws)
+    urep = unitarity_check(ws.scenario.hermitian, m, test_ws)
     doc = {"unitary_on_window": urep["unitary"],
            "positivity_per_weight": {wkey(w): v for w, v in sorted(urep["per_weight"].items())}}
     if ws.scenario.expect_nonunitary:

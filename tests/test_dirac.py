@@ -529,17 +529,19 @@ def test_one_casimir_per_module_weight(monkeypatch):
 
     monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
     builds, uses = Counter(), Counter()
-    casimir, check = dirac.casimir_matrix, dirac.check_square
+    casimir, check = dirac.casimir, dirac.check_square
 
-    def counted(m, w, pos_roots, form):
-        builds[(m, w)] += 1
-        return casimir(m, w, pos_roots, form)
+    def counted(action, w, n, roots, form):
+        m = getattr(action, "__self__", None)  # Omega_g acts by a window's `action`
+        if m is not None:
+            builds[(m, w)] += 1
+        return casimir(action, w, n, roots, form)
 
     def counted_check(blk):
         uses.update((blk.m, w) for _, w, _ in blk.space.slot.values())
         return check(blk)
 
-    monkeypatch.setattr(dirac, "casimir_matrix", counted)
+    monkeypatch.setattr(dirac, "casimir", counted)
     monkeypatch.setattr(scenarios, "check_square", counted_check)
     path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "sl3_paper_example.json")
     with open(path) as fh:
@@ -547,6 +549,66 @@ def test_one_casimir_per_module_weight(monkeypatch):
     assert scenarios.run_scenario(scenarios.Scenario(doc))["ok"]
     assert set(builds) == set(uses) and set(builds.values()) == {1}
     assert (len(builds), sum(uses.values())) == (45, 130)
+
+
+def test_each_h_block_built_once(monkeypatch):
+    """On a cold sl3 context the square and vogan tasks assemble each diagonal
+    h-generator map, keyed by (window, spin module, generator, weight), once:
+    108 maps, which are asked for 188 times."""
+    import json
+    import os
+    from collections import Counter
+    from odirac import dirac, scenarios
+
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+    builds, calls, inside = Counter(), Counter(), []
+    h_block, assemble = dirac.h_generator_block, dirac.block_operator
+
+    def counted(sm, m, gen, mu):
+        calls[(m, sm, gen, mu)] += 1
+        inside.append((m, sm, gen, mu))
+        try:
+            return h_block(sm, m, gen, mu)
+        finally:
+            inside.pop()
+
+    def counted_assembly(tgt, src, terms):
+        if inside:
+            builds[inside[-1]] += 1
+        return assemble(tgt, src, terms)
+
+    monkeypatch.setattr(dirac, "h_generator_block", counted)
+    monkeypatch.setattr(dirac, "block_operator", counted_assembly)
+    path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "sl3_paper_example.json")
+    with open(path) as fh:
+        doc = dict(json.load(fh), tasks=["square", "vogan"])
+    assert scenarios.run_scenario(scenarios.Scenario(doc))["ok"]
+    assert set(builds) == set(calls) and set(builds.values()) == {1}
+    assert (len(builds), sum(calls.values())) == (108, 188)
+
+
+def test_h_casimir_commutes_with_h_generators(a2_su21):
+    """(Omega_h)_Delta, built by `casimir` from the diagonal h-generator maps
+    over Delta_h^+, commutes with every h-generator on sl3's M(-rho) (x) S:
+    Omega_h at mu + wt(gen) after gen equals gen after Omega_h at mu, for
+    every block weight within 6 of the top."""
+    from functools import partial
+    from odirac.dirac import block_space, casimir, h_generator_block
+
+    pair, cb, sm = a2_su21.pair, a2_su21.cb, a2_su21.sm
+    m = a2_su21.verma(-pair.rho, 14)
+    act = partial(h_generator_block, sm, m)
+
+    def omega_h(mu):
+        return casimir(act, mu, block_space(sm, m, mu).dim, pair.delta_h_pos, pair.form)
+
+    checked = 0
+    for mu in a2_su21.block_weights(m, 6):
+        for gen in pair.h_generators():
+            g = act(gen, mu)
+            assert omega_h(mu + cb.generator_weight(gen)) @ g == g @ omega_h(mu), (mu, gen)
+            checked += 1
+    assert checked == 112
 
 
 def test_hot_path_coerces_no_entries(monkeypatch):

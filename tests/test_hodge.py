@@ -471,6 +471,28 @@ def test_sylvester_from_one_elimination():
     assert UnitaryStructure.positive_definite(SimpleNamespace(gram=lambda w: Mat([], 0)), None)
 
 
+def test_hermitian_pair_built_once_per_scenario(monkeypatch):
+    """Loading and running a3_hodge builds its HermitianPair once: the
+    scenario validates the pair and the hodge task reads the same one."""
+    import os
+    from odirac import hodge, scenarios
+
+    built = []
+
+    class Counted(hodge.HermitianPair):
+        def __init__(self, pair):
+            built.append(pair)
+            super().__init__(pair)
+
+    monkeypatch.setattr(hodge, "HermitianPair", Counted)
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads",
+                        "a3_hodge.json")
+    scn = scenarios.load_scenario(path)
+    assert scenarios.run_scenario(scn)["ok"]
+    assert len(built) == 1
+
+
 def test_hodge_and_simple_verma_build_no_nilpotent(monkeypatch):
     """H_D, H_top and their cross-checks there are read off the Dirac block."""
     import json

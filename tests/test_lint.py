@@ -1,13 +1,16 @@
 """Source lint over src/odirac: a function reads every parameter it takes,
 every function and method reads every local it assigns, every attribute
-stored on `self` is read somewhere, and a private name is read only in the
-module that defines it."""
+stored on `self` is read somewhere, a private name is read only in the
+module that defines it, and every def and class is read somewhere."""
 
 import ast
 import os
+import re
+from collections import Counter
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src", "odirac")
+PERFBENCH = os.path.join(os.path.dirname(TESTS), "perfbench")
 
 
 def _functions_outside_class_bodies(tree):
@@ -127,3 +130,48 @@ def test_private_names_are_read_in_their_own_module():
                     and not (isinstance(n.value, ast.Name) and n.value.id in ("self", "cls"))
                     and n.attr not in defined]
     assert not foreign, "\n".join(foreign)
+
+
+_DOTTED = re.compile(r"[\w.:*]+")  # "module:Class.name", "Class.*name", a getattr name
+
+
+def _docstrings(tree):
+    return {id(body[0].value) for n in ast.walk(tree)
+            if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            for body in [n.body]
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+            and isinstance(body[0].value.value, str)}
+
+
+def _name_reads(node, skip=frozenset()):
+    """Counter of the names read under node: loaded names and attributes,
+    and each part of a string that is a dotted path (a tracer target, a
+    getattr name); strings in `skip` (docstrings) are not read."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            out[n.attr] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and id(n) not in skip \
+                and _DOTTED.fullmatch(n.value):
+            out.update(w for w in re.split(r"[.:*]", n.value) if w)
+    return out
+
+
+def test_every_definition_is_read():
+    """Every def and class in src/odirac is read by name somewhere in
+    src/odirac, tests or perfbench outside its own body; dunder methods
+    are exempt.  Code that nothing reads does not stay in src."""
+    reads, defs = Counter(), []
+    for root in (SRC, TESTS, PERFBENCH):
+        for path, tree in _trees(root):
+            skip = _docstrings(tree)
+            reads += _name_reads(tree, skip)
+            if root is SRC:
+                defs += [(path, n, skip) for n in ast.walk(tree)
+                         if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                         and not (n.name.startswith("__") and n.name.endswith("__"))]
+    unread = [f"{path}:{n.lineno} {n.name}" for path, n, skip in defs
+              if reads[n.name] == _name_reads(n, skip)[n.name]]
+    assert not unread, "\n".join(unread)
