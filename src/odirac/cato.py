@@ -474,20 +474,14 @@ def span_quotient_data(sub: Mat):
 
     keep lists the non-pivot columns of the span's rref; the projection
     sends e_k to the kept part of e_k - sum_i e_k[pivot_i] * sub_i, sub_i
-    the i-th rref row (over its denominator).
+    the i-th rref row.  That is `sub`'s canonical nullspace, one row per
+    free column t.  An rref row is zero before its pivot, so the row of t
+    is nonzero only at t and at pivots before t: t is its last nonzero
+    column.
     """
-    dim = sub.ncols
-    red, pivots = sub.rref()
-    pivset = set(pivots)
-    keep = [j for j in range(dim) if j not in pivset]
-    proj_rows = []
-    for t in keep:
-        row = [0] * dim
-        row[t] = red.den
-        for sub_row, p in zip(red.num, pivots):
-            row[p] = -sub_row[t]
-        proj_rows.append(row)
-    return keep, Mat.from_ints(proj_rows, dim, red.den)
+    proj = sub.nullspace()
+    keep = [max(j for j, c in enumerate(row) if c) for row in proj.num]
+    return keep, proj
 
 
 class _WeightSpace:

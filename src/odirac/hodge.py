@@ -1,12 +1,15 @@
 """Hermitian pairs, nilpotent Lie algebra cohomology and the Hodge comparison.
 
-For pairs whose positive q-roots span an abelian nilradical, the block
-operators split as D = C+ + C- once the cubic part vanishes, and under
-the standard identification of M tensor S with the exterior-algebra
-complexes, C+ is the Chevalley-Eilenberg differential d and C- the
-boundary del: the chain v (x) f_I is the spin basis vector u_I of the
-Dirac block at nu + rho - rho_h, so a weight slice of the complexes is
-that block read by wedge degree.  Every check here reads the block's own
+A pair is Hermitian when its positive q-roots span an abelian
+nilradical, and `HermitianPair` recognizes it by one check: the sum of a
+root's coordinates at the simple roots outside Delta_h is 1 on q+ and 0
+on Delta_h+.  For such pairs the block operators split as D = C+ + C-
+once the cubic part vanishes, and under the standard identification of
+M tensor S with the exterior-algebra complexes, C+ is the
+Chevalley-Eilenberg differential d and C- the boundary del: the chain
+v (x) f_I is the spin basis vector u_I of the Dirac block at
+nu + rho - rho_h, so a weight slice of the complexes is that block read
+by wedge degree.  Every check here reads the block's own
 operators, and a block assembles C+ and C- on their first read and
 ranks each once: D = C+ + C- says the cubic part vanishes; C+ and C-
 are adjoint for the block's inner product G when G is symmetric and
@@ -28,45 +31,44 @@ from math import prod
 
 from .exactla import Mat
 from .cato import block_operator, shapovalov_grams
-from .liealg import PairGH, is_symmetric_pair
+from .liealg import PairGH
 from .roots import Weight
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
 class NotHermitian(ValueError):
-    """The pair is not of Hermitian type; carries a witness root pair."""
+    """The pair is not of Hermitian type; names a root where the grading fails."""
 
 
 class HermitianPair:
-    """A pair with abelian q-halves and the parabolic grading functional."""
+    """A pair with abelian q-halves, graded by its noncompact simple roots.
+
+    Every simple root lies in Delta_h+ or in q+, so the only grading phi
+    that is 0 on Delta_h+ and 1 on q+ sums a weight's coordinates at the
+    simple roots outside Delta_h.  The pair is Hermitian iff phi is 1 on
+    every q+ root and 0 on every Delta_h+ root.  That implies the rest:
+    for a, b in q+ the degree of a + b is 2, which no root has, so q+ is
+    abelian, and a root of [q+, q-] has degree 0, so it lies in h.
+    Conversely, where phi fails q+ is not abelian: a lowest root of q+
+    where phi fails is a simple q-root plus a q+ root, or plus a root of
+    Delta_h+ where phi fails, and a lowest such root of Delta_h+ is a
+    simple q-root plus a q+ root.
+    """
 
     def __init__(self, pair: PairGH):
         self.pair = pair
-        for a in pair.q_positive:
-            for b in pair.q_positive:
-                if (a + b) in pair.rs.root_set:
-                    raise NotHermitian(f"q is not abelian: witness ({a}, {b})")
-        if not is_symmetric_pair(pair):
-            raise NotHermitian("abelian q-halves but [q,q] leaves h")
-        self._grading = self._grading_functional()
+        self._noncompact = [i for i, a in enumerate(pair.rs.simple_roots)
+                            if a not in pair.delta_h_signed]
+        for roots, want in ((pair.q_positive, 1), (pair.delta_h_pos, 0)):
+            for a in roots:
+                deg = self.q_degree(a)
+                if deg != want:
+                    raise NotHermitian(f"q is not abelian: {a} has parabolic degree {deg}")
 
-    def _grading_functional(self):
-        # phi with phi = 0 on the subsystem, 1 on positive q-roots
-        rows = [list(a) for a in self.pair.delta_h_pos] + [list(b) for b in self.pair.q_positive]
-        rhs = [[0]] * len(self.pair.delta_h_pos) + [[1]] * len(self.pair.q_positive)
-        sol = Mat(rows, self.pair.rank).solve(Mat(rhs, 1)) if rows else None
-        if sol is None:
-            raise NotHermitian("no parabolic grading functional")
-        return sol.col(0)
-
-    def q_degree(self, v: Weight) -> Fraction:
-        return sum((self._grading[i] * v[i] for i in range(len(v))), _F0)
-
-
-def detect_hermitian(pair: PairGH) -> HermitianPair:
-    return HermitianPair(pair)
+    def q_degree(self, v: Weight):
+        """phi(v): the sum of v's coordinates at the simple roots outside Delta_h."""
+        return sum(v[i] for i in self._noncompact)
 
 
 # -- unitary structure ---------------------------------------------------------

@@ -15,9 +15,8 @@ rational.
 
 from fractions import Fraction
 
-from .roots import (InvariantForm, NotASubsystem, RootSystem, Weight,
-                    WeylData, rho_vectors, validate_delta_h, weyl_group,
-                    zero_weight)
+from .roots import (InvariantForm, RootSystem, WeylData, rho_vectors,
+                    validate_delta_h, weyl_group, zero_weight)
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -244,15 +243,19 @@ def chevalley_basis(rs: RootSystem, form: InvariantForm) -> ChevalleyBasis:
 
 
 class PairGH:
-    """A validated pair: root subsystem subalgebra h containing the Cartan."""
+    """A validated pair: root subsystem subalgebra h containing the Cartan.
 
-    def __init__(self, rs: RootSystem, form: InvariantForm, delta_h_pos):
+    delta_h lists the positive roots of h, or its roots of both signs; it
+    is validated here, once, and everything built on the pair reads the
+    sorted positive roots `delta_h_pos`.
+    """
+
+    def __init__(self, rs: RootSystem, form: InvariantForm, delta_h):
         self.rs = rs
         self.form = form
-        self.delta_h_pos = validate_delta_h(rs, delta_h_pos)
+        self.delta_h_pos = validate_delta_h(rs, delta_h)
         self.delta_h_signed = frozenset(self.delta_h_pos) | frozenset(-a for a in self.delta_h_pos)
         self.q_positive = [a for a in rs.positive_roots if a not in self.delta_h_signed]
-        self.q_signed = frozenset(self.q_positive) | frozenset(-a for a in self.q_positive)
         self.rho, self.rho_h = rho_vectors(rs, self.delta_h_pos)
         self._weyl = None
 
@@ -274,25 +277,3 @@ class PairGH:
             gens.append(("e", a))
             gens.append(("f", a))
         return gens
-
-
-def validate_pair(rs: RootSystem, form: InvariantForm, delta_h) -> PairGH:
-    """Build the pair, rejecting subsets that are not closed subsystems."""
-    signed = [Weight(v) for v in delta_h]
-    negs = [a for a in signed if not _is_positive(a)]
-    if negs:
-        pos = {a for a in signed if _is_positive(a)}
-        if {-a for a in negs} != pos:
-            raise NotASubsystem("subset is not negation-closed")
-        delta_h = sorted(pos, key=lambda r: (r.height, r))
-    return PairGH(rs, form, delta_h)
-
-
-def is_symmetric_pair(pair: PairGH) -> bool:
-    """True iff [q, q] lands in h, i.e. sums of q-roots that are roots lie in h."""
-    for a in pair.q_signed:
-        for b in pair.q_signed:
-            s = a + b
-            if s in pair.rs.root_set and s not in pair.delta_h_signed:
-                return False
-    return True

@@ -234,14 +234,20 @@ def killing_form_on_dual(rs: RootSystem) -> InvariantForm:
     return InvariantForm(rs)
 
 
-def validate_delta_h(rs: RootSystem, delta_h_pos):
-    """Check that +-closure of delta_h_pos is a closed subsystem; return sorted list."""
-    pos = []
-    for v in delta_h_pos:
-        w = Weight(v)
-        if w not in rs.root_set or not all(c >= 0 for c in w):
+def validate_delta_h(rs: RootSystem, delta_h):
+    """The sorted positive roots of the closed subsystem that delta_h names.
+
+    delta_h lists positive roots, or roots of both signs closed under
+    negation; the +-closure of its positive roots must be closed under
+    sums that are roots.
+    """
+    given = [Weight(v) for v in delta_h]
+    pos = [w for w in given if any(w) and all(c >= 0 for c in w)]
+    if len(pos) < len(given) and set(given) != {*pos, *(-w for w in pos)}:
+        raise NotASubsystem("subset is not negation-closed")
+    for w in pos:
+        if w not in rs.root_set:
             raise NotASubsystem(f"{w} is not a positive root of {rs.cartan_type}")
-        pos.append(w)
     pos = sorted(set(pos), key=lambda r: (r.height, r))
     signed = set(pos) | {-w for w in pos}
     for x in signed:
@@ -253,22 +259,20 @@ def validate_delta_h(rs: RootSystem, delta_h_pos):
 
 
 def rho_vectors(rs: RootSystem, delta_h_pos):
-    """Half sums of positive roots for g and for the subsystem."""
-    pos = validate_delta_h(rs, delta_h_pos)
+    """Half sums of positive roots for g and for the validated subsystem."""
     rho = Weight([Fraction(1, 2) * c for c in sum(rs.positive_roots, zero_weight(rs.rank))])
-    if pos:
-        rho_h = Weight([Fraction(1, 2) * c for c in sum(pos, zero_weight(rs.rank))])
-    else:
-        rho_h = zero_weight(rs.rank)
+    rho_h = Weight([Fraction(1, 2) * c for c in sum(delta_h_pos, zero_weight(rs.rank))])
     return rho, rho_h
 
 
 class WeylData:
-    """Full enumeration of W with lengths, the subsystem group and the coset set."""
+    """Full enumeration of W with lengths, the subsystem group and the coset set.
+
+    delta_h_pos is taken as validated (`liealg.PairGH` validates it).
+    """
 
     def __init__(self, rs: RootSystem, form: InvariantForm, delta_h_pos):
         self.rs = rs
-        delta_h_pos = validate_delta_h(rs, delta_h_pos)
         self.delta_h_pos = delta_h_pos
         gens = [rs.simple_reflection(j) for j in range(rs.rank)]
         ident = Mat.identity(rs.rank)

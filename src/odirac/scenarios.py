@@ -28,7 +28,7 @@ except ImportError:
 from . import __version__
 from .roots import (NotASubsystem, Weight, build_root_system, is_dominant_integral,
                     killing_form_on_dual)
-from .liealg import chevalley_basis, validate_pair
+from .liealg import PairGH, chevalley_basis
 from .cato import (_cone_coords, comparable_tops, finite_dim_simple, ses_from_embedding,
                    ses_split, simple_quotient_window, singular_vectors,
                    sort_weights, tensor_with_finite_dim, verma_window)
@@ -39,10 +39,6 @@ from .dirac import (block, check_square, exact_circle, index_identity_check,
                     vogan_audit)
 
 DEFAULT_MAX_DEPTH = 10
-
-KNOWN_TASKS = ("dirac", "square", "kostant", "simple_verma", "higher", "index",
-               "circle", "hodge", "vogan")
-
 
 # The top-level keys of a scenario document; any other key is an error.
 SCENARIO_KEYS = ("name", "comment", "cartan_type", "delta_h", "module", "max_depth",
@@ -119,7 +115,7 @@ class PairContext:
         self.rs = rs or build_root_system(cartan_type)
         self.form = killing_form_on_dual(self.rs)
         self.cb = chevalley_basis(self.rs, self.form)
-        self.pair = validate_pair(self.rs, self.form, delta_h)
+        self.pair = PairGH(self.rs, self.form, delta_h)
         self._sm = None
         self._modules = {}
 
@@ -265,7 +261,7 @@ class Scenario:
         if not isinstance(self.tasks, list):
             raise ScenarioError(f"tasks must be a list, got {self.tasks!r}")
         for t in self.tasks:
-            if t not in KNOWN_TASKS:
+            if not isinstance(t, str) or t not in _TASK_FNS:
                 raise ScenarioError(f"unknown task {t!r}")
             kinds = TASK_KINDS.get(t)
             if kinds and kind not in kinds:
@@ -273,10 +269,10 @@ class Scenario:
                     f"task {t} needs module kind {' or '.join(kinds)}, got {kind!r}")
         self.hermitian = None  # the validated HermitianPair, which `hodge` reads
         if "hodge" in self.tasks:
-            from .hodge import NotHermitian, detect_hermitian
+            from .hodge import HermitianPair, NotHermitian
 
             try:
-                self.hermitian = detect_hermitian(self.ctx.pair)
+                self.hermitian = HermitianPair(self.ctx.pair)
             except NotHermitian as e:
                 raise ScenarioError(f"task hodge needs a Hermitian pair: {e}")
         # block_weights walks every cone point within depth_below_top of the top

@@ -4,9 +4,9 @@ quotient of a Verma window, block weights by the offset filter over
 every subset sum of q+, Jordan chains chosen one candidate top at a
 time, kernels restricted to one parity, canonical row spaces and the
 subspace meet and preimage that the reference singular classes and
-Hodge decompositions are built from, the degree-graded
-Chevalley-Eilenberg complexes, and the Bruhat order and
-Kazhdan-Lusztig polynomials."""
+Hodge decompositions are built from, Hermitian pairs by their
+definition, the degree-graded Chevalley-Eilenberg complexes, and the
+Bruhat order and Kazhdan-Lusztig polynomials."""
 
 from fractions import Fraction
 from itertools import takewhile
@@ -246,6 +246,35 @@ def preimage_subspace(a, w_basis):
         return a.nullspace()
     # (v, y) with a v + w_basis^T y = 0: the v are the preimage
     return row_space(a.hstack(w_basis.T).nullspace().take(cols=range(a.ncols)))
+
+
+# -- Hermitian pairs by definition --------------------------------------------
+
+def q_is_abelian(pair):
+    """True iff no sum of two positive q-roots is a root."""
+    roots = pair.rs.root_set
+    return not any(a + b in roots for a in pair.q_positive for b in pair.q_positive)
+
+
+def q_brackets_into_h(pair):
+    """True iff [q, q] lies in h: every sum of two q-roots that is a root lies
+    in Delta_h."""
+    q = pair.q_positive + [-a for a in pair.q_positive]
+    h = set(pair.delta_h_pos) | {-a for a in pair.delta_h_pos}
+    return all(a + b in h for a in q for b in q if a + b in pair.rs.root_set)
+
+
+def hermitian_grading(pair):
+    """The grading phi of a Hermitian pair, from the definition: q+ abelian,
+    [q, q] in h, and a linear phi that is 0 on Delta_h+ and 1 on q+, found by
+    an exact solve.  phi is returned as its values on the simple roots, or
+    None when the pair is not Hermitian."""
+    if not (q_is_abelian(pair) and q_brackets_into_h(pair)):
+        return None
+    rows = [list(a) for a in pair.delta_h_pos + pair.q_positive]
+    rhs = [[0]] * len(pair.delta_h_pos) + [[1]] * len(pair.q_positive)
+    sol = Mat(rows, pair.rank).solve(Mat(rhs, 1))
+    return None if sol is None else sol.col(0)
 
 
 # -- Chevalley-Eilenberg complexes --------------------------------------------

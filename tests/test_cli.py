@@ -256,13 +256,14 @@ A1_VERMA = {"kind": "verma", "lambda": [0], "depth": 4}
     ({"cartan_type": "A2", "module": {"kind": "verma", "lambda": [0, 0], "depth": 2},
       "depth_below_top": 100000},
      "depth_below_top 100000 exceeds the configured maximum 10"),
+    ({"tasks": [["dirac"]]}, "unknown task ['dirac']"),
 ], ids=["missing_depth", "depth_not_int", "negative_depth", "finite_not_dominant",
         "tasks_not_list", "delta_h_not_subsystem", "delta_h_not_list",
         "kostant_not_finite", "circle_without_ses", "hodge_not_highest_weight",
         "hodge_not_hermitian", "options_not_object", "option_not_boolean",
         "option_misspelt", "ses_split_tops_not_comparable", "ses_sub_weight_below_window",
         "option_at_top_level", "top_level_key_misspelt", "module_key_of_another_kind",
-        "module_key_misspelt", "depth_below_top_over_cap"])
+        "module_key_misspelt", "depth_below_top_over_cap", "task_not_a_string"])
 def test_invalid_scenario_fields_exit_2(tmp_path, capsys, fields, message):
     scn = {"name": "bad", "cartan_type": "A1", "delta_h": [], "module": A1_VERMA,
            "tasks": ["dirac"], **fields}

@@ -6,39 +6,81 @@ from fractions import Fraction
 import pytest
 
 from odirac.exactla import Mat
-from odirac.roots import Weight, zero_weight
+from odirac.roots import (NotASubsystem, Weight, build_root_system, killing_form_on_dual,
+                          validate_delta_h, zero_weight)
+from odirac.liealg import PairGH
 from odirac.cato import _cone_coords, simple_quotient_window, verma_window
 from odirac.dirac import DiracBlock, block
 from odirac.scenarios import pair_context as ctx
-from odirac.hodge import (NotHermitian, UnitaryStructure, _half_decomposes, block_inner_gram,
-                          detect_hermitian, hodge_decomposition_check,
+from odirac.hodge import (HermitianPair, NotHermitian, UnitaryStructure, _half_decomposes,
+                          block_inner_gram, hodge_decomposition_check,
                           identification_check, theorem52_comparison,
                           unitarity_check)
-from helpers import CEComplex, row_space, subspace_intersect
+from helpers import CEComplex, hermitian_grading, row_space, subspace_intersect
 
 F = Fraction
 
 
 def test_detect_hermitian(a1, a2_su21, a2_t):
-    hp1 = detect_hermitian(a1.pair)
+    hp1 = HermitianPair(a1.pair)
     assert hp1.pair.q_positive == [a1.rs.simple_roots[0]]
-    assert detect_hermitian(a2_su21.pair).pair is a2_su21.pair
+    assert HermitianPair(a2_su21.pair).pair is a2_su21.pair
     with pytest.raises(NotHermitian) as err:
-        detect_hermitian(a2_t.pair)
-    assert "witness" in str(err.value)
+        HermitianPair(a2_t.pair)
+    assert str(err.value) == "q is not abelian: (1, 1) has parabolic degree 2"
 
 
 def test_grading_functional(a2_su21):
-    hp = detect_hermitian(a2_su21.pair)
+    hp = HermitianPair(a2_su21.pair)
     for a in a2_su21.pair.delta_h_pos:
         assert hp.q_degree(a) == 0
     for b in a2_su21.pair.q_positive:
         assert hp.q_degree(b) == 1
 
 
+def _closed_subsystems(rs):
+    """Every subset of the positive roots that `validate_delta_h` accepts."""
+    pos = rs.positive_roots
+    for bits in range(1 << len(pos)):
+        sub = [a for i, a in enumerate(pos) if bits >> i & 1]
+        try:
+            validate_delta_h(rs, sub)
+        except NotASubsystem:
+            continue
+        yield sub
+
+
+# (type, closed subsystems, Hermitian pairs): the Hermitian pairs are h = g
+# and the Levi subalgebras whose nilradical is abelian
+@pytest.mark.parametrize("cartan_type, closed, hermitian_pairs", [
+    ("A1", 2, 2), ("A2", 5, 3), ("B2", 7, 2), ("G2", 12, 1), ("A1xA1", 4, 4),
+    ("A3", 15, 4), ("B3", 31, 2), ("C3", 31, 2), ("A4", 52, 5), ("D4", 75, 4)])
+def test_hermitian_pair_matches_its_definition(cartan_type, closed, hermitian_pairs):
+    """On every closed subsystem, HermitianPair accepts exactly the pairs with
+    abelian q+, [q, q] in h and a grading that is 0 on Delta_h+ and 1 on q+,
+    and q_degree is that grading on every root."""
+    rs = build_root_system(cartan_type)
+    form = killing_form_on_dual(rs)
+    subsystems = list(_closed_subsystems(rs))
+    assert len(subsystems) == closed
+    hermitian = 0
+    for sub in subsystems:
+        pair = PairGH(rs, form, sub)
+        phi = hermitian_grading(pair)
+        try:
+            hp = HermitianPair(pair)
+        except NotHermitian:
+            assert phi is None, sub
+            continue
+        assert phi is not None, sub
+        assert all(hp.q_degree(a) == sum(p * c for p, c in zip(phi, a)) for a in rs.all_roots)
+        hermitian += 1
+    assert hermitian == hermitian_pairs
+
+
 def test_unitarity_positive_and_negative(a1):
     pair, cb = a1.pair, a1.cb
-    hp = detect_hermitian(pair)
+    hp = HermitianPair(pair)
     alpha = pair.rs.simple_roots[0]
     lam = -pair.rho
     vw = verma_window(pair, cb, lam, 10)
@@ -61,7 +103,7 @@ def test_unitarity_positive_and_negative(a1):
 def test_ce_complex_sl2(a1):
     """0 -> M -> M -> 0 with d the raising action: cohomology at string ends."""
     pair, cb, sm = a1.pair, a1.cb, a1.sm
-    hp = detect_hermitian(pair)
+    hp = HermitianPair(pair)
     alpha = pair.rs.simple_roots[0]
     lam = Weight([1])  # lam(h) = 2, dominant integral: cokernel appears
     vw = verma_window(pair, cb, lam, 10)
@@ -83,7 +125,7 @@ def test_ce_complex_sl2(a1):
 
 def test_ce_degree_zero_boundary(a1):
     pair, sm = a1.pair, a1.sm
-    hp = detect_hermitian(pair)
+    hp = HermitianPair(pair)
     vw = verma_window(pair, a1.cb, -pair.rho, 8)
     ce = CEComplex(sm, vw, -pair.rho - pair.rs.simple_roots[0])
     b = ce.boundary()
@@ -149,7 +191,7 @@ def test_ce_operators_match_definition(label, delta_h, lam, depth, slices):
     CE weight within 3 of the Verma top is compared.
     """
     c = ctx(label, delta_h)
-    hp = detect_hermitian(c.pair)
+    hp = HermitianPair(c.pair)
     vw = c.verma(Weight(lam), depth)
     seen = nonzero = 0
     for cc in _cone_coords(c.pair.rank, 3):
@@ -180,7 +222,7 @@ def test_adjointness_negative_control(a1):
     vw = verma_window(pair, cb, lam, 10)
     mu = lam + pair.rho - pair.rs.simple_roots[0]
     blk = DiracBlock(sm, vw, mu)
-    g = block_inner_gram(UnitaryStructure(detect_hermitian(pair), vw), blk)
+    g = block_inner_gram(UnitaryStructure(HermitianPair(pair), vw), blk)
     assert blk.d_plus.T @ g == -(g @ blk.d_minus)
     g_wrong = Mat.identity(blk.dim)
     assert blk.d_plus.T @ g_wrong != -(g_wrong @ blk.d_minus)
@@ -188,7 +230,7 @@ def test_adjointness_negative_control(a1):
 
 def test_hodge_decomposition_and_theorem(a1):
     pair, cb, sm = a1.pair, a1.cb, a1.sm
-    hp = detect_hermitian(pair)
+    hp = HermitianPair(pair)
     lam = -pair.rho
     vw = verma_window(pair, cb, lam, 10)
     us = UnitaryStructure(hp, vw)
@@ -350,7 +392,7 @@ def test_adjointness_without_inverse_matches_conjugation(monkeypatch, path):
 
     wrong_fails = asymmetric = 0
     for blk in _cold_hodge_blocks(monkeypatch, path):
-        us = UnitaryStructure(detect_hermitian(blk.pair), blk.m)
+        us = UnitaryStructure(HermitianPair(blk.pair), blk.m)
         g = block_inner_gram(us, blk)
         assert g == g.T, blk.mu
         one = Mat.identity(blk.dim)
@@ -377,7 +419,7 @@ def test_adjointness_without_inverse_matches_conjugation(monkeypatch, path):
 
 def test_hodge_su21_simple_quotient(a2_su21):
     pair, cb, sm = a2_su21.pair, a2_su21.cb, a2_su21.sm
-    hp = detect_hermitian(pair)
+    hp = HermitianPair(pair)
     lam = Weight([F(-1, 2), F(-2)])  # fund coords (1, -7/2)
     quot = simple_quotient_window(pair, cb, lam, 12)
     ws = [quot.top_weight - Weight(c) for c in _cone_coords(2, 8)]
@@ -400,7 +442,7 @@ def test_hodge_su21_simple_quotient(a2_su21):
 def test_homology_cohomology_duality(a2_su21):
     """Per weight slice, total homology and cohomology dims agree."""
     pair, sm = a2_su21.pair, a2_su21.sm
-    hp = detect_hermitian(pair)
+    hp = HermitianPair(pair)
     lam = -pair.rho
     vw = verma_window(pair, a2_su21.cb, lam, 12)
     for c in _cone_coords(2, 4):

@@ -6,10 +6,11 @@ import pytest
 
 from odirac.exactla import Mat
 from odirac.roots import NotASubsystem, Weight, zero_weight
-from odirac.liealg import is_symmetric_pair, validate_pair
+from odirac.liealg import PairGH
 from odirac.cato import verma_window
 from odirac.dirac import casimir
 from conftest import ctx
+from helpers import q_brackets_into_h
 
 F = Fraction
 
@@ -109,20 +110,21 @@ def test_validate_pair(a2_su21):
     rs, form = a2_su21.rs, a2_su21.form
     pair = a2_su21.pair
     assert pair.q_positive == [Weight([0, 1]), Weight([1, 1])]
-    assert validate_pair(rs, form, []).delta_h_pos == []
+    assert PairGH(rs, form, []).delta_h_pos == []
     with pytest.raises(NotASubsystem):
-        validate_pair(rs, form, [Weight([1, 0]), Weight([1, 1])])
+        PairGH(rs, form, [Weight([1, 0]), Weight([1, 1])])
     # signed input must be negation-closed
-    with pytest.raises(NotASubsystem):
-        validate_pair(rs, form, [Weight([1, 0]), Weight([0, -1])])
-    signed = validate_pair(rs, form, [Weight([1, 0]), Weight([-1, 0])])
+    with pytest.raises(NotASubsystem, match="not negation-closed"):
+        PairGH(rs, form, [Weight([1, 0]), Weight([0, -1])])
+    signed = PairGH(rs, form, [Weight([1, 0]), Weight([-1, 0])])
     assert signed.delta_h_pos == [Weight([1, 0])]
+    assert signed.q_positive == pair.q_positive and signed.rho_h == pair.rho_h
 
 
 def test_symmetric_pair_detection(a1, a2_su21, a2_t):
-    assert is_symmetric_pair(a1.pair)
-    assert is_symmetric_pair(a2_su21.pair)
-    assert not is_symmetric_pair(a2_t.pair)
+    assert q_brackets_into_h(a1.pair)
+    assert q_brackets_into_h(a2_su21.pair)
+    assert not q_brackets_into_h(a2_t.pair)
 
 
 def test_casimir_scalar_on_verma(a1):

@@ -1,7 +1,8 @@
 """Source lint over src/odirac: a function reads every parameter it takes,
 every function and method reads every local it assigns, every attribute
 stored on `self` is read somewhere, a private name is read only in the
-module that defines it, and every def and class is read somewhere."""
+module that defines it, every def and class is read somewhere, and no
+module-level function only passes its parameters on to one call."""
 
 import ast
 import os
@@ -175,3 +176,37 @@ def test_every_definition_is_read():
     unread = [f"{path}:{n.lineno} {n.name}" for path, n, skip in defs
               if reads[n.name] == _name_reads(n, skip)[n.name]]
     assert not unread, "\n".join(unread)
+
+
+# Module-level functions that perfbench/tracer.py binds as timing targets:
+# they wrap one constructor so that a build is timed apart from its use.
+_TRACED_WRAPPERS = {"verma_window", "simple_quotient_window", "tensor_with_finite_dim",
+                    "chevalley_basis", "build_root_system", "killing_form_on_dual",
+                    "weyl_group"}
+
+
+def _passes_through(fn):
+    """True iff fn's body, after its docstring, is `return C(...)` with fn's
+    own parameters passed on in order, each as itself."""
+    body = fn.body[1:] if ast.get_docstring(fn, clean=False) is not None else fn.body
+    if len(body) != 1 or not isinstance(body[0], ast.Return) or \
+            not isinstance(body[0].value, ast.Call):
+        return False
+    call, a = body[0].value, fn.args
+    want = [p.arg for p in (*a.posonlyargs, *a.args)]
+    want += [f"*{a.vararg.arg}"] if a.vararg else []
+    want += [f"{p.arg}={p.arg}" for p in a.kwonlyargs]
+    want += [f"**{a.kwarg.arg}"] if a.kwarg else []
+    return want == [ast.unparse(n) for n in (*call.args, *call.keywords)]
+
+
+def test_no_pass_through_wrappers():
+    """A module-level function that only hands its parameters to one call
+    adds a name and no behaviour: callers call the callee.  Decorated
+    functions and the tracer's targets are exempt."""
+    wrappers = [f"{path}:{fn.lineno} {fn.name}" for path, tree in _trees()
+                for fn in tree.body
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not fn.decorator_list and fn.name not in _TRACED_WRAPPERS
+                and _passes_through(fn)]
+    assert not wrappers, "\n".join(wrappers)

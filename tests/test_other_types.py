@@ -6,19 +6,18 @@ from odirac.roots import Weight
 from odirac.cato import _cone_coords, finite_dim_simple, verma_window
 from odirac.dirac import (DiracBlock, check_square, kostant_kernel_check,
                           nonvanishing_check, simple_verma_theorem_check)
-from odirac.hodge import detect_hermitian, identification_check
-from odirac.liealg import is_symmetric_pair
+from odirac.hodge import HermitianPair, identification_check
 from conftest import ctx
-from helpers import total_dim, weight_from_fundamental
+from helpers import q_brackets_into_h, total_dim, weight_from_fundamental
 
 F = Fraction
 
 
 def test_b2_short_root_pair_is_hermitian():
     c = ctx("B2", [(0, 1)])
-    assert is_symmetric_pair(c.pair)
+    assert q_brackets_into_h(c.pair)
     assert len(c.pair.weyl.coset_W1) == 4
-    hp = detect_hermitian(c.pair)
+    hp = HermitianPair(c.pair)
     assert all(hp.q_degree(b) == 1 for b in c.pair.q_positive)
     lam = -c.pair.rho
     vw = verma_window(c.pair, c.cb, lam, 10)
@@ -74,7 +73,7 @@ def test_a1xa1_pair():
 
 def test_a3_rank_two_subsystem():
     c = ctx("A3", [(1, 0, 0), (0, 0, 1)])
-    assert is_symmetric_pair(c.pair)
+    assert q_brackets_into_h(c.pair)
     assert len(c.pair.weyl.coset_W1) == 6
     f = finite_dim_simple(c.pair, c.cb, Weight([0, 0, 0]))
     assert kostant_kernel_check(c.sm, f)["match"]

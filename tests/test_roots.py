@@ -12,7 +12,7 @@ from odirac.exactla import Mat
 from odirac.roots import (NotASubsystem, UnsupportedCartanType, Weight,
                           build_root_system, eps_to_weight, is_antidominant,
                           rho_vectors, same_infinitesimal_character,
-                          weyl_group, zero_weight)
+                          validate_delta_h, weyl_group, zero_weight)
 from conftest import ctx
 from helpers import ad_matrix, weight_from_fundamental, weight_to_eps, weight_to_fundamental
 
@@ -142,8 +142,23 @@ def test_rho_vectors():
     rho, rho_h = rho_vectors(rs, [Weight([1, 0])])
     assert weight_to_eps(rs, rho - rho_h) == (F(1, 2), F(1, 2), F(-1))
     assert 2 * rho == sum(rs.positive_roots, zero_weight(2))
-    with pytest.raises(NotASubsystem):
-        rho_vectors(rs, [Weight([2, 2])])
+
+
+def test_validate_delta_h():
+    """Positive roots, or a negation-closed signed list, of a closed subsystem."""
+    rs = build_root_system("A2")
+    a, b = Weight([1, 0]), Weight([0, 1])
+    assert validate_delta_h(rs, []) == []
+    assert validate_delta_h(rs, [a + b, b, a, b]) == [b, a, a + b]
+    assert validate_delta_h(rs, [-a, a]) == [a]
+    assert validate_delta_h(rs, [a, b, a + b, -a, -b, -a - b]) == [b, a, a + b]
+    with pytest.raises(NotASubsystem, match=r"^\(2, 2\) is not a positive root of A2$"):
+        validate_delta_h(rs, [Weight([2, 2])])
+    with pytest.raises(NotASubsystem, match=r"^not closed: "):
+        validate_delta_h(rs, [a, b])
+    for bad in ([a, -b], [-a], [a, -a, -b], [a, Weight([0, 0])], [Weight([1, -1])]):
+        with pytest.raises(NotASubsystem, match="^subset is not negation-closed$"):
+            validate_delta_h(rs, bad)
 
 
 def test_weyl_group_and_coset():

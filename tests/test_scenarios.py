@@ -12,7 +12,7 @@ from functools import partial
 
 import pytest
 
-from odirac import liealg, scenarios
+from odirac import liealg, roots, scenarios
 from odirac.cato import _cone_coords, sort_weights, verma_window
 from odirac.dirac import block, check_square
 from odirac.roots import Weight
@@ -152,6 +152,23 @@ def counted_weyl_group(monkeypatch):
     monkeypatch.setattr(liealg, "weyl_group", counted)
     monkeypatch.setattr(scenarios, "_CONTEXTS", {})
     return calls
+
+
+def test_delta_h_validated_once_per_pair(monkeypatch):
+    """A cold pair context validates delta_h once, in PairGH: rho, rho_h
+    and the Weyl data read the validated positive roots."""
+    calls = []
+    validate = roots.validate_delta_h
+
+    def counted(rs, delta_h):
+        calls.append(delta_h)
+        return validate(rs, delta_h)
+
+    monkeypatch.setattr(roots, "validate_delta_h", counted)
+    monkeypatch.setattr(liealg, "validate_delta_h", counted)
+    ctx = PairContext("A2", [(1, 0)])
+    assert ctx.pair.weyl.coset_W1 and 2 * ctx.pair.rho_h == Weight([1, 0])
+    assert len(calls) == 1
 
 
 def test_spin_tasks_never_enumerate_the_weyl_group(monkeypatch):
