@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .exactla import Mat
 from .roots import Weight, eps_to_weight
-from .cato import _cone_coords, commutation_defect
+from .cato import commutation_defect, cone_coords
 from .spinor import SpinModule, cubic_term_rebased, to_mat
 from .dirac import LiftFailure, block, h_equivariance_defect
 from .scenarios import PairContext, Scenario, bundle_to_json, pair_context, run_scenario, wkey
@@ -345,7 +345,7 @@ def criterion_10_structural():
     vw = ctx.verma(-ctx.pair.rho, 14)
     cb = ctx.cb
     comm_ok = True
-    for w in [vw.top_weight - Weight(c) for c in _cone_coords(2, 3)]:
+    for w in [vw.top_weight - Weight(c) for c in cone_coords(2, 3)]:
         for ix in range(cb.dim):
             for iy in range(ix + 1, cb.dim):
                 dfc = commutation_defect(vw, w, ix, iy)
@@ -378,7 +378,7 @@ def criterion_10_structural():
     # d^2 = 0 and del^2 = 0: the CE slice at nu is the block at nu + rho - rho_h,
     # with d = C+ and del = C-
     ce_ok = True
-    for c in _cone_coords(2, 3):
+    for c in cone_coords(2, 3):
         blk = block(ctx.sm, vw, vw.top_weight - Weight(c) + ctx.pair.rho - ctx.pair.rho_h)
         if not (blk.d_plus @ blk.d_plus).is_zero() or not (blk.d_minus @ blk.d_minus).is_zero():
             ce_ok = False
@@ -406,7 +406,7 @@ def criterion_10_structural():
     # basis independence of D's rank data under a permuted q-enumeration
     sm_perm = SpinModule(ctx.pair, cb, q_order=list(reversed(ctx.pair.q_positive)))
     rank_ok = True
-    for c in _cone_coords(2, 3):
+    for c in cone_coords(2, 3):
         mu = -ctx.pair.rho_h - Weight(c)
         b1 = block(ctx.sm, vw, mu)
         b2 = block(sm_perm, vw, mu)
@@ -427,7 +427,7 @@ def criterion_10_structural():
         "tasks": ["dirac", "vogan"],
         "depth_below_top": 4,
     })
-    scn.ctx = PairContext(scn.cartan_type, scn.delta_h)  # not shared: nothing built yet
+    scn.ctx = PairContext(scn.ctx.pair)  # not shared: no window built yet
     cold = bundle_to_json(run_scenario(scn))
     det_ok = bundle_to_json(run_scenario(scn)) == cold  # windows and blocks reused
     details["determinism cold/warm context"] = det_ok

@@ -1,13 +1,15 @@
 """Category-O modules materialized on finite weight windows.
 
 A window holds, per weight, an ordered basis and exact action matrices
-for every Chevalley generator.  Verma modules are realized on PBW
-monomials in the negative root vectors (fixed height-then-lex root
-order) with recursive straightening against the bracket table.  The
-monomials of a weight w are enumerated in the integer cone coordinates
-lambda - w; a `Weight` is built only where the window's API takes or
-returns one.  A simple module L(lambda) is built top down from its own
-weight spaces, not as a quotient of a Verma window: L_w is spanned by
+for every Chevalley generator; h_j acts on every window's weight space
+at w by w(h_j).  Verma modules are realized on PBW monomials in the
+negative root vectors (fixed height-then-lex root order), each written
+f_beta u with u one step up, so every action at w is summed from the
+window's own maps at the weights above it.  The monomials of a weight
+w are enumerated in the integer cone coordinates lambda - w; a
+`Weight` is built only where the window's API takes or returns one.
+A simple module L(lambda) is built top down from its own weight
+spaces, not as a quotient of a Verma window: L_w is spanned by
 f_j applied to L at w + alpha_j, each spanning vector represented by
 its e_i-images one weight up (faithful, since L has no singular vector
 below lambda), and one row reduction per weight gives the basis and
@@ -44,7 +46,7 @@ class WindowTooShallow(Exception):
     """The window is too shallow to certify the requested construction."""
 
 
-def _cone_coords(rank, total):
+def cone_coords(rank, total):
     """All nonnegative integer coordinate vectors with coordinate sum <= total."""
     out = []
 
@@ -112,82 +114,6 @@ class _PBWCone:
         return out
 
 
-def _acc(d, k, v):
-    if not v:
-        return
-    cur = d.get(k, _F0) + v
-    if cur:
-        d[k] = cur
-    elif k in d:
-        del d[k]
-
-
-class _Straightener:
-    """Left action of Chevalley generators on PBW monomials over a Verma top."""
-
-    def __init__(self, cb: ChevalleyBasis, lam: Weight):
-        self.cb = cb
-        # per root position: the cb index of f_beta; per cb index: the
-        # generator kind and its root position (None for the Cartan part)
-        self._f_index = [cb.e_index(-beta) for beta in cb.pos]
-        position = {beta: p for p, beta in enumerate(cb.pos)}
-        self._kind = [(kind, None if kind == "h" else position[val])
-                      for kind, val in cb.generators]
-        # h_j-eigenvalues: lam(h_j) minus the integer sum over the monomial
-        rs = cb.rs
-        self._lam_h = rs.pairing_with_simple_coroots(lam)
-        self._root_h = [rs.pairing_with_simple_coroots(beta) for beta in cb.pos]
-        self._memo = {}
-
-    def h_value(self, j, mono):
-        """Eigenvalue of the Cartan generator h_j on a PBW monomial."""
-        return self._lam_h[j] - sum(k * self._root_h[p][j] for p, k in enumerate(mono) if k)
-
-    def act_index(self, b, mono):
-        """Image of a basis monomial under the cb basis element with index b."""
-        key = (b, mono)
-        res = self._memo.get(key)
-        if res is None:
-            res = self._act(b, mono)
-            self._memo[key] = res
-        return res
-
-    def _act(self, b, mono):
-        cb = self.cb
-        kind, gi = self._kind[b]
-        if kind == "h":
-            val = self.h_value(b, mono)
-            return {mono: val} if val else {}
-        first = next((i for i, k in enumerate(mono) if k), None)
-        if kind == "e":  # raising operator
-            if first is None:
-                return {}
-            rest = _dec(mono, first)
-            fj = self._f_index[first]
-            out = {}
-            for m, c in self.act_index(b, rest).items():
-                for m2, c2 in self.act_index(fj, m).items():
-                    _acc(out, m2, c * c2)
-            for k, c in cb.bracket(b, fj).items():
-                for m2, c2 in self.act_index(k, rest).items():
-                    _acc(out, m2, c * c2)
-            return out
-        # lowering by f_gamma, gamma at root position gi
-        if first is None or gi <= first:
-            return {_inc(mono, gi): _F1}
-        rest = _dec(mono, first)
-        fj = self._f_index[first]
-        out = {}
-        for m, c in self.act_index(b, rest).items():
-            # monomials here start no earlier than `first`, so prepending
-            # f_{beta_first} is a plain exponent bump
-            _acc(out, _inc(m, first), c)
-        for k, c in cb.bracket(b, fj).items():
-            for m2, c2 in self.act_index(k, rest).items():
-                _acc(out, m2, c * c2)
-        return out
-
-
 def _inc(mono, i):
     return mono[:i] + (mono[i] + 1,) + mono[i + 1:]
 
@@ -202,9 +128,10 @@ class WeightModuleWindow:
     Every nonzero weight lies below `top_weight` (Dirac blocks rely on it).
     `action(gen, w)` is the one place that finds the target weight tw of
     a Chevalley generator (`ChevalleyBasis.generators`), checks that both
-    weights are materialized, answers the zero map when either space is
-    empty and memoizes the result; each kind's `_compute_action(gen, w,
-    tw)` is called only between two nonzero spaces.
+    weights are materialized, answers each h_j by w(h_j) and the zero map
+    when either space is empty, and memoizes the result; each kind's
+    `_compute_action(gen, w, tw)` is called only for a root vector
+    between two nonzero spaces.
     The window also owns what is built from it, so dropping the last
     reference to it frees all of that: its Dirac blocks and their
     BlockSpaces keyed by (spin module, weight) (`dirac.block`,
@@ -256,12 +183,16 @@ class WeightModuleWindow:
         if m is None:
             if not self.materialized(w):
                 raise OutsideWindow(f"{self.kind}: source weight {w} not materialized")
-            tw = w + self.cb.generator_weight(gen)
-            if not self.materialized(tw):
-                raise OutsideWindow(f"{self.kind}: target weight {tw} not materialized")
-            rows, cols = self.dim(tw), self.dim(w)
-            m = (self._compute_action(gen, w, tw) if rows and cols
-                 else Mat.zero(rows, cols))
+            kind, j = gen
+            if kind == "h":  # h_j acts on every weight space by <w, alpha_j^vee>
+                m = Mat.scalar(self.dim(w), self.pair.rs.pairing_with_simple_coroots(w)[j])
+            else:
+                tw = w + self.cb.generator_weight(gen)
+                if not self.materialized(tw):
+                    raise OutsideWindow(f"{self.kind}: target weight {tw} not materialized")
+                rows, cols = self.dim(tw), self.dim(w)
+                m = (self._compute_action(gen, w, tw) if rows and cols
+                     else Mat.zero(rows, cols))
             self._action_cache[key] = m
         return m
 
@@ -287,9 +218,11 @@ class VermaWindow(WeightModuleWindow):
         self.depth = int(depth)
         self.top_weight = self.lam
         self.infchars = (self.lam,)
-        self.straightener = _Straightener(cb, self.lam)
         self.cone = _PBWCone(cb.pos)
+        self._position = {beta: p for p, beta in enumerate(cb.pos)}
         self._basis_cache = {}
+        self._indices = {}
+        self._group_cache = {}
 
     def materialized(self, w):
         return _within_depth(self.lam, self.depth, w)
@@ -308,23 +241,71 @@ class VermaWindow(WeightModuleWindow):
         return b
 
     def dim(self, w):
-        if not self.materialized(w):
-            raise OutsideWindow(f"verma: weight {w} not materialized")
-        return len(self.basis(w))
+        return len(self.basis(w))  # `basis` raises OutsideWindow below the depth
+
+    def _index(self, w):
+        """{monomial: its position in the basis at w}; memoized."""
+        ix = self._indices.get(w)
+        if ix is None:
+            ix = self._indices[w] = {m: i for i, m in enumerate(self.basis(w))}
+        return ix
+
+    def _groups(self, w):
+        """(p, positions, us, w + beta_p) per first root position p of the
+        monomials at w, as `first_factors` lists them; memoized.  The top's
+        empty monomial starts after every root: p = npos, with no u."""
+        g = self._group_cache.get(w)
+        if g is None:
+            basis, npos = self.basis(w), self.cb.npos
+            by_first = {}
+            for r, mono in enumerate(basis):
+                by_first.setdefault(next((p for p, k in enumerate(mono) if k), npos), []).append(r)
+            g = self._group_cache[w] = []
+            for p, positions in by_first.items():
+                if p == npos:
+                    g.append((p, positions, None, None))
+                    continue
+                up = w + self.cb.pos[p]
+                index = self._index(up)
+                g.append((p, positions, [index[_dec(basis[r], p)] for r in positions], up))
+        return g
 
     def _compute_action(self, gen, w, tw):
-        src = self.basis(w)
-        tgt = self.basis(tw)
-        tgt_index = {m: i for i, m in enumerate(tgt)}
-        b = self.cb.generator_index(gen)
-        cols = []
-        for mono in src:
-            img = self.straightener.act_index(b, mono)
-            cols.append({tgt_index[m]: c for m, c in img.items()})
-        return Mat.from_sparse_cols(cols, len(tgt))
+        """gen at w from the window's own maps one step up.
+
+        Basis vector f_beta u (`first_factors`) goes to
+        x f_beta u = f_beta (x u) + [x, f_beta] u.  For x = e_gamma, f_beta
+        is the window's f-action into tw.  For x = f_gamma with gamma after
+        beta, x u starts no earlier than beta, so f_beta only raises beta's
+        exponent; f_gamma on a monomial whose first root is not before
+        gamma raises gamma's exponent.  The terms are summed in one pass.
+        """
+        cb = self.cb
+        kind, gamma = gen
+        g = self._position[gamma]
+        x = cb.generator_index(gen)
+        basis, index = self.basis(w), self._index(tw)
+        tiles = []
+        for p, positions, us, up in self._groups(w):
+            if kind == "f" and g <= p:
+                tiles.append(([index[_inc(basis[c], g)] for c in positions], positions,
+                              1, _identity(len(positions))))
+                continue
+            beta = cb.pos[p]
+            xu = self.action(gen, up).take(cols=us)
+            if kind == "e":
+                f_xu = self.action(("f", beta), tw + beta) @ xu
+                tiles.append((range(f_xu.nrows), positions, 1, f_xu))
+            else:
+                tiles.append(([index[_inc(m, p)] for m in self.basis(tw + beta)], positions, 1, xu))
+            for k, c in cb.bracket(x, cb.generator_index(("f", beta))).items():
+                yu = self.action(cb.generators[k], up).take(cols=us)
+                tiles.append((range(yu.nrows), positions, c, yu))
+        return _tile_sum(len(index), len(basis), tiles)
 
     def first_factors(self, w):
-        """The basis monomials at w, written f_beta u, grouped by their first root.
+        """The basis monomials at w below the top, written f_beta u, grouped by
+        their first root.
 
         A monomial whose first nonzero exponent sits at root beta is f_beta
         applied to u, the monomial with that exponent lowered by one, of
@@ -332,31 +313,12 @@ class VermaWindow(WeightModuleWindow):
         basis positions of the monomials that start with beta and the
         indices of their u in the basis at w + beta.
         """
-        basis = self.basis(w)
-        by_first = {}
-        for r, mono in enumerate(basis):
-            first = next(p for p, k in enumerate(mono) if k)
-            by_first.setdefault(first, []).append(r)
-        for first, positions in by_first.items():
-            beta = self.cb.pos[first]
-            up = {m: j for j, m in enumerate(self.basis(w + beta))}
-            yield beta, positions, [up[_dec(basis[r], first)] for r in positions]
+        for p, positions, us, _ in self._groups(w):
+            yield self.cb.pos[p], positions, us
 
 
 def verma_window(pair, cb, lam, depth) -> VermaWindow:
     return VermaWindow(pair, cb, lam, depth)
-
-
-def _placed_rows(parts, nrows, ncols) -> Mat:
-    """The nrows x ncols Mat whose row positions[j] is row j of m, for each
-    (positions, m) in parts; the positions cover every row once."""
-    den = lcm(*(m.den for _, m in parts))
-    out = [None] * nrows
-    for positions, m in parts:
-        f = den // m.den
-        for r, row in zip(positions, m.num):
-            out[r] = row if f == 1 else [x * f for x in row]
-    return Mat.from_ints(out, ncols, den)
 
 
 # -- contravariant (Shapovalov) form -----------------------------------------
@@ -396,12 +358,10 @@ class ContravariantForm:
         win = self.window
         if w == win.top_weight:
             return Mat.identity(1)
-        parts = []
-        for beta, rows, us in win.first_factors(w):
-            prod = self.gram(w + beta).take(us) @ win.action(("e", beta), w)
-            parts.append((rows, prod.scale(_F1 / win.cb.kappa_integral(beta))))
         n = win.dim(w)
-        return _placed_rows(parts, n, n)
+        return _tile_sum(n, n, [(rows, range(n), _F1 / win.cb.kappa_integral(beta),
+                                 self.gram(w + beta).take(us) @ win.action(("e", beta), w))
+                                for beta, rows, us in win.first_factors(w)])
 
     def radical(self, w):
         """The nullspace of the Gram at w, as basis rows.
@@ -580,7 +540,7 @@ class SimpleWindow(WeightModuleWindow):
             h = self.pair.rs.pairing_with_simple_coroots(wi)
             value = sum((c * h[k] for k, c in self._coroots[i].items()), _F0)
             if value:
-                terms.append((i, i, value, _identity_map(self)))
+                terms.append((i, i, value, identity_map(self)))
             # f_j e_i u for u at w + alpha_j, through w + alpha_i + alpha_j
             terms += [(i, j, 1, partial(self._f_after_e, i, j, wi))
                       for j, _, _ in ups if self.dim(wi + simples[j])]
@@ -624,8 +584,6 @@ class SimpleWindow(WeightModuleWindow):
 
     def _compute_action(self, gen, w, tw):
         kind, root = gen
-        if kind == "h":
-            return Mat.scalar(self.dim(w), self.pair.rs.pairing_with_simple_coroots(w)[root])
         i = self._simple_index.get(root)
         if i is not None:
             return self._space(w).e[i] if kind == "e" else self._space(tw).f[i]
@@ -699,7 +657,7 @@ def finite_dim_simple(pair, cb, lam) -> FiniteWindow:
     margin = max(a.height for a in rs.positive_roots)
     simple = simple_quotient_window(pair, cb, lam, depth + margin)
     dims = {}
-    for c in _cone_coords(pair.rank, depth + margin):
+    for c in cone_coords(pair.rank, depth + margin):
         w = lam - Weight(c)
         d = simple.dim(w)
         if d:
@@ -744,18 +702,29 @@ def block_operator(tgt: SlotSpace, src: SlotSpace, terms) -> Mat:
     only when both are nonzero.  The tiles are summed as ints over the
     lcm of their denominators.
     """
-    tiles = [(tgt.slot[j][0], src.slot[i][0], coeff, module_map(src.slot[i][1]))
-             for j, i, coeff, module_map in terms if j in tgt.slot]
-    den = lcm(*(coeff.denominator * tile.den for _, _, coeff, tile in tiles))
-    rows = [[0] * src.dim for _ in range(tgt.dim)]
-    for ro, co, coeff, tile in tiles:
-        f = coeff.numerator * (den // (coeff.denominator * tile.den))
-        for r, mrow in enumerate(tile.num, ro):
-            row = rows[r]
-            for c, v in enumerate(mrow, co):
+    tiles = []
+    for j, i, coeff, module_map in terms:
+        if j in tgt.slot:
+            tile = module_map(src.slot[i][1])
+            ro, co = tgt.slot[j][0], src.slot[i][0]
+            tiles.append((range(ro, ro + tile.nrows), range(co, co + tile.ncols), coeff, tile))
+    return _tile_sum(tgt.dim, src.dim, tiles)
+
+
+def _tile_sum(nrows, ncols, tiles) -> Mat:
+    """The nrows x ncols sum of coeff * m over tiles (rows, cols, coeff, m),
+    entry (r, c) of m placed at (rows[r], cols[c]); summed as ints over the
+    lcm of the tiles' denominators."""
+    den = lcm(*(coeff.denominator * m.den for _, _, coeff, m in tiles))
+    out = [[0] * ncols for _ in range(nrows)]
+    for rows, cols, coeff, m in tiles:
+        f = coeff.numerator * (den // (coeff.denominator * m.den))
+        for r, mrow in zip(rows, m.num):
+            row = out[r]
+            for c, v in zip(cols, mrow):
                 if v:
                     row[c] += f * v
-    return Mat.from_ints(rows, src.dim, den)
+    return Mat.from_ints(out, ncols, den)
 
 
 @cache  # a Mat is immutable, so every tile of size n shares one identity
@@ -763,7 +732,7 @@ def _identity(n):
     return Mat.identity(n)
 
 
-def _identity_map(m):
+def identity_map(m):
     return lambda w: _identity(m.dim(w))
 
 
@@ -813,7 +782,7 @@ class TensorWindow(WeightModuleWindow):
         """gen on the base in each slot, plus gen on F times the identity."""
         wt = tw - w
         src = self.space(w)
-        base_map, identity = partial(self.base.action, gen), _identity_map(self.base)
+        base_map, identity = partial(self.base.action, gen), identity_map(self.base)
         terms = [(key, key, 1, base_map) for key in src.slot]
         for nu, j in src.slot:
             fm = self.factor.action(gen, nu)
@@ -925,11 +894,12 @@ def ses_from_embedding(vw: VermaWindow, w0: Weight, gen_vec) -> SESData:
     def inclusion(w):
         incl = images.get(w)
         if incl is None:
-            # row r of the transpose is the image of the sub's monomial r
-            parts = [(positions, (vw.action(("f", beta), w + beta)
-                                  @ inclusion(w + beta).take(cols=us)).T)
-                     for beta, positions, us in sub.first_factors(w)]
-            incl = images[w] = _placed_rows(parts, sub.dim(w), vw.dim(w)).T
+            # column r is the image of the sub's monomial r
+            n = vw.dim(w)
+            incl = images[w] = _tile_sum(n, sub.dim(w), [
+                (range(n), positions, 1,
+                 vw.action(("f", beta), w + beta) @ inclusion(w + beta).take(cols=us))
+                for beta, positions, us in sub.first_factors(w)])
         return incl
 
     quot = QuotientWindow(vw, lambda w: span_quotient_data(inclusion(w).T), "sesquot")
@@ -963,16 +933,6 @@ def verma_character_h(pair: PairGH, lam_h: Weight, weights):
     return out
 
 
-def _h_simples(pair: PairGH):
-    pos = pair.delta_h_pos
-    posset = set(pos)
-    simple = []
-    for a in pos:
-        if not any((a - b) in posset for b in pos if b != a and all(c >= 0 for c in (a - b))):
-            simple.append(a)
-    return simple
-
-
 def finite_character_h(pair: PairGH, nu: Weight):
     """Character of the simple finite-dimensional h-module F^h(nu).
 
@@ -980,7 +940,7 @@ def finite_character_h(pair: PairGH, nu: Weight):
     orthogonal to the subsystem rides along untouched.
     """
     form = pair.form
-    simples = _h_simples(pair)
+    simples = pair.delta_h_simple
     if not is_dominant_integral(nu, pair.delta_h_pos, form):
         raise ValueError(f"{nu} is not dominant integral for the subsystem")
     if not pair.delta_h_pos:

@@ -15,7 +15,7 @@ from itertools import chain
 from operator import sub
 
 from .exactla import Mat
-from .cato import OutsideWindow, SlotSpace, WeightModuleWindow, _identity_map, block_operator
+from .cato import OutsideWindow, SlotSpace, WeightModuleWindow, block_operator, identity_map
 from .roots import Weight, same_infinitesimal_character, zero_weight
 from .spinor import SpinModule
 
@@ -83,7 +83,7 @@ def h_generator_block(sm, m, gen, mu) -> Mat:
         src = block_space(sm, m, mu)
         tgt = block_space(sm, m, mu + sm.cb.generator_weight(gen))
         terms = [*spin_terms(src, sm.identity, partial(m.action, gen)),
-                 *spin_terms(src, sm.h_action(gen), _identity_map(m))]
+                 *spin_terms(src, sm.h_action(gen), identity_map(m))]
         g = m.h_blocks[(sm, gen, mu)] = block_operator(tgt, src, terms)
     return g
 
@@ -117,7 +117,7 @@ class DiracBlock:
         spin weight rises) or the cubic part ("cubic", against the identity)."""
         sp, sm, m = self.space, self.sm, self.m
         if part == "cubic":
-            return spin_terms(sp, sm.cubic, _identity_map(m))
+            return spin_terms(sp, sm.cubic, identity_map(m))
         return (t for a in self.pair.q_positive
                 for t in spin_terms(sp, sm.gamma_root(-a if part == "e" else a),
                                     partial(m.action, (part, a))))
@@ -357,7 +357,7 @@ class GradedNilpotent:
     def _compute_chains(self, seeds):
         if self.dim == 0:
             return []
-        s = 0
+        s = 1  # the nilpotency index; N^0 = I has no kernel on a nonzero space
         while self.kernel(s).nrows < self.dim:
             s += 1
         chains = []
@@ -585,9 +585,6 @@ def singular_cohomology_weights(sm, m, weights) -> dict:
     in the Jordan basis at mu + alpha; the singular classes of level k
     are the kernel of these coordinates, stacked over alpha.
     """
-    from .cato import _h_simples
-
-    simples = _h_simples(sm.pair)
     out = {}
     for mu in weights:
         b = block(sm, m, mu)
@@ -601,7 +598,7 @@ def singular_cohomology_weights(sm, m, weights) -> dict:
         tops = basis.take(rows=order)
         mine = {k: [order.index(i) for i in where[k]] for k in levels}  # columns of x
         coords = {k: Mat.zero(0, len(mine[k])) for k in levels}
-        for alpha in simples:
+        for alpha in sm.pair.delta_h_simple:
             up = block(sm, m, mu + alpha)
             shared = [k for k in levels if k in up.htop()]
             if not shared:

@@ -43,7 +43,7 @@ def _canonical(rows, den):
     return tuple(tuple(x // g for x in r) for r in rows), den // g
 
 
-def _vec_ints(vec):
+def vec_ints(vec):
     """(ints, den) with vec == ints / den, den the lcm of the denominators."""
     den = lcm(*(x.denominator for x in vec if x))
     return [x.numerator * (den // x.denominator) if x else 0 for x in vec], den
@@ -204,7 +204,7 @@ class Mat:
         """Matrix-vector product, vec of length ncols."""
         if len(vec) != self.ncols:
             raise ValueError("shape mismatch in apply")
-        ints, vden = _vec_ints(vec)
+        ints, vden = vec_ints(vec)
         nz = [(j, y) for j, y in enumerate(ints) if y]
         den = self.den * vden
         out = []

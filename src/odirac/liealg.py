@@ -254,6 +254,10 @@ class PairGH:
         self.rs = rs
         self.form = form
         self.delta_h_pos = validate_delta_h(rs, delta_h)
+        # a root of delta_h+ is simple there iff it is no sum of two of them
+        posset = set(self.delta_h_pos)
+        self.delta_h_simple = [a for a in self.delta_h_pos
+                               if not any(a - b in posset for b in self.delta_h_pos)]
         self.delta_h_signed = frozenset(self.delta_h_pos) | frozenset(-a for a in self.delta_h_pos)
         self.q_positive = [a for a in rs.positive_roots if a not in self.delta_h_signed]
         self.rho, self.rho_h = rho_vectors(rs, self.delta_h_pos)

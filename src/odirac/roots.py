@@ -10,7 +10,7 @@ Dirac operator identities downstream hold without normalization fudge.
 from fractions import Fraction
 from operator import add, mul, neg, sub
 
-from .exactla import Mat, _vec_ints
+from .exactla import Mat, vec_ints
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -203,8 +203,8 @@ class InvariantForm:
 
     def pair(self, v, w):
         """<v, w> summed in ints over the Gram's one denominator: one Fraction per call."""
-        v, dv = _vec_ints(v)
-        w, dw = _vec_ints(w)
+        v, dv = vec_ints(v)
+        w, dw = vec_ints(w)
         total = 0
         for c, row in zip(v, self.gram.num):
             if c:

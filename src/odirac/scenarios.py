@@ -29,7 +29,7 @@ from . import __version__
 from .roots import (NotASubsystem, Weight, build_root_system, is_dominant_integral,
                     killing_form_on_dual)
 from .liealg import PairGH, chevalley_basis
-from .cato import (_cone_coords, comparable_tops, finite_dim_simple, ses_from_embedding,
+from .cato import (comparable_tops, cone_coords, finite_dim_simple, ses_from_embedding,
                    ses_split, simple_quotient_window, singular_vectors,
                    sort_weights, tensor_with_finite_dim, verma_window)
 from .spinor import SpinModule
@@ -111,11 +111,11 @@ class PairContext:
     spaces, Casimirs and block weights) is memoized on the module window.
     """
 
-    def __init__(self, cartan_type, delta_h, rs=None):
-        self.rs = rs or build_root_system(cartan_type)
-        self.form = killing_form_on_dual(self.rs)
+    def __init__(self, pair: PairGH):
+        self.rs = pair.rs
+        self.form = pair.form
         self.cb = chevalley_basis(self.rs, self.form)
-        self.pair = PairGH(self.rs, self.form, delta_h)
+        self.pair = pair
         self._sm = None
         self._modules = {}
 
@@ -172,10 +172,10 @@ class PairContext:
             # `margin` more, is top(m) - (c - drop + e).  Only the vacuum's
             # rests c + e are tested: every other rest lies between c + e and
             # m's top, which every window materializes once it has c + e.
-            margins = _cone_coords(rank, margin)
+            margins = cone_coords(rank, margin)
             top = m.top_weight + sm.top_weight
             out = []
-            for c in _cone_coords(rank, depth):
+            for c in cone_coords(rank, depth):
                 if all(m.materialized(m.weight_below_top(tuple(map(add, c, e))))
                        for e in margins):
                     out.append(top - Weight(c))
@@ -189,12 +189,19 @@ _CONTEXTS = {}
 def pair_context(cartan_type, delta_h=(), rs=None) -> PairContext:
     """The process-wide context of (cartan_type, delta_h), built on first use.
 
-    `rs` is the root system of cartan_type, if the caller has built it.
+    Looked up by delta_h as written, then by the validated subsystem, so
+    every spelling of one pair shares one context; a new spelling costs
+    one `PairGH`.  `rs` is the root system of cartan_type, if the caller
+    has built it.
     """
     key = (cartan_type, tuple(Weight(v) for v in delta_h))
     ctx = _CONTEXTS.get(key)
     if ctx is None:
-        ctx = _CONTEXTS[key] = PairContext(*key, rs)
+        rs = rs or build_root_system(cartan_type)
+        pair = PairGH(rs, killing_form_on_dual(rs), key[1])
+        validated = (cartan_type, tuple(pair.delta_h_pos))
+        ctx = _CONTEXTS.get(validated) or PairContext(pair)
+        _CONTEXTS[key] = _CONTEXTS[validated] = ctx
     return ctx
 
 
@@ -494,7 +501,7 @@ def _task_hodge(ws):
     pair, sm, m = ws.pair, ws.sm, ws.module
     d = ws.scenario.depth_below_top
     test_ws = [m.top_weight - Weight(c)
-               for c in _cone_coords(pair.rank, d + 2 * int((pair.rho - pair.rho_h).height))]
+               for c in cone_coords(pair.rank, d + 2 * int((pair.rho - pair.rho_h).height))]
     test_ws = [w for w in test_ws if m.materialized(w)]
     urep = unitarity_check(ws.scenario.hermitian, m, test_ws)
     doc = {"unitary_on_window": urep["unitary"],

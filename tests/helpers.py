@@ -1,5 +1,6 @@
 """Test-side helpers: adjoint matrices, window dimensions, the
-fundamental-weight and epsilon coordinates, the reference simple
+fundamental-weight and epsilon coordinates, the PBW straightener that
+Verma window actions are checked against, the reference simple
 quotient of a Verma window, block weights by the offset filter over
 every subset sum of q+, Jordan chains chosen one candidate top at a
 time, kernels restricted to one parity, canonical row spaces and the
@@ -12,7 +13,7 @@ from fractions import Fraction
 from itertools import takewhile
 from operator import add, le, sub
 
-from odirac.cato import QuotientWindow, _cone_coords, _delta_coords, sort_weights
+from odirac.cato import QuotientWindow, _delta_coords, cone_coords, sort_weights
 from odirac.dirac import block
 from odirac.exactla import Mat
 from odirac.roots import Weight
@@ -55,6 +56,100 @@ def weight_to_eps(rs, v):
         eps.append(v[i] - v[i - 1])
     eps.append(-v[n - 1])
     return tuple(eps)
+
+
+def _acc(d, k, v):
+    if not v:
+        return
+    cur = d.get(k, _F0) + v
+    if cur:
+        d[k] = cur
+    elif k in d:
+        del d[k]
+
+
+def _inc(mono, i):
+    return mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+
+
+def _dec(mono, i):
+    return mono[:i] + (mono[i] - 1,) + mono[i + 1:]
+
+
+class Straightener:
+    """Reference left action of Chevalley generators on PBW monomials over a
+    Verma top: each image is straightened against the bracket table in
+    dictionaries of `Fraction`s, one monomial at a time.
+
+    Monomials are exponent tuples over `cb.pos`, as `VermaWindow.basis`
+    lists them.
+    """
+
+    def __init__(self, cb, lam):
+        self.cb = cb
+        # per root position: the cb index of f_beta; per cb index: the
+        # generator kind and its root position (None for the Cartan part)
+        self._f_index = [cb.e_index(-beta) for beta in cb.pos]
+        position = {beta: p for p, beta in enumerate(cb.pos)}
+        self._kind = [(kind, None if kind == "h" else position[val])
+                      for kind, val in cb.generators]
+        # h_j-eigenvalues: lam(h_j) minus the integer sum over the monomial
+        rs = cb.rs
+        self._lam_h = rs.pairing_with_simple_coroots(lam)
+        self._root_h = [rs.pairing_with_simple_coroots(beta) for beta in cb.pos]
+        self._memo = {}
+
+    def act_index(self, b, mono):
+        """Image of a basis monomial under the cb basis element with index b."""
+        key = (b, mono)
+        res = self._memo.get(key)
+        if res is None:
+            res = self._memo[key] = self._act(b, mono)
+        return res
+
+    def _act(self, b, mono):
+        cb = self.cb
+        kind, gi = self._kind[b]
+        if kind == "h":
+            val = self._lam_h[b] - sum(k * self._root_h[p][b] for p, k in enumerate(mono) if k)
+            return {mono: val} if val else {}
+        first = next((i for i, k in enumerate(mono) if k), None)
+        if kind == "e":  # raising operator
+            if first is None:
+                return {}
+            rest = _dec(mono, first)
+            fj = self._f_index[first]
+            out = {}
+            for m, c in self.act_index(b, rest).items():
+                for m2, c2 in self.act_index(fj, m).items():
+                    _acc(out, m2, c * c2)
+            for k, c in cb.bracket(b, fj).items():
+                for m2, c2 in self.act_index(k, rest).items():
+                    _acc(out, m2, c * c2)
+            return out
+        # lowering by f_gamma, gamma at root position gi
+        if first is None or gi <= first:
+            return {_inc(mono, gi): Fraction(1)}
+        rest = _dec(mono, first)
+        fj = self._f_index[first]
+        out = {}
+        for m, c in self.act_index(b, rest).items():
+            # monomials here start no earlier than `first`, so prepending
+            # f_{beta_first} is a plain exponent bump
+            _acc(out, _inc(m, first), c)
+        for k, c in cb.bracket(b, fj).items():
+            for m2, c2 in self.act_index(k, rest).items():
+                _acc(out, m2, c * c2)
+        return out
+
+    def action(self, vw, gen, w):
+        """gen from the basis of the Verma window vw at w to the basis at its
+        target weight, as `Mat.from_sparse_cols` of the straightened images."""
+        cb = self.cb
+        tgt = {m: i for i, m in enumerate(vw.basis(w + cb.generator_weight(gen)))}
+        b = cb.generator_index(gen)
+        return Mat.from_sparse_cols([{tgt[m]: c for m, c in self.act_index(b, mono).items()}
+                                     for mono in vw.basis(w)], len(tgt))
 
 
 def verma_simple_quotient(vw):
@@ -157,8 +252,8 @@ def offset_filter_block_weights(ctx, m, depth, margin=0):
         return verdict[p]
 
     top = m.top_weight + sm.top_weight
-    margins = _cone_coords(ctx.pair.rank, margin)
-    return sort_weights([top - Weight(c) for c in _cone_coords(ctx.pair.rank, depth)
+    margins = cone_coords(ctx.pair.rank, margin)
+    return sort_weights([top - Weight(c) for c in cone_coords(ctx.pair.rank, depth)
                          if all(fits(tuple(map(add, c, e))) for e in margins)])
 
 

@@ -8,16 +8,16 @@ from hypothesis import given, settings, strategies as st
 from odirac.exactla import Mat
 from odirac.roots import Weight, is_antidominant, zero_weight
 from odirac.cato import (OutsideWindow, QuotientWindow, SESData, WeightModuleWindow,
-                         commutation_defect,
+                         commutation_defect, cone_coords,
                          finite_character_h, finite_dim_simple, kostant_partition_counter,
                          ses_from_embedding, ses_split, shapovalov_grams,
                          simple_quotient_window, singular_vectors, span_quotient_data,
                          sort_weights, tensor_with_finite_dim, verma_character_h,
-                         verma_window, weyl_dimension, _cone_coords)
+                         verma_window, weyl_dimension)
 from odirac.dirac import exact_circle
 from conftest import ctx
-from helpers import (lowering_map, row_space, total_dim, verma_simple_quotient,
-                     weight_from_fundamental)
+from helpers import (Straightener, lowering_map, row_space, total_dim,
+                     verma_simple_quotient, weight_from_fundamental)
 
 F = Fraction
 
@@ -68,7 +68,7 @@ def test_verma_dims_and_top(a2_su21):
         assert vw.action(("e", alpha), lam).is_zero()
     cnt = kostant_partition_counter(pair.rs.positive_roots)
     assert cnt(Weight([1, 1])) == 2  # {alpha+beta} and {alpha, beta}
-    for c in _cone_coords(2, 5):
+    for c in cone_coords(2, 5):
         assert vw.dim(lam - Weight(c)) == cnt(Weight(c))
 
 
@@ -87,7 +87,7 @@ def test_window_boundary(a1):
 def test_commutation_fidelity(a2_su21):
     pair, cb = a2_su21.pair, a2_su21.cb
     vw = verma_window(pair, cb, Weight([F(-1, 2), F(1, 3)]), 6)
-    for c in _cone_coords(2, 3):
+    for c in cone_coords(2, 3):
         w = vw.top_weight - Weight(c)
         for ix in range(cb.dim):
             for iy in range(ix + 1, cb.dim):
@@ -116,13 +116,13 @@ def test_shapovalov_grams(a1):
     c2 = ctx("A2", [(1, 0)])
     vw2 = verma_window(c2.pair, c2.cb, lam2, 6)
     g2 = shapovalov_grams(vw2)
-    for c in _cone_coords(2, 4):
+    for c in cone_coords(2, 4):
         w = lam2 - Weight(c)
         g = g2.gram(w)
         assert g == g.T
     for alpha in c2.rs.positive_roots:
         kap = c2.cb.kappa_integral(alpha)
-        for c in _cone_coords(2, 3):
+        for c in cone_coords(2, 3):
             w = lam2 - Weight(c)
             up = w + alpha
             if vw2.dim(up) == 0 or vw2.dim(w) == 0:
@@ -132,14 +132,15 @@ def test_shapovalov_grams(a1):
             assert ae.T @ g2.gram(up) == g2.gram(w).scale(kap) @ af
 
 
-def raising_string_gram(vw, w):
+def raising_string_gram(vw, st, w):
     """Reference Gram: apply tau(mono_i) to every basis vector as a string of
-    raising operators and read off the coefficient of the top vector.
+    raising operators, straightened by st, and read off the coefficient of
+    the top vector.
 
     tau(f_{b1}^{k1}...f_{bs}^{ks}) acts with e_{b1}^{k1} first, then
     e_{b2}^{k2}, ...; each e_beta carries a factor 1/kappa_beta.
     """
-    st, cb = vw.straightener, vw.cb
+    cb = vw.cb
     basis = vw.basis(w)
     top = tuple([0] * cb.npos)
     rows = []
@@ -173,22 +174,44 @@ def test_grams_match_raising_strings(cartan, delta_h, lam, depth):
     c = ctx(cartan, delta_h)
     lam = Weight(lam)
     vw = verma_window(c.pair, c.cb, lam, depth)
-    form = shapovalov_grams(vw)
+    form, st = shapovalov_grams(vw), Straightener(c.cb, lam)
     checked = 0
-    for cc in _cone_coords(c.rs.rank, depth):
+    for cc in cone_coords(c.rs.rank, depth):
         w = lam - Weight(cc)
-        assert form.gram(w) == raising_string_gram(vw, w), w
+        assert form.gram(w) == raising_string_gram(vw, st, w), w
         checked += vw.dim(w) > 0
     assert checked > depth  # every weight of the window below the top too
+
+
+@pytest.mark.parametrize("cartan, delta_h, lam", [
+    ("A1", [], [F(3, 2)]),
+    ("A2", [(1, 0)], [F(-1, 3), F(-5, 7)]),
+    ("A2", [], [-1, -2]),
+    ("B2", [(1, 0)], [F(1, 2), -2]),
+    ("G2", [(0, 1)], [-1, F(-3, 2)]),
+    ("A3", [(1, 0, 0), (0, 1, 0), (1, 1, 0)], [-1, -2, -3]),
+], ids=["A1", "A2_su21_generic", "A2_t", "B2", "G2", "A3_gl3"])
+def test_verma_actions_match_straightened_monomials(cartan, delta_h, lam):
+    """Every generator at every weight within depth 5 of a Verma window,
+    which reaches one highest root deeper so that every target lies in it,
+    equals the straightened PBW images, exactly."""
+    c = ctx(cartan, delta_h)
+    lam = Weight(lam)
+    vw = verma_window(c.pair, c.cb, lam, 5 + max(a.height for a in c.rs.positive_roots))
+    st = Straightener(c.cb, lam)
+    for cc in cone_coords(c.rs.rank, 5):
+        w = lam - Weight(cc)
+        for gen in c.cb.generators:
+            assert vw.action(gen, w) == st.action(vw, gen, w), (gen, w)
 
 
 def _cold_simple_runs(monkeypatch, paths, finite=False):
     """Run scenario files on a cold context, recording what simple windows cost.
 
-    Returns the names of `VermaWindow` and `_Straightener` instances built,
-    the `SimpleWindow`s whose weight spaces were built, the `Mat.rref` and
-    `Mat.nullspace` calls made building each (window, weight) space, the
-    forms made per window and the computations per (form, weight) Gram.
+    Returns the names of `VermaWindow` instances built, the `SimpleWindow`s
+    whose weight spaces were built, the `Mat.rref` and `Mat.nullspace`
+    calls made building each (window, weight) space, the forms made per
+    window and the computations per (form, weight) Gram.
     With `finite`, `finite_dim_simple` of A2 at rho runs last.
     """
     import os
@@ -234,7 +257,6 @@ def _cold_simple_runs(monkeypatch, paths, finite=False):
         return form_compute(self, w)
 
     recording(cato.VermaWindow)
-    recording(cato._Straightener)
     monkeypatch.setattr(Mat, "rref", counting("rref", Mat.rref))
     monkeypatch.setattr(Mat, "nullspace", counting("nullspace", Mat.nullspace))
     monkeypatch.setattr(cato.SimpleWindow, "_build_space", traced_build)
@@ -272,9 +294,8 @@ def test_simple_quotients_read_no_verma_form(monkeypatch, a1):
 
     On A1, where both bases are f^k v, its Grams are the Verma Grams.  On
     a cold context the a2_hodge_unitary run and `finite_dim_simple` build
-    no `VermaWindow` and no `_Straightener`; each window has one form,
-    each (form, weight) Gram is computed once, and every form read is a
-    simple window's.
+    no `VermaWindow`; each window has one form, each (form, weight) Gram
+    is computed once, and every form read is a simple window's.
     """
     top, alpha = Weight([1]), a1.rs.simple_roots[0]
     simple = simple_quotient_window(a1.pair, a1.cb, top, 6)
@@ -298,9 +319,9 @@ def test_simple_quotients_read_no_verma_form(monkeypatch, a1):
 def test_simple_quotient_reduces_each_weight_once(monkeypatch):
     """On a cold a3_hodge run the simple window row-reduces once per weight.
 
-    The run builds one simple window and no `VermaWindow` or
-    `_Straightener`.  A weight space whose spanning set is nonempty costs
-    one `Mat.rref` and no `Mat.nullspace`; any other costs neither.
+    The run builds one simple window and no `VermaWindow`.  A weight space
+    whose spanning set is nonempty costs one `Mat.rref` and no
+    `Mat.nullspace`; any other costs neither.
     """
     built, windows, counts, _, _ = _cold_simple_runs(
         monkeypatch, ["perfbench/workloads/a3_hodge.json"])
@@ -348,7 +369,7 @@ def test_simple_radical_matches_verma_gram_radical(cartan, label, depth):
     quot = verma_simple_quotient(vw)
     simple = simple_quotient_window(c.pair, c.cb, lam, depth)
     radical_seen = 0
-    for cc in _cone_coords(c.rs.rank, depth):
+    for cc in cone_coords(c.rs.rank, depth):
         w = lam - Weight(cc)
         if not vw.dim(w):
             continue
@@ -399,7 +420,7 @@ def test_simple_quotient_sl2(a1):
 def _check_projection(c, lam, depth):
     vw = verma_window(c.pair, c.cb, lam, depth)
     quot = simple_quotient_window(c.pair, c.cb, lam, depth)
-    weights = [lam - Weight(cc) for cc in _cone_coords(c.rs.rank, depth)]
+    weights = [lam - Weight(cc) for cc in cone_coords(c.rs.rank, depth)]
     proj = lowering_map(vw, quot, weights)
     for w in weights:
         assert proj[w].rank() == quot.dim(w), w
@@ -471,7 +492,7 @@ def eager_finite_module(pair, cb, lam):
     margin = max(a.height for a in pair.rs.positive_roots)
     quot = verma_simple_quotient(verma_window(pair, cb, lam, depth + margin))
     dims = {}
-    for cc in _cone_coords(pair.rank, depth):
+    for cc in cone_coords(pair.rank, depth):
         w = lam - Weight(cc)
         if quot.dim(w):
             dims[w] = quot.dim(w)
@@ -525,7 +546,7 @@ def test_simple_window_is_isomorphic_to_verma_quotient(cartan, delta_h, lam, dep
     ref = verma_simple_quotient(vw)
     simple = simple_quotient_window(c.pair, c.cb, lam, depth)
     verma_form, form = shapovalov_grams(vw), shapovalov_grams(simple)
-    weights = [lam - Weight(cc) for cc in _cone_coords(c.rs.rank, depth)]
+    weights = [lam - Weight(cc) for cc in cone_coords(c.rs.rank, depth)]
     t = lowering_map(simple, ref, weights)
     nonzero = 0
     for w in weights:
@@ -691,7 +712,7 @@ def test_tensor_window_matches_leibniz_reference(cartan, delta_h, lam, factor, d
     f = finite_dim_simple(c.pair, c.cb, weight_from_fundamental(c.rs, factor))
     t = tensor_with_finite_dim(vw, f)
     checked = 0
-    for cc in _cone_coords(c.rs.rank, depth):
+    for cc in cone_coords(c.rs.rank, depth):
         w = t.top_weight - Weight(cc)
         for gen in t.cb.generators:
             if t.materialized(w) and t.materialized(w + c.cb.generator_weight(gen)):
@@ -753,7 +774,7 @@ def span_walk(vw, w0, v):
     """Reference SES sub: the f_beta-images of the one-row Mat v, spanned
     weight by weight down the cone below w0 (canonical rref basis rows)."""
     span = {w0: v}
-    below = [w0 - Weight(c) for c in _cone_coords(vw.rank, vw.depth)]
+    below = [w0 - Weight(c) for c in cone_coords(vw.rank, vw.depth)]
     for w in sorted((u for u in below if vw.materialized(u)), key=lambda u: (w0 - u).height):
         if w != w0:
             span[w] = row_space(Mat.zero(0, vw.dim(w)).vstack(
@@ -807,7 +828,7 @@ def test_ses_from_embedding_rank2_matches_span_walk(cartan, delta_h, w0):
     ref_sub = SpanWalkSub(vw, w0, span)
     ref_quot = QuotientWindow(vw, lambda w: span_quotient_data(ref_sub.inclusion(w).T),
                               "sesquot")
-    weights = [vw.lam - Weight(d) for d in _cone_coords(2, vw.depth)]
+    weights = [vw.lam - Weight(d) for d in cone_coords(2, vw.depth)]
     assert max(vw.dim(w) for w in weights) > 1
     for w in weights:
         incl = ses.inclusion(w)
@@ -933,7 +954,7 @@ def test_pbw_enumeration_matches_weight_recursion(cartan, lam, depth):
     c = ctx(cartan)
     lam = Weight(lam)
     vw = verma_window(c.pair, c.cb, lam, depth)
-    for cc in _cone_coords(c.rs.rank, depth):
+    for cc in cone_coords(c.rs.rank, depth):
         w = lam - Weight(cc)
         assert vw.basis(w) == weight_recursion_monomials(c.cb.pos, lam - w), w
     # lam - w not integral: outside the support cone, no monomials

@@ -6,7 +6,7 @@ import pytest
 
 from odirac.exactla import Mat
 from odirac.roots import Weight, zero_weight
-from odirac.cato import (_cone_coords, finite_dim_simple, ses_from_embedding,
+from odirac.cato import (cone_coords, finite_dim_simple, ses_from_embedding,
                          ses_split, singular_vectors, verma_character_h,
                          verma_window)
 from odirac.spinor import SpinModule, to_mat
@@ -71,7 +71,7 @@ def test_check_square_and_eigenvalues(a2_su21):
     lam = -pair.rho
     vw = verma_window(pair, cb, lam, 12)
     form = pair.form
-    for c in _cone_coords(2, 4):
+    for c in cone_coords(2, 4):
         mu = -pair.rho_h - Weight(c)
         blk = DiracBlock(sm, vw, mu)
         if blk.dim == 0:
@@ -81,7 +81,7 @@ def test_check_square_and_eigenvalues(a2_su21):
         for val, d in rep["eigenvalues"].items():
             # every eigenvalue has the predicted shape for some block weight nu
             found = False
-            for cc in _cone_coords(2, 10):
+            for cc in cone_coords(2, 10):
                 nu = mu + Weight(cc)
                 if F(1, 2) * (form.norm2(lam + pair.rho)
                               - form.norm2(nu + pair.rho_h)) == val:
@@ -94,7 +94,7 @@ def test_h_equivariance(a2_su21):
     pair, cb, sm = a2_su21.pair, a2_su21.cb, a2_su21.sm
     vw = verma_window(pair, cb, -pair.rho, 12)
     for gen in pair.h_generators():
-        for c in _cone_coords(2, 2):
+        for c in cone_coords(2, 2):
             mu = -pair.rho_h - Weight(c)
             assert h_equivariance_defect(sm, vw, mu, gen).is_zero()
 
@@ -103,7 +103,7 @@ def test_dirac_cohomology_worked_example(a2_su21):
     pair, cb, sm = a2_su21.pair, a2_su21.cb, a2_su21.sm
     vw = verma_window(pair, cb, -pair.rho, 14)
     mu_top = -pair.rho_h
-    weights = [mu_top - Weight(c) for c in _cone_coords(2, 8)]
+    weights = [mu_top - Weight(c) for c in cone_coords(2, 8)]
     actual = {}
     for mu in weights:
         blk = DiracBlock(sm, vw, mu)
@@ -227,14 +227,14 @@ def test_jordan_on_tensor_fixture():
 def test_index_identity_on_verma(a2_su21):
     pair, cb, sm = a2_su21.pair, a2_su21.cb, a2_su21.sm
     vw = verma_window(pair, cb, -pair.rho, 12)
-    for c in _cone_coords(2, 4):
+    for c in cone_coords(2, 4):
         mu = -pair.rho_h - Weight(c)
         blk = DiracBlock(sm, vw, mu)
         if blk.dim:
             assert index_identity_check(blk)["ok"]
     # single infinitesimal character: H_top^k vanishes for k >= 1 and
     # H_top^0 matches H_D per weight
-    for c in _cone_coords(2, 4):
+    for c in cone_coords(2, 4):
         mu = -pair.rho_h - Weight(c)
         blk = DiracBlock(sm, vw, mu)
         if blk.dim == 0:
@@ -367,7 +367,7 @@ def test_circle_parity_case_pattern(a1):
 def test_vogan_audit_worked_example(a2_su21):
     pair, cb, sm = a2_su21.pair, a2_su21.cb, a2_su21.sm
     vw = verma_window(pair, cb, -pair.rho, 14)
-    weights = [-pair.rho_h - Weight(c) for c in _cone_coords(2, 6)]
+    weights = [-pair.rho_h - Weight(c) for c in cone_coords(2, 6)]
     singular = singular_cohomology_weights(sm, vw, weights)
     assert list(singular) == [-pair.rho_h]
     rep = vogan_audit(pair, sorted(singular), vw.infchars)
@@ -395,7 +395,7 @@ def test_rank_data_basis_independence(a2_su21):
     vw = verma_window(pair, cb, -pair.rho, 12)
     sm1 = a2_su21.sm
     sm2 = SpinModule(pair, cb, q_order=list(reversed(pair.q_positive)))
-    for c in _cone_coords(2, 3):
+    for c in cone_coords(2, 3):
         mu = -pair.rho_h - Weight(c)
         b1 = DiracBlock(sm1, vw, mu)
         b2 = DiracBlock(sm2, vw, mu)
@@ -884,7 +884,6 @@ def reference_dirac_cohomology(blk):
 
 def reference_singular_cohomology_weights(sm, m, weights):
     """Singular classes with H_D's denominators on a branch of their own."""
-    from odirac.cato import _h_simples
     from odirac.dirac import block, h_generator_block
 
     kernels = {}
@@ -904,7 +903,7 @@ def reference_singular_cohomology_weights(sm, m, weights):
         meet = subspace_intersect(kernel(b, 2 * k + 1), image(b))
         return row_space(meet.vstack(kernel(b, 2 * k)))
 
-    simples = _h_simples(sm.pair)
+    simples = sm.pair.delta_h_simple
     out = {}
     for mu in weights:
         b = block(sm, m, mu)
@@ -1510,7 +1509,7 @@ def test_a2_circle_sweep_fails_only_on_levi_sequences(monkeypatch):
     for lam in [(0, 0), (1, 0), (0, 1), (-1, 0), (-1, -1), (1, 1), (-2, 1)]:
         vw = Workspace(Scenario({"name": "a2-verma", "cartan_type": "A2", "module": {
             "kind": "verma", "lambda": list(lam), "depth": 8}})).module
-        for c in _cone_coords(2, 8):
+        for c in cone_coords(2, 8):
             w = vw.top_weight - Weight(c)
             if any(c) and vw.materialized(w) and singular_vectors(vw, w).nrows == 1:
                 pairs.append((lam, tuple(int(x) for x in w)))
@@ -1689,6 +1688,28 @@ def test_chains_rank_once_per_nonzero_generalized_kernel(monkeypatch):
     for nil in nils:
         nil.chains()
     assert len(calls) == sum(1 for nil in nils if nil.dim) == 10
+
+
+def test_chains_reduce_no_identity(monkeypatch):
+    """On scenarios/a3_kl_s1s3.json, no `Mat.rref` made while `chains()`
+    finds the Jordan chains of a block is of an identity: the nilpotency
+    index is searched from N^1, since N^0 = I has no kernel."""
+    from odirac import scenarios
+
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+    nils = [blk.nilpotent() for blk in _nonzero_blocks(_scenario_file("a3_kl_s1s3"))]
+    identities = []
+    rref = Mat.rref
+
+    def recorded(mat):
+        identities.append(mat == Mat.identity(mat.nrows))
+        return rref(mat)
+
+    monkeypatch.setattr(Mat, "rref", recorded)
+    for nil in nils:
+        nil.chains()
+    assert len(identities) >= sum(1 for nil in nils if nil.dim) > 0
+    assert not any(identities)
 
 
 def test_block_layer_constructs_no_coerced_matrix(monkeypatch):

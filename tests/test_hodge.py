@@ -9,7 +9,7 @@ from odirac.exactla import Mat
 from odirac.roots import (NotASubsystem, Weight, build_root_system, killing_form_on_dual,
                           validate_delta_h, zero_weight)
 from odirac.liealg import PairGH
-from odirac.cato import _cone_coords, simple_quotient_window, verma_window
+from odirac.cato import cone_coords, simple_quotient_window, verma_window
 from odirac.dirac import DiracBlock, block
 from odirac.scenarios import pair_context as ctx
 from odirac.hodge import (HermitianPair, NotHermitian, UnitaryStructure, _half_decomposes,
@@ -141,7 +141,7 @@ def test_identification(a1, a2_su21):
         pair, cb, sm = c.pair, c.cb, c.sm
         vw = verma_window(pair, cb, lam, depth)
         mu_top = lam + pair.rho - pair.rho_h
-        for cc in _cone_coords(pair.rank, 4):
+        for cc in cone_coords(pair.rank, 4):
             mu = mu_top - Weight(cc)
             rep = identification_check(block(sm, vw, mu))
             assert rep["ok"], (c.rs.cartan_type, mu, rep)
@@ -194,7 +194,7 @@ def test_ce_operators_match_definition(label, delta_h, lam, depth, slices):
     hp = HermitianPair(c.pair)
     vw = c.verma(Weight(lam), depth)
     seen = nonzero = 0
-    for cc in _cone_coords(c.pair.rank, 3):
+    for cc in cone_coords(c.pair.rank, 3):
         nu = vw.top_weight - Weight(cc)
         ce = CEComplex(c.sm, vw, nu)
         sp = ce.space
@@ -422,13 +422,13 @@ def test_hodge_su21_simple_quotient(a2_su21):
     hp = HermitianPair(pair)
     lam = Weight([F(-1, 2), F(-2)])  # fund coords (1, -7/2)
     quot = simple_quotient_window(pair, cb, lam, 12)
-    ws = [quot.top_weight - Weight(c) for c in _cone_coords(2, 8)]
+    ws = [quot.top_weight - Weight(c) for c in cone_coords(2, 8)]
     urep = unitarity_check(hp, quot, ws)
     assert urep["unitary"]
     us = urep["structure"]
     mu_top = lam + pair.rho - pair.rho_h
     nonzero = 0
-    for c in _cone_coords(2, 5):
+    for c in cone_coords(2, 5):
         mu = mu_top - Weight(c)
         blk = block(sm, quot, mu)
         assert identification_check(blk)["ok"]
@@ -445,7 +445,7 @@ def test_homology_cohomology_duality(a2_su21):
     hp = HermitianPair(pair)
     lam = -pair.rho
     vw = verma_window(pair, a2_su21.cb, lam, 12)
-    for c in _cone_coords(2, 4):
+    for c in cone_coords(2, 4):
         nu = lam - Weight(c)
         ce = CEComplex(sm, vw, nu)
         assert sum(ce.cohomology_dims().values()) == sum(ce.homology_dims().values())

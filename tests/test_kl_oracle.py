@@ -3,7 +3,7 @@ modules against the Kazhdan-Lusztig polynomials of `helpers.KazhdanLusztig`."""
 
 import pytest
 
-from odirac.cato import _cone_coords, kostant_partition_counter
+from odirac.cato import cone_coords, kostant_partition_counter
 from odirac.dirac import block
 from odirac.roots import Weight
 from odirac.scenarios import Scenario, Workspace
@@ -124,7 +124,7 @@ def _kl_character_check(ws, kl):
     terms = [(pair.weyl.act(x, pair.rho) - pair.rho, (-1) ** (lengths[x] - lengths[w]) * p1)
              for x, p1 in p1s.items()]
     seen = beyond_one = 0
-    for coords in _cone_coords(pair.rank, m.depth):
+    for coords in cone_coords(pair.rank, m.depth):
         nu = m.top_weight - Weight(coords)
         counts = [(coef, count(top - nu)) for top, coef in terms]
         assert m.dim(nu) == sum(coef * n for coef, n in counts), (m.top_weight, nu)

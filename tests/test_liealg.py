@@ -121,6 +121,21 @@ def test_validate_pair(a2_su21):
     assert signed.q_positive == pair.q_positive and signed.rho_h == pair.rho_h
 
 
+@pytest.mark.parametrize("cartan, delta_h", [
+    ("A2", []), ("A3", [(1, 0, 0), (0, 1, 0), (1, 1, 0)]), ("B3", [(1, 0, 0), (0, 0, 1)]),
+    ("C3", [(1, 0, 0), (0, 1, 0), (1, 1, 0)]), ("G2", [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]),
+    ("G2", [(0, 1), (3, 1), (3, 2)])])
+def test_delta_h_simple_roots_span_delta_h(cartan, delta_h):
+    """The simple roots of delta_h+ that PairGH keeps are independent, and
+    every root of delta_h+ is a nonnegative integer sum of them."""
+    pair = ctx(cartan, delta_h).pair
+    simples = pair.delta_h_simple
+    assert len(simples) == Mat.from_cols(pair.delta_h_pos, pair.rank).rank()
+    for a in pair.delta_h_pos:
+        x = Mat.from_cols(simples, pair.rank).solve(Mat.from_cols([a], pair.rank))
+        assert x is not None and all(c >= 0 and c.denominator == 1 for c in x.col(0)), a
+
+
 def test_symmetric_pair_detection(a1, a2_su21, a2_t):
     assert q_brackets_into_h(a1.pair)
     assert q_brackets_into_h(a2_su21.pair)

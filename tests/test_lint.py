@@ -119,17 +119,25 @@ def _defined_names(tree):
     return out
 
 
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
 def test_private_names_are_read_in_their_own_module():
     """Every read `x._name` in src/odirac, x not `self` or `cls`, names
-    something the same file defines; dunder names are exempt."""
+    something the same file defines, and no `from ... import _name` takes
+    a private name from another module; dunder names are exempt."""
     foreign = []
     for path, tree in _trees():
         defined = _defined_names(tree)
         foreign += [f"{path}:{n.lineno} {ast.unparse(n)}" for n in ast.walk(tree)
                     if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
-                    and n.attr.startswith("_") and not n.attr.startswith("__")
+                    and _private(n.attr)
                     and not (isinstance(n.value, ast.Name) and n.value.id in ("self", "cls"))
                     and n.attr not in defined]
+        foreign += [f"{path}:{n.lineno} {ast.unparse(n)}" for n in ast.walk(tree)
+                    if isinstance(n, ast.ImportFrom)
+                    and any(_private(a.name) for a in n.names)]
     assert not foreign, "\n".join(foreign)
 
 

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from odirac.roots import Weight
-from odirac.cato import _cone_coords, finite_dim_simple, verma_window
+from odirac.cato import cone_coords, finite_dim_simple, verma_window
 from odirac.dirac import (DiracBlock, check_square, kostant_kernel_check,
                           nonvanishing_check, simple_verma_theorem_check)
 from odirac.hodge import HermitianPair, identification_check
@@ -24,7 +24,7 @@ def test_b2_short_root_pair_is_hermitian():
     rep = simple_verma_theorem_check(c.sm, vw, c.block_weights(vw, 4))
     assert rep["antidominant"] and rep["target_antidominant"] and rep["match"]
     mu_top = lam + c.pair.rho - c.pair.rho_h
-    for cc in _cone_coords(2, 2):
+    for cc in cone_coords(2, 2):
         mu = mu_top - Weight(cc)
         blk = DiracBlock(c.sm, vw, mu)
         if blk.dim == 0:

@@ -13,7 +13,7 @@ from functools import partial
 import pytest
 
 from odirac import liealg, roots, scenarios
-from odirac.cato import _cone_coords, sort_weights, verma_window
+from odirac.cato import cone_coords, sort_weights, verma_window
 from odirac.dirac import block, check_square
 from odirac.roots import Weight
 from odirac.scenarios import (PairContext, Scenario, Workspace, load_scenario, pair_context,
@@ -29,10 +29,10 @@ DOCUMENTS = sorted(glob.glob(os.path.join(REPO, "scenarios", "*.json")) +
 def reference_block_weights(ctx, m, depth, margin=0):
     """Every spin offset tested, repeats included, on every call."""
     rank, sm = ctx.pair.rank, ctx.sm
-    offsets = [ws + Weight(c) for ws in spin_weights(sm) for c in _cone_coords(rank, margin)]
+    offsets = [ws + Weight(c) for ws in spin_weights(sm) for c in cone_coords(rank, margin)]
     top = m.top_weight + sm.top_weight
     out = []
-    for c in _cone_coords(rank, depth):
+    for c in cone_coords(rank, depth):
         mu = top - Weight(c)
         if all(m.materialized(mu - off) for off in offsets):
             out.append(mu)
@@ -49,7 +49,7 @@ def test_block_weights_match_reference_once_per_key(monkeypatch):
         scn = ws.scenario
         depth = scn.depth_below_top
         want = reference_block_weights(ws.ctx, ws.module, depth, margin)
-        ctx = PairContext(scn.cartan_type, scn.delta_h)
+        ctx = PairContext(ws.ctx.pair)
         m = ctx.verma(scn.weights["lambda"], scn.depth)  # a fresh window: nothing enumerated yet
         assert type(m) is type(ws.module) and m is not ws.module
         calls = []
@@ -166,9 +166,30 @@ def test_delta_h_validated_once_per_pair(monkeypatch):
 
     monkeypatch.setattr(roots, "validate_delta_h", counted)
     monkeypatch.setattr(liealg, "validate_delta_h", counted)
-    ctx = PairContext("A2", [(1, 0)])
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})
+    ctx = pair_context("A2", [(1, 0)])
     assert ctx.pair.weyl.coset_W1 and 2 * ctx.pair.rho_h == Weight([1, 0])
     assert len(calls) == 1
+
+
+def test_spellings_of_one_pair_share_a_context(monkeypatch):
+    """delta_h spelled with repeats or with both signs names the pair of its
+    validated positive roots: one context, and each new spelling validates
+    once without building a second Chevalley basis.  A list that names no
+    subsystem still raises."""
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})
+    cbs = []
+    chevalley = scenarios.chevalley_basis
+    monkeypatch.setattr(scenarios, "chevalley_basis",
+                        lambda rs, form: cbs.append(rs) or chevalley(rs, form))
+    spellings = [[(1, 0)], [(1, 0), (1, 0)], [(-1, 0), (1, 0)]]
+    ctxs = [pair_context("A2", d) for d in spellings]
+    assert all(c is ctxs[0] for c in ctxs) and len(cbs) == 1
+    assert [pair_context("A2", d) for d in spellings] == ctxs
+    with pytest.raises(roots.NotASubsystem):
+        pair_context("A2", [(-1, 0)])
+    with pytest.raises(roots.NotASubsystem):
+        pair_context("A2", [(1, 0), (0, 1)])
 
 
 def test_spin_tasks_never_enumerate_the_weyl_group(monkeypatch):
