@@ -28,6 +28,7 @@ them.  Everything is rational and deterministic.
 
 from fractions import Fraction
 from functools import cache, partial
+from itertools import product
 from math import lcm
 
 from .exactla import Mat
@@ -947,9 +948,8 @@ def finite_character_h(pair: PairGH, nu: Weight):
         return {nu: 1}
     count = kostant_partition_counter(pair.delta_h_pos)
     weyl = pair.weyl
-    wh = weyl.subgroup_h
     rho_h = pair.rho_h
-    w0h = max(wh, key=lambda i: weyl.subsystem_length(i))
+    w0h = max(weyl.h_lengths, key=weyl.h_lengths.__getitem__)
     lowest = weyl.act(w0h, nu)
     # bounding box in subsystem-simple coordinates
     gap = nu - lowest
@@ -958,10 +958,10 @@ def finite_character_h(pair: PairGH, nu: Weight):
         raise AssertionError("weight gap not in the subsystem root lattice")
     bounds = [int(b) for b in box.col(0)]
     # each element's sign and image of nu + rho_h, once for the whole box
-    images = [(-1 if weyl.subsystem_length(wi) % 2 else 1, weyl.act(wi, nu + rho_h))
-              for wi in wh]
+    images = [((-1) ** length, weyl.act(wi, nu + rho_h))
+              for wi, length in weyl.h_lengths.items()]
     out = {}
-    for c in _box_coords(bounds):
+    for c in product(*(range(b + 1) for b in bounds)):
         mu = nu - sum((simples[i] * c[i] for i in range(len(simples))),
                       zero_weight(pair.rank))
         m = sum((sgn * count(img - (mu + rho_h)) for sgn, img in images), _F0)
@@ -972,13 +972,6 @@ def finite_character_h(pair: PairGH, nu: Weight):
     if total != expected:
         raise AssertionError(
             f"h-Weyl character total {total} != dimension formula {expected}")
-    return out
-
-
-def _box_coords(bounds):
-    out = [()]
-    for b in bounds:
-        out = [t + (k,) for t in out for k in range(b + 1)]
     return out
 
 

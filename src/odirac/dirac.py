@@ -15,7 +15,8 @@ from itertools import chain
 from operator import sub
 
 from .exactla import Mat
-from .cato import OutsideWindow, SlotSpace, WeightModuleWindow, block_operator, identity_map
+from .cato import (OutsideWindow, SlotSpace, WeightModuleWindow, block_operator, identity_map,
+                   sort_weights)
 from .roots import Weight, same_infinitesimal_character, zero_weight
 from .spinor import SpinModule
 
@@ -127,6 +128,18 @@ class DiracBlock:
     d_plus = cached_property(lambda self: block_operator(self.space, self.space, self._terms("e")))
     d_minus = cached_property(lambda self: block_operator(self.space, self.space, self._terms("f")))
     half_ranks = cached_property(lambda self: (self.d_plus.rank(), self.d_minus.rank()))
+
+    @cached_property
+    def jordan_basis(self):
+        """(rows, tops): the Jordan chain vectors in block coordinates, chain by
+        chain, and {k: the row index of each top of a chain of size 2k + 1}."""
+        chains = self.nilpotent().chains()
+        tops, at = {}, 0
+        for c in chains:
+            if c.nrows % 2:
+                tops.setdefault(c.nrows // 2, []).append(at)
+            at += c.nrows
+        return chains[0].vstack(*chains[1:]) @ self.gen0()[0], tops
 
     # -- the rank profile, H_top levels and the nilpotent restriction ---------
 
@@ -321,7 +334,6 @@ class GradedNilpotent:
         self.dim = n_mat.nrows
         self.parity = list(parity)
         self._powers = [Mat.identity(self.dim), n_mat]
-        self._kernels = {}
         self._chains = None
 
     def power(self, k):
@@ -330,13 +342,10 @@ class GradedNilpotent:
         return self._powers[k]
 
     def kernel(self, k):
-        """Canonical basis rows of ker(N^k), memoized per k: one row per free column,
-        in column order, each homogeneous of its column's parity.  On coordinates
-        with the even ones first (`DiracBlock.gen0`), the even rows come first."""
-        ker = self._kernels.get(k)
-        if ker is None:
-            ker = self._kernels[k] = self.power(k).nullspace()
-        return ker
+        """Canonical basis rows of ker(N^k): one row per free column, in column
+        order, each homogeneous of its column's parity.  On coordinates with the
+        even ones first (`DiracBlock.gen0`), the even rows come first."""
+        return self.power(k).nullspace()
 
     # -- Jordan chains ----------------------------------------------------------
 
@@ -357,8 +366,8 @@ class GradedNilpotent:
     def _compute_chains(self, seeds):
         if self.dim == 0:
             return []
-        s = 1  # the nilpotency index; N^0 = I has no kernel on a nonzero space
-        while self.kernel(s).nrows < self.dim:
+        s = 1  # the nilpotency index; N^0 = I is not zero on a nonzero space
+        while not self.power(s).is_zero():
             s += 1
         chains = []
         for k in range(s, 0, -1):
@@ -370,7 +379,7 @@ class GradedNilpotent:
             cands = Mat.zero(0, self.dim).vstack(*mine, self.kernel(k))
             pivots = image.vstack(cands @ self.power(k - 1).T).T.pivots()
             for i, vec in enumerate(mine):
-                if self._chain_length(vec) != k:
+                if self._chain(vec).nrows != k:
                     raise LiftFailure(f"seed has chain length != {k}")
                 if image.nrows + i not in pivots:
                     raise LiftFailure("seed top is not independent at its level")
@@ -382,12 +391,13 @@ class GradedNilpotent:
             raise AssertionError("Jordan chain vectors are not independent")
         return chains
 
-    def _chain_length(self, vec):
-        k = 0
+    def _chain(self, vec):
+        """The rows [vec, N vec, ...] up to the last nonzero one."""
+        rows = []
         while not vec.is_zero():
+            rows.append(vec)
             vec = vec @ self._nt
-            k += 1
-        return k
+        return Mat.zero(0, self.dim).vstack(*rows)
 
     def _chains_of(self, tops, size):
         """The chain [top, N top, ..., N^{size-1} top] of each row of `tops`, in
@@ -468,8 +478,7 @@ def kostant_kernel_check(sm, f) -> dict:
     pair = sm.pair
     lam = f.top_weight
     spin_weights = [sm.top_weight - Weight(d) for d in sm.drops_within(tuple(2 * sm.top_weight))]
-    block_weights = sorted({wm + ws for wm in f.weights() for ws in spin_weights},
-                           key=lambda v: (-v.height, v))
+    block_weights = sort_weights({wm + ws for wm in f.weights() for ws in spin_weights})
     actual = {}
     for mu in block_weights:
         blk = block(sm, f, mu)
@@ -559,18 +568,6 @@ def index_identity_check(blk: DiracBlock) -> dict:
     }
 
 
-def _jordan_basis(b: DiracBlock):
-    """(rows, tops): the Jordan chain vectors of block b in its coordinates, chain
-    by chain, and {k: the row index of each top of a chain of size 2k + 1}."""
-    chains = b.nilpotent().chains()
-    tops, at = {}, 0
-    for c in chains:
-        if c.nrows % 2:
-            tops.setdefault(c.nrows // 2, []).append(at)
-        at += c.nrows
-    return chains[0].vstack(*chains[1:]) @ b.gen0()[0], tops
-
-
 def singular_cohomology_weights(sm, m, weights) -> dict:
     """Weights at which some H_top^k carries an h-singular class.
 
@@ -593,7 +590,7 @@ def singular_cohomology_weights(sm, m, weights) -> dict:
         levels = b.higher_cohomology()
         if not levels:
             continue
-        basis, where = _jordan_basis(b)
+        basis, where = b.jordan_basis
         order = [i for k in levels for i in where[k]]
         tops = basis.take(rows=order)
         mine = {k: [order.index(i) for i in where[k]] for k in levels}  # columns of x
@@ -603,7 +600,7 @@ def singular_cohomology_weights(sm, m, weights) -> dict:
             shared = [k for k in levels if k in up.htop()]
             if not shared:
                 continue
-            up_basis, theirs = _jordan_basis(up)
+            up_basis, theirs = up.jordan_basis
             e_map = h_generator_block(sm, m, ("e", alpha), mu)
             x = up_basis.T.solve(e_map @ tops.T)
             if x is None:
@@ -707,48 +704,48 @@ def exact_circle(sm, ses, mu) -> CircleCertificate:
     nil3 = b3.nilpotent()
 
     chains3 = nil3.chains()
-    lifted = []  # (top2, l, m, top3)
+    lifted = []  # (chain2, m, top3): the middle chain of each lifted top
     for chain3 in chains3:
-        msize = chain3.nrows
         top3 = chain3.take(rows=[0])
         u = p0.solve(top3.T)
         if u is None:
             raise LiftFailure("top summand has no preimage in the generalized kernel")
-        u = u.T
-        l = nil2._chain_length(u)
-        if l < msize:
+        chain2 = nil2._chain(u.T)
+        l = chain2.nrows
+        if l < chain3.nrows:
             raise LiftFailure("lift died too early")
         # top criterion: N^{l-1} u lies in ker N, so it is outside
         # N^l ker N^{l+1} = im N^l meet ker N exactly when it is outside im N^l
         image = nil2.power(l).T
-        if image.nrows not in image.vstack(u @ nil2.power(l - 1).T).T.pivots():
+        if image.nrows not in image.vstack(chain2.take(rows=[l - 1])).T.pivots():
             raise LiftFailure("lifted preimage is not a Jordan top")
-        lifted.append((u, l, msize, top3))
+        lifted.append((chain2, chain3.nrows, top3))
 
     # tails pull back to seed chains in the sub block
     seeds1 = []
-    for (u, l, msize, _top3) in lifted:
-        if l > msize:
-            x = i0.solve(nil2.power(msize) @ u.T)
+    for chain2, msize, _top3 in lifted:
+        if chain2.nrows > msize:
+            x = i0.solve(chain2.take(rows=[msize]).T)
             if x is None:
                 raise LiftFailure("tail of a lifted chain is not in the sub block")
-            seeds1.append((x.T, l - msize))
+            seeds1.append((x.T, chain2.nrows - msize))
 
     chains1 = nil1.chains(seeds=seeds1)
-    triples = [{"k": l - msize, "l": l, "m": msize, "top2": u, "top3": top3}
-               for (u, l, msize, top3) in lifted]
-    # residual chains in the sub block are those not seeded
+    triples = [{"k": c.nrows - msize, "l": c.nrows, "m": msize, "top2": c.take(rows=[0]),
+                "top3": top3} for c, msize, top3 in lifted]
+    # the middle block's decomposition: the lifted chains, then the image of
+    # each residual chain of the sub block (those not seeded)
+    chain2_list = [c for c, _, _ in lifted]
     seed_tops = [s[0] for s in seeds1]
     for ch in chains1:
         top1 = ch.take(rows=[0])
         if top1 in seed_tops:
             seed_tops.remove(top1)
         else:
+            chain2 = ch @ i0.T
             triples.append({"k": ch.nrows, "l": ch.nrows, "m": 0,
-                            "top2": top1 @ i0.T, "top3": None})
-
-    # full decomposition of the middle block: lifted chains + i(residual chains)
-    chain2_list = [nil2._chains_of(t["top2"], t["l"])[0] for t in triples]
+                            "top2": chain2.take(rows=[0]), "top3": None})
+            chain2_list.append(chain2)
     if Mat.zero(0, n2).vstack(*chain2_list).rank() != n2:
         raise LiftFailure("compatible decomposition does not span the middle kernel")
     # cross-check higher cohomology of the adapted decomposition

@@ -15,7 +15,7 @@ rational.
 
 from fractions import Fraction
 
-from .roots import (InvariantForm, RootSystem, WeylData, rho_vectors,
+from .roots import (InvariantForm, RootSystem, WeylData, rho_vectors, simple_roots_of,
                     validate_delta_h, weyl_group, zero_weight)
 
 _F0 = Fraction(0)
@@ -254,10 +254,7 @@ class PairGH:
         self.rs = rs
         self.form = form
         self.delta_h_pos = validate_delta_h(rs, delta_h)
-        # a root of delta_h+ is simple there iff it is no sum of two of them
-        posset = set(self.delta_h_pos)
-        self.delta_h_simple = [a for a in self.delta_h_pos
-                               if not any(a - b in posset for b in self.delta_h_pos)]
+        self.delta_h_simple = simple_roots_of(self.delta_h_pos)
         self.delta_h_signed = frozenset(self.delta_h_pos) | frozenset(-a for a in self.delta_h_pos)
         self.q_positive = [a for a in rs.positive_roots if a not in self.delta_h_signed]
         self.rho, self.rho_h = rho_vectors(rs, self.delta_h_pos)

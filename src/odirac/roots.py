@@ -199,7 +199,6 @@ class InvariantForm:
         amat = Mat([[Fraction(a[i][j]) for j in range(r)] for i in range(r)], r)
         self.cartan_gram = kmat
         self.gram = amat @ kmat.inv() @ amat.T
-        self._rs = rs
 
     def pair(self, v, w):
         """<v, w> summed in ints over the Gram's one denominator: one Fraction per call."""
@@ -217,17 +216,6 @@ class InvariantForm:
     def coroot_pair(self, v, alpha):
         """2<v, alpha> / <alpha, alpha>."""
         return 2 * self.pair(v, alpha) / self.pair(alpha, alpha)
-
-    def reflection(self, alpha):
-        """Reflection through the hyperplane orthogonal to the root alpha."""
-        r = self._rs.rank
-        cols = []
-        aa = self.pair(alpha, alpha)
-        for i in range(r):
-            e = Weight([_F1 if k == i else _F0 for k in range(r)])
-            c = 2 * self.pair(e, alpha) / aa
-            cols.append(tuple(e - alpha * c))
-        return Mat.from_cols(cols, r)
 
 
 def killing_form_on_dual(rs: RootSystem) -> InvariantForm:
@@ -258,6 +246,13 @@ def validate_delta_h(rs: RootSystem, delta_h):
     return pos
 
 
+def simple_roots_of(delta_pos):
+    """The simple roots of the positive system delta_pos: the roots a with no
+    a - b in delta_pos for b in delta_pos, that is no sum of two of its roots."""
+    posset = set(delta_pos)
+    return [a for a in delta_pos if not any(a - b in posset for b in delta_pos)]
+
+
 def rho_vectors(rs: RootSystem, delta_h_pos):
     """Half sums of positive roots for g and for the validated subsystem."""
     rho = Weight([Fraction(1, 2) * c for c in sum(rs.positive_roots, zero_weight(rs.rank))])
@@ -268,16 +263,22 @@ def rho_vectors(rs: RootSystem, delta_h_pos):
 class WeylData:
     """Full enumeration of W with lengths, the subsystem group and the coset set.
 
-    delta_h_pos is taken as validated (`liealg.PairGH` validates it).
+    rho is regular (<rho, alpha> > 0 for every alpha in Delta^+), so w(rho)
+    determines w, and one map {w(rho): w} answers the coset and subgroup
+    questions.  w is in W^1 (w^{-1} sends Delta_h^+ into Delta^+) exactly
+    when <w(rho), beta> = <rho, w^{-1} beta> is positive for every beta in
+    Delta_h^+, that is when w(rho) is Delta_h-dominant; regularity keeps the
+    pairing off 0, so the test on Delta_h's simple roots decides it.  W_h is
+    the breadth-first closure of rho under Delta_h's simple reflections,
+    and the step at which the walk first reaches w(rho) is the length of w
+    in W_h.  delta_h_pos is taken as validated (`liealg.PairGH` validates
+    it).
     """
 
     def __init__(self, rs: RootSystem, form: InvariantForm, delta_h_pos):
-        self.rs = rs
-        self.delta_h_pos = delta_h_pos
         gens = [rs.simple_reflection(j) for j in range(rs.rank)]
         ident = Mat.identity(rs.rank)
         elements = [ident]
-        inverses = [ident]
         lengths = [0]
         index = {ident: 0}
         frontier = [0]
@@ -289,7 +290,6 @@ class WeylData:
                     if m not in index:
                         index[m] = len(elements)
                         elements.append(m)
-                        inverses.append(inverses[ei] @ g)
                         lengths.append(lengths[ei] + 1)
                         nxt.append(index[m])
             frontier = nxt
@@ -298,53 +298,38 @@ class WeylData:
                 f"Weyl enumeration produced {len(elements)} elements, "
                 f"expected {rs.weyl_order} for {rs.cartan_type}")
         self.elements = elements
-        self.inverses = inverses
         self.lengths = lengths
         self.index = index
 
-        # subgroup generated by reflections in the subsystem roots
-        h_gens = [form.reflection(a) for a in delta_h_pos]
-        sub = {index[ident]}
-        frontier = [ident]
+        rho = rho_vectors(rs, ())[0]
+        by_rho = {self.act(i, rho): i for i in range(len(elements))}
+        simple_h = simple_roots_of(delta_h_pos)
+        self.coset_W1 = [i for v, i in by_rho.items()
+                         if all(form.pair(v, b) > 0 for b in simple_h)]
+        # {w: length in W_h}, in the order of the walk
+        self.h_lengths = {0: 0}
+        frontier, depth = [rho], 0
         while frontier:
+            depth += 1
             nxt = []
-            for m in frontier:
-                for g in h_gens:
-                    p = g @ m
-                    i = index.get(p)
+            for v in frontier:
+                for b in simple_h:
+                    u = v - b * form.coroot_pair(v, b)
+                    i = by_rho.get(u)
                     if i is None:
                         raise AssertionError("subsystem reflection left the Weyl group")
-                    if i not in sub:
-                        sub.add(i)
-                        nxt.append(p)
+                    if i not in self.h_lengths:
+                        self.h_lengths[i] = depth
+                        nxt.append(u)
             frontier = nxt
-        self.subgroup_h = sorted(sub)
-
-        pos_set = set(rs.positive_roots)
-        coset = []
-        for i, _ in enumerate(elements):
-            winv = self.inverses[i]
-            if all(Weight(winv.apply(b)) in pos_set for b in delta_h_pos):
-                coset.append(i)
-        self.coset_W1 = coset
-
-        self.longest = max(range(len(elements)), key=lambda i: lengths[i])
+        self.subgroup_h = sorted(self.h_lengths)
+        self.longest = by_rho[-rho]
 
     def act(self, i, v):
         return Weight(self.elements[i].apply(v))
 
     def orbit(self, v):
         return {self.act(i, v) for i in range(len(self.elements))}
-
-    def subsystem_length(self, i):
-        """Number of subsystem positive roots sent negative (length in W_h)."""
-        neg = {-a for a in self.delta_h_pos}
-        cnt = 0
-        for a in self.delta_h_pos:
-            img = self.act(i, a)
-            if img in neg or all(c <= 0 for c in img) and any(img):
-                cnt += 1
-        return cnt
 
 
 def weyl_group(rs: RootSystem, form: InvariantForm, delta_h_pos) -> WeylData:

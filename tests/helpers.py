@@ -6,8 +6,9 @@ every subset sum of q+, Jordan chains chosen one candidate top at a
 time, kernels restricted to one parity, canonical row spaces and the
 subspace meet and preimage that the reference singular classes and
 Hodge decompositions are built from, Hermitian pairs by their
-definition, the degree-graded Chevalley-Eilenberg complexes, and the
-Bruhat order and Kazhdan-Lusztig polynomials."""
+definition, the degree-graded Chevalley-Eilenberg complexes, the closed
+subsystems of a root system and its Weyl group data built with matrices,
+and the Bruhat order and Kazhdan-Lusztig polynomials."""
 
 from fractions import Fraction
 from itertools import takewhile
@@ -16,7 +17,7 @@ from operator import add, le, sub
 from odirac.cato import QuotientWindow, _delta_coords, cone_coords, sort_weights
 from odirac.dirac import block
 from odirac.exactla import Mat
-from odirac.roots import Weight
+from odirac.roots import NotASubsystem, Weight, validate_delta_h
 
 _F0 = Fraction(0)
 
@@ -430,6 +431,76 @@ class CEComplex:
     def homology_dims(self):
         """dim H_k(del) per degree on this weight slice."""
         return self._homology(self.boundary(), -1)
+
+
+# -- closed subsystems and the Weyl group by matrices ---------------------------
+
+def closed_subsystems(rs):
+    """Every subset of the positive roots that `validate_delta_h` accepts."""
+    pos = rs.positive_roots
+    for bits in range(1 << len(pos)):
+        sub = [a for i, a in enumerate(pos) if bits >> i & 1]
+        try:
+            validate_delta_h(rs, sub)
+        except NotASubsystem:
+            continue
+        yield sub
+
+
+def reflection(form, alpha, rank):
+    """The matrix of the reflection in the root alpha on simple-root coordinates."""
+    cols = []
+    for i in range(rank):
+        e = Weight([1 if k == i else 0 for k in range(rank)])
+        cols.append(tuple(e - alpha * form.coroot_pair(e, alpha)))
+    return Mat.from_cols(cols, rank)
+
+
+def reference_weyl_data(rs, form, delta_h_pos):
+    """(elements, coset_W1, h_lengths, longest) of W, built with matrices.
+
+    W is enumerated breadth-first from the identity by left products with
+    the simple reflections, with w^{-1} kept alongside each w.  W^1 is the
+    set of w with w^{-1}(Delta_h^+) inside Delta^+, read off that inverse
+    table; W_h is the closure of the identity under the reflection matrix
+    of every root of Delta_h^+; the length of w in W_h is the number of
+    roots of Delta_h^+ that w sends negative; the longest element is the
+    one of greatest length in W.
+    """
+    gens = [rs.simple_reflection(j) for j in range(rs.rank)]
+    ident = Mat.identity(rs.rank)
+    elements, inverses, lengths, index = [ident], [ident], [0], {ident: 0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for ei in frontier:
+            for g in gens:
+                m = g @ elements[ei]
+                if m not in index:
+                    index[m] = len(elements)
+                    elements.append(m)
+                    inverses.append(inverses[ei] @ g)
+                    lengths.append(lengths[ei] + 1)
+                    nxt.append(index[m])
+        frontier = nxt
+    pos = set(rs.positive_roots)
+    coset = [i for i in range(len(elements))
+             if all(Weight(inverses[i].apply(b)) in pos for b in delta_h_pos)]
+    h_gens = [reflection(form, a, rs.rank) for a in delta_h_pos]
+    sub, frontier = {0}, [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in h_gens:
+                p = g @ m
+                if index[p] not in sub:
+                    sub.add(index[p])
+                    nxt.append(p)
+        frontier = nxt
+    h_lengths = {i: sum(Weight(elements[i].apply(a)) not in pos for a in delta_h_pos)
+                 for i in sub}
+    longest = max(range(len(elements)), key=lengths.__getitem__)
+    return elements, coset, h_lengths, longest
 
 
 # -- Bruhat order and Kazhdan-Lusztig polynomials -----------------------------

@@ -1033,9 +1033,10 @@ def test_htop_matches_generalized_kernel_route(a1):
 
 
 def test_one_nullspace_per_graded_kernel(monkeypatch):
-    """A run of the C3 probe computes each ker N^k once per nilpotent
-    restriction, by one `Mat.nullspace` of N^k, although the Jordan chains
-    ask again; no other power of N is reduced for a kernel."""
+    """A run of the C3 probe asks for each ker N^k once per nilpotent
+    restriction and reduces it by one `Mat.nullspace` of N^k: the
+    nilpotency index is read off the powers, not off their kernels, and no
+    other power of N is reduced for a kernel."""
     import os
     from collections import Counter
     from odirac import scenarios
@@ -1058,10 +1059,67 @@ def test_one_nullspace_per_graded_kernel(monkeypatch):
     monkeypatch.setattr(Mat, "nullspace", counted_nullspace)
     path = os.path.join(os.path.dirname(__file__), "..", "scenarios", "c3_spin_probe.json")
     assert scenarios.run_scenario(scenarios.load_scenario(path))["ok"]
-    assert sum(asked.values()) > len(asked)  # the memo is hit
+    assert asked and set(asked.values()) == {1}
     assert all(computed[id(nil.power(k))] == 1 for nil, k in asked)
     powers = {id(p) for nil in {nil for nil, _ in asked} for p in nil._powers}
     assert sum(computed[i] for i in powers) == len(asked)
+
+
+@pytest.mark.parametrize("name", ["a1_circle", "a2_circle_split"])
+def test_circle_asks_the_middle_power_once_per_lift(monkeypatch, name):
+    """On a cold run of the circle at every block weight of scenarios/NAME.json,
+    `exact_circle` asks the middle block's nilpotent for one power per lifted
+    quotient chain, N^l for the top test: the lift's length, the row tested
+    as a top, the tail seed and the chain of the middle decomposition are
+    all read off the one chain built from the lift."""
+    from collections import Counter
+
+    from odirac import scenarios
+    from odirac.scenarios import Workspace
+
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+    asked = Counter()
+    power = GradedNilpotent.power
+
+    def counted_power(self, k):
+        asked[self] += 1
+        return power(self, k)
+
+    monkeypatch.setattr(GradedNilpotent, "power", counted_power)
+    ws = Workspace(_scenario_file(name))
+    _, m2, m3 = ws.ses.modules()
+    lifts = 0
+    for mu in ws.block_weights():
+        asked.clear()
+        assert exact_circle(ws.sm, ws.ses, mu).exact
+        mine = len(block(ws.sm, m3, mu).nilpotent().chains())
+        assert asked[block(ws.sm, m2, mu).nilpotent()] == mine, mu
+        lifts += mine
+    assert lifts > 0
+
+
+def test_vogan_builds_one_jordan_basis_per_block(monkeypatch):
+    """On a cold run of scenarios/sl3_paper_example.json, the vogan task's
+    singular classes build the Jordan basis of 9 blocks, each once, although
+    a block is read again as a neighbour of the weights below it."""
+    from collections import Counter
+    from functools import cached_property
+
+    from odirac import scenarios
+
+    monkeypatch.setattr(scenarios, "_CONTEXTS", {})  # a cold context
+    built = Counter()
+    basis = DiracBlock.__dict__["jordan_basis"].func
+
+    def counted_basis(self):
+        built[self] += 1
+        return basis(self)
+
+    prop = cached_property(counted_basis)
+    prop.__set_name__(DiracBlock, "jordan_basis")
+    monkeypatch.setattr(DiracBlock, "jordan_basis", prop)
+    assert scenarios.run_scenario(_scenario_file("sl3_paper_example"))["ok"]
+    assert len(built) == 9 and set(built.values()) == {1}
 
 
 def test_kernels_stack_the_graded_kernels():

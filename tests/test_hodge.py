@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from odirac.exactla import Mat
-from odirac.roots import (NotASubsystem, Weight, build_root_system, killing_form_on_dual,
-                          validate_delta_h, zero_weight)
+from odirac.roots import Weight, build_root_system, killing_form_on_dual, zero_weight
 from odirac.liealg import PairGH
 from odirac.cato import cone_coords, simple_quotient_window, verma_window
 from odirac.dirac import DiracBlock, block
@@ -16,7 +15,7 @@ from odirac.hodge import (HermitianPair, NotHermitian, UnitaryStructure, _half_d
                           block_inner_gram, hodge_decomposition_check,
                           identification_check, theorem52_comparison,
                           unitarity_check)
-from helpers import CEComplex, hermitian_grading, row_space, subspace_intersect
+from helpers import CEComplex, closed_subsystems, hermitian_grading, row_space, subspace_intersect
 
 F = Fraction
 
@@ -38,18 +37,6 @@ def test_grading_functional(a2_su21):
         assert hp.q_degree(b) == 1
 
 
-def _closed_subsystems(rs):
-    """Every subset of the positive roots that `validate_delta_h` accepts."""
-    pos = rs.positive_roots
-    for bits in range(1 << len(pos)):
-        sub = [a for i, a in enumerate(pos) if bits >> i & 1]
-        try:
-            validate_delta_h(rs, sub)
-        except NotASubsystem:
-            continue
-        yield sub
-
-
 # (type, closed subsystems, Hermitian pairs): the Hermitian pairs are h = g
 # and the Levi subalgebras whose nilradical is abelian
 @pytest.mark.parametrize("cartan_type, closed, hermitian_pairs", [
@@ -61,7 +48,7 @@ def test_hermitian_pair_matches_its_definition(cartan_type, closed, hermitian_pa
     and q_degree is that grading on every root."""
     rs = build_root_system(cartan_type)
     form = killing_form_on_dual(rs)
-    subsystems = list(_closed_subsystems(rs))
+    subsystems = list(closed_subsystems(rs))
     assert len(subsystems) == closed
     hermitian = 0
     for sub in subsystems:

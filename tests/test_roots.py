@@ -11,10 +11,11 @@ from odirac.cato import WeightModuleWindow
 from odirac.exactla import Mat
 from odirac.roots import (NotASubsystem, UnsupportedCartanType, Weight,
                           build_root_system, eps_to_weight, is_antidominant,
-                          rho_vectors, same_infinitesimal_character,
+                          killing_form_on_dual, rho_vectors, same_infinitesimal_character,
                           validate_delta_h, weyl_group, zero_weight)
 from conftest import ctx
-from helpers import ad_matrix, weight_from_fundamental, weight_to_eps, weight_to_fundamental
+from helpers import (ad_matrix, closed_subsystems, reference_weyl_data, weight_from_fundamental,
+                     weight_to_eps, weight_to_fundamental)
 
 F = Fraction
 
@@ -171,11 +172,30 @@ def test_weyl_group_and_coset():
     # direct test of the defining condition on all 6 elements
     pos = set(c2.rs.positive_roots)
     beta = Weight([1, 0])
-    expect = [i for i in range(6)
-              if Weight(weyl.inverses[i].apply(beta)) in pos]
+    expect = [i for i, w in enumerate(weyl.elements)
+              if weyl.act(weyl.index[w.inv()], beta) in pos]
     assert weyl.coset_W1 == expect and len(expect) == 3
     assert 0 in weyl.coset_W1  # identity always qualifies
     assert len(weyl.coset_W1) * len(weyl.subgroup_h) == len(weyl.elements)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A1xA1", "A3", "B3", "C3", "A4",
+                                   "D4"])
+def test_weyl_data_matches_matrix_reference(label):
+    """On every closed subsystem, W^1, W_h, the lengths in W_h and the longest
+    element read off the orbit of rho equal their construction by matrices:
+    the inverse table, the closure under every Delta_h^+ reflection and the
+    count of Delta_h^+ roots sent negative."""
+    rs = build_root_system(label)
+    form = killing_form_on_dual(rs)
+    for sub in closed_subsystems(rs):
+        weyl = weyl_group(rs, form, validate_delta_h(rs, sub))
+        elements, coset, h_lengths, longest = reference_weyl_data(rs, form, sub)
+        assert weyl.elements == elements, sub
+        assert weyl.coset_W1 == coset, sub
+        assert weyl.h_lengths == h_lengths and weyl.subgroup_h == sorted(h_lengths), sub
+        assert weyl.longest == longest, sub
+        assert len(coset) * len(h_lengths) == len(elements), sub
 
 
 def test_simple_reflection_permutes_other_positives():
